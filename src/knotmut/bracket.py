@@ -49,72 +49,74 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     """Bracket by crossing-at-a-time contraction with state merging.
 
     States are partial pairings of open arc-ends, keyed canonically so
-    that equal boundary patterns share one accumulated coefficient.
+    that equal boundary patterns share one accumulated coefficient.  The
+    k-th endpoint (k = 0, 1) of an arc is the int 2*arc + k; a state's key
+    is the flat tuple of its pairs (u, v), u < v, sorted by u, and its
+    coefficient a {exponent: int} dict accumulated in place.
     """
     crossings = list(d.crossings)
     # order crossings greedily to keep the open boundary small
     order = _contraction_order(crossings)
 
-    # an arc-end is (arc, 0) for its first endpoint and (arc, 1) for its
-    # second; track how many endpoints of each arc remain unprocessed
+    # track how many endpoints of each arc remain unprocessed
     remaining: dict[int, int] = {}
     for x in crossings:
         for a in x:
             remaining[a] = remaining.get(a, 0) + 1
-
     seen: dict[int, int] = {}
 
-    def end_token(a: int) -> tuple[int, int]:
-        k = seen.get(a, 0)
-        seen[a] = k + 1
-        return (a, k)
+    # delta^k for every loop count one crossing can close: two joins plus
+    # one closed arc per leg
+    delta_pow = [(DELTA**k).coeffs for k in range(7)]
 
-    # state: frozenset of frozenset pairs -> coefficient
-    states: dict[frozenset, LaurentPoly] = {frozenset(): LaurentPoly.one("A")}
-    A = LaurentPoly.monomial("A", 1)
-    Ainv = LaurentPoly.monomial("A", -1)
-
+    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
     for idx in order:
         x = crossings[idx]
-        toks = [end_token(a) for a in x]
-        closing = {a for a in set(x) if seen[a] == remaining[a]}
-        new_states: dict[frozenset, LaurentPoly] = {}
+        toks = []
+        for a in x:
+            k = seen.get(a, 0)
+            seen[a] = k + 1
+            toks.append(2 * a + k)
+        t0, t1, t2, t3 = toks
+        closing = [2 * a for a in set(x) if seen[a] == remaining[a]]
+        smoothings = ((1, t0, t1, t2, t3), (-1, t0, t3, t1, t2))
+        new_states: dict[tuple, dict[int, int]] = {}
         for state, coeff in states.items():
-            pairing: dict = {}
-            for pair in state:
-                u, v = tuple(pair)
-                pairing[u] = v
-                pairing[v] = u
-            for weight, joins in ((A, ((0, 1), (2, 3))), (Ainv, ((0, 3), (1, 2)))):
+            pairing = dict(zip(state[::2], state[1::2]))
+            pairing.update(zip(state[1::2], state[::2]))
+            for shift, i, j, k, l in smoothings:
                 p = dict(pairing)
-                loops = 0
-                for i, j in joins:
-                    loops += _merge(p, toks[i], toks[j])
-                # close finished arcs: both endpoints of arc a now exist;
-                # endpoint (a,0) connects to endpoint (a,1) through the arc
-                for a in closing:
-                    loops += _merge(p, (a, 0), (a, 1))
-                c = coeff * weight
-                for _ in range(loops):
-                    c = c * DELTA
-                key = frozenset(frozenset(e) for e in
-                                {frozenset((u, v)) for u, v in p.items()})
-                if key in new_states:
-                    new_states[key] = new_states[key] + c
+                loops = _merge(p, i, j) + _merge(p, k, l)
+                # both endpoints of a finished arc exist now; the arc
+                # itself joins them
+                for end in closing:
+                    loops += _merge(p, end, end + 1)
+                flat = []
+                for u in sorted(p):
+                    v = p[u]
+                    if u < v:
+                        flat.append(u)
+                        flat.append(v)
+                key = tuple(flat)
+                acc = new_states.get(key)
+                if acc is None:
+                    acc = new_states[key] = {}
+                if loops:
+                    dp = delta_pow[loops]
+                    for e, c in coeff.items():
+                        e += shift
+                        for de, dc in dp.items():
+                            acc[e + de] = acc.get(e + de, 0) + c * dc
                 else:
-                    new_states[key] = c
+                    for e, c in coeff.items():
+                        e += shift
+                        acc[e] = acc.get(e, 0) + c
         states = new_states
-        # reset duplicate-endpoint bookkeeping consistently: tokens for a
-        # closing arc are spent; nothing to do since `seen` tracks counts.
 
-    total = LaurentPoly.zero("A")
-    for state, coeff in states.items():
-        if state:
-            raise AssertionError("open ends remain after full contraction")
-        total = total + coeff
-    for _ in range(d.free_loops):
-        total = total * DELTA
-    return total
+    total = states.pop((), None)
+    if states or total is None:
+        raise AssertionError("open ends remain after full contraction")
+    return LaurentPoly("A", total) * DELTA ** d.free_loops
 
 
 def _contraction_order(crossings: list) -> list[int]:

@@ -135,7 +135,6 @@ def _report_options(args) -> ReportOptions:
         whitehead_homfly=getattr(args, "whitehead_p", False),
         cable_homfly=getattr(args, "cable_p", False),
         budget_seconds=args.budget_seconds,
-        threads=args.threads,
     )
 
 
@@ -148,7 +147,6 @@ def main(argv=None) -> int:
                     default="text")
     ap.add_argument("--budget-seconds", type=float,
                     default=float(env_budget) if env_budget else None)
-    ap.add_argument("--threads", type=int, default=1)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     for cmd in ("jones", "alexander", "homfly", "kauffman"):

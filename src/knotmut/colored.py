@@ -1,11 +1,13 @@
 """Colored Jones polynomials and the trivalent-vertex coefficient calculus.
 
-The N-colored Jones polynomial is the bracket of the companion cabled by
-(-1)^(N-1) e_{N-1}, where e_n is the Chebyshev basis of the solid-torus
-skein module (e_0 = 1, e_1 = z, e_i = z e_{i-1} - e_{i-2}).  Expanding
-e_{N-1} in powers of z reduces the computation to plain brackets of
-k-parallels of a zero-framed diagram of the companion; the result is
-normalized by the unknot value [N] and written in q = a^2 = A^4.
+The N-colored Jones polynomial of a knot is the bracket of the companion
+cabled by (-1)^(N-1) e_{N-1}, where e_n is the Chebyshev basis of the
+solid-torus skein module (e_0 = 1, e_1 = z, e_i = z e_{i-1} - e_{i-2}).
+Expanding e_{N-1} in powers of z reduces the computation to plain
+brackets of k-parallels of the diagram as drawn.  A full twist acts on
+e_n as the scalar (-1)^n A^(n^2+2n) (Lickorish, GTM 175, ch. 13), so one
+monomial factor in the writhe returns the sum to the zero framing.  The
+result is normalized by the unknot value [N] and written in q = a^2 = A^4.
 
 The vertex weights <a,b,c>, loop values <k>, fusion coefficients and
 the Gamma coefficients follow the standard trivalent-graph evaluations
@@ -14,8 +16,8 @@ for this bracket normalization.
 
 from __future__ import annotations
 
-from .bracket import DELTA, kauffman_bracket
-from .diagram import PlanarDiagram, zero_framed
+from .bracket import kauffman_bracket
+from .diagram import PlanarDiagram
 from .laurent import InexactDivision, LaurentPoly, RatFunc, qint
 from .satellites import cable
 
@@ -97,20 +99,25 @@ def colored_jones_unnormalized(d: PlanarDiagram, N: int) -> LaurentPoly:
     """J'_K(N) in the variable a: bracket of the e_{N-1} cable, 0-framed."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    base = zero_framed(d) if d.crossings else d
+    if N > 1 and d.component_count() != 1:
+        # the framing correction below needs the writhe of a single
+        # component; color 1 cables nothing and is 1 on every link
+        raise ValueError("colored Jones for N > 1 needs a knot diagram")
+    n = N - 1
     total = LaurentPoly.zero("A")
-    for k, c in chebyshev_basis(N - 1).items():
+    for k, c in chebyshev_basis(n).items():
         if k == 0:
             br = LaurentPoly.one("A")  # the 0-parallel is the empty diagram
-        elif base.crossings:
-            br = kauffman_bracket(cable(base, k, 0))
         else:
-            br = DELTA**k  # k disjoint circles
+            br = kauffman_bracket(cable(d, k, 0))
         total = total + c * br
-    sign = 1 if (N - 1) % 2 == 0 else -1
-    total = sign * total
-    # rewrite in a = A^2; bracket values of 0-framed knot cables lie in
-    # the image of Z[a, a^-1]
+    # (-1)^n, times ((-1)^n A^(n^2+2n))^(-w) to undo the w full twists that
+    # the blackboard framing puts on the e_n-colored band
+    w = d.writhe()
+    sign = -1 if n * (w + 1) % 2 else 1
+    total = total * LaurentPoly.monomial("A", -w * (n * n + 2 * n), sign)
+    # rewrite in a = A^2; the framing-corrected bracket of a knot's e_n
+    # cable lies in the image of Z[a, a^-1]
     return total.shrink(2, "a")
 
 

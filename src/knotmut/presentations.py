@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .diagram import BraidWord
 from .freegroup import abelian_exponent, artin_action, freely_reduce, inverse_word
 from .matrices import abelian_invariants
+from .skein2 import ResourceLimitExceeded
 
 Word = tuple[int, ...]
 
@@ -396,7 +397,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
     def recurse(table):
         budget[0] -= 1
         if budget[0] < 0:
-            raise RuntimeError("low-index search budget exhausted")
+            raise ResourceLimitExceeded("low-index search budget exhausted")
         hole = first_hole(table)
         if hole is None:
             key = _class_signature(table, ncols)

@@ -9,7 +9,6 @@ the positive case is always "consistent with mutation (inconclusive)".
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .alexander import alexander_pd
@@ -49,7 +48,6 @@ class ReportOptions:
     whitehead_homfly: bool = False
     cable_homfly: bool = False
     budget_seconds: float | None = None
-    threads: int = 1
 
 
 @dataclass
@@ -155,23 +153,13 @@ def compute_report(name: str, d: PlanarDiagram,
             if on and not is_knot:
                 report.items[key] = ReportItem(key, SKIPPED, detail="not a knot")
 
-    def run(job):
-        key, fn = job
+    for key, fn in jobs:
         try:
-            return key, ReportItem(key, DONE, fn())
+            report.items[key] = ReportItem(key, DONE, fn())
         except ResourceLimitExceeded as exc:
-            return key, ReportItem(key, LIMITED, detail=str(exc))
+            report.items[key] = ReportItem(key, LIMITED, detail=str(exc))
         except (ArithmeticError, ValueError) as exc:
-            return key, ReportItem(key, SKIPPED, detail=str(exc))
-
-    if opts.threads > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-    for key, item in results:
-        report.items[key] = item
-    # deterministic ordering regardless of thread count
+            report.items[key] = ReportItem(key, SKIPPED, detail=str(exc))
     report.items = {k: report.items[k] for k in sorted(report.items)}
     return report
 

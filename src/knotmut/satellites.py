@@ -12,8 +12,7 @@ of one chosen arc of the companion.
 from __future__ import annotations
 
 from .diagram import (BraidWord, Crossing, PlanarDiagram, _head_position,
-                      _over_dir_cache, braid_closure, orient_raw, relabel,
-                      zero_framed)
+                      _over_dir_cache, braid_closure, orient_raw, relabel)
 
 
 def _half_twist_word(n: int) -> list[int]:

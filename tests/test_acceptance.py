@@ -179,13 +179,39 @@ class TestDoubleCoverHomology:
             assert order == det
 
 
+def cycle_type_reps(n: int) -> list[tuple[int, ...]]:
+    """One permutation per cycle type of S_n: the points 0..n-1 cut, in
+    order, into consecutive cycles with the lengths of a partition of n."""
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for k in range(min(m, largest), 0, -1):
+            for rest in partitions(m - k, k):
+                yield (k,) + rest
+
+    reps = []
+    for parts in partitions(n, n):
+        p, start = [], 0
+        for k in parts:
+            p.extend(range(start + 1, start + k))
+            p.append(start)
+            start += k
+        reps.append(tuple(p))
+    return reps
+
+
 def representation_signatures(g: GroupPresentation, max_index: int) -> set:
     """Oracle for the low-index search: enumerate, generator by generator,
     all transitive permutation representations of degree <= max_index and
-    canonicalize their coset tables."""
+    canonicalize their coset tables.
+
+    Conjugating every image by one permutation relabels the points, which
+    leaves the canonical signature unchanged, so the first generator
+    ranges over one permutation per cycle type only."""
     out = set()
     for n in range(1, max_index + 1):
         elems = sorted(symmetric(n).elements())
+        firsts = cycle_type_reps(n)
         by_max = {}
         for r in g.relators:
             if r:
@@ -211,7 +237,7 @@ def representation_signatures(g: GroupPresentation, max_index: int) -> set:
                         g.ngens, [dict(enumerate(p)) for p in images], n)
                     out.add((n, _class_signature(table, 2 * g.ngens)))
                 return
-            for p in elems:
+            for p in (firsts if k == 1 else elems):
                 images.append(p)
                 # relators are checked as soon as every generator they
                 # mention has an image, pruning the remaining levels

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_braid, random_knot_diagram
@@ -9,6 +10,7 @@ from knotmut.bracket import DELTA, bracket_state_sum, jones, kauffman_bracket
 from knotmut.diagram import (PlanarDiagram, add_kink, braid_closure,
                              connected_sum, mirror, named_knot, parse_braid)
 from knotmut.laurent import LaurentPoly, parse_poly
+from knotmut.satellites import cable
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 
@@ -41,6 +43,11 @@ class TestBracket:
     def test_state_sum_oracle(self, seed):
         b = random_braid(random.Random(seed))
         d = braid_closure(b)
+        assert kauffman_bracket(d) == bracket_state_sum(d)
+
+    @pytest.mark.parametrize("twists", (-1, 0, 1))
+    def test_state_sum_on_cable(self, twists):
+        d = cable(named_knot("trefoil"), 2, twists)
         assert kauffman_bracket(d) == bracket_state_sum(d)
 
     def test_mirror_inverts_A(self):

@@ -44,6 +44,12 @@ class TestPolynomialCommands:
         assert code == 0
         assert out.strip() == "figure8: 1"
 
+    def test_cjones_link_fails(self, capsys):
+        code, out, err = run(capsys, "cjones", "--color", "2", "hopf_plus")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_braid_literal(self, capsys):
         code, out, _ = run(capsys, "jones", "braid: 2 | -1 -1 -1")
         assert code == 0

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_knot_diagram
-from knotmut.bracket import jones
+from knotmut.bracket import jones, kauffman_bracket
 from knotmut.colored import (InadmissibleTerm, admissible, bracket_loop_color,
                              chebyshev_basis, colored_jones,
-                             fusion_coefficients, gamma_coeff, vertex_weight)
-from knotmut.diagram import (PlanarDiagram, connected_sum, named_knot,
-                             parse_braid, braid_closure)
+                             colored_jones_unnormalized, fusion_coefficients,
+                             gamma_coeff, vertex_weight)
+from knotmut.diagram import (PlanarDiagram, connected_sum, mirror, named_knot,
+                             parse_braid, braid_closure, zero_framed)
 from knotmut.laurent import LaurentPoly, RatFunc, qint
+from knotmut.satellites import cable
+from knotmut.tangles import TangleDecomposition, rational_tangle, tangle_sum
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 
@@ -101,3 +104,52 @@ class TestColoredJones:
         j3 = colored_jones(d, 3)
         assert colored_jones(m, 3) == j3.invert_var()
         assert not j3.is_one()
+
+    def test_link_rejected(self):
+        hopf = named_knot("hopf_plus")
+        with pytest.raises(ValueError):
+            colored_jones(hopf, 2)
+        with pytest.raises(ValueError):
+            colored_jones_unnormalized(hopf, 3)
+
+
+def kink_route(d, N):
+    """Reference colored Jones: cable a zero-framed diagram, made by adding
+    writhe-cancelling kinks, so no framing factor is needed afterwards."""
+    base = zero_framed(d)
+    total = LaurentPoly.zero("A")
+    for k, c in chebyshev_basis(N - 1).items():
+        br = LaurentPoly.one("A") if k == 0 else \
+            kauffman_bracket(cable(base, k, 0))
+        total = total + c * br
+    if (N - 1) % 2:
+        total = -total
+    return total.shrink(2, "a").exact_div(qint(N)).shrink(2, "q")
+
+
+def vertical_twist(n):
+    return rational_tangle([0, 1, n - 1] if n > 0 else [0, -1, n + 1])
+
+
+def pretzel(p1, p2, p3, p4):
+    outer = tangle_sum(vertical_twist(p1), vertical_twist(p2))
+    inner = tangle_sum(vertical_twist(p3), vertical_twist(p4))
+    return TangleDecomposition(outer, inner).glue(f"P({p1},{p2},{p3},{p4})")
+
+
+class TestFramingCorrection:
+    """The twist-eigenvalue framing factor against cabling a kinked,
+    zero-framed diagram."""
+
+    @pytest.mark.parametrize("N", (2, 3, 4))
+    @pytest.mark.parametrize("name", ("trefoil", "5_1", "5_2"))
+    def test_kink_route(self, name, N):
+        for d in (named_knot(name), mirror(named_knot(name))):
+            assert abs(d.writhe()) >= 3
+            assert colored_jones(d, N) == kink_route(d, N)
+
+    def test_glued_pretzel(self):
+        d = pretzel(3, 2, 3, -3)
+        assert d.component_count() == 1
+        assert d.writhe() == -5
+        assert colored_jones(d, 3) == kink_route(d, 3)

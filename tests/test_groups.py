@@ -21,6 +21,7 @@ from knotmut.presentations import (GroupPresentation,
                                    reidemeister_schreier,
                                    subgroup_abelianization, tietze_simplify,
                                    wirtinger_presentation)
+from knotmut.skein2 import ResourceLimitExceeded
 
 words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
                  max_size=8).map(tuple)
@@ -183,6 +184,11 @@ class TestLowIndex:
         tables = low_index_subgroups(g, 4)
         got = sorted((len(t), subgroup_abelianization(g, t)) for t in tables)
         assert got == [(1, [3]), (3, [])]
+
+    def test_budget_exhausted(self):
+        g = tietze_simplify(knot_group(parse_braid("2 | 1 1 1")))
+        with pytest.raises(ResourceLimitExceeded):
+            low_index_subgroups(g, 3, max_tables=1)
 
     def test_abelianization_of_index2(self):
         # the trefoil group has a single index-2 subgroup; H1 = Z + Z/3

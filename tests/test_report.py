@@ -28,12 +28,6 @@ class TestComputeReport:
         assert rep.items["jones"].status == SKIPPED
         assert rep.items["h1_double_cover"].status == SKIPPED
 
-    def test_threads_deterministic(self):
-        d = named_knot("figure8")
-        r1 = compute_report("f8", d, options=ReportOptions(threads=1))
-        r2 = compute_report("f8", d, options=ReportOptions(threads=3))
-        assert r1.as_dict() == r2.as_dict()
-
     def test_optional_items(self):
         d = named_knot("trefoil")
         opts = ReportOptions(colors=3, quotients=True, quotients_max_order=12,
