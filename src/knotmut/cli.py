@@ -212,7 +212,7 @@ def _dispatch(args) -> int:
             if args.cmd == "jones":
                 val = jones(d)
             elif args.cmd == "alexander":
-                val = alexander_pd(d) if d.crossings else LaurentPoly.one("t")
+                val = alexander_pd(d)
             elif args.cmd == "homfly":
                 val = homfly(d, budget_seconds=args.budget_seconds)
             elif args.cmd == "kauffman":

@@ -102,22 +102,6 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     return list(found.values())
 
 
-def count_epimorphisms(g: GroupPresentation, group: PermGroup) -> int:
-    """delta_Gamma: surjections onto `group` up to kernel equality."""
-    return len(epimorphisms(g, group))
-
-
-def gquotients(g: GroupPresentation, targets: list[PermGroup]) -> list[tuple[PermGroup, int]]:
-    """(target, delta) for every target with at least one epimorphism."""
-    pres = tietze_simplify(g)
-    out = []
-    for t in targets:
-        n = len(epimorphisms(pres, t, simplify=False))
-        if n:
-            out.append((t, n))
-    return out
-
-
 def kernel_abelianization(g: GroupPresentation, images: list[Perm],
                           group: PermGroup) -> list[int]:
     """Abelian invariants of the kernel of the hom sending x_i to images[i].

@@ -15,7 +15,6 @@ from .alexander import alexander_pd
 from .bracket import jones
 from .colored import colored_jones
 from .diagram import BraidWord, PlanarDiagram
-from .laurent import LaurentPoly
 from .presentations import (branched_cover_from_meridians, knot_group,
                             low_index_subgroups, subgroup_abelianization,
                             tietze_simplify, wirtinger_presentation)
@@ -110,8 +109,7 @@ def compute_report(name: str, d: PlanarDiagram,
 
     budget = opts.budget_seconds
     add("jones", lambda: jones(d))
-    add("alexander", lambda: alexander_pd(d) if d.crossings
-        else LaurentPoly.one("t"))
+    add("alexander", lambda: alexander_pd(d))
     add("homfly", lambda: homfly(d, budget_seconds=budget))
     add("kauffman", lambda: kauffman_f(d, budget_seconds=budget))
     for n in range(2, opts.colors + 1):

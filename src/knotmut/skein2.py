@@ -11,10 +11,19 @@ F = a^(-writhe) D with F(unknot) = 1.
 
 Both engines resolve at the first crossing that is reached on its
 under-strand during a basepoint traversal; descending diagrams are
-unlinks and are evaluated directly.  Crossing orientations are tracked
-locally through every switch, smooth, and kink removal (never re-derived
-globally), because the planar-diagram encoding of an isolated curl does
-not determine its handedness.
+unlinks and are evaluated directly.  Before its memo lookup every node is
+reduced by Reidemeister-I and -II moves: curls, and bigons in which one
+strand passes over the other at both crossings.  Both are regular
+isotopies, so D changes only by a^(+-1) per curl and P not at all.
+Switching one crossing of a twist region leaves such a bigon, which the
+tree would otherwise resolve in full.  Only crossings that hold an arc
+changed by the last move are checked.
+
+Crossing orientations are tracked locally through every move (never
+re-derived globally), because the planar-diagram encoding of an isolated
+curl does not determine its handedness.  Coefficients are plain
+{(e1, e2): int} dicts inside the trees; every factor of the relations
+is a monomial, applied as an exponent shift.
 """
 
 from __future__ import annotations
@@ -32,117 +41,208 @@ class ResourceLimitExceeded(RuntimeError):
     """A computation exceeded its configured node or time budget."""
 
 
+_ONE = {(0, 0): 1}
 # delta_P = -(l + l^-1)/m
-UNLINK_FACTOR_P = LaurentPoly2({(1, -1): -1, (-1, -1): -1})
+_DELTA_P = {(1, -1): -1, (-1, -1): -1}
 # delta_F = (a - a^-1)/z + 1 in variables (a, z)
-UNLINK_FACTOR_F = LaurentPoly2({(1, -1): 1, (-1, -1): -1, (0, 0): 1},
-                               variables=("a", "z"))
+_DELTA_F = {(1, -1): 1, (-1, -1): -1, (0, 0): 1}
+
+
+def _add_shifted(out: dict, p: dict, s1: int, s2: int, c: int) -> None:
+    """out += c * x^s1 y^s2 * p, in place."""
+    for (e1, e2), v in p.items():
+        k = (e1 + s1, e2 + s2)
+        out[k] = out.get(k, 0) + c * v
+
+
+def _shifted(p: dict, s1: int) -> dict:
+    """x^s1 * p."""
+    return {(e1 + s1, e2): v for (e1, e2), v in p.items()}
+
+
+def _nonzero(p: dict) -> dict:
+    return {k: v for k, v in p.items() if v}
+
+
+def _power_table(delta: dict):
+    """k -> delta^k, grown on demand."""
+    table = [_ONE]
+
+    def power(k: int) -> dict:
+        while len(table) <= k:
+            out: dict = {}
+            for (s1, s2), c in delta.items():
+                _add_shifted(out, table[-1], s1, s2, c)
+            table.append(_nonzero(out))
+        return table[k]
+
+    return power
 
 
 class _RDiagram:
-    """Mutable resolution state: crossings with locally tracked over-dirs."""
+    """Resolution state: crossing tuples with locally tracked over-dirs.
 
-    __slots__ = ("crossings", "dirs", "free_loops")
+    A deleted crossing leaves a None hole, so positions stay valid:
+    `ends[a]` holds the positions 4 * i + leg of arc a's two endpoints.
+    `touched` holds the arcs renamed or moved since the last `reduce()`.
+    """
 
-    def __init__(self, crossings, dirs, free_loops):
-        self.crossings = list(crossings)
-        self.dirs = list(dirs)
+    __slots__ = ("crossings", "dirs", "ends", "free_loops", "touched")
+
+    def __init__(self, crossings, dirs, ends, free_loops, touched):
+        self.crossings = crossings
+        self.dirs = dirs
+        self.ends = ends
         self.free_loops = free_loops
+        self.touched = touched
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
         dirs = _over_dir_cache(d)
-        return cls(list(d.crossings), [dirs[x] for x in d.crossings],
-                   d.free_loops)
+        ends: dict[int, tuple[int, ...]] = {}
+        for i, x in enumerate(d.crossings):
+            for leg, a in enumerate(x):
+                ends[a] = ends.get(a, ()) + (4 * i + leg,)
+        return cls(list(d.crossings), [dirs[x] for x in d.crossings], ends,
+                   d.free_loops, set(ends))
 
     def copy(self) -> "_RDiagram":
-        return _RDiagram(self.crossings, self.dirs, self.free_loops)
+        return _RDiagram(list(self.crossings), list(self.dirs),
+                         dict(self.ends), self.free_loops, set())
 
     def key(self):
-        relabel: dict[int, int] = {}
-        out = []
-        for x, dr in zip(self.crossings, self.dirs):
-            out.append((tuple(relabel.setdefault(a, len(relabel)) for a in x), dr))
-        return (tuple(out), self.free_loops)
+        flat = [a for x in self.crossings if x is not None for a in x]
+        index = dict(zip(dict.fromkeys(flat), range(len(flat))))
+        return (tuple(map(index.__getitem__, flat)),
+                tuple(dr for dr in self.dirs if dr is not None),
+                self.free_loops)
 
     def writhe(self) -> int:
-        return sum(1 if dr else -1 for dr in self.dirs)
+        return sum(1 if dr else -1 for dr in self.dirs if dr is not None)
 
-    def rename(self, old: int, new: int):
-        for i, x in enumerate(self.crossings):
-            if old in x:
-                self.crossings[i] = tuple(new if a == old else a for a in x)
+    def _head(self, a: int) -> int:
+        """Position at which arc a is absorbed."""
+        p, q = self.ends[a]
+        leg = p & 3
+        # leg 0 absorbs, and leg 3 at a positive crossing, leg 1 otherwise
+        if leg == 0 or (leg & 1 and (leg == 3) == self.dirs[p >> 2]):
+            return p
+        return q
 
-    def successor(self) -> dict[int, int]:
-        nxt: dict[int, int] = {}
-        for x, dr in zip(self.crossings, self.dirs):
-            a, b, c, d = x
-            nxt[a] = c
-            if dr:
-                nxt[d] = b
-            else:
-                nxt[b] = d
-        return nxt
+    def _rotate(self, k: int, r: int):
+        """Turn crossing k's tuple so that the arc on leg l moves to l + r."""
+        x = self.crossings[k]
+        self.crossings[k] = x[-r:] + x[:-r]
+        base = 4 * k
+        for a in set(x):
+            self.ends[a] = tuple(base + ((p + r) & 3) if p >> 2 == k else p
+                                 for p in self.ends[a])
 
-    # -- Reidemeister-1 removal ------------------------------------------
+    def _next(self, a: int) -> int:
+        """The arc that follows a along its component."""
+        p = self._head(a)
+        return self.crossings[p >> 2][(p & 3) ^ 2]
 
-    def pop_kink(self) -> int | None:
-        """Remove one curl if present; return its sign, else None."""
-        for i, (x, dr) in enumerate(zip(self.crossings, self.dirs)):
-            if x[0] == x[2]:  # both strands close up at this crossing
-                del self.crossings[i]
-                del self.dirs[i]
+    # -- Reidemeister-I and -II removal ------------------------------------
+
+    def reduce(self) -> int:
+        """Remove curls and same-over bigons near touched arcs.
+
+        Returns the summed sign of the removed curls.  Every crossing that
+        holds a touched arc is checked on all four legs; a bigon whose
+        changed side is the over-arc is found only that way.
+        """
+        cs, ends = self.crossings, self.ends
+        curl = 0
+        while self.touched:
+            todo = {p >> 2 for a in self.touched for p in ends.get(a, ())}
+            self.touched = set()
+            for i in todo:
+                if cs[i] is not None:
+                    curl += self._reduce_at(i)
+        return curl
+
+    def _reduce_at(self, i: int) -> int:
+        """Remove a curl at crossing i, or a bigon with a corner at i."""
+        cs, ends = self.crossings, self.ends
+        x = cs[i]
+        if len(set(x)) < 4:
+            for p in range(4):
+                if x[p] == x[(p + 1) & 3]:
+                    # the strand through legs p+2, p and p+1, p+3 loops back
+                    sign = 1 if self.dirs[i] else -1
+                    self._remove((i,), ((x[(p + 2) & 3], x[(p + 3) & 3]),))
+                    return sign
+        base = 4 * i
+        for p in range(4):
+            # arc x[p] runs to leg q of crossing j; the corner between legs
+            # p and p+1 at i is a bigon when x[p+1] returns to leg q-1 of
+            # j, and one strand is over at both when p, q have equal parity
+            u, v = ends[x[p]]
+            other = v if u == base + p else u
+            q = other & 3
+            if (p ^ q) & 1:
+                continue
+            j = other >> 2
+            y = cs[j]
+            if j != i and x[(p + 1) & 3] == y[(q - 1) & 3]:
+                self._remove((i, j), ((x[(p + 2) & 3], y[(q + 2) & 3]),
+                                      (x[(p + 3) & 3], y[(q + 1) & 3])))
+                return 0
+        return 0
+
+    def _remove(self, idxs, pairs):
+        """Delete crossings, then join arc ends pairwise.
+
+        Each pair names two arcs whose ends met at deleted crossings; the
+        first is renamed to the second.  A pair whose arcs are already
+        one closes a crossingless loop.
+        """
+        cs, ends = self.crossings, self.ends
+        for i in idxs:
+            for a in cs[i]:
+                # keep the end away from i; an arc met twice here (a curl)
+                # or already cut at another deleted crossing is dropped
+                e = ends.pop(a, ())
+                if len(e) == 2:
+                    ends[a] = e[1:] if e[0] >> 2 == i else e[:1]
+            cs[i] = None
+            self.dirs[i] = None
+        alias: dict[int, int] = {}
+        for u, v in pairs:
+            while u in alias:
+                u = alias[u]
+            while v in alias:
+                v = alias[v]
+            if u == v:
                 self.free_loops += 1
-                return 1 if dr else -1
-            for j in range(4):
-                if x[j] == x[(j + 1) % 4]:
-                    p, r = x[(j + 2) % 4], x[(j + 3) % 4]
-                    del self.crossings[i]
-                    del self.dirs[i]
-                    if p == r:
-                        self.free_loops += 1
-                    else:
-                        self.rename(p, r)
-                    return 1 if dr else -1
-        return None
+                continue
+            alias[u] = v
+            moved = ends.pop(u, ())
+            for p in moved:
+                x = list(cs[p >> 2])
+                x[p & 3] = v
+                cs[p >> 2] = tuple(x)
+            if moved:
+                ends[v] = ends.get(v, ()) + moved
+            self.touched.add(v)
 
     # -- skein moves -------------------------------------------------------
 
     def switched(self, i: int) -> "_RDiagram":
         out = self.copy()
-        x, dr = out.crossings[i], out.dirs[i]
-        if dr:
-            out.crossings[i] = (x[3], x[0], x[1], x[2])
-        else:
-            out.crossings[i] = (x[1], x[2], x[3], x[0])
+        dr = out.dirs[i]
+        out._rotate(i, 1 if dr else 3)
         out.dirs[i] = not dr
+        out.touched.update(out.crossings[i])
         return out
 
     def smoothed_oriented(self, i: int) -> "_RDiagram":
         """Orientation-respecting smoothing (both strands keep direction)."""
         out = self.copy()
         a, b, c, d = out.crossings[i]
-        dr = out.dirs[i]
-        del out.crossings[i]
-        del out.dirs[i]
-        if dr:
-            pairs = ((b, a), (c, d))  # join a->b and d->c
-        else:
-            pairs = ((d, a), (c, b))  # join a->d and b->c
-        for old, new in pairs:
-            if old == new:
-                continue
-            out.rename(old, new)
-        # the two merges can close a loop: a crossingless circle appears
-        # when the merged arcs vanish from every crossing
-        if dr:
-            survivors = {a, d}
-        else:
-            survivors = {a, b}
-        present = {arc for x in out.crossings for arc in x}
-        for s in survivors:
-            if s not in present:
-                out.free_loops += 1
+        # join a->b and d->c, or a->d and b->c
+        out._remove((i,), ((b, a), (c, d)) if out.dirs[i] else ((d, a), (c, b)))
         return out
 
     def smoothed_unoriented(self, i: int, btype: bool) -> "_RDiagram":
@@ -151,182 +251,146 @@ class _RDiagram:
         One of the two choices reverses a strand; orientation flags along
         the reversed path are repaired locally.
         """
-        a, b, c, d = self.crossings[i]
         dr = self.dirs[i]
         compatible = (not btype) if dr else btype
         if compatible:
             return self.smoothed_oriented(i)
         out = self.copy()
+        x = out.crossings[i]
         # reverse the strand segment from the over-out leg back around to
         # the crossing, then the merge is orientation-respecting
-        over_out = b if dr else d
-        nxt = out.successor()
         path = []
-        cur = over_out
+        cur = x[1] if dr else x[3]
         while True:
             path.append(cur)
-            if out._arc_head_is(i, cur):
+            p = out._head(cur)
+            if p >> 2 == i:
                 break
-            cur = nxt[cur]
+            cur = out.crossings[p >> 2][(p & 3) ^ 2]
         out._reverse_arcs(set(path), skip=i)
-        # after reversal the merge joins heads to tails consistently
-        x = out.crossings[i]
-        del out.crossings[i]
-        del out.dirs[i]
         if btype:
             pairs = ((x[3], x[0]), (x[2], x[1]))  # join 0-3 and 1-2
         else:
             pairs = ((x[1], x[0]), (x[3], x[2]))  # join 0-1 and 2-3
-        survivors = []
-        for old, new in pairs:
-            if old == new:
-                out.free_loops += 1
-                survivors.append(None)
-                continue
-            out.rename(old, new)
-            survivors.append(new)
-        present = {arc for xx in out.crossings for arc in xx}
-        for s in survivors:
-            if s is not None and s not in present:
-                out.free_loops += 1
+        out._remove((i,), pairs)
         return out
-
-    def _arc_head_is(self, i: int, arc: int) -> bool:
-        """Does arc's head (absorbing endpoint) sit at crossing i?"""
-        x, dr = self.crossings[i], self.dirs[i]
-        if x[0] == arc:
-            return True
-        return (x[3] == arc) if dr else (x[1] == arc)
 
     def _reverse_arcs(self, arcs: set[int], skip: int):
         """Reverse the orientation of the given arcs (one strand segment)."""
-        for i, (x, dr) in enumerate(zip(self.crossings, self.dirs)):
-            under_rev = x[0] in arcs or x[2] in arcs
-            over_rev = x[1] in arcs or x[3] in arcs
-            if i == skip:
-                continue
-            if under_rev and over_rev:
-                self.crossings[i] = (x[2], x[3], x[0], x[1])
-            elif under_rev:
-                self.crossings[i] = (x[2], x[3], x[0], x[1])
-                self.dirs[i] = not dr
-            elif over_rev:
-                self.dirs[i] = not dr
+        for k in {p >> 2 for a in arcs for p in self.ends[a]} - {skip}:
+            x = self.crossings[k]
+            under = x[0] in arcs or x[2] in arcs
+            if under:
+                self._rotate(k, 2)
+            if under != (x[1] in arcs or x[3] in arcs):
+                self.dirs[k] = not self.dirs[k]
 
     # -- descending analysis ---------------------------------------------
 
     def first_bad(self) -> int | None:
         """Index of the first crossing met on its under-strand, else None."""
-        nxt = self.successor()
-        heads: dict[int, tuple[int, bool]] = {}
-        for i, (x, dr) in enumerate(zip(self.crossings, self.dirs)):
-            heads[x[0]] = (i, True)  # arc absorbed on the under strand
-            heads[x[3] if dr else x[1]] = (i, False)
+        cs = self.crossings
         seen_arc: set[int] = set()
         visited: set[int] = set()
-        for start in sorted(nxt):
-            if start in seen_arc:
-                continue
+        for start in sorted(self.ends):
             cur = start
             while cur not in seen_arc:
                 seen_arc.add(cur)
-                i, under = heads[cur]
+                p = self._head(cur)
+                i, leg = p >> 2, p & 3
                 if i not in visited:
-                    if under:
+                    if leg == 0:
                         return i
                     visited.add(i)
-                cur = nxt[cur]
+                cur = cs[i][leg ^ 2]
         return None
 
-    def component_count(self) -> int:
-        nxt = self.successor()
-        seen: set[int] = set()
-        n = 0
-        for start in nxt:
-            if start not in seen:
-                n += 1
-                cur = start
-                while cur not in seen:
-                    seen.add(cur)
-                    cur = nxt[cur]
-        return n + self.free_loops
-
-    def self_writhe(self) -> int:
-        """Sum of crossing signs over same-component crossings."""
-        nxt = self.successor()
+    def _components(self) -> dict[int, int]:
+        """Component number of every arc."""
         comp: dict[int, int] = {}
-        cid = 0
-        for start in sorted(nxt):
+        n = 0
+        for start in self.ends:
             if start not in comp:
                 cur = start
                 while cur not in comp:
-                    comp[cur] = cid
-                    cur = nxt[cur]
-                cid += 1
+                    comp[cur] = n
+                    cur = self._next(cur)
+                n += 1
+        return comp
+
+    def component_count(self) -> int:
+        comp = self._components()
+        return len(set(comp.values())) + self.free_loops
+
+    def self_writhe(self) -> int:
+        """Sum of crossing signs over same-component crossings."""
+        comp = self._components()
         w = 0
         for x, dr in zip(self.crossings, self.dirs):
-            over_in = x[3] if dr else x[1]
-            if comp[x[0]] == comp[over_in]:
+            if x is not None and comp[x[0]] == comp[x[3] if dr else x[1]]:
                 w += 1 if dr else -1
         return w
 
 
 class _Budget:
-    __slots__ = ("deadline", "nodes")
+    """Node and time budget of one resolution tree."""
 
-    def __init__(self, seconds: float | None, max_nodes: int | None):
+    __slots__ = ("deadline", "max_nodes", "nodes", "memo")
+
+    def __init__(self, seconds: float | None, max_nodes: int | None,
+                 memo: dict):
         self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.nodes = max_nodes
+        self.max_nodes = max_nodes
+        self.nodes = 0
+        self.memo = memo
 
     def tick(self):
-        if self.nodes is not None:
-            self.nodes -= 1
-            if self.nodes < 0:
-                raise ResourceLimitExceeded("node budget exhausted")
+        if self.nodes == self.max_nodes:
+            self._exhausted("node")
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimitExceeded("time budget exhausted")
+            self._exhausted("time")
+        self.nodes += 1
+
+    def _exhausted(self, what: str):
+        raise ResourceLimitExceeded(
+            f"{what} budget exhausted after {self.nodes} nodes expanded, "
+            f"{len(self.memo)} memo entries")
 
 
 def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
            max_nodes: int | None = 2_000_000) -> LaurentPoly2:
     """HOMFLY polynomial in (l, m), unknot normalized to 1."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    rd = _RDiagram.from_diagram(d)
     memo: dict = {}
-    budget = _Budget(budget_seconds, max_nodes)
-    one = LaurentPoly2.one()
-    l2neg = LaurentPoly2({(-2, 0): -1})   # -l^-2
-    l2pos = LaurentPoly2({(2, 0): -1})    # -l^2
-    lm_neg = LaurentPoly2({(-1, 1): -1})  # -l^-1 m
-    lm_pos = LaurentPoly2({(1, 1): -1})   # -l m
+    budget = _Budget(budget_seconds, max_nodes, memo)
+    unlink = _power_table(_DELTA_P)
 
-    def value(rd: _RDiagram) -> LaurentPoly2:
+    def value(rd: _RDiagram) -> dict:
         budget.tick()
-        while rd.pop_kink() is not None:
-            pass  # ambient isotopy: curls are free
-        if not rd.crossings:
-            k = rd.free_loops
-            return UNLINK_FACTOR_P ** (k - 1) if k else one
+        rd.reduce()  # ambient isotopy: curls and bigons are free
+        if not rd.ends:
+            return unlink(rd.free_loops - 1) if rd.free_loops else _ONE
         key = rd.key()
         hit = memo.get(key)
         if hit is not None:
             return hit
         i = rd.first_bad()
         if i is None:
-            k = rd.component_count()
-            res = UNLINK_FACTOR_P ** (k - 1)
+            res = unlink(rd.component_count() - 1)
         else:
             sw = value(rd.switched(i))
             sm = value(rd.smoothed_oriented(i))
-            if rd.dirs[i]:
-                # positive: P+ = -l^-2 P- - l^-1 m P0
-                res = l2neg * sw + lm_neg * sm
-            else:
-                res = l2pos * sw + lm_pos * sm
+            # positive: P+ = -l^-2 P- - l^-1 m P0; negative: the same
+            # with l inverted
+            s = -1 if rd.dirs[i] else 1
+            out: dict = {}
+            _add_shifted(out, sw, 2 * s, 0, -1)
+            _add_shifted(out, sm, s, 1, -1)
+            res = _nonzero(out)
         memo[key] = res
         return res
 
-    return value(rd)
+    return LaurentPoly2(value(_RDiagram.from_diagram(d)))
 
 
 def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
@@ -336,47 +400,36 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
     rd = _RDiagram.from_diagram(d)
     total_writhe = rd.writhe()
     memo: dict = {}
-    budget = _Budget(budget_seconds, max_nodes)
-    one = LaurentPoly2.one(("a", "z"))
-    z = LaurentPoly2({(0, 1): 1}, ("a", "z"))
-    apos = LaurentPoly2({(1, 0): 1}, ("a", "z"))
-    aneg = LaurentPoly2({(-1, 0): 1}, ("a", "z"))
+    budget = _Budget(budget_seconds, max_nodes, memo)
+    unlink = _power_table(_DELTA_F)
 
-    def dvalue(rd: _RDiagram) -> LaurentPoly2:
+    def dvalue(rd: _RDiagram) -> dict:
         budget.tick()
-        curl = LaurentPoly2.one(("a", "z"))
-        while True:
-            s = rd.pop_kink()
-            if s is None:
-                break
-            curl = curl * (apos if s > 0 else aneg)
-        if not rd.crossings:
-            k = rd.free_loops
-            base = UNLINK_FACTOR_F ** (k - 1) if k else one
-            return curl * base
+        curl = rd.reduce()
+        if not rd.ends:
+            res = unlink(rd.free_loops - 1) if rd.free_loops else _ONE
+            return _shifted(res, curl) if curl else res
         key = rd.key()
-        hit = memo.get(key)
-        if hit is not None:
-            return curl * hit
-        i = rd.first_bad()
-        if i is None:
-            k = rd.component_count()
-            w = rd.self_writhe()
-            res = (UNLINK_FACTOR_F ** (k - 1)) * LaurentPoly2(
-                {(w, 0): 1}, ("a", "z"))
-        else:
-            # positional Dubrovnik relation:
-            # D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))
-            sw = dvalue(rd.switched(i))
-            sa = dvalue(rd.smoothed_unoriented(i, btype=False))
-            sb = dvalue(rd.smoothed_unoriented(i, btype=True))
-            res = sw + z * (sa - sb)
-        memo[key] = res
-        return curl * res
+        res = memo.get(key)
+        if res is None:
+            i = rd.first_bad()
+            if i is None:
+                res = _shifted(unlink(rd.component_count() - 1),
+                               rd.self_writhe())
+            else:
+                # positional Dubrovnik relation:
+                # D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))
+                sw = dvalue(rd.switched(i))
+                sa = dvalue(rd.smoothed_unoriented(i, btype=False))
+                sb = dvalue(rd.smoothed_unoriented(i, btype=True))
+                out = dict(sw)
+                _add_shifted(out, sa, 0, 1, 1)
+                _add_shifted(out, sb, 0, 1, -1)
+                res = _nonzero(out)
+            memo[key] = res
+        return _shifted(res, curl) if curl else res
 
-    dv = dvalue(rd)
-    w = total_writhe
-    return LaurentPoly2({(-w, 0): 1}, ("a", "z")) * dv
+    return LaurentPoly2(_shifted(dvalue(rd), -total_writhe), ("a", "z"))
 
 
 def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:

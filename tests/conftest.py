@@ -3,6 +3,7 @@ import random
 import pytest
 
 from knotmut.diagram import BraidWord, braid_closure
+from knotmut.tangles import TangleDecomposition, rational_tangle, tangle_sum
 
 
 def random_braid(rng: random.Random, max_strands: int = 4,
@@ -27,6 +28,17 @@ def random_knot_braid(rng: random.Random, max_strands: int = 4,
 def random_knot_diagram(rng: random.Random, max_strands: int = 4,
                         max_letters: int = 10):
     return braid_closure(random_knot_braid(rng, max_strands, max_letters))
+
+
+def vertical_twist(n):
+    return rational_tangle([0, 1, n - 1] if n > 0 else [0, -1, n + 1])
+
+
+def pretzel(p1, p2, p3, p4):
+    """The pretzel knot P(p1, p2, p3, p4), glued from two tangle sums."""
+    outer = tangle_sum(vertical_twist(p1), vertical_twist(p2))
+    inner = tangle_sum(vertical_twist(p3), vertical_twist(p4))
+    return TangleDecomposition(outer, inner).glue(f"P({p1},{p2},{p3},{p4})")
 
 
 @pytest.fixture

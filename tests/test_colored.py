@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_knot_diagram
+from conftest import pretzel, random_knot_diagram
 from knotmut.bracket import jones, kauffman_bracket
 from knotmut.colored import (InadmissibleTerm, admissible, bracket_loop_color,
                              chebyshev_basis, colored_jones,
@@ -15,7 +15,6 @@ from knotmut.diagram import (PlanarDiagram, connected_sum, mirror, named_knot,
                              parse_braid, braid_closure, zero_framed)
 from knotmut.laurent import LaurentPoly, RatFunc, qint
 from knotmut.satellites import cable
-from knotmut.tangles import TangleDecomposition, rational_tangle, tangle_sum
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 
@@ -125,16 +124,6 @@ def kink_route(d, N):
     if (N - 1) % 2:
         total = -total
     return total.shrink(2, "a").exact_div(qint(N)).shrink(2, "q")
-
-
-def vertical_twist(n):
-    return rational_tangle([0, 1, n - 1] if n > 0 else [0, -1, n + 1])
-
-
-def pretzel(p1, p2, p3, p4):
-    outer = tangle_sum(vertical_twist(p1), vertical_twist(p2))
-    inner = tangle_sum(vertical_twist(p3), vertical_twist(p4))
-    return TangleDecomposition(outer, inner).glue(f"P({p1},{p2},{p3},{p4})")
 
 
 class TestFramingCorrection:

@@ -1,20 +1,69 @@
 """HOMFLY and Kauffman F via resolution trees."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_braid, random_knot_diagram
-from knotmut.bracket import DELTA, kauffman_bracket
-from knotmut.diagram import (PlanarDiagram, braid_closure, connected_sum,
-                             mirror, named_knot, parse_braid)
+from conftest import pretzel, random_braid, random_knot_diagram
+from knotmut.bracket import DELTA, jones, kauffman_bracket
+from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
+                             braid_closure, connected_sum, mirror, named_knot,
+                             parse_braid)
 from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly, parse_poly2
+from knotmut.satellites import whitehead_double
 from knotmut.skein2 import (ResourceLimitExceeded, alexander_from_homfly,
                             homfly, homfly_2cable, kauffman_f,
                             p_whitehead_plus)
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
+
+# Pretzel knots P(p1, p2, p3, p4) of 11, 13 and 15 crossings.  Each has
+# exactly one even twist and |p_i| >= 2, so P(p1, p2, p4, p3), its mutant
+# by a rotation of the tangle p3 + p4, is a different knot unless the two
+# tuples agree up to rotation and reversal.
+MUTANT_SLATE = ((3, 2, 3, -3), (-3, 2, -3, 3), (5, 3, -2, -3),
+                (-5, 3, -2, 3), (7, 3, 3, -2), (7, -3, -2, -3))
+
+
+def dihedral_orbit(p: tuple) -> set:
+    turns = [p[r:] + p[:r] for r in range(len(p))]
+    return set(turns) | {q[::-1] for q in turns}
+
+
+def dubrovnik_mirror(f: LaurentPoly2) -> LaurentPoly2:
+    """F of the mirror image: a is inverted and z negated."""
+    return LaurentPoly2({(-e1, e2): (c if e2 % 2 == 0 else -c)
+                         for (e1, e2), c in f.coeffs.items()}, f.vars)
+
+
+def bracket_from_kauffman(f: LaurentPoly2, writhe: int):
+    """(F(a=-A^3, z=A-A^-1) (-A^3)^w delta (A-A^-1)^s, s).
+
+    s >= 0 is the least power of z that clears F's z^-1 terms, which
+    links carry from the loop value; the first entry is <L> (A-A^-1)^s.
+    """
+    a_val = LaurentPoly("A", {3: -1})
+    a_inv = LaurentPoly("A", {-3: -1})
+    z_val = LaurentPoly("A", {1: 1, -1: -1})
+    shift = max(0, -min(e2 for (_, e2) in f.coeffs))
+    total = LaurentPoly.zero("A")
+    for (e1, e2), c in f.coeffs.items():
+        term = (a_val if e1 >= 0 else a_inv) ** abs(e1) * z_val ** (e2 + shift)
+        total = total + c * term
+    aw = (a_val if writhe >= 0 else a_inv) ** abs(writhe)
+    return total * aw * DELTA, shift
+
+
+def fewest_nodes(engine, d: PlanarDiagram) -> int:
+    """The smallest node budget under which `engine` finishes on d."""
+    for n in itertools.count(1):
+        try:
+            engine(d, max_nodes=n)
+            return n
+        except ResourceLimitExceeded:
+            pass
 
 
 class TestHomfly:
@@ -54,7 +103,8 @@ class TestHomfly:
 
     def test_budget(self):
         d = named_knot("6_2")
-        with pytest.raises(ResourceLimitExceeded):
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"after 3 nodes expanded, \d+ memo entries"):
             homfly(d, max_nodes=3)
 
 
@@ -73,10 +123,7 @@ class TestKauffmanF:
         # Dubrovnik form: mirroring inverts a and negates z
         f = kauffman_f(named_knot("trefoil"))
         fm = kauffman_f(named_knot("trefoil_mirror"))
-        flipped = LaurentPoly2(
-            {(-e1, e2): (c if e2 % 2 == 0 else -c)
-             for (e1, e2), c in f.coeffs.items()}, f.vars)
-        assert fm == flipped
+        assert fm == dubrovnik_mirror(f)
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
@@ -84,19 +131,19 @@ class TestKauffmanF:
         # F(a=-A^3, z=A-A^-1) * (-A^3)^w * delta = <L> for any diagram
         b = random_braid(random.Random(seed), max_letters=8)
         d = braid_closure(b)
-        f = kauffman_f(d)
-        a_val = LaurentPoly("A", {3: -1})
-        a_inv = LaurentPoly("A", {-3: -1})
+        value, shift = bracket_from_kauffman(kauffman_f(d), d.writhe())
         z_val = LaurentPoly("A", {1: 1, -1: -1})
-        # links carry z^-1 terms from the loop value; clear denominators
-        shift = max(0, -min(e2 for (_, e2) in f.coeffs))
-        total = LaurentPoly.zero("A")
-        for (e1, e2), c in f.coeffs.items():
-            term = (a_val if e1 >= 0 else a_inv) ** abs(e1) * z_val ** (e2 + shift)
-            total = total + c * term
-        w = d.writhe()
-        aw = (a_val if w >= 0 else a_inv) ** abs(w)
-        assert total * aw * DELTA == kauffman_bracket(d) * z_val ** shift
+        assert value == kauffman_bracket(d) * z_val ** shift
+
+    def test_whitehead_double_bracket(self):
+        # the skein tree against the bracket's contraction on a 20-crossing
+        # satellite; the tree closes only with bigon reduction
+        d = named_knot("trefoil")
+        double = whitehead_double(d, -d.writhe(), 1)
+        value, shift = bracket_from_kauffman(kauffman_f(double),
+                                             double.writhe())
+        assert shift == 0
+        assert value == kauffman_bracket(double)
 
     def test_connected_sum_multiplicative(self):
         a, b = named_knot("trefoil"), named_knot("figure8")
@@ -129,3 +176,57 @@ class TestSatelliteHomfly:
         p = homfly_2cable(named_knot("trefoil"))
         assert all(e2 % 2 == 0 for (_, e2) in p.coeffs)
         assert p != homfly(named_knot("trefoil"))
+
+
+class TestMutantPairs:
+    """Both polynomials on genuine pretzel mutant pairs, 11-15 crossings."""
+
+    @pytest.mark.parametrize("p", MUTANT_SLATE)
+    def test_mutants_agree(self, p):
+        mutant = (p[0], p[1], p[3], p[2])
+        assert mutant not in dihedral_orbit(p)
+        d, e = pretzel(*p), pretzel(*mutant)
+        for k in (d, e):
+            assert k.component_count() == 1
+            assert 11 <= len(k.crossings) <= 15
+            assert not jones(k).is_one()
+        assert homfly(d) == homfly(e)
+        assert kauffman_f(d) == kauffman_f(e)
+
+    @pytest.mark.parametrize("p", MUTANT_SLATE)
+    def test_mirror_rule(self, p):
+        d = pretzel(*p)
+        assert homfly(mirror(d)) == homfly(d).swap_first_var_inverse()
+        assert kauffman_f(mirror(d)) == dubrovnik_mirror(kauffman_f(d))
+
+
+class TestReduction:
+    """Reidemeister-I/II reduction keeps the resolution trees small."""
+
+    def test_pretzel_kauffman_budget(self):
+        kauffman_f(pretzel(7, 3, 3, -2), max_nodes=1000)
+
+    def test_pretzel_homfly_budget(self):
+        homfly(pretzel(7, 3, 3, -2), max_nodes=200)
+
+    @pytest.mark.parametrize("engine", (homfly, kauffman_f))
+    @pytest.mark.parametrize("name", ("trefoil", "5_2"))
+    def test_bigon_padding(self, name, engine):
+        # sigma_g sigma_g^-1 inserted anywhere is removed at the root, so
+        # the padded word needs no more nodes than the plain one
+        b = parse_braid(KNOT_BRAIDS[name])
+        plain = braid_closure(b)
+        want = engine(plain)
+        need = fewest_nodes(engine, plain)
+        for k in range(len(b.letters) + 1):
+            for g in range(1, b.strands):
+                for pad in ((g, -g), (-g, g)):
+                    letters = b.letters[:k] + pad + b.letters[k:]
+                    padded = braid_closure(BraidWord(b.strands, letters))
+                    assert engine(padded, max_nodes=need) == want
+
+    def test_bigon_closes_into_loops(self):
+        d = braid_closure(parse_braid("2 | 1 -1"))  # the 2-component unlink
+        assert homfly(d, max_nodes=1) == parse_poly2("-l*m^-1 - l^-1*m^-1")
+        assert kauffman_f(d, max_nodes=1) == parse_poly2(
+            "a*z^-1 - a^-1*z^-1 + 1", variables=("a", "z"))
