@@ -18,15 +18,12 @@ import sys
 from .colored import colored_jones
 from .alexander import alexander_pd
 from .bracket import jones
-from .diagram import (BraidWord, PlanarDiagram, load_knot_file, mirror,
-                      parse_knot_spec)
+from .diagram import PlanarDiagram, load_knot_file, parse_knot_spec
 from .laurent import LaurentPoly, LaurentPoly2
 from .permgroups import (PermGroup, alternating, cyclic, dihedral, psl2,
                          symmetric)
-from .presentations import (GroupPresentation, branched_cover_from_meridians,
-                            knot_group, low_index_subgroups,
-                            subgroup_abelianization, tietze_simplify,
-                            wirtinger_presentation)
+from .presentations import (GroupPresentation, double_cover_presentation,
+                            low_index_subgroups, subgroup_abelianization)
 from .quotients import epimorphisms, kernel_abelianization
 from .report import ReportOptions, compare_pair, compute_report
 from .satellites import cable, whitehead_double
@@ -119,11 +116,6 @@ def _print_presentation(g: GroupPresentation):
     print(f"generators: {g.ngens}")
     for i, r in enumerate(g.relators, start=1):
         print(f"{i}. {len(r)} [ " + ", ".join(str(x) for x in r) + " ]")
-
-
-def _cover_presentation(d: PlanarDiagram, braid: BraidWord | None):
-    base = knot_group(braid) if braid is not None else wirtinger_presentation(d)
-    return tietze_simplify(branched_cover_from_meridians(base))
 
 
 def _report_options(args) -> ReportOptions:
@@ -250,7 +242,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "cover":
         for name, d, braid in _load_specs(args.knot):
-            pres = _cover_presentation(d, braid)
+            pres = double_cover_presentation(d, braid)
             if args.action == "group":
                 _print_presentation(pres)
             elif args.action == "abelian":

@@ -7,7 +7,8 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
   * meridian_square_quotient: adds x_1^2 (all meridians are conjugate)
   * branched_cover_group: the fundamental group of the double branched
     cover, computed by Reidemeister-Schreier along the index-2 subgroup
-    of the meridian-square quotient
+    of the meridian-square quotient; double_cover_presentation gives it
+    Tietze-simplified from a braid or a diagram
   * low_index_subgroups: coset-table backtracking, one representative
     per conjugacy class
   * subgroup presentations and abelianizations from any coset table
@@ -242,6 +243,17 @@ def branched_cover_group(braid: BraidWord) -> GroupPresentation:
 def branched_cover_group_pd(d) -> GroupPresentation:
     """Branched double cover group from a planar diagram (Wirtinger route)."""
     return branched_cover_from_meridians(wirtinger_presentation(d))
+
+
+def double_cover_presentation(d, braid: BraidWord | None = None
+                              ) -> GroupPresentation:
+    """Tietze-simplified double branched cover group of a knot.
+
+    Built from the braid's knot group when a braid is given, else from
+    the Wirtinger presentation of the diagram `d`.
+    """
+    base = knot_group(braid) if braid is not None else wirtinger_presentation(d)
+    return tietze_simplify(branched_cover_from_meridians(base))
 
 
 def subgroup_abelianization(g: GroupPresentation,

@@ -5,6 +5,18 @@ surjections have the same kernel exactly when they differ by an
 automorphism of Gamma, so this matches counting up to Aut(Gamma)).
 The count for a fixed target is written delta_Gamma.
 
+The search assigns generator images in order and takes them up to
+simultaneous conjugation, which preserves kernels (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, ch. 9): the first
+image ranges over conjugacy class representatives, the second over one
+representative per orbit of the first image's centraliser acting by
+conjugation, and the rest over all of Gamma.  A relator is checked as
+soon as its last generator has an image, by tracing every point of the
+permutation degree through its letters; no product is built.  At each
+complete assignment one breadth-first search of the regular action
+gives both the surjectivity test and the kernel's signature.  The
+order of the returned homomorphisms is not part of the contract.
+
 The kernel of an epimorphism is the stabilizer of the identity in the
 action of G on Gamma by right translation; its abelianization comes
 from Reidemeister-Schreier rewriting on that coset table.
@@ -12,10 +24,10 @@ from Reidemeister-Schreier rewriting on that coset table.
 
 from __future__ import annotations
 
-from .matrices import abelian_invariants
-from .permgroups import Perm, PermGroup, closure, identity, perm_inv, perm_mul
+from .permgroups import Perm, PermGroup, identity, perm_inv, perm_mul
 from .presentations import (GroupPresentation, coset_table_from_images,
                             reidemeister_schreier, tietze_simplify)
+from .skein2 import ResourceLimitExceeded
 
 Word = tuple[int, ...]
 
@@ -28,75 +40,112 @@ def evaluate_word(word: Word, images: list[Perm], degree: int) -> Perm:
     return out
 
 
-def _conjugacy_class_reps(group: PermGroup) -> list[Perm]:
-    elems = group.elements()
+def _conjugation_orbit_reps(elems: list[Perm], acting: list[Perm],
+                            inv: dict[Perm, Perm]) -> list[Perm]:
+    """The least element of each orbit of `acting` on `elems` by conjugation."""
     seen: set[Perm] = set()
     reps = []
-    for e in sorted(elems):
+    for e in elems:
         if e in seen:
             continue
         reps.append(e)
-        for h in elems:
-            seen.add(perm_mul(perm_mul(perm_inv(h), e), h))
+        for h in acting:
+            seen.add(perm_mul(perm_mul(inv[h], e), h))
     return reps
 
 
-def _kernel_signature(images: list[Perm], group: PermGroup) -> tuple:
-    """Canonical coset table of the image's regular action.
+def _holds(perms: list[Perm], points: range) -> bool:
+    """Whether the product of `perms` fixes every point."""
+    for x in points:
+        y = x
+        for p in perms:
+            y = p[y]
+        if y != x:
+            return False
+    return True
 
-    Two homomorphisms from the same presentation have equal kernels
-    exactly when these tables agree.
+
+def _regular_table(images: list[Perm], e: Perm) -> tuple[tuple[int, ...], ...]:
+    """Coset table of the image's regular action, labelled in BFS order.
+
+    Its length is the order of the image, and two homomorphisms from the
+    same presentation have equal kernels exactly when the tables agree.
     """
-    e = identity(group.degree)
     label = {e: 0}
     order = [e]
-    qi = 0
-    while qi < len(order):
-        h = order[qi]
-        qi += 1
+    rows = []
+    for h in order:
+        row = []
         for p in images:
-            q = perm_mul(h, p)
-            if q not in label:
-                label[q] = len(label)
+            q = tuple(map(p.__getitem__, h))
+            i = label.get(q)
+            if i is None:
+                i = label[q] = len(order)
                 order.append(q)
-    return tuple(tuple(label[perm_mul(h, p)] for p in images) for h in order)
+            row.append(i)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def epimorphisms(g: GroupPresentation, group: PermGroup,
-                 simplify: bool = True) -> list[list[Perm]]:
-    """One representative hom per kernel of a surjection onto `group`."""
+                 simplify: bool = True,
+                 max_nodes: int = 20_000_000) -> list[list[Perm]]:
+    """One representative hom per kernel of a surjection onto `group`.
+
+    The order of the returned homs is not specified.  Raises
+    `ResourceLimitExceeded` once `max_nodes` candidate images are tried.
+    """
     pres = tietze_simplify(g) if simplify else g
     if pres.ngens == 0:
         return [] if group.order > 1 else [[]]
     elems = sorted(group.elements())
-    degree = group.degree
-    # the kernel is unchanged by conjugating the hom, so the first
-    # generator only needs to range over conjugacy class representatives
-    first_choices = _conjugacy_class_reps(group)
-    by_gen: dict[int, list[Word]] = {}
-    for r in pres.relators:
-        hi = max(abs(x) for x in r)
-        by_gen.setdefault(hi, []).append(r)
-
+    inv = {p: perm_inv(p) for p in elems}
+    e = identity(group.degree)
+    points = range(group.degree)
+    ngens = pres.ngens
+    # slot 2i holds the image of generator i+1 and slot 2i+1 its inverse;
+    # a relator is checked as soon as its last generator has an image
+    checks: list[list[list[int]]] = [[] for _ in range(ngens)]
+    for r in sorted(pres.relators, key=len):
+        if r:
+            checks[max(abs(x) for x in r) - 1].append(
+                [2 * (abs(x) - 1) + (x < 0) for x in r])
+    slots: list[Perm] = [e] * (2 * ngens)
     found: dict[tuple, list[Perm]] = {}
-    images: list[Perm] = []
+    tried = 0
 
-    def assign(k: int):
-        if k == pres.ngens:
-            if len(closure(images, degree)) != group.order:
-                return
-            sig = _kernel_signature(images, group)
-            if sig not in found:
-                found[sig] = images[:]
+    def choices(k: int) -> list[Perm]:
+        # images up to simultaneous conjugation, which keeps the kernel
+        if k == 0:
+            return _conjugation_orbit_reps(elems, elems, inv)
+        if k == 1:
+            x = slots[0]
+            cent = [h for h in elems
+                    if perm_mul(x, h) == perm_mul(h, x)]
+            return _conjugation_orbit_reps(elems, cent, inv)
+        return elems
+
+    def assign(k: int) -> None:
+        nonlocal tried
+        if k == ngens:
+            table = _regular_table(slots[0::2], e)
+            if len(table) == group.order:
+                found.setdefault(table, slots[0::2])
             return
-        choices = first_choices if k == 0 else elems
-        for p in choices:
-            images.append(p)
-            ok = all(evaluate_word(r, images, degree) == identity(degree)
-                     for r in by_gen.get(k + 1, []))
-            if ok:
+        rels = checks[k]
+        for p in choices(k):
+            if tried == max_nodes:
+                raise ResourceLimitExceeded(
+                    f"epimorphism search budget exhausted after {tried} "
+                    f"candidate images, {len(found)} kernels found")
+            tried += 1
+            slots[2 * k] = p
+            slots[2 * k + 1] = inv[p]
+            for code in rels:
+                if not _holds([slots[s] for s in code], points):
+                    break
+            else:
                 assign(k + 1)
-            images.pop()
 
     assign(0)
     return list(found.values())

@@ -15,9 +15,8 @@ from .alexander import alexander_pd
 from .bracket import jones
 from .colored import colored_jones
 from .diagram import BraidWord, PlanarDiagram
-from .presentations import (branched_cover_from_meridians, knot_group,
-                            low_index_subgroups, subgroup_abelianization,
-                            tietze_simplify, wirtinger_presentation)
+from .presentations import (double_cover_presentation, low_index_subgroups,
+                            subgroup_abelianization)
 from .permgroups import PermGroup, builtin_targets
 from .quotients import epimorphisms
 from .skein2 import (ResourceLimitExceeded, homfly, homfly_2cable, kauffman_f,
@@ -86,12 +85,6 @@ def _jsonable(v):
     return str(v)
 
 
-def _presentation_for(d: PlanarDiagram, braid: BraidWord | None):
-    if braid is not None:
-        return knot_group(braid)
-    return wirtinger_presentation(d)
-
-
 def compute_report(name: str, d: PlanarDiagram,
                    braid: BraidWord | None = None,
                    options: ReportOptions | None = None) -> InvariantReport:
@@ -124,8 +117,7 @@ def compute_report(name: str, d: PlanarDiagram,
         def get_pres():
             nonlocal cover_pres
             if cover_pres is None:
-                cover_pres = tietze_simplify(
-                    branched_cover_from_meridians(_presentation_for(d, braid)))
+                cover_pres = double_cover_presentation(d, braid)
             return cover_pres
         if opts.cover:
             add("h1_double_cover", lambda: get_pres().abelian_invariants())

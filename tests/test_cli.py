@@ -1,9 +1,11 @@
 """Command-line interface."""
 
+import functools
 import json
 
 import pytest
 
+from knotmut import cli, quotients
 from knotmut.cli import format_table1, main
 from knotmut.diagram import parse_knot_spec
 from knotmut.laurent import LaurentPoly2
@@ -116,6 +118,14 @@ class TestCoverCommands:
                            "C3", "trefoil")
         assert code == 0
         assert "kernel 1 abelianization []" in out
+
+    def test_quotient_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "epimorphisms", functools.partial(
+            quotients.epimorphisms, max_nodes=1))
+        code, _, err = run(capsys, "cover", "quotients", "--target", "C5",
+                           "figure8")
+        assert code == 2
+        assert err.startswith("resource limit:")
 
 
 class TestCompare:

@@ -4,14 +4,17 @@ import itertools
 
 import pytest
 
+from conftest import pretzel
 from knotmut.diagram import parse_braid
 from knotmut.permgroups import (PermGroup, alternating, closure, cyclic,
                                 dihedral, identity, perm_inv, perm_mul, psl2,
                                 symmetric, builtin_targets)
 from knotmut.presentations import (GroupPresentation, branched_cover_group,
-                                   knot_group, tietze_simplify)
+                                   double_cover_presentation, knot_group,
+                                   tietze_simplify)
 from knotmut.quotients import (epimorphisms, evaluate_word,
                                kernel_abelianization)
+from knotmut.skein2 import ResourceLimitExceeded
 
 
 class TestPermGroups:
@@ -72,6 +75,62 @@ def brute_force_epi_count(g: GroupPresentation, group: PermGroup) -> int:
     return len(classes)
 
 
+def _same_kernel(h, k, group: PermGroup) -> bool:
+    """Whether x_i -> h[i] and x_i -> k[i] have the same kernel.
+
+    They do exactly when the pairs (h[i], k[i]) generate the graph of an
+    automorphism, a subgroup of the direct square no larger than `group`;
+    the closure stops as soon as it is larger.
+    """
+    deg = group.degree
+    pairs = [a + tuple(x + deg for x in b) for a, b in zip(h, k)]
+    e = identity(2 * deg)
+    seen = {e}
+    frontier = [e]
+    while frontier and len(seen) <= group.order:
+        nxt = []
+        for p in frontier:
+            for q in pairs:
+                pq = perm_mul(p, q)
+                if pq not in seen:
+                    seen.add(pq)
+                    nxt.append(pq)
+        frontier = nxt
+    return len(seen) == group.order
+
+
+def brute_force_epi_reps(g: GroupPresentation,
+                         group: PermGroup) -> list[list[tuple]]:
+    """One surjection per kernel, by trying every tuple of images."""
+    elems = sorted(group.elements())
+    deg = group.degree
+    full = frozenset(elems)
+    reps: list[list[tuple]] = []
+    for images in itertools.product(elems, repeat=g.ngens):
+        images = list(images)
+        if any(evaluate_word(r, images, deg) != identity(deg)
+               for r in g.relators):
+            continue
+        if frozenset(closure(images, deg)) != full:
+            continue
+        if not any(_same_kernel(images, rep, group) for rep in reps):
+            reps.append(images)
+    return reps
+
+
+def _kernels(g: GroupPresentation, homs, group: PermGroup) -> list[list[int]]:
+    return sorted(kernel_abelianization(g, h, group) for h in homs)
+
+
+# 3-generator presentations with several kernels of different types
+THREE_GENERATOR = {
+    # (Z/6 x Z) * Z/2
+    "z6xz_z2": GroupPresentation(3, ((1,) * 6, (1, 2, -1, -2), (3, 3))),
+    # group of the 2-component closure, not Tietze-simplified
+    "link_3_11222": knot_group(parse_braid("3 | 1 1 2 2 2")),
+}
+
+
 class TestEpimorphisms:
     def test_cyclic_targets(self):
         # Z/3 surjects onto C3 with a unique (trivial) kernel
@@ -102,6 +161,23 @@ class TestEpimorphisms:
         assert len(epimorphisms(g, grp, simplify=False)) == \
             brute_force_epi_count(g, grp)
 
+    @pytest.mark.parametrize("name", sorted(THREE_GENERATOR))
+    @pytest.mark.parametrize("factory,n", [
+        (alternating, 4), (symmetric, 4), (dihedral, 5), (cyclic, 6),
+    ])
+    def test_kernels_against_brute_force(self, name, factory, n):
+        g = THREE_GENERATOR[name]
+        grp = factory(n)
+        assert g.ngens == 3
+        assert _kernels(g, epimorphisms(g, grp, simplify=False), grp) == \
+            _kernels(g, brute_force_epi_reps(g, grp), grp)
+
+    def test_budget(self):
+        g = THREE_GENERATOR["z6xz_z2"]
+        with pytest.raises(ResourceLimitExceeded,
+                           match="after 1 candidate images, 0 kernels"):
+            epimorphisms(g, symmetric(4), simplify=False, max_nodes=1)
+
 
 class TestKernelAbelianization:
     def test_kernel_in_Z(self):
@@ -125,3 +201,38 @@ class TestKernelAbelianization:
         eps = epimorphisms(g, symmetric(3), simplify=False)
         assert len(eps) == 1
         assert kernel_abelianization(g, eps[0], symmetric(3)) == [0, 0, 0]
+
+
+def _reversed_generators(g: GroupPresentation) -> GroupPresentation:
+    n = g.ngens
+    return GroupPresentation(n, tuple(
+        tuple(n + 1 - x if x > 0 else -(n + 1 + x) for x in r)
+        for r in g.relators))
+
+
+class TestMutantCovers:
+    """Mutants have homeomorphic double branched covers."""
+
+    @pytest.fixture(scope="class")
+    def covers(self):
+        out = [double_cover_presentation(pretzel(3, 3, -2, -3)),
+               double_cover_presentation(pretzel(3, 3, -3, -2))]
+        assert [c.ngens for c in out] == [3, 3]
+        return out
+
+    @pytest.mark.parametrize("group,count", [
+        (alternating(5), 12), (symmetric(5), 0), (psl2(7), 60),
+    ], ids=["Alt(5)", "Sym(5)", "PSL(2,7)"])
+    def test_counts(self, covers, group, count):
+        assert [len(epimorphisms(c, group, simplify=False))
+                for c in covers] == [count, count]
+
+    def test_alt5_kernels(self, covers):
+        a5 = alternating(5)
+        left, right = (_kernels(c, epimorphisms(c, a5, simplify=False), a5)
+                       for c in covers)
+        assert len(left) == 12
+        assert left == right
+        flipped = _reversed_generators(covers[0])
+        assert _kernels(flipped, epimorphisms(flipped, a5, simplify=False),
+                        a5) == left

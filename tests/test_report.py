@@ -1,9 +1,11 @@
 """Invariant reports and pair comparison."""
 
+import functools
 import random
 
+from knotmut import quotients, report
 from knotmut.diagram import named_knot, parse_braid
-from knotmut.report import (DONE, SKIPPED, VERDICT_EXCLUDED,
+from knotmut.report import (DONE, LIMITED, SKIPPED, VERDICT_EXCLUDED,
                             VERDICT_INCONCLUSIVE, ReportOptions, compare_pair,
                             compute_report)
 from knotmut.tangles import AXES, mutate, random_decomposition
@@ -40,6 +42,15 @@ class TestComputeReport:
         quots = rep.items["quotients"].value
         assert quots["C3"] == 1
         assert all(v == 0 for k, v in quots.items() if k != "C3")
+
+    def test_quotient_budget(self, monkeypatch):
+        monkeypatch.setattr(report, "epimorphisms", functools.partial(
+            quotients.epimorphisms, max_nodes=1))
+        opts = ReportOptions(quotients=True, quotients_max_order=12)
+        item = compute_report("trefoil", named_knot("trefoil"),
+                              options=opts).items["quotients"]
+        assert item.status == LIMITED
+        assert "after 1 candidate images" in item.detail
 
 
 class TestComparePair:
