@@ -1,83 +1,85 @@
 """Integer matrix normal forms for abelianization computations.
 
-The Smith normal form runs in two phases: a sparse elimination pass that
-only pivots on +-1 entries (cheap, no coefficient growth, and in practice
-removes almost everything from Reidemeister-Schreier relation matrices),
-followed by a dense gcd-based reduction of whatever remains.
+Relation matrices arrive as sparse rows, one `{column: entry}` dict per
+relator.  The Smith normal form runs in two phases.  Phase 1 eliminates
+with +-1 pivots only: no coefficient division, and on
+Reidemeister-Schreier relation matrices it removes almost everything.
+A column -> live-rows index means that clearing a pivot's column visits
+only the rows that hold it.  The pivot comes from the shortest live row
+with a unit entry, in that row's unit column with the fewest live rows;
+rows without a unit entry are set aside until an elimination changes
+them.  Phase 2 is a dense gcd-based reduction of whatever remains.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
+def _has_unit(row: dict[int, int]) -> bool:
+    values = row.values()
+    return 1 in values or -1 in values
+
+
+def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
-    `rows` is a list of dense rows of length `ncols`.  Returns the list of
-    nonzero diagonal entries d1 | d2 | ... (all positive).
+    `rows` holds one `{column: entry}` dict per row; the input is not
+    modified.  Returns the nonzero diagonal entries d1 | d2 | ... (all
+    positive).
     """
-    # sparse representation: list of dicts col -> value
-    sparse = []
+    sparse: list[dict[int, int] | None] = []
+    col_rows: dict[int, set[int]] = {}
     for r in rows:
-        d = {j: v for j, v in enumerate(r) if v}
-        if d:
-            sparse.append(d)
-    diag: list[int] = []
+        row = {j: v for j, v in r.items() if v}
+        if row:
+            for j in row:
+                col_rows.setdefault(j, set()).add(len(sparse))
+            sparse.append(row)
 
-    # phase 1: eliminate with unit pivots only
-    col_count: dict[int, int] = {}
-    for r in sparse:
-        for j in r:
-            col_count[j] = col_count.get(j, 0) + 1
-    live = set(range(len(sparse)))
-    while True:
-        # pick a unit entry minimizing (row fill) * (col fill), Markowitz-style
-        best = None
-        for i in live:
-            r = sparse[i]
-            rl = len(r)
-            for j, v in r.items():
-                if v == 1 or v == -1:
-                    cost = (rl - 1) * (col_count[j] - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-                        if cost == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
+    # phase 1: eliminate with unit pivots only.  The heap holds (length,
+    # row) for every live row with a unit entry; an entry whose row has
+    # since been used or changed length is stale and skipped.
+    units = 0
+    heap = [(len(r), i) for i, r in enumerate(sparse) if _has_unit(r)]
+    heapify(heap)
+    while heap:
+        n, pi = heappop(heap)
         pr = sparse[pi]
-        pv = pr[pj]
-        diag.append(1)
-        live.discard(pi)
+        if pr is None or len(pr) != n:
+            continue
+        cands = [j for j, v in pr.items() if v == 1 or v == -1]
+        if not cands:
+            continue  # set aside until an elimination changes it
+        pj = min(cands, key=lambda j: len(col_rows[j]))
+        sparse[pi] = None
+        units += 1
         for j in pr:
-            col_count[j] -= 1
-        # clear column pj from the other live rows
-        for i in list(live):
+            col_rows[j].discard(pi)
+        pv = pr[pj]
+        for i in list(col_rows[pj]):
             r = sparse[i]
-            v = r.get(pj)
-            if not v:
-                continue
-            f = v * pv  # v / pv since pv is a unit
+            f = r[pj] * pv  # r[pj] / pv, since pv is a unit
             for j, pvj in pr.items():
-                nv = r.get(j, 0) - f * pvj
-                had = j in r
-                if nv:
-                    r[j] = nv
-                    if not had:
-                        col_count[j] = col_count.get(j, 0) + 1
+                d = f * pvj
+                v = r.get(j)
+                if v is None:  # fill-in
+                    r[j] = -d
+                    col_rows[j].add(i)
+                elif v != d:
+                    r[j] = v - d
                 else:
-                    if had:
-                        del r[j]
-                        col_count[j] -= 1
+                    del r[j]
+                    col_rows[j].discard(i)
             if not r:
-                live.discard(i)
+                sparse[i] = None
+            elif _has_unit(r):
+                heappush(heap, (len(r), i))
+    diag = [1] * units
 
     # phase 2: dense SNF on the remainder
-    rem_rows = [sparse[i] for i in live if sparse[i]]
+    rem_rows = [r for r in sparse if r]
     if rem_rows:
         cols = sorted({j for r in rem_rows for j in r})
         cmap = {j: k for k, j in enumerate(cols)}
@@ -158,13 +160,16 @@ def _dense_snf(m: list[list[int]]) -> list[int]:
     return out
 
 
-def abelian_invariants(rows: list[list[int]], ngens: int) -> list[int]:
+def abelian_invariants(rows: list[dict[int, int]], ngens: int) -> list[int]:
     """Primary decomposition of Z^ngens modulo the row lattice.
+
+    `rows` are sparse rows as for `smith_diagonal`, with columns
+    0..ngens-1.
 
     Returns zeros for each free factor followed by prime powers in
     increasing order, e.g. Z + Z/6 -> [0, 2, 3].
     """
-    diag = smith_diagonal(rows, ngens)
+    diag = smith_diagonal(rows)
     rank = ngens - len(diag)
     primary: list[int] = []
     for d in diag:

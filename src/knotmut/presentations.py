@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import BraidWord
-from .freegroup import abelian_exponent, artin_action, freely_reduce, inverse_word
+from .freegroup import artin_action, freely_reduce, inverse_word
 from .matrices import abelian_invariants
 from .skein2 import ResourceLimitExceeded
 
@@ -47,9 +47,10 @@ class GroupPresentation:
     def abelian_invariants(self) -> list[int]:
         rows = []
         for r in self.relators:
-            row = [0] * self.ngens
+            row: dict[int, int] = {}
             for g in r:
-                row[abs(g) - 1] += 1 if g > 0 else -1
+                j = abs(g) - 1
+                row[j] = row.get(j, 0) + (1 if g > 0 else -1)
             rows.append(row)
         return abelian_invariants(rows, self.ngens)
 
@@ -131,16 +132,6 @@ def meridian_square_quotient(g: GroupPresentation) -> GroupPresentation:
 
 def _col(g: int) -> int:
     return 2 * (abs(g) - 1) + (0 if g > 0 else 1)
-
-
-def _inv_col(col: int) -> int:
-    return col ^ 1
-
-
-def table_apply(table, coset: int, word: Word) -> int:
-    for g in word:
-        coset = table[coset][_col(g)]
-    return coset
 
 
 def coset_table_from_images(ngens: int, images: list[dict[int, int]],
@@ -358,8 +349,12 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
     coset-0 stabilizer), including the whole group at index 1.
     """
     ncols = 2 * g.ngens
-    rels = [_cyclic_reduce(r) for r in g.relators]
-    rels = [r for r in rels if r]
+    # each relator as its columns and the inverse of each column
+    rels = []
+    for r in g.relators:
+        cols = [_col(x) for x in _cyclic_reduce(r)]
+        if cols:
+            rels.append((cols, [col ^ 1 for col in cols]))
     results: list[list[list[int]]] = []
     seen_classes: set = set()
     budget = [max_tables]
@@ -369,8 +364,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
         again = True
         while again:
             again = False
-            for r in rels:
-                cols = [_col(x) for x in r]
+            for cols, icols in rels:
                 for c in range(len(table)):
                     # scan forward then backward across the relator cycle
                     f, fi = c, 0
@@ -378,25 +372,25 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
                         f = table[f][cols[fi]]
                         fi += 1
                     b, bi = c, len(cols)
-                    while bi > fi and table[b][_inv_col(cols[bi - 1])] is not None:
-                        b = table[b][_inv_col(cols[bi - 1])]
+                    while bi > fi and table[b][icols[bi - 1]] is not None:
+                        b = table[b][icols[bi - 1]]
                         bi -= 1
                     if fi == bi:
                         if f != b:
                             return False
                     elif fi + 1 == bi:
-                        col = cols[fi]
-                        if table[f][col] is None and table[b][_inv_col(col)] is None:
+                        col, icol = cols[fi], icols[fi]
+                        if table[f][col] is None and table[b][icol] is None:
                             table[f][col] = b
-                            table[b][_inv_col(col)] = f
+                            table[b][icol] = f
                             again = True
                         elif table[f][col] not in (None, b):
                             return False
-                        elif table[b][_inv_col(col)] not in (None, f):
+                        elif table[b][icol] not in (None, f):
                             return False
                         else:
                             table[f][col] = b
-                            table[b][_inv_col(col)] = f
+                            table[b][icol] = f
         return True
 
     def first_hole(table):
@@ -419,7 +413,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
             return
         c, col = hole
         candidates = [d for d in range(len(table))
-                      if table[d][_inv_col(col)] is None]
+                      if table[d][col ^ 1] is None]
         if len(table) < max_index:
             candidates.append(len(table))
         for d in candidates:
@@ -427,7 +421,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
             if d == len(table):
                 t2.append([None] * ncols)
             t2[c][col] = d
-            t2[d][_inv_col(col)] = c
+            t2[d][col ^ 1] = c
             if scan_relators(t2):
                 recurse(t2)
 

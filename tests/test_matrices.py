@@ -2,10 +2,25 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from knotmut.matrices import abelian_invariants, smith_diagonal
+from knotmut.permgroups import perm_mul, psl2
+from knotmut.presentations import (coset_table_from_images,
+                                   double_cover_presentation,
+                                   reidemeister_schreier)
+from knotmut.quotients import epimorphisms
+
+from conftest import pretzel
+
+
+def sparse(m):
+    """Dense rows as the {column: entry} rows `smith_diagonal` takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
 
 
 def det(m):
@@ -35,25 +50,51 @@ small_matrices = st.lists(
     min_size=3, max_size=3)
 
 
+@st.composite
+def unit_heavy_matrices(draw):
+    """Up to 7 x 6, mostly +-1 entries with some +-2, +-3 and zeros."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 6))
+    entry = st.sampled_from([1, -1] * 4 + [2, -2, 3, -3] + [0] * 4)
+    return [draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+
+
+def determinantal_diagonal(m):
+    """Invariant factors d_k / d_(k-1), d_k the gcd of all k x k minors."""
+    nrows, ncols = len(m), len(m[0])
+    out, prev = [], 1
+    for k in range(1, min(nrows, ncols) + 1):
+        dk = 0
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                dk = gcd(dk, det([[m[i][j] for j in cols] for i in rows]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
+
+
 class TestSmithDiagonal:
     def test_identity(self):
-        assert smith_diagonal([[1, 0], [0, 1]], 2) == [1, 1]
+        assert smith_diagonal(sparse([[1, 0], [0, 1]])) == [1, 1]
 
     def test_divisibility_chain(self):
-        d = smith_diagonal([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
+        d = smith_diagonal(sparse([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
         for a, b in zip(d, d[1:]):
             if b != 0:
                 assert b % a == 0
 
     def test_known_example(self):
         # invariant factors via gcds of k x k minors: 2, 4/2, 624/4
-        d = smith_diagonal([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], 3)
+        d = smith_diagonal(sparse([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
         assert [abs(x) for x in d] == [2, 2, 156]
 
     @given(small_matrices)
     @settings(max_examples=60)
     def test_det_preserved(self, m):
-        d = smith_diagonal([list(r) for r in m], 3)
+        d = smith_diagonal(sparse(m))
         prod = 1
         for x in (d + [0, 0, 0])[:3]:
             prod *= x
@@ -73,8 +114,20 @@ class TestSmithDiagonal:
             else:
                 for r in range(3):
                     m2[r][i] += k * m2[r][j]
-        assert abelian_invariants(m2, 3) == abelian_invariants(
-            [list(r) for r in m], 3)
+        assert abelian_invariants(sparse(m2), 3) == abelian_invariants(
+            sparse(m), 3)
+
+    # [[1, 1], [2, 3]]: the second row gains a unit only once the first
+    # is eliminated; [[1, 1, 0], [1, -1, 0], [0, 0, 2]] leaves a non-unit
+    # remainder for the dense phase; [[1, 1, 1], [1, 2, 2], [2, 1, 3]]
+    # fills in entries that were zero
+    @given(unit_heavy_matrices())
+    @example([[1, 1], [2, 3]])
+    @example([[1, 1, 0], [1, -1, 0], [0, 0, 2]])
+    @example([[1, 1, 1], [1, 2, 2], [2, 1, 3]])
+    @settings(max_examples=150, deadline=None)
+    def test_determinantal_divisors(self, m):
+        assert smith_diagonal(sparse(m)) == determinantal_diagonal(m)
 
 
 class TestAbelianInvariants:
@@ -83,18 +136,79 @@ class TestAbelianInvariants:
         assert abelian_invariants([], 2) == [0, 0]
 
     def test_trivial_group(self):
-        assert abelian_invariants([[1, 0], [0, 1]], 2) == []
+        assert abelian_invariants(sparse([[1, 0], [0, 1]]), 2) == []
 
     def test_torsion(self):
         # Z/6 splits into prime powers 2 and 3
-        assert abelian_invariants([[6]], 1) == [2, 3]
-        assert abelian_invariants([[12]], 1) == [3, 4]
+        assert abelian_invariants(sparse([[6]]), 1) == [2, 3]
+        assert abelian_invariants(sparse([[12]]), 1) == [3, 4]
 
     def test_mixed(self):
-        got = abelian_invariants([[2, 0], [0, 0]], 2)
+        got = abelian_invariants(sparse([[2, 0], [0, 0]]), 2)
         assert got == [0, 2]
 
     def test_rectangular(self):
         # more relations than generators
-        assert abelian_invariants([[3], [5]], 1) == []
-        assert abelian_invariants([[4], [6]], 1) == [2]
+        assert abelian_invariants(sparse([[3], [5]]), 1) == []
+        assert abelian_invariants(sparse([[4], [6]]), 1) == [2]
+
+
+class TestKernelMatrix:
+    """An index-168 kernel of the P(3,3,-2,-3) cover onto PSL(2,7)."""
+
+    # the same for all 60 kernels, so independent of the search order
+    H1 = [0] * 86 + [4, 7]
+
+    @pytest.fixture(scope="class")
+    def kernel_rows(self):
+        pres = double_cover_presentation(pretzel(3, 3, -2, -3))
+        group = psl2(7)
+        images = epimorphisms(pres, group, simplify=False)[0]
+        elems = sorted(group.elements())
+        index = {e: i for i, e in enumerate(elems)}
+        perms = [{index[e]: index[perm_mul(e, p)] for e in elems}
+                 for p in images]
+        table = coset_table_from_images(pres.ngens, perms, len(elems))
+        sub = reidemeister_schreier(pres, table)
+        rows = []
+        for r in sub.relators:
+            row = {}
+            for g in r:
+                row[abs(g) - 1] = row.get(abs(g) - 1, 0) + (1 if g > 0 else -1)
+            rows.append(row)
+        assert len(table) == 168
+        return rows, sub.ngens
+
+    def test_value(self, kernel_rows):
+        rows, ncols = kernel_rows
+        assert abelian_invariants(rows, ncols) == self.H1
+
+    def test_permutations(self, kernel_rows):
+        rows, ncols = kernel_rows
+        rng = random.Random(5)
+        for _ in range(3):
+            relabel = list(range(ncols))
+            rng.shuffle(relabel)
+            shuffled = [{relabel[j]: v for j, v in r.items()} for r in rows]
+            rng.shuffle(shuffled)
+            assert abelian_invariants(shuffled, ncols) == self.H1
+
+    def test_unimodular_operations(self, kernel_rows):
+        rows, ncols = kernel_rows
+        rng = random.Random(7)
+        for _ in range(3):
+            m = [dict(r) for r in rows]
+            for _ in range(20):
+                k = rng.choice([-2, -1, 1, 2])
+                if rng.random() < 0.5:
+                    # row a += k * row b
+                    a, b = rng.sample(range(len(m)), 2)
+                    for j, v in m[b].items():
+                        m[a][j] = m[a].get(j, 0) + k * v
+                else:
+                    # column a += k * column b
+                    a, b = rng.sample(range(ncols), 2)
+                    for r in m:
+                        if b in r:
+                            r[a] = r.get(a, 0) + k * r[b]
+            assert abelian_invariants(m, ncols) == self.H1

@@ -29,3 +29,11 @@ class TestComparePairs:
         res = run_script("compare_pairs.py")
         assert res.returncode == 1
         assert "need at least two knots" in res.stderr
+
+
+class TestMutationSurvey:
+    def test_small_survey(self):
+        res = run_script("mutation_survey.py", "--samples", "2",
+                         "--colors", "2", "--max-crossings", "6")
+        assert res.returncode == 0, res.stderr
+        assert "done: 2 samples, 0 mismatches" in res.stdout
