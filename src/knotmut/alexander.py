@@ -13,7 +13,7 @@ Both results are normalized so that D(t) = D(1/t) and D(1) = 1.
 
 from __future__ import annotations
 
-from .diagram import BraidWord, PlanarDiagram, _over_dir_cache
+from .diagram import BraidWord, PlanarDiagram, wirtinger_arcs
 from .freegroup import artin_action, fox_derivative_abelian, inverse_word
 from .laurent import LaurentPoly
 
@@ -77,41 +77,22 @@ def alexander_braid(braid: BraidWord) -> LaurentPoly:
     return normalize_alexander(_det_bareiss(minor))
 
 
-def _wirtinger_arcs(d: PlanarDiagram) -> dict[int, int]:
-    """Map each edge to its Wirtinger arc (edges fused through overpasses)."""
-    parent: dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent.get(a, a) != a:
-            parent[a] = parent.get(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    for x in d.crossings:
-        ra, rb = find(x[1]), find(x[3])
-        if ra != rb:
-            parent[ra] = rb
-    return {a: find(a) for a in d.arcs}
-
-
 def alexander_pd(d: PlanarDiagram) -> LaurentPoly:
     """Alexander polynomial of a knot diagram via arc colorings."""
     if d.component_count() != 1:
         raise ValueError("diagram must be a knot")
     if not d.crossings:
         return LaurentPoly.one("t")
-    arc_of = _wirtinger_arcs(d)
+    arc_of = wirtinger_arcs(d)
     labels = sorted(set(arc_of.values()))
     col = {a: i for i, a in enumerate(labels)}
-    dirs = _over_dir_cache(d)
     t = LaurentPoly("t", {1: 1})
     one = LaurentPoly.one("t")
     rows = []
-    for x in d.crossings:
-        a, b, c, dd = x
+    for (a, b, c, dd), pos in zip(d.crossings, d.positive):
         over = arc_of[dd]
         row = [LaurentPoly.zero("t") for _ in labels]
-        if dirs[x]:
+        if pos:
             # positive: outgoing under-arc c = t a + (1 - t) over
             row[col[arc_of[c]]] = row[col[arc_of[c]]] - one
             row[col[arc_of[a]]] = row[col[arc_of[a]]] + t

@@ -11,7 +11,7 @@ The Jones polynomial of an oriented diagram D with writhe w is
 
 from __future__ import annotations
 
-from .diagram import PlanarDiagram
+from .diagram import PlanarDiagram, UnionFind
 from .laurent import LaurentPoly
 
 DELTA = LaurentPoly("A", {2: -1, -2: -1})
@@ -169,19 +169,7 @@ def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:
     n = len(crossings)
     total = LaurentPoly.zero("A")
     for mask in range(1 << n):
-        parent: dict = {}
-
-        def find(u):
-            while parent.get(u, u) != u:
-                parent[u] = parent.get(parent[u], parent[u])
-                u = parent[u]
-            return u
-
-        def union(u, v):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-
+        uf = UnionFind()
         ends = []
         seen: dict[int, int] = {}
         for x in crossings:
@@ -194,7 +182,7 @@ def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:
         # arc interiors connect endpoint 0 to endpoint 1
         for a, cnt in seen.items():
             if cnt == 2:
-                union((a, 0), (a, 1))
+                uf.union((a, 0), (a, 1))
             elif cnt != 2:
                 raise ValueError(f"arc {a} has {cnt} endpoints")
         apow = 0
@@ -202,13 +190,13 @@ def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:
             toks = ends[i]
             if mask & (1 << i):
                 apow -= 1
-                union(toks[0], toks[3])
-                union(toks[1], toks[2])
+                uf.union(toks[0], toks[3])
+                uf.union(toks[1], toks[2])
             else:
                 apow += 1
-                union(toks[0], toks[1])
-                union(toks[2], toks[3])
-        roots = {find(t) for toks in ends for t in toks}
+                uf.union(toks[0], toks[1])
+                uf.union(toks[2], toks[3])
+        roots = {uf.find(t) for toks in ends for t in toks}
         loops = len(roots)
         term = LaurentPoly.monomial("A", apow)
         for _ in range(loops):

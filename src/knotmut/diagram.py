@@ -10,6 +10,21 @@ from the incoming under-strand.  With crossing tuple (a, b, c, d):
 Arcs are integers.  Every arc has exactly two endpoints among crossing
 legs unless the component is a crossingless loop, which is tracked in
 `free_loops`.
+
+A `PlanarDiagram` carries its own orientation: it solves the over-strand
+direction of every crossing once, when it is built, and keeps it in
+`positive`, aligned with the `crossings` tuple.  Tuples that cannot be
+oriented (an arc missing, repeated, or entered or left twice) raise
+ValueError there, so every diagram that exists is valid.  Diagrams are
+immutable except for `name`, a plain label and the only field callers
+set.  Raw tangle crossings, whose strand directions are not yet known,
+are oriented by `orient_raw` with the same solver.
+
+The tuples do not fix the direction of a component that passes over at
+every one of its crossings; the solver orients it by convention.
+`relabel` and `mirror` keep the orientation of their input instead of
+solving again, so `mirror` never reverses a component that its input
+passes under everywhere.
 """
 
 from __future__ import annotations
@@ -73,16 +88,85 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strands, letters)
 
 
+class UnionFind(dict):
+    """Disjoint sets over hashable items; an unseen item is its own class."""
+
+    def find(self, a):
+        while self.get(a, a) != a:
+            self[a] = self.get(self[a], self[a])
+            a = self[a]
+        return a
+
+    def union(self, a, b) -> None:
+        """Merge the class of a into the class of b."""
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self[ra] = rb
+
+
+def _orient(crossings: tuple[Crossing, ...], under_known: bool) -> list[bool]:
+    """Solve the strand directions at every crossing.
+
+    Variable 2i says the under-strand of crossing i runs leg 0 -> 2, and
+    variable 2i + 1 that its over-strand runs leg 3 -> 1.  Setting one
+    variable fixes every variable of its link component, found by walking
+    the component from leg to opposite leg.  PD input (`under_known`) has
+    every under variable True, so each component with an under-passage is
+    walked from its first one; raw tangle crossings leave them free.  The
+    remaining components, free choices, set their lowest variable True.
+    Raises ValueError on an arc that does not occur exactly twice, or on
+    PD input that no orientation fits (an arc emitted or absorbed twice).
+    """
+    other = [0] * (4 * len(crossings))
+    ends: dict[int, list[int]] = {}
+    for i, x in enumerate(crossings):
+        for leg, a in enumerate(x):
+            ends.setdefault(a, []).append(4 * i + leg)
+    for a, ps in ends.items():
+        if len(ps) != 2:
+            raise ValueError(f"arc {a} appears {len(ps)} times, expected 2")
+        other[ps[0]], other[ps[1]] = ps[1], ps[0]
+    m = 2 * len(crossings)
+    val: list[bool | None] = [None] * m
+    firsts = range(0, m, 2) if under_known else ()
+    for k in [*firsts, *range(m)]:
+        if val[k] is None:
+            # position p = 4 * crossing + leg; k is True exactly when the
+            # strand is absorbed on leg 0 (under) or leg 3 (over)
+            start = p = 2 * k + (k & 1)
+            while True:
+                val[2 * (p >> 2) + (p & 1)] = (p & 3) in (0, 3)
+                p = other[p ^ 2]
+                if p == start:
+                    break
+    if under_known and not all(val[0::2]):
+        i = val[0::2].index(False)
+        raise ValueError(f"arc {crossings[i][0]} is emitted or absorbed twice")
+    return val
+
+
 @dataclass
 class PlanarDiagram:
-    """An oriented link diagram as a list of crossing tuples."""
+    """An oriented link diagram, solved and checked when it is built.
 
-    crossings: list[Crossing]
+    `positive[i]` is True when the over-strand of crossing i runs
+    leg 3 -> leg 1.  Only `name` may be reassigned.
+    """
+
+    crossings: tuple[Crossing, ...]
     free_loops: int = 0
     name: str = ""
+    positive: tuple[bool, ...] = field(init=False, repr=False)
 
-    def copy(self) -> "PlanarDiagram":
-        return PlanarDiagram(list(self.crossings), self.free_loops, self.name)
+    def __post_init__(self):
+        crossings = tuple(self.crossings)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "positive", tuple(_orient(crossings, True)[1::2]))
+
+    def __setattr__(self, key, value):
+        if key != "name" and hasattr(self, "positive"):
+            raise AttributeError(f"PlanarDiagram.{key} is fixed at construction")
+        object.__setattr__(self, key, value)
 
     @property
     def arcs(self) -> set[int]:
@@ -91,22 +175,17 @@ class PlanarDiagram:
     def fresh_arc_start(self) -> int:
         return max(self.arcs, default=-1) + 1
 
-    def crossing_sign(self, x: Crossing) -> int:
-        """+1 if the over-strand runs x[3] -> x[1], else -1."""
-        return 1 if _over_runs_d_to_b(self, x) else -1
-
     def writhe(self) -> int:
-        return sum(self.crossing_sign(x) for x in self.crossings)
+        return sum(1 if p else -1 for p in self.positive)
 
     def validate(self):
-        """Check every arc occurs exactly twice, once as head and once as tail."""
+        """Recount that every arc is the head once and the tail once."""
         heads: dict[int, int] = {}
         tails: dict[int, int] = {}
-        for x in self.crossings:
-            a, b, c, d = x
+        for (a, b, c, d), pos in zip(self.crossings, self.positive):
             tails[a] = tails.get(a, 0) + 1
             heads[c] = heads.get(c, 0) + 1
-            if _over_runs_d_to_b(self, x):
+            if pos:
                 tails[d] = tails.get(d, 0) + 1
                 heads[b] = heads.get(b, 0) + 1
             else:
@@ -133,100 +212,45 @@ class PlanarDiagram:
         return xs if not self.free_loops else f"{xs} O*{self.free_loops}"
 
 
-def _over_runs_d_to_b(d: PlanarDiagram, x: Crossing) -> bool:
-    """True when the over-strand of crossing x runs x[3] -> x[1]."""
-    return _over_dir_cache(d)[x]
-
-
-_DIR_CACHE: dict[int, tuple[tuple[Crossing, ...], dict[Crossing, bool]]] = {}
-
-
-def _over_dir_cache(d: PlanarDiagram) -> dict[Crossing, bool]:
-    key = id(d)
-    sig = tuple(d.crossings)
-    cached = _DIR_CACHE.get(key)
-    if cached and cached[0] == sig:
-        return cached[1]
-    m = _compute_over_dirs(d.crossings)
-    _DIR_CACHE[key] = (sig, m)
-    if len(_DIR_CACHE) > 256:
-        _DIR_CACHE.pop(next(iter(_DIR_CACHE)))
-    return m
-
-
-def _compute_over_dirs(crossings: list[Crossing]) -> dict[Crossing, bool]:
-    """Decide at each crossing whether the over-strand runs leg3 -> leg1.
-
-    Every arc must be emitted (tail) at exactly one of its two leg
-    occurrences and absorbed (head) at the other.  Under legs have fixed
-    roles (leg0 absorbs, leg2 emits); an over leg (i, 1) emits exactly
-    when dir[i] is True and (i, 3) emits exactly when dir[i] is False.
-    Propagating one-emit-one-absorb across shared arcs fixes all dirs up
-    to free choices on all-over cycles, which we set to True.
-    """
-    # occurrences: arc -> list of (crossing index, leg)
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for i, x in enumerate(crossings):
-        for leg in range(4):
-            occ.setdefault(x[leg], []).append((i, leg))
-
-    n = len(crossings)
-    result: list[bool | None] = [None] * n
-    pending: list[int] = []
-
-    def emits(i: int, leg: int) -> bool | None:
-        if leg == 0:
-            return False
-        if leg == 2:
-            return True
-        if result[i] is None:
-            return None
-        return result[i] == (leg == 1)
-
-    def set_dir(i: int, val: bool):
-        if result[i] is None:
-            result[i] = val
-            pending.append(i)
-        elif result[i] != val:
-            raise ValueError(f"inconsistent orientation at crossing {crossings[i]}")
-
-    def apply_arc_constraints(legs: list[tuple[int, int]]):
-        if len(legs) != 2:
-            raise ValueError(f"arc appears {len(legs)} times, expected 2")
-        (i1, l1), (i2, l2) = legs
-        e1, e2 = emits(i1, l1), emits(i2, l2)
-        if e1 is not None and e2 is None:
-            set_dir(i2, (not e1) == (l2 == 1))
-        elif e2 is not None and e1 is None:
-            set_dir(i1, (not e2) == (l1 == 1))
-        elif e1 is not None and e2 is not None and e1 == e2:
-            raise ValueError("arc emitted or absorbed twice")
-
-    for legs in occ.values():
-        apply_arc_constraints(legs)
-    while True:
-        while pending:
-            i = pending.pop()
-            for leg in (1, 3):
-                apply_arc_constraints(occ[crossings[i][leg]])
-        rest = [i for i in range(n) if result[i] is None]
-        if not rest:
-            break
-        set_dir(rest[0], True)
-    return {crossings[i]: bool(result[i]) for i in range(n)}
-
-
 def successor_map(d: PlanarDiagram) -> dict[int, int]:
     """Map each arc to the next arc along its oriented component."""
     nxt: dict[int, int] = {}
-    for x in d.crossings:
-        a, b, c, dd = x
+    for (a, b, c, dd), pos in zip(d.crossings, d.positive):
         nxt[a] = c
-        if _over_runs_d_to_b(d, x):
+        if pos:
             nxt[dd] = b
         else:
             nxt[b] = dd
     return nxt
+
+
+def wirtinger_arcs(d: PlanarDiagram) -> dict[int, int]:
+    """Map each edge to its Wirtinger arc (edges fused through overpasses)."""
+    uf = UnionFind()
+    for x in d.crossings:
+        uf.union(x[1], x[3])
+    return {a: uf.find(a) for a in d.arcs}
+
+
+def _braid_crossings(letters, cur: list[int], next_arc: int) -> list[Crossing]:
+    """Crossings of a braid word whose strands enter on the arcs `cur`.
+
+    New arcs are numbered from `next_arc`, and `cur` is updated in place
+    to the arcs leaving the top.
+    """
+    out: list[Crossing] = []
+    for k in letters:
+        i = abs(k) - 1
+        alpha, beta = next_arc, next_arc + 1
+        next_arc += 2
+        if k > 0:
+            # positive: strand at position i crosses over to position i+1;
+            # under runs SE -> NW, tuple is CCW from the incoming under leg
+            out.append((cur[i + 1], alpha, beta, cur[i]))
+        else:
+            out.append((cur[i], cur[i + 1], alpha, beta))
+        cur[i], cur[i + 1] = beta, alpha
+    return out
 
 
 def braid_closure(braid: BraidWord, name: str = "") -> PlanarDiagram:
@@ -234,20 +258,7 @@ def braid_closure(braid: BraidWord, name: str = "") -> PlanarDiagram:
     n = braid.strands
     cur = list(range(n))  # arc currently at each strand position
     start = list(range(n))
-    next_arc = n
-    crossings: list[Crossing] = []
-    for k in braid.letters:
-        i = abs(k) - 1
-        alpha, beta = next_arc, next_arc + 1
-        next_arc += 2
-        if k > 0:
-            # positive: strand at position i crosses over to position i+1;
-            # under runs SE -> NW, tuple is CCW from the incoming under leg
-            crossings.append((cur[i + 1], alpha, beta, cur[i]))
-            cur[i], cur[i + 1] = beta, alpha
-        else:
-            crossings.append((cur[i], cur[i + 1], alpha, beta))
-            cur[i], cur[i + 1] = beta, alpha
+    crossings = _braid_crossings(braid.letters, cur, n)
     # identify top arcs with the bottom arcs they close onto
     ident = {cur[i]: start[i] for i in range(n) if cur[i] != start[i]}
     free_loops = sum(1 for i in range(n) if cur[i] == start[i])
@@ -258,8 +269,7 @@ def braid_closure(braid: BraidWord, name: str = "") -> PlanarDiagram:
         return a
 
     fixed = [tuple(res(a) for a in x) for x in crossings]
-    d = PlanarDiagram([tuple(x) for x in fixed], free_loops, name)
-    return relabel(d)
+    return relabel(PlanarDiagram(fixed, free_loops, name))
 
 
 def relabel(d: PlanarDiagram) -> PlanarDiagram:
@@ -268,22 +278,36 @@ def relabel(d: PlanarDiagram) -> PlanarDiagram:
     out = []
     for x in d.crossings:
         out.append(tuple(m.setdefault(a, len(m)) for a in x))
-    return PlanarDiagram(out, d.free_loops, d.name)
+    return _carry(out, d.free_loops, d.name, d.positive)
+
+
+def _carry(crossings, free_loops: int, name: str, positive) -> PlanarDiagram:
+    """A diagram built around an orientation that is already known.
+
+    Only for maps that take a valid oriented diagram to a valid one, and
+    that keep the direction of a component the tuples leave free:
+    renaming arcs, and mirroring with every sign flipped.
+    """
+    d = object.__new__(PlanarDiagram)
+    d.__dict__.update(crossings=tuple(crossings), free_loops=free_loops,
+                      name=name, positive=tuple(positive))
+    return d
 
 
 def mirror(d: PlanarDiagram) -> PlanarDiagram:
     """Switch every crossing (reflect through the projection plane)."""
     out: list[Crossing] = []
-    dirs = _over_dir_cache(d)
-    for x in d.crossings:
-        a, b, c, dd = x
+    for (a, b, c, dd), pos in zip(d.crossings, d.positive):
         # the old over-strand becomes the under-strand; rotate the tuple so
         # the new incoming under-arc leads
-        if dirs[x]:
+        if pos:
             out.append((dd, a, b, c))  # over ran d->b, so d is new under-in
         else:
             out.append((b, c, dd, a))
-    return PlanarDiagram(out, d.free_loops, f"{d.name}*" if d.name else "")
+    # a component under at every crossing of d is over at every crossing
+    # of the mirror, where the tuples leave its direction free
+    return _carry(out, d.free_loops, f"{d.name}*" if d.name else "",
+                  (not p for p in d.positive))
 
 
 def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram,
@@ -319,30 +343,28 @@ def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram,
 
 def _head_position(d: PlanarDiagram, arc: int) -> tuple[int, int]:
     """Locate (crossing index, leg) where `arc` is absorbed."""
-    dirs = _over_dir_cache(d)
-    for i, x in enumerate(d.crossings):
+    for i, (x, pos) in enumerate(zip(d.crossings, d.positive)):
         if x[0] == arc:
             return (i, 0)
-        if dirs[x] and x[3] == arc:
+        if pos and x[3] == arc:
             return (i, 3)
-        if not dirs[x] and x[1] == arc:
+        if not pos and x[1] == arc:
             return (i, 1)
     raise ValueError(f"arc {arc} head not found")
 
 
 def add_kink(d: PlanarDiagram, sign: int, arc: int | None = None) -> PlanarDiagram:
     """Insert a Reidemeister-1 kink of the given sign on an arc."""
-    out = d.copy()
-    if not out.crossings:
+    if not d.crossings:
         raise ValueError("cannot kink a crossingless diagram")
     if arc is None:
-        arc = min(out.arcs)
-    y = out.fresh_arc_start()
+        arc = min(d.arcs)
+    y = d.fresh_arc_start()
     z = y + 1
     # reroute the head occurrence of `arc` to z
-    hi, hleg = _head_position(out, arc)
+    hi, hleg = _head_position(d, arc)
     new = []
-    for i, x in enumerate(out.crossings):
+    for i, x in enumerate(d.crossings):
         t = list(x)
         if i == hi:
             t[hleg] = z
@@ -351,7 +373,7 @@ def add_kink(d: PlanarDiagram, sign: int, arc: int | None = None) -> PlanarDiagr
         new.append((arc, z, y, y))
     else:
         new.append((arc, y, y, z))
-    return PlanarDiagram(new, out.free_loops, out.name)
+    return PlanarDiagram(new, d.free_loops, d.name)
 
 
 def zero_framed(d: PlanarDiagram) -> PlanarDiagram:
@@ -371,9 +393,7 @@ def parse_pd(text: str, name: str = "") -> PlanarDiagram:
     crossings = [tuple(int(g) for g in m.groups()) for m in _PD_RE.finditer(text)]
     if not crossings:
         raise ValueError(f"no crossings found in {text!r}")
-    d = relabel(PlanarDiagram(crossings, 0, name))
-    d.validate()
-    return d
+    return relabel(PlanarDiagram(crossings, 0, name))
 
 
 def orient_raw(raw: list[Crossing], free_loops: int = 0,
@@ -381,78 +401,13 @@ def orient_raw(raw: list[Crossing], free_loops: int = 0,
     """Orient a diagram given only its unoriented crossing structure.
 
     Each raw tuple lists legs counterclockwise with the under-strand on
-    the (0, 2) diagonal, but neither strand's direction is known.  A
-    consistent global orientation (one head and one tail per arc) is
-    found by constraint propagation; free choices (whole components) are
-    resolved arbitrarily.  Tuples are rotated by two when needed so that
-    the incoming under-arc comes first.
+    the (0, 2) diagonal, but neither strand's direction is known.  Both
+    are solved, and each tuple whose under-strand runs 2 -> 0 is rotated
+    by two so that the incoming under-arc comes first.
     """
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for i, x in enumerate(raw):
-        for leg in range(4):
-            occ.setdefault(x[leg], []).append((i, leg))
-
-    n = len(raw)
-    # two booleans per crossing: u[i] = under runs leg0 -> leg2,
-    # o[i] = over runs leg3 -> leg1; variables numbered 2i and 2i+1
-    val: list[bool | None] = [None] * (2 * n)
-    pending: list[int] = []
-
-    def emits(i: int, leg: int) -> bool | None:
-        if leg in (0, 2):
-            v = val[2 * i]
-            return None if v is None else v == (leg == 2)
-        v = val[2 * i + 1]
-        return None if v is None else v == (leg == 1)
-
-    def setvar(idx: int, v: bool):
-        if val[idx] is None:
-            val[idx] = v
-            pending.append(idx // 2)
-        elif val[idx] != v:
-            raise ValueError("inconsistent orientation in raw diagram")
-
-    def apply_arc(legs):
-        if len(legs) != 2:
-            raise ValueError(f"arc appears {len(legs)} times, expected 2")
-        (i1, l1), (i2, l2) = legs
-        e1, e2 = emits(i1, l1), emits(i2, l2)
-        if e1 is not None and e2 is None:
-            want = not e1
-            if l2 in (0, 2):
-                setvar(2 * i2, want == (l2 == 2))
-            else:
-                setvar(2 * i2 + 1, want == (l2 == 1))
-        elif e2 is not None and e1 is None:
-            want = not e2
-            if l1 in (0, 2):
-                setvar(2 * i1, want == (l1 == 2))
-            else:
-                setvar(2 * i1 + 1, want == (l1 == 1))
-        elif e1 is not None and e2 is not None and e1 == e2:
-            raise ValueError("arc emitted or absorbed twice")
-
-    while True:
-        for legs in occ.values():
-            apply_arc(legs)
-        while pending:
-            i = pending.pop()
-            for leg in range(4):
-                apply_arc(occ[raw[i][leg]])
-        rest = [k for k in range(2 * n) if val[k] is None]
-        if not rest:
-            break
-        setvar(rest[0], True)
-
-    out: list[Crossing] = []
-    for i, x in enumerate(raw):
-        if val[2 * i]:
-            out.append(x)
-        else:
-            out.append((x[2], x[3], x[0], x[1]))
-    d = PlanarDiagram(out, free_loops, name)
-    d.validate()
-    return d
+    under = _orient(tuple(raw), False)[0::2]
+    out = [x if u else x[2:] + x[:2] for x, u in zip(raw, under)]
+    return PlanarDiagram(out, free_loops, name)
 
 
 # -- named small knots as braid closures --------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import BraidWord
+from .diagram import BraidWord, wirtinger_arcs
 from .freegroup import artin_action, freely_reduce, inverse_word
 from .matrices import abelian_invariants
 from .skein2 import ResourceLimitExceeded
@@ -97,21 +97,17 @@ def wirtinger_presentation(d) -> GroupPresentation:
     relation (outgoing under-arc) = o^e (incoming under-arc) o^-e with o
     the over-arc and e the crossing sign.  All generators are meridians.
     """
-    from .alexander import _wirtinger_arcs
-    from .diagram import _over_dir_cache
-
     if d.component_count() != 1:
         raise ValueError("diagram must be a knot")
     if not d.crossings:
         return GroupPresentation(1, ())
-    arc_of = _wirtinger_arcs(d)
+    arc_of = wirtinger_arcs(d)
     labels = sorted(set(arc_of.values()))
     gen = {a: i + 1 for i, a in enumerate(labels)}
-    dirs = _over_dir_cache(d)
     rels = []
-    for x in d.crossings:
+    for x, pos in zip(d.crossings, d.positive):
         a, c, o = gen[arc_of[x[0]]], gen[arc_of[x[2]]], gen[arc_of[x[3]]]
-        e = 1 if dirs[x] else -1
+        e = 1 if pos else -1
         r = _cyclic_reduce((o * e, a, -o * e, -c))
         if r:
             rels.append(r)

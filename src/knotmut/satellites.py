@@ -11,38 +11,32 @@ of one chosen arc of the companion.
 
 from __future__ import annotations
 
-from .diagram import (BraidWord, Crossing, PlanarDiagram, _head_position,
-                      _over_dir_cache, braid_closure, orient_raw, relabel)
+from .diagram import (BraidWord, Crossing, PlanarDiagram, _braid_crossings,
+                      _head_position, braid_closure, orient_raw, relabel)
 
 
-def _half_twist_word(n: int) -> list[int]:
-    """The positive half twist on n strands: (s1)(s2 s1)...(s_{n-1}..s1)."""
-    word = []
-    for k in range(1, n):
-        word.extend(range(k, 0, -1))
-    return word
+def _half_twists(n: int, t: int) -> tuple[int, ...]:
+    """t signed half twists on n strands, each (s1)(s2 s1)...(s_{n-1}..s1)."""
+    half = [k for m in range(1, n) for k in range(m, 0, -1)]
+    return tuple(k if t > 0 else -k for _ in range(abs(t)) for k in half)
 
 
 def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram:
     """Blackboard-framed n-parallel of d with spliced half-twists."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n == 1 and extra_half_twists == 0:
-        return d.copy()
+    if n == 1:
+        return d
+    word = _half_twists(n, extra_half_twists)
+    name = f"{d.name}-cable{n}" if d.name else ""
     if not d.crossings:
         # crossingless companion: the cable is a twisted braid closure
         if d.free_loops < 1:
             raise ValueError("empty diagram")
-        word = []
-        t = extra_half_twists
-        for _ in range(abs(t)):
-            word.extend(w if t > 0 else -w for w in _half_twist_word(n))
-        out = braid_closure(BraidWord(max(n, 2), tuple(word)))
-        out.free_loops += (d.free_loops - 1) * n
-        out.name = f"{d.name}-cable{n}" if d.name else ""
-        return out
+        out = braid_closure(BraidWord(n, word))
+        return PlanarDiagram(out.crossings,
+                             out.free_loops + (d.free_loops - 1) * n, name)
 
-    dirs = _over_dir_cache(d)
     next_id = 0
 
     def fresh() -> int:
@@ -56,8 +50,7 @@ def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram
             copy_id[(a, i)] = fresh()
 
     out: list[Crossing] = []
-    for x in d.crossings:
-        a, b, c, dd = x
+    for (a, b, c, dd), pos in zip(d.crossings, d.positive):
         # local frame: under vertical northbound (a=S in, c=N out),
         # b=E, d=W; under copy i runs along the vertical line x=i
         v = [[None] * (n + 1) for _ in range(n)]
@@ -69,7 +62,7 @@ def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram
                 v[i][k] = fresh()
         for k in range(n):
             # over copy j is leftmost facing along the over direction
-            j = n - 1 - k if dirs[x] else k
+            j = n - 1 - k if pos else k
             h[k][0] = copy_id[(dd, j)]
             h[k][n] = copy_id[(b, j)]
             for i in range(1, n):
@@ -78,22 +71,13 @@ def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram
             for k in range(n):
                 out.append((v[i][k], h[k][i + 1], v[i][k + 1], h[k][i]))
 
-    cabled = PlanarDiagram(out, d.free_loops * n,
-                           f"{d.name}-cable{n}" if d.name else "")
-    if extra_half_twists:
-        bundle = min(d.arcs)
-        word = []
-        t = extra_half_twists
-        for _ in range(abs(t)):
-            word.extend(w if t > 0 else -w for w in _half_twist_word(n))
-        cabled = _splice_braid(cabled, [copy_id[(bundle, i)] for i in range(n)],
-                               word)
-    cabled.validate()
-    return cabled
+    cabled = PlanarDiagram(out, d.free_loops * n, name)
+    bundle = min(d.arcs)
+    return _splice_braid(cabled, [copy_id[(bundle, i)] for i in range(n)], word)
 
 
 def _splice_braid(d: PlanarDiagram, bundle: list[int],
-                  word: list[int]) -> PlanarDiagram:
+                  word: tuple[int, ...]) -> PlanarDiagram:
     """Cut the parallel arcs `bundle` and splice in a braid on them.
 
     Strand position i of the braid is copy i of the bundle (leftmost
@@ -104,17 +88,8 @@ def _splice_braid(d: PlanarDiagram, bundle: list[int],
         return d
     heads = {a: _head_position(d, a) for a in bundle}
     cur = list(bundle)
-    nxt = d.fresh_arc_start()
-    crossings = list(d.crossings)
-    for k in word:
-        i = abs(k) - 1
-        alpha, beta = nxt, nxt + 1
-        nxt += 2
-        if k > 0:
-            crossings.append((cur[i + 1], alpha, beta, cur[i]))
-        else:
-            crossings.append((cur[i], cur[i + 1], alpha, beta))
-        cur[i], cur[i + 1] = beta, alpha
+    crossings = list(d.crossings) + _braid_crossings(word, cur,
+                                                     d.fresh_arc_start())
     # reconnect braid tops to the original heads of the bundle arcs
     for i, a in enumerate(bundle):
         if cur[i] == a:
@@ -123,9 +98,7 @@ def _splice_braid(d: PlanarDiagram, bundle: list[int],
         x = list(crossings[ci])
         x[leg] = cur[i]
         crossings[ci] = tuple(x)
-    out = PlanarDiagram(crossings, d.free_loops, d.name)
-    out.validate()
-    return out
+    return PlanarDiagram(crossings, d.free_loops, d.name)
 
 
 def whitehead_double(d: PlanarDiagram, framing: int = 0,
@@ -152,10 +125,8 @@ def whitehead_double(d: PlanarDiagram, framing: int = 0,
             if framing:
                 # the doubled strands are antiparallel, so a right-handed
                 # band twist appears as two negative crossings
-                s = cand.crossing_sign(cand.crossings[-2 * abs(framing) - 2])
-                tw_ok = (s < 0) == (framing > 0)
-            cs = cand.crossing_sign(cand.crossings[-1])
-            if tw_ok and (cs > 0) == (clasp > 0):
+                tw_ok = cand.positive[-2 * abs(framing) - 2] != (framing > 0)
+            if tw_ok and cand.positive[-1] == (clasp > 0):
                 return cand
     raise AssertionError("could not realize requested twist/clasp signs")
 

@@ -32,7 +32,7 @@ import sys
 import time
 from math import comb
 
-from .diagram import PlanarDiagram, _over_dir_cache
+from .diagram import PlanarDiagram
 from .laurent import LaurentPoly, LaurentPoly2
 from .satellites import cable, whitehead_double
 
@@ -98,13 +98,12 @@ class _RDiagram:
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
-        dirs = _over_dir_cache(d)
         ends: dict[int, tuple[int, ...]] = {}
         for i, x in enumerate(d.crossings):
             for leg, a in enumerate(x):
                 ends[a] = ends.get(a, ()) + (4 * i + leg,)
-        return cls(list(d.crossings), [dirs[x] for x in d.crossings], ends,
-                   d.free_loops, set(ends))
+        return cls(list(d.crossings), list(d.positive), ends, d.free_loops,
+                   set(ends))
 
     def copy(self) -> "_RDiagram":
         return _RDiagram(list(self.crossings), list(self.dirs),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .diagram import Crossing, PlanarDiagram, orient_raw, relabel
+from .diagram import Crossing, PlanarDiagram, UnionFind, orient_raw, relabel
 
 CORNERS = ("NW", "NE", "SW", "SE")
 
@@ -98,25 +98,15 @@ class TangleDecomposition:
 
     def glue(self, name: str = "") -> PlanarDiagram:
         inner = self.inner.relabeled(max(self.outer.arcs) + 1)
-        parent: dict[int, int] = {}
-
-        def find(a: int) -> int:
-            while parent.get(a, a) != a:
-                parent[a] = parent.get(parent[a], parent[a])
-                a = parent[a]
-            return a
-
+        uf = UnionFind()
         for c in CORNERS:
-            ra, rb = find(inner.boundary[c]), find(self.outer.boundary[_GLUE_FLIP[c]])
-            if ra != rb:
-                parent[ra] = rb
-        raw = [tuple(find(a) for a in x)
+            uf.union(inner.boundary[c], self.outer.boundary[_GLUE_FLIP[c]])
+        raw = [tuple(map(uf.find, x))
                for x in list(self.outer.crossings) + list(inner.crossings)]
         used = {a for x in raw for a in x}
-        loop_classes = {find(self.outer.boundary[c]) for c in CORNERS}
+        loop_classes = {uf.find(self.outer.boundary[c]) for c in CORNERS}
         free_loops = sum(1 for r in loop_classes if r not in used)
-        d = orient_raw(raw, free_loops, name)
-        return relabel(d)
+        return relabel(orient_raw(raw, free_loops, name))
 
     def mutate(self, axis: str, name: str = "") -> PlanarDiagram:
         rotated = TangleDecomposition(self.outer, rotate_tangle(self.inner, axis))

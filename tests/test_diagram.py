@@ -5,11 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_braid
-from knotmut.diagram import (KNOT_BRAIDS, BraidWord, add_kink, braid_closure,
-                             connected_sum, mirror, named_knot, parse_braid,
-                             parse_knot_spec, parse_pd, relabel,
+from conftest import random_braid, vertical_twist
+from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram, add_kink,
+                             braid_closure, connected_sum, mirror, named_knot,
+                             parse_braid, parse_knot_spec, parse_pd, relabel,
                              successor_map, zero_framed)
+from knotmut.satellites import cable, whitehead_double
+from knotmut.tangles import (TangleDecomposition, mutate, random_decomposition,
+                             tangle_sum)
 
 
 class TestBraidWord:
@@ -144,3 +147,103 @@ class TestKnotSpec:
         d.validate()
         assert d.component_count() == 1
         assert len(d.crossings) == 4
+
+
+class TestOrientationContract:
+    def test_arc_three_times_rejected(self):
+        xs = list(named_knot("trefoil").crossings)
+        xs[0] = (xs[1][0],) + xs[0][1:]
+        with pytest.raises(ValueError, match="3 times"):
+            PlanarDiagram(xs)
+
+    def test_arc_absorbed_twice_rejected(self):
+        # arc 0 enters both crossings on leg 0
+        with pytest.raises(ValueError, match="absorbed twice"):
+            PlanarDiagram([(0, 1, 2, 3), (0, 3, 2, 1)])
+
+    def test_immutable_except_name(self):
+        d = named_knot("trefoil")
+        assert isinstance(d.crossings, tuple)
+        with pytest.raises(AttributeError):
+            d.crossings = ()
+        with pytest.raises(AttributeError):
+            d.free_loops = 1
+        d.name = "relabelled"
+        assert d.name == "relabelled"
+
+    @given(braids)
+    @settings(max_examples=50)
+    def test_mirror_involution(self, b):
+        d = braid_closure(b)
+        m = mirror(d)
+        m.validate()
+        assert m.positive == tuple(not p for p in d.positive)
+        mm = mirror(m)
+        assert mm.crossings == d.crossings
+        assert mm.positive == d.positive
+
+
+def _frozen_constructions() -> dict:
+    tre, f8 = named_knot("trefoil"), named_knot("figure8")
+    out = {}
+    for d in (tre, f8):
+        for clasp in (1, -1):
+            out[f"double {d.name} {clasp:+d}"] = whitehead_double(d, -d.writhe(), clasp)
+    td = TangleDecomposition(tangle_sum(vertical_twist(3), vertical_twist(3)),
+                             tangle_sum(vertical_twist(-2), vertical_twist(-3)))
+    out["P(3,3,-2,-3) vertical mutant"] = mutate(td, "vertical")
+    out["mirror 5_2"] = mirror(named_knot("5_2"))
+    out["cable trefoil 3 -1"] = cable(tre, 3, -1)
+    out["trefoil # mirror"] = connected_sum(tre, mirror(tre))
+    # a two-component link glued from raw tangles: the solver orients each
+    # component by a free choice
+    out["random link seed 9"] = random_decomposition(
+        random.Random(9), 8, require_knot=False).glue()
+    return out
+
+
+# PD codes and crossing signs of the constructors' output, recorded before
+# diagrams solved their own orientation; any change here is a change of
+# diagram, not of bookkeeping.
+FROZEN = {
+    "double trefoil +1": (
+        "X(0,1,2,3) X(2,4,5,6) X(7,1,8,9) X(10,4,7,11) X(11,12,13,10) X(13,14,15,5) X(16,12,9,17) X(18,14,16,19) X(19,20,21,18) X(21,22,6,15) X(23,20,17,24) X(3,22,23,25) X(25,24,26,27) X(28,29,27,26) X(29,28,30,31) X(32,33,31,30) X(33,32,34,35) X(36,37,35,34) X(38,39,0,37) X(39,38,36,8)",
+        "-++--++--++-++++++++"),
+    "double trefoil -1": (
+        "X(0,1,2,3) X(2,4,5,6) X(7,1,8,9) X(10,4,7,11) X(11,12,13,10) X(13,14,15,5) X(16,12,9,17) X(18,14,16,19) X(19,20,21,18) X(21,22,6,15) X(23,20,17,24) X(3,22,23,25) X(25,24,26,27) X(28,29,27,26) X(29,28,30,31) X(32,33,31,30) X(33,32,34,35) X(36,37,35,34) X(37,38,39,0) X(8,39,38,36)",
+        "-++--++--++-++++++--"),
+    "double figure8 +1": (
+        "X(0,1,2,3) X(2,4,5,6) X(7,1,8,9) X(10,4,7,11) X(11,12,13,14) X(13,15,16,17) X(18,12,9,19) X(20,15,18,21) X(14,22,23,10) X(23,24,6,5) X(25,22,17,26) X(3,24,25,27) X(27,28,29,30) X(29,31,19,32) X(33,28,26,16) X(21,31,33,20) X(34,35,0,30) X(35,34,32,8)",
+        "-++--++--++--++-++"),
+    "double figure8 -1": (
+        "X(0,1,2,3) X(2,4,5,6) X(7,1,8,9) X(10,4,7,11) X(11,12,13,14) X(13,15,16,17) X(18,12,9,19) X(20,15,18,21) X(14,22,23,10) X(23,24,6,5) X(25,22,17,26) X(3,24,25,27) X(27,28,29,30) X(29,31,19,32) X(33,28,26,16) X(21,31,33,20) X(30,34,35,0) X(8,35,34,32)",
+        "-++--++--++--++---"),
+    "P(3,3,-2,-3) vertical mutant": (
+        "X(0,1,2,3) X(4,5,1,0) X(6,7,5,4) X(8,2,9,10) X(10,9,11,12) X(12,11,7,13) X(14,15,16,3) X(15,17,6,16) X(18,14,8,19) X(20,18,19,21) X(17,20,21,13)",
+        "------+++++"),
+    "mirror 5_2": (
+        "X(3,0,1,2) X(2,1,4,5) X(5,4,6,7) X(6,8,9,10) X(10,11,3,7) X(11,9,8,0)",
+        "----+-"),
+    "cable trefoil 3 -1": (
+        "X(59,24,18,11) X(18,26,19,10) X(19,28,6,9) X(58,25,20,24) X(20,27,21,26) X(21,29,7,28) X(56,5,22,25) X(22,4,23,27) X(23,3,8,29) X(3,36,30,8) X(30,38,31,7) X(31,40,15,6) X(4,37,32,36) X(32,39,33,38) X(33,41,16,40) X(5,14,34,37) X(34,13,35,39) X(35,12,17,41) X(12,48,42,17) X(42,50,43,16) X(43,52,9,15) X(13,49,44,48) X(44,51,45,50) X(45,53,10,52) X(14,2,46,49) X(46,1,47,51) X(47,0,11,53) X(0,1,54,55) X(54,2,56,57) X(55,57,58,59)",
+        "+++++++++++++++++++++++++++---"),
+    "trefoil # mirror": (
+        "X(0,1,2,3) X(1,4,5,2) X(4,6,3,5) X(7,6,8,9) X(9,8,10,11) X(11,10,0,7)",
+        "+++---"),
+    "random link seed 9": (
+        "X(0,1,2,2) X(3,4,5,1) X(6,7,7,3) X(5,4,6,8) X(9,10,10,11) X(11,8,0,9)",
+        "++----"),
+}
+
+
+class TestFrozenConstructions:
+    @pytest.fixture(scope="class")
+    def built(self):
+        return _frozen_constructions()
+
+    @pytest.mark.parametrize("key", sorted(FROZEN))
+    def test_unchanged(self, built, key):
+        d = built[key]
+        pd, signs = FROZEN[key]
+        assert str(d) == pd
+        assert "".join("+" if p else "-" for p in d.positive) == signs

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_knot_diagram
 from knotmut.bracket import jones
-from knotmut.diagram import named_knot, parse_braid, braid_closure
+from knotmut.diagram import PlanarDiagram, named_knot, parse_braid, braid_closure
 from knotmut.satellites import cable, whitehead_double
 
 
@@ -16,6 +16,12 @@ class TestCable:
         c = cable(d, 1, 0)
         c.validate()
         assert jones(c) == jones(d)
+
+    def test_one_strand_is_the_companion(self):
+        # half twists on a single strand are empty words
+        for d in (named_knot("figure8"), PlanarDiagram([], 1, "unknot")):
+            for t in (0, 1, -1):
+                assert cable(d, 1, t) is d
 
     def test_two_cable_structure(self):
         d = named_knot("trefoil")
