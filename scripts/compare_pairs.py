@@ -4,7 +4,9 @@
 Reads knot specs from a file (default data/paper_knots.txt), pairs up
 consecutive entries, and prints a per-invariant comparison plus the
 overall verdict for each pair.  Options mirror the `compare` CLI
-subcommand but add the slower group-theoretic items by default.
+subcommand but add the slower group-theoretic items by default.  The
+time budget bounds each item; an item that uses it up is compared as
+unknown.
 """
 
 import argparse

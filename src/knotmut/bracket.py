@@ -11,6 +11,7 @@ The Jones polynomial of an oriented diagram D with writhe w is
 
 from __future__ import annotations
 
+from .budget import Budget
 from .diagram import PlanarDiagram, UnionFind
 from .laurent import LaurentPoly
 
@@ -45,14 +46,16 @@ def _merge(pairing: dict[int, int], a: int, b: int) -> int:
     return 0
 
 
-def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
+def kauffman_bracket(d: PlanarDiagram,
+                     budget_seconds: float | None = None) -> LaurentPoly:
     """Bracket by crossing-at-a-time contraction with state merging.
 
     States are partial pairings of open arc-ends, keyed canonically so
     that equal boundary patterns share one accumulated coefficient.  The
     k-th endpoint (k = 0, 1) of an arc is the int 2*arc + k; a state's key
     is the flat tuple of its pairs (u, v), u < v, sorted by u, and its
-    coefficient a {exponent: int} dict accumulated in place.
+    coefficient a {exponent: int} dict accumulated in place.  The deadline
+    is checked once per crossing step.
     """
     crossings = list(d.crossings)
     # order crossings greedily to keep the open boundary small
@@ -70,7 +73,10 @@ def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     delta_pow = [(DELTA**k).coeffs for k in range(7)]
 
     states: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    budget = Budget(budget_seconds, unit=f"of {len(order)} crossing steps",
+                    progress=lambda: f"{len(states)} states")
     for idx in order:
+        budget.tick()
         x = crossings[idx]
         toks = []
         for a in x:
@@ -209,10 +215,10 @@ def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:
     return total
 
 
-def jones(d: PlanarDiagram) -> LaurentPoly:
+def jones(d: PlanarDiagram, budget_seconds: float | None = None) -> LaurentPoly:
     """Jones polynomial in t (integer powers only for knots)."""
     w = d.writhe()
-    br = kauffman_bracket(d).exact_div(DELTA)
+    br = kauffman_bracket(d, budget_seconds).exact_div(DELTA)
     # multiply by (-A^3)^(-w)
     sign = 1 if w % 2 == 0 else -1
     shifted = LaurentPoly("A", {e - 3 * w: sign * c for e, c in br.coeffs.items()})

@@ -11,6 +11,7 @@ a coefficient grid (rows by the second variable's degree).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ import sys
 from .colored import colored_jones
 from .alexander import alexander_pd
 from .bracket import jones
+from .budget import ResourceLimitExceeded
 from .diagram import PlanarDiagram, load_knot_file, parse_knot_spec
 from .laurent import LaurentPoly, LaurentPoly2
 from .permgroups import (PermGroup, alternating, cyclic, dihedral, psl2,
@@ -27,7 +29,7 @@ from .presentations import (GroupPresentation, double_cover_presentation,
 from .quotients import epimorphisms, kernel_abelianization
 from .report import ReportOptions, compare_pair, compute_report
 from .satellites import cable, whitehead_double
-from .skein2 import ResourceLimitExceeded, homfly, kauffman_f
+from .skein2 import homfly, kauffman_f
 from .tangles import AXES, TangleDecomposition, mutate, rational_tangle
 
 
@@ -89,27 +91,20 @@ def _emit_pd(d: PlanarDiagram):
     print(f"{prefix}pd: {body}")
 
 
-_TARGETS = {}
-
-
+@functools.cache
 def _target_group(name: str) -> PermGroup:
     text = name.replace(" ", "")
-    if text in _TARGETS:
-        return _TARGETS[text]
     if text.startswith("C") and text[1:].isdigit():
-        g = cyclic(int(text[1:]))
-    elif text.startswith("D") and text[1:].isdigit():
-        g = dihedral(int(text[1:]))
-    elif text.startswith("Alt(") and text.endswith(")"):
-        g = alternating(int(text[4:-1]))
-    elif text.startswith("Sym(") and text.endswith(")"):
-        g = symmetric(int(text[4:-1]))
-    elif text.startswith("PSL(2,") and text.endswith(")"):
-        g = psl2(int(text[6:-1]))
-    else:
-        raise ValueError(f"unknown target group {name!r}")
-    _TARGETS[text] = g
-    return g
+        return cyclic(int(text[1:]))
+    if text.startswith("D") and text[1:].isdigit():
+        return dihedral(int(text[1:]))
+    if text.startswith("Alt(") and text.endswith(")"):
+        return alternating(int(text[4:-1]))
+    if text.startswith("Sym(") and text.endswith(")"):
+        return symmetric(int(text[4:-1]))
+    if text.startswith("PSL(2,") and text.endswith(")"):
+        return psl2(int(text[6:-1]))
+    raise ValueError(f"unknown target group {name!r}")
 
 
 def _print_presentation(g: GroupPresentation):
@@ -120,26 +115,34 @@ def _print_presentation(g: GroupPresentation):
 
 def _report_options(args) -> ReportOptions:
     return ReportOptions(
-        colors=getattr(args, "colors", 2),
-        quotients=getattr(args, "quotients", False),
-        quotients_max_order=getattr(args, "quotients_max_order", 60),
-        lowindex=getattr(args, "lowindex", 0),
-        whitehead_homfly=getattr(args, "whitehead_p", False),
-        cable_homfly=getattr(args, "cable_p", False),
+        colors=args.colors,
+        quotients=args.quotients,
+        quotients_max_order=args.quotients_max_order,
+        lowindex=args.lowindex,
+        whitehead_homfly=args.whitehead_p,
+        cable_homfly=args.cable_p,
         budget_seconds=args.budget_seconds,
     )
 
 
 def main(argv=None) -> int:
-    env_budget = os.environ.get("KNOTMUT_BUDGET_SECONDS")
     ap = argparse.ArgumentParser(prog="knotmut",
                                  description="exact knot invariants and "
                                              "mutation comparisons")
     ap.add_argument("--format", choices=("text", "json", "table1"),
                     default="text")
-    ap.add_argument("--budget-seconds", type=float,
-                    default=float(env_budget) if env_budget else None)
+    ap.add_argument("--budget-seconds", type=float, default=None,
+                    help="time budget of each exponential search")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    # options shared by `report` and `compare`, with ReportOptions' defaults
+    items = argparse.ArgumentParser(add_help=False)
+    items.add_argument("--colors", type=int, default=ReportOptions.colors)
+    items.add_argument("--quotients", action="store_true")
+    items.add_argument("--quotients-max-order", type=int,
+                       default=ReportOptions.quotients_max_order)
+    items.add_argument("--lowindex", type=int, default=ReportOptions.lowindex)
+    items.add_argument("--whitehead-p", action="store_true")
+    items.add_argument("--cable-p", action="store_true")
 
     for cmd in ("jones", "alexander", "homfly", "kauffman"):
         p = sub.add_parser(cmd)
@@ -168,21 +171,9 @@ def main(argv=None) -> int:
     p.add_argument("--max", type=int, default=3, dest="max_index")
     p.add_argument("--target", default="D3")
     p.add_argument("knot")
-    p = sub.add_parser("report")
-    p.add_argument("--colors", type=int, default=2)
-    p.add_argument("--quotients", action="store_true")
-    p.add_argument("--quotients-max-order", type=int, default=60)
-    p.add_argument("--lowindex", type=int, default=0)
-    p.add_argument("--whitehead-p", action="store_true")
-    p.add_argument("--cable-p", action="store_true")
+    p = sub.add_parser("report", parents=[items])
     p.add_argument("knot")
-    p = sub.add_parser("compare")
-    p.add_argument("--colors", type=int, default=2)
-    p.add_argument("--quotients", action="store_true")
-    p.add_argument("--quotients-max-order", type=int, default=60)
-    p.add_argument("--lowindex", type=int, default=0)
-    p.add_argument("--whitehead-p", action="store_true")
-    p.add_argument("--cable-p", action="store_true")
+    p = sub.add_parser("compare", parents=[items])
     p.add_argument("knot1")
     p.add_argument("knot2")
 
@@ -199,18 +190,19 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     fmt = args.format
+    budget = args.budget_seconds
     if args.cmd in ("jones", "alexander", "homfly", "kauffman", "cjones"):
         for name, d, _braid in _load_specs(args.knot):
             if args.cmd == "jones":
-                val = jones(d)
+                val = jones(d, budget)
             elif args.cmd == "alexander":
                 val = alexander_pd(d)
             elif args.cmd == "homfly":
-                val = homfly(d, budget_seconds=args.budget_seconds)
+                val = homfly(d, budget_seconds=budget)
             elif args.cmd == "kauffman":
-                val = kauffman_f(d, budget_seconds=args.budget_seconds)
+                val = kauffman_f(d, budget_seconds=budget)
             else:
-                val = colored_jones(d, args.color)
+                val = colored_jones(d, args.color, budget)
             _emit_poly(name or d.name, val, fmt)
         return 0
 
@@ -248,16 +240,17 @@ def _dispatch(args) -> int:
             elif args.action == "abelian":
                 print(f"{name or d.name}: {pres.abelian_invariants()}")
             elif args.action == "lowindex":
-                for table in low_index_subgroups(pres, args.max_index):
+                for table in low_index_subgroups(pres, args.max_index,
+                                                 budget_seconds=budget):
                     inv = subgroup_abelianization(pres, table)
                     print(f"index {len(table)}: {inv}")
-            elif args.action == "quotients":
+            else:  # quotients, kernel-abelian
                 grp = _target_group(args.target)
-                eps = epimorphisms(pres, grp, simplify=False)
-                print(f"{name or d.name}: delta_{grp.name} = {len(eps)}")
-            else:  # kernel-abelian
-                grp = _target_group(args.target)
-                eps = epimorphisms(pres, grp, simplify=False)
+                eps = epimorphisms(pres, grp, simplify=False,
+                                   budget_seconds=budget)
+                if args.action == "quotients":
+                    print(f"{name or d.name}: delta_{grp.name} = {len(eps)}")
+                    continue
                 if not eps:
                     print(f"{name or d.name}: no epimorphism onto {grp.name}")
                 for i, hom in enumerate(eps, start=1):

@@ -17,6 +17,7 @@ for this bracket normalization.
 from __future__ import annotations
 
 from .bracket import kauffman_bracket
+from .budget import Budget
 from .diagram import PlanarDiagram
 from .laurent import InexactDivision, LaurentPoly, RatFunc, qint
 from .satellites import cable
@@ -95,7 +96,9 @@ def gamma_coeff(N: int, k1: int, k2: int) -> RatFunc:
     return f1 * f2 * f3
 
 
-def colored_jones_unnormalized(d: PlanarDiagram, N: int) -> LaurentPoly:
+def colored_jones_unnormalized(d: PlanarDiagram, N: int,
+                               budget_seconds: float | None = None
+                               ) -> LaurentPoly:
     """J'_K(N) in the variable a: bracket of the e_{N-1} cable, 0-framed."""
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -104,12 +107,13 @@ def colored_jones_unnormalized(d: PlanarDiagram, N: int) -> LaurentPoly:
         # component; color 1 cables nothing and is 1 on every link
         raise ValueError("colored Jones for N > 1 needs a knot diagram")
     n = N - 1
+    budget = Budget(budget_seconds)  # one deadline for every parallel
     total = LaurentPoly.zero("A")
     for k, c in chebyshev_basis(n).items():
         if k == 0:
             br = LaurentPoly.one("A")  # the 0-parallel is the empty diagram
         else:
-            br = kauffman_bracket(cable(d, k, 0))
+            br = kauffman_bracket(cable(d, k, 0), budget.remaining())
         total = total + c * br
     # (-1)^n, times ((-1)^n A^(n^2+2n))^(-w) to undo the w full twists that
     # the blackboard framing puts on the e_n-colored band
@@ -121,9 +125,10 @@ def colored_jones_unnormalized(d: PlanarDiagram, N: int) -> LaurentPoly:
     return total.shrink(2, "a")
 
 
-def colored_jones(d: PlanarDiagram, N: int) -> LaurentPoly:
+def colored_jones(d: PlanarDiagram, N: int,
+                  budget_seconds: float | None = None) -> LaurentPoly:
     """J_K(N) in q = a^2, normalized so the unknot gives 1."""
-    jp = colored_jones_unnormalized(d, N)
+    jp = colored_jones_unnormalized(d, N, budget_seconds)
     norm = qint(N)  # J'_unknot(N) = [N]
     try:
         val = jp.exact_div(norm)

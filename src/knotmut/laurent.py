@@ -188,9 +188,6 @@ class LaurentPoly:
         """Substitute var = 1/var (optionally renaming the variable)."""
         return LaurentPoly(new_var or self.var, {-e: c for e, c in self.coeffs.items()})
 
-    def rename(self, new_var: str) -> "LaurentPoly":
-        return LaurentPoly(new_var, self.coeffs)
-
     def __call__(self, x):
         """Evaluate at a nonzero rational point; returns a Fraction."""
         from fractions import Fraction

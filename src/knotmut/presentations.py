@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .budget import Budget
 from .diagram import BraidWord, wirtinger_arcs
 from .freegroup import artin_action, freely_reduce, inverse_word
 from .matrices import abelian_invariants
-from .skein2 import ResourceLimitExceeded
 
 Word = tuple[int, ...]
 
@@ -53,9 +53,6 @@ class GroupPresentation:
                 row[j] = row.get(j, 0) + (1 if g > 0 else -1)
             rows.append(row)
         return abelian_invariants(rows, self.ngens)
-
-    def simplified(self, max_relator_length: int = 2000) -> "GroupPresentation":
-        return tietze_simplify(self, max_relator_length)
 
     def __str__(self):
         gens = ", ".join(f"x{i}" for i in range(1, self.ngens + 1))
@@ -252,9 +249,12 @@ def subgroup_abelianization(g: GroupPresentation,
 
 # -- Tietze simplification ------------------------------------------------
 
+# a generator is eliminated only if substituting its image adds at most
+# this many letters
+MAX_RELATOR_LENGTH = 2000
 
-def tietze_simplify(g: GroupPresentation,
-                    max_relator_length: int = 2000) -> GroupPresentation:
+
+def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
     """Shorten a presentation by generator elimination and substitution."""
     ngens = g.ngens
     rels = [list(_cyclic_reduce(r)) for r in g.relators]
@@ -309,7 +309,7 @@ def tietze_simplify(g: GroupPresentation,
             for gen, c in counts.items():
                 if c == 1:
                     cost = (len(r) - 1) * (occ[gen] - 1)
-                    if cost <= max_relator_length:
+                    if cost <= MAX_RELATOR_LENGTH:
                         if best_pick is None or len(r) < len(rels[best_pick[0]]):
                             best_pick = (ri, gen)
         if best_pick is not None:
@@ -338,11 +338,15 @@ def tietze_simplify(g: GroupPresentation,
 
 
 def low_index_subgroups(g: GroupPresentation, max_index: int,
-                        max_tables: int = 200000) -> list[list[list[int]]]:
+                        max_tables: int = 200000,
+                        budget_seconds: float | None = None
+                        ) -> list[list[list[int]]]:
     """Complete coset tables of subgroups of index <= max_index.
 
     Returns one table per conjugacy class of subgroups (the class of the
-    coset-0 stabilizer), including the whole group at index 1.
+    coset-0 stabilizer), including the whole group at index 1.  Raises
+    `ResourceLimitExceeded` once `max_tables` tables are tried or
+    `budget_seconds` have passed.
     """
     ncols = 2 * g.ngens
     # each relator as its columns and the inverse of each column
@@ -353,7 +357,8 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
             rels.append((cols, [col ^ 1 for col in cols]))
     results: list[list[list[int]]] = []
     seen_classes: set = set()
-    budget = [max_tables]
+    budget = Budget(budget_seconds, max_tables, "tables tried",
+                    lambda: f"{len(results)} subgroups found")
 
     def scan_relators(table) -> bool:
         """Propagate deductions; False on contradiction."""
@@ -397,9 +402,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
         return None
 
     def recurse(table):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitExceeded("low-index search budget exhausted")
+        budget.tick()
         hole = first_hole(table)
         if hole is None:
             key = _class_signature(table, ncols)

@@ -24,10 +24,10 @@ from Reidemeister-Schreier rewriting on that coset table.
 
 from __future__ import annotations
 
+from .budget import Budget
 from .permgroups import Perm, PermGroup, identity, perm_inv, perm_mul
 from .presentations import (GroupPresentation, coset_table_from_images,
                             reidemeister_schreier, tietze_simplify)
-from .skein2 import ResourceLimitExceeded
 
 Word = tuple[int, ...]
 
@@ -88,12 +88,13 @@ def _regular_table(images: list[Perm], e: Perm) -> tuple[tuple[int, ...], ...]:
 
 
 def epimorphisms(g: GroupPresentation, group: PermGroup,
-                 simplify: bool = True,
-                 max_nodes: int = 20_000_000) -> list[list[Perm]]:
+                 simplify: bool = True, max_nodes: int = 20_000_000,
+                 budget_seconds: float | None = None) -> list[list[Perm]]:
     """One representative hom per kernel of a surjection onto `group`.
 
     The order of the returned homs is not specified.  Raises
-    `ResourceLimitExceeded` once `max_nodes` candidate images are tried.
+    `ResourceLimitExceeded` once `max_nodes` candidate images are tried
+    or `budget_seconds` have passed.
     """
     pres = tietze_simplify(g) if simplify else g
     if pres.ngens == 0:
@@ -112,7 +113,8 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
                 [2 * (abs(x) - 1) + (x < 0) for x in r])
     slots: list[Perm] = [e] * (2 * ngens)
     found: dict[tuple, list[Perm]] = {}
-    tried = 0
+    budget = Budget(budget_seconds, max_nodes, "candidate images",
+                    lambda: f"{len(found)} kernels found")
 
     def choices(k: int) -> list[Perm]:
         # images up to simultaneous conjugation, which keeps the kernel
@@ -126,7 +128,6 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
         return elems
 
     def assign(k: int) -> None:
-        nonlocal tried
         if k == ngens:
             table = _regular_table(slots[0::2], e)
             if len(table) == group.order:
@@ -134,11 +135,7 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
             return
         rels = checks[k]
         for p in choices(k):
-            if tried == max_nodes:
-                raise ResourceLimitExceeded(
-                    f"epimorphism search budget exhausted after {tried} "
-                    f"candidate images, {len(found)} kernels found")
-            tried += 1
+            budget.tick()
             slots[2 * k] = p
             slots[2 * k + 1] = inv[p]
             for code in rels:

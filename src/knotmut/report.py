@@ -10,17 +10,18 @@ the positive case is always "consistent with mutation (inconclusive)".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .alexander import alexander_pd
 from .bracket import jones
+from .budget import Budget, ResourceLimitExceeded
 from .colored import colored_jones
 from .diagram import BraidWord, PlanarDiagram
 from .presentations import (double_cover_presentation, low_index_subgroups,
                             subgroup_abelianization)
 from .permgroups import PermGroup, builtin_targets
 from .quotients import epimorphisms
-from .skein2 import (ResourceLimitExceeded, homfly, homfly_2cable, kauffman_f,
-                     p_whitehead_plus)
+from .skein2 import homfly, homfly_2cable, kauffman_f, p_whitehead_plus
 
 DONE = "done"
 SKIPPED = "skipped"
@@ -39,13 +40,12 @@ VERDICT_INCONCLUSIVE = "consistent with mutation (inconclusive)"
 @dataclass
 class ReportOptions:
     colors: int = 2               # colored Jones up to this N
-    cover: bool = True            # H1 of the double branched cover
     quotients: bool = False       # delta over the built-in target list
     quotients_max_order: int = 60
     lowindex: int = 0             # subgroup abelianizations up to this index
     whitehead_homfly: bool = False
     cable_homfly: bool = False
-    budget_seconds: float | None = None
+    budget_seconds: float | None = None  # per item, for every search
 
 
 @dataclass
@@ -92,64 +92,47 @@ def compute_report(name: str, d: PlanarDiagram,
     is_knot = d.component_count() == 1
     report = InvariantReport(name or d.name)
 
-    jobs: list[tuple[str, object]] = []
-
-    def add(key, fn, need_knot=True):
-        if need_knot and not is_knot:
+    def add(key, fn):
+        if not is_knot:
             report.items[key] = ReportItem(key, SKIPPED, detail="not a knot")
             return
-        jobs.append((key, fn))
-
-    budget = opts.budget_seconds
-    add("jones", lambda: jones(d))
-    add("alexander", lambda: alexander_pd(d))
-    add("homfly", lambda: homfly(d, budget_seconds=budget))
-    add("kauffman", lambda: kauffman_f(d, budget_seconds=budget))
-    for n in range(2, opts.colors + 1):
-        add(f"cjones_{n}", lambda n=n: colored_jones(d, n))
-    if opts.whitehead_homfly:
-        add("whitehead_homfly", lambda: p_whitehead_plus(d, budget_seconds=budget))
-    if opts.cable_homfly:
-        add("cable_homfly", lambda: homfly_2cable(d, budget_seconds=budget))
-
-    cover_pres = None
-    if (opts.cover or opts.quotients or opts.lowindex) and is_knot:
-        def get_pres():
-            nonlocal cover_pres
-            if cover_pres is None:
-                cover_pres = double_cover_presentation(d, braid)
-            return cover_pres
-        if opts.cover:
-            add("h1_double_cover", lambda: get_pres().abelian_invariants())
-        if opts.quotients:
-            def quots():
-                pres = get_pres()
-                targets = builtin_targets(opts.quotients_max_order)
-                return {t.name: len(epimorphisms(pres, t, simplify=False))
-                        for t in targets}
-            add("quotients", quots)
-        if opts.lowindex:
-            def lowidx():
-                pres = get_pres()
-                tables = low_index_subgroups(pres, opts.lowindex)
-                out = [(len(t), subgroup_abelianization(pres, t))
-                       for t in tables]
-                return sorted(out)
-            add("lowindex_abelian", lowidx)
-    else:
-        for key, on in (("h1_double_cover", opts.cover),
-                        ("quotients", opts.quotients),
-                        ("lowindex_abelian", bool(opts.lowindex))):
-            if on and not is_knot:
-                report.items[key] = ReportItem(key, SKIPPED, detail="not a knot")
-
-    for key, fn in jobs:
         try:
             report.items[key] = ReportItem(key, DONE, fn())
         except ResourceLimitExceeded as exc:
             report.items[key] = ReportItem(key, LIMITED, detail=str(exc))
         except (ArithmeticError, ValueError) as exc:
             report.items[key] = ReportItem(key, SKIPPED, detail=str(exc))
+
+    budget = opts.budget_seconds
+    add("jones", lambda: jones(d, budget))
+    add("alexander", lambda: alexander_pd(d))
+    add("homfly", lambda: homfly(d, budget_seconds=budget))
+    add("kauffman", lambda: kauffman_f(d, budget_seconds=budget))
+    for n in range(2, opts.colors + 1):
+        add(f"cjones_{n}", lambda: colored_jones(d, n, budget))
+    if opts.whitehead_homfly:
+        add("whitehead_homfly", lambda: p_whitehead_plus(d, budget_seconds=budget))
+    if opts.cable_homfly:
+        add("cable_homfly", lambda: homfly_2cable(d, budget_seconds=budget))
+
+    cover_pres = cache(lambda: double_cover_presentation(d, braid))
+    add("h1_double_cover", lambda: cover_pres().abelian_invariants())
+    if opts.quotients:
+        def quots():
+            pres = cover_pres()
+            left = Budget(budget)
+            return {t.name: len(epimorphisms(pres, t, simplify=False,
+                                             budget_seconds=left.remaining()))
+                    for t in builtin_targets(opts.quotients_max_order)}
+        add("quotients", quots)
+    if opts.lowindex:
+        def lowidx():
+            pres = cover_pres()
+            tables = low_index_subgroups(pres, opts.lowindex,
+                                         budget_seconds=budget)
+            return sorted((len(t), subgroup_abelianization(pres, t))
+                          for t in tables)
+        add("lowindex_abelian", lowidx)
     report.items = {k: report.items[k] for k in sorted(report.items)}
     return report
 
@@ -172,8 +155,7 @@ class ComparisonResult:
 
 
 def _is_mutation_invariant(key: str) -> bool:
-    base = key.split("_")[0] if key.startswith("cjones") else key
-    return base in MUTATION_INVARIANTS or key in MUTATION_INVARIANTS
+    return key.startswith("cjones_") or key in MUTATION_INVARIANTS
 
 
 def compare_pair(r1: InvariantReport, r2: InvariantReport) -> ComparisonResult:

@@ -29,17 +29,12 @@ is a monomial, applied as an exponent shift.
 from __future__ import annotations
 
 import sys
-import time
 from math import comb
 
+from .budget import Budget, ResourceLimitExceeded  # noqa: F401 (re-export)
 from .diagram import PlanarDiagram
 from .laurent import LaurentPoly, LaurentPoly2
 from .satellites import cable, whitehead_double
-
-
-class ResourceLimitExceeded(RuntimeError):
-    """A computation exceeded its configured node or time budget."""
-
 
 _ONE = {(0, 0): 1}
 # delta_P = -(l + l^-1)/m
@@ -331,37 +326,13 @@ class _RDiagram:
         return w
 
 
-class _Budget:
-    """Node and time budget of one resolution tree."""
-
-    __slots__ = ("deadline", "max_nodes", "nodes", "memo")
-
-    def __init__(self, seconds: float | None, max_nodes: int | None,
-                 memo: dict):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.max_nodes = max_nodes
-        self.nodes = 0
-        self.memo = memo
-
-    def tick(self):
-        if self.nodes == self.max_nodes:
-            self._exhausted("node")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self._exhausted("time")
-        self.nodes += 1
-
-    def _exhausted(self, what: str):
-        raise ResourceLimitExceeded(
-            f"{what} budget exhausted after {self.nodes} nodes expanded, "
-            f"{len(self.memo)} memo entries")
-
-
 def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
            max_nodes: int | None = 2_000_000) -> LaurentPoly2:
     """HOMFLY polynomial in (l, m), unknot normalized to 1."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}
-    budget = _Budget(budget_seconds, max_nodes, memo)
+    budget = Budget(budget_seconds, max_nodes, "nodes expanded",
+                    lambda: f"{len(memo)} memo entries")
     unlink = _power_table(_DELTA_P)
 
     def value(rd: _RDiagram) -> dict:
@@ -399,7 +370,8 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
     rd = _RDiagram.from_diagram(d)
     total_writhe = rd.writhe()
     memo: dict = {}
-    budget = _Budget(budget_seconds, max_nodes, memo)
+    budget = Budget(budget_seconds, max_nodes, "nodes expanded",
+                    lambda: f"{len(memo)} memo entries")
     unlink = _power_table(_DELTA_F)
 
     def dvalue(rd: _RDiagram) -> dict:

@@ -1,0 +1,51 @@
+"""The one budget of the exponential searches."""
+
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+import knotmut
+from knotmut import skein2
+from knotmut.budget import Budget, ResourceLimitExceeded
+
+
+class TestBudget:
+    def test_node_cap_allows_exactly_max_nodes_steps(self):
+        found = []
+        b = Budget(max_nodes=3, unit="tables tried",
+                   progress=lambda: f"{len(found)} subgroups found")
+        for _ in range(3):
+            b.tick()
+        found.append(None)
+        with pytest.raises(ResourceLimitExceeded, match=(
+                r"^node budget exhausted after 3 tables tried, "
+                r"1 subgroups found$")):
+            b.tick()
+
+    def test_deadline(self):
+        b = Budget(seconds=0.0)
+        time.sleep(0.01)
+        assert b.remaining() < 0
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^time budget exhausted after 0 steps$"):
+            b.tick()
+
+    def test_unbounded(self):
+        b = Budget()
+        for _ in range(1000):
+            b.tick()
+        assert b.nodes == 1000
+        assert b.remaining() is None
+
+    def test_one_exception_class(self):
+        assert skein2.ResourceLimitExceeded is ResourceLimitExceeded
+
+    def test_group_modules_do_not_import_skein_code(self):
+        src = os.path.dirname(os.path.dirname(knotmut.__file__))
+        code = ("import knotmut.quotients, sys; "
+                "assert 'knotmut.skein2' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env=dict(os.environ, PYTHONPATH=src))

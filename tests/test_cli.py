@@ -2,6 +2,7 @@
 
 import functools
 import json
+import time
 
 import pytest
 
@@ -126,6 +127,29 @@ class TestCoverCommands:
                            "figure8")
         assert code == 2
         assert err.startswith("resource limit:")
+
+
+# Each takes 2.5-11 s without a budget on 2 cores: epimorphisms onto A7
+# of a 3-generator cover, the 2- and 4-parallel brackets of 6_2, and a
+# low-index search that reaches its 200,000-table cap.
+SLOW_COMMANDS = (
+    ("cover", "quotients", "--target", "Alt(7)",
+     "braid: 5 | 1 3 -3 3 -3 -3 1 4 4 -1 1 1 -2 4"),
+    ("cjones", "--color", "5", "6_2"),
+    ("cover", "lowindex", "--max", "5",
+     "braid: 5 | -3 3 -2 -2 -4 1 4 -2 -4 1 -2 3 -2 -1"),
+)
+
+
+class TestTimeBudget:
+    @pytest.mark.parametrize("argv", SLOW_COMMANDS,
+                             ids=("quotients", "cjones", "lowindex"))
+    def test_budget_bounds_the_search(self, capsys, argv):
+        t = time.monotonic()
+        code, _, err = run(capsys, "--budget-seconds", "0.05", *argv)
+        assert time.monotonic() - t < 2
+        assert code == 2
+        assert err.startswith("resource limit: time budget exhausted after ")
 
 
 class TestCompare:

@@ -190,6 +190,14 @@ class TestLowIndex:
         with pytest.raises(ResourceLimitExceeded):
             low_index_subgroups(g, 3, max_tables=1)
 
+    def test_budget_message_says_how_far(self):
+        g = tietze_simplify(knot_group(parse_braid("2 | 1 1 1")))
+        # the whole group is complete on the third table tried
+        with pytest.raises(ResourceLimitExceeded, match=(
+                r"^node budget exhausted after 3 tables tried, "
+                r"1 subgroups found$")):
+            low_index_subgroups(g, 3, max_tables=3)
+
     def test_abelianization_of_index2(self):
         # the trefoil group has a single index-2 subgroup; H1 = Z + Z/3
         g = tietze_simplify(knot_group(parse_braid("2 | 1 1 1")))

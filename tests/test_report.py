@@ -3,8 +3,10 @@
 import functools
 import random
 
+import pytest
+
 from knotmut import quotients, report
-from knotmut.diagram import named_knot, parse_braid
+from knotmut.diagram import named_knot, parse_braid, parse_knot_spec
 from knotmut.report import (DONE, LIMITED, SKIPPED, VERDICT_EXCLUDED,
                             VERDICT_INCONCLUSIVE, ReportOptions, compare_pair,
                             compute_report)
@@ -51,6 +53,27 @@ class TestComputeReport:
                               options=opts).items["quotients"]
         assert item.status == LIMITED
         assert "after 1 candidate images" in item.detail
+
+
+# Without a budget, on 2 cores: cjones_5 of 6_2 takes 2.5 s; on this
+# knot's 4-generator double branched cover, the S5 search takes 5 s and
+# the index-4 low-index search 3 s.
+SLOW_COVER = "braid: 5 | -3 3 -2 -2 -4 1 4 -2 -4 1 -2 3 -2 -1"
+
+
+class TestTimeBudget:
+    @pytest.mark.parametrize("spec, opts, key", [
+        ("6_2", ReportOptions(colors=5, budget_seconds=0.05), "cjones_5"),
+        (SLOW_COVER, ReportOptions(quotients=True, quotients_max_order=120,
+                                   budget_seconds=0.05), "quotients"),
+        (SLOW_COVER, ReportOptions(lowindex=4, budget_seconds=0.05),
+         "lowindex_abelian"),
+    ], ids=("cjones_5", "quotients", "lowindex_abelian"))
+    def test_item_is_resource_limited(self, spec, opts, key):
+        name, d, braid = parse_knot_spec(spec)
+        item = compute_report(name, d, braid, opts).items[key]
+        assert item.status == LIMITED
+        assert item.detail.startswith("time budget exhausted after ")
 
 
 class TestComparePair:
