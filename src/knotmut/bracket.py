@@ -7,9 +7,22 @@ diagram is 1 (so an unknot diagram evaluates to delta).
 
 The Jones polynomial of an oriented diagram D with writhe w is
 (-A^3)^(-w) <D> / delta, rewritten in t = A^-4.
+
+`kauffman_bracket` contracts one crossing at a time.  The arcs with one
+end in the contracted region are open; they depend on the step only, so
+`_plan` fixes one layout of them per step before any state exists: the
+kept arcs in their old order, then the crossing's new arcs.  A state is a
+tuple P with P[i] the position of the open arc joined to position i
+through the region.  A step reads and rewires only the at most four
+positions its crossing consumes, so the loops and rewirings of each
+smoothing are memoized per step, keyed by the partners of those positions.
 """
 
 from __future__ import annotations
+
+import heapq
+from functools import cache, reduce
+from operator import itemgetter, or_
 
 from .budget import Budget
 from .diagram import PlanarDiagram, UnionFind
@@ -18,150 +31,197 @@ from .laurent import LaurentPoly
 DELTA = LaurentPoly("A", {2: -1, -2: -1})
 
 
-def _merge(pairing: dict[int, int], a: int, b: int) -> int:
-    """Join endpoints a and b in an open-end pairing; return loops closed.
+def _getter(positions: list[int]) -> itemgetter:
+    """Function returning the tuple of P[i] for i in `positions`."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(*positions, positions[0] + 1) if positions
+                      else slice(0))
 
-    `pairing` maps each open end to its partner along already-contracted
-    strands.  Ends absent from the map are fresh.
+
+def _plan(crossings, order: list[int]) -> list[tuple]:
+    """Per step: (take, remap, key, consumed, ends, links, pad).
+
+    `take` gathers a state's kept positions, `remap` sends an old position
+    to its new one; `key` gathers the consumed positions, `consumed` maps
+    each to its leg.  `ends[leg]` is the position of a leg's new arc;
+    `links[leg]` is ~j for an arc to leg j of the crossing, else the leg;
+    `pad` holds places for the new arcs.
     """
-    pa = pairing.pop(a, None)
-    pb = pairing.pop(b, None)
-    if pa is None and pb is None:
-        pairing[a] = b
-        pairing[b] = a
-        return 0
-    if pa is None:
-        pairing[a] = pb
-        pairing[pb] = a
-        return 0
-    if pb is None:
-        pairing[b] = pa
-        pairing[pa] = b
-        return 0
-    if pa == b:
-        # a and b were already partners: closing the loop
-        return 1
-    pairing[pa] = pb
-    pairing[pb] = pa
-    return 0
+    layout: list[int] = []
+    steps = []
+    for idx in order:
+        x = crossings[idx]
+        where = {a: i for i, a in enumerate(layout)}
+        consumed = {where[a]: leg for leg, a in enumerate(x) if a in where}
+        kept = [i for i in range(len(layout)) if i not in consumed]
+        remap = [kept.index(i) if i in kept else -1 for i in range(len(layout))]
+        layout = [layout[i] for i in kept]
+        ends, links = [None] * 4, [0, 1, 2, 3]
+        for leg, a in enumerate(x):
+            if x.count(a) == 2:
+                links[leg] = ~(sum(i for i, b in enumerate(x) if b == a) - leg)
+            elif a not in where:
+                ends[leg] = len(layout)
+                layout.append(a)
+        steps.append((_getter(kept), remap, _getter(list(consumed)), consumed,
+                      ends, links, [0] * (len(layout) - len(kept))))
+    return steps
+
+
+def _rewire(partners, remap, consumed, ends, links, width, drop, delta):
+    """Per smoothing: [(position, partner), ...] to set, shift, multiplier."""
+    ends, links = ends.copy(), links.copy()
+    for leg, q in zip(consumed.values(), partners):
+        if q in consumed:
+            links[leg] = ~consumed[q]
+        else:
+            ends[leg] = remap[q]
+    return [([(ends[u], ends[v]) for a, b in pairs for u, v in ((a, b), (b, a))],
+             width * (3 - loops - sm) - drop, delta[loops])
+            for sm, (loops, pairs) in enumerate(_paths(tuple(links)))]
+
+
+@cache
+def _paths(links: tuple[int, ...]) -> tuple:
+    """Per smoothing: the loops closed and the pairs of legs a path joins.
+
+    `links[leg]` is ~j when the leg's arc runs outside the crossing to leg
+    j, else the leg (its arc ends at a boundary position), so there are at
+    most 8^4 keys.  A loop uses one or both smoothing edges: two loops iff
+    every link is to the mate."""
+    out = []
+    for mate in ((1, 0, 3, 2), (3, 2, 1, 0)):   # each leg's mate: A, A^-1
+        on_path: set[int] = set()
+        pairs = []
+        for leg in range(4):
+            if links[leg] >= 0 and leg not in on_path:
+                path = [leg, mate[leg]]
+                while links[path[-1]] < 0:
+                    path += (~links[path[-1]], mate[~links[path[-1]]])
+                on_path.update(path)
+                pairs.append((leg, path[-1]))
+        free = on_path.symmetric_difference(range(4))
+        both = all(links[leg] == ~mate[leg] for leg in free)
+        out.append((len(free) // 2 if both else 1, tuple(pairs)))
+    return tuple(out)
+
+
+def _digit_width(plan: list[tuple]) -> int:
+    """Bits per digit to try first: headroom for the check at up to about
+    2^f states on f open arcs, and 16 bits for coefficients."""
+    return max((len(step[1]) for step in plan), default=0) + 21
 
 
 def kauffman_bracket(d: PlanarDiagram,
                      budget_seconds: float | None = None) -> LaurentPoly:
-    """Bracket by crossing-at-a-time contraction with state merging.
+    """Bracket by crossing-at-a-time contraction, at twice the digit width
+    each time `_contract` finds it too narrow, all under one deadline."""
+    plan = _plan(d.crossings, _contraction_order(d.crossings))
+    clock = Budget(budget_seconds)
+    width = _digit_width(plan)
+    while (coeffs := _contract(plan, width, clock.remaining())) is None:
+        width *= 2
+    return LaurentPoly("A", coeffs) * DELTA ** d.free_loops
 
-    States are partial pairings of open arc-ends, keyed canonically so
-    that equal boundary patterns share one accumulated coefficient.  The
-    k-th endpoint (k = 0, 1) of an arc is the int 2*arc + k; a state's key
-    is the flat tuple of its pairs (u, v), u < v, sorted by u, and its
-    coefficient a {exponent: int} dict accumulated in place.  The deadline
-    is checked once per crossing step.
+
+def _contract(plan: list[tuple], width: int,
+              budget_seconds: float | None) -> dict[int, int] | None:
+    """The bracket's coefficients with `width`-bit digits, None if too narrow.
+
+    A coefficient A^off * sum(c_i A^(2i)) is the int sum(c_i 2^(width*i))
+    with signed digits c_i; `off` is shared by all states of a step, whose
+    exponents all have the parity of the step count.  The A^-1 smoothing
+    closing two loops, delta^2 = A^-4 (1 + A^4)^2, sets `off`; the rest
+    shift left by whole digits, and k loops multiply by the packed
+    (-1 - A^4)^k.  Merging states adds ints; the trailing zero digits all
+    states share are dropped in the next step's shifts.
+
+    No digit wraps.  Each int is its polynomial at 2^width exactly, and
+    reads back right while every coefficient is in [-2^(width-1),
+    2^(width-1)).  Before a step from S states, every digit is checked to
+    lie in [-T, T), T = 2^(width-1-g), 2^g > 8S.  The step sums at most 2S
+    terms into a state, one per state and smoothing, and a term's digits
+    are below 4T, since the binomials of (1 + A^4)^2 add up to 4.  So every
+    new coefficient is below 8S T < 2^(width-1), by induction from 1.
     """
-    crossings = list(d.crossings)
-    # order crossings greedily to keep the open boundary small
-    order = _contraction_order(crossings)
-
-    # track how many endpoints of each arc remain unprocessed
-    remaining: dict[int, int] = {}
-    for x in crossings:
-        for a in x:
-            remaining[a] = remaining.get(a, 0) + 1
-    seen: dict[int, int] = {}
-
-    # delta^k for every loop count one crossing can close: two joins plus
-    # one closed arc per leg
-    delta_pow = [(DELTA**k).coeffs for k in range(7)]
-
-    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    budget = Budget(budget_seconds, unit=f"of {len(order)} crossing steps",
+    states: dict[tuple, int] = {(): 1}
+    off = drop = 0
+    delta = [1, -(1 + (1 << 2 * width)), (1 + (1 << 2 * width)) ** 2]
+    budget = Budget(budget_seconds, unit=f"of {len(plan)} crossing steps",
                     progress=lambda: f"{len(states)} states")
-    for idx in order:
+    for take, remap, key, consumed, ends, links, pad in plan:
         budget.tick()
-        x = crossings[idx]
-        toks = []
-        for a in x:
-            k = seen.get(a, 0)
-            seen[a] = k + 1
-            toks.append(2 * a + k)
-        t0, t1, t2, t3 = toks
-        closing = [2 * a for a in set(x) if seen[a] == remaining[a]]
-        smoothings = ((1, t0, t1, t2, t3), (-1, t0, t3, t1, t2))
-        new_states: dict[tuple, dict[int, int]] = {}
-        for state, coeff in states.items():
-            pairing = dict(zip(state[::2], state[1::2]))
-            pairing.update(zip(state[1::2], state[::2]))
-            for shift, i, j, k, l in smoothings:
-                p = dict(pairing)
-                loops = _merge(p, i, j) + _merge(p, k, l)
-                # both endpoints of a finished arc exist now; the arc
-                # itself joins them
-                for end in closing:
-                    loops += _merge(p, end, end + 1)
-                flat = []
-                for u in sorted(p):
-                    v = p[u]
-                    if u < v:
-                        flat.append(u)
-                        flat.append(v)
-                key = tuple(flat)
-                acc = new_states.get(key)
-                if acc is None:
-                    acc = new_states[key] = {}
-                if loops:
-                    dp = delta_pow[loops]
-                    for e, c in coeff.items():
-                        e += shift
-                        for de, dc in dp.items():
-                            acc[e + de] = acc.get(e + de, 0) + c * dc
-                else:
-                    for e, c in coeff.items():
-                        e += shift
-                        acc[e] = acc.get(e, 0) + c
+        # every digit in [-T, T): adding T to each leaves [0, 2T), no carry
+        h = max(0, width - 1 - (8 * len(states)).bit_length())   # T = 2^h
+        n = max(map(int.bit_length, states.values())) // width + 2
+        ones = ((1 << n * width) - 1) // ((1 << width) - 1)
+        bias, mask = ones << h, ones * ((1 << width) - (2 << h))
+        if not h or reduce(or_, map(mask.__and__,
+                                    map(bias.__add__, states.values()))):
+            return None
+        rget, memo, new_states = remap.__getitem__, {}, {}
+        for p, coeff in states.items():
+            base = [*map(rget, take(p)), *pad]
+            todo = memo.get(k := key(p))
+            if todo is None:
+                todo = memo[k] = _rewire(k, remap, consumed, ends, links,
+                                         width, drop, delta)
+            for sets, shift, mult in todo:
+                q = base.copy()
+                for i, v in sets:
+                    q[i] = v
+                c = coeff << shift if shift >= 0 else coeff >> -shift
+                if mult != 1:
+                    c *= mult
+                t = tuple(q)
+                new_states[t] = new_states.get(t, 0) + c
         states = new_states
-
-    total = states.pop((), None)
-    if states or total is None:
+        low = reduce(or_, states.values())
+        drop = ((low & -low).bit_length() - 1) // width * width
+        off += 2 * drop // width - 5
+    if list(states) != [()]:
         raise AssertionError("open ends remain after full contraction")
-    return LaurentPoly("A", total) * DELTA ** d.free_loops
+    coeffs, packed = {}, states[()] >> drop
+    while packed:   # read the signed digits back, lowest first
+        c = packed & ((1 << width) - 1)
+        coeffs[off] = c = c - (c >> (width - 1) << width)
+        packed = (packed - c) >> width
+        off += 2
+    return coeffs
 
 
-def _contraction_order(crossings: list) -> list[int]:
-    """Greedy order keeping the set of open arcs small."""
-    n = len(crossings)
-    todo = set(range(n))
-    open_arcs: set[int] = set()
-    counts: dict[int, int] = {}
-    for x in crossings:
+def _contraction_order(crossings) -> list[int]:
+    """Greedy order keeping the set of open arcs small: each pick opens the
+    fewest arcs net of those it closes, the lowest index among ties.  A heap
+    holds (score, index); a pick rescores only the crossings sharing an arc
+    with it, and stale entries are skipped."""
+    at: dict[int, list[int]] = {}   # the crossing of each end of an arc
+    for i, x in enumerate(crossings):
         for a in x:
-            counts[a] = counts.get(a, 0) + 1
-    used: dict[int, int] = {a: 0 for a in counts}
+            at.setdefault(a, []).append(i)
+    left = {a: len(ends) for a, ends in at.items()}   # ends not yet picked
+
+    def score(x) -> int:
+        # +1 per arc x leaves open, -1 per open arc whose last ends x picks
+        return sum(1 if left[a] > x.count(a) else -(left[a] < len(at[a]))
+                   for a in set(x))
+
+    scores: list = [score(x) for x in crossings]
+    heap = sorted(zip(scores, range(len(crossings))))   # sorted is a heap
     order = []
-    while todo:
-        best = None
-        for i in todo:
-            x = crossings[i]
-            opens = 0
-            closes = 0
-            for a in set(x):
-                mult = x.count(a)
-                if used[a] + mult == counts[a]:
-                    if a in open_arcs:
-                        closes += 1
-                else:
-                    opens += 1
-            score = opens - closes
-            if best is None or score < best[0]:
-                best = (score, i)
-        _, i = best
+    while heap:
+        s, i = heapq.heappop(heap)
+        if s != scores[i]:
+            continue
         order.append(i)
-        todo.discard(i)
-        x = crossings[i]
-        for a in set(x):
-            used[a] += x.count(a)
-            if used[a] == counts[a]:
-                open_arcs.discard(a)
-            else:
-                open_arcs.add(a)
+        scores[i] = None   # picked
+        for a in crossings[i]:
+            left[a] -= 1
+        for j in {j for a in crossings[i] for j in at[a]}:
+            if scores[j] is not None and (s := score(crossings[j])) != scores[j]:
+                scores[j] = s
+                heapq.heappush(heap, (s, j))
     return order
 
 

@@ -5,9 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_braid, random_knot_diagram
+from conftest import pretzel, random_braid, random_knot_diagram
+from knotmut import bracket
 from knotmut.bracket import DELTA, bracket_state_sum, jones, kauffman_bracket
-from knotmut.diagram import (PlanarDiagram, add_kink, braid_closure,
+from knotmut.budget import ResourceLimitExceeded
+from knotmut.diagram import (BraidWord, PlanarDiagram, add_kink, braid_closure,
                              connected_sum, mirror, named_knot, parse_braid)
 from knotmut.laurent import LaurentPoly, parse_poly
 from knotmut.satellites import cable
@@ -53,6 +55,115 @@ class TestBracket:
     def test_mirror_inverts_A(self):
         d = named_knot("figure8")
         assert kauffman_bracket(mirror(d)) == kauffman_bracket(d).invert_var()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_state_sum_oracle_on_links(self, data):
+        # up to 6 strands: unused gaps split the closure, and most
+        # permutations leave several components
+        n = data.draw(st.integers(2, 6))
+        letters = data.draw(st.lists(
+            st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+            max_size=12))
+        d = braid_closure(BraidWord(n, tuple(letters)))
+        assert kauffman_bracket(d) == bracket_state_sum(d)
+
+    def test_split_union_of_trefoils(self):
+        # every loop weighs delta here (<unknot> = delta), so a split union
+        # multiplies brackets with no extra factor of delta
+        d = braid_closure(parse_braid("4 | 1 1 1 3 3 3"))
+        trefoil = braid_closure(parse_braid("2 | 1 1 1"))
+        assert kauffman_bracket(d) == kauffman_bracket(trefoil) ** 2
+        assert kauffman_bracket(d) == bracket_state_sum(d)
+
+    def test_mirror_inverts_A_on_60_crossing_parallel(self):
+        d = cable(pretzel(7, 3, 3, -2), 2, 0)
+        assert len(d.crossings) == 60
+        assert kauffman_bracket(mirror(d)) == kauffman_bracket(d).invert_var()
+
+    def test_too_narrow_width_is_widened(self, monkeypatch):
+        # a coefficient of 3 wraps in 2-bit digits, and the overflow check
+        # wants more headroom than 9 bits here, so every width must grow
+        d = pretzel(3, 2, 3, -3)
+        expected = bracket_state_sum(d)
+        assert max(map(abs, expected.coeffs.values())) == 3
+        contract = bracket._contract
+        for width in (2, 5, 9):
+            widths = []
+
+            def spy(plan, w, seconds):
+                widths.append(w)
+                return contract(plan, w, seconds)
+
+            monkeypatch.setattr(bracket, "_digit_width", lambda plan: width)
+            monkeypatch.setattr(bracket, "_contract", spy)
+            assert kauffman_bracket(d) == expected
+            assert widths[0] == width and len(widths) > 1
+
+    def test_time_budget_counts_crossing_steps(self):
+        d = cable(named_knot("6_2"), 4, 0)
+        with pytest.raises(ResourceLimitExceeded, match=(
+                r"^time budget exhausted after \d+ of \d+ crossing steps, "
+                r"\d+ states$")):
+            kauffman_bracket(d, budget_seconds=0.0)
+
+
+def quadratic_contraction_order(crossings: list) -> list[int]:
+    """The greedy order as first written: a full rescan per pick."""
+    n = len(crossings)
+    todo = set(range(n))
+    open_arcs: set[int] = set()
+    counts: dict[int, int] = {}
+    for x in crossings:
+        for a in x:
+            counts[a] = counts.get(a, 0) + 1
+    used: dict[int, int] = {a: 0 for a in counts}
+    order = []
+    while todo:
+        best = None
+        for i in todo:
+            x = crossings[i]
+            opens = 0
+            closes = 0
+            for a in set(x):
+                mult = x.count(a)
+                if used[a] + mult == counts[a]:
+                    if a in open_arcs:
+                        closes += 1
+                else:
+                    opens += 1
+            score = opens - closes
+            if best is None or score < best[0]:
+                best = (score, i)
+        _, i = best
+        order.append(i)
+        todo.discard(i)
+        x = crossings[i]
+        for a in set(x):
+            used[a] += x.count(a)
+            if used[a] == counts[a]:
+                open_arcs.discard(a)
+            else:
+                open_arcs.add(a)
+    return order
+
+
+class TestContractionOrder:
+    @pytest.mark.parametrize("p", ((3, 2, 3, -3), (-3, 2, -3, 3),
+                                   (5, 3, -2, -3), (-5, 3, -2, 3),
+                                   (7, 3, 3, -2), (7, -3, -2, -3)))
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_matches_rescan_on_pretzel_parallels(self, p, k):
+        d = cable(pretzel(*p), k, 0) if k > 1 else pretzel(*p)
+        assert bracket._contraction_order(d.crossings) == \
+            quadratic_contraction_order(list(d.crossings))
+
+    def test_matches_rescan_on_random_closures(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            d = braid_closure(random_braid(rng, 6, 12))
+            assert bracket._contraction_order(d.crossings) == \
+                quadratic_contraction_order(list(d.crossings))
 
 
 class TestJones:
