@@ -1,14 +1,30 @@
-"""Alexander polynomials by two independent routes.
+"""Alexander polynomials by two independent routes, and H1 of the double
+branched cover.
 
 `alexander_braid` applies Fox calculus to the braid-closure presentation
 < x_1..x_n | beta(x_i) x_i^-1 >: the Jacobian of Fox derivatives is
 abelianized (every meridian goes to t), one row and one column are
-deleted, and the minor determinant is the Alexander polynomial up to a
-unit.  `alexander_pd` builds the Wirtinger arc-coloring matrix of a
-planar diagram (relation c = t a + (1 - t) o across each crossing) and
-takes a codimension-one minor.
+deleted, and the minor determinant over Laurent polynomials is the
+Alexander polynomial up to a unit.
 
-Both results are normalized so that D(t) = D(1/t) and D(1) = 1.
+The other route evaluates the Wirtinger arc-coloring matrix of a planar
+diagram (relation c = t a + (1 - t) o across each crossing, one row per
+crossing, one column per arc) at two integers:
+
+  * `alexander_pd` substitutes t = 2^B (Kronecker substitution) and takes
+    one integer Bareiss determinant of the codimension-one minor; the
+    signed base-2^B digits of that integer are the coefficients of
+    Delta(t), a polynomial in t of degree below n for n arcs.  B = 2n
+    never wraps a digit.  The entries of a row are -1, t and 1 - t, so
+    the absolute values of a row's coefficients sum to at most 4.  The
+    determinant is a sum over permutations of products of one entry per
+    row, so the absolute values of its coefficients sum to at most the
+    product of the row sums, 4^(n-1) = 2^(B-2) < 2^(B-1).
+  * `h1_double_cover` substitutes t = -1: that matrix presents H1 of the
+    double branched cover (Lickorish, An Introduction to Knot Theory,
+    ch. 9), so its Smith normal form gives the abelian invariants.
+
+Both polynomials are normalized so that D(t) = D(1/t) and D(1) = 1.
 """
 
 from __future__ import annotations
@@ -16,6 +32,7 @@ from __future__ import annotations
 from .diagram import BraidWord, PlanarDiagram, wirtinger_arcs
 from .freegroup import artin_action, fox_derivative_abelian, inverse_word
 from .laurent import LaurentPoly
+from .matrices import abelian_invariants
 
 
 def _det_bareiss(m: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -77,31 +94,78 @@ def alexander_braid(braid: BraidWord) -> LaurentPoly:
     return normalize_alexander(_det_bareiss(minor))
 
 
-def alexander_pd(d: PlanarDiagram) -> LaurentPoly:
-    """Alexander polynomial of a knot diagram via arc colorings."""
+def _coloring_rows(d: PlanarDiagram, t: int) -> list[dict[int, int]]:
+    """The arc-coloring matrix of a knot diagram at the integer t.
+
+    One sparse `{arc column: entry}` row per crossing: -1 at the outgoing
+    under-arc, t at the incoming one and 1 - t at the over-arc, summed
+    where arcs coincide (as at a kink).  A knot diagram with crossings has
+    as many arcs as crossings, and any one row is a consequence of the
+    others with unit coefficients.
+    """
+    arc_of = wirtinger_arcs(d)
+    col = {a: i for i, a in enumerate(sorted(set(arc_of.values())))}
+    rows = []
+    for (a, _, c, over), pos in zip(d.crossings, d.positive):
+        # positive: c = t a + (1 - t) over; negative: a = t c + (1 - t) over
+        out, into = (c, a) if pos else (a, c)
+        row: dict[int, int] = {}
+        for arc, v in ((out, -1), (into, t), (over, 1 - t)):
+            j = col[arc_of[arc]]
+            row[j] = row.get(j, 0) + v
+        rows.append(row)
+    return rows
+
+
+def _det_int(m: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix (destructive)."""
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return 0
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def _check_knot(d: PlanarDiagram) -> None:
     if d.component_count() != 1:
         raise ValueError("diagram must be a knot")
-    if not d.crossings:
+
+
+def alexander_pd(d: PlanarDiagram) -> LaurentPoly:
+    """Alexander polynomial of a knot diagram via arc colorings at t = 2^B."""
+    _check_knot(d)
+    n = len(d.crossings)
+    if not n:
         return LaurentPoly.one("t")
-    arc_of = wirtinger_arcs(d)
-    labels = sorted(set(arc_of.values()))
-    col = {a: i for i, a in enumerate(labels)}
-    t = LaurentPoly("t", {1: 1})
-    one = LaurentPoly.one("t")
-    rows = []
-    for (a, b, c, dd), pos in zip(d.crossings, d.positive):
-        over = arc_of[dd]
-        row = [LaurentPoly.zero("t") for _ in labels]
-        if pos:
-            # positive: outgoing under-arc c = t a + (1 - t) over
-            row[col[arc_of[c]]] = row[col[arc_of[c]]] - one
-            row[col[arc_of[a]]] = row[col[arc_of[a]]] + t
-            row[col[over]] = row[col[over]] + (one - t)
-        else:
-            # negative: incoming under-arc a = t c + (1 - t) over
-            row[col[arc_of[a]]] = row[col[arc_of[a]]] - one
-            row[col[arc_of[c]]] = row[col[arc_of[c]]] + t
-            row[col[over]] = row[col[over]] + (one - t)
-        rows.append(row)
-    minor = [row[: len(labels) - 1] for row in rows[:-1]]
-    return normalize_alexander(_det_bareiss(minor))
+    width = 2 * n   # B: see the module docstring for why no digit wraps
+    rows = _coloring_rows(d, 1 << width)
+    minor = [[row.get(j, 0) for j in range(n - 1)] for row in rows[:-1]]
+    packed = _det_int(minor)
+    return normalize_alexander(LaurentPoly.unpack("t", packed, width))
+
+
+def h1_double_cover(d: PlanarDiagram) -> list[int]:
+    """Abelian invariants of H1 of the double branched cover of a knot.
+
+    The arc-coloring matrix at t = -1 with one row and one column deleted
+    presents the group; the invariants are those of
+    `matrices.abelian_invariants`, e.g. [3] for the trefoil.
+    """
+    _check_knot(d)
+    n = len(d.crossings)
+    if not n:
+        return []
+    rows = _coloring_rows(d, -1)[:-1]
+    return abelian_invariants(
+        [{j: v for j, v in row.items() if j < n - 1} for row in rows], n - 1)

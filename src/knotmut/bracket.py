@@ -120,14 +120,14 @@ def kauffman_bracket(d: PlanarDiagram,
     plan = _plan(d.crossings, _contraction_order(d.crossings))
     clock = Budget(budget_seconds)
     width = _digit_width(plan)
-    while (coeffs := _contract(plan, width, clock.remaining())) is None:
+    while (bracket := _contract(plan, width, clock.remaining())) is None:
         width *= 2
-    return LaurentPoly("A", coeffs) * DELTA ** d.free_loops
+    return bracket * DELTA ** d.free_loops
 
 
 def _contract(plan: list[tuple], width: int,
-              budget_seconds: float | None) -> dict[int, int] | None:
-    """The bracket's coefficients with `width`-bit digits, None if too narrow.
+              budget_seconds: float | None) -> LaurentPoly | None:
+    """The bracket with `width`-bit digits, None if they are too narrow.
 
     A coefficient A^off * sum(c_i A^(2i)) is the int sum(c_i 2^(width*i))
     with signed digits c_i; `off` is shared by all states of a step, whose
@@ -182,13 +182,7 @@ def _contract(plan: list[tuple], width: int,
         off += 2 * drop // width - 5
     if list(states) != [()]:
         raise AssertionError("open ends remain after full contraction")
-    coeffs, packed = {}, states[()] >> drop
-    while packed:   # read the signed digits back, lowest first
-        c = packed & ((1 << width) - 1)
-        coeffs[off] = c = c - (c >> (width - 1) << width)
-        packed = (packed - c) >> width
-        off += 2
-    return coeffs
+    return LaurentPoly.unpack("A", states[()] >> drop, width, off, 2)
 
 
 def _contraction_order(crossings) -> list[int]:

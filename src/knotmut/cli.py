@@ -17,7 +17,7 @@ import os
 import sys
 
 from .colored import colored_jones
-from .alexander import alexander_pd
+from .alexander import alexander_pd, h1_double_cover
 from .bracket import jones
 from .budget import ResourceLimitExceeded
 from .diagram import PlanarDiagram, load_knot_file, parse_knot_spec
@@ -234,11 +234,12 @@ def _dispatch(args) -> int:
 
     if args.cmd == "cover":
         for name, d, braid in _load_specs(args.knot):
+            if args.action == "abelian":
+                print(f"{name or d.name}: {h1_double_cover(d)}")
+                continue
             pres = double_cover_presentation(d, braid)
             if args.action == "group":
                 _print_presentation(pres)
-            elif args.action == "abelian":
-                print(f"{name or d.name}: {pres.abelian_invariants()}")
             elif args.action == "lowindex":
                 for table in low_index_subgroups(pres, args.max_index,
                                                  budget_seconds=budget):

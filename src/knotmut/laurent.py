@@ -51,6 +51,24 @@ class LaurentPoly:
     def monomial(cls, var: str, exp: int, c: int = 1) -> "LaurentPoly":
         return cls(var, {exp: c})
 
+    @classmethod
+    def unpack(cls, var: str, packed: int, width: int, off: int = 0,
+               step: int = 1) -> "LaurentPoly":
+        """The polynomial sum c_i var^(off + step*i) whose coefficients are
+        the signed `width`-bit digits c_i of `packed`, lowest first.
+
+        `packed` is sum c_i 2^(width*i); this reads it back exactly when
+        every c_i lies in [-2^(width-1), 2^(width-1)).  `width` is at least
+        2: in 1-bit signed digits a positive int has no finite expansion.
+        """
+        coeffs = {}
+        while packed:
+            c = packed & ((1 << width) - 1)
+            coeffs[off] = c = c - (c >> (width - 1) << width)
+            packed = (packed - c) >> width
+            off += step
+        return cls(var, coeffs)
+
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:

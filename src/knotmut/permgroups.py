@@ -2,12 +2,15 @@
 
 Elements are tuples giving the image of each point 0..degree-1.  Groups
 are stored by generators; the full element list is computed by closure
-and cached.  Built-in targets: cyclic, dihedral, alternating, symmetric,
-and PSL(2, q) acting on the projective line (q prime).
+and cached, as are the tables an epimorphism search needs of its target
+(sorted elements, their indices and inverses, conjugation orbits).
+Built-in targets: cyclic, dihedral, alternating, symmetric, and
+PSL(2, q) acting on the projective line (q prime).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 
 Perm = tuple[int, ...]
@@ -35,12 +38,45 @@ class PermGroup:
         self.generators = [tuple(g) for g in generators]
         self.name = name
         self._elements: frozenset[Perm] | None = None
+        self._orbit_reps: dict[Perm | None, list[Perm]] = {}
 
     def elements(self) -> frozenset[Perm]:
         if self._elements is None:
             self._elements = frozenset(
                 closure(self.generators, self.degree))
         return self._elements
+
+    @cached_property
+    def sorted_elements(self) -> list[Perm]:
+        return sorted(self.elements())
+
+    @cached_property
+    def index(self) -> dict[Perm, int]:
+        """Each element's position in `sorted_elements`."""
+        return {p: i for i, p in enumerate(self.sorted_elements)}
+
+    @cached_property
+    def inverse(self) -> dict[Perm, Perm]:
+        return {p: perm_inv(p) for p in self.sorted_elements}
+
+    def conjugation_orbit_reps(self, x: Perm | None = None) -> list[Perm]:
+        """The least element of each orbit of the group under conjugation by
+        the centralizer of `x` (by the whole group when `x` is None, which
+        gives the conjugacy class representatives); kept once computed."""
+        reps = self._orbit_reps.get(x)
+        if reps is None:
+            elems, inv = self.sorted_elements, self.inverse
+            acting = elems if x is None else [
+                h for h in elems if perm_mul(x, h) == perm_mul(h, x)]
+            seen: set[Perm] = set()
+            reps = self._orbit_reps[x] = []
+            for e in elems:
+                if e in seen:
+                    continue
+                reps.append(e)
+                for h in acting:
+                    seen.add(perm_mul(perm_mul(inv[h], e), h))
+        return reps
 
     @property
     def order(self) -> int:

@@ -40,20 +40,6 @@ def evaluate_word(word: Word, images: list[Perm], degree: int) -> Perm:
     return out
 
 
-def _conjugation_orbit_reps(elems: list[Perm], acting: list[Perm],
-                            inv: dict[Perm, Perm]) -> list[Perm]:
-    """The least element of each orbit of `acting` on `elems` by conjugation."""
-    seen: set[Perm] = set()
-    reps = []
-    for e in elems:
-        if e in seen:
-            continue
-        reps.append(e)
-        for h in acting:
-            seen.add(perm_mul(perm_mul(inv[h], e), h))
-    return reps
-
-
 def _holds(perms: list[Perm], points: range) -> bool:
     """Whether the product of `perms` fixes every point."""
     for x in points:
@@ -99,8 +85,7 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     pres = tietze_simplify(g) if simplify else g
     if pres.ngens == 0:
         return [] if group.order > 1 else [[]]
-    elems = sorted(group.elements())
-    inv = {p: perm_inv(p) for p in elems}
+    elems, inv = group.sorted_elements, group.inverse
     e = identity(group.degree)
     points = range(group.degree)
     ngens = pres.ngens
@@ -119,12 +104,9 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     def choices(k: int) -> list[Perm]:
         # images up to simultaneous conjugation, which keeps the kernel
         if k == 0:
-            return _conjugation_orbit_reps(elems, elems, inv)
+            return group.conjugation_orbit_reps()
         if k == 1:
-            x = slots[0]
-            cent = [h for h in elems
-                    if perm_mul(x, h) == perm_mul(h, x)]
-            return _conjugation_orbit_reps(elems, cent, inv)
+            return group.conjugation_orbit_reps(slots[0])
         return elems
 
     def assign(k: int) -> None:
@@ -155,8 +137,7 @@ def kernel_abelianization(g: GroupPresentation, images: list[Perm],
     The hom must be given on the generators of `g` itself (no Tietze
     simplification is applied here).
     """
-    elems = sorted(group.elements())
-    index = {e: i for i, e in enumerate(elems)}
+    elems, index = group.sorted_elements, group.index
     perms = []
     for p in images:
         perms.append({index[e]: index[perm_mul(e, p)] for e in elems})

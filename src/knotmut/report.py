@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from time import perf_counter
 
-from .alexander import alexander_pd
+from .alexander import alexander_pd, h1_double_cover
 from .bracket import jones
 from .budget import Budget, ResourceLimitExceeded
 from .colored import colored_jones
@@ -54,6 +55,7 @@ class ReportItem:
     status: str
     value: object = None
     detail: str = ""
+    elapsed: float = 0.0          # seconds spent computing the item
 
     def text(self) -> str:
         if self.status != DONE:
@@ -70,7 +72,7 @@ class InvariantReport:
         return {
             "name": self.name,
             "items": {k: {"status": it.status, "value": _jsonable(it.value),
-                          "detail": it.detail}
+                          "detail": it.detail, "elapsed": it.elapsed}
                       for k, it in self.items.items()},
         }
 
@@ -93,15 +95,18 @@ def compute_report(name: str, d: PlanarDiagram,
     report = InvariantReport(name or d.name)
 
     def add(key, fn):
+        start = perf_counter()
         if not is_knot:
-            report.items[key] = ReportItem(key, SKIPPED, detail="not a knot")
-            return
-        try:
-            report.items[key] = ReportItem(key, DONE, fn())
-        except ResourceLimitExceeded as exc:
-            report.items[key] = ReportItem(key, LIMITED, detail=str(exc))
-        except (ArithmeticError, ValueError) as exc:
-            report.items[key] = ReportItem(key, SKIPPED, detail=str(exc))
+            item = ReportItem(key, SKIPPED, detail="not a knot")
+        else:
+            try:
+                item = ReportItem(key, DONE, fn())
+            except ResourceLimitExceeded as exc:
+                item = ReportItem(key, LIMITED, detail=str(exc))
+            except (ArithmeticError, ValueError) as exc:
+                item = ReportItem(key, SKIPPED, detail=str(exc))
+        item.elapsed = perf_counter() - start
+        report.items[key] = item
 
     budget = opts.budget_seconds
     add("jones", lambda: jones(d, budget))
@@ -115,8 +120,9 @@ def compute_report(name: str, d: PlanarDiagram,
     if opts.cable_homfly:
         add("cable_homfly", lambda: homfly_2cable(d, budget_seconds=budget))
 
+    add("h1_double_cover", lambda: h1_double_cover(d))
+    # the cover group itself only for the searches that need it
     cover_pres = cache(lambda: double_cover_presentation(d, braid))
-    add("h1_double_cover", lambda: cover_pres().abelian_invariants())
     if opts.quotients:
         def quots():
             pres = cover_pres()

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_knot_braid
-from knotmut.alexander import alexander_braid, alexander_pd, normalize_alexander
-from knotmut.diagram import braid_closure, connected_sum, mirror, named_knot, parse_braid
+from knotmut.alexander import (_coloring_rows, _det_bareiss, alexander_braid,
+                               alexander_pd, normalize_alexander)
+from knotmut.diagram import (add_kink, braid_closure, connected_sum, mirror,
+                             named_knot, parse_braid)
 from knotmut.laurent import LaurentPoly, parse_poly
 from knotmut.skein2 import alexander_from_homfly, homfly
 
@@ -78,3 +80,44 @@ class TestProperties:
             p = alexander_pd(named_knot(name))
             val = sum(c if e % 2 == 0 else -c for e, c in p.coeffs.items())
             assert abs(val) == det
+
+
+def laurent_minor(d):
+    """The coloring minor `alexander_pd` packs, with entries in Z[t].
+
+    Every entry is affine in t, so the rows at t = 0 and t = 1 fix it."""
+    n = len(d.crossings)
+    t = LaurentPoly("t", {1: 1})
+    return [[LaurentPoly.const("t", r0.get(j, 0))
+             + t * (r1.get(j, 0) - r0.get(j, 0)) for j in range(n - 1)]
+            for r0, r1 in zip(_coloring_rows(d, 0)[:-1],
+                              _coloring_rows(d, 1)[:-1])]
+
+
+class TestPackedDeterminant:
+    """The determinant at t = 2^B read back against Bareiss over Z[t]."""
+
+    @given(st.integers(0, 2**30), st.sampled_from(("plain", "mirror", "kink")))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_laurent_bareiss(self, seed, variant):
+        rng = random.Random(seed)
+        d = braid_closure(random_knot_braid(rng, max_strands=6, max_letters=16))
+        if variant == "mirror":
+            d = mirror(d)
+        elif variant == "kink":
+            # a kink puts two of a row's three arcs on one column
+            d = add_kink(d, rng.choice((1, -1)), rng.choice(sorted(d.arcs)))
+        want = normalize_alexander(_det_bareiss(laurent_minor(d)))
+        assert alexander_pd(d) == want
+
+    @pytest.mark.parametrize("name", ("figure8", "6_3"))
+    def test_wide_coefficients(self, name):
+        # four summands: coefficients in the hundreds, far past what the
+        # few bits a digit would need for any single factor
+        factor = alexander_pd(named_knot(name))
+        d = named_knot(name)
+        for _ in range(3):
+            d = connected_sum(d, named_knot(name))
+        got = alexander_pd(d)
+        assert got == normalize_alexander(factor ** 4)
+        assert max(map(abs, got.coeffs.values())) >= 150

@@ -172,6 +172,29 @@ class TestCompare:
         assert doc["verdict"].startswith("consistent")
 
 
+class TestItemElapsed:
+    """Every report item in the JSON output says how long it took."""
+
+    @staticmethod
+    def check(items):
+        assert items
+        for item in items.values():
+            assert isinstance(item["elapsed"], float) and item["elapsed"] >= 0
+
+    def test_report_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "report", "figure8")
+        assert code == 0
+        self.check(json.loads(out)["items"])
+
+    def test_compare_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "compare",
+                           "trefoil", "hopf_plus")
+        assert code == 0
+        doc = json.loads(out)
+        self.check(doc["left"]["items"])
+        self.check(doc["right"]["items"])
+
+
 class TestFileInput:
     def test_knot_file(self, capsys, tmp_path):
         path = tmp_path / "knots.txt"

@@ -3,11 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from knotmut.alexander import alexander_pd, h1_double_cover
+from knotmut.diagram import (KNOT_BRAIDS, braid_closure, named_knot,
+                             parse_braid)
 from knotmut.matrices import abelian_invariants, smith_diagonal
 from knotmut.permgroups import perm_mul, psl2
 from knotmut.presentations import (coset_table_from_images,
@@ -15,7 +18,8 @@ from knotmut.presentations import (coset_table_from_images,
                                    reidemeister_schreier)
 from knotmut.quotients import epimorphisms
 
-from conftest import pretzel
+from conftest import pretzel, random_knot_braid
+from test_skein2 import MUTANT_SLATE
 
 
 def sparse(m):
@@ -212,3 +216,45 @@ class TestKernelMatrix:
                         if b in r:
                             r[a] = r.get(a, 0) + k * r[b]
             assert abelian_invariants(m, ncols) == self.H1
+
+
+def determinant(d):
+    """|Delta(-1)|."""
+    return abs(alexander_pd(d)(-1))
+
+
+class TestDoubleCoverH1:
+    """H1 of the double branched cover from the coloring matrix at t = -1,
+    against the abelianized cover presentation."""
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in KNOT_BRAIDS if not n.startswith("hopf")))
+    def test_named_knots(self, name):
+        d, b = named_knot(name), parse_braid(KNOT_BRAIDS[name])
+        got = h1_double_cover(d)
+        assert got == double_cover_presentation(d).abelian_invariants()
+        assert got == double_cover_presentation(d, b).abelian_invariants()
+        assert prod(got) == determinant(d)
+
+    @pytest.mark.parametrize("p", MUTANT_SLATE)
+    def test_pretzel_mutant_pairs(self, p):
+        for q in (p, (p[0], p[1], p[3], p[2])):
+            d = pretzel(*q)
+            got = h1_double_cover(d)
+            assert got == double_cover_presentation(d).abelian_invariants()
+            assert prod(got) == determinant(d)
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=25, deadline=None)
+    def test_closures(self, seed):
+        b = random_knot_braid(random.Random(seed), max_strands=5,
+                              max_letters=12)
+        d = braid_closure(b)
+        got = h1_double_cover(d)
+        assert got == double_cover_presentation(d).abelian_invariants()
+        assert got == double_cover_presentation(d, b).abelian_invariants()
+        assert prod(got) == determinant(d)
+
+    def test_link_raises(self):
+        with pytest.raises(ValueError):
+            h1_double_cover(named_knot("hopf_plus"))
