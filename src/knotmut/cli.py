@@ -254,8 +254,10 @@ def _dispatch(args) -> int:
                     continue
                 if not eps:
                     print(f"{name or d.name}: no epimorphism onto {grp.name}")
-                for i, hom in enumerate(eps, start=1):
-                    inv = kernel_abelianization(pres, hom, grp)
+                # sorted, since the search returns kernels in no set order
+                invs = sorted(kernel_abelianization(pres, hom, grp)
+                              for hom in eps)
+                for i, inv in enumerate(invs, start=1):
                     print(f"{name or d.name}: kernel {i} abelianization {inv}")
         return 0
 

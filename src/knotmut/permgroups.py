@@ -6,12 +6,17 @@ and cached, as are the tables an epimorphism search needs of its target
 (sorted elements, their indices and inverses, conjugation orbits).
 Built-in targets: cyclic, dihedral, alternating, symmetric, and
 PSL(2, q) acting on the projective line (q prime).
+
+A group may also carry normalizing permutations: point permutations
+outside it that conjugate it onto itself, so that conjugation by the
+group they generate together with it is a group of automorphisms.
+Alt(n) carries a transposition and PSL(2, q) the map x -> wx with w a
+non-square mod q, which give Sym(n) and PGL(2, q).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
 
 Perm = tuple[int, ...]
 
@@ -33,10 +38,12 @@ def identity(degree: int) -> Perm:
 
 
 class PermGroup:
-    def __init__(self, degree: int, generators: list[Perm], name: str = ""):
+    def __init__(self, degree: int, generators: list[Perm], name: str = "",
+                 normalizing: tuple[Perm, ...] = ()):
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         self.name = name
+        self.normalizing = [tuple(t) for t in normalizing]
         self._elements: frozenset[Perm] | None = None
         self._orbit_reps: dict[Perm | None, list[Perm]] = {}
 
@@ -59,23 +66,42 @@ class PermGroup:
     def inverse(self) -> dict[Perm, Perm]:
         return {p: perm_inv(p) for p in self.sorted_elements}
 
+    @cached_property
+    def _conjugators(self) -> list[tuple[Perm, Perm]]:
+        """Each element h of the group generated by this group and its
+        normalizing permutations, paired with its inverse.
+
+        Raises ValueError if a normalizing permutation conjugates a
+        generator out of the group.
+        """
+        elems = self.elements()
+        for t in self.normalizing:
+            t_inv = perm_inv(t)
+            if any(perm_mul(perm_mul(t_inv, g), t) not in elems
+                   for g in self.generators):
+                raise ValueError(f"{t} does not normalize {self.name}")
+        if self.normalizing:
+            elems = closure(self.generators + self.normalizing, self.degree)
+        return [(h, perm_inv(h)) for h in elems]
+
     def conjugation_orbit_reps(self, x: Perm | None = None) -> list[Perm]:
         """The least element of each orbit of the group under conjugation by
-        the centralizer of `x` (by the whole group when `x` is None, which
-        gives the conjugacy class representatives); kept once computed."""
+        the centralizer of `x` in `_conjugators` (by all of them when `x` is
+        None, which gives the classes up to those automorphisms); kept once
+        computed."""
         reps = self._orbit_reps.get(x)
         if reps is None:
-            elems, inv = self.sorted_elements, self.inverse
-            acting = elems if x is None else [
-                h for h in elems if perm_mul(x, h) == perm_mul(h, x)]
+            acting = self._conjugators if x is None else [
+                (h, h_inv) for h, h_inv in self._conjugators
+                if perm_mul(x, h) == perm_mul(h, x)]
             seen: set[Perm] = set()
             reps = self._orbit_reps[x] = []
-            for e in elems:
+            for e in self.sorted_elements:
                 if e in seen:
                     continue
                 reps.append(e)
-                for h in acting:
-                    seen.add(perm_mul(perm_mul(inv[h], e), h))
+                for h, h_inv in acting:
+                    seen.add(perm_mul(perm_mul(h_inv, e), h))
         return reps
 
     @property
@@ -136,7 +162,8 @@ def alternating(n: int) -> PermGroup:
         cyc = tuple(list(range(1, n)) + [0])
     else:
         cyc = tuple([0] + list(range(2, n)) + [1])
-    return PermGroup(n, [three, cyc], f"A{n}")
+    swap = tuple([1, 0] + list(range(2, n)))
+    return PermGroup(n, [three, cyc], f"A{n}", normalizing=(swap,))
 
 
 def psl2(q: int) -> PermGroup:
@@ -149,7 +176,11 @@ def psl2(q: int) -> PermGroup:
     neg_inv[inf] = 0
     for x in range(1, q):
         neg_inv[x] = (-pow(x, q - 2, q)) % q
-    return PermGroup(q + 1, [shift, tuple(neg_inv)], f"PSL(2,{q})")
+    # x -> wx for the least non-square w: diag(w, 1) lies in PGL(2, q)
+    w = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
+    scale = tuple(w * x % q for x in range(q)) + (inf,)
+    return PermGroup(q + 1, [shift, tuple(neg_inv)], f"PSL(2,{q})",
+                     normalizing=(scale,))
 
 
 def builtin_targets(max_order: int = 700) -> list[PermGroup]:

@@ -139,6 +139,55 @@ def coset_table_from_images(ngens: int, images: list[dict[int, int]],
     return table
 
 
+def _schreier_rewrites(g: GroupPresentation, table: list[list[int]]
+                       ) -> tuple[int, list[list[int]]]:
+    """Schreier generators of the coset-0 stabilizer and relator rewrites.
+
+    Schreier generators correspond to the edges of the coset graph off a
+    breadth-first spanning tree from coset 0, numbered from 1; the
+    inverse column of an edge carries the inverse generator.  Returns
+    their number and, for every relator r and coset c, the signed
+    Schreier generators met along r read from c, i.e. the rewrite of
+    rep(c) r rep(c)^-1.
+    """
+    n = len(table)
+    ncols = 2 * g.ngens
+    tree = {0: None}  # coset -> (from, col) discovered by BFS from 0
+    order = [0]
+    for c in order:
+        for col in range(ncols):
+            d = table[c][col]
+            if d not in tree:
+                tree[d] = (c, col)
+                order.append(d)
+    if len(tree) != n:
+        raise ValueError("coset table is not transitive")
+    gens = [[0] * ncols for _ in range(n)]
+    nsg = 0
+    for c in range(n):
+        for col in range(0, ncols, 2):
+            d = table[c][col]
+            if tree[d] != (c, col) and tree[c] != (d, col + 1):
+                nsg += 1
+                gens[c][col] = nsg
+                gens[d][col + 1] = -nsg
+    rewrites = []
+    for r in g.relators:
+        cols = [_col(x) for x in r]
+        for c in range(n):
+            cur = c
+            out = []
+            for col in cols:
+                s = gens[cur][col]
+                if s:
+                    out.append(s)
+                cur = table[cur][col]
+            if cur != c:
+                raise ValueError("relator does not stabilize the coset")
+            rewrites.append(out)
+    return nsg, rewrites
+
+
 def reidemeister_schreier(g: GroupPresentation,
                           table: list[list[int]]) -> GroupPresentation:
     """Presentation of the point stabilizer of coset 0.
@@ -147,62 +196,29 @@ def reidemeister_schreier(g: GroupPresentation,
     relators are the rewrites of rep(c) r rep(c)^-1 for every relator r
     and coset c.
     """
-    n = len(table)
-    tree_edge = {}  # coset -> (from, col) discovered by BFS from 0
-    order = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for col in range(2 * g.ngens):
-            d = table[c][col]
-            if d not in seen:
-                seen.add(d)
-                tree_edge[d] = (c, col)
-                order.append(d)
-    if len(seen) != n:
-        raise ValueError("coset table is not transitive")
+    nsg, rewrites = _schreier_rewrites(g, table)
+    relators = (_cyclic_reduce(tuple(w)) for w in rewrites)
+    return GroupPresentation(nsg, tuple(dict.fromkeys(w for w in relators if w)))
 
-    # non-tree directed edges (c, gen-col) get a Schreier generator; the
-    # inverse column of the same edge is the inverse generator
-    sgen: dict[tuple[int, int], int] = {}
-    nsg = 0
-    for c in range(n):
-        for gidx in range(g.ngens):
-            col = 2 * gidx
-            d = table[c][col]
-            if tree_edge.get(d) == (c, col) or tree_edge.get(c) == (d, col ^ 1):
-                continue  # spanning-tree edge, trivial generator
-            nsg += 1
-            sgen[(c, col)] = nsg
 
-    def edge_gen(c: int, col: int) -> int:
-        """Signed Schreier generator of the directed edge (c, col)."""
-        if col % 2 == 0:
-            s = sgen.get((c, col))
-            return s if s is not None else 0
-        d = table[c][col]
-        s = sgen.get((d, col ^ 1))
-        return -s if s is not None else 0
+def abelianized_schreier_rows(g: GroupPresentation, table: list[list[int]]
+                              ) -> tuple[list[dict[int, int]], int]:
+    """Relation rows of the coset-0 stabilizer's abelianization, and the
+    number of columns.
 
-    relators = []
-    for r in g.relators:
-        for c in range(n):
-            cur = c
-            out = []
-            for letter in r:
-                col = _col(letter)
-                s = edge_gen(cur, col)
-                if s:
-                    out.append(s)
-                cur = table[cur][col]
-            if cur != c:
-                raise ValueError("relator does not stabilize the coset")
-            w = _cyclic_reduce(tuple(out))
-            if w:
-                relators.append(w)
-    return GroupPresentation(nsg, tuple(dict.fromkeys(relators)))
+    Each row holds the exponent sums of one Reidemeister-Schreier
+    rewrite, counted straight off the table: no word is reduced and no
+    presentation built.
+    """
+    nsg, rewrites = _schreier_rewrites(g, table)
+    rows = []
+    for w in rewrites:
+        row: dict[int, int] = {}
+        for s in w:
+            j = abs(s) - 1
+            row[j] = row.get(j, 0) + (1 if s > 0 else -1)
+        rows.append(row)
+    return rows, nsg
 
 
 def branched_cover_from_meridians(g: GroupPresentation) -> GroupPresentation:
@@ -243,8 +259,7 @@ def double_cover_presentation(d, braid: BraidWord | None = None
 def subgroup_abelianization(g: GroupPresentation,
                             table: list[list[int]]) -> list[int]:
     """Abelian invariants of the coset-0 stabilizer, without Tietze steps."""
-    sub = reidemeister_schreier(g, table)
-    return sub.abelian_invariants()
+    return abelian_invariants(*abelianized_schreier_rows(g, table))
 
 
 # -- Tietze simplification ------------------------------------------------

@@ -5,39 +5,57 @@ surjections have the same kernel exactly when they differ by an
 automorphism of Gamma, so this matches counting up to Aut(Gamma)).
 The count for a fixed target is written delta_Gamma.
 
-The search assigns generator images in order and takes them up to
-simultaneous conjugation, which preserves kernels (Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, ch. 9): the first
-image ranges over conjugacy class representatives, the second over one
-representative per orbit of the first image's centraliser acting by
-conjugation, and the rest over all of Gamma.  A relator is checked as
-soon as its last generator has an image, by tracing every point of the
-permutation degree through its letters; no product is built.  At each
-complete assignment one breadth-first search of the regular action
-gives both the surjectivity test and the kernel's signature.  The
-order of the returned homomorphisms is not part of the contract.
+The search assigns generator images one generator at a time (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005, ch. 9):
+
+  * Order.  Generators are searched in an order that closes relators
+    early: the open relator that needs the fewest generators not yet
+    placed (the shortest among ties) has those placed next, and so on.
+    A relator is checked as soon as its last generator has an image, by
+    tracing every point of the permutation degree through its letters;
+    no product is built.
+  * Symmetry.  Images are taken up to simultaneous conjugation by the
+    target together with its normalizing permutations (Sym(n) for
+    Alt(n), PGL(2, q) for PSL(2, q)), which preserves kernels: the first
+    image ranges over the classes under that conjugation, the second
+    over one representative per orbit of the first image's centralizer,
+    and the rest over all of Gamma.
+  * Acceptance.  At each complete assignment one breadth-first search of
+    the regular action gives both the surjectivity test and the
+    kernel's signature, so a kernel met again, e.g. through an outer
+    automorphism that no point permutation induces, is kept once.
+
+The order of the returned homomorphisms is not part of the contract.
 
 The kernel of an epimorphism is the stabilizer of the identity in the
 action of G on Gamma by right translation; its abelianization comes
-from Reidemeister-Schreier rewriting on that coset table.
+from the exponent sums of Reidemeister-Schreier rewriting on that coset
+table.
 """
 
 from __future__ import annotations
 
 from .budget import Budget
-from .permgroups import Perm, PermGroup, identity, perm_inv, perm_mul
-from .presentations import (GroupPresentation, coset_table_from_images,
-                            reidemeister_schreier, tietze_simplify)
+from .matrices import abelian_invariants
+from .permgroups import Perm, PermGroup, identity, perm_mul
+from .presentations import (GroupPresentation, abelianized_schreier_rows,
+                            coset_table_from_images, tietze_simplify)
 
-Word = tuple[int, ...]
 
+def _search_order(g: GroupPresentation) -> list[int]:
+    """The generators in search order, so that relators close early.
 
-def evaluate_word(word: Word, images: list[Perm], degree: int) -> Perm:
-    out = identity(degree)
-    for g in word:
-        p = images[abs(g) - 1]
-        out = perm_mul(out, p if g > 0 else perm_inv(p))
-    return out
+    Repeatedly the open relator that needs the fewest generators not yet
+    placed, the shortest among ties, has its missing generators placed
+    in increasing order; generators in no relator come last.
+    """
+    needs = [{abs(x) for x in r} for r in sorted(g.relators, key=len)]
+    order: list[int] = []
+    while needs:
+        missing = min((s.difference(order) for s in needs), key=len)
+        order.extend(sorted(missing))
+        needs = [s for s in needs if not s.issubset(order)]
+    return order + [x for x in range(1, g.ngens + 1) if x not in order]
 
 
 def _holds(perms: list[Perm], points: range) -> bool:
@@ -89,20 +107,24 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     e = identity(group.degree)
     points = range(group.degree)
     ngens = pres.ngens
-    # slot 2i holds the image of generator i+1 and slot 2i+1 its inverse;
-    # a relator is checked as soon as its last generator has an image
+    # generator x is searched at level[x]; slot 2k holds the image of the
+    # generator at level k and slot 2k+1 its inverse.  A relator is
+    # checked as soon as its last generator has an image.
+    level = {x: k for k, x in enumerate(_search_order(pres))}
     checks: list[list[list[int]]] = [[] for _ in range(ngens)]
     for r in sorted(pres.relators, key=len):
         if r:
-            checks[max(abs(x) for x in r) - 1].append(
-                [2 * (abs(x) - 1) + (x < 0) for x in r])
+            checks[max(level[abs(x)] for x in r)].append(
+                [2 * level[abs(x)] + (x < 0) for x in r])
+    image_slots = [2 * level[x] for x in range(1, ngens + 1)]
     slots: list[Perm] = [e] * (2 * ngens)
     found: dict[tuple, list[Perm]] = {}
     budget = Budget(budget_seconds, max_nodes, "candidate images",
                     lambda: f"{len(found)} kernels found")
 
     def choices(k: int) -> list[Perm]:
-        # images up to simultaneous conjugation, which keeps the kernel
+        # images up to simultaneous conjugation by the target and its
+        # normalizing permutations, which keeps the kernel
         if k == 0:
             return group.conjugation_orbit_reps()
         if k == 1:
@@ -112,8 +134,8 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     def assign(k: int) -> None:
         if k == ngens:
             table = _regular_table(slots[0::2], e)
-            if len(table) == group.order:
-                found.setdefault(table, slots[0::2])
+            if len(table) == group.order and table not in found:
+                found[table] = [slots[s] for s in image_slots]
             return
         rels = checks[k]
         for p in choices(k):
@@ -142,5 +164,4 @@ def kernel_abelianization(g: GroupPresentation, images: list[Perm],
     for p in images:
         perms.append({index[e]: index[perm_mul(e, p)] for e in elems})
     table = coset_table_from_images(g.ngens, perms, len(elems))
-    sub = reidemeister_schreier(g, table)
-    return sub.abelian_invariants()
+    return abelian_invariants(*abelianized_schreier_rows(g, table))

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from test_quotients import brute_force_epi_count
+from test_quotients import brute_force_epi_count, evaluate_word
 from knotmut.alexander import alexander_braid, alexander_pd
 from knotmut.bracket import bracket_state_sum, jones, kauffman_bracket
 from knotmut.colored import colored_jones
@@ -23,9 +23,9 @@ from knotmut.presentations import (GroupPresentation, _class_signature,
                                    branched_cover_group,
                                    branched_cover_group_pd,
                                    coset_table_from_images,
-                                   low_index_subgroups, subgroup_abelianization,
-                                   tietze_simplify)
-from knotmut.quotients import epimorphisms, evaluate_word, kernel_abelianization
+                                   low_index_subgroups, reidemeister_schreier,
+                                   subgroup_abelianization, tietze_simplify)
+from knotmut.quotients import epimorphisms, kernel_abelianization
 from knotmut.skein2 import (ResourceLimitExceeded, homfly, kauffman_f,
                             p_whitehead_plus)
 from knotmut.tangles import AXES, mutate, random_decomposition
@@ -271,6 +271,17 @@ class TestSubgroupSearch:
             got = {(len(t), _class_signature(t, 2 * g.ngens))
                    for t in tables}
             assert got == representation_signatures(g, 5)
+
+    def test_schreier_rows_vs_rewritten_presentation(self):
+        rng = random.Random(109)
+        checked = 0
+        for _ in range(20):
+            g = random_presentation(rng)
+            for t in low_index_subgroups(g, 4):
+                assert subgroup_abelianization(g, t) == \
+                    reidemeister_schreier(g, t).abelian_invariants()
+                checked += 1
+        assert checked >= 40
 
     @pytest.mark.parametrize("braid", ("2 | 1 1 1", "3 | 1 -2 1 -2"))
     def test_epimorphisms_vs_enumeration(self, braid):

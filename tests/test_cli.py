@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import pretzel
 from knotmut import cli, quotients
 from knotmut.cli import format_table1, main
 from knotmut.diagram import parse_knot_spec
@@ -119,6 +120,20 @@ class TestCoverCommands:
                            "C3", "trefoil")
         assert code == 0
         assert "kernel 1 abelianization []" in out
+
+    @pytest.mark.parametrize("target,count", [("Alt(4)", 8), ("Alt(5)", 12)])
+    def test_kernel_abelian_sorted(self, capsys, target, count):
+        # mutants have homeomorphic double branched covers, so the same
+        # kernels; printed sorted, the lines agree.  Onto Alt(4) there are
+        # 3 kinds, which the search meets in a different order on each.
+        outs = []
+        for p in ((3, 3, -2, -3), (3, 3, -3, -2)):
+            code, out, _ = run(capsys, "cover", "kernel-abelian", "--target",
+                               target, f"name=P pd: {pretzel(*p)}")
+            assert code == 0
+            outs.append(out.splitlines())
+        assert len(outs[0]) == count
+        assert outs[0] == outs[1]
 
     def test_quotient_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "epimorphisms", functools.partial(

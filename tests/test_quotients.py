@@ -10,9 +10,10 @@ from knotmut.permgroups import (PermGroup, alternating, closure, cyclic,
                                 dihedral, identity, perm_inv, perm_mul, psl2,
                                 symmetric, builtin_targets)
 from knotmut.presentations import (GroupPresentation, branched_cover_group,
+                                   coset_table_from_images,
                                    double_cover_presentation, knot_group,
-                                   tietze_simplify)
-from knotmut.quotients import (epimorphisms, evaluate_word,
+                                   reidemeister_schreier, tietze_simplify)
+from knotmut.quotients import (_search_order, epimorphisms,
                                kernel_abelianization)
 from knotmut.skein2 import ResourceLimitExceeded
 
@@ -42,37 +43,37 @@ class TestPermGroups:
         assert orders == sorted(orders)
         assert all(o <= 60 for o in orders)
 
+    @pytest.mark.parametrize("group", builtin_targets(3000),
+                             ids=lambda g: g.name)
+    def test_normalizing_permutations(self, group):
+        # Alt(n) and PSL(2,q) carry one outside the group; the rest none
+        assert len(group.normalizing) == \
+            group.name.startswith(("A", "PSL"))
+        elems = group.elements()
+        for t in group.normalizing:
+            assert t not in elems
+            for g in group.generators:
+                assert perm_mul(perm_mul(perm_inv(t), g), t) in elems
+
+    def test_non_normalizing_permutation_rejected(self):
+        c4 = cyclic(4)
+        bad = PermGroup(4, c4.generators, "C4", normalizing=((1, 0, 2, 3),))
+        with pytest.raises(ValueError, match="does not normalize"):
+            bad.conjugation_orbit_reps()
+
+
+def evaluate_word(word, images: list[tuple], degree: int) -> tuple:
+    """The image of a word under x_i -> images[i-1], as one permutation."""
+    out = identity(degree)
+    for g in word:
+        p = images[abs(g) - 1]
+        out = perm_mul(out, p if g > 0 else perm_inv(p))
+    return out
+
 
 def brute_force_epi_count(g: GroupPresentation, group: PermGroup) -> int:
-    """Exhaustive surjection count up to kernel equality.
-
-    Two surjections have the same kernel exactly when the pairs of
-    generator images generate the graph of an automorphism, i.e. a
-    subgroup of size |group| inside the direct square.
-    """
-    elems = sorted(group.elements())
-    deg = group.degree
-    full = frozenset(elems)
-    valid = []
-    for images in itertools.product(elems, repeat=g.ngens):
-        if any(evaluate_word(r, list(images), deg) != identity(deg)
-               for r in g.relators):
-            continue
-        if frozenset(closure(list(images), deg)) != full:
-            continue
-        valid.append(images)
-    classes = []
-    for hom in valid:
-        matched = False
-        for rep in classes:
-            pairs = [tuple(a + tuple(x + deg for x in b))
-                     for a, b in zip(hom, rep)]
-            if len(closure(pairs, 2 * deg)) == group.order:
-                matched = True
-                break
-        if not matched:
-            classes.append(hom)
-    return len(classes)
+    """Exhaustive surjection count up to kernel equality."""
+    return len(brute_force_epi_reps(g, group))
 
 
 def _same_kernel(h, k, group: PermGroup) -> bool:
@@ -129,6 +130,21 @@ THREE_GENERATOR = {
     # group of the 2-component closure, not Tietze-simplified
     "link_3_11222": knot_group(parse_braid("3 | 1 1 2 2 2")),
 }
+# 2-generator knot groups, for targets too large to brute-force on three:
+# the figure-eight group has 4 kernels onto PSL(2,7), of 2 types, and the
+# (5,2) torus knot group 2 onto Alt(5)
+TWO_GENERATOR = {
+    "figure8": tietze_simplify(knot_group(parse_braid("3 | 1 -2 1 -2"))),
+    "torus_5_2": tietze_simplify(knot_group(parse_braid("2 | 1 1 1 1 1"))),
+}
+KERNEL_CASES = [
+    pytest.param(name, factory, n, id=f"{factory.__name__}-{n}-{name}")
+    for presentations, targets in (
+        (THREE_GENERATOR, ((alternating, 4), (symmetric, 4), (dihedral, 5),
+                           (cyclic, 6))),
+        (TWO_GENERATOR, ((alternating, 4), (alternating, 5), (dihedral, 5),
+                         (psl2, 7))))
+    for factory, n in targets for name in sorted(presentations)]
 
 
 class TestEpimorphisms:
@@ -153,7 +169,7 @@ class TestEpimorphisms:
     @pytest.mark.parametrize("braid", ["2 | 1 1 1", "3 | 1 -2 1 -2"])
     @pytest.mark.parametrize("factory,n", [
         (cyclic, 3), (cyclic, 4), (dihedral, 3), (dihedral, 5),
-        (alternating, 4), (symmetric, 3),
+        (alternating, 4), (symmetric, 3), (alternating, 5), (psl2, 7),
     ])
     def test_against_brute_force(self, braid, factory, n):
         g = tietze_simplify(knot_group(parse_braid(braid)))
@@ -161,15 +177,16 @@ class TestEpimorphisms:
         assert len(epimorphisms(g, grp, simplify=False)) == \
             brute_force_epi_count(g, grp)
 
-    @pytest.mark.parametrize("name", sorted(THREE_GENERATOR))
-    @pytest.mark.parametrize("factory,n", [
-        (alternating, 4), (symmetric, 4), (dihedral, 5), (cyclic, 6),
-    ])
+    @pytest.mark.parametrize("name,factory,n", KERNEL_CASES)
     def test_kernels_against_brute_force(self, name, factory, n):
-        g = THREE_GENERATOR[name]
+        g = {**THREE_GENERATOR, **TWO_GENERATOR}[name]
         grp = factory(n)
-        assert g.ngens == 3
-        assert _kernels(g, epimorphisms(g, grp, simplify=False), grp) == \
+        homs = epimorphisms(g, grp, simplify=False)
+        # the images come back in the presentation's own generator order
+        for hom in homs:
+            assert all(evaluate_word(r, hom, grp.degree) == identity(grp.degree)
+                       for r in g.relators)
+        assert _kernels(g, homs, grp) == \
             _kernels(g, brute_force_epi_reps(g, grp), grp)
 
     def test_budget(self):
@@ -177,6 +194,17 @@ class TestEpimorphisms:
         with pytest.raises(ResourceLimitExceeded,
                            match="after 1 candidate images, 0 kernels"):
             epimorphisms(g, symmetric(4), simplify=False, max_nodes=1)
+
+    def test_search_order_closes_relators_early(self):
+        # the cover of P(5,3,-2,-3) keeps 4 generators, and only its
+        # shortest relator misses one (x2).  Searched in the given order it
+        # is checked at the last level only, and PSL(2,7) takes 5.6 million
+        # candidate images; placing x1, x3, x4 first closes it at the third.
+        g = double_cover_presentation(pretzel(5, 3, -2, -3))
+        assert g.ngens == 4
+        assert _search_order(g) == [1, 3, 4, 2]
+        assert epimorphisms(g, psl2(7), simplify=False,
+                            max_nodes=200_000) == []
 
 
 class TestKernelAbelianization:
@@ -193,6 +221,21 @@ class TestKernelAbelianization:
         grp = cyclic(3)
         hom = [(1, 2, 0)]
         assert kernel_abelianization(g, hom, grp) == [2]
+
+    @pytest.mark.parametrize("name", sorted(THREE_GENERATOR))
+    def test_schreier_rows_match_rewritten_presentation(self, name):
+        g = THREE_GENERATOR[name]
+        checked = 0
+        for grp in (alternating(4), symmetric(4), dihedral(5), cyclic(6)):
+            index = grp.index
+            for hom in epimorphisms(g, grp, simplify=False):
+                table = coset_table_from_images(
+                    g.ngens, [{index[e]: index[perm_mul(e, p)] for e in index}
+                              for p in hom], grp.order)
+                assert kernel_abelianization(g, hom, grp) == \
+                    reidemeister_schreier(g, table).abelian_invariants()
+                checked += 1
+        assert checked >= 5
 
     def test_trefoil_group_onto_S3(self):
         # kernel = center x rank-2 free group (the center x^2 = y^3 dies
