@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Time the paper-scale group searches on one double branched cover.
+
+The cover is that of the pretzel knot P(3,3,-3,-2), drawn as the
+vertical mutant of P(3,3,-2,-3) and Tietze-simplified from its
+Wirtinger presentation (3 generators, 47 letters).  For each target the
+script prints the number of epimorphisms up to target automorphisms and
+the seconds the search took; then the number of conjugacy classes of
+subgroups of index at most `--index` and the seconds of that search.
+With `--budget-seconds` it also runs the index-6 search under that time
+budget and prints its result or how far it got.
+
+    python3 scripts/group_search_timing.py
+    python3 scripts/group_search_timing.py --targets "Alt(5)" --index 3
+"""
+
+import argparse
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+from knotmut.budget import ResourceLimitExceeded
+from knotmut.cli import _target_group
+from knotmut.presentations import double_cover_presentation, low_index_subgroups
+from knotmut.quotients import epimorphisms
+from knotmut.tangles import (TangleDecomposition, mutate, rational_tangle,
+                             tangle_sum)
+
+
+def vertical_twist(n: int):
+    return rational_tangle([0, 1, n - 1] if n > 0 else [0, -1, n + 1])
+
+
+def timed(fn):
+    start = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - start
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--targets", nargs="*", default=["Alt(7)", "PSL(2,13)"],
+                    help="epimorphism targets, named as in `knotmut cover "
+                         "quotients --target`")
+    ap.add_argument("--index", type=int, default=5,
+                    help="largest subgroup index of the low-index search")
+    ap.add_argument("--budget-seconds", type=float, default=None,
+                    help="also run the index-6 search within this budget")
+    args = ap.parse_args()
+
+    outer = tangle_sum(vertical_twist(3), vertical_twist(3))
+    inner = tangle_sum(vertical_twist(-2), vertical_twist(-3))
+    pres = double_cover_presentation(
+        mutate(TangleDecomposition(outer, inner), "vertical"))
+    print(f"cover of P(3,3,-3,-2): {pres.ngens} generators, "
+          f"{sum(map(len, pres.relators))} letters")
+    for name in args.targets:
+        group = _target_group(name)
+        group.sorted_elements   # the target's tables are set-up, not search
+        homs, s = timed(lambda: epimorphisms(pres, group, simplify=False))
+        print(f"epimorphisms onto {name}: {len(homs)} kernels, {s:.2f} s")
+    tables, s = timed(lambda: low_index_subgroups(pres, args.index))
+    print(f"low-index to {args.index}: {len(tables)} classes, {s:.2f} s")
+    if args.budget_seconds is not None:
+        try:
+            tables, s = timed(lambda: low_index_subgroups(
+                pres, 6, max_tables=None, budget_seconds=args.budget_seconds))
+            print(f"low-index to 6: {len(tables)} classes, {s:.2f} s")
+        except ResourceLimitExceeded as exc:
+            print(f"low-index to 6: limited, {exc}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,13 +5,35 @@ are stored by generators; the full element list is computed by closure
 and cached, as are the tables an epimorphism search needs of its target
 (sorted elements, their indices and inverses, conjugation orbits).
 Built-in targets: cyclic, dihedral, alternating, symmetric, and
-PSL(2, q) acting on the projective line (q prime).
+PSL(2, q) acting on the projective line (q prime).  `order_reaches`
+tests whether generators reach a given order by Schreier-Sims, without
+listing the elements.
 
 A group may also carry normalizing permutations: point permutations
 outside it that conjugate it onto itself, so that conjugation by the
 group they generate together with it is a group of automorphisms.
 Alt(n) carries a transposition and PSL(2, q) the map x -> wx with w a
 non-square mod q, which give Sym(n) and PGL(2, q).
+
+A group may also declare `automorphisms_induced`: it is transitive, and
+every automorphism of it is conjugation by a point permutation that
+normalizes it.  Two generating tuples then differ by an automorphism
+exactly when they are conjugate in Sym(degree), which lets an
+epimorphism search tell kernels apart by the tuples' action on the
+points alone.  The built-in groups that declare it:
+
+  * Alt(n) and Sym(n) with n != 6 (Aut is Sym(n); Alt(6) and Sym(6) have
+    an outer automorphism that moves transpositions or 3-cycles onto
+    fixed-point-free elements, so no point permutation induces it);
+  * PSL(2, p), p prime (Aut is PGL(2, p): there are no field
+    automorphisms);
+  * the cyclic group of order n on n points: x -> ux + b mod n, u a unit,
+    normalizes it and induces every automorphism r -> r^u;
+  * the dihedral group of order 2n on the n-gon, n odd: every
+    automorphism is r -> r^u, s -> r^b s, induced by x -> ux + b.  For n
+    even the reflections through two vertices and those through two edge
+    midpoints (two fixed points against none) form two classes that an
+    automorphism swaps, which no point permutation does.
 """
 
 from __future__ import annotations
@@ -23,7 +45,7 @@ Perm = tuple[int, ...]
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Composition acting on the right: point x goes to q[p[x]]."""
-    return tuple(q[i] for i in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def perm_inv(p: Perm) -> Perm:
@@ -39,11 +61,13 @@ def identity(degree: int) -> Perm:
 
 class PermGroup:
     def __init__(self, degree: int, generators: list[Perm], name: str = "",
-                 normalizing: tuple[Perm, ...] = ()):
+                 normalizing: tuple[Perm, ...] = (),
+                 automorphisms_induced: bool = False):
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         self.name = name
         self.normalizing = [tuple(t) for t in normalizing]
+        self.automorphisms_induced = automorphisms_induced
         self._elements: frozenset[Perm] | None = None
         self._orbit_reps: dict[Perm | None, list[Perm]] = {}
 
@@ -131,39 +155,120 @@ def closure(gens: list[Perm], degree: int) -> set[Perm]:
     return seen
 
 
+def order_reaches(gens: list[Perm], degree: int, order: int) -> bool:
+    """Whether the group generated by `gens` has at least `order` elements.
+
+    Deterministic Schreier-Sims (Holt, Eick and O'Brien, sec. 4.4.2):
+    level i keeps the generators found so far that fix the first i base
+    points and the orbit of the i-th base point under them, with a
+    transversal.  The product of the orbit lengths never exceeds the
+    group's order, so the test stops as soon as it reaches `order`.
+    """
+    e = identity(degree)
+    base: list[int] = []
+    levels: list[list[Perm]] = []
+    trans: list[dict[int, tuple[Perm, Perm]]] = []   # point -> (u, u^-1)
+
+    def orbit(i: int) -> None:
+        t = trans[i] = {base[i]: (e, e)}
+        queue = [base[i]]
+        for x in queue:
+            u = t[x][0]
+            for g in levels[i]:
+                y = g[x]
+                if y not in t:
+                    v = perm_mul(u, g)
+                    t[y] = (v, perm_inv(v))
+                    queue.append(y)
+
+    def add(h: Perm, lo: int) -> int | None:
+        """Strip `h` through the levels from `lo` on.  Unless that leaves
+        the identity, add the rest to the levels from `lo` to the first
+        whose base point it moves (a new one if it fixes them all), and
+        return that level."""
+        i = lo
+        while i < len(base):
+            step = trans[i].get(h[base[i]])
+            if step is None:
+                break
+            h = perm_mul(h, step[1])
+            i += 1
+        if h == e:
+            return None
+        if i == len(base):
+            base.append(next(x for x, y in enumerate(h) if x != y))
+            levels.append([])
+            trans.append({})
+        for level in range(lo, i + 1):
+            levels[level].append(h)
+            orbit(level)
+        return i
+
+    def reached() -> bool:
+        size = 1
+        for t in trans:
+            size *= len(t)
+        return size >= order
+
+    def add_schreier_generator(i: int) -> int | None:
+        """Add the first Schreier generator of level i that does not strip
+        to the identity, and return the level it went to."""
+        for x, (u, _) in trans[i].items():
+            for g in levels[i]:
+                j = add(perm_mul(perm_mul(u, g), trans[i][g[x]][1]), i + 1)
+                if j is not None:
+                    return j
+        return None
+
+    for g in gens:
+        if add(g, 0) is not None and reached():
+            return True
+    i = len(base) - 1
+    while i >= 0:
+        j = add_schreier_generator(i)
+        if j is None:
+            i -= 1
+        elif reached():
+            return True
+        else:
+            i = j
+    return reached()
+
+
 def cyclic(n: int) -> PermGroup:
     if n == 1:
-        return PermGroup(1, [], "C1")
+        return PermGroup(1, [], "C1", automorphisms_induced=True)
     shift = tuple((i + 1) % n for i in range(n))
-    return PermGroup(n, [shift], f"C{n}")
+    return PermGroup(n, [shift], f"C{n}", automorphisms_induced=True)
 
 
 def dihedral(n: int) -> PermGroup:
     """Symmetries of the n-gon, order 2n (n >= 3)."""
     rot = tuple((i + 1) % n for i in range(n))
     flip = tuple((-i) % n for i in range(n))
-    return PermGroup(n, [rot, flip], f"D{n}")
+    return PermGroup(n, [rot, flip], f"D{n}", automorphisms_induced=n % 2 == 1)
 
 
 def symmetric(n: int) -> PermGroup:
     if n < 2:
-        return PermGroup(max(n, 1), [], f"S{n}")
+        return PermGroup(max(n, 1), [], f"S{n}", automorphisms_induced=True)
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
-    return PermGroup(n, gens, f"S{n}")
+    return PermGroup(n, gens, f"S{n}", automorphisms_induced=n != 6)
 
 
 def alternating(n: int) -> PermGroup:
     if n < 3:
-        return PermGroup(max(n, 1), [], f"A{n}")
+        return PermGroup(max(n, 1), [], f"A{n}", automorphisms_induced=True)
     three = tuple([1, 2, 0] + list(range(3, n)))
     if n % 2 == 1:
         cyc = tuple(list(range(1, n)) + [0])
     else:
         cyc = tuple([0] + list(range(2, n)) + [1])
     swap = tuple([1, 0] + list(range(2, n)))
-    return PermGroup(n, [three, cyc], f"A{n}", normalizing=(swap,))
+    return PermGroup(n, [three, cyc], f"A{n}", normalizing=(swap,),
+                     automorphisms_induced=n != 6)
 
 
 def psl2(q: int) -> PermGroup:
@@ -180,7 +285,7 @@ def psl2(q: int) -> PermGroup:
     w = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
     scale = tuple(w * x % q for x in range(q)) + (inf,)
     return PermGroup(q + 1, [shift, tuple(neg_inv)], f"PSL(2,{q})",
-                     normalizing=(scale,))
+                     normalizing=(scale,), automorphisms_induced=True)
 
 
 def builtin_targets(max_order: int = 700) -> list[PermGroup]:

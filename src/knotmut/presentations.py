@@ -292,6 +292,7 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
                 new.append(w)
         rels = new
 
+    eliminated: set[int] = set()
     changed = True
     while changed:
         changed = False
@@ -338,10 +339,12 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
             else:
                 image = v + u
             substitute_all(gen, freely_reduce(image))
+            eliminated.add(gen)
             changed = True
 
-    # relabel surviving generators contiguously
-    used = sorted({abs(letter) for r in rels for letter in r})
+    # relabel surviving generators contiguously; one in no relator is a
+    # free factor and stays
+    used = [x for x in range(1, ngens + 1) if x not in eliminated]
     remap = {old: i + 1 for i, old in enumerate(used)}
     out = tuple(tuple((1 if letter > 0 else -1) * remap[abs(letter)]
                       for letter in r)
@@ -362,6 +365,17 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
     coset-0 stabilizer), including the whole group at index 1.  Raises
     `ResourceLimitExceeded` once `max_tables` tables are tried or
     `budget_seconds` have passed.
+
+    Tables are built by backtracking (Sims, Computation with Finitely
+    Presented Groups, 1994, ch. 5): the first undefined entry, row by
+    row, is set to each coset that can take it or to a new coset, and
+    relator scans deduce what follows.  New cosets are so numbered in
+    order of first appearance, and moving the basepoint to coset b and
+    relabelling in breadth-first order gives the table of a conjugate
+    subgroup.  A partial table that such a relabelling makes smaller
+    before the first undefined entry of either is dropped, since every
+    completion of it is too; only the least table of each class is
+    completed, and `_class_signature` keeps the result one per class.
     """
     ncols = 2 * g.ngens
     # each relator as its columns and the inverse of each column
@@ -409,6 +423,24 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
                             table[b][icol] = f
         return True
 
+    def relabelled_smaller(table, base: int) -> bool:
+        """Whether relabelling `table` by BFS from `base` makes it smaller,
+        compared row by row before the first undefined entry of either."""
+        label = [-1] * len(table)
+        label[base] = 0
+        order = [base]
+        for r, c in enumerate(order):
+            for d, old in zip(table[c], table[r]):
+                if d is None or old is None:
+                    return False
+                new = label[d]
+                if new < 0:
+                    new = label[d] = len(order)
+                    order.append(d)
+                if new != old:
+                    return new < old
+        return False
+
     def first_hole(table):
         for c in range(len(table)):
             for col in range(ncols):
@@ -436,7 +468,8 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
                 t2.append([None] * ncols)
             t2[c][col] = d
             t2[d][col ^ 1] = c
-            if scan_relators(t2):
+            if scan_relators(t2) and not any(
+                    relabelled_smaller(t2, b) for b in range(1, len(t2))):
                 recurse(t2)
 
     recurse([[None] * ncols])

@@ -20,10 +20,20 @@ and O'Brien, Handbook of Computational Group Theory, 2005, ch. 9):
     image ranges over the classes under that conjugation, the second
     over one representative per orbit of the first image's centralizer,
     and the rest over all of Gamma.
-  * Acceptance.  At each complete assignment one breadth-first search of
-    the regular action gives both the surjectivity test and the
-    kernel's signature, so a kernel met again, e.g. through an outer
-    automorphism that no point permutation induces, is kept once.
+  * Acceptance.  At each complete assignment the images must act
+    transitively on the points, and when the target declares
+    `automorphisms_induced` they are keyed by that action alone: the
+    least breadth-first relabelling of the points over every start
+    point (n^2 k steps for n points and k generators).  Two surjections
+    have the same kernel exactly when they differ by an automorphism of
+    the target, which for such a target is conjugation by a point
+    permutation, and so exactly when their keys agree.  A key met before
+    is skipped, whether it was accepted or rejected; a new one is tested
+    for surjectivity by a deterministic Schreier-Sims that stops as soon
+    as the product of its basic orbit lengths, a lower bound on the
+    image's order, reaches the target's order.  Any other target (Alt(6),
+    Sym(6), dihedral groups of even degree) falls back to one
+    breadth-first search of the regular action per assignment.
 
 The order of the returned homomorphisms is not part of the contract.
 
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 from .budget import Budget
 from .matrices import abelian_invariants
-from .permgroups import Perm, PermGroup, identity, perm_mul
+from .permgroups import Perm, PermGroup, identity, order_reaches, perm_mul
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
                             coset_table_from_images, tietze_simplify)
 
@@ -69,11 +79,43 @@ def _holds(perms: list[Perm], points: range) -> bool:
     return True
 
 
+def _point_key(images: list[Perm], points: range) -> tuple[int, ...] | None:
+    """The least BFS relabelling of the images' action on the points.
+
+    Each start point labels the points in breadth-first order along the
+    images and reads the action off row by row; the key is the least of
+    these readings, so two tuples of images share it exactly when they
+    are conjugate in Sym(n).  None when the action is not transitive.
+    """
+    best = None
+    for start in points:
+        label = [-1] * len(points)
+        label[start] = 0
+        order = [start]
+        key = []
+        for c in order:
+            for p in images:
+                d = p[c]
+                if label[d] < 0:
+                    label[d] = len(order)
+                    order.append(d)
+                key.append(label[d])
+        if len(order) < len(points):
+            return None
+        key = tuple(key)
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def _regular_table(images: list[Perm], e: Perm) -> tuple[tuple[int, ...], ...]:
     """Coset table of the image's regular action, labelled in BFS order.
 
-    Its length is the order of the image, and two homomorphisms from the
-    same presentation have equal kernels exactly when the tables agree.
+    The acceptance test for targets that do not declare
+    `automorphisms_induced`: its length is the order of the image, and
+    two homomorphisms from the same presentation have equal kernels
+    exactly when the tables agree.  It costs a search over every element
+    of the image.
     """
     label = {e: 0}
     order = [e]
@@ -119,6 +161,8 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     image_slots = [2 * level[x] for x in range(1, ngens + 1)]
     slots: list[Perm] = [e] * (2 * ngens)
     found: dict[tuple, list[Perm]] = {}
+    rejected: set[tuple] = set()
+    keyed = group.automorphisms_induced
     budget = Budget(budget_seconds, max_nodes, "candidate images",
                     lambda: f"{len(found)} kernels found")
 
@@ -133,9 +177,19 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
 
     def assign(k: int) -> None:
         if k == ngens:
-            table = _regular_table(slots[0::2], e)
-            if len(table) == group.order and table not in found:
-                found[table] = [slots[s] for s in image_slots]
+            images = slots[0::2]
+            if not keyed:
+                table = _regular_table(images, e)
+                if len(table) == group.order and table not in found:
+                    found[table] = [slots[s] for s in image_slots]
+                return
+            key = _point_key(images, points)
+            if key is None or key in found or key in rejected:
+                return
+            if order_reaches(images, group.degree, group.order):
+                found[key] = [slots[s] for s in image_slots]
+            else:
+                rejected.add(key)
             return
         rels = checks[k]
         for p in choices(k):

@@ -1,19 +1,21 @@
 """Permutation groups and epimorphism search onto finite targets."""
 
 import itertools
+import random
 
 import pytest
 
 from conftest import pretzel
 from knotmut.diagram import parse_braid
 from knotmut.permgroups import (PermGroup, alternating, closure, cyclic,
-                                dihedral, identity, perm_inv, perm_mul, psl2,
-                                symmetric, builtin_targets)
+                                dihedral, identity, order_reaches, perm_inv,
+                                perm_mul, psl2, symmetric, builtin_targets)
 from knotmut.presentations import (GroupPresentation, branched_cover_group,
                                    coset_table_from_images,
                                    double_cover_presentation, knot_group,
                                    reidemeister_schreier, tietze_simplify)
-from knotmut.quotients import (_search_order, epimorphisms,
+from knotmut.quotients import (_point_key, _regular_table, _search_order,
+                               epimorphisms,
                                kernel_abelianization)
 from knotmut.skein2 import ResourceLimitExceeded
 
@@ -54,6 +56,39 @@ class TestPermGroups:
             assert t not in elems
             for g in group.generators:
                 assert perm_mul(perm_mul(perm_inv(t), g), t) in elems
+
+    @pytest.mark.parametrize("group", builtin_targets() + [symmetric(6)],
+                             ids=lambda g: g.name)
+    def test_automorphisms_induced(self, group):
+        # declared for cyclic groups, dihedral groups of odd degree,
+        # Alt(n) and Sym(n) with n != 6 and PSL(2, p); Alt(6), Sym(6) and
+        # dihedral groups of even degree have automorphisms that no point
+        # permutation induces
+        if group.name.startswith("PSL"):
+            expected = True
+        else:
+            kind, n = group.name[0], int(group.name[1:])
+            expected = {"C": True, "D": n % 2 == 1,
+                        "A": n != 6, "S": n != 6}[kind]
+        assert group.automorphisms_induced == expected
+
+    def test_order_reaches_against_closure(self):
+        rng = random.Random(11)
+        for group in (alternating(5), symmetric(5), psl2(7), dihedral(6),
+                      alternating(6)):
+            for _ in range(25):
+                gens = rng.sample(group.sorted_elements, rng.randint(1, 3))
+                size = len(closure(gens, group.degree))
+                assert order_reaches(gens, group.degree, size)
+                assert not order_reaches(gens, group.degree, size + 1)
+
+    def test_point_key(self):
+        a, b = (1, 2, 0, 3), (0, 1, 3, 2)
+        t = (2, 1, 0, 3)   # a tuple conjugated by t shares the key
+        assert _point_key([a, b], range(4)) == _point_key(
+            [perm_mul(perm_mul(t, p), t) for p in (a, b)], range(4))
+        assert _point_key([a, b], range(4)) != _point_key([b, a], range(4))
+        assert _point_key([a], range(4)) is None   # not transitive
 
     def test_non_normalizing_permutation_rejected(self):
         c4 = cyclic(4)
@@ -189,6 +224,19 @@ class TestEpimorphisms:
         assert _kernels(g, homs, grp) == \
             _kernels(g, brute_force_epi_reps(g, grp), grp)
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_even_dihedral_targets_keep_regular_table(self, n):
+        # F2 has 3 kernels onto D4 and onto D6.  Point permutations induce
+        # only half of Aut(D_n) for n even, so a key of the point action
+        # would count each kernel twice
+        free = GroupPresentation(2, ())
+        group = dihedral(n)
+        assert len(epimorphisms(free, group, simplify=False)) == \
+            brute_force_epi_count(free, group) == 3
+        keyed = PermGroup(group.degree, group.generators, group.name,
+                          automorphisms_induced=True)
+        assert len(epimorphisms(free, keyed, simplify=False)) == 6
+
     def test_budget(self):
         g = THREE_GENERATOR["z6xz_z2"]
         with pytest.raises(ResourceLimitExceeded,
@@ -269,6 +317,24 @@ class TestMutantCovers:
     def test_counts(self, covers, group, count):
         assert [len(epimorphisms(c, group, simplify=False))
                 for c in covers] == [count, count]
+
+    @pytest.mark.parametrize("group", [alternating(5), psl2(7), symmetric(5)],
+                             ids=["Alt(5)", "PSL(2,7)", "Sym(5)"])
+    def test_key_matches_regular_table(self, covers, group):
+        # each kernel accepted by its point-action key has exactly one
+        # regular table among the kernels the regular tables accept
+        e, points = identity(group.degree), range(group.degree)
+        tabled_group = PermGroup(group.degree, group.generators, group.name,
+                                 group.normalizing)
+        for c in covers:
+            keyed = epimorphisms(c, group, simplify=False)
+            tabled = epimorphisms(c, tabled_group, simplify=False)
+            assert len(keyed) == len(tabled)
+            assert sorted(_regular_table(h, e) for h in keyed) == \
+                sorted(_regular_table(h, e) for h in tabled)
+            assert sorted(_point_key(h, points) for h in keyed) == \
+                sorted(_point_key(h, points) for h in tabled)
+            assert len({_point_key(h, points) for h in keyed}) == len(keyed)
 
     def test_alt5_kernels(self, covers):
         a5 = alternating(5)

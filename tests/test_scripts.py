@@ -37,3 +37,13 @@ class TestMutationSurvey:
                          "--colors", "2", "--max-crossings", "6")
         assert res.returncode == 0, res.stderr
         assert "done: 2 samples, 0 mismatches" in res.stdout
+
+
+class TestGroupSearchTiming:
+    def test_small_searches(self):
+        res = run_script("group_search_timing.py", "--targets", "Alt(5)",
+                         "--index", "3")
+        assert res.returncode == 0, res.stderr
+        assert "cover of P(3,3,-3,-2): 3 generators" in res.stdout
+        assert "epimorphisms onto Alt(5): 12 kernels" in res.stdout
+        assert "low-index to 3: 5 classes" in res.stdout
