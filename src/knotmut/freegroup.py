@@ -33,10 +33,16 @@ def inverse_word(word) -> Word:
 
 
 def substitute(word, images: dict[int, Word]) -> Word:
-    """Apply the endomorphism x_k -> images[k] to a word."""
+    """Apply x_k -> images[k] to a word; generators without one stay."""
     out: list[int] = []
     for g in word:
-        img = images[abs(g)]
+        img = images.get(abs(g))
+        if img is None:
+            if out and out[-1] == -g:
+                out.pop()
+            else:
+                out.append(g)
+            continue
         for h in (img if g > 0 else inverse_word(img)):
             if out and out[-1] == -h:
                 out.pop()
@@ -45,16 +51,12 @@ def substitute(word, images: dict[int, Word]) -> Word:
     return tuple(out)
 
 
-def _letter_images(k: int, n: int) -> dict[int, Word]:
-    images = {i: (i,) for i in range(1, n + 1)}
+def _letter_images(k: int) -> dict[int, Word]:
+    """Images of the two generators the Artin letter s_k moves."""
     j = abs(k)
     if k > 0:
-        images[j] = (j, j + 1, -j)
-        images[j + 1] = (j,)
-    else:
-        images[j] = (j + 1,)
-        images[j + 1] = (-(j + 1), j, j + 1)
-    return images
+        return {j: (j, j + 1, -j), j + 1: (j,)}
+    return {j: (j + 1,), j + 1: (-(j + 1), j, j + 1)}
 
 
 def artin_action(braid: BraidWord) -> list[Word]:
@@ -62,7 +64,7 @@ def artin_action(braid: BraidWord) -> list[Word]:
     n = braid.strands
     images = {i: (i,) for i in range(1, n + 1)}
     for k in braid.letters:
-        step = _letter_images(k, n)
+        step = _letter_images(k)
         images = {i: substitute(w, step) for i, w in images.items()}
     return [images[i] for i in range(1, n + 1)]
 

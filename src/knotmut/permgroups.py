@@ -3,7 +3,7 @@
 Elements are tuples giving the image of each point 0..degree-1.  Groups
 are stored by generators; the full element list is computed by closure
 and cached, as are the tables an epimorphism search needs of its target
-(sorted elements, their indices and inverses, conjugation orbits).
+(sorted elements, their inverses, conjugation orbits).
 Built-in targets: cyclic, dihedral, alternating, symmetric, and
 PSL(2, q) acting on the projective line (q prime).  `order_reaches`
 tests whether generators reach a given order by Schreier-Sims, without
@@ -80,11 +80,6 @@ class PermGroup:
     @cached_property
     def sorted_elements(self) -> list[Perm]:
         return sorted(self.elements())
-
-    @cached_property
-    def index(self) -> dict[Perm, int]:
-        """Each element's position in `sorted_elements`."""
-        return {p: i for i, p in enumerate(self.sorted_elements)}
 
     @cached_property
     def inverse(self) -> dict[Perm, Perm]:
@@ -260,7 +255,7 @@ def symmetric(n: int) -> PermGroup:
 
 def alternating(n: int) -> PermGroup:
     if n < 3:
-        return PermGroup(max(n, 1), [], f"A{n}", automorphisms_induced=True)
+        return PermGroup(1, [], f"A{n}", automorphisms_induced=True)
     three = tuple([1, 2, 0] + list(range(3, n)))
     if n % 2 == 1:
         cyc = tuple(list(range(1, n)) + [0])

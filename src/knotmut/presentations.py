@@ -5,12 +5,13 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
 
   * knot_group: the braid-closure presentation < x_i | beta(x_i) x_i^-1 >
   * meridian_square_quotient: adds x_1^2 (all meridians are conjugate)
-  * branched_cover_group: the fundamental group of the double branched
-    cover, computed by Reidemeister-Schreier along the index-2 subgroup
-    of the meridian-square quotient; double_cover_presentation gives it
-    Tietze-simplified from a braid or a diagram
-  * low_index_subgroups: coset-table backtracking, one representative
-    per conjugacy class
+  * branched_cover_from_meridians: the fundamental group of the double
+    branched cover, by Reidemeister-Schreier along the index-2 subgroup
+    of the meridian-square quotient; double_cover_presentation checks
+    that the diagram is a knot and gives the cover Tietze-simplified
+    from a braid or a diagram
+  * low_index_subgroups: coset-table backtracking that completes only
+    the least table of each conjugacy class
   * subgroup presentations and abelianizations from any coset table
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .diagram import BraidWord, wirtinger_arcs
-from .freegroup import artin_action, freely_reduce, inverse_word
+from .freegroup import artin_action, freely_reduce, inverse_word, substitute
 from .matrices import abelian_invariants
 
 Word = tuple[int, ...]
@@ -45,19 +46,24 @@ class GroupPresentation:
                     raise ValueError(f"bad generator {g} in relator")
 
     def abelian_invariants(self) -> list[int]:
-        rows = []
-        for r in self.relators:
-            row: dict[int, int] = {}
-            for g in r:
-                j = abs(g) - 1
-                row[j] = row.get(j, 0) + (1 if g > 0 else -1)
-            rows.append(row)
-        return abelian_invariants(rows, self.ngens)
+        return abelian_invariants(_exponent_rows(self.relators), self.ngens)
 
     def __str__(self):
         gens = ", ".join(f"x{i}" for i in range(1, self.ngens + 1))
         rels = ", ".join(format_word(r) for r in self.relators) or "1"
         return f"< {gens} | {rels} >"
+
+
+def _exponent_rows(words) -> list[dict[int, int]]:
+    """Each word's exponent sums, one `{generator column: sum}` row."""
+    rows = []
+    for w in words:
+        row: dict[int, int] = {}
+        for g in w:
+            j = abs(g) - 1
+            row[j] = row.get(j, 0) + (1 if g > 0 else -1)
+        rows.append(row)
+    return rows
 
 
 def format_word(word: Word) -> str:
@@ -127,9 +133,10 @@ def _col(g: int) -> int:
     return 2 * (abs(g) - 1) + (0 if g > 0 else 1)
 
 
-def coset_table_from_images(ngens: int, images: list[dict[int, int]],
-                            size: int) -> list[list[int]]:
-    """Table of the action given each generator's permutation (as a dict)."""
+def coset_table_from_images(ngens: int, images: list, size: int
+                            ) -> list[list[int]]:
+    """Table of the action given each generator's permutation, as a dict
+    or a sequence indexed by coset."""
     table = [[None] * (2 * ngens) for _ in range(size)]
     for g in range(1, ngens + 1):
         perm = images[g - 1]
@@ -211,14 +218,7 @@ def abelianized_schreier_rows(g: GroupPresentation, table: list[list[int]]
     presentation built.
     """
     nsg, rewrites = _schreier_rewrites(g, table)
-    rows = []
-    for w in rewrites:
-        row: dict[int, int] = {}
-        for s in w:
-            j = abs(s) - 1
-            row[j] = row.get(j, 0) + (1 if s > 0 else -1)
-        rows.append(row)
-    return rows, nsg
+    return _exponent_rows(rewrites), nsg
 
 
 def branched_cover_from_meridians(g: GroupPresentation) -> GroupPresentation:
@@ -229,29 +229,17 @@ def branched_cover_from_meridians(g: GroupPresentation) -> GroupPresentation:
     return reidemeister_schreier(g, table)
 
 
-def branched_cover_group(braid: BraidWord) -> GroupPresentation:
-    """pi_1 of the double cover of S^3 branched over the braid closure.
-
-    This is the index-2 subgroup of G/(mu^2) where every meridian maps
-    to the nontrivial element of Z/2.
-    """
-    if braid.component_count() != 1:
-        raise ValueError("closure must be a knot")
-    return branched_cover_from_meridians(knot_group(braid))
-
-
-def branched_cover_group_pd(d) -> GroupPresentation:
-    """Branched double cover group from a planar diagram (Wirtinger route)."""
-    return branched_cover_from_meridians(wirtinger_presentation(d))
-
-
 def double_cover_presentation(d, braid: BraidWord | None = None
                               ) -> GroupPresentation:
     """Tietze-simplified double branched cover group of a knot.
 
     Built from the braid's knot group when a braid is given, else from
-    the Wirtinger presentation of the diagram `d`.
+    the Wirtinger presentation of the diagram `d`.  Raises ValueError
+    for a link: the relator x_1^2 defines the cover only when every
+    meridian is conjugate to x_1.
     """
+    if d.component_count() != 1:
+        raise ValueError("diagram must be a knot")
     base = knot_group(braid) if braid is not None else wirtinger_presentation(d)
     return tietze_simplify(branched_cover_from_meridians(base))
 
@@ -272,25 +260,7 @@ MAX_RELATOR_LENGTH = 2000
 def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
     """Shorten a presentation by generator elimination and substitution."""
     ngens = g.ngens
-    rels = [list(_cyclic_reduce(r)) for r in g.relators]
-    rels = [r for r in rels if r]
-
-    def substitute_all(gen: int, image: Word):
-        nonlocal rels
-        imap = {gen: tuple(image), -gen: inverse_word(image)}
-        new = []
-        for r in rels:
-            out: list[int] = []
-            for letter in r:
-                for h in imap.get(letter, (letter,)):
-                    if out and out[-1] == -h:
-                        out.pop()
-                    else:
-                        out.append(h)
-            w = list(_cyclic_reduce(tuple(out)))
-            if w:
-                new.append(w)
-        rels = new
+    rels = [r for r in map(_cyclic_reduce, g.relators) if r]
 
     eliminated: set[int] = set()
     changed = True
@@ -301,7 +271,7 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
         uniq = []
         for r in rels:
             best = None
-            for w in (tuple(r), inverse_word(r)):
+            for w in (r, inverse_word(r)):
                 for i in range(len(w)):
                     rot = w[i:] + w[:i]
                     if best is None or rot < best:
@@ -333,12 +303,14 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
             r = rels.pop(ri)
             pos = next(i for i, letter in enumerate(r) if abs(letter) == gen)
             # r = u g v  (or u g^-1 v)  =>  g = u^-1 v^-1 (or v u)
-            u, v = tuple(r[:pos]), tuple(r[pos + 1:])
+            u, v = r[:pos], r[pos + 1:]
             if r[pos] > 0:
                 image = inverse_word(u) + inverse_word(v)
             else:
                 image = v + u
-            substitute_all(gen, freely_reduce(image))
+            images = {gen: freely_reduce(image)}
+            rels = [w for w in (_cyclic_reduce(substitute(r, images))
+                                for r in rels) if w]
             eliminated.add(gen)
             changed = True
 
@@ -375,7 +347,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
     subgroup.  A partial table that such a relabelling makes smaller
     before the first undefined entry of either is dropped, since every
     completion of it is too; only the least table of each class is
-    completed, and `_class_signature` keeps the result one per class.
+    completed.
     """
     ncols = 2 * g.ngens
     # each relator as its columns and the inverse of each column
@@ -385,7 +357,6 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
         if cols:
             rels.append((cols, [col ^ 1 for col in cols]))
     results: list[list[list[int]]] = []
-    seen_classes: set = set()
     budget = Budget(budget_seconds, max_tables, "tables tried",
                     lambda: f"{len(results)} subgroups found")
 
@@ -452,10 +423,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
         budget.tick()
         hole = first_hole(table)
         if hole is None:
-            key = _class_signature(table, ncols)
-            if key not in seen_classes:
-                seen_classes.add(key)
-                results.append([row[:] for row in table])
+            results.append(table)
             return
         c, col = hole
         candidates = [d for d in range(len(table))
@@ -475,25 +443,3 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
     recurse([[None] * ncols])
     results.sort(key=len)
     return results
-
-
-def _normalized_table(table, ncols: int, base: int) -> tuple:
-    """Relabel cosets by BFS from `base` in fixed column order."""
-    relabel = {base: 0}
-    order = [base]
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for col in range(ncols):
-            d = table[c][col]
-            if d not in relabel:
-                relabel[d] = len(relabel)
-                order.append(d)
-    return tuple(tuple(relabel[table[c][col]] for col in range(ncols))
-                 for c in order)
-
-
-def _class_signature(table, ncols: int) -> tuple:
-    """Canonical form of a table up to conjugacy (basepoint change)."""
-    return min(_normalized_table(table, ncols, b) for b in range(len(table)))

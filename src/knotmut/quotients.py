@@ -38,16 +38,17 @@ and O'Brien, Handbook of Computational Group Theory, 2005, ch. 9):
 The order of the returned homomorphisms is not part of the contract.
 
 The kernel of an epimorphism is the stabilizer of the identity in the
-action of G on Gamma by right translation; its abelianization comes
-from the exponent sums of Reidemeister-Schreier rewriting on that coset
-table.
+action of G on Gamma by right translation.  Its coset table is the
+breadth-first regular table that the fallback acceptance builds, and
+its abelianization comes from the exponent sums of Reidemeister-Schreier
+rewriting on that table.
 """
 
 from __future__ import annotations
 
 from .budget import Budget
 from .matrices import abelian_invariants
-from .permgroups import Perm, PermGroup, identity, order_reaches, perm_mul
+from .permgroups import Perm, PermGroup, identity, order_reaches
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
                             coset_table_from_images, tietze_simplify)
 
@@ -111,11 +112,13 @@ def _point_key(images: list[Perm], points: range) -> tuple[int, ...] | None:
 def _regular_table(images: list[Perm], e: Perm) -> tuple[tuple[int, ...], ...]:
     """Coset table of the image's regular action, labelled in BFS order.
 
-    The acceptance test for targets that do not declare
-    `automorphisms_induced`: its length is the order of the image, and
-    two homomorphisms from the same presentation have equal kernels
-    exactly when the tables agree.  It costs a search over every element
-    of the image.
+    Row i lists where each image sends element i under right
+    multiplication; the identity is row 0.  Its length is the order of
+    the image, and two homomorphisms from the same presentation have
+    equal kernels exactly when the tables agree: this is the acceptance
+    test for targets that do not declare `automorphisms_induced`, and
+    the coset table of the kernel in `kernel_abelianization`.  It costs
+    a search over every element of the image.
     """
     label = {e: 0}
     order = [e]
@@ -138,7 +141,10 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
                  budget_seconds: float | None = None) -> list[list[Perm]]:
     """One representative hom per kernel of a surjection onto `group`.
 
-    The order of the returned homs is not specified.  Raises
+    Each hom is the list of its generator images.  With `simplify=True`
+    the search runs on `tietze_simplify(g)`, and the images are on that
+    presentation's generators, not on `g`'s.  The order of the returned
+    homs is not specified.  Raises
     `ResourceLimitExceeded` once `max_nodes` candidate images are tried
     or `budget_seconds` have passed.
     """
@@ -211,11 +217,11 @@ def kernel_abelianization(g: GroupPresentation, images: list[Perm],
     """Abelian invariants of the kernel of the hom sending x_i to images[i].
 
     The hom must be given on the generators of `g` itself (no Tietze
-    simplification is applied here).
+    simplification is applied here), and must be onto `group`: raises
+    ValueError otherwise.
     """
-    elems, index = group.sorted_elements, group.index
-    perms = []
-    for p in images:
-        perms.append({index[e]: index[perm_mul(e, p)] for e in elems})
-    table = coset_table_from_images(g.ngens, perms, len(elems))
+    regular = _regular_table(images, identity(group.degree))
+    if len(regular) != group.order:
+        raise ValueError(f"the images do not generate {group.name}")
+    table = coset_table_from_images(g.ngens, list(zip(*regular)), len(regular))
     return abelian_invariants(*abelianized_schreier_rows(g, table))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from knotmut.diagram import BraidWord, braid_closure
+from knotmut.quotients import _point_key
 from knotmut.tangles import TangleDecomposition, rational_tangle, tangle_sum
 
 
@@ -28,6 +29,14 @@ def random_knot_braid(rng: random.Random, max_strands: int = 4,
 def random_knot_diagram(rng: random.Random, max_strands: int = 4,
                         max_letters: int = 10):
     return braid_closure(random_knot_braid(rng, max_strands, max_letters))
+
+
+def table_key(table, ngens: int) -> tuple:
+    """A complete coset table up to conjugacy of its subgroup: the point
+    key of its generators' columns, which two tables share exactly when
+    their actions differ by a relabelling of the cosets."""
+    cols = [tuple(row[2 * k] for row in table) for k in range(ngens)]
+    return _point_key(cols, range(len(table)))
 
 
 def vertical_twist(n):

@@ -19,18 +19,19 @@ from knotmut.laurent import (LaurentPoly, LaurentPoly2, RatFunc, parse_poly,
                              qint)
 from knotmut.permgroups import (alternating, builtin_targets, identity, psl2,
                                 symmetric)
-from knotmut.presentations import (GroupPresentation, _class_signature,
-                                   branched_cover_group,
-                                   branched_cover_group_pd,
-                                   coset_table_from_images,
+from knotmut.presentations import (GroupPresentation,
+                                   branched_cover_from_meridians, knot_group,
                                    low_index_subgroups, reidemeister_schreier,
-                                   subgroup_abelianization, tietze_simplify)
-from knotmut.quotients import epimorphisms, kernel_abelianization
+                                   subgroup_abelianization, tietze_simplify,
+                                   wirtinger_presentation)
+from knotmut.quotients import (_point_key, epimorphisms,
+                               kernel_abelianization)
 from knotmut.skein2 import (ResourceLimitExceeded, homfly, kauffman_f,
                             p_whitehead_plus)
 from knotmut.tangles import AXES, mutate, random_decomposition
 from knotmut.tl import TLElement, jones_wenzl
-from conftest import random_braid, random_knot_braid, random_knot_diagram
+from conftest import (random_braid, random_knot_braid, random_knot_diagram,
+                      table_key)
 
 DATA_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                          "paper_knots.txt")
@@ -47,9 +48,8 @@ def external_knot(name):
 
 def cover_group(name):
     d, braid = external_knot(name)
-    g = branched_cover_group(braid) if braid is not None else \
-        branched_cover_group_pd(d)
-    return tietze_simplify(g)
+    g = knot_group(braid) if braid is not None else wirtinger_presentation(d)
+    return tietze_simplify(branched_cover_from_meridians(g))
 
 
 class TestBracketOracle:
@@ -160,15 +160,15 @@ class TestDoubleCoverHomology:
     def test_known_values(self):
         from knotmut.diagram import KNOT_BRAIDS
         for name, h1 in (("trefoil", [3]), ("figure8", [5])):
-            g = tietze_simplify(branched_cover_group(
-                parse_braid(KNOT_BRAIDS[name])))
+            g = tietze_simplify(branched_cover_from_meridians(
+                knot_group(parse_braid(KNOT_BRAIDS[name]))))
             assert g.abelian_invariants() == h1
 
     def test_order_is_determinant(self):
         rng = random.Random(106)
         for _ in range(50):
             b = random_knot_braid(rng, max_letters=10)
-            g = tietze_simplify(branched_cover_group(b))
+            g = tietze_simplify(branched_cover_from_meridians(knot_group(b)))
             inv = g.abelian_invariants()
             p = alexander_braid(b)
             det = abs(sum(c if e % 2 == 0 else -c
@@ -203,11 +203,12 @@ def cycle_type_reps(n: int) -> list[tuple[int, ...]]:
 def representation_signatures(g: GroupPresentation, max_index: int) -> set:
     """Oracle for the low-index search: enumerate, generator by generator,
     all transitive permutation representations of degree <= max_index and
-    canonicalize their coset tables.
+    key each by its point action up to relabelling (`_point_key`, None
+    for an intransitive one).
 
     Conjugating every image by one permutation relabels the points, which
-    leaves the canonical signature unchanged, so the first generator
-    ranges over one permutation per cycle type only."""
+    leaves the key unchanged, so the first generator ranges over one
+    permutation per cycle type only."""
     out = set()
     for n in range(1, max_index + 1):
         elems = sorted(symmetric(n).elements())
@@ -219,23 +220,11 @@ def representation_signatures(g: GroupPresentation, max_index: int) -> set:
         ident = identity(n)
         images = []
 
-        def transitive():
-            orbit = {0}
-            stack = [0]
-            while stack:
-                p = stack.pop()
-                for im in images:
-                    if im[p] not in orbit:
-                        orbit.add(im[p])
-                        stack.append(im[p])
-            return len(orbit) == n
-
         def assign(k):
             if k > g.ngens:
-                if transitive():
-                    table = coset_table_from_images(
-                        g.ngens, [dict(enumerate(p)) for p in images], n)
-                    out.add((n, _class_signature(table, 2 * g.ngens)))
+                key = _point_key(images, range(n))
+                if key is not None:
+                    out.add((n, key))
                 return
             for p in (firsts if k == 1 else elems):
                 images.append(p)
@@ -268,8 +257,8 @@ class TestSubgroupSearch:
         for _ in range(20):
             g = random_presentation(rng)
             tables = low_index_subgroups(g, 5)
-            got = {(len(t), _class_signature(t, 2 * g.ngens))
-                   for t in tables}
+            got = {(len(t), table_key(t, g.ngens)) for t in tables}
+            assert len(got) == len(tables)   # one table per class
             assert got == representation_signatures(g, 5)
 
     def test_schreier_rows_vs_rewritten_presentation(self):
@@ -285,7 +274,6 @@ class TestSubgroupSearch:
 
     @pytest.mark.parametrize("braid", ("2 | 1 1 1", "3 | 1 -2 1 -2"))
     def test_epimorphisms_vs_enumeration(self, braid):
-        from knotmut.presentations import knot_group
         g = tietze_simplify(knot_group(parse_braid(braid)))
         for grp in builtin_targets(60):
             assert len(epimorphisms(g, grp, simplify=False)) == \
@@ -341,7 +329,8 @@ class TestCoverGroupDistinctions:
     def test_kernel_3_torsion(self):
         g1, g2 = cover_group("14_41721"), cover_group("14_42125")
         grp = psl2(7)
-        eps1, eps2 = epimorphisms(g1, grp), epimorphisms(g2, grp)
+        eps1 = epimorphisms(g1, grp, simplify=False)
+        eps2 = epimorphisms(g2, grp, simplify=False)
         assert len(eps1) == 1 and len(eps2) == 1
         a1 = kernel_abelianization(g1, eps1[0], grp)
         a2 = kernel_abelianization(g2, eps2[0], grp)
@@ -351,7 +340,8 @@ class TestCoverGroupDistinctions:
     def test_kernel_free_rank(self):
         g1, g2 = cover_group("15_148731"), cover_group("15_156433")
         grp = alternating(6)
-        eps1, eps2 = epimorphisms(g1, grp), epimorphisms(g2, grp)
+        eps1 = epimorphisms(g1, grp, simplify=False)
+        eps2 = epimorphisms(g2, grp, simplify=False)
         assert len(eps1) == 1 and len(eps2) == 1
         a1 = kernel_abelianization(g1, eps1[0], grp)
         a2 = kernel_abelianization(g2, eps2[0], grp)

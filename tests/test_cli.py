@@ -9,7 +9,7 @@ import pytest
 from conftest import pretzel
 from knotmut import cli, quotients
 from knotmut.cli import format_table1, main
-from knotmut.diagram import parse_knot_spec
+from knotmut.diagram import braid_closure, parse_braid, parse_knot_spec
 from knotmut.laurent import LaurentPoly2
 
 
@@ -134,6 +134,21 @@ class TestCoverCommands:
             outs.append(out.splitlines())
         assert len(outs[0]) == count
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("action", [["group"],
+                                        ["quotients", "--target", "D3"]])
+    def test_link_fails_on_both_routes(self, capsys, action):
+        # the relator x1^2 defines the cover only when every meridian is
+        # conjugate to x1, so the Hopf link is refused as a braid and as
+        # a PD code alike
+        hopf = parse_braid("2 | 1 1")
+        errs = []
+        for spec in ("braid: 2 | 1 1", f"pd: {braid_closure(hopf)}"):
+            code, out, err = run(capsys, "cover", *action, spec)
+            assert code == 1
+            assert out == ""
+            errs.append(err)
+        assert errs[0] == errs[1] == "error: diagram must be a knot\n"
 
     def test_quotient_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "epimorphisms", functools.partial(

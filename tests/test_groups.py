@@ -5,16 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pretzel, random_knot_braid
+from conftest import pretzel, random_knot_braid, table_key
 from knotmut.alexander import alexander_braid, alexander_pd
 from knotmut.diagram import braid_closure, named_knot, parse_braid
 from knotmut.freegroup import (abelian_exponent, artin_action,
                                fox_derivative_abelian, freely_reduce,
                                inverse_word, substitute)
 from knotmut.laurent import LaurentPoly
-from knotmut.presentations import (GroupPresentation, _class_signature,
-                                   branched_cover_group,
-                                   branched_cover_group_pd,
+from knotmut.presentations import (GroupPresentation,
+                                   branched_cover_from_meridians,
                                    coset_table_from_images,
                                    double_cover_presentation, knot_group,
                                    low_index_subgroups,
@@ -41,6 +40,9 @@ class TestFreeGroup:
     def test_substitute(self):
         images = {1: (2,), 2: (1, 1)}
         assert substitute((1, 2, -1), images) == (2, 1, 1, -2)
+        # a generator without an image stays, and cancels like any letter
+        assert substitute((1, 3, -1), {1: (2,)}) == (2, 3, -2)
+        assert substitute((3, 1, -3), {1: (-3,)}) == (-3,)
 
 
 class TestArtinAction:
@@ -115,19 +117,22 @@ class TestBranchedCover:
     @pytest.mark.parametrize("name", sorted(H1))
     def test_h1_known(self, name):
         from knotmut.diagram import KNOT_BRAIDS
-        g = branched_cover_group(parse_braid(KNOT_BRAIDS[name]))
+        g = branched_cover_from_meridians(
+            knot_group(parse_braid(KNOT_BRAIDS[name])))
         assert tietze_simplify(g).abelian_invariants() == self.H1[name]
 
     @pytest.mark.parametrize("name", ("trefoil", "figure8", "6_2"))
     def test_pd_route_matches(self, name):
-        g = branched_cover_group_pd(named_knot(name))
+        g = branched_cover_from_meridians(
+            wirtinger_presentation(named_knot(name)))
         assert tietze_simplify(g).abelian_invariants() == self.H1[name]
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=10, deadline=None)
     def test_order_matches_determinant(self, seed):
         b = random_knot_braid(random.Random(seed), max_letters=8)
-        inv = tietze_simplify(branched_cover_group(b)).abelian_invariants()
+        g = branched_cover_from_meridians(knot_group(b))
+        inv = tietze_simplify(g).abelian_invariants()
         p = alexander_braid(b)
         det = abs(sum(c if e % 2 == 0 else -c for e, c in p.coeffs.items()))
         order = 1
@@ -161,7 +166,8 @@ class TestCosetTables:
 
 class TestTietze:
     def test_preserves_abelianization(self):
-        g = branched_cover_group(parse_braid("3 | 1 1 1 2 -1 2"))
+        g = branched_cover_from_meridians(
+            knot_group(parse_braid("3 | 1 1 1 2 -1 2")))
         assert tietze_simplify(g).abelian_invariants() == \
             g.abelian_invariants()
 
@@ -177,7 +183,8 @@ class TestTietze:
         assert h.abelian_invariants() == g.abelian_invariants()
 
     def test_cyclic_cover_of_trefoil(self):
-        g = tietze_simplify(branched_cover_group(parse_braid("2 | 1 1 1")))
+        g = tietze_simplify(branched_cover_from_meridians(
+            knot_group(parse_braid("2 | 1 1 1"))))
         assert g.ngens == 1
         assert sorted(len(r) for r in g.relators) == [3]
 
@@ -218,7 +225,7 @@ class TestLowIndex:
         assert g.ngens == 3
         tables = low_index_subgroups(g, 5, max_tables=6000)
         assert len(tables) == 25
-        assert len({_class_signature(t, 2 * g.ngens) for t in tables}) == 25
+        assert len({table_key(t, g.ngens) for t in tables}) == 25
 
     def test_abelianization_of_index2(self):
         # the trefoil group has a single index-2 subgroup; H1 = Z + Z/3

@@ -10,7 +10,8 @@ from knotmut.diagram import parse_braid
 from knotmut.permgroups import (PermGroup, alternating, closure, cyclic,
                                 dihedral, identity, order_reaches, perm_inv,
                                 perm_mul, psl2, symmetric, builtin_targets)
-from knotmut.presentations import (GroupPresentation, branched_cover_group,
+from knotmut.presentations import (GroupPresentation,
+                                   branched_cover_from_meridians,
                                    coset_table_from_images,
                                    double_cover_presentation, knot_group,
                                    reidemeister_schreier, tietze_simplify)
@@ -196,10 +197,19 @@ class TestEpimorphisms:
         ("3 | 1 -2 1 -2", "D5", 0),  # abelian group, no nonabelian quotient
     ])
     def test_cover_quotients(self, knot, target, expected):
-        g = tietze_simplify(branched_cover_group(parse_braid(knot)))
+        g = tietze_simplify(branched_cover_from_meridians(
+            knot_group(parse_braid(knot))))
         grp = cyclic(int(target[1])) if target[0] == "C" else \
             dihedral(int(target[1]))
         assert len(epimorphisms(g, grp, simplify=False)) == expected
+
+    @pytest.mark.parametrize("group", [
+        cyclic(1), alternating(1), alternating(2), symmetric(1)],
+        ids=lambda grp: grp.name)
+    def test_trivial_targets(self, group):
+        # every group has exactly one kernel onto the trivial group
+        for g in (GroupPresentation(1, ((1, 1, 1),)), GroupPresentation(2, ())):
+            assert len(epimorphisms(g, group, simplify=False)) == 1
 
     @pytest.mark.parametrize("braid", ["2 | 1 1 1", "3 | 1 -2 1 -2"])
     @pytest.mark.parametrize("factory,n", [
@@ -275,7 +285,7 @@ class TestKernelAbelianization:
         g = THREE_GENERATOR[name]
         checked = 0
         for grp in (alternating(4), symmetric(4), dihedral(5), cyclic(6)):
-            index = grp.index
+            index = {p: i for i, p in enumerate(grp.sorted_elements)}
             for hom in epimorphisms(g, grp, simplify=False):
                 table = coset_table_from_images(
                     g.ngens, [{index[e]: index[perm_mul(e, p)] for e in index}
@@ -284,6 +294,12 @@ class TestKernelAbelianization:
                     reidemeister_schreier(g, table).abelian_invariants()
                 checked += 1
         assert checked >= 5
+
+    def test_not_onto_target(self):
+        # x1, x2 -> two 3-cycles generate Alt(3), not Sym(3)
+        free = GroupPresentation(2, ())
+        with pytest.raises(ValueError, match="do not generate S3"):
+            kernel_abelianization(free, [(1, 2, 0), (2, 0, 1)], symmetric(3))
 
     def test_trefoil_group_onto_S3(self):
         # kernel = center x rank-2 free group (the center x^2 = y^3 dies

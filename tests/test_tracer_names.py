@@ -1,0 +1,43 @@
+"""The benchmark tracer's names exist in knotmut.
+
+`perfbench/tracer.py` patches knotmut functions and methods by name.  A
+refactor that deletes or renames one of them fails here, rather than
+only when the benchmark runs traced.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("module,attr", [(m, a) for m, a, *_ in
+                                         tracer.FUNCTIONS],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_traced_function_exists(module, attr):
+    assert callable(getattr(module, attr, None))
+
+
+@pytest.mark.parametrize("cls,method", [(c, m) for c, m, _ in
+                                        tracer.METHODS],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_traced_method_is_own(cls, method):
+    # the tracer patches the class attribute, so an inherited method
+    # would be traced on the base class instead
+    assert method in cls.__dict__
