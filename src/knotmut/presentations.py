@@ -10,6 +10,10 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
     of the meridian-square quotient; double_cover_presentation checks
     that the diagram is a knot and gives the cover Tietze-simplified
     from a braid or a diagram
+  * tietze_simplify: the generator elimination and substring moves of
+    Havas, Kenne, Richardson and Robertson, "A Tietze transformation
+    program" (Computational Group Theory, 1984), which leave covers
+    with about as few generators whichever route built them
   * low_index_subgroups: coset-table backtracking that completes only
     the least table of each conjugacy class
   * subgroup presentations and abelianizations from any coset table
@@ -17,7 +21,9 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .budget import Budget
 from .diagram import BraidWord, wirtinger_arcs
@@ -257,66 +263,154 @@ def subgroup_abelianization(g: GroupPresentation,
 MAX_RELATOR_LENGTH = 2000
 
 
-def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
-    """Shorten a presentation by generator elimination and substitution."""
-    ngens = g.ngens
-    rels = [r for r in map(_cyclic_reduce, g.relators) if r]
+def _cyclic_key(r: Word) -> Word:
+    """The least rotation of `r` or its inverse: equal exactly for relators
+    that agree up to rotation and inversion.  Only the rotations that
+    start at the least letter can be the least."""
+    best = r
+    for w in (r, inverse_word(r)):
+        m = min(w)
+        for i, x in enumerate(w):
+            if x == m:
+                rot = w[i:] + w[:i]
+                if rot < best:
+                    best = rot
+    return best
 
+
+def _dedupe(rels: list[Word], keys: dict[Word, Word]) -> list[Word]:
+    """The relators with repeats up to rotation and inversion dropped;
+    `keys` caches each relator's `_cyclic_key` across calls."""
+    seen = set()
+    out = []
+    for r in rels:
+        key = keys.get(r)
+        if key is None:
+            key = keys[r] = _cyclic_key(r)
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
+
+
+def _eliminate(rels: list[Word]) -> tuple[int, list[Word]] | None:
+    """Eliminate one generator that occurs once in some relator.
+
+    The shortest such relator r = u g^e v is dropped and g = (u^-1 v^-1)
+    or (v u) substituted everywhere else, if that adds at most
+    MAX_RELATOR_LENGTH letters.  Returns the generator and the new
+    relators; None when no generator qualifies.
+    """
+    occ = Counter(map(abs, chain.from_iterable(rels)))
+    for ri in sorted(range(len(rels)), key=lambda i: len(rels[i])):
+        r = rels[ri]
+        gen = next((x for x, c in Counter(map(abs, r)).items()
+                    if c == 1 and (len(r) - 1) * (occ[x] - 1)
+                    <= MAX_RELATOR_LENGTH), None)
+        if gen is not None:
+            break
+    else:
+        return None
+    pos = next(i for i, letter in enumerate(r) if abs(letter) == gen)
+    u, v = r[:pos], r[pos + 1:]
+    image = {gen: freely_reduce(inverse_word(u) + inverse_word(v)
+                                if r[pos] > 0 else v + u)}
+    out = []
+    for i, s in enumerate(rels):
+        if i != ri:
+            if gen in s or -gen in s:
+                s = _cyclic_reduce(substitute(s, image))
+            if s:
+                out.append(s)
+    return gen, out
+
+
+def _substring_move(rels: list[Word]) -> list[Word] | None:
+    """Shorten one relator by a long cyclic subword of another.
+
+    If a cyclic subword w of s is a cyclic subword of r or r^-1 (for
+    another relator r) of more than half its length, a rotation of r^+-1
+    reads w u, so w = u^-1 and s can carry u^-1 instead of w: the
+    relators generate the same normal subgroup, and s gets 2|w| - |r|
+    letters shorter.  Every window of length |r|//2 + 1 of each r^+-1 is
+    indexed, so each position of s takes one slice and one lookup per
+    window length; a hit is extended as far as the words agree.  The
+    move that saves the most letters is applied; None when there is none.
+    """
+    windows: dict[int, dict[Word, list]] = {}
+    for ri, r in enumerate(rels):
+        n = len(r)
+        k = n // 2 + 1
+        index = windows.setdefault(k, {})
+        for w in (r, inverse_word(r)):
+            ww = w + w
+            for i in range(n):
+                index.setdefault(ww[i:i + k], []).append((ri, ww, i, n))
+    best = None
+    for si, s in enumerate(rels):
+        ns = len(s)
+        ss = s + s
+        for k, index in windows.items():
+            if k > ns:
+                continue
+            for j in range(ns):
+                hits = index.get(ss[j:j + k])
+                if hits is None:
+                    continue
+                for ri, ww, i, n in hits:
+                    if ri == si:
+                        continue
+                    m, top = k, min(ns, n)
+                    while m < top and ss[j + m] == ww[i + m]:
+                        m += 1
+                    saved = 2 * m - n
+                    if best is None or saved > best[0]:
+                        best = (saved, si, j, m, ww[i + m:i + n])
+    if best is None:
+        return None
+    _, si, j, m, u = best
+    s = rels[si]
+    rest = (s + s)[j + m:j + len(s)]
+    new = _cyclic_reduce(inverse_word(u) + rest)
+    out = rels[:si] + rels[si + 1:]
+    if new:
+        out.insert(si, new)
+    return out
+
+
+def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
+    """Shorten a presentation by Tietze transformations.
+
+    The moves are those of Havas, Kenne, Richardson and Robertson, "A
+    Tietze transformation program" (Computational Group Theory, 1984):
+    relators repeated up to rotation and inversion are dropped, a
+    generator that occurs once in some relator is eliminated (from the
+    shortest such relator), and when no generator can be eliminated a
+    relator is shortened by substituting a long common cyclic subword of
+    another (`_substring_move`).  Each elimination removes a generator
+    and each substring move removes letters, so the loop ends.  The
+    substring moves undo most of the letters that elimination adds, so
+    that a double branched cover keeps about as few generators whichever
+    route (braid or Wirtinger presentation) built it.
+    """
+    rels = [r for r in map(_cyclic_reduce, g.relators) if r]
     eliminated: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        # deduplicate (up to cyclic rotation and inversion)
-        seen = set()
-        uniq = []
-        for r in rels:
-            best = None
-            for w in (r, inverse_word(r)):
-                for i in range(len(w)):
-                    rot = w[i:] + w[:i]
-                    if best is None or rot < best:
-                        best = rot
-            if best not in seen:
-                seen.add(best)
-                uniq.append(r)
-        if len(uniq) != len(rels):
-            rels = uniq
-            changed = True
-        # eliminate a generator that appears exactly once in some relator
-        best_pick = None
-        occ: dict[int, int] = {}
-        for r in rels:
-            for letter in r:
-                occ[abs(letter)] = occ.get(abs(letter), 0) + 1
-        for ri, r in enumerate(rels):
-            counts: dict[int, int] = {}
-            for letter in r:
-                counts[abs(letter)] = counts.get(abs(letter), 0) + 1
-            for gen, c in counts.items():
-                if c == 1:
-                    cost = (len(r) - 1) * (occ[gen] - 1)
-                    if cost <= MAX_RELATOR_LENGTH:
-                        if best_pick is None or len(r) < len(rels[best_pick[0]]):
-                            best_pick = (ri, gen)
-        if best_pick is not None:
-            ri, gen = best_pick
-            r = rels.pop(ri)
-            pos = next(i for i, letter in enumerate(r) if abs(letter) == gen)
-            # r = u g v  (or u g^-1 v)  =>  g = u^-1 v^-1 (or v u)
-            u, v = r[:pos], r[pos + 1:]
-            if r[pos] > 0:
-                image = inverse_word(u) + inverse_word(v)
-            else:
-                image = v + u
-            images = {gen: freely_reduce(image)}
-            rels = [w for w in (_cyclic_reduce(substitute(r, images))
-                                for r in rels) if w]
+    keys: dict[Word, Word] = {}
+    while True:
+        rels = _dedupe(rels, keys)
+        step = _eliminate(rels)
+        if step is not None:
+            gen, rels = step
             eliminated.add(gen)
-            changed = True
+            continue
+        shorter = _substring_move(rels)
+        if shorter is None:
+            break
+        rels = shorter
 
     # relabel surviving generators contiguously; one in no relator is a
     # free factor and stays
-    used = [x for x in range(1, ngens + 1) if x not in eliminated]
+    used = [x for x in range(1, g.ngens + 1) if x not in eliminated]
     remap = {old: i + 1 for i, old in enumerate(used)}
     out = tuple(tuple((1 if letter > 0 else -1) * remap[abs(letter)]
                       for letter in r)

@@ -217,9 +217,12 @@ def kernel_abelianization(g: GroupPresentation, images: list[Perm],
     """Abelian invariants of the kernel of the hom sending x_i to images[i].
 
     The hom must be given on the generators of `g` itself (no Tietze
-    simplification is applied here), and must be onto `group`: raises
-    ValueError otherwise.
+    simplification is applied here), one image per generator, and must
+    be onto `group`: raises ValueError otherwise.
     """
+    if len(images) != g.ngens:
+        raise ValueError(f"{len(images)} images given for a presentation "
+                         f"on {g.ngens} generators")
     regular = _regular_table(images, identity(group.degree))
     if len(regular) != group.order:
         raise ValueError(f"the images do not generate {group.name}")

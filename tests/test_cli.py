@@ -159,15 +159,15 @@ class TestCoverCommands:
         assert err.startswith("resource limit:")
 
 
-# Each takes 2.5-11 s without a budget on 2 cores: epimorphisms onto A7
-# of a 3-generator cover, the 2- and 4-parallel brackets of 6_2, and a
-# low-index search that reaches its 200,000-table cap.
+# Each takes 1.4-5 s without a budget on 2 cores, at least 25 times the
+# budget: epimorphisms onto A7 (4.9 s) and the index-6 low-index search
+# (1.4 s) on the 3-generator, 48-letter double branched cover of this
+# braid's closure, and the 2- and 4-parallel brackets of 6_2.
+SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 SLOW_COMMANDS = (
-    ("cover", "quotients", "--target", "Alt(7)",
-     "braid: 5 | 1 3 -3 3 -3 -3 1 4 4 -1 1 1 -2 4"),
+    ("cover", "quotients", "--target", "Alt(7)", SLOW_COVER),
     ("cjones", "--color", "5", "6_2"),
-    ("cover", "lowindex", "--max", "5",
-     "braid: 5 | -3 3 -2 -2 -4 1 4 -2 -4 1 -2 3 -2 -1"),
+    ("cover", "lowindex", "--max", "6", SLOW_COVER),
 )
 
 

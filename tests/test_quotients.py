@@ -21,6 +21,21 @@ from knotmut.quotients import (_point_key, _regular_table, _search_order,
 from knotmut.skein2 import ResourceLimitExceeded
 
 
+# the cover of P(5,3,-2,-3) as generator elimination alone leaves it,
+# before Tietze had substring moves (the simplified cover has 3 generators)
+P5_3_M2_M3_FOUR_GENERATORS = (
+    (3, 1, 3, 4, 3, -4, 3, 4, 3, -1, -3, -4, -3, -1),
+    (1, 3, 4, 3, 1, 3, 4, 3, 1, -2, -3, -4, -3, -1, 3, 3, 4, 3, -2, -3, -4,
+     -3, -1, 3),
+    (-3, -4, -3, 1, 3, 4, 3, 2, -1, -3, -4, -3, -1, 2, -3, -4, -3, 1, 3, 4, 3,
+     2, -1, -3, -4, -3, -3, -4, -3),
+    (1, 3, 4, 3, 1, -2, -3, -4, -3, -1, 3, 4, 3, 4, 1, 3, 4, 3, 1, -2, -3, -4,
+     -3, -1, 3, 1, 3, 4, 3),
+    (-3, -4, -3, -1, -3, 1, 3, 4, 3, 2, -1, -3, -4, -3, -1, -3, -4, -3, -1, -3,
+     1, 3, 4, 3, 1, 3, 4, 3, 1, -2, -3, -4, -3, -1, 3, 4, 3, -2),
+)
+
+
 class TestPermGroups:
     def test_mul_convention(self):
         # (p * q)(i) = q(p(i)): left-to-right composition
@@ -254,11 +269,13 @@ class TestEpimorphisms:
             epimorphisms(g, symmetric(4), simplify=False, max_nodes=1)
 
     def test_search_order_closes_relators_early(self):
-        # the cover of P(5,3,-2,-3) keeps 4 generators, and only its
-        # shortest relator misses one (x2).  Searched in the given order it
+        # a 4-generator presentation of the cover of P(5,3,-2,-3), as
+        # greedy generator elimination left it, in which only the shortest
+        # relator misses a generator (x2).  Searched in the given order it
         # is checked at the last level only, and PSL(2,7) takes 5.6 million
         # candidate images; placing x1, x3, x4 first closes it at the third.
-        g = double_cover_presentation(pretzel(5, 3, -2, -3))
+        g = GroupPresentation(4, P5_3_M2_M3_FOUR_GENERATORS)
+        assert g.abelian_invariants() == [27]
         assert g.ngens == 4
         assert _search_order(g) == [1, 3, 4, 2]
         assert epimorphisms(g, psl2(7), simplify=False,
@@ -300,6 +317,18 @@ class TestKernelAbelianization:
         free = GroupPresentation(2, ())
         with pytest.raises(ValueError, match="do not generate S3"):
             kernel_abelianization(free, [(1, 2, 0), (2, 0, 1)], symmetric(3))
+
+    def test_images_for_another_presentation(self):
+        # epimorphisms simplifies by default, so its images are on the
+        # simplified cover's generators, not on the 5 of the braid route
+        g = branched_cover_from_meridians(knot_group(parse_braid("3 | 1 -2 1 -2")))
+        assert g.ngens == 5
+        homs = epimorphisms(g, cyclic(5))
+        assert homs and len(homs[0]) < 5
+        with pytest.raises(ValueError,
+                           match=f"{len(homs[0])} images given for a "
+                                 "presentation on 5 generators"):
+            kernel_abelianization(g, homs[0], cyclic(5))
 
     def test_trefoil_group_onto_S3(self):
         # kernel = center x rank-2 free group (the center x^2 = y^3 dies

@@ -56,17 +56,18 @@ class TestComputeReport:
 
 
 # Without a budget, on 2 cores: cjones_5 of 6_2 takes 2.5 s; on this
-# knot's 4-generator double branched cover, the S5 search takes 5 s and
-# the index-4 low-index search 3 s.
-SLOW_COVER = "braid: 5 | -3 3 -2 -2 -4 1 4 -2 -4 1 -2 3 -2 -1"
+# knot's 3-generator, 48-letter double branched cover, the searches onto
+# every built-in target up to A7 take 8.4 s and the index-6 low-index
+# search 1.3 s.
+SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 
 
 class TestTimeBudget:
     @pytest.mark.parametrize("spec, opts, key", [
         ("6_2", ReportOptions(colors=5, budget_seconds=0.05), "cjones_5"),
-        (SLOW_COVER, ReportOptions(quotients=True, quotients_max_order=120,
+        (SLOW_COVER, ReportOptions(quotients=True, quotients_max_order=2520,
                                    budget_seconds=0.05), "quotients"),
-        (SLOW_COVER, ReportOptions(lowindex=4, budget_seconds=0.05),
+        (SLOW_COVER, ReportOptions(lowindex=6, budget_seconds=0.05),
          "lowindex_abelian"),
     ], ids=("cjones_5", "quotients", "lowindex_abelian"))
     def test_item_is_resource_limited(self, spec, opts, key):

@@ -1,6 +1,7 @@
 """Smoke tests of the command-line scripts."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -44,6 +45,8 @@ class TestGroupSearchTiming:
         res = run_script("group_search_timing.py", "--targets", "Alt(5)",
                          "--index", "3")
         assert res.returncode == 0, res.stderr
-        assert "cover of P(3,3,-3,-2): 3 generators" in res.stdout
+        assert re.search(r"^cover of P\(3,3,-3,-2\): 21 generators, 85 letters "
+                         r"before Tietze, 3 generators, \d+ letters after, "
+                         r"\d+\.\d{3} s$", res.stdout, re.M)
         assert "epimorphisms onto Alt(5): 12 kernels" in res.stdout
         assert "low-index to 3: 5 classes" in res.stdout
