@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ArithmeticError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

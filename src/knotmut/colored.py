@@ -1,4 +1,4 @@
-"""Colored Jones polynomials and the trivalent-vertex coefficient calculus.
+"""Colored Jones polynomials by Chebyshev cabling.
 
 The N-colored Jones polynomial of a knot is the bracket of the companion
 cabled by (-1)^(N-1) e_{N-1}, where e_n is the Chebyshev basis of the
@@ -8,10 +8,6 @@ brackets of k-parallels of the diagram as drawn.  A full twist acts on
 e_n as the scalar (-1)^n A^(n^2+2n) (Lickorish, GTM 175, ch. 13), so one
 monomial factor in the writhe returns the sum to the zero framing.  The
 result is normalized by the unknot value [N] and written in q = a^2 = A^4.
-
-The vertex weights <a,b,c>, loop values <k>, fusion coefficients and
-the Gamma coefficients follow the standard trivalent-graph evaluations
-for this bracket normalization.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from __future__ import annotations
 from .bracket import kauffman_bracket
 from .budget import Budget
 from .diagram import PlanarDiagram
-from .laurent import InexactDivision, LaurentPoly, RatFunc, qint
+from .laurent import InexactDivision, LaurentPoly, qint
 from .satellites import cable
 
 
@@ -39,61 +35,6 @@ def chebyshev_basis(n: int) -> dict[int, int]:
             nxt[k] = nxt.get(k, 0) - c
         prev, cur = cur, {k: c for k, c in nxt.items() if c}
     return cur
-
-
-def bracket_loop_color(k: int) -> LaurentPoly:
-    """<k> = (-1)^k [k+1], the loop value of a k-colored unknot, in a."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    p = qint(k + 1)
-    return p if k % 2 == 0 else -p
-
-
-def admissible(a: int, b: int, c: int) -> bool:
-    """Parity and triangle conditions for colors meeting at a vertex."""
-    return ((a + b + c) % 2 == 0 and a + b >= c >= abs(a - b))
-
-
-def internal_colors(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """(i, j, k) with i=(b+c-a)/2, j=(a+c-b)/2, k=(a+b-c)/2."""
-    if not admissible(a, b, c):
-        raise ValueError(f"inadmissible triple {(a, b, c)}")
-    return ((b + c - a) // 2, (a + c - b) // 2, (a + b - c) // 2)
-
-
-def vertex_weight(a: int, b: int, c: int) -> LaurentPoly:
-    """<a,b,c> = (-1)^(i+j+k) [i+j+k+1]! [i]! [j]! [k]! / ([i+j]! [j+k]! [i+k]!)."""
-    from .laurent import qfact
-
-    i, j, k = internal_colors(a, b, c)
-    num = qfact(i + j + k + 1) * qfact(i) * qfact(j) * qfact(k)
-    den = qfact(i + j) * qfact(j + k) * qfact(i + k)
-    val = num.exact_div(den)
-    return val if (i + j + k) % 2 == 0 else -val
-
-
-def fusion_coefficients(a: int, b: int) -> list[tuple[int, RatFunc]]:
-    """Expansion of two parallel strands: [(c, <c>/<a,b,c>)] over admissible c."""
-    out = []
-    for c in range(abs(a - b), a + b + 1, 2):
-        coeff = RatFunc(bracket_loop_color(c), vertex_weight(a, b, c))
-        out.append((c, coeff))
-    return out
-
-
-class InadmissibleTerm(ValueError):
-    """A Gamma coefficient whose defining triples are not admissible."""
-
-
-def gamma_coeff(N: int, k1: int, k2: int) -> RatFunc:
-    """Gamma(N, k1, k2), the three-factor product of fusion coefficients."""
-    for triple in ((N, N, 2 * k1), (N, N, 2 * k2), (2 * k1, 2 * k2, 2 * k1)):
-        if not admissible(*triple):
-            raise InadmissibleTerm(f"triple {triple} not admissible")
-    f1 = RatFunc(bracket_loop_color(2 * k1), vertex_weight(N, N, 2 * k1))
-    f2 = RatFunc(bracket_loop_color(2 * k2), vertex_weight(N, N, 2 * k2))
-    f3 = RatFunc(bracket_loop_color(2 * k1), vertex_weight(2 * k1, 2 * k2, 2 * k1))
-    return f1 * f2 * f3
 
 
 def colored_jones_unnormalized(d: PlanarDiagram, N: int,

@@ -87,8 +87,3 @@ def fox_derivative_abelian(word, gen: int) -> LaurentPoly:
         else:
             e += 1 if g > 0 else -1
     return LaurentPoly("t", coeffs)
-
-
-def abelian_exponent(word) -> int:
-    """Total exponent sum (the image in the abelianization Z)."""
-    return sum(1 if g > 0 else -1 for g in word)

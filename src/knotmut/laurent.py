@@ -3,8 +3,7 @@
 Single-variable Laurent polynomials carry a variable tag so that values
 living in different rings (bracket variable A, its square a, q = a^2,
 t = 1/q, the annulus variable z, ...) cannot be mixed silently.
-Two-variable polynomials cover the (l, m) skein ring, and RatFunc is the
-fraction field needed by Jones-Wenzl coefficients.
+Two-variable polynomials cover the (l, m) skein ring.
 
 All coefficients are Python ints, so nothing ever overflows.
 """
@@ -79,9 +78,6 @@ class LaurentPoly:
 
     def min_exp(self) -> int:
         return min(self.coeffs)
-
-    def max_exp(self) -> int:
-        return max(self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -440,216 +436,13 @@ def parse_poly2(text: str, variables: tuple[str, str] = ("l", "m")) -> LaurentPo
     return LaurentPoly2(coeffs, variables)
 
 
-class RatFunc:
-    """Quotient of two LaurentPoly in the same variable.
-
-    Not kept gcd-reduced (gcd in Laurent rings is costly); equality is by
-    cross-multiplication and reduction to a polynomial happens only on
-    demand via :meth:`reduce`.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | int = 1):
-        if isinstance(den, int):
-            den = LaurentPoly.const(num.var, den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        num._check(den)
-        num, den = _reduce_fraction(num, den)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RatFunc":
-        return cls(p, LaurentPoly.one(p.var))
-
-    @property
-    def var(self):
-        return self.num.var
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_one(self):
-        return self.num == self.den
-
-    def _coerce(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, LaurentPoly):
-            return RatFunc.from_poly(other)
-        if isinstance(other, int):
-            return RatFunc.from_poly(LaurentPoly.const(self.var, other))
-        raise TypeError(f"cannot coerce {other!r}")
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def inverse(self) -> "RatFunc":
-        return RatFunc(self.den, self.num)
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        # hash via reduced-if-possible canonical witness: evaluate structure
-        try:
-            return hash(("ratfunc-poly", self.reduce()))
-        except InexactDivision:
-            return hash(("ratfunc", self.var))
-
-    def reduce(self) -> LaurentPoly:
-        """Exact reduction to a LaurentPoly; raises InexactDivision if impossible."""
-        return self.num.exact_div(self.den)
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RatFunc({self!s})"
-
-
-def _poly_gcd(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """Gcd of two nonzero integer polynomials (exponents >= 0), primitive."""
-    from fractions import Fraction
-    from math import gcd as igcd
-
-    def content(d):
-        g = 0
-        for c in d.values():
-            g = igcd(g, c)
-        return g
-
-    def primitive(d):
-        g = content(d)
-        return {e: c // g for e, c in d.items()}
-
-    a, b = primitive(p), primitive(q)
-    # Euclid over Q, tracking only the remainder sequence
-    fa = {e: Fraction(c) for e, c in a.items()}
-    fb = {e: Fraction(c) for e, c in b.items()}
-    while fb:
-        # fa mod fb
-        db = max(fb)
-        lb = fb[db]
-        r = dict(fa)
-        while r and max(r) >= db:
-            dr = max(r)
-            f = r[dr] / lb
-            for e, c in fb.items():
-                ne = e + dr - db
-                nv = r.get(ne, 0) - f * c
-                if nv:
-                    r[ne] = nv
-                else:
-                    r.pop(ne, None)
-        fa, fb = fb, r
-    # clear denominators, make primitive with positive leading coefficient
-    lcm = 1
-    for c in fa.values():
-        lcm = lcm * c.denominator // igcd(lcm, c.denominator)
-    d = {e: int(c * lcm) for e, c in fa.items()}
-    d = primitive(d)
-    if d[max(d)] < 0:
-        d = {e: -c for e, c in d.items()}
-    return d
-
-
-def _reduce_fraction(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Cancel the gcd and common monomial content of a Laurent fraction."""
-    var = num.var
-    if num.is_zero():
-        return LaurentPoly.zero(var), LaurentPoly.one(var)
-    # shift both to ordinary polynomials with nonzero constant term
-    ns, ds = num.min_exp(), den.min_exp()
-    p = {e - ns: c for e, c in num.coeffs.items()}
-    q = {e - ds: c for e, c in den.coeffs.items()}
-    g = _poly_gcd(p, q)
-    if len(g) > 1 or g.get(0) not in (1, -1):
-        gp = LaurentPoly(var, g)
-        num2 = LaurentPoly(var, p).exact_div(gp)
-        den2 = LaurentPoly(var, q).exact_div(gp)
-    else:
-        num2 = LaurentPoly(var, p)
-        den2 = LaurentPoly(var, q)
-    # put the monomial shift back on the numerator only
-    shift = ns - ds
-    if shift:
-        num2 = LaurentPoly(var, {e + shift: c for e, c in num2.coeffs.items()})
-    # normalize sign and integer content of the denominator
-    from math import gcd as igcd
-
-    gden = 0
-    for c in den2.coeffs.values():
-        gden = igcd(gden, c)
-    gnum = 0
-    for c in num2.coeffs.values():
-        gnum = igcd(gnum, c)
-    gg = igcd(gden, gnum)
-    if gg > 1:
-        num2 = LaurentPoly(var, {e: c // gg for e, c in num2.coeffs.items()})
-        den2 = LaurentPoly(var, {e: c // gg for e, c in den2.coeffs.items()})
-    if den2.coeffs[den2.max_exp()] < 0:
-        num2, den2 = -num2, -den2
-    return num2, den2
-
-
 # -- quantum integers -------------------------------------------------
 
-def qbrace(n: int) -> LaurentPoly:
-    """{n} = a^n - a^-n in the variable a."""
-    if n == 0:
-        return LaurentPoly.zero("a")
-    return LaurentPoly("a", {n: 1, -n: -1})
-
-
 def qint(n: int) -> LaurentPoly:
-    """[n] = {n}/{1}; the balanced quantum integer, [0]=0, [1]=1."""
+    """[n] = (a^n - a^-n)/(a - a^-1), the balanced quantum integer; [0]=0."""
     if n < 0:
         raise ValueError("qint requires n >= 0")
     if n == 0:
         return LaurentPoly.zero("a")
     # a^(n-1) + a^(n-3) + ... + a^(1-n)
     return LaurentPoly("a", {n - 1 - 2 * i: 1 for i in range(n)})
-
-
-def qfact(n: int) -> LaurentPoly:
-    """[n]! = [1][2]...[n], with [0]! = 1."""
-    if n < 0:
-        raise ValueError("qfact requires n >= 0")
-    out = LaurentPoly.one("a")
-    for k in range(1, n + 1):
-        out = out * qint(k)
-    return out

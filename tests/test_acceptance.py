@@ -15,8 +15,7 @@ from knotmut.bracket import bracket_state_sum, jones, kauffman_bracket
 from knotmut.colored import colored_jones
 from knotmut.diagram import (PlanarDiagram, braid_closure, connected_sum,
                              load_knot_file, mirror, named_knot, parse_braid)
-from knotmut.laurent import (LaurentPoly, LaurentPoly2, RatFunc, parse_poly,
-                             qint)
+from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly
 from knotmut.permgroups import (alternating, builtin_targets, identity, psl2,
                                 symmetric)
 from knotmut.presentations import (GroupPresentation,
@@ -29,7 +28,6 @@ from knotmut.quotients import (_point_key, epimorphisms,
 from knotmut.skein2 import (ResourceLimitExceeded, homfly, kauffman_f,
                             p_whitehead_plus)
 from knotmut.tangles import AXES, mutate, random_decomposition
-from knotmut.tl import TLElement, jones_wenzl
 from conftest import (random_braid, random_knot_braid, random_knot_diagram,
                       table_key)
 
@@ -123,35 +121,6 @@ class TestColoredStructure:
         a, b = named_knot("trefoil"), named_knot("figure8")
         assert colored_jones(connected_sum(a, b), n) == \
             colored_jones(a, n) * colored_jones(b, n)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_projector_idempotent(self, n):
-        f = jones_wenzl(n)
-        assert f * f == f
-
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_projector_kills_turnbacks(self, n):
-        f = jones_wenzl(n)
-        for i in range(n - 1):
-            u = TLElement.generator(n, i)
-            assert (u * f).is_zero()
-            assert (f * u).is_zero()
-
-
-class TestFusionCoefficients:
-    """Criterion 5: basic fusion and theta-normalization data."""
-
-    def test_fusion_of_two_strands(self):
-        from knotmut.colored import fusion_coefficients
-        got = dict(fusion_coefficients(1, 1))
-        one = LaurentPoly.one("a")
-        assert got == {0: RatFunc(-one, qint(2)), 2: RatFunc(one, one)}
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_gamma_normalization(self, n):
-        from knotmut.colored import gamma_coeff
-        one = LaurentPoly.one("a")
-        assert gamma_coeff(n, 0, 0) == RatFunc(one, qint(n + 1) ** 2)
 
 
 class TestDoubleCoverHomology:

@@ -65,6 +65,33 @@ class TestPolynomialCommands:
         assert "error" in err
 
 
+# every subcommand that takes one knot, on a two-component link
+LINK_SWEEP = (
+    ("jones",), ("alexander",), ("homfly",), ("kauffman",),
+    ("cjones", "--color", "3"), ("cable",), ("double",),
+    ("cover", "group"), ("cover", "abelian"), ("cover", "lowindex"),
+    ("cover", "quotients"), ("cover", "kernel-abelian"), ("report",),
+)
+
+
+class TestLinkSweep:
+    @pytest.mark.parametrize("argv", LINK_SWEEP, ids=" ".join)
+    def test_link_input_ends_cleanly(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "hopf_plus")
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error:")
+            assert err.count("\n") == 1
+
+    def test_jones_of_odd_link(self, capsys):
+        # three components: the Jones polynomial has integer exponents
+        code, out, _ = run(capsys, "jones", "braid: 3 | 1 1 2 2")
+        assert code == 0
+        assert out.strip() == "t + 2t^3 + t^5"
+
+
 class TestDiagramCommands:
     def test_cable_emits_parseable_pd(self, capsys):
         code, out, _ = run(capsys, "cable", "--strands", "2",

@@ -1,4 +1,4 @@
-"""Colored Jones polynomials and the trivalent coefficient calculus."""
+"""Colored Jones polynomials by Chebyshev cabling, against independent routes."""
 
 import random
 
@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import pretzel, random_knot_diagram
 from knotmut.bracket import jones, kauffman_bracket
-from knotmut.colored import (InadmissibleTerm, admissible, bracket_loop_color,
-                             chebyshev_basis, colored_jones,
-                             colored_jones_unnormalized, fusion_coefficients,
-                             gamma_coeff, vertex_weight)
+from knotmut.colored import (chebyshev_basis, colored_jones,
+                             colored_jones_unnormalized)
 from knotmut.diagram import (PlanarDiagram, connected_sum, mirror, named_knot,
                              parse_braid, braid_closure, zero_framed)
-from knotmut.laurent import LaurentPoly, RatFunc, qint
+from knotmut.laurent import LaurentPoly, qint
 from knotmut.satellites import cable
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
@@ -30,42 +28,6 @@ class TestChebyshev:
         # e_n(2) = n+1 (Chebyshev at z = 2)
         for n in range(8):
             assert sum(c * 2**k for k, c in chebyshev_basis(n).items()) == n + 1
-
-
-class TestVertexCalculus:
-    def test_admissibility(self):
-        assert admissible(1, 1, 2)
-        assert admissible(1, 1, 0)
-        assert not admissible(1, 1, 1)   # parity
-        assert not admissible(1, 1, 4)   # triangle
-
-    def test_loop_colors(self):
-        assert bracket_loop_color(0).is_one()
-        assert bracket_loop_color(1) == -qint(2)
-        assert bracket_loop_color(2) == qint(3)
-
-    def test_fusion_1_1(self):
-        got = dict(fusion_coefficients(1, 1))
-        assert set(got) == {0, 2}
-        assert got[0] == RatFunc(-LaurentPoly.one("a"), qint(2))
-        assert got[2] == RatFunc.from_poly(LaurentPoly.one("a"))
-
-    @pytest.mark.parametrize("N", range(1, 7))
-    def test_gamma_N00(self, N):
-        assert gamma_coeff(N, 0, 0) == RatFunc(LaurentPoly.one("a"),
-                                               qint(N + 1) ** 2)
-
-    def test_gamma_inadmissible(self):
-        with pytest.raises(InadmissibleTerm):
-            gamma_coeff(1, 1, 3)
-
-    def test_vertex_weight_nn0(self):
-        # <N,N,0> = (-1)^N [N+1]
-        for n in range(1, 5):
-            expect = qint(n + 1)
-            if n % 2:
-                expect = -expect
-            assert vertex_weight(n, n, 0) == expect
 
 
 class TestColoredJones:
@@ -142,3 +104,41 @@ class TestFramingCorrection:
         assert d.component_count() == 1
         assert d.writhe() == -5
         assert colored_jones(d, 3) == kink_route(d, 3)
+
+
+def habiro_figure8(N):
+    """J_N(4_1) = sum_{n<N} prod_{k=1..n} (q^N + q^-N - q^k - q^-k)."""
+    total, term = LaurentPoly.zero("q"), LaurentPoly.one("q")
+    for n in range(N):
+        if n:
+            term = term * LaurentPoly("q", {N: 1, -N: 1, n: -1, -n: -1})
+        total = total + term
+    return total
+
+
+def masbaum_trefoil(N):
+    """J_N(3_1) = q^(1-N) sum_{n<N} q^(-nN) prod_{k=1..n} (1 - q^(k-N))."""
+    total, term = LaurentPoly.zero("q"), LaurentPoly.one("q")
+    for n in range(N):
+        if n:
+            term = term * LaurentPoly("q", {0: 1, n - N: -1})
+        total = total + LaurentPoly.monomial("q", 1 - N - n * N) * term
+    return total
+
+
+class TestClosedForms:
+    """The cabling engine against the cyclotomic closed forms of Habiro and
+    Masbaum (Masbaum, AGT 3, 2003), which use neither the bracket nor a
+    cable."""
+
+    @pytest.mark.parametrize("N", range(1, 6))
+    def test_figure8(self, N):
+        assert colored_jones(named_knot("figure8"), N) == habiro_figure8(N)
+
+    @pytest.mark.parametrize("N", range(1, 6))
+    def test_trefoil_and_mirror(self, N):
+        # the mirror takes q to 1/q, which pins the chirality convention
+        j = masbaum_trefoil(N)
+        assert colored_jones(named_knot("trefoil"), N) == j
+        assert colored_jones(named_knot("trefoil_mirror"), N) == \
+            j.invert_var()

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotmut.laurent import (InexactDivision, LaurentPoly, LaurentPoly2,
-                             RatFunc, VariableMismatch, parse_poly,
-                             parse_poly2, qbrace, qfact, qint)
+                             VariableMismatch, parse_poly, parse_poly2, qint)
 
 
 def poly(coeffs, var="t"):
@@ -103,25 +102,6 @@ class TestLaurentPoly2:
         assert parse_poly2(str(p)) == p
 
 
-class TestRatFunc:
-    def test_reduction(self):
-        a = RatFunc(poly({0: 2, 1: 2}), poly({0: 4}))
-        b = RatFunc(poly({0: 1, 1: 1}), poly({0: 2}))
-        assert a == b
-
-    def test_field_ops(self):
-        x = RatFunc(poly({1: 1}), poly({0: 1, 1: 1}))
-        assert x + x == 2 * x
-        assert (x * x.inverse()).is_one()
-        assert x - x == RatFunc.from_poly(poly({}))
-
-    def test_reduce_to_poly(self):
-        x = RatFunc(poly({2: 1, 1: 1}), poly({1: 1}))
-        assert x.reduce() == poly({0: 1, 1: 1})
-        with pytest.raises(InexactDivision):
-            RatFunc(poly({0: 1}), poly({0: 1, 1: 1})).reduce()
-
-
 class TestQuantumIntegers:
     def test_qint_values(self):
         # balanced form: [n] = a^(n-1) + a^(n-3) + ... + a^(1-n)
@@ -129,11 +109,3 @@ class TestQuantumIntegers:
         assert qint(1) == LaurentPoly.one("a")
         assert qint(2) == LaurentPoly("a", {-1: 1, 1: 1})
         assert qint(3) == LaurentPoly("a", {-2: 1, 0: 1, 2: 1})
-
-    def test_qbrace(self):
-        assert qbrace(2) == LaurentPoly("a", {-2: -1, 2: 1})
-        assert qint(5) * qbrace(1) == qbrace(5)
-
-    def test_qfact(self):
-        assert qfact(0) == LaurentPoly.one("a")
-        assert qfact(3) == qint(1) * qint(2) * qint(3)
