@@ -30,6 +30,24 @@ class TestChebyshev:
             assert sum(c * 2**k for k, c in chebyshev_basis(n).items()) == n + 1
 
 
+class TestVertexCalculus:
+    """The closed e_n-colored loop, the base case of the trivalent calculus,
+    read off the bracket of parallels of the unknot."""
+
+    def test_loop_colors(self):
+        # <e_n-colored unknot> = (-1)^n [n+1] with a = A^2
+        for n in range(6):
+            loop = LaurentPoly.zero("A")
+            for k, c in chebyshev_basis(n).items():
+                br = (kauffman_bracket(cable(UNKNOT, k, 0)) if k
+                      else LaurentPoly.one("A"))
+                loop = loop + c * br
+            expect = qint(n + 1)
+            if n % 2:
+                expect = -expect
+            assert loop.shrink(2, "a") == expect
+
+
 class TestColoredJones:
     def test_unknot_all_colors(self):
         for n in range(1, 5):

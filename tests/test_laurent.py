@@ -109,3 +109,9 @@ class TestQuantumIntegers:
         assert qint(1) == LaurentPoly.one("a")
         assert qint(2) == LaurentPoly("a", {-1: 1, 1: 1})
         assert qint(3) == LaurentPoly("a", {-2: 1, 0: 1, 2: 1})
+
+    def test_qbrace(self):
+        # [n] (a - a^-1) telescopes to a^n - a^-n
+        brace_1 = LaurentPoly("a", {1: 1, -1: -1})
+        for n in range(1, 7):
+            assert qint(n) * brace_1 == LaurentPoly("a", {n: 1, -n: -1})
