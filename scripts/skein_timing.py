@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Time the satellite skein trees on a list of companion knots.
+
+For each companion the script prints one line per satellite polynomial:
+the HOMFLY polynomial of the untwisted Whitehead double, the HOMFLY
+polynomial of the 2-cable, and the Kauffman polynomial of the Whitehead
+double.  Each line gives the nodes the resolution tree expanded, the
+seconds it took, and whether it finished within `--budget-seconds`.  The
+default companions are those of the benchmark's satellites workload: seven
+named knots and two 7-crossing 2-bridge knots glued from rational tangles.
+
+    python3 scripts/skein_timing.py
+    python3 scripts/skein_timing.py --budget-seconds 10 6_2 "braid: 3 | 1 1 2 -1 2"
+"""
+
+import argparse
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+from knotmut import skein2
+from knotmut.diagram import parse_knot_spec
+from knotmut.satellites import cable, whitehead_double
+from knotmut.tangles import TangleDecomposition, rational_tangle
+
+NAMED = ("trefoil", "figure8", "5_1", "5_2", "6_1", "6_2", "6_3")
+# (outer, inner) rational-tangle vectors of the two 2-bridge companions
+TWO_BRIDGE = (((0, -4), (0, -3)), ((0, -4), (0, -1, -2)))
+
+
+def companions(specs):
+    """(name, diagram) of each knot spec, or of the default companions."""
+    if specs:
+        for spec in specs:
+            name, d, _ = parse_knot_spec(spec)
+            yield name or spec, d
+        return
+    for spec in NAMED:
+        yield parse_knot_spec(spec)[:2]
+    for a, b in TWO_BRIDGE:
+        d = TangleDecomposition(rational_tangle(list(a)),
+                                rational_tangle(list(b))).glue(f"2b{a}{b}")
+        yield d.name, d
+
+
+def satellites(d):
+    """(name, engine, diagram) of the three satellite polynomials of d."""
+    double = whitehead_double(d, -d.writhe(), 1)
+    return (("whitehead_homfly", skein2.homfly, double),
+            ("cable_homfly", skein2.homfly, cable(d, 2, -1)),
+            ("whitehead_kauffman", skein2.kauffman_f, double))
+
+
+def run(engine, d, budget_seconds):
+    """(nodes, seconds, finished) of one tree."""
+    budget = skein2.Budget
+    made = []
+
+    class Counting(budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    skein2.Budget = Counting
+    start = time.perf_counter()
+    try:
+        engine(d, budget_seconds=budget_seconds, max_nodes=None)
+        finished = True
+    except skein2.ResourceLimitExceeded:
+        finished = False
+    finally:
+        skein2.Budget = budget
+    return made[0].nodes, time.perf_counter() - start, finished
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("knots", nargs="*",
+                    help="companions, as knot specs of the `knotmut` "
+                         "commands (default: the benchmark's)")
+    ap.add_argument("--budget-seconds", type=float, default=2.0,
+                    help="time budget of each tree")
+    args = ap.parse_args()
+
+    total_nodes, total_s = 0, 0.0
+    for name, d in companions(args.knots):
+        for job, engine, sat in satellites(d):
+            nodes, s, finished = run(engine, sat, args.budget_seconds)
+            total_nodes += nodes
+            total_s += s
+            print(f"{name} {job}: {nodes} nodes, {s:.3f} s, "
+                  f"{'done' if finished else 'limited'}")
+    print(f"total: {total_nodes} nodes, {total_s:.3f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -270,7 +270,15 @@ def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:
 
 
 def jones(d: PlanarDiagram, budget_seconds: float | None = None) -> LaurentPoly:
-    """Jones polynomial in t (integer powers only for knots)."""
+    """Jones polynomial in t, of a link with an odd number of components.
+
+    With an even number the polynomial has half-integer powers of t, and
+    ValueError is raised.
+    """
+    k = d.component_count()
+    if k % 2 == 0:
+        raise ValueError(f"{d.name or 'the link'} has {k} components, so its "
+                         "Jones polynomial has half-integer powers of t")
     w = d.writhe()
     br = kauffman_bracket(d, budget_seconds).exact_div(DELTA)
     # multiply by (-A^3)^(-w)

@@ -9,21 +9,36 @@ The Kauffman polynomial is computed in the Dubrovnik form
 a regular-isotopy invariant with D(curl+-) = a^(+-1) D, normalized to
 F = a^(-writhe) D with F(unknot) = 1.
 
+A node's state has no arc labels.  Its legs are positions
+p = 4 * crossing + slot, and `o[p]` is the position at the other end of
+the arc at p, so deleting crossings and joining their outer arcs is a few
+writes to `o`.  Each crossing keeps its sign and an offset: logical leg l
+(the PD leg, 0 the incoming under-strand) sits in slot (l + offset) & 3.
+A switch, or a strand reversed by an unoriented smoothing, changes only
+the sign and the offset of a crossing.  Signs are tracked locally through
+every move (never re-derived globally), because the planar-diagram
+encoding of an isolated curl does not determine its handedness.
+
+Before its memo lookup every node is reduced by Reidemeister-I and -II
+moves: curls, and bigons in which one strand passes over the other at
+both crossings.  Both are regular isotopies, so D changes only by
+a^(+-1) per curl and P not at all.  Switching one crossing of a twist
+region leaves such a bigon, which the tree would otherwise resolve in
+full.  Only crossings at an arc changed by the last move are checked.
+The node is then compacted: deleted crossings are dropped and every
+offset is turned to 0, so that the memo key is the partner of every
+logical leg, with the signs and the free loops.
+
 Both engines resolve at the first crossing that is reached on its
 under-strand during a basepoint traversal; descending diagrams are
-unlinks and are evaluated directly.  Before its memo lookup every node is
-reduced by Reidemeister-I and -II moves: curls, and bigons in which one
-strand passes over the other at both crossings.  Both are regular
-isotopies, so D changes only by a^(+-1) per curl and P not at all.
-Switching one crossing of a twist region leaves such a bigon, which the
-tree would otherwise resolve in full.  Only crossings that hold an arc
-changed by the last move are checked.
-
-Crossing orientations are tracked locally through every move (never
-re-derived globally), because the planar-diagram encoding of an isolated
-curl does not determine its handedness.  Coefficients are plain
-{(e1, e2): int} dicts inside the trees; every factor of the relations
-is a monomial, applied as an exponent shift.
+unlinks and are evaluated directly.  Each component's traversal starts
+on the over-strand of the first crossing, in crossing order, that no
+earlier traversal passed, just before it enters that crossing.  The
+basepoint thus depends only on the compacted state, never on how the
+node was reached, and a switch never moves it: the crossing it starts
+at is met on its over-strand first, so it is never the one resolved.
+Coefficients are plain {(e1, e2): int} dicts inside the trees; every
+factor of the relations is a monomial, applied as an exponent shift.
 """
 
 from __future__ import annotations
@@ -74,169 +89,185 @@ def _power_table(delta: dict):
     return power
 
 
-class _RDiagram:
-    """Resolution state: crossing tuples with locally tracked over-dirs.
+# _SLOTS[f] = (f, f+1, f+2, f+3) mod 4: the slots of logical legs 0..3 at
+# a crossing whose offset is f, and the slots counterclockwise from f.
+_SLOTS = tuple(tuple((leg + f) & 3 for leg in range(4)) for f in range(4))
 
-    A deleted crossing leaves a None hole, so positions stay valid:
-    `ends[a]` holds the positions 4 * i + leg of arc a's two endpoints.
-    `touched` holds the arcs renamed or moved since the last `reduce()`.
+
+class _RDiagram:
+    """Resolution state on leg positions p = 4 * crossing + slot.
+
+    `o[p]` is the position at the other end of the arc at p, so an arc is
+    a pair of positions and has no label.  Logical leg l of crossing i
+    (the PD leg: 0 is the incoming under-strand) sits in slot
+    (l + off[i]) & 3.  `dirs[i]` is the sign of crossing i, None once it
+    is deleted; `touched` holds the crossings to check in `reduce()`.
+
+    `key()` compacts the state: no crossing is deleted and every offset
+    is 0 afterwards.  The moves and `first_bad` are made on a compacted
+    state only, so they read logical legs straight off the slots.
     """
 
-    __slots__ = ("crossings", "dirs", "ends", "free_loops", "touched")
+    __slots__ = ("o", "dirs", "off", "free_loops", "touched")
 
-    def __init__(self, crossings, dirs, ends, free_loops, touched):
-        self.crossings = crossings
+    def __init__(self, o, dirs, off, free_loops, touched):
+        self.o = o
         self.dirs = dirs
-        self.ends = ends
+        self.off = off
         self.free_loops = free_loops
         self.touched = touched
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
-        ends: dict[int, tuple[int, ...]] = {}
+        o = [0] * (4 * len(d.crossings))
+        first: dict[int, int] = {}
         for i, x in enumerate(d.crossings):
             for leg, a in enumerate(x):
-                ends[a] = ends.get(a, ()) + (4 * i + leg,)
-        return cls(list(d.crossings), list(d.positive), ends, d.free_loops,
-                   set(ends))
+                p = 4 * i + leg
+                q = first.pop(a, None)
+                if q is None:
+                    first[a] = p
+                else:
+                    o[p], o[q] = q, p
+        n = len(d.crossings)
+        return cls(o, list(d.positive), [0] * n, d.free_loops, set(range(n)))
 
     def copy(self) -> "_RDiagram":
-        return _RDiagram(list(self.crossings), list(self.dirs),
-                         dict(self.ends), self.free_loops, set())
+        return _RDiagram(self.o[:], self.dirs[:], self.off[:],
+                         self.free_loops, set())
 
     def key(self):
-        flat = [a for x in self.crossings if x is not None for a in x]
-        index = dict(zip(dict.fromkeys(flat), range(len(flat))))
-        return (tuple(map(index.__getitem__, flat)),
-                tuple(dr for dr in self.dirs if dr is not None),
-                self.free_loops)
+        """Compact the state and return its memo key.
 
-    def writhe(self) -> int:
-        return sum(1 if dr else -1 for dr in self.dirs if dr is not None)
-
-    def _head(self, a: int) -> int:
-        """Position at which arc a is absorbed."""
-        p, q = self.ends[a]
-        leg = p & 3
-        # leg 0 absorbs, and leg 3 at a positive crossing, leg 1 otherwise
-        if leg == 0 or (leg & 1 and (leg == 3) == self.dirs[p >> 2]):
-            return p
-        return q
-
-    def _rotate(self, k: int, r: int):
-        """Turn crossing k's tuple so that the arc on leg l moves to l + r."""
-        x = self.crossings[k]
-        self.crossings[k] = x[-r:] + x[:-r]
-        base = 4 * k
-        for a in set(x):
-            self.ends[a] = tuple(base + ((p + r) & 3) if p >> 2 == k else p
-                                 for p in self.ends[a])
-
-    def _next(self, a: int) -> int:
-        """The arc that follows a along its component."""
-        p = self._head(a)
-        return self.crossings[p >> 2][(p & 3) ^ 2]
+        Deleted crossings are dropped and every crossing is turned to
+        offset 0, so that slot and logical leg agree; the key is then the
+        partner of every logical leg, the signs and the free loops.
+        """
+        o, dirs, off = self.o, self.dirs, self.off
+        if None in dirs or any(off):
+            live = [i for i, dr in enumerate(dirs) if dr is not None]
+            order = [4 * i + s for i in live for s in _SLOTS[off[i]]]
+            new = [0] * len(o)
+            for n, p in enumerate(order):
+                new[p] = n
+            self.o = o = [new[o[p]] for p in order]
+            self.dirs = dirs = [dirs[i] for i in live]
+            self.off = [0] * len(live)
+        return tuple(o), tuple(dirs), self.free_loops
 
     # -- Reidemeister-I and -II removal ------------------------------------
 
     def reduce(self) -> int:
-        """Remove curls and same-over bigons near touched arcs.
+        """Remove curls and same-over bigons at touched crossings.
 
-        Returns the summed sign of the removed curls.  Every crossing that
-        holds a touched arc is checked on all four legs; a bigon whose
-        changed side is the over-arc is found only that way.
+        Returns the summed sign of the removed curls.  A new curl or
+        bigon has a new arc as a side, so a join touches one end of the
+        arc it makes, and a switch its crossing.  Every touched crossing
+        is checked at all four corners; a bigon whose changed side is
+        the over-arc is found only that way.
         """
-        cs, ends = self.crossings, self.ends
+        dirs = self.dirs
         curl = 0
         while self.touched:
-            todo = {p >> 2 for a in self.touched for p in ends.get(a, ())}
-            self.touched = set()
+            todo, self.touched = self.touched, set()
             for i in todo:
-                if cs[i] is not None:
+                if dirs[i] is not None:
                     curl += self._reduce_at(i)
         return curl
 
     def _reduce_at(self, i: int) -> int:
         """Remove a curl at crossing i, or a bigon with a corner at i."""
-        cs, ends = self.crossings, self.ends
-        x = cs[i]
-        if len(set(x)) < 4:
-            for p in range(4):
-                if x[p] == x[(p + 1) & 3]:
-                    # the strand through legs p+2, p and p+1, p+3 loops back
+        o, off = self.o, self.off
+        b, fi = 4 * i, off[i]
+        for s, s1, s2, s3 in _SLOTS:
+            t = o[b + s]
+            j = t >> 2
+            if j == i:
+                if t == b + s1:
+                    # the strand through slots s2, s and s1, s3 loops back
                     sign = 1 if self.dirs[i] else -1
-                    self._remove((i,), ((x[(p + 2) & 3], x[(p + 3) & 3]),))
+                    self._remove((i,), ((b + s2, b + s3),))
                     return sign
-        base = 4 * i
-        for p in range(4):
-            # arc x[p] runs to leg q of crossing j; the corner between legs
-            # p and p+1 at i is a bigon when x[p+1] returns to leg q-1 of
-            # j, and one strand is over at both when p, q have equal parity
-            u, v = ends[x[p]]
-            other = v if u == base + p else u
-            q = other & 3
-            if (p ^ q) & 1:
                 continue
-            j = other >> 2
-            y = cs[j]
-            if j != i and x[(p + 1) & 3] == y[(q - 1) & 3]:
-                self._remove((i, j), ((x[(p + 2) & 3], y[(q + 2) & 3]),
-                                      (x[(p + 3) & 3], y[(q + 1) & 3])))
+            # the arc at slot s runs to slot q of crossing j; the corner
+            # between slots s and s+1 at i is a bigon when slot s+1 returns
+            # to slot q-1 of j, and one strand is over at both when the
+            # logical legs of s and q have equal parity
+            if (s ^ t ^ fi ^ off[j]) & 1:
+                continue
+            c = t & -4
+            _, q1, q2, q3 = _SLOTS[t & 3]
+            if o[b + s1] == c + q3:
+                self._remove((i, j), ((b + s2, c + q2), (b + s3, c + q1)))
                 return 0
         return 0
 
     def _remove(self, idxs, pairs):
         """Delete crossings, then join arc ends pairwise.
 
-        Each pair names two arcs whose ends met at deleted crossings; the
-        first is renamed to the second.  A pair whose arcs are already
-        one closes a crossingless loop.
+        Each pair names two positions on the deleted crossings whose
+        arcs become one.  The legs of the deleted crossings that no pair
+        names must be joined to each other by arcs.
         """
-        cs, ends = self.crossings, self.ends
+        o, dirs = self.o, self.dirs
         for i in idxs:
-            for a in cs[i]:
-                # keep the end away from i; an arc met twice here (a curl)
-                # or already cut at another deleted crossing is dropped
-                e = ends.pop(a, ())
-                if len(e) == 2:
-                    ends[a] = e[1:] if e[0] >> 2 == i else e[:1]
-            cs[i] = None
-            self.dirs[i] = None
-        alias: dict[int, int] = {}
+            dirs[i] = None
+        for n, (u, v) in enumerate(pairs):
+            a, c = o[u], o[v]
+            if dirs[a >> 2] is None or dirs[c >> 2] is None:
+                # the pairs before had live ends, so no arc runs to them
+                self._join_through(pairs[n:])
+                return
+            o[a], o[c] = c, a
+            self.touched.add(a >> 2)
+
+    def _join_through(self, pairs):
+        """Join pairs when an arc runs from one deleted leg to another.
+
+        Each pair's strand is followed through the other pairs to a live
+        end on both sides; a strand that comes back closes a free loop.
+        """
+        o = self.o
+        link = {}
         for u, v in pairs:
-            while u in alias:
-                u = alias[u]
-            while v in alias:
-                v = alias[v]
-            if u == v:
+            link[u], link[v] = v, u
+        for u, v in pairs:
+            if u not in link:
+                continue  # followed from an earlier pair
+            del link[u], link[v]
+            ends = []
+            for p in (u, v):
+                a = o[p]
+                while a in link:
+                    w = link.pop(a)
+                    del link[w]
+                    a = o[w]
+                ends.append(a)
+            a, c = ends
+            if a == v:
                 self.free_loops += 1
-                continue
-            alias[u] = v
-            moved = ends.pop(u, ())
-            for p in moved:
-                x = list(cs[p >> 2])
-                x[p & 3] = v
-                cs[p >> 2] = tuple(x)
-            if moved:
-                ends[v] = ends.get(v, ()) + moved
-            self.touched.add(v)
+            else:
+                o[a], o[c] = c, a
+                self.touched.add(a >> 2)
 
     # -- skein moves -------------------------------------------------------
 
     def switched(self, i: int) -> "_RDiagram":
         out = self.copy()
         dr = out.dirs[i]
-        out._rotate(i, 1 if dr else 3)
+        # the arc on logical leg l moves to leg l + 1 (positive) or l + 3
+        out.off[i] = 3 if dr else 1
         out.dirs[i] = not dr
-        out.touched.update(out.crossings[i])
+        out.touched.add(i)
         return out
 
     def smoothed_oriented(self, i: int) -> "_RDiagram":
         """Orientation-respecting smoothing (both strands keep direction)."""
         out = self.copy()
-        a, b, c, d = out.crossings[i]
-        # join a->b and d->c, or a->d and b->c
-        out._remove((i,), ((b, a), (c, d)) if out.dirs[i] else ((d, a), (c, b)))
+        b = 4 * i
+        # join legs 0-1 and 3-2, or 0-3 and 1-2
+        out._remove((i,), ((b, b + 1), (b + 3, b + 2)) if out.dirs[i]
+                    else ((b, b + 3), (b + 1, b + 2)))
         return out
 
     def smoothed_unoriented(self, i: int, btype: bool) -> "_RDiagram":
@@ -250,80 +281,71 @@ class _RDiagram:
         if compatible:
             return self.smoothed_oriented(i)
         out = self.copy()
-        x = out.crossings[i]
+        o, off, dirs = out.o, out.off, out.dirs
+        b = 4 * i
         # reverse the strand segment from the over-out leg back around to
-        # the crossing, then the merge is orientation-respecting
-        path = []
-        cur = x[1] if dr else x[3]
-        while True:
-            path.append(cur)
-            p = out._head(cur)
-            if p >> 2 == i:
-                break
-            cur = out.crossings[p >> 2][(p & 3) ^ 2]
-        out._reverse_arcs(set(path), skip=i)
-        if btype:
-            pairs = ((x[3], x[0]), (x[2], x[1]))  # join 0-3 and 1-2
-        else:
-            pairs = ((x[1], x[0]), (x[3], x[2]))  # join 0-1 and 2-3
-        out._remove((i,), pairs)
+        # the crossing, then the merge is orientation-respecting: each
+        # passage flips the sign, and an under passage (an even leg) turns
+        # the crossing by two legs so that leg 0 is the incoming
+        # under-strand again
+        p = o[b + (1 if dr else 3)]
+        while p >> 2 != i:
+            k = p >> 2
+            if not p & 1:
+                off[k] ^= 2
+            dirs[k] = not dirs[k]
+            p = o[p ^ 2]
+        out._remove((i,), ((b, b + 3), (b + 1, b + 2)) if btype
+                    else ((b, b + 1), (b + 2, b + 3)))
         return out
-
-    def _reverse_arcs(self, arcs: set[int], skip: int):
-        """Reverse the orientation of the given arcs (one strand segment)."""
-        for k in {p >> 2 for a in arcs for p in self.ends[a]} - {skip}:
-            x = self.crossings[k]
-            under = x[0] in arcs or x[2] in arcs
-            if under:
-                self._rotate(k, 2)
-            if under != (x[1] in arcs or x[3] in arcs):
-                self.dirs[k] = not self.dirs[k]
 
     # -- descending analysis ---------------------------------------------
 
     def first_bad(self) -> int | None:
-        """Index of the first crossing met on its under-strand, else None."""
-        cs = self.crossings
-        seen_arc: set[int] = set()
-        visited: set[int] = set()
-        for start in sorted(self.ends):
-            cur = start
-            while cur not in seen_arc:
-                seen_arc.add(cur)
-                p = self._head(cur)
-                i, leg = p >> 2, p & 3
-                if i not in visited:
-                    if leg == 0:
+        """Index of the first crossing met on its under-strand, else None.
+
+        Each walk enters the first crossing not yet passed on its
+        over-strand (see the module docstring).
+        """
+        o, dirs = self.o, self.dirs
+        passed = bytearray(len(dirs))
+        for k in range(len(dirs)):
+            if passed[k]:
+                continue
+            start = p = 4 * k + (3 if dirs[k] else 1)
+            while True:
+                i = p >> 2
+                if not passed[i]:
+                    if not p & 3:
                         return i
-                    visited.add(i)
-                cur = cs[i][leg ^ 2]
+                    passed[i] = 1
+                p = o[p ^ 2]
+                if p == start:
+                    break
         return None
 
-    def _components(self) -> dict[int, int]:
-        """Component number of every arc."""
-        comp: dict[int, int] = {}
+    def _components(self) -> tuple[list[int], int]:
+        """Component number at every position, and the number of them."""
+        o = self.o
+        comp = [-1] * len(o)
         n = 0
-        for start in self.ends:
-            if start not in comp:
-                cur = start
-                while cur not in comp:
-                    comp[cur] = n
-                    cur = self._next(cur)
+        for start in range(len(o)):
+            if comp[start] < 0:
+                p = start
+                while comp[p] < 0:
+                    comp[p] = comp[p ^ 2] = n
+                    p = o[p ^ 2]
                 n += 1
-        return comp
+        return comp, n
 
     def component_count(self) -> int:
-        comp = self._components()
-        return len(set(comp.values())) + self.free_loops
+        return self._components()[1] + self.free_loops
 
     def self_writhe(self) -> int:
         """Sum of crossing signs over same-component crossings."""
-        comp = self._components()
-        w = 0
-        for x, dr in zip(self.crossings, self.dirs):
-            if x is not None and comp[x[0]] == comp[x[3] if dr else x[1]]:
-                w += 1 if dr else -1
-        return w
+        comp = self._components()[0]
+        return sum(1 if dr else -1 for i, dr in enumerate(self.dirs)
+                   if comp[4 * i] == comp[4 * i + 1])
 
 
 def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
@@ -338,9 +360,9 @@ def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
     def value(rd: _RDiagram) -> dict:
         budget.tick()
         rd.reduce()  # ambient isotopy: curls and bigons are free
-        if not rd.ends:
-            return unlink(rd.free_loops - 1) if rd.free_loops else _ONE
         key = rd.key()
+        if not rd.dirs:
+            return unlink(rd.free_loops - 1) if rd.free_loops else _ONE
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -367,8 +389,6 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
                max_nodes: int | None = 2_000_000) -> LaurentPoly2:
     """Kauffman polynomial, Dubrovnik form, in (a, z); unknot gives 1."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    rd = _RDiagram.from_diagram(d)
-    total_writhe = rd.writhe()
     memo: dict = {}
     budget = Budget(budget_seconds, max_nodes, "nodes expanded",
                     lambda: f"{len(memo)} memo entries")
@@ -377,10 +397,10 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
     def dvalue(rd: _RDiagram) -> dict:
         budget.tick()
         curl = rd.reduce()
-        if not rd.ends:
+        key = rd.key()
+        if not rd.dirs:
             res = unlink(rd.free_loops - 1) if rd.free_loops else _ONE
             return _shifted(res, curl) if curl else res
-        key = rd.key()
         res = memo.get(key)
         if res is None:
             i = rd.first_bad()
@@ -400,7 +420,8 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
             memo[key] = res
         return _shifted(res, curl) if curl else res
 
-    return LaurentPoly2(_shifted(dvalue(rd), -total_writhe), ("a", "z"))
+    return LaurentPoly2(_shifted(dvalue(_RDiagram.from_diagram(d)),
+                                 -d.writhe()), ("a", "z"))
 
 
 def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:

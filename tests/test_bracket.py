@@ -196,3 +196,8 @@ class TestJones:
     def test_connected_sum_multiplicative(self):
         a, b = named_knot("trefoil"), named_knot("figure8")
         assert jones(connected_sum(a, b)) == jones(a) * jones(b)
+
+    def test_even_link_refused(self):
+        with pytest.raises(ValueError, match="2 components, so its Jones "
+                                             "polynomial has half-integer"):
+            jones(braid_closure(parse_braid("2 | 1 1")))

@@ -72,6 +72,11 @@ LINK_SWEEP = (
     ("cover", "group"), ("cover", "abelian"), ("cover", "lowindex"),
     ("cover", "quotients"), ("cover", "kernel-abelian"), ("report",),
 )
+# the error each of them must name, where the sweep pins it
+LINK_ERRORS = {
+    ("jones",): "error: hopf_plus has 2 components, so its Jones polynomial "
+                "has half-integer powers of t\n",
+}
 
 
 class TestLinkSweep:
@@ -84,6 +89,8 @@ class TestLinkSweep:
             assert out == ""
             assert err.startswith("error:")
             assert err.count("\n") == 1
+        if argv in LINK_ERRORS:
+            assert (code, err) == (1, LINK_ERRORS[argv])
 
     def test_jones_of_odd_link(self, capsys):
         # three components: the Jones polynomial has integer exponents

@@ -50,3 +50,16 @@ class TestGroupSearchTiming:
                          r"\d+\.\d{3} s$", res.stdout, re.M)
         assert "epimorphisms onto Alt(5): 12 kernels" in res.stdout
         assert "low-index to 3: 5 classes" in res.stdout
+
+
+class TestSkeinTiming:
+    def test_one_companion(self):
+        res = run_script("skein_timing.py", "--budget-seconds", "0.2",
+                         "trefoil")
+        assert res.returncode == 0, res.stderr
+        for job, status in (("whitehead_homfly", "done"),
+                            ("cable_homfly", "done"),
+                            ("whitehead_kauffman", "(done|limited)")):
+            assert re.search(rf"^trefoil {job}: \d+ nodes, \d+\.\d{{3}} s, "
+                             rf"{status}$", res.stdout, re.M), res.stdout
+        assert re.search(r"^total: \d+ nodes, \d+\.\d{3} s$", res.stdout, re.M)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pretzel, random_braid, random_knot_diagram
+from knotmut import skein2
 from knotmut.bracket import DELTA, jones, kauffman_bracket
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
                              braid_closure, connected_sum, mirror, named_knot,
-                             parse_braid)
+                             parse_braid, parse_pd)
 from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly, parse_poly2
 from knotmut.satellites import whitehead_double
 from knotmut.skein2 import (ResourceLimitExceeded, alexander_from_homfly,
@@ -54,6 +55,21 @@ def bracket_from_kauffman(f: LaurentPoly2, writhe: int):
         total = total + c * term
     aw = (a_val if writhe >= 0 else a_inv) ** abs(writhe)
     return total * aw * DELTA, shift
+
+
+def counted(monkeypatch, engine, d: PlanarDiagram):
+    """engine(d) and the number of nodes its tree expanded."""
+    made = []
+
+    class Recording(skein2.Budget):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(skein2, "Budget", Recording)
+    value = engine(d)
+    (budget,) = made
+    return value, budget.nodes
 
 
 def fewest_nodes(engine, d: PlanarDiagram) -> int:
@@ -209,6 +225,15 @@ class TestReduction:
     def test_pretzel_homfly_budget(self):
         homfly(pretzel(7, 3, 3, -2), max_nodes=200)
 
+    def test_whitehead_homfly_budget(self):
+        # needs 1,219 nodes
+        p_whitehead_plus(named_knot("5_1"), max_nodes=1300)
+
+    def test_cable_homfly_budget(self):
+        # needs 353 nodes, and 377 if a join through deleted legs left its
+        # new arc out of the next reduction
+        homfly_2cable(named_knot("figure8"), max_nodes=370)
+
     @pytest.mark.parametrize("engine", (homfly, kauffman_f))
     @pytest.mark.parametrize("name", ("trefoil", "5_2"))
     def test_bigon_padding(self, name, engine):
@@ -230,3 +255,35 @@ class TestReduction:
         assert homfly(d, max_nodes=1) == parse_poly2("-l*m^-1 - l^-1*m^-1")
         assert kauffman_f(d, max_nodes=1) == parse_poly2(
             "a*z^-1 - a^-1*z^-1 + 1", variables=("a", "z"))
+
+
+class TestLabelFree:
+    """The trees see leg positions only: arc labels change nothing."""
+
+    @pytest.mark.parametrize("engine", (homfly, kauffman_f))
+    @pytest.mark.parametrize("d", (named_knot("trefoil"), named_knot("5_2"),
+                                   pretzel(7, 3, 3, -2)),
+                             ids=lambda d: d.name)
+    def test_renumbered_arcs(self, monkeypatch, d, engine):
+        arcs = sorted(d.arcs)
+        labels = arcs[:]
+        random.Random(20261018).shuffle(labels)
+        m = dict(zip(arcs, labels))
+        renumbered = PlanarDiagram(tuple(tuple(m[a] for a in x)
+                                         for x in d.crossings), d.free_loops)
+        assert renumbered.crossings != d.crossings
+        assert renumbered.positive == d.positive
+        assert counted(monkeypatch, engine, renumbered) == \
+            counted(monkeypatch, engine, d)
+
+    @pytest.mark.parametrize("engine", (homfly, kauffman_f))
+    def test_crossing_closed_by_two_curls(self, engine):
+        # both curls of the one crossing go at the root, leaving one loop
+        assert engine(parse_pd("X(0,0,1,1)"), max_nodes=1).is_one()
+
+    def test_bigons_closing_into_three_loops(self):
+        # the 3-component unlink: each engine's 2-component value squared
+        d = braid_closure(parse_braid("3 | 1 -1 2 -2"))
+        two = braid_closure(parse_braid("2 | 1 -1"))
+        for engine in (homfly, kauffman_f):
+            assert engine(d, max_nodes=1) == engine(two) ** 2
