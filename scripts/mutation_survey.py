@@ -2,8 +2,8 @@
 """Sample random tangle decompositions and tabulate mutation behaviour.
 
 For each sample the glued diagram and its three mutants are compared on
-every implemented mutation invariant; any disagreement is reported (none
-is expected).
+the items of `knotmut report`, each of them a mutation invariant; any
+item that differs is reported (none is expected).
 """
 
 import argparse
@@ -13,19 +13,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from knotmut.alexander import alexander_pd
-from knotmut.bracket import jones
-from knotmut.colored import colored_jones
-from knotmut.skein2 import homfly, kauffman_f
+from knotmut.report import (DIFFERENT, ReportOptions, compare_pair,
+                            compute_report)
 from knotmut.tangles import AXES, mutate, random_decomposition
-
-
-def invariants(d, colors):
-    out = {"jones": jones(d), "alexander": alexander_pd(d),
-           "homfly": homfly(d), "kauffman": kauffman_f(d)}
-    for n in range(2, colors + 1):
-        out[f"cjones_{n}"] = colored_jones(d, n)
-    return out
 
 
 def main() -> int:
@@ -37,15 +27,16 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    opts = ReportOptions(colors=args.colors)
     mismatches = 0
     for i in range(args.samples):
         td = random_decomposition(rng, max_crossings=args.max_crossings)
         d = td.glue(f"sample{i}")
-        base = invariants(d, args.colors)
+        base = compute_report(d.name, d, options=opts)
         for axis in AXES:
-            got = invariants(mutate(td, axis), args.colors)
-            for key in base:
-                if got[key] != base[key]:
+            got = compute_report(d.name, mutate(td, axis), options=opts)
+            for key, state in compare_pair(base, got).per_item.items():
+                if state == DIFFERENT:
                     mismatches += 1
                     print(f"sample {i} axis {axis}: {key} changed")
         print(f"sample {i}: {len(d.crossings)} crossings, "

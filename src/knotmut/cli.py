@@ -11,14 +11,14 @@ a coefficient grid (rows by the second variable's degree).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
 import sys
 
 from .colored import colored_jones
-from .alexander import alexander_pd, h1_double_cover
-from .bracket import jones
+from .alexander import h1_double_cover
 from .budget import ResourceLimitExceeded
 from .diagram import PlanarDiagram, load_knot_file, parse_knot_spec
 from .laurent import LaurentPoly, LaurentPoly2
@@ -27,9 +27,8 @@ from .permgroups import (PermGroup, alternating, cyclic, dihedral, psl2,
 from .presentations import (GroupPresentation, double_cover_presentation,
                             low_index_subgroups, subgroup_abelianization)
 from .quotients import epimorphisms, kernel_abelianization
-from .report import ReportOptions, compare_pair, compute_report
+from .report import POLYNOMIALS, ReportOptions, compare_pair, compute_report
 from .satellites import cable, whitehead_double
-from .skein2 import homfly, kauffman_f
 from .tangles import AXES, TangleDecomposition, mutate, rational_tangle
 
 
@@ -113,18 +112,6 @@ def _print_presentation(g: GroupPresentation):
         print(f"{i}. {len(r)} [ " + ", ".join(str(x) for x in r) + " ]")
 
 
-def _report_options(args) -> ReportOptions:
-    return ReportOptions(
-        colors=args.colors,
-        quotients=args.quotients,
-        quotients_max_order=args.quotients_max_order,
-        lowindex=args.lowindex,
-        whitehead_homfly=args.whitehead_p,
-        cable_homfly=args.cable_p,
-        budget_seconds=args.budget_seconds,
-    )
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="knotmut",
                                  description="exact knot invariants and "
@@ -134,17 +121,19 @@ def main(argv=None) -> int:
     ap.add_argument("--budget-seconds", type=float, default=None,
                     help="time budget of each exponential search")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    # options shared by `report` and `compare`, with ReportOptions' defaults
+    # options shared by `report` and `compare`: each dest is a
+    # ReportOptions field, with its default
     items = argparse.ArgumentParser(add_help=False)
     items.add_argument("--colors", type=int, default=ReportOptions.colors)
-    items.add_argument("--quotients", action="store_true")
-    items.add_argument("--quotients-max-order", type=int,
-                       default=ReportOptions.quotients_max_order)
+    items.add_argument("--quotients", type=int,
+                       default=ReportOptions.quotients,
+                       help="largest target order; 0 skips the quotients")
     items.add_argument("--lowindex", type=int, default=ReportOptions.lowindex)
-    items.add_argument("--whitehead-p", action="store_true")
-    items.add_argument("--cable-p", action="store_true")
+    items.add_argument("--whitehead-p", action="store_true",
+                       dest="whitehead_homfly")
+    items.add_argument("--cable-p", action="store_true", dest="cable_homfly")
 
-    for cmd in ("jones", "alexander", "homfly", "kauffman"):
+    for cmd in POLYNOMIALS:
         p = sub.add_parser(cmd)
         p.add_argument("knot")
     p = sub.add_parser("cjones")
@@ -174,8 +163,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", parents=[items])
     p.add_argument("knot")
     p = sub.add_parser("compare", parents=[items])
-    p.add_argument("knot1")
-    p.add_argument("knot2")
+    p.add_argument("knots", nargs="+",
+                   help="specs or files; their knots pair up in order")
 
     args = ap.parse_args(argv)
     try:
@@ -191,18 +180,12 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     fmt = args.format
     budget = args.budget_seconds
-    if args.cmd in ("jones", "alexander", "homfly", "kauffman", "cjones"):
+    if args.cmd in POLYNOMIALS or args.cmd == "cjones":
         for name, d, _braid in _load_specs(args.knot):
-            if args.cmd == "jones":
-                val = jones(d, budget)
-            elif args.cmd == "alexander":
-                val = alexander_pd(d)
-            elif args.cmd == "homfly":
-                val = homfly(d, budget_seconds=budget)
-            elif args.cmd == "kauffman":
-                val = kauffman_f(d, budget_seconds=budget)
-            else:
+            if args.cmd == "cjones":
                 val = colored_jones(d, args.color, budget)
+            else:
+                val = POLYNOMIALS[args.cmd](d, budget)
             _emit_poly(name or d.name, val, fmt)
         return 0
 
@@ -261,8 +244,10 @@ def _dispatch(args) -> int:
                     print(f"{name or d.name}: kernel {i} abelianization {inv}")
         return 0
 
+    # report and compare remain; their item flags are ReportOptions' fields
+    opts = ReportOptions(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(ReportOptions)})
     if args.cmd == "report":
-        opts = _report_options(args)
         for name, d, braid in _load_specs(args.knot):
             rep = compute_report(name, d, braid, opts)
             if fmt == "json":
@@ -277,15 +262,17 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "compare":
-        opts = _report_options(args)
-        (n1, d1, b1), = _load_specs(args.knot1)
-        (n2, d2, b2), = _load_specs(args.knot2)
-        r1 = compute_report(n1, d1, b1, opts)
-        r2 = compute_report(n2, d2, b2, opts)
-        res = compare_pair(r1, r2)
-        if fmt == "json":
-            print(json.dumps(res.as_dict(), sort_keys=True))
-        else:
+        specs = [spec for arg in args.knots for spec in _load_specs(arg)]
+        if not specs or len(specs) % 2:
+            raise ValueError(f"compare needs knots in pairs, got {len(specs)}")
+        for left, right in zip(specs[0::2], specs[1::2]):
+            res = compare_pair(compute_report(*left, opts),
+                               compute_report(*right, opts))
+            if fmt == "json":
+                print(json.dumps(res.as_dict(), sort_keys=True))
+                continue
+            print(f"== {res.left.name or 'knot'} vs "
+                  f"{res.right.name or 'knot'} ==")
             for key, state in res.per_item.items():
                 print(f"{key}: {state}")
             print(f"verdict: {res.verdict}")

@@ -458,7 +458,7 @@ def parse_knot_spec(line: str) -> tuple[str, PlanarDiagram, "BraidWord | None"]:
         return name, parse_pd(text[len("pd:"):], name), None
     if text in KNOT_BRAIDS:
         braid = parse_braid(KNOT_BRAIDS[text])
-        return text, braid_closure(braid, name or text), braid
+        return name or text, braid_closure(braid, name or text), braid
     raise ValueError(f"unrecognized knot spec {line!r}")
 
 

@@ -1,10 +1,11 @@
 """Invariant reports and the pair-comparison pipeline.
 
 A report computes a configurable set of invariants for one knot; the
-comparison pipeline evaluates two reports item by item.  Equality of a
-mutation invariant never proves mutation, so the strongest negative
-verdict is "mutation excluded" (some mutation invariant differs) and
-the positive case is always "consistent with mutation (inconclusive)".
+comparison pipeline evaluates two reports item by item.  Every report
+item is a mutation invariant, so any item that is done on both knots
+and differs excludes mutation.  Equality never proves mutation, so the
+strongest negative verdict is "mutation excluded" and the positive case
+is always "consistent with mutation (inconclusive)".
 """
 
 from __future__ import annotations
@@ -20,19 +21,13 @@ from .colored import colored_jones
 from .diagram import BraidWord, PlanarDiagram
 from .presentations import (double_cover_presentation, low_index_subgroups,
                             subgroup_abelianization)
-from .permgroups import PermGroup, builtin_targets
+from .permgroups import builtin_targets
 from .quotients import epimorphisms
 from .skein2 import homfly, homfly_2cable, kauffman_f, p_whitehead_plus
 
 DONE = "done"
 SKIPPED = "skipped"
 LIMITED = "resource-limited"
-
-# items whose equality is forced by mutation; a difference in any of
-# them excludes mutation
-MUTATION_INVARIANTS = ("jones", "alexander", "homfly", "kauffman",
-                       "cjones", "whitehead_homfly", "cable_homfly",
-                       "h1_double_cover", "quotients", "lowindex_abelian")
 
 VERDICT_EXCLUDED = "mutation excluded"
 VERDICT_INCONCLUSIVE = "consistent with mutation (inconclusive)"
@@ -41,8 +36,7 @@ VERDICT_INCONCLUSIVE = "consistent with mutation (inconclusive)"
 @dataclass
 class ReportOptions:
     colors: int = 2               # colored Jones up to this N
-    quotients: bool = False       # delta over the built-in target list
-    quotients_max_order: int = 60
+    quotients: int = 0            # delta over built-in targets up to this order
     lowindex: int = 0             # subgroup abelianizations up to this index
     whitehead_homfly: bool = False
     cable_homfly: bool = False
@@ -87,6 +81,17 @@ def _jsonable(v):
     return str(v)
 
 
+# how each polynomial item is computed from (diagram, budget seconds);
+# each lambda looks its engine up in this module when it runs, so a
+# patched module attribute is the one called
+POLYNOMIALS = {
+    "jones": lambda d, budget: jones(d, budget),
+    "alexander": lambda d, budget: alexander_pd(d),
+    "homfly": lambda d, budget: homfly(d, budget_seconds=budget),
+    "kauffman": lambda d, budget: kauffman_f(d, budget_seconds=budget),
+}
+
+
 def compute_report(name: str, d: PlanarDiagram,
                    braid: BraidWord | None = None,
                    options: ReportOptions | None = None) -> InvariantReport:
@@ -109,10 +114,8 @@ def compute_report(name: str, d: PlanarDiagram,
         report.items[key] = item
 
     budget = opts.budget_seconds
-    add("jones", lambda: jones(d, budget))
-    add("alexander", lambda: alexander_pd(d))
-    add("homfly", lambda: homfly(d, budget_seconds=budget))
-    add("kauffman", lambda: kauffman_f(d, budget_seconds=budget))
+    for key, poly in POLYNOMIALS.items():
+        add(key, lambda: poly(d, budget))
     for n in range(2, opts.colors + 1):
         add(f"cjones_{n}", lambda: colored_jones(d, n, budget))
     if opts.whitehead_homfly:
@@ -129,7 +132,7 @@ def compute_report(name: str, d: PlanarDiagram,
             left = Budget(budget)
             return {t.name: len(epimorphisms(pres, t, simplify=False,
                                              budget_seconds=left.remaining()))
-                    for t in builtin_targets(opts.quotients_max_order)}
+                    for t in builtin_targets(opts.quotients)}
         add("quotients", quots)
     if opts.lowindex:
         def lowidx():
@@ -160,22 +163,20 @@ class ComparisonResult:
                 "items": dict(self.per_item), "verdict": self.verdict}
 
 
-def _is_mutation_invariant(key: str) -> bool:
-    return key.startswith("cjones_") or key in MUTATION_INVARIANTS
-
-
 def compare_pair(r1: InvariantReport, r2: InvariantReport) -> ComparisonResult:
+    """Compare two reports item by item.
+
+    An item missing or not done on either side reads UNKNOWN and decides
+    nothing; one done on both sides with different values excludes
+    mutation.
+    """
     out = ComparisonResult(r1, r2)
-    keys = sorted(set(r1.items) | set(r2.items))
-    excluded = False
-    for k in keys:
+    for k in sorted(set(r1.items) | set(r2.items)):
         i1, i2 = r1.items.get(k), r2.items.get(k)
         if i1 is None or i2 is None or i1.status != DONE or i2.status != DONE:
             out.per_item[k] = UNKNOWN
-            continue
-        same = i1.value == i2.value
-        out.per_item[k] = EQUAL if same else DIFFERENT
-        if not same and _is_mutation_invariant(k):
-            excluded = True
-    out.verdict = VERDICT_EXCLUDED if excluded else VERDICT_INCONCLUSIVE
+        else:
+            out.per_item[k] = EQUAL if i1.value == i2.value else DIFFERENT
+    if DIFFERENT in out.per_item.values():
+        out.verdict = VERDICT_EXCLUDED
     return out

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import time
 
 import pytest
@@ -234,6 +235,44 @@ class TestCompare:
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"].startswith("consistent")
+
+
+class TestComparePairs:
+    """`compare` pairs up the knots of all its arguments in order."""
+
+    PAIR = ("name=trefoil braid: 2 | 1 1 1\n"
+            "name=figure8 braid: 3 | 1 -2 1 -2\n")
+
+    def test_two_knots(self, capsys, tmp_path):
+        spec = tmp_path / "pair.txt"
+        spec.write_text(self.PAIR)
+        code, out, err = run(capsys, "compare", str(spec), "--quotients", "12")
+        assert code == 0, err
+        assert out.startswith("== trefoil vs figure8 ==\n")
+        assert "\nquotients: DIFFERENT\n" in out
+        assert out.endswith("verdict: mutation excluded\n")
+
+    def test_paper_file_has_no_diagrams(self, capsys):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "data",
+                            "paper_knots.txt")
+        code, out, err = run(capsys, "compare", path)
+        assert (code, out) == (1, "")
+        assert err == "error: compare needs knots in pairs, got 0\n"
+
+    def test_three_knot_file(self, capsys, tmp_path):
+        spec = tmp_path / "three.txt"
+        spec.write_text(self.PAIR + "name=c 5_1\n")
+        code, out, err = run(capsys, "compare", str(spec))
+        assert (code, out) == (1, "")
+        assert err == "error: compare needs knots in pairs, got 3\n"
+        # a fourth knot from the next argument completes the second pair
+        code, out, _ = run(capsys, "--format", "json", "compare", str(spec),
+                           "trefoil")
+        assert code == 0
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert [(d["left"]["name"], d["right"]["name"]) for d in docs] == \
+            [("trefoil", "figure8"), ("c", "trefoil")]
+        assert [d["verdict"] for d in docs] == ["mutation excluded"] * 2
 
 
 class TestItemElapsed:

@@ -125,6 +125,11 @@ class TestKnotSpec:
         assert braid is not None
         assert len(d.crossings) == len(braid.letters)
 
+    def test_labelled_name(self):
+        name, d, braid = parse_knot_spec("name=c 5_1")
+        assert (name, d.name) == ("c", "c")
+        assert len(braid.letters) == 5
+
     def test_braid_spec(self):
         name, d, braid = parse_knot_spec("name=k braid: 2 | 1 1 1")
         assert name == "k"

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from conftest import pretzel
 from knotmut import quotients, report
 from knotmut.diagram import named_knot, parse_braid, parse_knot_spec
-from knotmut.report import (DONE, LIMITED, SKIPPED, VERDICT_EXCLUDED,
+from knotmut.report import (DONE, LIMITED, SKIPPED, UNKNOWN, VERDICT_EXCLUDED,
                             VERDICT_INCONCLUSIVE, ReportOptions, compare_pair,
                             compute_report)
 from knotmut.tangles import AXES, mutate, random_decomposition
@@ -34,8 +35,8 @@ class TestComputeReport:
 
     def test_optional_items(self):
         d = named_knot("trefoil")
-        opts = ReportOptions(colors=3, quotients=True, quotients_max_order=12,
-                             lowindex=3, whitehead_homfly=True)
+        opts = ReportOptions(colors=3, quotients=12, lowindex=3,
+                             whitehead_homfly=True)
         rep = compute_report("trefoil", d, options=opts)
         for key in ("cjones_3", "quotients", "lowindex_abelian",
                     "whitehead_homfly"):
@@ -48,7 +49,7 @@ class TestComputeReport:
     def test_quotient_budget(self, monkeypatch):
         monkeypatch.setattr(report, "epimorphisms", functools.partial(
             quotients.epimorphisms, max_nodes=1))
-        opts = ReportOptions(quotients=True, quotients_max_order=12)
+        opts = ReportOptions(quotients=12)
         item = compute_report("trefoil", named_knot("trefoil"),
                               options=opts).items["quotients"]
         assert item.status == LIMITED
@@ -65,8 +66,8 @@ SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 class TestTimeBudget:
     @pytest.mark.parametrize("spec, opts, key", [
         ("6_2", ReportOptions(colors=5, budget_seconds=0.05), "cjones_5"),
-        (SLOW_COVER, ReportOptions(quotients=True, quotients_max_order=2520,
-                                   budget_seconds=0.05), "quotients"),
+        (SLOW_COVER, ReportOptions(quotients=2520, budget_seconds=0.05),
+         "quotients"),
         (SLOW_COVER, ReportOptions(lowindex=6, budget_seconds=0.05),
          "lowindex_abelian"),
     ], ids=("cjones_5", "quotients", "lowindex_abelian"))
@@ -98,3 +99,31 @@ class TestComparePair:
         res = compare_pair(compute_report("a", d1), compute_report("b", d2))
         assert res.verdict == VERDICT_INCONCLUSIVE
         assert all(v == "EQUAL" for v in res.per_item.values())
+
+    def test_pretzel_mutants_inconclusive(self):
+        # P(3,3,-2,-3) and its mutant P(3,3,-3,-2): distinct diagrams of a
+        # non-trivial knot, which every item fails to tell apart
+        d1, d2 = pretzel(3, 3, -2, -3), pretzel(3, 3, -3, -2)
+        assert d1.crossings != d2.crossings
+        opts = ReportOptions(colors=3, quotients=12, lowindex=3)
+        r1 = compute_report("a", d1, options=opts)
+        assert not r1.items["jones"].value.is_one()
+        res = compare_pair(r1, compute_report("b", d2, options=opts))
+        assert len(res.per_item) == 9
+        assert set(res.per_item.values()) == {"EQUAL"}
+        assert res.verdict == VERDICT_INCONCLUSIVE
+
+    @pytest.mark.parametrize("side", ("left", "right"))
+    def test_unfinished_item_never_excludes(self, monkeypatch, side):
+        # the limited item has no value, which differs from the done one's
+        done = compute_report("k", named_knot("trefoil"),
+                              options=ReportOptions(quotients=12))
+        monkeypatch.setattr(report, "epimorphisms", functools.partial(
+            quotients.epimorphisms, max_nodes=1))
+        limited = compute_report("k", named_knot("trefoil"),
+                                 options=ReportOptions(colors=3, quotients=12))
+        assert limited.items["quotients"].status == LIMITED
+        pair = (done, limited) if side == "left" else (limited, done)
+        res = compare_pair(*pair)
+        assert res.per_item["quotients"] == res.per_item["cjones_3"] == UNKNOWN
+        assert res.verdict == VERDICT_INCONCLUSIVE

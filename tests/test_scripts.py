@@ -14,24 +14,6 @@ def run_script(name, *args):
                           timeout=300)
 
 
-class TestComparePairs:
-    def test_two_knots(self, tmp_path):
-        spec = tmp_path / "pair.txt"
-        spec.write_text("name=trefoil braid: 2 | 1 1 1\n"
-                        "name=figure8 braid: 3 | 1 -2 1 -2\n")
-        res = run_script("compare_pairs.py", str(spec),
-                         "--quotients-max-order", "12")
-        assert res.returncode == 0, res.stderr
-        assert "trefoil vs figure8" in res.stdout
-        assert "  quotients: DIFFERENT" in res.stdout
-        assert "  verdict: mutation excluded" in res.stdout
-
-    def test_default_file_has_no_diagrams(self):
-        res = run_script("compare_pairs.py")
-        assert res.returncode == 1
-        assert "need at least two knots" in res.stderr
-
-
 class TestMutationSurvey:
     def test_small_survey(self):
         res = run_script("mutation_survey.py", "--samples", "2",

@@ -41,3 +41,24 @@ def test_traced_method_is_own(cls, method):
     # the tracer patches the class attribute, so an inherited method
     # would be traced on the base class instead
     assert method in cls.__dict__
+
+
+def test_report_engines_are_traced():
+    # the tracer patches module attributes, so the report must reach its
+    # engines through them
+    from knotmut import report
+    from knotmut.diagram import named_knot
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        r = report.compute_report("trefoil", named_knot("trefoil"),
+                                  options=report.ReportOptions(colors=3))
+        report.compare_pair(r, r)
+    finally:
+        t.uninstall()
+    for name in ("report.compute_report", "report.compare_pair",
+                 "bracket.jones", "alexander.alexander_pd", "skein2.homfly",
+                 "skein2.kauffman_f", "colored.cjones_n2",
+                 "colored.cjones_n3"):
+        assert t.stat(name).calls >= 1, name
