@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 
 from .colored import colored_jones
@@ -90,20 +91,33 @@ def _emit_pd(d: PlanarDiagram):
     print(f"{prefix}pd: {body}")
 
 
+_FAMILIES = {"C": cyclic, "D": dihedral, "A": alternating, "S": symmetric}
+
+
 @functools.cache
 def _target_group(name: str) -> PermGroup:
+    """A target group by the name knotmut prints (C5, D3, A5, S4, PSL(2,7))
+    or by the long forms Alt(5) and Sym(4)."""
     text = name.replace(" ", "")
-    if text.startswith("C") and text[1:].isdigit():
-        return cyclic(int(text[1:]))
-    if text.startswith("D") and text[1:].isdigit():
-        return dihedral(int(text[1:]))
-    if text.startswith("Alt(") and text.endswith(")"):
-        return alternating(int(text[4:-1]))
-    if text.startswith("Sym(") and text.endswith(")"):
-        return symmetric(int(text[4:-1]))
-    if text.startswith("PSL(2,") and text.endswith(")"):
-        return psl2(int(text[6:-1]))
+    m = (re.fullmatch(r"([CDAS])(\d+)", text)
+         or re.fullmatch(r"(Alt|Sym)\((\d+)\)", text))
+    if m:
+        return _FAMILIES[m[1][0]](int(m[2]))
+    m = re.fullmatch(r"PSL\(2,(\d+)\)", text)
+    if m:
+        return psl2(int(m[1]))
     raise ValueError(f"unknown target group {name!r}")
+
+
+def _at_least(low: int):
+    """An argparse type: an integer, refused below `low`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {value}")
+        return value
+    return count
 
 
 def _print_presentation(g: GroupPresentation):
@@ -124,11 +138,13 @@ def main(argv=None) -> int:
     # options shared by `report` and `compare`: each dest is a
     # ReportOptions field, with its default
     items = argparse.ArgumentParser(add_help=False)
-    items.add_argument("--colors", type=int, default=ReportOptions.colors)
-    items.add_argument("--quotients", type=int,
+    items.add_argument("--colors", type=_at_least(0),
+                       default=ReportOptions.colors)
+    items.add_argument("--quotients", type=_at_least(0),
                        default=ReportOptions.quotients,
                        help="largest target order; 0 skips the quotients")
-    items.add_argument("--lowindex", type=int, default=ReportOptions.lowindex)
+    items.add_argument("--lowindex", type=_at_least(0),
+                       default=ReportOptions.lowindex)
     items.add_argument("--whitehead-p", action="store_true",
                        dest="whitehead_homfly")
     items.add_argument("--cable-p", action="store_true", dest="cable_homfly")
@@ -157,7 +173,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("cover")
     p.add_argument("action", choices=("group", "abelian", "lowindex",
                                       "quotients", "kernel-abelian"))
-    p.add_argument("--max", type=int, default=3, dest="max_index")
+    p.add_argument("--max", type=_at_least(1), default=3, dest="max_index")
     p.add_argument("--target", default="D3")
     p.add_argument("knot")
     p = sub.add_parser("report", parents=[items])

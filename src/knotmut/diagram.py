@@ -322,35 +322,32 @@ def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram,
     if arc2 is None:
         arc2 = min(d2.arcs)
     arc2 += shift
-    # cut arc1 (tail t1 -> head h1) and arc2 (t2 -> h2); reconnect
-    # t1 -> h2 ... t2 -> h1.  Implement by renaming the head occurrence of
-    # arc1 to a fresh label and swapping labels.
-    out = list(d1.crossings) + c2
-    union = PlanarDiagram(out)
-    h1 = _head_position(union, arc1)
-    h2 = _head_position(union, arc2)
-    # cross-wire: tail(arc1) flows into old head(arc2) and vice versa
-    rewired = []
-    for i, x in enumerate(out):
-        y = list(x)
-        if i == h1[0]:
-            y[h1[1]] = arc2
-        if i == h2[0]:
-            y[h2[1]] = arc1
-        rewired.append(tuple(y))
+    # cut arc1 (tail t1 -> head h1) and arc2 (t2 -> h2) and cross-wire:
+    # t1 flows into h2 and t2 into h1
+    union = PlanarDiagram(list(d1.crossings) + c2)
+    rewired = _reroute_heads(union, {arc1: arc2, arc2: arc1})
     return relabel(PlanarDiagram(rewired, 0, f"{d1.name}#{d2.name}"))
 
 
-def _head_position(d: PlanarDiagram, arc: int) -> tuple[int, int]:
-    """Locate (crossing index, leg) where `arc` is absorbed."""
-    for i, (x, pos) in enumerate(zip(d.crossings, d.positive)):
-        if x[0] == arc:
-            return (i, 0)
-        if pos and x[3] == arc:
-            return (i, 3)
-        if not pos and x[1] == arc:
-            return (i, 1)
-    raise ValueError(f"arc {arc} head not found")
+def _reroute_heads(d: PlanarDiagram, heads: dict[int, int]) -> list[Crossing]:
+    """The crossings of d with the head end of each arc in `heads` renamed.
+
+    An arc's head is the leg where it is absorbed: leg 0, or the
+    over-strand's incoming leg (3 when the crossing is positive, else 1).
+    """
+    found = set()
+    out = []
+    for x, pos in zip(d.crossings, d.positive):
+        y = list(x)
+        for leg in (0, 3 if pos else 1):
+            if x[leg] in heads:
+                y[leg] = heads[x[leg]]
+                found.add(x[leg])
+        out.append(tuple(y))
+    for a in heads:
+        if a not in found:
+            raise ValueError(f"arc {a} head not found")
+    return out
 
 
 def add_kink(d: PlanarDiagram, sign: int, arc: int | None = None) -> PlanarDiagram:
@@ -361,14 +358,7 @@ def add_kink(d: PlanarDiagram, sign: int, arc: int | None = None) -> PlanarDiagr
         arc = min(d.arcs)
     y = d.fresh_arc_start()
     z = y + 1
-    # reroute the head occurrence of `arc` to z
-    hi, hleg = _head_position(d, arc)
-    new = []
-    for i, x in enumerate(d.crossings):
-        t = list(x)
-        if i == hi:
-            t[hleg] = z
-        new.append(tuple(t))
+    new = _reroute_heads(d, {arc: z})
     if sign > 0:
         new.append((arc, z, y, y))
     else:

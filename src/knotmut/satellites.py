@@ -11,8 +11,10 @@ of one chosen arc of the companion.
 
 from __future__ import annotations
 
+import itertools
+
 from .diagram import (BraidWord, Crossing, PlanarDiagram, _braid_crossings,
-                      _head_position, braid_closure, orient_raw, relabel)
+                      _reroute_heads, braid_closure, orient_raw, relabel)
 
 
 def _half_twists(n: int, t: int) -> tuple[int, ...]:
@@ -37,13 +39,7 @@ def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram
         return PlanarDiagram(out.crossings,
                              out.free_loops + (d.free_loops - 1) * n, name)
 
-    next_id = 0
-
-    def fresh() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
+    fresh = itertools.count().__next__
     copy_id: dict[tuple[int, int], int] = {}
     for a in sorted(d.arcs):
         for i in range(n):
@@ -72,33 +68,16 @@ def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram
                 out.append((v[i][k], h[k][i + 1], v[i][k + 1], h[k][i]))
 
     cabled = PlanarDiagram(out, d.free_loops * n, name)
-    bundle = min(d.arcs)
-    return _splice_braid(cabled, [copy_id[(bundle, i)] for i in range(n)], word)
-
-
-def _splice_braid(d: PlanarDiagram, bundle: list[int],
-                  word: tuple[int, ...]) -> PlanarDiagram:
-    """Cut the parallel arcs `bundle` and splice in a braid on them.
-
-    Strand position i of the braid is copy i of the bundle (leftmost
-    facing along the bundle direction); the braid reads bottom-up along
-    that direction.
-    """
     if not word:
-        return d
-    heads = {a: _head_position(d, a) for a in bundle}
+        return cabled
+    # splice the braid into the copies of the lowest companion arc: strand
+    # position i is copy i, and the braid reads along the arc; its tops
+    # run into the old heads of those copies
+    bundle = [copy_id[(min(d.arcs), i)] for i in range(n)]
     cur = list(bundle)
-    crossings = list(d.crossings) + _braid_crossings(word, cur,
-                                                     d.fresh_arc_start())
-    # reconnect braid tops to the original heads of the bundle arcs
-    for i, a in enumerate(bundle):
-        if cur[i] == a:
-            continue
-        ci, leg = heads[a]
-        x = list(crossings[ci])
-        x[leg] = cur[i]
-        crossings[ci] = tuple(x)
-    return PlanarDiagram(crossings, d.free_loops, d.name)
+    braid = _braid_crossings(word, cur, cabled.fresh_arc_start())
+    return PlanarDiagram(_reroute_heads(cabled, dict(zip(bundle, cur))) + braid,
+                         cabled.free_loops, name)
 
 
 def whitehead_double(d: PlanarDiagram, framing: int = 0,
@@ -108,90 +87,42 @@ def whitehead_double(d: PlanarDiagram, framing: int = 0,
     `framing` counts signed full twists added between the two strands;
     `clasp` (+1 or -1) is the sign of the two clasp crossings.  The
     0-framed double of a diagram with writhe w needs framing = -w.
+
+    The 2-cable is cut at the heads of copies 0 and 1 of one companion
+    arc, leaving ends b1, b2 below and t1, t2 above.  The splice stacks,
+    bottom to top: 2|framing| half twists on b1, b2, then a turnback arch
+    from the left twist-top over to the right one, hooked through the
+    continuation t1 -> t2 by two crossings (the clasp).  Each new
+    crossing's under-strand is picked by the requested sign.
     """
     if clasp not in (1, -1):
         raise ValueError("clasp must be +1 or -1")
     if d.component_count() != 1:
         raise ValueError("companion must be a knot")
-    if not d.crossings:
-        base = None  # doubled unknot: build the tangle closed on itself
-    else:
+    b1, b2 = 0, 1  # cable() numbers the copies of the lowest arc first
+    if d.crossings:
         base = cable(d, 2, 0)
-
-    for twist_flip in (False, True):
-        for clasp_flip in (False, True):
-            cand = _build_double(base, framing, twist_flip, clasp_flip, d.name)
-            tw_ok = True
-            if framing:
-                # the doubled strands are antiparallel, so a right-handed
-                # band twist appears as two negative crossings
-                tw_ok = cand.positive[-2 * abs(framing) - 2] != (framing > 0)
-            if tw_ok and cand.positive[-1] == (clasp > 0):
-                return cand
-    raise AssertionError("could not realize requested twist/clasp signs")
-
-
-def _build_double(base: PlanarDiagram | None, framing: int, twist_flip: bool,
-                  clasp_flip: bool, name: str) -> PlanarDiagram:
-    """Assemble one sign-candidate of the double and orient it.
-
-    The cut bundle has ends b1 (copy 0) and b2 (copy 1) below and t1, t2
-    above.  The splice stacks, bottom to top: 2|framing| half-twist
-    crossings, then a turnback arch u from the left twist-top over to
-    the right twist-top, hooked through the continuing strands n with
-    two alternating crossings (the clasp).
-    """
-    nxt = 0
-    raw: list[Crossing] = []
-    loops = 0
-    if base is None:
-        # 0-crossing unknot companion: the bundle closes on itself, so
-        # the top ends are the bottom ends
-        b1, b2 = 0, 1
+        t1, t2 = base.fresh_arc_start(), base.fresh_arc_start() + 1
+        raw = _reroute_heads(base, {b1: t1, b2: t2})
+    else:
+        # crossingless companion: the bundle closes on itself, so the top
+        # ends are the bottom ends
         t1, t2 = b1, b2
-        nxt = 2
+        raw = []
+    # the arch runs left -> u -> right, the continuation t1 -> n -> t2
+    u, n = t2 + 1, t2 + 2
+    # twist region: the doubled strands are antiparallel, so a
+    # right-handed band twist appears as two negative crossings
+    cur = [b1, b2]
+    raw += _braid_crossings(_half_twists(2, 2 * framing), cur, t2 + 3)
+    # clasp: X1 on the left legs, X2 on the right legs
+    left, right = cur
+    if clasp > 0:
+        raw += [(n, u, t1, left), (right, t2, u, n)]  # continuation under at X1
     else:
-        nxt = base.fresh_arc_start()
-        b1, b2 = 0, 1  # cable() numbers the copies of companion arc 0 first
-        h1 = _head_position(base, b1)
-        h2 = _head_position(base, b2)
-        t1, t2 = nxt, nxt + 1
-        nxt += 2
-        for i, x in enumerate(base.crossings):
-            y = list(x)
-            if i == h1[0]:
-                y[h1[1]] = t1
-            if i == h2[0]:
-                y[h2[1]] = t2
-            raw.append(tuple(y))
-        loops = base.free_loops
-
-    def fresh() -> int:
-        nonlocal nxt
-        nxt += 1
-        return nxt - 1
-
-    # twist region: 2|framing| half-twist crossings on the two strands
-    curL, curR = b1, b2
-    for _ in range(2 * abs(framing)):
-        newL, newR = fresh(), fresh()
-        # legs: SW=curL, SE=curR, NE=newR, NW=newL; CCW = (SW, SE, NE, NW)
-        if twist_flip:
-            raw.append((curR, newR, newL, curL))  # under on the SE-NW diagonal
-        else:
-            raw.append((curL, curR, newR, newL))  # under on the SW-NE diagonal
-        curL, curR = newL, newR
-
-    # clasp: X1 on the left legs, X2 on the right legs; the arch runs
-    # curL -> u2 -> curR, the continuation runs t1 -> n2 -> t2
-    u2, n2 = fresh(), fresh()
-    if clasp_flip:
-        x1 = (u2, t1, curL, n2)    # arch under at X1
-        x2 = (t2, u2, n2, curR)    # continuation under at X2
-    else:
-        x1 = (n2, u2, t1, curL)    # continuation under at X1
-        x2 = (curR, t2, u2, n2)    # arch under at X2
-    raw.append(x1)
-    raw.append(x2)
-    out = orient_raw(raw, loops, f"{name}-double" if name else "")
-    return relabel(out)
+        raw += [(u, t1, left, n), (t2, u, n, right)]  # arch under at X1
+    out = relabel(orient_raw(raw, 0, f"{d.name}-double" if d.name else ""))
+    signs = (framing < 0,) * 2 * abs(framing) + (clasp > 0,) * 2
+    if out.positive[-len(signs):] != signs:
+        raise AssertionError("could not realize requested twist/clasp signs")
+    return out

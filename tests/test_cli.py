@@ -12,6 +12,7 @@ from knotmut import cli, quotients
 from knotmut.cli import format_table1, main
 from knotmut.diagram import braid_closure, parse_braid, parse_knot_spec
 from knotmut.laurent import LaurentPoly2
+from knotmut.permgroups import builtin_targets
 
 
 def run(capsys, *argv):
@@ -192,6 +193,52 @@ class TestCoverCommands:
                            "figure8")
         assert code == 2
         assert err.startswith("resource limit:")
+
+
+    @pytest.mark.parametrize("group", builtin_targets(2520),
+                             ids=lambda g: g.name)
+    def test_printed_target_names(self, group):
+        # the names that `report --quotients` prints are valid targets
+        assert cli._target_group(group.name).order == group.order
+
+    @pytest.mark.parametrize("name,order", [("Alt(5)", 60), ("Sym(4)", 24),
+                                            ("PSL(2,7)", 168)])
+    def test_long_target_names(self, name, order):
+        assert cli._target_group(name).order == order
+
+    @pytest.mark.parametrize("name", ["A", "X3", "Alt(5", "PSL(3,7)"])
+    def test_unknown_target(self, capsys, name):
+        code, out, err = run(capsys, "cover", "quotients", "--target", name,
+                             "trefoil")
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown target group {name!r}\n"
+
+
+class TestCountFlags:
+    """Counts below their least meaningful value are usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ("report", "--colors", "-3", "trefoil"),
+        ("report", "--quotients", "-5", "trefoil"),
+        ("report", "--lowindex", "-2", "trefoil"),
+        ("compare", "--quotients", "-1", "trefoil", "trefoil"),
+        ("cover", "lowindex", "--max", "-1", "trefoil"),
+        ("cover", "lowindex", "--max", "0", "trefoil"),
+    ])
+    def test_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        flag = next(a for a in argv if a.startswith("--"))
+        assert f"argument {flag}: must be at least " in capsys.readouterr().err
+
+    def test_least_values_accepted(self, capsys):
+        code, out, err = run(capsys, "report", "--quotients", "0",
+                             "--colors", "1", "--lowindex", "0", "trefoil")
+        assert code == 0, err
+        assert "quotients" not in out and "cjones" not in out
+        code, out, _ = run(capsys, "cover", "lowindex", "--max", "1", "trefoil")
+        assert (code, out) == (0, "index 1: [3]\n")
 
 
 # Each takes 1.4-5 s without a budget on 2 cores, at least 25 times the

@@ -72,6 +72,14 @@ class TestDiagramOps:
         assert s.component_count() == 1
         assert s.writhe() == 0
 
+    def test_missing_head_named(self):
+        # an arc that no crossing absorbs cannot be cut
+        t = named_knot("trefoil")
+        with pytest.raises(ValueError, match=r"^arc 1000000 head not found$"):
+            add_kink(t, 1, 10**6)
+        with pytest.raises(ValueError, match=r"^arc 1000000 head not found$"):
+            connected_sum(t, mirror(t), arc1=10**6)
+
     def test_add_kink(self):
         d = braid_closure(parse_braid("2 | 1 1 1"))
         for sign in (1, -1):
@@ -194,6 +202,11 @@ def _frozen_constructions() -> dict:
     for d in (tre, f8):
         for clasp in (1, -1):
             out[f"double {d.name} {clasp:+d}"] = whitehead_double(d, -d.writhe(), clasp)
+    # right-handed twists and a negative clasp, and a crossingless companion
+    out["double trefoil 2 -1"] = whitehead_double(tre, 2, -1)
+    out["double unknot 1 +1"] = whitehead_double(named_knot("unknot"), 1, 1)
+    for sign in (1, -1):
+        out[f"kink figure8 {sign:+d}"] = add_kink(f8, sign)
     td = TangleDecomposition(tangle_sum(vertical_twist(3), vertical_twist(3)),
                              tangle_sum(vertical_twist(-2), vertical_twist(-3)))
     out["P(3,3,-2,-3) vertical mutant"] = mutate(td, "vertical")
@@ -223,6 +236,18 @@ FROZEN = {
     "double figure8 -1": (
         "X(0,1,2,3) X(2,4,5,6) X(7,1,8,9) X(10,4,7,11) X(11,12,13,14) X(13,15,16,17) X(18,12,9,19) X(20,15,18,21) X(14,22,23,10) X(23,24,6,5) X(25,22,17,26) X(3,24,25,27) X(27,28,29,30) X(29,31,19,32) X(33,28,26,16) X(21,31,33,20) X(30,34,35,0) X(8,35,34,32)",
         "-++--++--++--++---"),
+    "double trefoil 2 -1": (
+        "X(0,1,2,3) X(2,4,5,6) X(7,1,8,9) X(10,4,7,11) X(11,12,13,10) X(13,14,15,5) X(16,12,9,17) X(18,14,16,19) X(19,20,21,18) X(21,22,6,15) X(23,20,17,24) X(3,22,23,25) X(26,25,24,27) X(27,28,29,26) X(30,29,28,31) X(31,32,33,30) X(33,34,35,0) X(8,35,34,32)",
+        "-++--++--++-------"),
+    "double unknot 1 +1": (
+        "X(0,1,2,3) X(4,2,1,5) X(3,4,6,7) X(5,0,7,6)",
+        "--++"),
+    "kink figure8 +1": (
+        "X(9,1,2,3) X(1,4,5,6) X(6,7,3,2) X(7,5,4,0) X(0,9,8,8)",
+        "+-+-+"),
+    "kink figure8 -1": (
+        "X(9,1,2,3) X(1,4,5,6) X(6,7,3,2) X(7,5,4,0) X(0,8,8,9)",
+        "+-+--"),
     "P(3,3,-2,-3) vertical mutant": (
         "X(0,1,2,3) X(4,5,1,0) X(6,7,5,4) X(8,2,9,10) X(10,9,11,12) X(12,11,7,13) X(14,15,16,3) X(15,17,6,16) X(18,14,8,19) X(20,18,19,21) X(17,20,21,13)",
         "------+++++"),
