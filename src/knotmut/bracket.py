@@ -8,35 +8,26 @@ diagram is 1 (so an unknot diagram evaluates to delta).
 The Jones polynomial of an oriented diagram D with writhe w is
 (-A^3)^(-w) <D> / delta, rewritten in t = A^-4.
 
-`kauffman_bracket` contracts one crossing at a time.  The arcs with one
-end in the contracted region are open; they depend on the step only, so
-`_plan` fixes one layout of them per step before any state exists: the
-kept arcs in their old order, then the crossing's new arcs.  A state is a
-tuple P with P[i] the position of the open arc joined to position i
-through the region.  A step reads and rewires only the at most four
-positions its crossing consumes, so the loops and rewirings of each
-smoothing are memoized per step, keyed by the partners of those positions.
+`kauffman_bracket` contracts one crossing at a time, in the order and
+with the per-step layout of the open arcs that `knotmut.frontier` plans.
+A state is a tuple P with P[i] the position of the open arc joined to
+position i through the region.  A step reads and rewires only the at
+most four positions its crossing consumes, so the loops and rewirings of
+each smoothing are memoized per step, keyed by the partners of those
+positions.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import cache, reduce
-from operator import itemgetter, or_
+from operator import or_
 
 from .budget import Budget
 from .diagram import PlanarDiagram, UnionFind
+from .frontier import contraction_order, fits, getter, layout
 from .laurent import LaurentPoly
 
 DELTA = LaurentPoly("A", {2: -1, -2: -1})
-
-
-def _getter(positions: list[int]) -> itemgetter:
-    """Function returning the tuple of P[i] for i in `positions`."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return itemgetter(slice(*positions, positions[0] + 1) if positions
-                      else slice(0))
 
 
 def _plan(crossings, order: list[int]) -> list[tuple]:
@@ -48,24 +39,16 @@ def _plan(crossings, order: list[int]) -> list[tuple]:
     `links[leg]` is ~j for an arc to leg j of the crossing, else the leg;
     `pad` holds places for the new arcs.
     """
-    layout: list[int] = []
     steps = []
-    for idx in order:
-        x = crossings[idx]
-        where = {a: i for i, a in enumerate(layout)}
-        consumed = {where[a]: leg for leg, a in enumerate(x) if a in where}
-        kept = [i for i in range(len(layout)) if i not in consumed]
-        remap = [kept.index(i) if i in kept else -1 for i in range(len(layout))]
-        layout = [layout[i] for i in kept]
-        ends, links = [None] * 4, [0, 1, 2, 3]
-        for leg, a in enumerate(x):
-            if x.count(a) == 2:
-                links[leg] = ~(sum(i for i, b in enumerate(x) if b == a) - leg)
-            elif a not in where:
-                ends[leg] = len(layout)
-                layout.append(a)
-        steps.append((_getter(kept), remap, _getter(list(consumed)), consumed,
-                      ends, links, [0] * (len(layout) - len(kept))))
+    for kept, consumed, new, joined in layout(crossings, order):
+        size = len(kept) + len(consumed)
+        remap = [-1] * size
+        for i, old in enumerate(kept):
+            remap[old] = i
+        ends = [new.get(leg) for leg in range(4)]
+        links = [~joined[leg] if leg in joined else leg for leg in range(4)]
+        steps.append((getter(kept), remap, getter(list(consumed)), consumed,
+                      ends, links, [0] * len(new)))
     return steps
 
 
@@ -117,7 +100,7 @@ def kauffman_bracket(d: PlanarDiagram,
                      budget_seconds: float | None = None) -> LaurentPoly:
     """Bracket by crossing-at-a-time contraction, at twice the digit width
     each time `_contract` finds it too narrow, all under one deadline."""
-    plan = _plan(d.crossings, _contraction_order(d.crossings))
+    plan = _plan(d.crossings, contraction_order(d.crossings))
     clock = Budget(budget_seconds)
     width = _digit_width(plan)
     while (bracket := _contract(plan, width, clock.remaining())) is None:
@@ -152,13 +135,7 @@ def _contract(plan: list[tuple], width: int,
                     progress=lambda: f"{len(states)} states")
     for take, remap, key, consumed, ends, links, pad in plan:
         budget.tick()
-        # every digit in [-T, T): adding T to each leaves [0, 2T), no carry
-        h = max(0, width - 1 - (8 * len(states)).bit_length())   # T = 2^h
-        n = max(map(int.bit_length, states.values())) // width + 2
-        ones = ((1 << n * width) - 1) // ((1 << width) - 1)
-        bias, mask = ones << h, ones * ((1 << width) - (2 << h))
-        if not h or reduce(or_, map(mask.__and__,
-                                    map(bias.__add__, states.values()))):
+        if not fits(states.values(), width, 8 * len(states)):
             return None
         rget, memo, new_states = remap.__getitem__, {}, {}
         for p, coeff in states.items():
@@ -183,40 +160,6 @@ def _contract(plan: list[tuple], width: int,
     if list(states) != [()]:
         raise AssertionError("open ends remain after full contraction")
     return LaurentPoly.unpack("A", states[()] >> drop, width, off, 2)
-
-
-def _contraction_order(crossings) -> list[int]:
-    """Greedy order keeping the set of open arcs small: each pick opens the
-    fewest arcs net of those it closes, the lowest index among ties.  A heap
-    holds (score, index); a pick rescores only the crossings sharing an arc
-    with it, and stale entries are skipped."""
-    at: dict[int, list[int]] = {}   # the crossing of each end of an arc
-    for i, x in enumerate(crossings):
-        for a in x:
-            at.setdefault(a, []).append(i)
-    left = {a: len(ends) for a, ends in at.items()}   # ends not yet picked
-
-    def score(x) -> int:
-        # +1 per arc x leaves open, -1 per open arc whose last ends x picks
-        return sum(1 if left[a] > x.count(a) else -(left[a] < len(at[a]))
-                   for a in set(x))
-
-    scores: list = [score(x) for x in crossings]
-    heap = sorted(zip(scores, range(len(crossings))))   # sorted is a heap
-    order = []
-    while heap:
-        s, i = heapq.heappop(heap)
-        if s != scores[i]:
-            continue
-        order.append(i)
-        scores[i] = None   # picked
-        for a in crossings[i]:
-            left[a] -= 1
-        for j in {j for a in crossings[i] for j in at[a]}:
-            if scores[j] is not None and (s := score(crossings[j])) != scores[j]:
-                scores[j] = s
-                heapq.heappush(heap, (s, j))
-    return order
 
 
 def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:

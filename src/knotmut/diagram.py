@@ -104,6 +104,21 @@ class UnionFind(dict):
             self[ra] = rb
 
 
+def _other_ends(crossings) -> list[int]:
+    """The position 4 * crossing + leg of the other end of each position's
+    arc; ValueError on an arc that does not occur exactly twice."""
+    other = [0] * (4 * len(crossings))
+    ends: dict[int, list[int]] = {}
+    for i, x in enumerate(crossings):
+        for leg, a in enumerate(x):
+            ends.setdefault(a, []).append(4 * i + leg)
+    for a, ps in ends.items():
+        if len(ps) != 2:
+            raise ValueError(f"arc {a} appears {len(ps)} times, expected 2")
+        other[ps[0]], other[ps[1]] = ps[1], ps[0]
+    return other
+
+
 def _orient(crossings: tuple[Crossing, ...], under_known: bool) -> list[bool]:
     """Solve the strand directions at every crossing.
 
@@ -117,15 +132,7 @@ def _orient(crossings: tuple[Crossing, ...], under_known: bool) -> list[bool]:
     Raises ValueError on an arc that does not occur exactly twice, or on
     PD input that no orientation fits (an arc emitted or absorbed twice).
     """
-    other = [0] * (4 * len(crossings))
-    ends: dict[int, list[int]] = {}
-    for i, x in enumerate(crossings):
-        for leg, a in enumerate(x):
-            ends.setdefault(a, []).append(4 * i + leg)
-    for a, ps in ends.items():
-        if len(ps) != 2:
-            raise ValueError(f"arc {a} appears {len(ps)} times, expected 2")
-        other[ps[0]], other[ps[1]] = ps[1], ps[0]
+    other = _other_ends(crossings)
     m = 2 * len(crossings)
     val: list[bool | None] = [None] * m
     firsts = range(0, m, 2) if under_known else ()
@@ -210,6 +217,35 @@ class PlanarDiagram:
     def __str__(self):
         xs = " ".join(f"X({a},{b},{c},{d})" for a, b, c, d in self.crossings)
         return xs if not self.free_loops else f"{xs} O*{self.free_loops}"
+
+
+def faces(crossings) -> list[list[int]]:
+    """The faces of a connected diagram in the plane, as cycles of corners.
+
+    Corner 4i + k is the corner of crossing i between legs k and k + 1,
+    counterclockwise.  A face is walked with it on the left: from corner
+    4i + k along the arc of leg k to its other end, leg j of crossing y,
+    then on from corner 4y + j - 1.  By Euler's formula a connected
+    diagram with c crossings in the plane has c + 2 faces; any other
+    count raises ValueError, as for a virtual or a split diagram.
+    """
+    other = _other_ends(crossings)
+    seen = [False] * len(other)
+    out = []
+    for start in range(len(other)):
+        face = []
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            face.append(p)
+            p = other[p] - 1 if other[p] & 3 else other[p] + 3
+        if face:
+            out.append(face)
+    if len(out) != len(crossings) + 2:
+        raise ValueError(f"the diagram has {len(out)} faces, where a planar "
+                         f"diagram with {len(crossings)} crossings has "
+                         f"{len(crossings) + 2}")
+    return out
 
 
 def successor_map(d: PlanarDiagram) -> dict[int, int]:
@@ -317,16 +353,16 @@ def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram,
         raise ValueError("connected sum of diagrams with free loops unsupported")
     if arc1 is None:
         arc1 = min(d1.arcs)
-    shift = max(d1.arcs) + 1
-    c2 = [tuple(a + shift for a in x) for x in d2.crossings]
     if arc2 is None:
         arc2 = min(d2.arcs)
-    arc2 += shift
+    shift = max(d1.arcs) + 1   # d2's arcs are renamed past d1's
     # cut arc1 (tail t1 -> head h1) and arc2 (t2 -> h2) and cross-wire:
-    # t1 flows into h2 and t2 into h1
-    union = PlanarDiagram(list(d1.crossings) + c2)
-    rewired = _reroute_heads(union, {arc1: arc2, arc2: arc1})
-    return relabel(PlanarDiagram(rewired, 0, f"{d1.name}#{d2.name}"))
+    # t1 flows into h2 and t2 into h1; each arc is looked up in its own
+    # diagram, so an arc of the other one is refused
+    c1 = _reroute_heads(d1, {arc1: arc2 + shift})
+    c2 = _reroute_heads(d2, {arc2: arc1 - shift})
+    c2 = [tuple(a + shift for a in x) for x in c2]
+    return relabel(PlanarDiagram(c1 + c2, 0, f"{d1.name}#{d2.name}"))
 
 
 def _reroute_heads(d: PlanarDiagram, heads: dict[int, int]) -> list[Crossing]:
@@ -383,7 +419,9 @@ def parse_pd(text: str, name: str = "") -> PlanarDiagram:
     crossings = [tuple(int(g) for g in m.groups()) for m in _PD_RE.finditer(text)]
     if not crossings:
         raise ValueError(f"no crossings found in {text!r}")
-    return relabel(PlanarDiagram(crossings, 0, name))
+    d = PlanarDiagram(crossings, 0, name)
+    faces(d.crossings)   # refuses a code with no planar drawing
+    return relabel(d)
 
 
 def orient_raw(raw: list[Crossing], free_loops: int = 0,

@@ -11,6 +11,7 @@ from knotmut.bracket import DELTA, bracket_state_sum, jones, kauffman_bracket
 from knotmut.budget import ResourceLimitExceeded
 from knotmut.diagram import (BraidWord, PlanarDiagram, add_kink, braid_closure,
                              connected_sum, mirror, named_knot, parse_braid)
+from knotmut.frontier import contraction_order
 from knotmut.laurent import LaurentPoly, parse_poly
 from knotmut.satellites import cable
 
@@ -155,14 +156,14 @@ class TestContractionOrder:
     @pytest.mark.parametrize("k", (1, 2))
     def test_matches_rescan_on_pretzel_parallels(self, p, k):
         d = cable(pretzel(*p), k, 0) if k > 1 else pretzel(*p)
-        assert bracket._contraction_order(d.crossings) == \
+        assert contraction_order(d.crossings) == \
             quadratic_contraction_order(list(d.crossings))
 
     def test_matches_rescan_on_random_closures(self):
         rng = random.Random(8)
         for _ in range(200):
             d = braid_closure(random_braid(rng, 6, 12))
-            assert bracket._contraction_order(d.crossings) == \
+            assert contraction_order(d.crossings) == \
                 quadratic_contraction_order(list(d.crossings))
 
 

@@ -244,11 +244,13 @@ class TestCountFlags:
 # Each takes 1.4-5 s without a budget on 2 cores, at least 25 times the
 # budget: epimorphisms onto A7 (4.9 s) and the index-6 low-index search
 # (1.4 s) on the 3-generator, 48-letter double branched cover of this
-# braid's closure, and the 2- and 4-parallel brackets of 6_2.
+# braid's closure, and the 5-colored Jones polynomial of a 2-cable of the
+# trefoil, whose contraction keeps 8 arcs open (2.8 s).
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
+SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
 SLOW_COMMANDS = (
     ("cover", "quotients", "--target", "Alt(7)", SLOW_COVER),
-    ("cjones", "--color", "5", "6_2"),
+    ("cjones", "--color", "5", SLOW_CJONES),
     ("cover", "lowindex", "--max", "6", SLOW_COVER),
 )
 
@@ -343,6 +345,14 @@ class TestItemElapsed:
         doc = json.loads(out)
         self.check(doc["left"]["items"])
         self.check(doc["right"]["items"])
+
+
+class TestPlanarInput:
+    def test_virtual_code_refused(self, capsys):
+        code, out, err = run(capsys, "jones", "pd: X(2,1,3,0) X(3,2,0,1)")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the diagram has 2 faces, where a "
+                              "planar diagram with 2 crossings has 4")
 
 
 class TestFileInput:

@@ -1,4 +1,5 @@
-"""Colored Jones polynomials by Chebyshev cabling, against independent routes."""
+"""Colored Jones polynomials by the R-matrix state sum, against cabling and
+closed forms."""
 
 import random
 
@@ -6,13 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pretzel, random_knot_diagram
+from knotmut import colored
 from knotmut.bracket import jones, kauffman_bracket
+from knotmut.budget import ResourceLimitExceeded
 from knotmut.colored import (chebyshev_basis, colored_jones,
-                             colored_jones_unnormalized)
-from knotmut.diagram import (PlanarDiagram, connected_sum, mirror, named_knot,
-                             parse_braid, braid_closure, zero_framed)
+                             colored_jones_cabled, colored_jones_unnormalized,
+                             rotations, state_sum)
+from knotmut.diagram import (PlanarDiagram, add_kink, braid_closure,
+                             connected_sum, faces, mirror, named_knot,
+                             parse_braid, parse_pd, zero_framed)
 from knotmut.laurent import LaurentPoly, qint
 from knotmut.satellites import cable
+from test_skein2 import MUTANT_SLATE
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 
@@ -145,18 +151,120 @@ def masbaum_trefoil(N):
 
 
 class TestClosedForms:
-    """The cabling engine against the cyclotomic closed forms of Habiro and
-    Masbaum (Masbaum, AGT 3, 2003), which use neither the bracket nor a
-    cable."""
+    """The state sum against the cyclotomic closed forms of Habiro and
+    Masbaum (Masbaum, AGT 3, 2003), which use neither the R-matrix, the
+    bracket nor a cable."""
 
-    @pytest.mark.parametrize("N", range(1, 6))
+    @pytest.mark.parametrize("N", range(1, 9))
     def test_figure8(self, N):
         assert colored_jones(named_knot("figure8"), N) == habiro_figure8(N)
 
-    @pytest.mark.parametrize("N", range(1, 6))
+    @pytest.mark.parametrize("N", range(1, 9))
     def test_trefoil_and_mirror(self, N):
         # the mirror takes q to 1/q, which pins the chirality convention
         j = masbaum_trefoil(N)
         assert colored_jones(named_knot("trefoil"), N) == j
         assert colored_jones(named_knot("trefoil_mirror"), N) == \
             j.invert_var()
+
+
+class TestCablingOracle:
+    """The state sum against cabling, which brackets the (N-1)-parallel."""
+
+    @pytest.mark.parametrize("p", MUTANT_SLATE)
+    @pytest.mark.parametrize("N", (2, 3))
+    def test_mutant_slate(self, p, N):
+        for q in (p, (p[0], p[1], p[3], p[2])):
+            d = pretzel(*q)
+            assert colored_jones(d, N) == colored_jones_cabled(d, N)
+
+    @pytest.mark.parametrize("p", ((3, 2, 3, -3), (5, 3, -2, -3)))
+    def test_color_four(self, p):
+        d = pretzel(*p)
+        assert colored_jones(d, 4) == colored_jones_cabled(d, 4)
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=15, deadline=None)
+    def test_random_closures(self, seed):
+        d = random_knot_diagram(random.Random(seed), max_letters=10)
+        for N in (3, 4):
+            assert colored_jones(d, N) == colored_jones_cabled(d, N)
+
+    def test_kinked(self):
+        # arcs joining two legs of one crossing are summed within its step
+        d = named_knot("5_2")
+        for N in (2, 3, 4):
+            assert colored_jones(d, N) == colored_jones_cabled(d, N) == \
+                colored_jones(add_kink(add_kink(d, 1), -1, 2), N)
+
+
+class TestPaperScale:
+    """Color 5 on the 13-15-crossing pretzels, where cabling took 72 s on
+    P(7,3,3,-2) and ran out of 120 s on the other two."""
+
+    @pytest.mark.parametrize("p", ((7, 3, 3, -2), (5, 3, -2, -3),
+                                   (5, 5, -2, -3)))
+    def test_color_five_in_budget(self, p):
+        assert colored_jones(pretzel(*p), 5, budget_seconds=5)
+
+    def test_mutants_agree_at_color_five(self):
+        assert colored_jones(pretzel(5, 3, -2, -3), 5) == \
+            colored_jones(pretzel(5, 3, -3, -2), 5)
+
+    def test_budget_counts_crossing_steps(self):
+        with pytest.raises(ResourceLimitExceeded, match=(
+                r"^time budget exhausted after \d+ of 15 crossing steps, "
+                r"\d+ states$")):
+            colored_jones(pretzel(7, 3, 3, -2), 5, budget_seconds=0.0)
+
+
+class TestRotations:
+    @pytest.mark.parametrize("d", (named_knot("figure8"), named_knot("6_2"),
+                                   pretzel(3, 2, 3, -3)),
+                             ids=lambda d: d.name)
+    @pytest.mark.parametrize("N", (2, 3))
+    def test_any_face_outer(self, d, N):
+        values = {state_sum(d, N, rotations(d, outer))
+                  for outer in range(len(faces(d.crossings)))}
+        assert values == {colored_jones(d, N)}
+
+    @pytest.mark.parametrize("d", (named_knot("figure8"), named_knot("6_2"),
+                                   pretzel(3, 2, 3, -3)),
+                             ids=lambda d: d.name)
+    def test_whitney_index(self, d):
+        # upright crossings turn by nothing, so the arcs' turns add up to
+        # the rotation number of the knot's shadow, which by Whitney's
+        # formula is c + 1 mod 2 for c double points, and at most the
+        # number of Seifert circles, c + 1; moving the outer face across an
+        # arc changes it by 2
+        c = len(d.crossings)
+        totals = {sum(rotations(d, outer).values())
+                  for outer in range(c + 2)}
+        assert {t % 2 for t in totals} == {(c + 1) % 2}
+        assert len(totals) > 1 and max(map(abs, totals)) <= c + 1
+
+    def test_crossingless_unknot(self):
+        for N in range(1, 9):
+            assert colored_jones(UNKNOT, N).is_one()
+
+    @pytest.mark.parametrize("pd", ("X(0,0,1,1)", "X(0,1,1,0)"))
+    def test_one_crossing_unknot(self, pd):
+        # a curl: both arcs run from the crossing back to it
+        for N in range(1, 6):
+            assert colored_jones(parse_pd(pd), N).is_one()
+
+
+def test_too_narrow_width_is_widened(monkeypatch):
+    d = pretzel(3, 2, 3, -3)
+    expected = colored_jones(d, 4)
+    widths = []
+    contract = colored._contract
+
+    def spy(plan, N, width, seconds):
+        widths.append(width)
+        return contract(plan, N, width, seconds)
+
+    monkeypatch.setattr(colored, "FIRST_WIDTH", 4)
+    monkeypatch.setattr(colored, "_contract", spy)
+    assert colored_jones(d, 4) == expected
+    assert widths[:3] == [4, 8, 16]

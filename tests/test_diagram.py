@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_braid, vertical_twist
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram, add_kink,
-                             braid_closure, connected_sum, mirror, named_knot,
-                             parse_braid, parse_knot_spec, parse_pd, relabel,
-                             successor_map, zero_framed)
+                             braid_closure, connected_sum, faces, mirror,
+                             named_knot, parse_braid, parse_knot_spec,
+                             parse_pd, relabel, successor_map, zero_framed)
 from knotmut.satellites import cable, whitehead_double
 from knotmut.tangles import (TangleDecomposition, mutate, random_decomposition,
                              tangle_sum)
@@ -79,6 +79,18 @@ class TestDiagramOps:
             add_kink(t, 1, 10**6)
         with pytest.raises(ValueError, match=r"^arc 1000000 head not found$"):
             connected_sum(t, mirror(t), arc1=10**6)
+
+    def test_connected_sum_arcs_from_their_own_diagram(self):
+        # d2's arcs are renamed past d1's, so arc 6 of the joined list
+        # would be an arc of the second trefoil
+        t = named_knot("trefoil")
+        assert t.arcs == set(range(6))
+        with pytest.raises(ValueError, match=r"^arc 6 head not found$"):
+            connected_sum(t, t, arc1=6)
+        with pytest.raises(ValueError, match=r"^arc 9 head not found$"):
+            connected_sum(t, t, arc2=9)
+        s = connected_sum(t, t, arc1=5, arc2=5)
+        assert len(s.crossings) == 6 and s.component_count() == 1
 
     def test_add_kink(self):
         d = braid_closure(parse_braid("2 | 1 1 1"))
@@ -160,6 +172,37 @@ class TestKnotSpec:
         d.validate()
         assert d.component_count() == 1
         assert len(d.crossings) == 4
+
+
+class TestFaces:
+    @pytest.mark.parametrize("name", ("trefoil", "figure8", "6_2",
+                                      "hopf_plus"))
+    def test_euler(self, name):
+        d = named_knot(name)
+        fs = faces(d.crossings)
+        assert len(fs) == len(d.crossings) + 2
+        assert sorted(p for f in fs for p in f) == \
+            list(range(4 * len(d.crossings)))
+
+    def test_virtual_trefoil_refused(self):
+        # a 2-crossing code whose faces do not close up in the plane
+        with pytest.raises(ValueError, match=r"^the diagram has 2 faces, "
+                           r"where a planar diagram with 2 crossings has 4$"):
+            parse_pd("X(2,1,3,0) X(3,2,0,1)")
+        with pytest.raises(ValueError, match="2 faces"):
+            parse_knot_spec("pd: X(2,1,3,0) X(3,2,0,1)")
+
+    def test_split_code_refused(self):
+        two = " ".join(f"X({a},{b},{c},{e})" for a, b, c, e in
+                       connected_sum(named_knot("trefoil"),
+                                     named_knot("figure8")).crossings)
+        parse_pd(two)
+        hopf = named_knot("hopf_plus").crossings
+        split = " ".join(f"X({a + s},{b + s},{c + s},{e + s})"
+                         for s in (0, 10) for a, b, c, e in hopf)
+        # two Hopf diagrams side by side: each walk finds its own outer face
+        with pytest.raises(ValueError, match="^the diagram has 8 faces"):
+            parse_pd(split)
 
 
 class TestOrientationContract:

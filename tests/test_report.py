@@ -56,16 +56,19 @@ class TestComputeReport:
         assert "after 1 candidate images" in item.detail
 
 
-# Without a budget, on 2 cores: cjones_5 of 6_2 takes 2.5 s; on this
-# knot's 3-generator, 48-letter double branched cover, the searches onto
-# every built-in target up to A7 take 8.4 s and the index-6 low-index
-# search 1.3 s.
+# Without a budget, on 2 cores: cjones_5 of the closure of SLOW_CJONES, a
+# 2-cable of the trefoil, takes 2.8 s; on the 3-generator, 48-letter
+# double branched cover of SLOW_COVER's closure, the searches onto every
+# built-in target up to A7 take 8.4 s and the index-6 low-index search
+# 1.3 s.
+SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 
 
 class TestTimeBudget:
     @pytest.mark.parametrize("spec, opts, key", [
-        ("6_2", ReportOptions(colors=5, budget_seconds=0.05), "cjones_5"),
+        (SLOW_CJONES, ReportOptions(colors=5, budget_seconds=0.05),
+         "cjones_5"),
         (SLOW_COVER, ReportOptions(quotients=2520, budget_seconds=0.05),
          "quotients"),
         (SLOW_COVER, ReportOptions(lowindex=6, budget_seconds=0.05),
