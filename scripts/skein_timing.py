@@ -5,9 +5,10 @@ For each companion the script prints one line per satellite polynomial:
 the HOMFLY polynomial of the untwisted Whitehead double, the HOMFLY
 polynomial of the 2-cable, and the Kauffman polynomial of the Whitehead
 double.  Each line gives the nodes the resolution tree expanded, the
-seconds it took, and whether it finished within `--budget-seconds`.  The
-default companions are those of the benchmark's satellites workload: seven
-named knots and two 7-crossing 2-bridge knots glued from rational tangles.
+entries of its memo, the seconds it took, and whether it finished within
+`--budget-seconds`.  The default companions are those of the benchmark's
+satellites workload: seven named knots and two 7-crossing 2-bridge knots
+glued from rational tangles.
 
     python3 scripts/skein_timing.py
     python3 scripts/skein_timing.py --budget-seconds 10 6_2 "braid: 3 | 1 1 2 -1 2"
@@ -54,7 +55,7 @@ def satellites(d):
 
 
 def run(engine, d, budget_seconds):
-    """(nodes, seconds, finished) of one tree."""
+    """(nodes, memo entries, seconds, finished) of one tree."""
     budget = skein2.Budget
     made = []
 
@@ -72,7 +73,10 @@ def run(engine, d, budget_seconds):
         finished = False
     finally:
         skein2.Budget = budget
-    return made[0].nodes, time.perf_counter() - start, finished
+    seconds = time.perf_counter() - start
+    # progress() reads "<n> memo entries"
+    memo = int(made[0].progress().split()[0])
+    return made[0].nodes, memo, seconds, finished
 
 
 def main() -> int:
@@ -85,15 +89,17 @@ def main() -> int:
                     help="time budget of each tree")
     args = ap.parse_args()
 
-    total_nodes, total_s = 0, 0.0
+    total_nodes, total_memo, total_s = 0, 0, 0.0
     for name, d in companions(args.knots):
         for job, engine, sat in satellites(d):
-            nodes, s, finished = run(engine, sat, args.budget_seconds)
+            nodes, memo, s, finished = run(engine, sat, args.budget_seconds)
             total_nodes += nodes
+            total_memo += memo
             total_s += s
-            print(f"{name} {job}: {nodes} nodes, {s:.3f} s, "
-                  f"{'done' if finished else 'limited'}")
-    print(f"total: {total_nodes} nodes, {total_s:.3f} s")
+            print(f"{name} {job}: {nodes} nodes, {memo} memo entries, "
+                  f"{s:.3f} s, {'done' if finished else 'limited'}")
+    print(f"total: {total_nodes} nodes, {total_memo} memo entries, "
+          f"{total_s:.3f} s")
     return 0
 
 

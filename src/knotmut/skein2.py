@@ -12,10 +12,11 @@ F = a^(-writhe) D with F(unknot) = 1.
 A node's state has no arc labels.  Its legs are positions
 p = 4 * crossing + slot, and `o[p]` is the position at the other end of
 the arc at p, so deleting crossings and joining their outer arcs is a few
-writes to `o`.  Each crossing keeps its sign and an offset: logical leg l
-(the PD leg, 0 the incoming under-strand) sits in slot (l + offset) & 3.
-A switch, or a strand reversed by an unoriented smoothing, changes only
-the sign and the offset of a crossing.  Signs are tracked locally through
+writes to `o`.  Slot l of a crossing holds its PD leg l (0 the incoming
+under-strand), and each crossing keeps its sign.  A switch, or a strand
+reversed by an unoriented smoothing, puts the arcs of a crossing on other
+legs: its four slots rotate in place, by one for a switch and by two for
+an under passage of a reversed strand.  Signs are tracked locally through
 every move (never re-derived globally), because the planar-diagram
 encoding of an isolated curl does not determine its handedness.
 
@@ -25,18 +26,26 @@ both crossings.  Both are regular isotopies, so D changes only by
 a^(+-1) per curl and P not at all.  Switching one crossing of a twist
 region leaves such a bigon, which the tree would otherwise resolve in
 full.  Only crossings at an arc changed by the last move are checked.
-The node is then compacted: deleted crossings are dropped and every
-offset is turned to 0, so that the memo key is the partner of every
-logical leg, with the signs and the free loops.
+A deleted crossing's slots hold -1; the node is then compacted by
+dropping them, the live crossings keeping their order, so that the memo
+key is the partner of every leg, with the signs and the free loops.
 
-Both engines resolve at the first crossing that is reached on its
-under-strand during a basepoint traversal; descending diagrams are
-unlinks and are evaluated directly.  Each component's traversal starts
-on the over-strand of the first crossing, in crossing order, that no
-earlier traversal passed, just before it enters that crossing.  The
+Descending diagrams are unlinks and are evaluated directly.  Otherwise
+the trees resolve at a bad crossing: one that a basepoint traversal
+reaches first on its under-strand (Freyd, Yetter, Hoste, Lickorish,
+Millett & Ocneanu, Bull. AMS 12, 1985).  Each component's traversal
+starts on the over-strand of the first crossing, in crossing order, that
+no earlier traversal passed, just before it enters that crossing.  The
 basepoint thus depends only on the compacted state, never on how the
-node was reached, and a switch never moves it: the crossing it starts
-at is met on its over-strand first, so it is never the one resolved.
+node was reached.  Of the bad crossings, in traversal order, the first
+with an alternating bigon at a corner (its strands over at different
+crossings) is resolved, else the first bad crossing: switching at such a
+bigon makes it a same-over bigon, which the child's reduction deletes
+with both its crossings.  The trees terminate because switching any bad
+crossing leaves every traversal and its start unchanged (a start is met
+on its over-strand first, so it is never bad) and lowers the number of
+bad crossings by exactly one, while smoothing and reduction lower the
+number of crossings: (crossings, bad crossings) falls at every step.
 Coefficients are plain {(e1, e2): int} dicts inside the trees; every
 factor of the relations is a monomial, applied as an exponent shift.
 """
@@ -89,31 +98,30 @@ def _power_table(delta: dict):
     return power
 
 
-# _SLOTS[f] = (f, f+1, f+2, f+3) mod 4: the slots of logical legs 0..3 at
-# a crossing whose offset is f, and the slots counterclockwise from f.
-_SLOTS = tuple(tuple((leg + f) & 3 for leg in range(4)) for f in range(4))
+# _SLOTS[s] = (s, s+1, s+2, s+3) mod 4: the slots counterclockwise from s.
+_SLOTS = tuple(tuple((s + k) & 3 for k in range(4)) for s in range(4))
 
 
 class _RDiagram:
     """Resolution state on leg positions p = 4 * crossing + slot.
 
     `o[p]` is the position at the other end of the arc at p, so an arc is
-    a pair of positions and has no label.  Logical leg l of crossing i
-    (the PD leg: 0 is the incoming under-strand) sits in slot
-    (l + off[i]) & 3.  `dirs[i]` is the sign of crossing i, None once it
-    is deleted; `touched` holds the crossings to check in `reduce()`.
+    a pair of positions and has no label.  Slot l of crossing i holds its
+    PD leg l (0 is the incoming under-strand), so a move that puts an arc
+    on another leg rotates the crossing's four slots in place.  `dirs[i]`
+    is the sign of crossing i, None once it is deleted; a deleted
+    crossing's slots hold -1 until `key()` drops them.  `touched` holds
+    the crossings to check in `reduce()`.
 
-    `key()` compacts the state: no crossing is deleted and every offset
-    is 0 afterwards.  The moves and `first_bad` are made on a compacted
-    state only, so they read logical legs straight off the slots.
+    `key()` compacts the state: deleted crossings are dropped and the
+    live ones keep their order.  `first_bad` reads a compacted state.
     """
 
-    __slots__ = ("o", "dirs", "off", "free_loops", "touched")
+    __slots__ = ("o", "dirs", "free_loops", "touched")
 
-    def __init__(self, o, dirs, off, free_loops, touched):
+    def __init__(self, o, dirs, free_loops, touched):
         self.o = o
         self.dirs = dirs
-        self.off = off
         self.free_loops = free_loops
         self.touched = touched
 
@@ -129,31 +137,39 @@ class _RDiagram:
                     first[a] = p
                 else:
                     o[p], o[q] = q, p
-        n = len(d.crossings)
-        return cls(o, list(d.positive), [0] * n, d.free_loops, set(range(n)))
+        return cls(o, list(d.positive), d.free_loops,
+                   set(range(len(d.crossings))))
 
     def copy(self) -> "_RDiagram":
-        return _RDiagram(self.o[:], self.dirs[:], self.off[:],
-                         self.free_loops, set())
+        return _RDiagram(self.o[:], self.dirs[:], self.free_loops, set())
 
     def key(self):
-        """Compact the state and return its memo key.
+        """Compact the state and return its memo key: the partner of every
+        leg, the signs and the free loops.
 
-        Deleted crossings are dropped and every crossing is turned to
-        offset 0, so that slot and logical leg agree; the key is then the
-        partner of every logical leg, the signs and the free loops.
+        The -1 slots of deleted crossings are dropped in one pass, and
+        every other position moves down by 4 per deleted crossing before
+        its own.
         """
-        o, dirs, off = self.o, self.dirs, self.off
-        if None in dirs or any(off):
-            live = [i for i, dr in enumerate(dirs) if dr is not None]
-            order = [4 * i + s for i in live for s in _SLOTS[off[i]]]
-            new = [0] * len(o)
-            for n, p in enumerate(order):
-                new[p] = n
-            self.o = o = [new[o[p]] for p in order]
-            self.dirs = dirs = [dirs[i] for i in live]
-            self.off = [0] * len(live)
+        o, dirs = self.o, self.dirs
+        if None in dirs:
+            shift, n = [], 0
+            for dr in dirs:
+                shift.append(n)
+                if dr is None:
+                    n += 4
+            self.o = o = [p - shift[p >> 2] for p in o if p >= 0]
+            self.dirs = dirs = [dr for dr in dirs if dr is not None]
         return tuple(o), tuple(dirs), self.free_loops
+
+    def _rotate(self, k: int, r: int) -> None:
+        """Move the arc on each leg l of crossing k to leg l + r."""
+        o, b = self.o, 4 * k
+        for s, p in enumerate(o[b:b + 4]):
+            if p >> 2 == k:
+                p = b + ((p + r) & 3)
+            q = b + ((s + r) & 3)
+            o[q], o[p] = p, q
 
     # -- Reidemeister-I and -II removal ------------------------------------
 
@@ -177,8 +193,8 @@ class _RDiagram:
 
     def _reduce_at(self, i: int) -> int:
         """Remove a curl at crossing i, or a bigon with a corner at i."""
-        o, off = self.o, self.off
-        b, fi = 4 * i, off[i]
+        o = self.o
+        b = 4 * i
         for s, s1, s2, s3 in _SLOTS:
             t = o[b + s]
             j = t >> 2
@@ -192,8 +208,8 @@ class _RDiagram:
             # the arc at slot s runs to slot q of crossing j; the corner
             # between slots s and s+1 at i is a bigon when slot s+1 returns
             # to slot q-1 of j, and one strand is over at both when the
-            # logical legs of s and q have equal parity
-            if (s ^ t ^ fi ^ off[j]) & 1:
+            # legs at the ends of the arc have equal parity
+            if (s ^ t) & 1:
                 continue
             c = t & -4
             _, q1, q2, q3 = _SLOTS[t & 3]
@@ -217,9 +233,11 @@ class _RDiagram:
             if dirs[a >> 2] is None or dirs[c >> 2] is None:
                 # the pairs before had live ends, so no arc runs to them
                 self._join_through(pairs[n:])
-                return
+                break
             o[a], o[c] = c, a
             self.touched.add(a >> 2)
+        for i in idxs:
+            o[4 * i:4 * i + 4] = (-1, -1, -1, -1)
 
     def _join_through(self, pairs):
         """Join pairs when an arc runs from one deleted leg to another.
@@ -255,8 +273,8 @@ class _RDiagram:
     def switched(self, i: int) -> "_RDiagram":
         out = self.copy()
         dr = out.dirs[i]
-        # the arc on logical leg l moves to leg l + 1 (positive) or l + 3
-        out.off[i] = 3 if dr else 1
+        # the arc on leg l moves to leg l + 1 (positive) or l + 3
+        out._rotate(i, 1 if dr else 3)
         out.dirs[i] = not dr
         out.touched.add(i)
         return out
@@ -281,20 +299,24 @@ class _RDiagram:
         if compatible:
             return self.smoothed_oriented(i)
         out = self.copy()
-        o, off, dirs = out.o, out.off, out.dirs
+        o, dirs = out.o, out.dirs
         b = 4 * i
         # reverse the strand segment from the over-out leg back around to
         # the crossing, then the merge is orientation-respecting: each
         # passage flips the sign, and an under passage (an even leg) turns
         # the crossing by two legs so that leg 0 is the incoming
-        # under-strand again
+        # under-strand again.  The turns move positions, so they wait
+        # until the walk is done.
+        passages = []
         p = o[b + (1 if dr else 3)]
         while p >> 2 != i:
-            k = p >> 2
-            if not p & 1:
-                off[k] ^= 2
-            dirs[k] = not dirs[k]
+            passages.append(p)
             p = o[p ^ 2]
+        for p in passages:
+            k = p >> 2
+            dirs[k] = not dirs[k]
+            if not p & 1:
+                out._rotate(k, 2)
         out._remove((i,), ((b, b + 3), (b + 1, b + 2)) if btype
                     else ((b, b + 1), (b + 2, b + 3)))
         return out
@@ -302,13 +324,19 @@ class _RDiagram:
     # -- descending analysis ---------------------------------------------
 
     def first_bad(self) -> int | None:
-        """Index of the first crossing met on its under-strand, else None.
+        """The crossing to resolve, or None when no crossing is bad.
 
-        Each walk enters the first crossing not yet passed on its
-        over-strand (see the module docstring).
+        A bad crossing is met first on its under-strand by the basepoint
+        walks; each walk enters the first crossing not yet passed on its
+        over-strand (see the module docstring).  Of the bad crossings, in
+        walk order, the first with an alternating bigon at a corner is
+        returned, else the first one: switching at the bigon leaves a
+        same-over bigon, which the child's `reduce()` deletes with both
+        its crossings.
         """
         o, dirs = self.o, self.dirs
         passed = bytearray(len(dirs))
+        first = None
         for k in range(len(dirs)):
             if passed[k]:
                 continue
@@ -317,12 +345,27 @@ class _RDiagram:
                 i = p >> 2
                 if not passed[i]:
                     if not p & 3:
-                        return i
+                        if self._alternating_bigon(i):
+                            return i
+                        if first is None:
+                            first = i
                     passed[i] = 1
                 p = o[p ^ 2]
                 if p == start:
                     break
-        return None
+        return first
+
+    def _alternating_bigon(self, i: int) -> bool:
+        """Whether a corner of crossing i is a bigon whose strands are
+        over at different crossings."""
+        o, b = self.o, 4 * i
+        for s, s1, _, _ in _SLOTS:
+            t = o[b + s]
+            # as in `_reduce_at`, with legs of unequal parity
+            if (s ^ t) & 1 and t >> 2 != i and \
+                    o[b + s1] == (t & -4) + ((t - 1) & 3):
+                return True
+        return False
 
     def _components(self) -> tuple[list[int], int]:
         """Component number at every position, and the number of them."""

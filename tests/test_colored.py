@@ -254,9 +254,8 @@ class TestRotations:
             assert colored_jones(parse_pd(pd), N).is_one()
 
 
-def test_too_narrow_width_is_widened(monkeypatch):
-    d = pretzel(3, 2, 3, -3)
-    expected = colored_jones(d, 4)
+def width_spy(monkeypatch) -> list[int]:
+    """The digit width of every contraction that follows."""
     widths = []
     contract = colored._contract
 
@@ -264,7 +263,47 @@ def test_too_narrow_width_is_widened(monkeypatch):
         widths.append(width)
         return contract(plan, N, width, seconds)
 
-    monkeypatch.setattr(colored, "FIRST_WIDTH", 4)
     monkeypatch.setattr(colored, "_contract", spy)
+    return widths
+
+
+def test_too_narrow_width_is_widened(monkeypatch):
+    d = pretzel(3, 2, 3, -3)
+    expected = colored_jones(d, 4)
+    widths = width_spy(monkeypatch)
+    monkeypatch.setattr(colored, "_digit_width", lambda N, f: 4)
     assert colored_jones(d, 4) == expected
     assert widths[:3] == [4, 8, 16]
+
+
+class TestFirstWidth:
+    """The first digit width fits the pretzels at N = 5, 6, and stays at
+    32 bits where that fits."""
+
+    @pytest.mark.parametrize("N", (5, 6))
+    @pytest.mark.parametrize("p", ((5, 5, -2, -3), (7, 3, 3, -2),
+                                   (3, 2, 3, -3)))
+    def test_one_contraction(self, monkeypatch, p, N):
+        d = pretzel(*p)
+        widths = width_spy(monkeypatch)
+        value = colored_jones(d, N)
+        assert len(widths) == 1
+        # the same value from 64-bit digits, which every one of these fits
+        monkeypatch.setattr(colored, "_digit_width", lambda N, f: 64)
+        assert colored_jones(d, N) == value
+        assert widths[1:] == [64]
+
+    @pytest.mark.parametrize("N", (2, 3))
+    def test_slate_keeps_32_bits(self, monkeypatch, N):
+        widths = width_spy(monkeypatch)
+        for p in MUTANT_SLATE:
+            colored_jones(pretzel(*p), N)
+        assert widths == [32] * len(MUTANT_SLATE)
+
+    @pytest.mark.parametrize("N", (4, 5))
+    def test_companions_keep_32_bits(self, monkeypatch, N):
+        names = ("trefoil", "figure8", "5_1", "5_2", "6_1", "6_2", "6_3")
+        widths = width_spy(monkeypatch)
+        for name in names:
+            colored_jones(named_knot(name), N)
+        assert widths == [32] * len(names)

@@ -42,6 +42,8 @@ class TestSkeinTiming:
         for job, status in (("whitehead_homfly", "done"),
                             ("cable_homfly", "done"),
                             ("whitehead_kauffman", "(done|limited)")):
-            assert re.search(rf"^trefoil {job}: \d+ nodes, \d+\.\d{{3}} s, "
-                             rf"{status}$", res.stdout, re.M), res.stdout
-        assert re.search(r"^total: \d+ nodes, \d+\.\d{3} s$", res.stdout, re.M)
+            assert re.search(rf"^trefoil {job}: \d+ nodes, \d+ memo entries, "
+                             rf"\d+\.\d{{3}} s, {status}$", res.stdout,
+                             re.M), res.stdout
+        assert re.search(r"^total: \d+ nodes, \d+ memo entries, \d+\.\d{3} s$",
+                         res.stdout, re.M)

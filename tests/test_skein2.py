@@ -188,6 +188,16 @@ class TestSatelliteHomfly:
         # a knot: the HOMFLY has only even m-degrees
         assert all(e2 % 2 == 0 for (_, e2) in p.coeffs)
 
+    def test_whitehead_mutant_pair(self):
+        # 11-crossing mutants, neither an unknot: the doubles have 56
+        # crossings and take about 3 s each
+        d, e = pretzel(3, 2, 3, -3), pretzel(3, 2, -3, 3)
+        assert not jones(d).is_one()
+        p = p_whitehead_plus(d)
+        assert p == p_whitehead_plus(e)
+        assert not p.is_one()
+        assert alexander_from_homfly(p).is_one()
+
     def test_2cable_vs_plain(self):
         p = homfly_2cable(named_knot("trefoil"))
         assert all(e2 % 2 == 0 for (_, e2) in p.coeffs)
@@ -226,13 +236,28 @@ class TestReduction:
         homfly(pretzel(7, 3, 3, -2), max_nodes=200)
 
     def test_whitehead_homfly_budget(self):
-        # needs 1,219 nodes
-        p_whitehead_plus(named_knot("5_1"), max_nodes=1300)
+        # needs 695 nodes, and 729 if a join through deleted legs left its
+        # new arc out of the next reduction
+        p_whitehead_plus(named_knot("5_1"), max_nodes=710)
 
     def test_cable_homfly_budget(self):
-        # needs 353 nodes, and 377 if a join through deleted legs left its
-        # new arc out of the next reduction
+        # needs 209 nodes, and 353 if the tree resolved its first bad
+        # crossing
         homfly_2cable(named_knot("figure8"), max_nodes=370)
+
+    def test_whitehead_homfly_node_guard(self, monkeypatch):
+        # needs 1,359 nodes, and 6,545 if the tree resolved its first bad
+        # crossing
+        _, nodes = counted(monkeypatch, p_whitehead_plus, named_knot("6_1"))
+        assert nodes <= 1400
+
+    def test_whitehead_kauffman_node_guard(self, monkeypatch):
+        # needs 3,097 nodes, and 9,280 if the tree resolved its first bad
+        # crossing
+        d = named_knot("trefoil")
+        double = whitehead_double(d, -d.writhe(), 1)
+        _, nodes = counted(monkeypatch, kauffman_f, double)
+        assert nodes <= 3200
 
     @pytest.mark.parametrize("engine", (homfly, kauffman_f))
     @pytest.mark.parametrize("name", ("trefoil", "5_2"))
@@ -255,6 +280,63 @@ class TestReduction:
         assert homfly(d, max_nodes=1) == parse_poly2("-l*m^-1 - l^-1*m^-1")
         assert kauffman_f(d, max_nodes=1) == parse_poly2(
             "a*z^-1 - a^-1*z^-1 + 1", variables=("a", "z"))
+
+
+def bad_crossings(rd) -> list[int]:
+    """The crossings of a compacted state that the basepoint walks meet
+    first on their under-strand, in walk order.  Each walk enters the
+    first crossing not yet passed on its incoming over-leg (3 when the
+    crossing is positive, 1 when negative), and leg 0 is the incoming
+    under-strand."""
+    passed, bad = set(), []
+    for k in range(len(rd.dirs)):
+        if k in passed:
+            continue
+        p = start = 4 * k + (3 if rd.dirs[k] else 1)
+        while True:
+            if p // 4 not in passed:
+                passed.add(p // 4)
+                if p % 4 == 0:
+                    bad.append(p // 4)
+            p = rd.o[p ^ 2]   # out through the opposite leg, to the next
+            if p == start:
+                break
+    return bad
+
+
+def reduced(rd):
+    rd.reduce()
+    rd.key()
+    return rd
+
+
+class TestResolutionRule:
+    """The crossing each node resolves, on random knots and their
+    Whitehead doubles, down a random path of the tree."""
+
+    @given(st.integers(0, 2**30), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rule_and_termination(self, seed, double):
+        rng = random.Random(seed)
+        d = random_knot_diagram(rng, max_letters=8)
+        if double:
+            d = whitehead_double(d, -d.writhe(), 1)
+        rd = reduced(skein2._RDiagram.from_diagram(d))
+        while rd.dirs:
+            bad = bad_crossings(rd)
+            i = rd.first_bad()
+            if not bad:
+                assert i is None
+                break
+            # the first bad crossing whose switch lets the reduction
+            # delete a bigon, else the first bad crossing
+            freeing = [b for b in bad
+                       if len(reduced(rd.switched(b)).dirs) < len(rd.dirs)]
+            assert i == (freeing or bad)[0]
+            # a switch keeps every walk: one bad crossing fewer
+            assert bad_crossings(rd.switched(i)) == [b for b in bad if b != i]
+            rd = reduced(rng.choice((rd.switched(i),
+                                     rd.smoothed_oriented(i))))
 
 
 class TestLabelFree:
