@@ -5,8 +5,8 @@ For each companion the script prints one line per satellite polynomial:
 the HOMFLY polynomial of the untwisted Whitehead double, the HOMFLY
 polynomial of the 2-cable, and the Kauffman polynomial of the Whitehead
 double.  Each line gives the nodes the resolution tree expanded, the
-entries of its memo, the seconds it took, and whether it finished within
-`--budget-seconds`.  The default companions are those of the benchmark's
+entries of its memo and the hits on it, the seconds it took and the
+microseconds per node, and whether it finished within `--budget-seconds`.  The default companions are those of the benchmark's
 satellites workload: seven named knots and two 7-crossing 2-bridge knots
 glued from rational tangles.
 
@@ -16,6 +16,7 @@ glued from rational tangles.
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -55,7 +56,7 @@ def satellites(d):
 
 
 def run(engine, d, budget_seconds):
-    """(nodes, memo entries, seconds, finished) of one tree."""
+    """(nodes, memo entries, memo hits, seconds, finished) of one tree."""
     budget = skein2.Budget
     made = []
 
@@ -74,9 +75,14 @@ def run(engine, d, budget_seconds):
     finally:
         skein2.Budget = budget
     seconds = time.perf_counter() - start
-    # progress() reads "<n> memo entries"
-    memo = int(made[0].progress().split()[0])
-    return made[0].nodes, memo, seconds, finished
+    memo, hits = map(int, re.fullmatch(r"(\d+) memo entries, (\d+) memo hits",
+                                       made[0].progress()).groups())
+    return made[0].nodes, memo, hits, seconds, finished
+
+
+def line(nodes, memo, hits, seconds):
+    return (f"{nodes} nodes, {memo} memo entries, {hits} memo hits, "
+            f"{seconds:.3f} s, {1e6 * seconds / max(nodes, 1):.1f} us/node")
 
 
 def main() -> int:
@@ -89,17 +95,14 @@ def main() -> int:
                     help="time budget of each tree")
     args = ap.parse_args()
 
-    total_nodes, total_memo, total_s = 0, 0, 0.0
+    total = [0, 0, 0, 0.0]
     for name, d in companions(args.knots):
         for job, engine, sat in satellites(d):
-            nodes, memo, s, finished = run(engine, sat, args.budget_seconds)
-            total_nodes += nodes
-            total_memo += memo
-            total_s += s
-            print(f"{name} {job}: {nodes} nodes, {memo} memo entries, "
-                  f"{s:.3f} s, {'done' if finished else 'limited'}")
-    print(f"total: {total_nodes} nodes, {total_memo} memo entries, "
-          f"{total_s:.3f} s")
+            *counts, finished = run(engine, sat, args.budget_seconds)
+            total = [t + c for t, c in zip(total, counts)]
+            print(f"{name} {job}: {line(*counts)}, "
+                  f"{'done' if finished else 'limited'}")
+    print(f"total: {line(*total)}")
     return 0
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 import time
 
 
@@ -13,21 +15,29 @@ class Budget:
     """Stops a search after `max_nodes` steps or `seconds` of time.
 
     The message counts the steps in `unit` and adds `progress()`, how far
-    the search got, when it is given.
+    the search got, when it is given.  A NaN `seconds` or a negative (or
+    NaN) `max_nodes` is refused, since neither would ever stop a search.
     """
 
     __slots__ = ("deadline", "max_nodes", "nodes", "unit", "progress")
 
     def __init__(self, seconds: float | None = None,
                  max_nodes: int | None = None, unit="steps", progress=None):
+        if seconds is not None and math.isnan(seconds):
+            raise ValueError("a time budget must be a number of seconds, "
+                             "got nan")
+        if max_nodes is not None and not max_nodes >= 0:
+            raise ValueError(f"a node budget must be at least 0, "
+                             f"got {max_nodes}")
         self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.max_nodes = max_nodes
+        # no search reaches sys.maxsize steps
+        self.max_nodes = sys.maxsize if max_nodes is None else max_nodes
         self.nodes = 0
         self.unit = unit
         self.progress = progress
 
     def tick(self):
-        if self.nodes == self.max_nodes:
+        if self.nodes >= self.max_nodes:
             self._exhausted("node")
         if self.deadline is not None and time.monotonic() > self.deadline:
             self._exhausted("time")

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -120,6 +121,15 @@ def _at_least(low: int):
     return count
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds, at least 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of "
+                                         f"seconds, at least 0, got {text}")
+    return value
+
+
 def _print_presentation(g: GroupPresentation):
     print(f"generators: {g.ngens}")
     for i, r in enumerate(g.relators, start=1):
@@ -132,7 +142,7 @@ def main(argv=None) -> int:
                                              "mutation comparisons")
     ap.add_argument("--format", choices=("text", "json", "table1"),
                     default="text")
-    ap.add_argument("--budget-seconds", type=float, default=None,
+    ap.add_argument("--budget-seconds", type=_seconds, default=None,
                     help="time budget of each exponential search")
     sub = ap.add_subparsers(dest="cmd", required=True)
     # options shared by `report` and `compare`: each dest is a

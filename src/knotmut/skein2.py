@@ -20,15 +20,25 @@ an under passage of a reversed strand.  Signs are tracked locally through
 every move (never re-derived globally), because the planar-diagram
 encoding of an isolated curl does not determine its handedness.
 
+One node of a tree does, in order: tick the budget; copy its parent's
+state with one move applied (a switch, or a smoothing that deletes the
+crossing and joins its arcs); reduce it; compact it into its memo key;
+look the key up; pick the crossing to resolve; and combine its
+children's values.
+
 Before its memo lookup every node is reduced by Reidemeister-I and -II
 moves: curls, and bigons in which one strand passes over the other at
 both crossings.  Both are regular isotopies, so D changes only by
 a^(+-1) per curl and P not at all.  Switching one crossing of a twist
 region leaves such a bigon, which the tree would otherwise resolve in
-full.  Only crossings at an arc changed by the last move are checked.
-A deleted crossing's slots hold -1; the node is then compacted by
-dropping them, the live crossings keeping their order, so that the memo
-key is the partner of every leg, with the signs and the free loops.
+full.  Only crossings at an arc changed by the last move are checked,
+each at its four corners in slot order, and the order of the removals is
+part of the tree: a different order can end in a different state.  A
+deleted crossing is listed as dead; the node is then compacted by
+dropping the dead crossings, the live ones keeping their order, so that
+the memo key is the partner of every leg, with the signs and the free
+loops.  The compaction looks every leg's new position up in one table,
+and the key's tuple is the compacted state.
 
 Descending diagrams are unlinks and are evaluated directly.  Otherwise
 the trees resolve at a bad crossing: one that a basepoint traversal
@@ -46,53 +56,70 @@ crossing leaves every traversal and its start unchanged (a start is met
 on its over-strand first, so it is never bad) and lowers the number of
 bad crossings by exactly one, while smoothing and reduction lower the
 number of crossings: (crossings, bad crossings) falls at every step.
-Coefficients are plain {(e1, e2): int} dicts inside the trees; every
-factor of the relations is a monomial, applied as an exponent shift.
+
+Coefficients inside the trees are plain {e: int} dicts on packed
+exponents e = e1 * w + e2 (see `_width`); every factor of the relations
+is a monomial, applied as one integer shift of e, and a node's children
+are combined in one pass over each child's terms.
 """
 
 from __future__ import annotations
 
 import sys
 from math import comb
+from operator import itemgetter
 
 from .budget import Budget, ResourceLimitExceeded  # noqa: F401 (re-export)
 from .diagram import PlanarDiagram
 from .laurent import LaurentPoly, LaurentPoly2
 from .satellites import cable, whitehead_double
 
-_ONE = {(0, 0): 1}
+_ONE = {0: 1}
 # delta_P = -(l + l^-1)/m
 _DELTA_P = {(1, -1): -1, (-1, -1): -1}
 # delta_F = (a - a^-1)/z + 1 in variables (a, z)
 _DELTA_F = {(1, -1): 1, (-1, -1): -1, (0, 0): 1}
 
 
-def _add_shifted(out: dict, p: dict, s1: int, s2: int, c: int) -> None:
-    """out += c * x^s1 y^s2 * p, in place."""
-    for (e1, e2), v in p.items():
-        k = (e1 + s1, e2 + s2)
-        out[k] = out.get(k, 0) + c * v
+def _width(d: PlanarDiagram) -> int:
+    """The width w of the packed exponents e = e1 * w + e2 of d's trees.
+
+    Every y-degree e2 there is at most the crossings plus free loops of d
+    in size (a smoothing raises it by one and a k-component unlink lowers
+    it by k - 1), so it stays below w / 2 and e determines (e1, e2).
+    """
+    return 2 << (len(d.crossings) + d.free_loops).bit_length()
 
 
-def _shifted(p: dict, s1: int) -> dict:
-    """x^s1 * p."""
-    return {(e1 + s1, e2): v for (e1, e2), v in p.items()}
+def _unpacked(p: dict, w: int, variables=("l", "m")) -> LaurentPoly2:
+    """The polynomial of a dict on exponents packed with width w."""
+    half = w >> 1
+    out = {}
+    for e, c in p.items():
+        e2 = ((e + half) & (w - 1)) - half
+        out[(e - e2) // w, e2] = c
+    return LaurentPoly2(out, variables)
 
 
-def _nonzero(p: dict) -> dict:
-    return {k: v for k, v in p.items() if v}
+def _add_shifted(out: dict, p: dict, shift: int, c: int) -> None:
+    """out += c * x^e1 y^e2 * p for shift = e1 * w + e2, in place; zero
+    terms stay until the caller drops them."""
+    get = out.get
+    for e, v in p.items():
+        e += shift
+        out[e] = get(e, 0) + c * v
 
 
-def _power_table(delta: dict):
-    """k -> delta^k, grown on demand."""
+def _power_table(delta: dict, w: int):
+    """k -> delta^k, packed with width w, grown on demand."""
     table = [_ONE]
 
     def power(k: int) -> dict:
         while len(table) <= k:
             out: dict = {}
-            for (s1, s2), c in delta.items():
-                _add_shifted(out, table[-1], s1, s2, c)
-            table.append(_nonzero(out))
+            for (e1, e2), c in delta.items():
+                _add_shifted(out, table[-1], e1 * w + e2, c)
+            table.append({e: v for e, v in out.items() if v})
         return table[k]
 
     return power
@@ -100,6 +127,8 @@ def _power_table(delta: dict):
 
 # _SLOTS[s] = (s, s+1, s+2, s+3) mod 4: the slots counterclockwise from s.
 _SLOTS = tuple(tuple((s + k) & 3 for k in range(4)) for s in range(4))
+_FILL = (0, 0, 0, 0)
+_new = object.__new__
 
 
 class _RDiagram:
@@ -109,21 +138,19 @@ class _RDiagram:
     a pair of positions and has no label.  Slot l of crossing i holds its
     PD leg l (0 is the incoming under-strand), so a move that puts an arc
     on another leg rotates the crossing's four slots in place.  `dirs[i]`
-    is the sign of crossing i, None once it is deleted; a deleted
-    crossing's slots hold -1 until `key()` drops them.  `touched` holds
-    the crossings to check in `reduce()`.
+    is the sign of crossing i, None once it is deleted; `dead` lists the
+    deleted crossings until `key()` drops them.  `touched` holds the
+    crossings to check in `reduce()`.
 
-    `key()` compacts the state: deleted crossings are dropped and the
-    live ones keep their order.  `first_bad` reads a compacted state.
+    A node of a tree is a copy of its parent's state with one move
+    applied (`switched`, `smoothed_oriented`, `smoothed_unoriented`),
+    then `reduce()`, then `key()`, which compacts the state: the dead
+    crossings are dropped, the live ones keep their order, and `o`
+    becomes the key's own tuple (a move copies it into a list).
+    `first_bad` reads a compacted state.
     """
 
-    __slots__ = ("o", "dirs", "free_loops", "touched")
-
-    def __init__(self, o, dirs, free_loops, touched):
-        self.o = o
-        self.dirs = dirs
-        self.free_loops = free_loops
-        self.touched = touched
+    __slots__ = ("o", "dirs", "free_loops", "touched", "dead")
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
@@ -137,39 +164,55 @@ class _RDiagram:
                     first[a] = p
                 else:
                     o[p], o[q] = q, p
-        return cls(o, list(d.positive), d.free_loops,
-                   set(range(len(d.crossings))))
+        out = _new(cls)
+        out.o, out.dirs, out.free_loops = o, list(d.positive), d.free_loops
+        out.touched, out.dead = set(range(len(d.crossings))), []
+        return out
 
     def copy(self) -> "_RDiagram":
-        return _RDiagram(self.o[:], self.dirs[:], self.free_loops, set())
+        out = _new(_RDiagram)
+        out.o, out.dirs = list(self.o), self.dirs[:]
+        out.free_loops, out.touched, out.dead = self.free_loops, set(), []
+        return out
 
     def key(self):
         """Compact the state and return its memo key: the partner of every
         leg, the signs and the free loops.
 
-        The -1 slots of deleted crossings are dropped in one pass, and
-        every other position moves down by 4 per deleted crossing before
-        its own.
+        A position moves down by 4 per deleted crossing before its own;
+        `m` maps every old position to its new one, and one itemgetter
+        looks them all up.
         """
-        o, dirs = self.o, self.dirs
-        if None in dirs:
-            shift, n = [], 0
-            for dr in dirs:
-                shift.append(n)
-                if dr is None:
-                    n += 4
-            self.o = o = [p - shift[p >> 2] for p in o if p >= 0]
-            self.dirs = dirs = [dr for dr in dirs if dr is not None]
-        return tuple(o), tuple(dirs), self.free_loops
+        o, dirs, dead = self.o, self.dirs, self.dead
+        if dead:
+            dead.sort()
+            # the new positions, with four fillers where each deleted
+            # crossing's slots were: they are never looked up
+            m = list(range(len(o) - 4 * len(dead)))
+            for d in dead:
+                m[4 * d:4 * d] = _FILL
+            for d in reversed(dead):
+                del o[4 * d:4 * d + 4], dirs[d]
+            self.o = o = itemgetter(*o)(m) if o else ()
+            dead.clear()
+        else:
+            self.o = o = tuple(o)
+        return o, tuple(dirs), self.free_loops
 
-    def _rotate(self, k: int, r: int) -> None:
-        """Move the arc on each leg l of crossing k to leg l + r."""
-        o, b = self.o, 4 * k
-        for s, p in enumerate(o[b:b + 4]):
-            if p >> 2 == k:
-                p = b + ((p + r) & 3)
-            q = b + ((s + r) & 3)
-            o[q], o[p] = p, q
+    def _rotate(self, ks, r: int) -> None:
+        """Move the arc on each leg l of each crossing k in ks to leg l + r."""
+        o = self.o
+        q0, q1, q2, q3 = _SLOTS[r]
+        for k in ks:
+            b = 4 * k
+            t0, t1, t2, t3 = o[b:b + 4]
+            # an arc from k back to k turns at both ends
+            if t0 >> 2 == k or t1 >> 2 == k or t2 >> 2 == k or t3 >> 2 == k:
+                turn = (b + q0, b + q1, b + q2, b + q3)
+                t0, t1, t2, t3 = (turn[t - b] if t >> 2 == k else t
+                                  for t in (t0, t1, t2, t3))
+            o[b + q0], o[b + q1], o[b + q2], o[b + q3] = t0, t1, t2, t3
+            o[t0], o[t1], o[t2], o[t3] = b + q0, b + q1, b + q2, b + q3
 
     # -- Reidemeister-I and -II removal ------------------------------------
 
@@ -179,67 +222,89 @@ class _RDiagram:
         Returns the summed sign of the removed curls.  A new curl or
         bigon has a new arc as a side, so a join touches one end of the
         arc it makes, and a switch its crossing.  Every touched crossing
-        is checked at all four corners; a bigon whose changed side is
-        the over-arc is found only that way.
+        is checked at all four corners, in slot order, and the first
+        curl or bigon found there is removed; a bigon whose changed side
+        is the over-arc is found only that way.  The crossings touched
+        by one round of removals are checked in the next.
         """
-        dirs = self.dirs
+        o, dirs, dead = self.o, self.dirs, self.dead
         curl = 0
-        while self.touched:
-            todo, self.touched = self.touched, set()
+        touched = self.touched
+        while touched:
+            todo, touched = touched, set()
             for i in todo:
-                if dirs[i] is not None:
-                    curl += self._reduce_at(i)
+                if dirs[i] is None:
+                    continue
+                b = 4 * i
+                t0, t1, t2, t3 = o[b:b + 4]
+                # corner s lies between slots s and s+1, whose arcs run to
+                # t and u.  It is a curl when the arcs are one (u is slot
+                # s), and a same-over bigon when u is the slot before t at
+                # another crossing and the legs at the ends of the arc at
+                # s have equal parity.  Either way u is the slot before t:
+                # t ^ u < 4 and (t - u) & 3 == 1.
+                if t0 ^ t1 < 4 and (t0 - t1) & 3 == 1 and \
+                        (not t0 & 1 or t1 == b):
+                    s, t = 0, t0
+                elif t1 ^ t2 < 4 and (t1 - t2) & 3 == 1 and \
+                        (t1 & 1 or t2 == b + 1):
+                    s, t = 1, t1
+                elif t2 ^ t3 < 4 and (t2 - t3) & 3 == 1 and \
+                        (not t2 & 1 or t3 == b + 2):
+                    s, t = 2, t2
+                elif t3 ^ t0 < 4 and (t3 - t0) & 3 == 1 and \
+                        (t3 & 1 or t0 == b + 3):
+                    s, t = 3, t3
+                else:
+                    continue
+                _, _, s2, s3 = _SLOTS[s]
+                if (s ^ t) & 1:
+                    # the strand through slots s2, s and s+1, s3 loops
+                    # back, and closes when slot s2 runs to s3
+                    curl += 1 if dirs[i] else -1
+                    dirs[i] = None
+                    dead.append(i)
+                    a, c = o[b + s2], o[b + s3]
+                    if a == b + s3:
+                        self.free_loops += 1
+                    else:
+                        o[a], o[c] = c, a
+                        touched.add(a >> 2)
+                else:
+                    # a bigon to crossing j: slot s runs to its slot
+                    # q = t & 3, and slot s+1 to its slot q-1
+                    j, c = t >> 2, t & -4
+                    dirs[i] = dirs[j] = None
+                    dead += (i, j)
+                    self._join(b + s2, c + ((t + 2) & 3),
+                               b + s3, c + ((t + 1) & 3), touched)
+        self.touched = touched
         return curl
 
-    def _reduce_at(self, i: int) -> int:
-        """Remove a curl at crossing i, or a bigon with a corner at i."""
-        o = self.o
-        b = 4 * i
-        for s, s1, s2, s3 in _SLOTS:
-            t = o[b + s]
-            j = t >> 2
-            if j == i:
-                if t == b + s1:
-                    # the strand through slots s2, s and s1, s3 loops back
-                    sign = 1 if self.dirs[i] else -1
-                    self._remove((i,), ((b + s2, b + s3),))
-                    return sign
-                continue
-            # the arc at slot s runs to slot q of crossing j; the corner
-            # between slots s and s+1 at i is a bigon when slot s+1 returns
-            # to slot q-1 of j, and one strand is over at both when the
-            # legs at the ends of the arc have equal parity
-            if (s ^ t) & 1:
-                continue
-            c = t & -4
-            _, q1, q2, q3 = _SLOTS[t & 3]
-            if o[b + s1] == c + q3:
-                self._remove((i, j), ((b + s2, c + q2), (b + s3, c + q1)))
-                return 0
-        return 0
+    def _join(self, u: int, v: int, x: int, y: int, touched) -> None:
+        """Join the arcs at u and v, then those at x and y.
 
-    def _remove(self, idxs, pairs):
-        """Delete crossings, then join arc ends pairwise.
-
-        Each pair names two positions on the deleted crossings whose
-        arcs become one.  The legs of the deleted crossings that no pair
-        names must be joined to each other by arcs.
+        The four positions are legs of crossings just deleted, and the
+        crossing at one end of each new arc is touched.  The legs of the
+        deleted crossings that no pair names must be joined to each other
+        by arcs.
         """
         o, dirs = self.o, self.dirs
-        for i in idxs:
-            dirs[i] = None
-        for n, (u, v) in enumerate(pairs):
-            a, c = o[u], o[v]
-            if dirs[a >> 2] is None or dirs[c >> 2] is None:
-                # the pairs before had live ends, so no arc runs to them
-                self._join_through(pairs[n:])
-                break
-            o[a], o[c] = c, a
-            self.touched.add(a >> 2)
-        for i in idxs:
-            o[4 * i:4 * i + 4] = (-1, -1, -1, -1)
+        a, c = o[u], o[v]
+        if dirs[a >> 2] is None or dirs[c >> 2] is None:
+            self._join_through(((u, v), (x, y)), touched)
+            return
+        o[a], o[c] = c, a
+        touched.add(a >> 2)
+        a, c = o[x], o[y]
+        if dirs[a >> 2] is None or dirs[c >> 2] is None:
+            # the first pair had live ends, so no arc runs to it
+            self._join_through(((x, y),), touched)
+            return
+        o[a], o[c] = c, a
+        touched.add(a >> 2)
 
-    def _join_through(self, pairs):
+    def _join_through(self, pairs, touched) -> None:
         """Join pairs when an arc runs from one deleted leg to another.
 
         Each pair's strand is followed through the other pairs to a live
@@ -266,7 +331,7 @@ class _RDiagram:
                 self.free_loops += 1
             else:
                 o[a], o[c] = c, a
-                self.touched.add(a >> 2)
+                touched.add(a >> 2)
 
     # -- skein moves -------------------------------------------------------
 
@@ -274,7 +339,7 @@ class _RDiagram:
         out = self.copy()
         dr = out.dirs[i]
         # the arc on leg l moves to leg l + 1 (positive) or l + 3
-        out._rotate(i, 1 if dr else 3)
+        out._rotate((i,), 1 if dr else 3)
         out.dirs[i] = not dr
         out.touched.add(i)
         return out
@@ -283,9 +348,13 @@ class _RDiagram:
         """Orientation-respecting smoothing (both strands keep direction)."""
         out = self.copy()
         b = 4 * i
+        out.dirs[i] = None
+        out.dead.append(i)
         # join legs 0-1 and 3-2, or 0-3 and 1-2
-        out._remove((i,), ((b, b + 1), (b + 3, b + 2)) if out.dirs[i]
-                    else ((b, b + 3), (b + 1, b + 2)))
+        if self.dirs[i]:
+            out._join(b, b + 1, b + 3, b + 2, out.touched)
+        else:
+            out._join(b, b + 3, b + 1, b + 2, out.touched)
         return out
 
     def smoothed_unoriented(self, i: int, btype: bool) -> "_RDiagram":
@@ -307,18 +376,21 @@ class _RDiagram:
         # the crossing by two legs so that leg 0 is the incoming
         # under-strand again.  The turns move positions, so they wait
         # until the walk is done.
-        passages = []
+        under = []
         p = o[b + (1 if dr else 3)]
         while p >> 2 != i:
-            passages.append(p)
-            p = o[p ^ 2]
-        for p in passages:
             k = p >> 2
             dirs[k] = not dirs[k]
             if not p & 1:
-                out._rotate(k, 2)
-        out._remove((i,), ((b, b + 3), (b + 1, b + 2)) if btype
-                    else ((b, b + 1), (b + 2, b + 3)))
+                under.append(k)
+            p = o[p ^ 2]
+        out._rotate(under, 2)
+        dirs[i] = None
+        out.dead.append(i)
+        if btype:
+            out._join(b, b + 3, b + 1, b + 2, out.touched)
+        else:
+            out._join(b, b + 1, b + 2, b + 3, out.touched)
         return out
 
     # -- descending analysis ---------------------------------------------
@@ -337,35 +409,34 @@ class _RDiagram:
         o, dirs = self.o, self.dirs
         passed = bytearray(len(dirs))
         first = None
-        for k in range(len(dirs)):
-            if passed[k]:
-                continue
+        k = passed.find(0)
+        while k >= 0:
             start = p = 4 * k + (3 if dirs[k] else 1)
             while True:
                 i = p >> 2
                 if not passed[i]:
+                    passed[i] = 1
                     if not p & 3:
-                        if self._alternating_bigon(i):
+                        # a bigon at a corner as in `reduce`, on another
+                        # crossing, with legs of unequal parity at the ends
+                        # of the arc at its first slot
+                        t0, t1, t2, t3 = o[p:p + 4]
+                        if t0 ^ t1 < 4 and (t0 - t1) & 3 == 1 and \
+                                t0 & 1 and t0 >> 2 != i or \
+                                t1 ^ t2 < 4 and (t1 - t2) & 3 == 1 and \
+                                not t1 & 1 and t1 >> 2 != i or \
+                                t2 ^ t3 < 4 and (t2 - t3) & 3 == 1 and \
+                                t2 & 1 and t2 >> 2 != i or \
+                                t3 ^ t0 < 4 and (t3 - t0) & 3 == 1 and \
+                                not t3 & 1 and t3 >> 2 != i:
                             return i
                         if first is None:
                             first = i
-                    passed[i] = 1
                 p = o[p ^ 2]
                 if p == start:
                     break
+            k = passed.find(0, k)
         return first
-
-    def _alternating_bigon(self, i: int) -> bool:
-        """Whether a corner of crossing i is a bigon whose strands are
-        over at different crossings."""
-        o, b = self.o, 4 * i
-        for s, s1, _, _ in _SLOTS:
-            t = o[b + s]
-            # as in `_reduce_at`, with legs of unequal parity
-            if (s ^ t) & 1 and t >> 2 != i and \
-                    o[b + s1] == (t & -4) + ((t - 1) & 3):
-                return True
-        return False
 
     def _components(self) -> tuple[list[int], int]:
         """Component number at every position, and the number of them."""
@@ -384,9 +455,9 @@ class _RDiagram:
     def component_count(self) -> int:
         return self._components()[1] + self.free_loops
 
-    def self_writhe(self) -> int:
-        """Sum of crossing signs over same-component crossings."""
-        comp = self._components()[0]
+    def self_writhe(self, comp: list[int]) -> int:
+        """Sum of crossing signs over same-component crossings, given the
+        component at every position."""
         return sum(1 if dr else -1 for i, dr in enumerate(self.dirs)
                    if comp[4 * i] == comp[4 * i + 1])
 
@@ -396,19 +467,24 @@ def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
     """HOMFLY polynomial in (l, m), unknot normalized to 1."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}
+    hits = 0
     budget = Budget(budget_seconds, max_nodes, "nodes expanded",
-                    lambda: f"{len(memo)} memo entries")
-    unlink = _power_table(_DELTA_P)
+                    lambda: f"{len(memo)} memo entries, {hits} memo hits")
+    tick = budget.tick
+    w = _width(d)
+    unlink = _power_table(_DELTA_P, w)
 
     def value(rd: _RDiagram) -> dict:
-        budget.tick()
+        nonlocal hits
+        tick()
         rd.reduce()  # ambient isotopy: curls and bigons are free
         key = rd.key()
         if not rd.dirs:
             return unlink(rd.free_loops - 1) if rd.free_loops else _ONE
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        res = memo.get(key)
+        if res is not None:
+            hits += 1
+            return res
         i = rd.first_bad()
         if i is None:
             res = unlink(rd.component_count() - 1)
@@ -417,15 +493,15 @@ def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
             sm = value(rd.smoothed_oriented(i))
             # positive: P+ = -l^-2 P- - l^-1 m P0; negative: the same
             # with l inverted
-            s = -1 if rd.dirs[i] else 1
-            out: dict = {}
-            _add_shifted(out, sw, 2 * s, 0, -1)
-            _add_shifted(out, sm, s, 1, -1)
-            res = _nonzero(out)
+            s = -w if rd.dirs[i] else w
+            res = {e + 2 * s: -v for e, v in sw.items()}
+            _add_shifted(res, sm, s + 1, -1)
+            if 0 in res.values():
+                res = {e: v for e, v in res.items() if v}
         memo[key] = res
         return res
 
-    return LaurentPoly2(value(_RDiagram.from_diagram(d)))
+    return _unpacked(value(_RDiagram.from_diagram(d)), w)
 
 
 def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
@@ -433,38 +509,48 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
     """Kauffman polynomial, Dubrovnik form, in (a, z); unknot gives 1."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}
+    hits = 0
     budget = Budget(budget_seconds, max_nodes, "nodes expanded",
-                    lambda: f"{len(memo)} memo entries")
-    unlink = _power_table(_DELTA_F)
+                    lambda: f"{len(memo)} memo entries, {hits} memo hits")
+    tick = budget.tick
+    w = _width(d)
+    unlink = _power_table(_DELTA_F, w)
 
-    def dvalue(rd: _RDiagram) -> dict:
-        budget.tick()
-        curl = rd.reduce()
+    def dvalue(rd: _RDiagram) -> tuple[dict, int]:
+        """(D of rd's reduced state, k * w): D of rd is a^k times the
+        first, where k sums the signs of the curls that reduce() removed."""
+        nonlocal hits
+        tick()
+        curl = rd.reduce() * w
         key = rd.key()
         if not rd.dirs:
-            res = unlink(rd.free_loops - 1) if rd.free_loops else _ONE
-            return _shifted(res, curl) if curl else res
+            return unlink(rd.free_loops - 1) if rd.free_loops else _ONE, curl
         res = memo.get(key)
-        if res is None:
-            i = rd.first_bad()
-            if i is None:
-                res = _shifted(unlink(rd.component_count() - 1),
-                               rd.self_writhe())
-            else:
-                # positional Dubrovnik relation:
-                # D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))
-                sw = dvalue(rd.switched(i))
-                sa = dvalue(rd.smoothed_unoriented(i, btype=False))
-                sb = dvalue(rd.smoothed_unoriented(i, btype=True))
-                out = dict(sw)
-                _add_shifted(out, sa, 0, 1, 1)
-                _add_shifted(out, sb, 0, 1, -1)
-                res = _nonzero(out)
-            memo[key] = res
-        return _shifted(res, curl) if curl else res
+        if res is not None:
+            hits += 1
+            return res, curl
+        i = rd.first_bad()
+        if i is None:
+            comp, n = rd._components()
+            s = rd.self_writhe(comp) * w
+            res = {e + s: v for e, v in unlink(n + rd.free_loops - 1).items()}
+        else:
+            # positional Dubrovnik relation:
+            # D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))
+            sw, s = dvalue(rd.switched(i))
+            res = {e + s: v for e, v in sw.items()}
+            sa, s = dvalue(rd.smoothed_unoriented(i, btype=False))
+            _add_shifted(res, sa, s + 1, 1)
+            sb, s = dvalue(rd.smoothed_unoriented(i, btype=True))
+            _add_shifted(res, sb, s + 1, -1)
+            if 0 in res.values():
+                res = {e: v for e, v in res.items() if v}
+        memo[key] = res
+        return res, curl
 
-    return LaurentPoly2(_shifted(dvalue(_RDiagram.from_diagram(d)),
-                                 -d.writhe()), ("a", "z"))
+    f, curl = dvalue(_RDiagram.from_diagram(d))
+    return _unpacked({e + curl - d.writhe() * w: v for e, v in f.items()},
+                     w, ("a", "z"))
 
 
 def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:

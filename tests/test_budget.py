@@ -10,6 +10,7 @@ import pytest
 import knotmut
 from knotmut import skein2
 from knotmut.budget import Budget, ResourceLimitExceeded
+from knotmut.diagram import named_knot
 
 
 class TestBudget:
@@ -39,6 +40,34 @@ class TestBudget:
             b.tick()
         assert b.nodes == 1000
         assert b.remaining() is None
+
+    @pytest.mark.parametrize("kwargs", [{"seconds": float("nan")},
+                                        {"max_nodes": -1},
+                                        {"max_nodes": float("nan")}])
+    def test_budget_that_never_trips_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="budget must be"):
+            Budget(**kwargs)
+
+    def test_engines_refuse_a_negative_node_budget(self):
+        d = named_knot("6_2")
+        for engine in (skein2.homfly, skein2.kauffman_f):
+            with pytest.raises(ValueError, match="node budget must be at "
+                                                 "least 0, got -1"):
+                engine(d, max_nodes=-1)
+
+    def test_least_budgets_trip_at_once(self):
+        for b in (Budget(seconds=0.0), Budget(max_nodes=0)):
+            time.sleep(0.001)
+            with pytest.raises(ResourceLimitExceeded, match=r"after 0 steps"):
+                b.tick()
+
+    def test_fractional_node_cap_trips(self):
+        b = Budget(max_nodes=2.5)
+        for _ in range(3):
+            b.tick()
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^node budget exhausted after 3 steps$"):
+            b.tick()
 
     def test_one_exception_class(self):
         assert skein2.ResourceLimitExceeded is ResourceLimitExceeded

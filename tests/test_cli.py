@@ -214,6 +214,30 @@ class TestCoverCommands:
         assert err == f"error: unknown target group {name!r}\n"
 
 
+class TestBudgetFlag:
+    """A time budget that is not a finite number of seconds, at least 0,
+    is a usage error."""
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "nan", "inf"])
+    def test_refused(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["--budget-seconds", value, "homfly", "trefoil"])
+        assert exc.value.code == 2
+        assert "argument --budget-seconds: must be a finite number of " \
+            "seconds" in capsys.readouterr().err
+
+    def test_zero_runs_out(self, capsys):
+        code, _, err = run(capsys, "--budget-seconds", "0", "homfly",
+                           "figure8")
+        assert code == 2
+        assert err.startswith("resource limit: time budget exhausted")
+
+    def test_finite_accepted(self, capsys):
+        code, out, _ = run(capsys, "--budget-seconds", "30", "homfly",
+                           "trefoil")
+        assert code == 0 and out.startswith("trefoil: ")
+
+
 class TestCountFlags:
     """Counts below their least meaningful value are usage errors."""
 

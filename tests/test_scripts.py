@@ -43,7 +43,8 @@ class TestSkeinTiming:
                             ("cable_homfly", "done"),
                             ("whitehead_kauffman", "(done|limited)")):
             assert re.search(rf"^trefoil {job}: \d+ nodes, \d+ memo entries, "
-                             rf"\d+\.\d{{3}} s, {status}$", res.stdout,
+                             rf"\d+ memo hits, \d+\.\d{{3}} s, "
+                             rf"\d+\.\d us/node, {status}$", res.stdout,
                              re.M), res.stdout
-        assert re.search(r"^total: \d+ nodes, \d+ memo entries, \d+\.\d{3} s$",
-                         res.stdout, re.M)
+        assert re.search(r"^total: \d+ nodes, \d+ memo entries, \d+ memo hits, "
+                         r"\d+\.\d{3} s, \d+\.\d us/node$", res.stdout, re.M)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import pretzel, random_braid, random_knot_diagram
 from knotmut import skein2
 from knotmut.bracket import DELTA, jones, kauffman_bracket
+from knotmut.budget import Budget
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
                              braid_closure, connected_sum, mirror, named_knot,
                              parse_braid, parse_pd)
 from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly, parse_poly2
-from knotmut.satellites import whitehead_double
+from knotmut.satellites import cable, whitehead_double
 from knotmut.skein2 import (ResourceLimitExceeded, alexander_from_homfly,
                             homfly, homfly_2cable, kauffman_f,
                             p_whitehead_plus)
+from knotmut.tangles import TangleDecomposition, rational_tangle
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 
@@ -57,16 +60,22 @@ def bracket_from_kauffman(f: LaurentPoly2, writhe: int):
     return total * aw * DELTA, shift
 
 
-def counted(monkeypatch, engine, d: PlanarDiagram):
-    """engine(d) and the number of nodes its tree expanded."""
+def recorded(monkeypatch) -> list:
+    """The list of the budgets that skein2 makes from now on."""
     made = []
 
-    class Recording(skein2.Budget):
+    class Recording(Budget):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
             made.append(self)
 
     monkeypatch.setattr(skein2, "Budget", Recording)
+    return made
+
+
+def counted(monkeypatch, engine, d: PlanarDiagram):
+    """engine(d) and the number of nodes its tree expanded."""
+    made = recorded(monkeypatch)
     value = engine(d)
     (budget,) = made
     return value, budget.nodes
@@ -369,3 +378,85 @@ class TestLabelFree:
         two = braid_closure(parse_braid("2 | 1 -1"))
         for engine in (homfly, kauffman_f):
             assert engine(d, max_nodes=1) == engine(two) ** 2
+
+
+# (nodes expanded, memo entries, memo hits) of each satellite tree of the
+# benchmark's satellites companions, in the order whitehead_homfly,
+# cable_homfly, whitehead_kauffman, under its node caps: 40,000 for the
+# HOMFLY trees of trefoil and figure8, 2,000 otherwise.  A tree that
+# reaches its cap ends limited.
+SATELLITE_SHAPES = {
+    "trefoil": ((121, 60, 30), (101, 60, 26), (2000, 718, 733)),
+    "figure8": ((157, 79, 46), (209, 129, 47), (2000, 783, 590)),
+    "5_1": ((695, 347, 260), (1557, 927, 532), (2000, 677, 840)),
+    "5_2": ((701, 353, 247), (2000, 1371, 378), (2000, 793, 517)),
+    "6_1": ((1359, 714, 430), (2000, 1375, 361), (2000, 827, 424)),
+    "6_2": ((1327, 671, 526), (2000, 1165, 654), (2000, 784, 586)),
+    "6_3": ((1007, 523, 347), (2000, 1272, 489), (2000, 778, 598)),
+    ((0, -4), (0, -3)): ((2000, 991, 824), (2000, 1121, 781),
+                         (2000, 681, 819)),
+    ((0, -4), (0, -1, -2)): ((2000, 988, 789), (2000, 1175, 694),
+                             (2000, 706, 706)),
+}
+# The same for the HOMFLY and Kauffman trees of each MUTANT_SLATE knot and
+# its mutant, unbudgeted.
+PRETZEL_SHAPES = {
+    (3, 2, 3, -3): ((37, 18, 10), (136, 45, 48)),
+    (3, 2, -3, 3): ((43, 21, 8), (130, 43, 46)),
+    (-3, 2, -3, 3): ((43, 21, 5), (142, 47, 40)),
+    (-3, 2, 3, -3): ((47, 23, 14), (133, 44, 45)),
+    (5, 3, -2, -3): ((59, 29, 17), (157, 52, 55)),
+    (5, 3, -3, -2): ((65, 32, 17), (208, 69, 73)),
+    (-5, 3, -2, 3): ((45, 22, 11), (169, 56, 61)),
+    (-5, 3, 3, -2): ((51, 25, 19), (157, 52, 64)),
+    (7, 3, 3, -2): ((69, 34, 24), (292, 97, 123)),
+    (7, 3, -2, 3): ((69, 34, 22), (232, 77, 95)),
+    (7, -3, -2, -3): ((57, 28, 18), (229, 76, 97)),
+    (7, -3, -3, -2): ((63, 31, 18), (247, 82, 106)),
+}
+
+
+def tree_shape(monkeypatch, engine, d, max_nodes):
+    """(nodes expanded, memo entries, memo hits) of engine's tree on d,
+    finished or stopped by max_nodes."""
+    made = recorded(monkeypatch)
+    try:
+        engine(d, max_nodes=max_nodes)
+    except ResourceLimitExceeded as exc:
+        (budget,) = made
+        assert budget.nodes == max_nodes
+        assert str(exc) == (f"node budget exhausted after {max_nodes} "
+                            f"nodes expanded, {budget.progress()}")
+    (budget,) = made
+    m = re.fullmatch(r"(\d+) memo entries, (\d+) memo hits",
+                     budget.progress())
+    assert m, budget.progress()
+    return budget.nodes, int(m[1]), int(m[2])
+
+
+class TestTreeShapes:
+    """Every tree expands the same nodes and fills the same memo: a change
+    to the node kernel must leave these counts as they are."""
+
+    @pytest.mark.parametrize("companion", SATELLITE_SHAPES, ids=str)
+    def test_satellite_trees(self, monkeypatch, companion):
+        if isinstance(companion, str):
+            d = named_knot(companion)
+            cap = 40_000 if companion in ("trefoil", "figure8") else 2000
+        else:
+            a, b = companion
+            d = TangleDecomposition(rational_tangle(list(a)),
+                                    rational_tangle(list(b))).glue("2b")
+            cap = 2000
+        double = whitehead_double(d, -d.writhe(), 1)
+        got = (tree_shape(monkeypatch, homfly, double, cap),
+               tree_shape(monkeypatch, homfly, cable(d, 2, -1), cap),
+               tree_shape(monkeypatch, kauffman_f, double, 2000))
+        assert got == SATELLITE_SHAPES[companion]
+
+    @pytest.mark.parametrize("p", PRETZEL_SHAPES, ids=str)
+    def test_mutant_slate_trees(self, monkeypatch, p):
+        d = pretzel(*p)
+        got = tuple(tree_shape(monkeypatch, engine, d, None)
+                    for engine in (homfly, kauffman_f))
+        assert got == PRETZEL_SHAPES[p]
