@@ -6,9 +6,16 @@ the HOMFLY polynomial of the untwisted Whitehead double, the HOMFLY
 polynomial of the 2-cable, and the Kauffman polynomial of the Whitehead
 double.  Each line gives the nodes the resolution tree expanded, the
 entries of its memo and the hits on it, the seconds it took and the
-microseconds per node, and whether it finished within `--budget-seconds`.  The default companions are those of the benchmark's
+microseconds per node, and whether it finished within
+`--budget-seconds`.  The default companions are those of the benchmark's
 satellites workload: seven named knots and two 7-crossing 2-bridge knots
 glued from rational tangles.
+
+The times are raw `time.perf_counter` readings, not scaled by any
+calibration, so they move with the machine's speed from one run to the
+next: compare them only within one run.  The node, memo-entry and
+memo-hit counts do not depend on the machine's speed; they are the
+figures that compare across runs.
 
     python3 scripts/skein_timing.py
     python3 scripts/skein_timing.py --budget-seconds 10 6_2 "braid: 3 | 1 1 2 -1 2"
@@ -95,6 +102,8 @@ def main() -> int:
                     help="time budget of each tree")
     args = ap.parse_args()
 
+    print("# times are raw perf_counter readings and compare only within "
+          "this run; node, memo-entry and memo-hit counts compare across runs")
     total = [0, 0, 0, 0.0]
     for name, d in companions(args.knots):
         for job, engine, sat in satellites(d):

@@ -9,22 +9,20 @@ The Jones polynomial of an oriented diagram D with writhe w is
 (-A^3)^(-w) <D> / delta, rewritten in t = A^-4.
 
 `kauffman_bracket` contracts one crossing at a time, in the order and
-with the per-step layout of the open arcs that `knotmut.frontier` plans.
-A state is a tuple P with P[i] the position of the open arc joined to
-position i through the region.  A step reads and rewires only the at
-most four positions its crossing consumes, so the loops and rewirings of
-each smoothing are memoized per step, keyed by the partners of those
-positions.
+with the per-step layout of the open arcs that `knotmut.frontier` plans
+and runs.  A state is a tuple P with P[i] the position of the open arc
+joined to position i through the region.  A step reads and rewires only
+the at most four positions its crossing consumes, so the loops and
+rewirings of each smoothing are memoized per step, keyed by the
+partners of those positions.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
-from operator import or_
+from functools import cache
 
-from .budget import Budget
 from .diagram import PlanarDiagram, UnionFind
-from .frontier import contraction_order, fits, getter, layout
+from .frontier import contract, contraction_order, fits, getter, layout
 from .laurent import LaurentPoly
 
 DELTA = LaurentPoly("A", {2: -1, -2: -1})
@@ -98,68 +96,44 @@ def _digit_width(plan: list[tuple]) -> int:
 
 def kauffman_bracket(d: PlanarDiagram,
                      budget_seconds: float | None = None) -> LaurentPoly:
-    """Bracket by crossing-at-a-time contraction, at twice the digit width
-    each time `_contract` finds it too narrow, all under one deadline."""
+    """Bracket by crossing-at-a-time contraction, run by `contract`."""
     plan = _plan(d.crossings, contraction_order(d.crossings))
-    clock = Budget(budget_seconds)
-    width = _digit_width(plan)
-    while (bracket := _contract(plan, width, clock.remaining())) is None:
-        width *= 2
+    bracket = contract(plan, _digit_width(plan), budget_seconds, "A", _step)
     return bracket * DELTA ** d.free_loops
 
 
-def _contract(plan: list[tuple], width: int,
-              budget_seconds: float | None) -> LaurentPoly | None:
-    """The bracket with `width`-bit digits, None if they are too narrow.
+def _step(entry: tuple, states: dict[tuple, int], width: int, drop: int):
+    """One crossing's step on states packed in A, None if `width` is too
+    narrow.
 
-    A coefficient A^off * sum(c_i A^(2i)) is the int sum(c_i 2^(width*i))
-    with signed digits c_i; `off` is shared by all states of a step, whose
-    exponents all have the parity of the step count.  The A^-1 smoothing
-    closing two loops, delta^2 = A^-4 (1 + A^4)^2, sets `off`; the rest
-    shift left by whole digits, and k loops multiply by the packed
-    (-1 - A^4)^k.  Merging states adds ints; the trailing zero digits all
-    states share are dropped in the next step's shifts.
-
-    No digit wraps.  Each int is its polynomial at 2^width exactly, and
-    reads back right while every coefficient is in [-2^(width-1),
-    2^(width-1)).  Before a step from S states, every digit is checked to
-    lie in [-T, T), T = 2^(width-1-g), 2^g > 8S.  The step sums at most 2S
-    terms into a state, one per state and smoothing, and a term's digits
-    are below 4T, since the binomials of (1 + A^4)^2 add up to 4.  So every
-    new coefficient is below 8S T < 2^(width-1), by induction from 1.
+    The A^-1 smoothing closing two loops, delta^2 = A^-4 (1 + A^4)^2, adds
+    the lowest exponent, -5; the rest shift left by whole digits, and k
+    loops multiply by the packed (-1 - A^4)^k.  The step sums at most 2S
+    terms into a state, for S old states, one per state and smoothing, and
+    a term's digits are below 4T when the old ones are below T, since the
+    binomials of (1 + A^4)^2 add up to 4; so `fits` checks for 8S terms.
     """
-    states: dict[tuple, int] = {(): 1}
-    off = drop = 0
+    if not fits(states.values(), width, 8 * len(states)):
+        return None
+    take, remap, key, consumed, ends, links, pad = entry
     delta = [1, -(1 + (1 << 2 * width)), (1 + (1 << 2 * width)) ** 2]
-    budget = Budget(budget_seconds, unit=f"of {len(plan)} crossing steps",
-                    progress=lambda: f"{len(states)} states")
-    for take, remap, key, consumed, ends, links, pad in plan:
-        budget.tick()
-        if not fits(states.values(), width, 8 * len(states)):
-            return None
-        rget, memo, new_states = remap.__getitem__, {}, {}
-        for p, coeff in states.items():
-            base = [*map(rget, take(p)), *pad]
-            todo = memo.get(k := key(p))
-            if todo is None:
-                todo = memo[k] = _rewire(k, remap, consumed, ends, links,
-                                         width, drop, delta)
-            for sets, shift, mult in todo:
-                q = base.copy()
-                for i, v in sets:
-                    q[i] = v
-                c = coeff << shift if shift >= 0 else coeff >> -shift
-                if mult != 1:
-                    c *= mult
-                t = tuple(q)
-                new_states[t] = new_states.get(t, 0) + c
-        states = new_states
-        low = reduce(or_, states.values())
-        drop = ((low & -low).bit_length() - 1) // width * width
-        off += 2 * drop // width - 5
-    if list(states) != [()]:
-        raise AssertionError("open ends remain after full contraction")
-    return LaurentPoly.unpack("A", states[()] >> drop, width, off, 2)
+    rget, memo, new_states = remap.__getitem__, {}, {}
+    for p, coeff in states.items():
+        base = [*map(rget, take(p)), *pad]
+        todo = memo.get(k := key(p))
+        if todo is None:
+            todo = memo[k] = _rewire(k, remap, consumed, ends, links,
+                                     width, drop, delta)
+        for sets, shift, mult in todo:
+            q = base.copy()
+            for i, v in sets:
+                q[i] = v
+            c = coeff << shift if shift >= 0 else coeff >> -shift
+            if mult != 1:
+                c *= mult
+            t = tuple(q)
+            new_states[t] = new_states.get(t, 0) + c
+    return new_states, -5
 
 
 def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:

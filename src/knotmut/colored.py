@@ -37,13 +37,12 @@ with one twist-eigenvalue factor (-1)^n A^(n^2+2n) per full twist
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
-from operator import or_
+from functools import cache, lru_cache
 
 from .bracket import kauffman_bracket
 from .budget import Budget
 from .diagram import PlanarDiagram, _other_ends, faces
-from .frontier import contraction_order, fits, getter, layout
+from .frontier import contract, contraction_order, fits, getter, layout
 from .laurent import InexactDivision, LaurentPoly, qint
 from .satellites import cable
 
@@ -147,50 +146,52 @@ def _r_table(N: int, positive: bool) -> tuple:
     return tuple(out)
 
 
-@cache
-def _packed_table(N: int, positive: bool, width: int) -> tuple:
-    """`_r_table` with each entry's coefficients packed into `width`-bit
-    digits, and their absolute sum."""
-    return tuple((legs, low, sum(c << width * k for k, c in enumerate(cs)),
-                  sum(map(abs, cs)))
-                 for legs, low, cs in _r_table(N, positive))
-
-
 @lru_cache(maxsize=4096)
-def _moves(N: int, width: int, positive: bool, old: tuple, fresh: tuple,
-           joined: tuple, heads: tuple) -> tuple:
-    """A crossing's map on packed states, by the shape of its step.
+def _terms(N: int, positive: bool, old: tuple, fresh: tuple, joined: tuple,
+           heads: tuple) -> tuple:
+    """A crossing's map by the shape of its step.
 
     `old` lists the legs of the consumed positions, `fresh` the legs of
     the new ones, `joined` pairs the legs of an arc that runs from the
     crossing back to it, and `heads` pairs each head (bottom) leg with
-    the turns of its arc.  Returns
-    ({weights at `old`: [(weights at `fresh`, shift, multiplier), ...]},
-    the lowest exponent of v, and a bound on the absolute sum of any
-    multiplier's coefficients).  A joined arc's weights are summed over.
+    the turns of its arc.  Returns ({(weights at `old`, weights at
+    `fresh`): [(lowest exponent of v, coefficients of v^lowest,
+    v^(lowest+2), ...), ...]}, and a bound on the absolute sum of any
+    key's coefficients).  A joined arc's weights are summed over.
     """
     terms: dict[tuple, list] = {}
-    for legs, low, packed, size in _packed_table(N, positive, width):
+    for legs, low, cs in _r_table(N, positive):
         if any(legs[a] != legs[b] for a, b in joined):
             continue
         e = low - 2 * sum(r * (N - 1 - 2 * legs[leg]) for leg, r in heads)
         key = (tuple(legs[leg] for leg in old),
                tuple(legs[leg] for leg in fresh))
-        terms.setdefault(key, []).append((e, packed, size))
-    base = min(e for ts in terms.values() for e, _, _ in ts)
+        terms.setdefault(key, []).append((e, cs))
+    return terms, max(sum(sum(map(abs, cs)) for _, cs in ts)
+                      for ts in terms.values())
+
+
+@lru_cache(maxsize=4096)
+def _moves(width: int, *shape) -> tuple:
+    """`_terms` packed into `width`-bit digits: ({weights at `old`:
+    [(weights at `fresh`, shift, multiplier), ...]}, the lowest exponent
+    of v)."""
+    terms, _ = _terms(*shape)
+    base = min(e for ts in terms.values() for e, _ in ts)
     moves: dict[tuple, list] = {}
     for (k, w), ts in terms.items():
-        total = sum(packed << (e - base) // 2 * width for e, packed, _ in ts)
+        total = sum(c << ((e - base) // 2 + i) * width
+                    for e, cs in ts for i, c in enumerate(cs))
         if total:
             zeros = ((total & -total).bit_length() - 1) // width * width
             moves.setdefault(k, []).append((w, zeros, total >> zeros))
-    return moves, base, max(sum(s for _, _, s in ts) for ts in terms.values())
+    return moves, base
 
 
 def state_sum(d: PlanarDiagram, N: int, turns: dict[int, int],
               budget_seconds: float | None = None) -> LaurentPoly:
-    """J_K(N) from the state sum with the arcs' `turns`, at twice the digit
-    width each time `_contract` finds it too narrow, under one deadline."""
+    """J_K(N) from the state sum with the arcs' `turns`, by crossing-at-a-
+    time contraction, run by `contract`."""
     order = contraction_order(d.crossings)
     plan = []
     widest = 0
@@ -199,13 +200,10 @@ def state_sum(d: PlanarDiagram, N: int, turns: dict[int, int],
         x, positive = d.crossings[idx], d.positive[idx]
         heads = tuple((leg, turns[x[leg]])
                       for leg in ((0, 3) if positive else (0, 1)))
-        shape = (positive, tuple(step.consumed.values()), tuple(step.new),
+        shape = (N, positive, tuple(step.consumed.values()), tuple(step.new),
                  tuple(step.joined.items()), heads)
         plan.append((getter(step.kept), getter(list(step.consumed)), shape))
-    clock = Budget(budget_seconds)
-    width = _digit_width(N, widest)
-    while (total := _contract(plan, N, width, clock.remaining())) is None:
-        width *= 2
+    total = contract(plan, _digit_width(N, widest), budget_seconds, "v", _step)
     framed = total * LaurentPoly.monomial("v", -d.writhe() * (N * N - 1))
     try:
         return framed.exact_div(_bracket_v(N)).shrink(4, "q")
@@ -225,50 +223,34 @@ def _digit_width(N: int, f: int) -> int:
     return max(MIN_WIDTH, (M * N ** f).bit_length() + (f - 1) * (N - 1))
 
 
-def _contract(plan: list[tuple], N: int, width: int,
-              budget_seconds: float | None) -> LaurentPoly | None:
-    """The state sum in v with `width`-bit digits, None if too narrow.
+def _step(entry: tuple, states: dict[tuple, int], width: int, drop: int):
+    """One crossing's step on states packed in v, None if `width` is too
+    narrow.
 
-    A coefficient v^off * sum(c_i v^(2i)) is the int sum(c_i 2^(width*i));
-    `off` is shared by all states of a step, whose exponents of v all have
-    one parity.  A step multiplies by a packed entry shifted by whole
-    digits, with its lowest exponent of v added to `off`; the trailing
-    zero digits all states share are dropped in the next step's shifts.
-
-    No digit wraps.  A state's coefficient receives at most one term from
-    each old state, and a term's digits are below M T when the old digits
-    are below T and the multiplier's coefficients add up to M in absolute
-    value.  So `fits` with S * M terms, for S old states, bounds every new
-    digit, by induction from 1.
+    A step multiplies by a packed entry shifted by whole digits, and adds
+    the lowest exponent of v among its entries.  A state's coefficient receives at
+    most one term from each old state, and a term's digits are below M T
+    when the old digits are below T and the multiplier's coefficients add
+    up to M in absolute value; so `fits` checks for M S terms, for S old
+    states.
     """
-    states: dict[tuple, int] = {(): 1}
-    off = drop = 0
-    budget = Budget(budget_seconds, unit=f"of {len(plan)} crossing steps",
-                    progress=lambda: f"{len(states)} states")
-    for take, key, shape in plan:
-        budget.tick()
-        moves, base, size = _moves(N, width, *shape)
-        if not fits(states.values(), width, size * len(states)):
-            return None
-        if drop:
-            moves = {k: [(w, shift - drop, mult) for w, shift, mult in ms]
-                     for k, ms in moves.items()}
-        new_states: dict[tuple, int] = {}
-        for p, coeff in states.items():
-            kept = take(p)
-            for w, shift, mult in moves.get(key(p), ()):
-                c = coeff << shift if shift >= 0 else coeff >> -shift
-                if mult != 1:
-                    c *= mult
-                t = kept + w
-                new_states[t] = new_states.get(t, 0) + c
-        states = new_states
-        low = reduce(or_, states.values(), 0)
-        drop = ((low & -low).bit_length() - 1) // width * width if low else 0
-        off += base + 2 * drop // width
-    if list(states) != [()]:
-        raise AssertionError("open ends remain after full contraction")
-    return LaurentPoly.unpack("v", states[()] >> drop, width, off, 2)
+    take, key, shape = entry
+    if not fits(states.values(), width, _terms(*shape)[1] * len(states)):
+        return None
+    moves, base = _moves(width, *shape)
+    if drop:
+        moves = {k: [(w, shift - drop, mult) for w, shift, mult in ms]
+                 for k, ms in moves.items()}
+    new_states: dict[tuple, int] = {}
+    for p, coeff in states.items():
+        kept = take(p)
+        for w, shift, mult in moves.get(key(p), ()):
+            c = coeff << shift if shift >= 0 else coeff >> -shift
+            if mult != 1:
+                c *= mult
+            t = kept + w
+            new_states[t] = new_states.get(t, 0) + c
+    return new_states, base
 
 
 # -- the cabling oracle -------------------------------------------------

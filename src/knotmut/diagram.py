@@ -51,11 +51,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-k for k in reversed(self.letters)))
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise ValueError("strand counts differ")
-        return BraidWord(self.strands, self.letters + other.letters)
-
     def writhe(self) -> int:
         return sum(1 if k > 0 else -1 for k in self.letters)
 

@@ -9,7 +9,9 @@ at once.
 
 Both engines pack a state's polynomial coefficient into one Python int
 of signed fixed-width digits (Kronecker substitution).  `fits` is the
-check, made before every step, that no digit can overflow in it.
+check, made before every step, that no digit can overflow in it, and
+`contract` runs the steps, doubling the digit width when they are too
+narrow.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import heapq
 from functools import reduce
 from operator import itemgetter, or_
 from typing import NamedTuple
+
+from .budget import Budget
+from .laurent import LaurentPoly
 
 
 class Step(NamedTuple):
@@ -81,6 +86,51 @@ def fits(values, width: int, terms: int) -> bool:
     ones = ((1 << n * width) - 1) // ((1 << width) - 1)
     bias, mask = ones << h, ones * ((1 << width) - (2 << h))
     return not reduce(or_, map(mask.__and__, map(bias.__add__, values)))
+
+
+def contract(plan: list, width: int, budget_seconds: float | None,
+             var: str, step) -> LaurentPoly:
+    """The polynomial in `var` left when `step` has taken every entry of
+    `plan`, with `width`-bit digits doubled until they are wide enough, all
+    under one deadline.
+
+    A coefficient var^off * sum(c_i var^(2i)) is the int
+    sum(c_i 2^(width*i)) with signed digits c_i; `off` is shared by all
+    states of a step, whose exponents all have one parity.
+    `step(entry, states, width, drop)` maps the states, {open arcs' state:
+    packed coefficient}, to the next ones and returns them with the lowest
+    exponent the step adds to `off`, or None when `fits` finds the digits
+    too narrow.  It shifts by whole digits, less `drop`: the trailing zero
+    digits all states share are dropped in the next step's shifts.
+
+    No digit wraps.  Each int is its polynomial at 2^width exactly, and
+    reads back right while every coefficient is in [-2^(width-1),
+    2^(width-1)).  Before each step `fits` checks every digit against the
+    step's bound on the terms summed into a state, so every new digit is in
+    range, by induction from the single state 1.
+    """
+    deadline = Budget(budget_seconds)
+    while True:
+        states: dict[tuple, int] = {(): 1}
+        off = drop = 0
+        budget = Budget(deadline.remaining(),
+                        unit=f"of {len(plan)} crossing steps",
+                        progress=lambda: f"{len(states)} states")
+        for entry in plan:
+            budget.tick()
+            if (out := step(entry, states, width, drop)) is None:
+                break
+            states, low = out
+            bits = reduce(or_, states.values(), 0)
+            drop = (((bits & -bits).bit_length() - 1) // width * width
+                    if bits else 0)
+            off += low + 2 * drop // width
+        else:
+            break   # every step fit
+        width *= 2
+    if list(states) != [()]:
+        raise AssertionError("open ends remain after full contraction")
+    return LaurentPoly.unpack(var, states[()] >> drop, width, off, 2)
 
 
 def contraction_order(crossings) -> list[int]:

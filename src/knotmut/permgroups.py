@@ -127,9 +127,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements())
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.elements()
-
     def __repr__(self):
         return f"PermGroup({self.name or self.degree}, order={self.order})"
 

@@ -54,11 +54,6 @@ class GroupPresentation:
     def abelian_invariants(self) -> list[int]:
         return abelian_invariants(_exponent_rows(self.relators), self.ngens)
 
-    def __str__(self):
-        gens = ", ".join(f"x{i}" for i in range(1, self.ngens + 1))
-        rels = ", ".join(format_word(r) for r in self.relators) or "1"
-        return f"< {gens} | {rels} >"
-
 
 def _exponent_rows(words) -> list[dict[int, int]]:
     """Each word's exponent sums, one `{generator column: sum}` row."""
@@ -70,22 +65,6 @@ def _exponent_rows(words) -> list[dict[int, int]]:
             row[j] = row.get(j, 0) + (1 if g > 0 else -1)
         rows.append(row)
     return rows
-
-
-def format_word(word: Word) -> str:
-    if not word:
-        return "1"
-    parts = []
-    i = 0
-    while i < len(word):
-        g = word[i]
-        j = i
-        while j < len(word) and word[j] == g:
-            j += 1
-        e = (j - i) * (1 if g > 0 else -1)
-        parts.append(f"x{abs(g)}" + (f"^{e}" if e != 1 else ""))
-        i = j
-    return "*".join(parts)
 
 
 def knot_group(braid: BraidWord) -> GroupPresentation:

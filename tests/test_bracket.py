@@ -88,16 +88,17 @@ class TestBracket:
         d = pretzel(3, 2, 3, -3)
         expected = bracket_state_sum(d)
         assert max(map(abs, expected.coeffs.values())) == 3
-        contract = bracket._contract
+        step = bracket._step
         for width in (2, 5, 9):
             widths = []
 
-            def spy(plan, w, seconds):
-                widths.append(w)
-                return contract(plan, w, seconds)
+            def spy(entry, states, w, drop):
+                if () in states:   # the first step of a contraction
+                    widths.append(w)
+                return step(entry, states, w, drop)
 
             monkeypatch.setattr(bracket, "_digit_width", lambda plan: width)
-            monkeypatch.setattr(bracket, "_contract", spy)
+            monkeypatch.setattr(bracket, "_step", spy)
             assert kauffman_bracket(d) == expected
             assert widths[0] == width and len(widths) > 1
 

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import knotmut
-from knotmut import skein2
+from knotmut import bracket, colored, skein2
 from knotmut.budget import Budget, ResourceLimitExceeded
 from knotmut.diagram import named_knot
 
@@ -68,6 +68,24 @@ class TestBudget:
         with pytest.raises(ResourceLimitExceeded,
                            match=r"^node budget exhausted after 3 steps$"):
             b.tick()
+
+    @pytest.mark.parametrize("engine", [
+        bracket.kauffman_bracket,
+        lambda d, budget_seconds: colored.colored_jones(d, 3, budget_seconds)])
+    def test_widening_stops_at_the_deadline(self, monkeypatch, engine):
+        # digits that never fit: the width doubles until the time is up
+        calls = []
+
+        def refuse(values, width, terms):
+            calls.append(None)
+            assert len(calls) < 10 ** 6, "the widening outlived its deadline"
+            return False
+
+        monkeypatch.setattr(bracket, "fits", refuse)
+        monkeypatch.setattr(colored, "fits", refuse)
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^time budget exhausted "):
+            engine(named_knot("6_2"), budget_seconds=0.05)
 
     def test_one_exception_class(self):
         assert skein2.ResourceLimitExceeded is ResourceLimitExceeded

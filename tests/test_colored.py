@@ -255,15 +255,17 @@ class TestRotations:
 
 
 def width_spy(monkeypatch) -> list[int]:
-    """The digit width of every contraction that follows."""
+    """The digit width of every contraction that follows, read at its
+    first step, the only one from the state of no open arcs."""
     widths = []
-    contract = colored._contract
+    step = colored._step
 
-    def spy(plan, N, width, seconds):
-        widths.append(width)
-        return contract(plan, N, width, seconds)
+    def spy(entry, states, width, drop):
+        if () in states:
+            widths.append(width)
+        return step(entry, states, width, drop)
 
-    monkeypatch.setattr(colored, "_contract", spy)
+    monkeypatch.setattr(colored, "_step", spy)
     return widths
 
 

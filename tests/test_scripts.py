@@ -39,6 +39,9 @@ class TestSkeinTiming:
         res = run_script("skein_timing.py", "--budget-seconds", "0.2",
                          "trefoil")
         assert res.returncode == 0, res.stderr
+        assert re.match(r"# times .* compare only within this run; node, "
+                        r"memo-entry and memo-hit counts compare across runs\n",
+                        res.stdout), res.stdout
         for job, status in (("whitehead_homfly", "done"),
                             ("cable_homfly", "done"),
                             ("whitehead_kauffman", "(done|limited)")):
