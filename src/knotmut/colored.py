@@ -146,18 +146,16 @@ def _r_table(N: int, positive: bool) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
 def _terms(N: int, positive: bool, old: tuple, fresh: tuple, joined: tuple,
-           heads: tuple) -> tuple:
+           heads: tuple) -> dict:
     """A crossing's map by the shape of its step.
 
     `old` lists the legs of the consumed positions, `fresh` the legs of
     the new ones, `joined` pairs the legs of an arc that runs from the
     crossing back to it, and `heads` pairs each head (bottom) leg with
-    the turns of its arc.  Returns ({(weights at `old`, weights at
+    the turns of its arc.  Returns {(weights at `old`, weights at
     `fresh`): [(lowest exponent of v, coefficients of v^lowest,
-    v^(lowest+2), ...), ...]}, and a bound on the absolute sum of any
-    key's coefficients).  A joined arc's weights are summed over.
+    v^(lowest+2), ...), ...]}.  A joined arc's weights are summed over.
     """
     terms: dict[tuple, list] = {}
     for legs, low, cs in _r_table(N, positive):
@@ -167,8 +165,15 @@ def _terms(N: int, positive: bool, old: tuple, fresh: tuple, joined: tuple,
         key = (tuple(legs[leg] for leg in old),
                tuple(legs[leg] for leg in fresh))
         terms.setdefault(key, []).append((e, cs))
-    return terms, max(sum(sum(map(abs, cs)) for _, cs in ts)
-                      for ts in terms.values())
+    return terms
+
+
+@lru_cache(maxsize=4096)
+def _bound(*shape) -> int:
+    """The largest absolute sum of the coefficients of any key of
+    `_terms(*shape)`: what `_step` checks before it packs anything."""
+    return max(sum(sum(map(abs, cs)) for _, cs in ts)
+               for ts in _terms(*shape).values())
 
 
 @lru_cache(maxsize=4096)
@@ -176,7 +181,7 @@ def _moves(width: int, *shape) -> tuple:
     """`_terms` packed into `width`-bit digits: ({weights at `old`:
     [(weights at `fresh`, shift, multiplier), ...]}, the lowest exponent
     of v)."""
-    terms, _ = _terms(*shape)
+    terms = _terms(*shape)
     base = min(e for ts in terms.values() for e, _ in ts)
     moves: dict[tuple, list] = {}
     for (k, w), ts in terms.items():
@@ -235,7 +240,7 @@ def _step(entry: tuple, states: dict[tuple, int], width: int, drop: int):
     states.
     """
     take, key, shape = entry
-    if not fits(states.values(), width, _terms(*shape)[1] * len(states)):
+    if not fits(states.values(), width, _bound(*shape) * len(states)):
         return None
     moves, base = _moves(width, *shape)
     if drop:

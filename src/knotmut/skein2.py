@@ -12,13 +12,20 @@ F = a^(-writhe) D with F(unknot) = 1.
 A node's state has no arc labels.  Its legs are positions
 p = 4 * crossing + slot, and `o[p]` is the position at the other end of
 the arc at p, so deleting crossings and joining their outer arcs is a few
-writes to `o`.  Slot l of a crossing holds its PD leg l (0 the incoming
-under-strand), and each crossing keeps its sign.  A switch, or a strand
-reversed by an unoriented smoothing, puts the arcs of a crossing on other
-legs: its four slots rotate in place, by one for a switch and by two for
-an under passage of a reversed strand.  Signs are tracked locally through
-every move (never re-derived globally), because the planar-diagram
-encoding of an isolated curl does not determine its handedness.
+writes to `o`.  A crossing's slots run counterclockwise, the even ones on
+its under-strand.  The HOMFLY trees keep an oriented state: slot l holds
+the crossing's PD leg l (0 the incoming under-strand), and each crossing
+keeps its sign.  The Kauffman trees keep an unoriented state, since the
+Dubrovnik relation needs no orientation: it has no signs, and slot 0 may
+be either end of the under-strand.  A switch rotates the crossing's four
+slots in place: by one, or by three at a negative crossing of an
+oriented state so that slot 0 is the incoming under-strand again.  A
+smoothing joins legs 0-1 and 2-3, or 0-3 and 1-2.  The signs that the
+Kauffman trees need are read from positions: a curl's from its corner,
+and a leaf's self-writhe from the slots at which its walks enter each
+crossing (`_UDiagram.components_and_writhe`).  The planar-diagram
+encoding of an isolated curl does not determine its handedness; its
+slots do.
 
 One node of a tree does, in order: tick the budget; copy its parent's
 state with one move applied (a switch, or a smoothing that deletes the
@@ -36,26 +43,30 @@ each at its four corners in slot order, and the order of the removals is
 part of the tree: a different order can end in a different state.  A
 deleted crossing is listed as dead; the node is then compacted by
 dropping the dead crossings, the live ones keeping their order, so that
-the memo key is the partner of every leg, with the signs and the free
-loops.  The compaction looks every leg's new position up in one table,
-and the key's tuple is the compacted state.
+the memo key is the partner of every leg and the free loops, with the
+signs in an oriented state.  The compaction looks every leg's new
+position up in one table, and the key's tuple is the compacted state.
 
 Descending diagrams are unlinks and are evaluated directly.  Otherwise
 the trees resolve at a bad crossing: one that a basepoint traversal
-reaches first on its under-strand (Freyd, Yetter, Hoste, Lickorish,
-Millett & Ocneanu, Bull. AMS 12, 1985).  Each component's traversal
-starts on the over-strand of the first crossing, in crossing order, that
-no earlier traversal passed, just before it enters that crossing.  The
+reaches first on its under-strand, at an even slot (Freyd, Yetter,
+Hoste, Lickorish, Millett & Ocneanu, Bull. AMS 12, 1985).  Each
+component's traversal starts on the over-strand of the first crossing,
+in crossing order, that no earlier traversal passed, just before it
+enters that crossing: at its incoming over leg in an oriented state (3
+when positive, 1 when negative), at slot 3 in an unoriented one.  The
 basepoint thus depends only on the compacted state, never on how the
-node was reached.  Of the bad crossings, in traversal order, the first
-with an alternating bigon at a corner (its strands over at different
-crossings) is resolved, else the first bad crossing: switching at such a
-bigon makes it a same-over bigon, which the child's reduction deletes
-with both its crossings.  The trees terminate because switching any bad
-crossing leaves every traversal and its start unchanged (a start is met
-on its over-strand first, so it is never bad) and lowers the number of
-bad crossings by exactly one, while smoothing and reduction lower the
-number of crossings: (crossings, bad crossings) falls at every step.
+node was reached.  Of the bad crossings with an alternating bigon at a
+corner (its strands over at different crossings), the HOMFLY trees
+resolve the first in traversal order and the Kauffman trees the last;
+with none, the first bad crossing.  Switching at such a bigon makes it
+a same-over bigon, which the child's reduction deletes with both its
+crossings.  The trees terminate because switching a bad crossing
+rotates its slots only, by an odd number: it leaves every traversal and
+its start unchanged (a start is met on its over-strand first, so it is
+never bad) and lowers the number of bad crossings by exactly one, while
+smoothing and reduction lower the number of crossings: (crossings, bad
+crossings) falls at every step.
 
 Coefficients inside the trees are plain {e: int} dicts on packed
 exponents e = e1 * w + e2 (see `_width`); every factor of the relations
@@ -132,7 +143,9 @@ _new = object.__new__
 
 
 class _RDiagram:
-    """Resolution state on leg positions p = 4 * crossing + slot.
+    """Oriented resolution state on leg positions p = 4 * crossing + slot,
+    for the HOMFLY trees, which keep signs (`_UDiagram`, the Kauffman
+    trees' state, keeps none).
 
     `o[p]` is the position at the other end of the arc at p, so an arc is
     a pair of positions and has no label.  Slot l of crossing i holds its
@@ -143,14 +156,16 @@ class _RDiagram:
     crossings to check in `reduce()`.
 
     A node of a tree is a copy of its parent's state with one move
-    applied (`switched`, `smoothed_oriented`, `smoothed_unoriented`),
-    then `reduce()`, then `key()`, which compacts the state: the dead
-    crossings are dropped, the live ones keep their order, and `o`
-    becomes the key's own tuple (a move copies it into a list).
-    `first_bad` reads a compacted state.
+    applied (`switched`, `smoothed_oriented`), then `reduce()`, then
+    `key()`, which compacts the state: the dead crossings are dropped,
+    the live ones keep their order, and `o` becomes the key's own tuple
+    (a move copies it into a list).  `first_bad` reads a compacted state.
     """
 
     __slots__ = ("o", "dirs", "free_loops", "touched", "dead")
+    # `first_bad` takes the first bad crossing with an alternating bigon
+    # in walk order, or with this set the last
+    last_freeing = False
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
@@ -170,14 +185,13 @@ class _RDiagram:
         return out
 
     def copy(self) -> "_RDiagram":
-        out = _new(_RDiagram)
+        out = _new(type(self))
         out.o, out.dirs = list(self.o), self.dirs[:]
         out.free_loops, out.touched, out.dead = self.free_loops, set(), []
         return out
 
-    def key(self):
-        """Compact the state and return its memo key: the partner of every
-        leg, the signs and the free loops.
+    def _compact(self) -> tuple:
+        """Drop the dead crossings and return the compacted `o`.
 
         A position moves down by 4 per deleted crossing before its own;
         `m` maps every old position to its new one, and one itemgetter
@@ -197,29 +211,36 @@ class _RDiagram:
             dead.clear()
         else:
             self.o = o = tuple(o)
-        return o, tuple(dirs), self.free_loops
+        return o
 
-    def _rotate(self, ks, r: int) -> None:
-        """Move the arc on each leg l of each crossing k in ks to leg l + r."""
+    def key(self):
+        """Compact the state and return its memo key: the partner of every
+        leg, the signs and the free loops."""
+        return self._compact(), tuple(self.dirs), self.free_loops
+
+    def _rotate(self, k: int, r: int) -> None:
+        """Move the arc on each leg l of crossing k to leg l + r."""
         o = self.o
         q0, q1, q2, q3 = _SLOTS[r]
-        for k in ks:
-            b = 4 * k
-            t0, t1, t2, t3 = o[b:b + 4]
-            # an arc from k back to k turns at both ends
-            if t0 >> 2 == k or t1 >> 2 == k or t2 >> 2 == k or t3 >> 2 == k:
-                turn = (b + q0, b + q1, b + q2, b + q3)
-                t0, t1, t2, t3 = (turn[t - b] if t >> 2 == k else t
-                                  for t in (t0, t1, t2, t3))
-            o[b + q0], o[b + q1], o[b + q2], o[b + q3] = t0, t1, t2, t3
-            o[t0], o[t1], o[t2], o[t3] = b + q0, b + q1, b + q2, b + q3
+        b = 4 * k
+        t0, t1, t2, t3 = o[b:b + 4]
+        # an arc from k back to k turns at both ends
+        if t0 >> 2 == k or t1 >> 2 == k or t2 >> 2 == k or t3 >> 2 == k:
+            turn = (b + q0, b + q1, b + q2, b + q3)
+            t0, t1, t2, t3 = (turn[t - b] if t >> 2 == k else t
+                              for t in (t0, t1, t2, t3))
+        o[b + q0], o[b + q1], o[b + q2], o[b + q3] = t0, t1, t2, t3
+        o[t0], o[t1], o[t2], o[t3] = b + q0, b + q1, b + q2, b + q3
 
     # -- Reidemeister-I and -II removal ------------------------------------
 
     def reduce(self) -> int:
         """Remove curls and same-over bigons at touched crossings.
 
-        Returns the summed sign of the removed curls.  A new curl or
+        Returns the summed sign of the removed curls: a curl at an even
+        corner is positive, since the strand through slots 0 and 1 of a
+        positive crossing of an oriented state can loop, and a half-turn
+        of the slots keeps the parity of a corner.  A new curl or
         bigon has a new arc as a side, so a join touches one end of the
         arc it makes, and a switch its crossing.  Every touched crossing
         is checked at all four corners, in slot order, and the first
@@ -261,7 +282,7 @@ class _RDiagram:
                 if (s ^ t) & 1:
                     # the strand through slots s2, s and s+1, s3 loops
                     # back, and closes when slot s2 runs to s3
-                    curl += 1 if dirs[i] else -1
+                    curl += -1 if s & 1 else 1
                     dirs[i] = None
                     dead.append(i)
                     a, c = o[b + s2], o[b + s3]
@@ -336,79 +357,50 @@ class _RDiagram:
     # -- skein moves -------------------------------------------------------
 
     def switched(self, i: int) -> "_RDiagram":
+        """Switch crossing i and its sign: the arc on leg l moves to leg
+        l + 1 (positive) or l + 3, so that leg 0 is the incoming under-
+        strand again."""
         out = self.copy()
         dr = out.dirs[i]
-        # the arc on leg l moves to leg l + 1 (positive) or l + 3
-        out._rotate((i,), 1 if dr else 3)
+        out._rotate(i, 1 if dr else 3)
         out.dirs[i] = not dr
         out.touched.add(i)
         return out
 
-    def smoothed_oriented(self, i: int) -> "_RDiagram":
-        """Orientation-respecting smoothing (both strands keep direction)."""
+    def smoothed(self, i: int, across: bool) -> "_RDiagram":
+        """Delete crossing i and join its legs 0-1 and 3-2, or with
+        `across` its legs 0-3 and 1-2."""
         out = self.copy()
         b = 4 * i
         out.dirs[i] = None
         out.dead.append(i)
-        # join legs 0-1 and 3-2, or 0-3 and 1-2
-        if self.dirs[i]:
+        if across:
+            out._join(b, b + 3, b + 1, b + 2, out.touched)
+        else:
             out._join(b, b + 1, b + 3, b + 2, out.touched)
-        else:
-            out._join(b, b + 3, b + 1, b + 2, out.touched)
         return out
 
-    def smoothed_unoriented(self, i: int, btype: bool) -> "_RDiagram":
-        """Merge legs {0,1} and {2,3} (btype=False) or {0,3} and {1,2}.
-
-        One of the two choices reverses a strand; orientation flags along
-        the reversed path are repaired locally.
-        """
-        dr = self.dirs[i]
-        compatible = (not btype) if dr else btype
-        if compatible:
-            return self.smoothed_oriented(i)
-        out = self.copy()
-        o, dirs = out.o, out.dirs
-        b = 4 * i
-        # reverse the strand segment from the over-out leg back around to
-        # the crossing, then the merge is orientation-respecting: each
-        # passage flips the sign, and an under passage (an even leg) turns
-        # the crossing by two legs so that leg 0 is the incoming
-        # under-strand again.  The turns move positions, so they wait
-        # until the walk is done.
-        under = []
-        p = o[b + (1 if dr else 3)]
-        while p >> 2 != i:
-            k = p >> 2
-            dirs[k] = not dirs[k]
-            if not p & 1:
-                under.append(k)
-            p = o[p ^ 2]
-        out._rotate(under, 2)
-        dirs[i] = None
-        out.dead.append(i)
-        if btype:
-            out._join(b, b + 3, b + 1, b + 2, out.touched)
-        else:
-            out._join(b, b + 1, b + 2, b + 3, out.touched)
-        return out
+    def smoothed_oriented(self, i: int) -> "_RDiagram":
+        """Orientation-respecting smoothing (both strands keep direction)."""
+        return self.smoothed(i, not self.dirs[i])
 
     # -- descending analysis ---------------------------------------------
 
     def first_bad(self) -> int | None:
         """The crossing to resolve, or None when no crossing is bad.
 
-        A bad crossing is met first on its under-strand by the basepoint
-        walks; each walk enters the first crossing not yet passed on its
-        over-strand (see the module docstring).  Of the bad crossings, in
-        walk order, the first with an alternating bigon at a corner is
-        returned, else the first one: switching at the bigon leaves a
-        same-over bigon, which the child's `reduce()` deletes with both
-        its crossings.
+        A bad crossing is entered first at an even slot, on its under-
+        strand, by the basepoint walks; each walk enters the first
+        crossing not yet passed on its over-strand (see the module
+        docstring).  Of the bad crossings, in walk order, the first with
+        an alternating bigon at a corner is returned (the last one when
+        `last_freeing` is set), else the first one: switching at the bigon
+        leaves a same-over bigon, which the child's `reduce()` deletes
+        with both its crossings.
         """
-        o, dirs = self.o, self.dirs
+        o, dirs, last = self.o, self.dirs, self.last_freeing
         passed = bytearray(len(dirs))
-        first = None
+        first = freeing = None
         k = passed.find(0)
         while k >= 0:
             start = p = 4 * k + (3 if dirs[k] else 1)
@@ -416,11 +408,12 @@ class _RDiagram:
                 i = p >> 2
                 if not passed[i]:
                     passed[i] = 1
-                    if not p & 3:
+                    if not p & 1:
                         # a bigon at a corner as in `reduce`, on another
                         # crossing, with legs of unequal parity at the ends
                         # of the arc at its first slot
-                        t0, t1, t2, t3 = o[p:p + 4]
+                        b = p & -4
+                        t0, t1, t2, t3 = o[b:b + 4]
                         if t0 ^ t1 < 4 and (t0 - t1) & 3 == 1 and \
                                 t0 & 1 and t0 >> 2 != i or \
                                 t1 ^ t2 < 4 and (t1 - t2) & 3 == 1 and \
@@ -429,37 +422,89 @@ class _RDiagram:
                                 t2 & 1 and t2 >> 2 != i or \
                                 t3 ^ t0 < 4 and (t3 - t0) & 3 == 1 and \
                                 not t3 & 1 and t3 >> 2 != i:
-                            return i
-                        if first is None:
+                            if not last:
+                                return i
+                            freeing = i
+                        elif first is None:
                             first = i
                 p = o[p ^ 2]
                 if p == start:
                     break
             k = passed.find(0, k)
-        return first
+        return first if freeing is None else freeing
 
-    def _components(self) -> tuple[list[int], int]:
-        """Component number at every position, and the number of them."""
+    def component_count(self) -> int:
+        o = self.o
+        seen = bytearray(len(o))
+        n = self.free_loops
+        for start in range(len(o)):
+            if not seen[start]:
+                p = start
+                while not seen[p]:
+                    seen[p] = seen[p ^ 2] = 1
+                    p = o[p ^ 2]
+                n += 1
+        return n
+
+
+class _UDiagram(_RDiagram):
+    """Unoriented resolution state, for the Kauffman trees.
+
+    The positions, `o`, `dead`, `touched` and the compaction are those of
+    `_RDiagram`, but no slot is known to be incoming and no crossing keeps
+    a sign: `dirs[i]` is True while crossing i lives, None once it is
+    deleted, and the memo key is `o` and the free loops alone.  A switch
+    always rotates by one, so a crossing's slot labels depend only on how
+    often it was switched, never on an orientation, and every walk starts
+    at slot 3.  The moves are `switched` and `smoothed`.
+    """
+
+    __slots__ = ()
+    last_freeing = True
+
+    @classmethod
+    def from_diagram(cls, d: PlanarDiagram) -> "_UDiagram":
+        out = super().from_diagram(d)
+        out.dirs = [True] * len(out.dirs)
+        return out
+
+    def key(self):
+        """Compact the state and return its memo key: the partner of every
+        leg and the free loops."""
+        return self._compact(), self.free_loops
+
+    def switched(self, i: int) -> "_UDiagram":
+        """Switch crossing i: the arc on leg l moves to leg l + 1."""
+        out = self.copy()
+        out._rotate(i, 1)
+        out.touched.add(i)
+        return out
+
+    def components_and_writhe(self) -> tuple[int, int]:
+        """The number of components of the crossings and their summed
+        self-writhe.
+
+        Each component is walked once, and enters each of its own
+        crossings once at an under slot and once at an over slot.  The
+        crossing is positive when these are slots 0 and 3 or slots 2 and
+        1, the legs of a positive crossing of an oriented state walked
+        one way or the other: when slots 0 and 3 are both entered or
+        neither is.
+        """
         o = self.o
         comp = [-1] * len(o)
+        entered = bytearray(len(o))
         n = 0
         for start in range(len(o)):
             if comp[start] < 0:
                 p = start
                 while comp[p] < 0:
                     comp[p] = comp[p ^ 2] = n
+                    entered[p] = 1
                     p = o[p ^ 2]
                 n += 1
-        return comp, n
-
-    def component_count(self) -> int:
-        return self._components()[1] + self.free_loops
-
-    def self_writhe(self, comp: list[int]) -> int:
-        """Sum of crossing signs over same-component crossings, given the
-        component at every position."""
-        return sum(1 if dr else -1 for i, dr in enumerate(self.dirs)
-                   if comp[4 * i] == comp[4 * i + 1])
+        return n, sum(1 if entered[b] == entered[b + 3] else -1
+                      for b in range(0, len(o), 4) if comp[b] == comp[b + 1])
 
 
 def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
@@ -516,7 +561,7 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
     w = _width(d)
     unlink = _power_table(_DELTA_F, w)
 
-    def dvalue(rd: _RDiagram) -> tuple[dict, int]:
+    def dvalue(rd: _UDiagram) -> tuple[dict, int]:
         """(D of rd's reduced state, k * w): D of rd is a^k times the
         first, where k sums the signs of the curls that reduce() removed."""
         nonlocal hits
@@ -531,24 +576,24 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
             return res, curl
         i = rd.first_bad()
         if i is None:
-            comp, n = rd._components()
-            s = rd.self_writhe(comp) * w
+            n, writhe = rd.components_and_writhe()
+            s = writhe * w
             res = {e + s: v for e, v in unlink(n + rd.free_loops - 1).items()}
         else:
             # positional Dubrovnik relation:
             # D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))
             sw, s = dvalue(rd.switched(i))
             res = {e + s: v for e, v in sw.items()}
-            sa, s = dvalue(rd.smoothed_unoriented(i, btype=False))
+            sa, s = dvalue(rd.smoothed(i, False))
             _add_shifted(res, sa, s + 1, 1)
-            sb, s = dvalue(rd.smoothed_unoriented(i, btype=True))
+            sb, s = dvalue(rd.smoothed(i, True))
             _add_shifted(res, sb, s + 1, -1)
             if 0 in res.values():
                 res = {e: v for e, v in res.items() if v}
         memo[key] = res
         return res, curl
 
-    f, curl = dvalue(_RDiagram.from_diagram(d))
+    f, curl = dvalue(_UDiagram.from_diagram(d))
     return _unpacked({e + curl - d.writhe() * w: v for e, v in f.items()},
                      w, ("a", "z"))
 
