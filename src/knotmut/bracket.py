@@ -22,14 +22,15 @@ from __future__ import annotations
 from functools import cache
 
 from .diagram import PlanarDiagram, UnionFind
-from .frontier import contract, contraction_order, fits, getter, layout
+from .frontier import contract, fits, getter, plan
 from .laurent import LaurentPoly
 
 DELTA = LaurentPoly("A", {2: -1, -2: -1})
 
 
-def _plan(crossings, order: list[int]) -> list[tuple]:
-    """Per step: (take, remap, key, consumed, ends, links, pad).
+def _plan(crossings) -> list[tuple]:
+    """Per step of `frontier.plan`: (take, remap, key, consumed, ends,
+    links, pad).
 
     `take` gathers a state's kept positions, `remap` sends an old position
     to its new one; `key` gathers the consumed positions, `consumed` maps
@@ -38,7 +39,7 @@ def _plan(crossings, order: list[int]) -> list[tuple]:
     `pad` holds places for the new arcs.
     """
     steps = []
-    for kept, consumed, new, joined in layout(crossings, order):
+    for kept, consumed, new, joined in plan(crossings)[1]:
         size = len(kept) + len(consumed)
         remap = [-1] * size
         for i, old in enumerate(kept):
@@ -97,8 +98,8 @@ def _digit_width(plan: list[tuple]) -> int:
 def kauffman_bracket(d: PlanarDiagram,
                      budget_seconds: float | None = None) -> LaurentPoly:
     """Bracket by crossing-at-a-time contraction, run by `contract`."""
-    plan = _plan(d.crossings, contraction_order(d.crossings))
-    bracket = contract(plan, _digit_width(plan), budget_seconds, "A", _step)
+    steps = _plan(d.crossings)
+    bracket = contract(steps, _digit_width(steps), budget_seconds, "A", _step)
     return bracket * DELTA ** d.free_loops
 
 

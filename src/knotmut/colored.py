@@ -42,7 +42,7 @@ from functools import cache, lru_cache
 from .bracket import kauffman_bracket
 from .budget import Budget
 from .diagram import PlanarDiagram, _other_ends, faces
-from .frontier import contract, contraction_order, fits, getter, layout
+from .frontier import contract, fits, getter, plan
 from .laurent import InexactDivision, LaurentPoly, qint
 from .satellites import cable
 
@@ -146,6 +146,7 @@ def _r_table(N: int, positive: bool) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
 def _terms(N: int, positive: bool, old: tuple, fresh: tuple, joined: tuple,
            heads: tuple) -> dict:
     """A crossing's map by the shape of its step.
@@ -156,6 +157,10 @@ def _terms(N: int, positive: bool, old: tuple, fresh: tuple, joined: tuple,
     the turns of its arc.  Returns {(weights at `old`, weights at
     `fresh`): [(lowest exponent of v, coefficients of v^lowest,
     v^(lowest+2), ...), ...]}.  A joined arc's weights are summed over.
+
+    Only the last shape is kept: `_step` misses `_bound` and then `_moves`
+    on the same shape, and the unpacked terms of every shape would
+    outweigh both caches.
     """
     terms: dict[tuple, list] = {}
     for legs, low, cs in _r_table(N, positive):
@@ -197,18 +202,17 @@ def state_sum(d: PlanarDiagram, N: int, turns: dict[int, int],
               budget_seconds: float | None = None) -> LaurentPoly:
     """J_K(N) from the state sum with the arcs' `turns`, by crossing-at-a-
     time contraction, run by `contract`."""
-    order = contraction_order(d.crossings)
-    plan = []
+    entries = []
     widest = 0
-    for idx, step in zip(order, layout(d.crossings, order)):
+    for idx, step in zip(*plan(d.crossings)):
         widest = max(widest, len(step.kept) + len(step.consumed))
         x, positive = d.crossings[idx], d.positive[idx]
         heads = tuple((leg, turns[x[leg]])
                       for leg in ((0, 3) if positive else (0, 1)))
         shape = (N, positive, tuple(step.consumed.values()), tuple(step.new),
                  tuple(step.joined.items()), heads)
-        plan.append((getter(step.kept), getter(list(step.consumed)), shape))
-    total = contract(plan, _digit_width(N, widest), budget_seconds, "v", _step)
+        entries.append((getter(step.kept), getter(list(step.consumed)), shape))
+    total = contract(entries, _digit_width(N, widest), budget_seconds, "v", _step)
     framed = total * LaurentPoly.monomial("v", -d.writhe() * (N * N - 1))
     try:
         return framed.exact_div(_bracket_v(N)).shrink(4, "q")

@@ -5,7 +5,8 @@ one end in the contracted region are open; they depend on the step only,
 so `layout` fixes one order of them per step before any state exists:
 the kept arcs in their old order, then the arcs the crossing opens, in
 leg order.  `contraction_order` picks the steps so that few arcs are open
-at once.
+at once.  `plan` is both, memoized for the few diagrams last contracted,
+so that the bracket and the colored state sum of one diagram share it.
 
 Both engines pack a state's polynomial coefficient into one Python int
 of signed fixed-width digits (Kronecker substitution).  `fits` is the
@@ -17,7 +18,7 @@ narrow.
 from __future__ import annotations
 
 import heapq
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -68,6 +69,19 @@ def layout(crossings, order: list[int]) -> list[Step]:
                 open_arcs.append(a)
         steps.append(Step(kept, consumed, new, joined))
     return steps
+
+
+@lru_cache(maxsize=2)
+def plan(crossings: tuple) -> tuple[list[int], list[Step]]:
+    """`contraction_order` of `crossings` and its `layout`, shared by every
+    contraction of the same crossings, so callers must not change them.
+
+    The key is the crossings alone, so nothing that depends on a
+    diagram's orientation may be kept here: a link's `positive` is not
+    fixed by its tuples.
+    """
+    order = contraction_order(crossings)
+    return order, layout(crossings, order)
 
 
 def fits(values, width: int, terms: int) -> bool:

@@ -116,7 +116,16 @@ def compute_report(name: str, d: PlanarDiagram,
     budget = opts.budget_seconds
     for key, poly in POLYNOMIALS.items():
         add(key, lambda: poly(d, budget))
-    for n in range(2, opts.colors + 1):
+    if opts.colors >= 2:
+        # J_K(2) is the Jones polynomial in q = 1/t (Kirby & Melvin,
+        # Invent. Math. 105, 1991): the jones item, with its status
+        start = perf_counter()
+        j = report.items["jones"]
+        report.items["cjones_2"] = ReportItem(
+            "cjones_2", j.status,
+            j.value.invert_var("q") if j.status == DONE else None, j.detail,
+            perf_counter() - start)
+    for n in range(3, opts.colors + 1):
         add(f"cjones_{n}", lambda: colored_jones(d, n, budget))
     if opts.whitehead_homfly:
         add("whitehead_homfly", lambda: p_whitehead_plus(d, budget_seconds=budget))

@@ -6,12 +6,16 @@ import random
 import pytest
 
 from conftest import pretzel
-from knotmut import quotients, report
-from knotmut.diagram import named_knot, parse_braid, parse_knot_spec
+from knotmut import frontier, quotients, report
+from knotmut.budget import ResourceLimitExceeded
+from knotmut.colored import colored_jones
+from knotmut.diagram import (KNOT_BRAIDS, named_knot, parse_braid,
+                             parse_knot_spec)
 from knotmut.report import (DONE, LIMITED, SKIPPED, UNKNOWN, VERDICT_EXCLUDED,
                             VERDICT_INCONCLUSIVE, ReportOptions, compare_pair,
                             compute_report)
 from knotmut.tangles import AXES, mutate, random_decomposition
+from test_skein2 import MUTANT_SLATE
 
 BASIC = ("alexander", "cjones_2", "h1_double_cover", "homfly", "jones",
          "kauffman")
@@ -19,7 +23,6 @@ BASIC = ("alexander", "cjones_2", "h1_double_cover", "homfly", "jones",
 
 class TestComputeReport:
     def test_basic_items(self):
-        from knotmut.diagram import KNOT_BRAIDS
         d = named_knot("trefoil")
         braid = parse_braid(KNOT_BRAIDS["trefoil"])
         rep = compute_report("trefoil", d, braid)
@@ -54,6 +57,50 @@ class TestComputeReport:
                               options=opts).items["quotients"]
         assert item.status == LIMITED
         assert "after 1 candidate images" in item.detail
+
+
+NAMED_KNOTS = tuple(n for n in KNOT_BRAIDS
+                    if named_knot(n).component_count() == 1)
+
+
+class TestEachInvariantOnce:
+    """A report computes color 2 as the jones item in q = 1/t, and plans
+    each diagram's contraction once for the bracket and the state sum."""
+
+    @pytest.mark.parametrize("knot", MUTANT_SLATE + NAMED_KNOTS, ids=str)
+    def test_cjones_2_is_the_state_sum(self, knot):
+        d = pretzel(*knot) if isinstance(knot, tuple) else named_knot(knot)
+        item = compute_report("k", d).items["cjones_2"]
+        assert item.status == DONE
+        assert item.value == colored_jones(d, 2)
+
+    def test_cjones_2_mirrors_limited_jones(self, monkeypatch):
+        def limited(d, budget_seconds=None):
+            raise ResourceLimitExceeded("time budget exhausted after 1 of "
+                                        "3 crossing steps")
+        monkeypatch.setattr(report, "jones", limited)
+        items = compute_report("trefoil", named_knot("trefoil")).items
+        assert items["jones"].status == items["cjones_2"].status == LIMITED
+        assert items["cjones_2"].detail == items["jones"].detail != ""
+        assert items["cjones_2"].value is None
+
+    def test_cjones_2_mirrors_skipped_jones(self):
+        items = compute_report("hopf", named_knot("hopf_plus")).items
+        assert items["jones"].status == items["cjones_2"].status == SKIPPED
+        assert items["cjones_2"].detail == items["jones"].detail
+
+    def test_one_plan_per_diagram(self, monkeypatch):
+        planned, contraction_order = [], frontier.contraction_order
+
+        def spy(crossings):
+            planned.append(crossings)
+            return contraction_order(crossings)
+        monkeypatch.setattr(frontier, "contraction_order", spy)
+        frontier.plan.cache_clear()
+        d = pretzel(3, 3, -2, -3)
+        rep = compute_report("k", d, options=ReportOptions(colors=4))
+        assert rep.items["jones"].status == rep.items["cjones_4"].status == DONE
+        assert planned == [d.crossings]
 
 
 # Without a budget, on 2 cores: cjones_5 of the closure of SLOW_CJONES, a
