@@ -87,9 +87,8 @@ def _emit_poly(name: str, p, fmt: str):
 
 
 def _emit_pd(d: PlanarDiagram):
-    body = " ".join(f"X({a},{b},{c},{e})" for a, b, c, e in d.crossings)
     prefix = f"name={d.name} " if d.name else ""
-    print(f"{prefix}pd: {body}")
+    print(f"{prefix}pd: {d}")
 
 
 _FAMILIES = {"C": cyclic, "D": dihedral, "A": alternating, "S": symmetric}

@@ -210,8 +210,10 @@ class PlanarDiagram:
         return n + self.free_loops
 
     def __str__(self):
-        xs = " ".join(f"X({a},{b},{c},{d})" for a, b, c, d in self.crossings)
-        return xs if not self.free_loops else f"{xs} O*{self.free_loops}"
+        parts = [f"X({a},{b},{c},{d})" for a, b, c, d in self.crossings]
+        if self.free_loops:
+            parts.append(f"O*{self.free_loops}")
+        return " ".join(parts)
 
 
 def faces(crossings) -> list[list[int]]:
@@ -397,25 +399,21 @@ def add_kink(d: PlanarDiagram, sign: int, arc: int | None = None) -> PlanarDiagr
     return PlanarDiagram(new, d.free_loops, d.name)
 
 
-def zero_framed(d: PlanarDiagram) -> PlanarDiagram:
-    """Add writhe-compensating kinks so the blackboard framing is zero."""
-    w = d.writhe()
-    out = d
-    for _ in range(abs(w)):
-        out = add_kink(out, -1 if w > 0 else 1)
-    return out
-
-
 _PD_RE = re.compile(r"X\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_LOOPS_RE = re.compile(r"O\*(\d+)\s*$")
 
 
 def parse_pd(text: str, name: str = "") -> PlanarDiagram:
-    """Parse 'X(a,b,c,d) X(e,f,g,h) ...' planar diagram code."""
+    """Parse 'X(a,b,c,d) X(e,f,g,h) ... O*k' planar diagram code, as
+    `PlanarDiagram.__str__` writes it; the optional O*k counts free loops."""
     crossings = [tuple(int(g) for g in m.groups()) for m in _PD_RE.finditer(text)]
-    if not crossings:
+    loops = _LOOPS_RE.search(text)
+    free_loops = int(loops[1]) if loops else 0
+    if not crossings and not free_loops:
         raise ValueError(f"no crossings found in {text!r}")
-    d = PlanarDiagram(crossings, 0, name)
-    faces(d.crossings)   # refuses a code with no planar drawing
+    d = PlanarDiagram(crossings, free_loops, name)
+    if crossings:
+        faces(d.crossings)   # refuses a code with no planar drawing
     return relabel(d)
 
 

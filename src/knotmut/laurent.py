@@ -371,10 +371,6 @@ class LaurentPoly2:
             n >>= 1
         return out
 
-    def swap_first_var_inverse(self) -> "LaurentPoly2":
-        """Substitute first variable by its inverse (mirror image for HOMFLY)."""
-        return LaurentPoly2({(-e1, e2): c for (e1, e2), c in self.coeffs.items()}, self.vars)
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -23,15 +23,18 @@ oriented state so that slot 0 is the incoming under-strand again.  A
 smoothing joins legs 0-1 and 2-3, or 0-3 and 1-2.  The signs that the
 Kauffman trees need are read from positions: a curl's from its corner,
 and a leaf's self-writhe from the slots at which its walks enter each
-crossing (`_UDiagram.components_and_writhe`).  The planar-diagram
+crossing (`_RDiagram.components_and_writhe`).  The planar-diagram
 encoding of an isolated curl does not determine its handedness; its
 slots do.
 
-One node of a tree does, in order: tick the budget; copy its parent's
-state with one move applied (a switch, or a smoothing that deletes the
-crossing and joins its arcs); reduce it; compact it into its memo key;
-look the key up; pick the crossing to resolve; and combine its
-children's values.
+One recursion, `_tree`, runs both trees.  One node of a tree does, in
+order: tick the budget; copy its parent's state with one move applied
+(a switch, or a smoothing that deletes the crossing and joins its
+arcs); reduce it; compact it into its memo key; look the key up; pick
+the crossing to resolve; and combine its children's values by its state
+class's relation (`resolve`).  A node's value comes with the framing
+shift of the curls its reduction removed, which is zero in the HOMFLY
+trees.
 
 Before its memo lookup every node is reduced by Reidemeister-I and -II
 moves: curls, and bigons in which one strand passes over the other at
@@ -57,16 +60,15 @@ enters that crossing: at its incoming over leg in an oriented state (3
 when positive, 1 when negative), at slot 3 in an unoriented one.  The
 basepoint thus depends only on the compacted state, never on how the
 node was reached.  Of the bad crossings with an alternating bigon at a
-corner (its strands over at different crossings), the HOMFLY trees
-resolve the first in traversal order and the Kauffman trees the last;
-with none, the first bad crossing.  Switching at such a bigon makes it
-a same-over bigon, which the child's reduction deletes with both its
-crossings.  The trees terminate because switching a bad crossing
-rotates its slots only, by an odd number: it leaves every traversal and
-its start unchanged (a start is met on its over-strand first, so it is
-never bad) and lowers the number of bad crossings by exactly one, while
-smoothing and reduction lower the number of crossings: (crossings, bad
-crossings) falls at every step.
+corner (its strands over at different crossings), every tree resolves
+the last in traversal order; with none, the first bad crossing.
+Switching at such a bigon makes it a same-over bigon, which the child's
+reduction deletes with both its crossings.  The trees terminate because
+switching a bad crossing rotates its slots only, by an odd number: it
+leaves every traversal and its start unchanged (a start is met on its
+over-strand first, so it is never bad) and lowers the number of bad
+crossings by exactly one, while smoothing and reduction lower the number
+of crossings: (crossings, bad crossings) falls at every step.
 
 Coefficients inside the trees are plain {e: int} dicts on packed
 exponents e = e1 * w + e2 (see `_width`); every factor of the relations
@@ -102,7 +104,7 @@ def _width(d: PlanarDiagram) -> int:
     return 2 << (len(d.crossings) + d.free_loops).bit_length()
 
 
-def _unpacked(p: dict, w: int, variables=("l", "m")) -> LaurentPoly2:
+def _unpacked(p: dict, w: int, variables: tuple[str, str]) -> LaurentPoly2:
     """The polynomial of a dict on exponents packed with width w."""
     half = w >> 1
     out = {}
@@ -156,16 +158,13 @@ class _RDiagram:
     crossings to check in `reduce()`.
 
     A node of a tree is a copy of its parent's state with one move
-    applied (`switched`, `smoothed_oriented`), then `reduce()`, then
+    applied (`switched`, `smoothed`), then `reduce()`, then
     `key()`, which compacts the state: the dead crossings are dropped,
     the live ones keep their order, and `o` becomes the key's own tuple
     (a move copies it into a list).  `first_bad` reads a compacted state.
     """
 
     __slots__ = ("o", "dirs", "free_loops", "touched", "dead")
-    # `first_bad` takes the first bad crossing with an alternating bigon
-    # in walk order, or with this set the last
-    last_freeing = False
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
@@ -380,9 +379,20 @@ class _RDiagram:
             out._join(b, b + 1, b + 3, b + 2, out.touched)
         return out
 
-    def smoothed_oriented(self, i: int) -> "_RDiagram":
-        """Orientation-respecting smoothing (both strands keep direction)."""
-        return self.smoothed(i, not self.dirs[i])
+    def resolve(self, i: int, value, w: int) -> dict:
+        """P of this state from the values of its children at crossing i,
+        the switch and the orientation-respecting smoothing.
+
+        Positive: P+ = -l^-2 P- - l^-1 m P0; negative: the same with l
+        inverted.
+        """
+        s = -w if self.dirs[i] else w
+        sw, t = value(self.switched(i))
+        t += 2 * s
+        res = {e + t: -v for e, v in sw.items()}
+        sm, t = value(self.smoothed(i, not self.dirs[i]))
+        _add_shifted(res, sm, t + s + 1, -1)
+        return res
 
     # -- descending analysis ---------------------------------------------
 
@@ -392,13 +402,12 @@ class _RDiagram:
         A bad crossing is entered first at an even slot, on its under-
         strand, by the basepoint walks; each walk enters the first
         crossing not yet passed on its over-strand (see the module
-        docstring).  Of the bad crossings, in walk order, the first with
-        an alternating bigon at a corner is returned (the last one when
-        `last_freeing` is set), else the first one: switching at the bigon
-        leaves a same-over bigon, which the child's `reduce()` deletes
-        with both its crossings.
+        docstring).  Of the bad crossings, in walk order, the last with
+        an alternating bigon at a corner is returned, else the first one:
+        switching at the bigon leaves a same-over bigon, which the child's
+        `reduce()` deletes with both its crossings.
         """
-        o, dirs, last = self.o, self.dirs, self.last_freeing
+        o, dirs = self.o, self.dirs
         passed = bytearray(len(dirs))
         first = freeing = None
         k = passed.find(0)
@@ -422,8 +431,6 @@ class _RDiagram:
                                 t2 & 1 and t2 >> 2 != i or \
                                 t3 ^ t0 < 4 and (t3 - t0) & 3 == 1 and \
                                 not t3 & 1 and t3 >> 2 != i:
-                            if not last:
-                                return i
                             freeing = i
                         elif first is None:
                             first = i
@@ -432,53 +439,6 @@ class _RDiagram:
                     break
             k = passed.find(0, k)
         return first if freeing is None else freeing
-
-    def component_count(self) -> int:
-        o = self.o
-        seen = bytearray(len(o))
-        n = self.free_loops
-        for start in range(len(o)):
-            if not seen[start]:
-                p = start
-                while not seen[p]:
-                    seen[p] = seen[p ^ 2] = 1
-                    p = o[p ^ 2]
-                n += 1
-        return n
-
-
-class _UDiagram(_RDiagram):
-    """Unoriented resolution state, for the Kauffman trees.
-
-    The positions, `o`, `dead`, `touched` and the compaction are those of
-    `_RDiagram`, but no slot is known to be incoming and no crossing keeps
-    a sign: `dirs[i]` is True while crossing i lives, None once it is
-    deleted, and the memo key is `o` and the free loops alone.  A switch
-    always rotates by one, so a crossing's slot labels depend only on how
-    often it was switched, never on an orientation, and every walk starts
-    at slot 3.  The moves are `switched` and `smoothed`.
-    """
-
-    __slots__ = ()
-    last_freeing = True
-
-    @classmethod
-    def from_diagram(cls, d: PlanarDiagram) -> "_UDiagram":
-        out = super().from_diagram(d)
-        out.dirs = [True] * len(out.dirs)
-        return out
-
-    def key(self):
-        """Compact the state and return its memo key: the partner of every
-        leg and the free loops."""
-        return self._compact(), self.free_loops
-
-    def switched(self, i: int) -> "_UDiagram":
-        """Switch crossing i: the arc on leg l moves to leg l + 1."""
-        out = self.copy()
-        out._rotate(i, 1)
-        out.touched.add(i)
-        return out
 
     def components_and_writhe(self) -> tuple[int, int]:
         """The number of components of the crossings and their summed
@@ -507,51 +467,60 @@ class _UDiagram(_RDiagram):
                       for b in range(0, len(o), 4) if comp[b] == comp[b + 1])
 
 
-def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
-           max_nodes: int | None = 2_000_000) -> LaurentPoly2:
-    """HOMFLY polynomial in (l, m), unknot normalized to 1."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-    memo: dict = {}
-    hits = 0
-    budget = Budget(budget_seconds, max_nodes, "nodes expanded",
-                    lambda: f"{len(memo)} memo entries, {hits} memo hits")
-    tick = budget.tick
-    w = _width(d)
-    unlink = _power_table(_DELTA_P, w)
+class _UDiagram(_RDiagram):
+    """Unoriented resolution state, for the Kauffman trees.
 
-    def value(rd: _RDiagram) -> dict:
-        nonlocal hits
-        tick()
-        rd.reduce()  # ambient isotopy: curls and bigons are free
-        key = rd.key()
-        if not rd.dirs:
-            return unlink(rd.free_loops - 1) if rd.free_loops else _ONE
-        res = memo.get(key)
-        if res is not None:
-            hits += 1
-            return res
-        i = rd.first_bad()
-        if i is None:
-            res = unlink(rd.component_count() - 1)
-        else:
-            sw = value(rd.switched(i))
-            sm = value(rd.smoothed_oriented(i))
-            # positive: P+ = -l^-2 P- - l^-1 m P0; negative: the same
-            # with l inverted
-            s = -w if rd.dirs[i] else w
-            res = {e + 2 * s: -v for e, v in sw.items()}
-            _add_shifted(res, sm, s + 1, -1)
-            if 0 in res.values():
-                res = {e: v for e, v in res.items() if v}
-        memo[key] = res
+    The positions, `o`, `dead`, `touched` and the compaction are those of
+    `_RDiagram`, but no slot is known to be incoming and no crossing keeps
+    a sign: `dirs[i]` is True while crossing i lives, None once it is
+    deleted, and the memo key is `o` and the free loops alone.  A switch
+    always rotates by one, so a crossing's slot labels depend only on how
+    often it was switched, never on an orientation, and every walk starts
+    at slot 3.  The moves are `switched` and `smoothed`.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_diagram(cls, d: PlanarDiagram) -> "_UDiagram":
+        out = super().from_diagram(d)
+        out.dirs = [True] * len(out.dirs)
+        return out
+
+    def key(self):
+        """Compact the state and return its memo key: the partner of every
+        leg and the free loops."""
+        return self._compact(), self.free_loops
+
+    def switched(self, i: int) -> "_UDiagram":
+        """Switch crossing i: the arc on leg l moves to leg l + 1."""
+        out = self.copy()
+        out._rotate(i, 1)
+        out.touched.add(i)
+        return out
+
+    def resolve(self, i: int, value, w: int) -> dict:
+        """D of this state from the values of its children at crossing i,
+        by the positional Dubrovnik relation
+        D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))."""
+        sw, s = value(self.switched(i))
+        res = {e + s: v for e, v in sw.items()}
+        sa, s = value(self.smoothed(i, False))
+        _add_shifted(res, sa, s + 1, 1)
+        sb, s = value(self.smoothed(i, True))
+        _add_shifted(res, sb, s + 1, -1)
         return res
 
-    return _unpacked(value(_RDiagram.from_diagram(d)), w)
 
+def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
+          variables: tuple[str, str], budget_seconds: float | None,
+          max_nodes: int | None) -> LaurentPoly2:
+    """The polynomial of d by the resolution tree of `state`'s relation.
 
-def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
-               max_nodes: int | None = 2_000_000) -> LaurentPoly2:
-    """Kauffman polynomial, Dubrovnik form, in (a, z); unknot gives 1."""
+    delta is the value of a 2-component unlink.  A framed polynomial (D)
+    gains a^(+-1) per curl, and is normalized by a^(-writhe) at the root;
+    an unframed one (P) is an ambient-isotopy invariant, unchanged by both.
+    """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}
     hits = 0
@@ -559,14 +528,16 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
                     lambda: f"{len(memo)} memo entries, {hits} memo hits")
     tick = budget.tick
     w = _width(d)
-    unlink = _power_table(_DELTA_F, w)
+    cw = w if framed else 0  # the shift of e per unit of writhe
+    unlink = _power_table(delta, w)
 
-    def dvalue(rd: _UDiagram) -> tuple[dict, int]:
-        """(D of rd's reduced state, k * w): D of rd is a^k times the
-        first, where k sums the signs of the curls that reduce() removed."""
+    def value(rd: _RDiagram) -> tuple[dict, int]:
+        """(the value of rd's reduced state, k * cw): rd's value is a^k
+        times the first, where k sums the signs of the curls that
+        reduce() removed."""
         nonlocal hits
         tick()
-        curl = rd.reduce() * w
+        curl = rd.reduce() * cw
         key = rd.key()
         if not rd.dirs:
             return unlink(rd.free_loops - 1) if rd.free_loops else _ONE, curl
@@ -577,25 +548,32 @@ def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
         i = rd.first_bad()
         if i is None:
             n, writhe = rd.components_and_writhe()
-            s = writhe * w
+            s = writhe * cw
             res = {e + s: v for e, v in unlink(n + rd.free_loops - 1).items()}
         else:
-            # positional Dubrovnik relation:
-            # D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))
-            sw, s = dvalue(rd.switched(i))
-            res = {e + s: v for e, v in sw.items()}
-            sa, s = dvalue(rd.smoothed(i, False))
-            _add_shifted(res, sa, s + 1, 1)
-            sb, s = dvalue(rd.smoothed(i, True))
-            _add_shifted(res, sb, s + 1, -1)
+            res = rd.resolve(i, value, w)
             if 0 in res.values():
                 res = {e: v for e, v in res.items() if v}
         memo[key] = res
         return res, curl
 
-    f, curl = dvalue(_UDiagram.from_diagram(d))
-    return _unpacked({e + curl - d.writhe() * w: v for e, v in f.items()},
-                     w, ("a", "z"))
+    res, curl = value(state.from_diagram(d))
+    s = curl - d.writhe() * cw
+    return _unpacked({e + s: v for e, v in res.items()}, w, variables)
+
+
+def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
+           max_nodes: int | None = 2_000_000) -> LaurentPoly2:
+    """HOMFLY polynomial in (l, m), unknot normalized to 1."""
+    return _tree(d, _RDiagram, _DELTA_P, False, ("l", "m"), budget_seconds,
+                 max_nodes)
+
+
+def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
+               max_nodes: int | None = 2_000_000) -> LaurentPoly2:
+    """Kauffman polynomial, Dubrovnik form, in (a, z); unknot gives 1."""
+    return _tree(d, _UDiagram, _DELTA_F, True, ("a", "z"), budget_seconds,
+                 max_nodes)
 
 
 def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:

@@ -31,6 +31,11 @@ def random_knot_diagram(rng: random.Random, max_strands: int = 4,
     return braid_closure(random_knot_braid(rng, max_strands, max_letters))
 
 
+def homfly_mirror(p):
+    """HOMFLY of the mirror image: l is inverted."""
+    return type(p)({(-e1, e2): c for (e1, e2), c in p.coeffs.items()}, p.vars)
+
+
 def table_key(table, ngens: int) -> tuple:
     """A complete coset table up to conjugacy of its subgroup: the point
     key of its generators' columns, which two tables share exactly when

@@ -117,6 +117,25 @@ class TestDiagramCommands:
         d.validate()
         assert d.component_count() == 1
 
+    @pytest.mark.parametrize("argv", (
+        ("cable", "--strands", "2", "unknot"),
+        ("mutate", "--inner", "1", "--outer", "0")), ids=" ".join)
+    def test_free_loops_round_trip(self, capsys, monkeypatch, argv):
+        # every printed line parses back to the diagram it was printed from
+        emitted = []
+        emit = cli._emit_pd
+        monkeypatch.setattr(cli, "_emit_pd",
+                            lambda d: emitted.append(d) or emit(d))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == len(emitted) >= 1
+        for line, d in zip(lines, emitted):
+            _, back, _ = parse_knot_spec(line)
+            assert d.free_loops >= 1
+            assert back.free_loops == d.free_loops
+            assert back.component_count() == d.component_count() == 2
+
     def test_mutate(self, capsys):
         code, out, _ = run(capsys, "mutate", "--inner", "1,1",
                            "--outer", "2", "--axis", "vertical")

@@ -15,7 +15,7 @@ from knotmut.colored import (chebyshev_basis, colored_jones,
                              rotations, state_sum)
 from knotmut.diagram import (PlanarDiagram, add_kink, braid_closure,
                              connected_sum, faces, mirror, named_knot,
-                             parse_braid, parse_pd, zero_framed)
+                             parse_braid, parse_pd)
 from knotmut.laurent import LaurentPoly, qint
 from knotmut.satellites import cable
 from test_skein2 import MUTANT_SLATE
@@ -101,7 +101,10 @@ class TestColoredJones:
 def kink_route(d, N):
     """Reference colored Jones: cable a zero-framed diagram, made by adding
     writhe-cancelling kinks, so no framing factor is needed afterwards."""
-    base = zero_framed(d)
+    base = d
+    for _ in range(abs(d.writhe())):
+        base = add_kink(base, -1 if d.writhe() > 0 else 1)
+    assert base.writhe() == 0
     total = LaurentPoly.zero("A")
     for k, c in chebyshev_basis(N - 1).items():
         br = LaurentPoly.one("A") if k == 0 else \

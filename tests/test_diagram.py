@@ -9,7 +9,7 @@ from conftest import random_braid, vertical_twist
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram, add_kink,
                              braid_closure, connected_sum, faces, mirror,
                              named_knot, parse_braid, parse_knot_spec,
-                             parse_pd, relabel, successor_map, zero_framed)
+                             parse_pd, relabel, successor_map)
 from knotmut.satellites import cable, whitehead_double
 from knotmut.tangles import (TangleDecomposition, mutate, random_decomposition,
                              tangle_sum)
@@ -99,12 +99,6 @@ class TestDiagramOps:
             k.validate()
             assert k.writhe() == d.writhe() + sign
             assert k.component_count() == d.component_count()
-
-    def test_zero_framed(self):
-        d = braid_closure(parse_braid("2 | 1 1 1"))
-        z = zero_framed(d)
-        z.validate()
-        assert z.writhe() == 0
 
     def test_relabel(self):
         d = relabel(braid_closure(parse_braid("3 | 1 -2 1 -2")))

@@ -92,11 +92,6 @@ class TestLaurentPoly2:
     def test_mul_commutes(self, a, b):
         assert a * b == b * a
 
-    def test_swap_first_var_inverse(self):
-        p = LaurentPoly2({(-2, 1): 3, (1, 0): -1})
-        assert p.swap_first_var_inverse() == \
-            LaurentPoly2({(2, 1): 3, (-1, 0): -1})
-
     @given(two_polys)
     def test_str_parse_roundtrip(self, p):
         assert parse_poly2(str(p)) == p

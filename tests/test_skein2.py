@@ -7,7 +7,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pretzel, random_braid, random_knot_diagram
+from conftest import (homfly_mirror, pretzel, random_braid,
+                      random_knot_diagram)
 from knotmut import skein2
 from knotmut.bracket import DELTA, jones, kauffman_bracket
 from knotmut.budget import Budget
@@ -104,13 +105,13 @@ class TestHomfly:
     def test_figure8_frozen(self):
         p = homfly(named_knot("figure8"))
         assert p == parse_poly2("-l^-2 - 1 - l^2 + m^2")
-        assert p == p.swap_first_var_inverse()  # amphichiral
+        assert p == homfly_mirror(p)  # amphichiral
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
     def test_mirror_rule(self, seed):
         d = random_knot_diagram(random.Random(seed), max_letters=8)
-        assert homfly(mirror(d)) == homfly(d).swap_first_var_inverse()
+        assert homfly(mirror(d)) == homfly_mirror(homfly(d))
 
     def test_connected_sum_multiplicative(self):
         a, b = named_knot("trefoil"), named_knot("5_2")
@@ -276,7 +277,7 @@ class TestMutantPairs:
     @pytest.mark.parametrize("p", MUTANT_SLATE)
     def test_mirror_rule(self, p):
         d = pretzel(*p)
-        assert homfly(mirror(d)) == homfly(d).swap_first_var_inverse()
+        assert homfly(mirror(d)) == homfly_mirror(homfly(d))
         assert kauffman_f(mirror(d)) == dubrovnik_mirror(kauffman_f(d))
 
 
@@ -290,20 +291,29 @@ class TestReduction:
         homfly(pretzel(7, 3, 3, -2), max_nodes=200)
 
     def test_whitehead_homfly_budget(self):
-        # needs 695 nodes, and 729 if a join through deleted legs left its
-        # new arc out of the next reduction
-        p_whitehead_plus(named_knot("5_1"), max_nodes=710)
+        # needs 235 nodes, and 695 if the tree took the first bad crossing
+        # with an alternating bigon instead of the last
+        p_whitehead_plus(named_knot("5_1"), max_nodes=240)
 
     def test_cable_homfly_budget(self):
-        # needs 209 nodes, and 353 if the tree resolved its first bad
-        # crossing
-        homfly_2cable(named_knot("figure8"), max_nodes=370)
+        # needs 193 nodes; 209 if the tree took the first bad crossing with
+        # an alternating bigon instead of the last, and 353 if it resolved
+        # its first bad crossing
+        homfly_2cable(named_knot("figure8"), max_nodes=200)
 
     def test_whitehead_homfly_node_guard(self, monkeypatch):
-        # needs 1,359 nodes, and 6,545 if the tree resolved its first bad
-        # crossing
+        # needs 981 nodes; 997 if a join through deleted legs left its new
+        # arc out of the next reduction, 1,359 if the tree took the first
+        # bad crossing with an alternating bigon instead of the last, and
+        # 6,543 if it resolved its first bad crossing
         _, nodes = counted(monkeypatch, p_whitehead_plus, named_knot("6_1"))
-        assert nodes <= 1400
+        assert nodes <= 990
+
+    def test_pretzel_whitehead_homfly_node_guard(self, monkeypatch):
+        # the paper's scale: needs 40,045 nodes, and 71,481 if the tree
+        # took the first bad crossing with an alternating bigon
+        _, nodes = counted(monkeypatch, p_whitehead_plus, pretzel(3, 2, 3, -3))
+        assert nodes <= 41_000
 
     def test_whitehead_kauffman_node_guard(self, monkeypatch):
         # needs 856 nodes; 1,510 if the tree took the first bad crossing
@@ -388,15 +398,15 @@ class TestResolutionRule:
             if not bad:
                 assert i is None
                 break
-            # the first bad crossing whose switch lets the reduction
-            # delete a bigon, else the first bad crossing
+            # the last bad crossing whose switch lets the reduction delete
+            # a bigon, else the first bad crossing
             freeing = [b for b in bad
                        if len(reduced(rd.switched(b)).dirs) < len(rd.dirs)]
-            assert i == (freeing or bad)[0]
+            assert i == (freeing[-1] if freeing else bad[0])
             # a switch keeps every walk: one bad crossing fewer
             assert bad_crossings(rd.switched(i)) == [b for b in bad if b != i]
             rd = reduced(rng.choice((rd.switched(i),
-                                     rd.smoothed_oriented(i))))
+                                     rd.smoothed(i, not rd.dirs[i]))))
 
 
 def unoriented_walks(rd) -> list[list[int]]:
@@ -508,33 +518,33 @@ class TestLabelFree:
 # HOMFLY trees of trefoil and figure8, 2,000 otherwise.  A tree that
 # reaches its cap ends limited.
 SATELLITE_SHAPES = {
-    "trefoil": ((121, 60, 30), (101, 60, 26), (856, 326, 265)),
-    "figure8": ((157, 79, 46), (209, 129, 47), (2000, 799, 627)),
-    "5_1": ((695, 347, 260), (1557, 927, 532), (2000, 761, 614)),
-    "5_2": ((701, 353, 247), (2000, 1371, 378), (2000, 839, 512)),
-    "6_1": ((1359, 714, 430), (2000, 1375, 361), (2000, 910, 437)),
-    "6_2": ((1327, 671, 526), (2000, 1165, 654), (2000, 793, 634)),
-    "6_3": ((1007, 523, 347), (2000, 1272, 489), (2000, 805, 614)),
-    ((0, -4), (0, -3)): ((2000, 991, 824), (2000, 1121, 781),
+    "trefoil": ((51, 25, 11), (101, 60, 22), (856, 326, 265)),
+    "figure8": ((111, 56, 34), (193, 113, 49), (2000, 799, 627)),
+    "5_1": ((235, 117, 79), (1557, 932, 517), (2000, 761, 614)),
+    "5_2": ((245, 125, 74), (2000, 1369, 391), (2000, 839, 512)),
+    "6_1": ((981, 525, 286), (2000, 1315, 409), (2000, 910, 437)),
+    "6_2": ((619, 316, 208), (2000, 1166, 637), (2000, 793, 634)),
+    "6_3": ((1025, 531, 338), (2000, 1212, 574), (2000, 805, 614)),
+    ((0, -4), (0, -3)): ((2000, 988, 827), (2000, 1125, 757),
                          (2000, 697, 812)),
-    ((0, -4), (0, -1, -2)): ((2000, 988, 789), (2000, 1175, 694),
+    ((0, -4), (0, -1, -2)): ((1787, 902, 668), (2000, 1148, 705),
                              (2000, 749, 681)),
 }
 # The same for the HOMFLY and Kauffman trees of each MUTANT_SLATE knot and
 # its mutant, unbudgeted.
 PRETZEL_SHAPES = {
-    (3, 2, 3, -3): ((37, 18, 10), (67, 22, 25)),
-    (3, 2, -3, 3): ((43, 21, 8), (64, 21, 24)),
-    (-3, 2, -3, 3): ((43, 21, 5), (64, 21, 22)),
-    (-3, 2, 3, -3): ((47, 23, 14), (67, 22, 21)),
-    (5, 3, -2, -3): ((59, 29, 17), (91, 30, 32)),
-    (5, 3, -3, -2): ((65, 32, 17), (97, 32, 36)),
-    (-5, 3, -2, 3): ((45, 22, 11), (88, 29, 28)),
-    (-5, 3, 3, -2): ((51, 25, 19), (100, 33, 32)),
-    (7, 3, 3, -2): ((69, 34, 24), (118, 39, 44)),
-    (7, 3, -2, 3): ((69, 34, 22), (109, 36, 39)),
-    (7, -3, -2, -3): ((57, 28, 18), (103, 34, 40)),
-    (7, -3, -3, -2): ((63, 31, 18), (109, 36, 44)),
+    (3, 2, 3, -3): ((35, 17, 9), (67, 22, 25)),
+    (3, 2, -3, 3): ((35, 17, 9), (64, 21, 24)),
+    (-3, 2, -3, 3): ((27, 13, 6), (64, 21, 22)),
+    (-3, 2, 3, -3): ((27, 13, 6), (67, 22, 21)),
+    (5, 3, -2, -3): ((39, 19, 11), (91, 30, 32)),
+    (5, 3, -3, -2): ((39, 19, 11), (97, 32, 36)),
+    (-5, 3, -2, 3): ((37, 18, 8), (88, 29, 28)),
+    (-5, 3, 3, -2): ((43, 21, 13), (100, 33, 32)),
+    (7, 3, 3, -2): ((53, 26, 18), (118, 39, 44)),
+    (7, 3, -2, 3): ((49, 24, 16), (109, 36, 39)),
+    (7, -3, -2, -3): ((51, 25, 16), (103, 34, 40)),
+    (7, -3, -3, -2): ((53, 26, 18), (109, 36, 44)),
 }
 
 
@@ -558,10 +568,11 @@ def tree_shape(monkeypatch, engine, d, max_nodes):
 
 class TestTreeShapes:
     """Every tree expands the same nodes and fills the same memo: a change
-    to the node kernel must leave these counts as they are.  The Kauffman
-    counts changed by design when the Kauffman trees moved to an
-    unoriented state that takes the last bad crossing with an alternating
-    bigon; every HOMFLY count is as first recorded."""
+    to the node kernel must leave these counts as they are.  The counts
+    changed by design when the Kauffman trees moved to an unoriented state
+    that takes the last bad crossing with an alternating bigon, and the
+    HOMFLY counts again when the HOMFLY trees took the same rule; the
+    values did not change."""
 
     @pytest.mark.parametrize("companion", SATELLITE_SHAPES, ids=str)
     def test_satellite_trees(self, monkeypatch, companion):
