@@ -14,8 +14,10 @@ glued from rational tangles.
 The times are raw `time.perf_counter` readings, not scaled by any
 calibration, so they move with the machine's speed from one run to the
 next: compare them only within one run.  The node, memo-entry and
-memo-hit counts do not depend on the machine's speed; they are the
-figures that compare across runs.
+memo-hit counts of a tree that finishes do not depend on the machine's
+speed, and compare across runs.  Those of a tree stopped by
+`--budget-seconds` (a "limited" line, and so the total) say how far it
+got in that time, so they move with the machine's speed as well.
 
     python3 scripts/skein_timing.py
     python3 scripts/skein_timing.py --budget-seconds 10 6_2 "braid: 3 | 1 1 2 -1 2"
@@ -103,7 +105,8 @@ def main() -> int:
     args = ap.parse_args()
 
     print("# times are raw perf_counter readings and compare only within "
-          "this run; node, memo-entry and memo-hit counts compare across runs")
+          "this run; node, memo-entry and memo-hit counts compare across "
+          "runs only on done lines")
     total = [0, 0, 0, 0.0]
     for name, d in companions(args.knots):
         for job, engine, sat in satellites(d):

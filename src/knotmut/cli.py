@@ -162,10 +162,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(cmd)
         p.add_argument("knot")
     p = sub.add_parser("cjones")
-    p.add_argument("--color", type=int, default=2)
+    p.add_argument("--color", type=_at_least(1), default=2)
     p.add_argument("knot")
     p = sub.add_parser("cable")
-    p.add_argument("--strands", type=int, default=2)
+    p.add_argument("--strands", type=_at_least(1), default=2)
     p.add_argument("--twists", type=int, default=0)
     p.add_argument("knot")
     p = sub.add_parser("double")

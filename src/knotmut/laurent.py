@@ -3,15 +3,24 @@
 Single-variable Laurent polynomials carry a variable tag so that values
 living in different rings (bracket variable A, its square a, q = a^2,
 t = 1/q, the annulus variable z, ...) cannot be mixed silently.
-Two-variable polynomials cover the (l, m) skein ring.
+Two-variable polynomials cover the (l, m) skein ring.  Both classes
+share the ring code of the private base `_Laurent`: tests, equality,
+hashing, sums, negation, non-negative powers and the text form.
+`LaurentPoly` adds its product, exact division, substitutions,
+evaluation, unpacking and negative powers of unit monomials;
+`LaurentPoly2` adds its product on exponent pairs.
 
-All coefficients are Python ints, so nothing ever overflows.
+The one canonical text form lists terms by ascending exponent with
+" + "/" - " between them and `*` between the factors of a term in two
+variables (`-2t^-1 + 3`, `l^-1*m - 2*m^2`); `parse_poly` and
+`parse_poly2` read it back.  All coefficients are Python ints, so
+nothing ever overflows.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class VariableMismatch(TypeError):
@@ -22,17 +31,116 @@ class InexactDivision(ArithmeticError):
     """Division that was required to be exact left a remainder."""
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial sum_e coeffs[e] * var^e."""
+class _Laurent:
+    """Ring code shared by `LaurentPoly` and `LaurentPoly2`.
 
-    __slots__ = ("var", "coeffs", "_hash")
+    `_tag` is the variable tag, `_CONST` the exponent key of the constant
+    term.  A subclass supplies `__mul__`.
+    """
 
-    def __init__(self, var: str, coeffs: Mapping[int, int] | None = None):
-        self.var = var
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
+    __slots__ = ("_tag", "coeffs", "_hash")
+    _CONST = 0
+
+    def __init__(self, tag, coeffs: Mapping | None):
+        self._tag = tag
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
         self._hash = None
 
-    # -- constructors -------------------------------------------------
+    def _like(self, coeffs: Mapping) -> "_Laurent":
+        """A polynomial of this class and tag with the given coefficients."""
+        out = object.__new__(type(self))
+        _Laurent.__init__(out, self._tag, coeffs)
+        return out
+
+    def _lift(self, other):
+        """`other` as a polynomial: an int becomes a constant."""
+        return self._like({self._CONST: other}) if isinstance(other, int) else other
+
+    def _check(self, other: "_Laurent"):
+        if self._tag != other._tag:
+            raise VariableMismatch(f"cannot mix variables {self._tag!r} and {other._tag!r}")
+
+    # -- basic queries ------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_one(self) -> bool:
+        return self.coeffs == {self._CONST: 1}
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if not isinstance(other, _Laurent):
+            return NotImplemented
+        return self._tag == other._tag and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self._tag, tuple(sorted(self.coeffs.items()))))
+        return self._hash
+
+    # -- ring operations ----------------------------------------------
+
+    def __add__(self, other):
+        other = self._lift(other)
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers not supported")
+        out = self._like({self._CONST: 1})
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __str__(self) -> str:
+        return _format(self._tag, sorted(self.coeffs.items()))
+
+
+def _format(tag, terms) -> str:
+    """The canonical text form of `terms`, (exponent, coefficient) pairs in
+    ascending order; `tag` is one variable name or a tuple of names."""
+    one = isinstance(tag, str)
+    names, sep = ((tag,), "") if one else (tag, "*")
+    out = ""
+    for key, c in terms:
+        body = [v if e == 1 else f"{v}^{e}"
+                for v, e in zip(names, (key,) if one else key) if e]
+        if abs(c) != 1 or not body:
+            body.insert(0, str(abs(c)))
+        out += f" {'-' if c < 0 else '+'} " if out else ("-" if c < 0 else "")
+        out += sep.join(body)
+    return out or "0"
+
+
+class LaurentPoly(_Laurent):
+    """Sparse Laurent polynomial sum_e coeffs[e] * var^e."""
+
+    __slots__ = ()
+    var = property(lambda self: self._tag, doc="The variable's name.")
+
+    def __init__(self, var: str, coeffs: Mapping[int, int] | None = None):
+        _Laurent.__init__(self, var, coeffs)
 
     @classmethod
     def zero(cls, var: str) -> "LaurentPoly":
@@ -68,59 +176,12 @@ class LaurentPoly:
             off += step
         return cls(var, coeffs)
 
-    # -- basic queries ------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {0: 1}
-
     def min_exp(self) -> int:
         return min(self.coeffs)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(self.var, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.var, tuple(sorted(self.coeffs.items()))))
-        return self._hash
-
-    def _check(self, other: "LaurentPoly"):
-        if self.var != other.var:
-            raise VariableMismatch(f"cannot mix variables {self.var!r} and {other.var!r}")
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(self.var, other)
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.var, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.var, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(self.var, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # the benchmark tracer patches each class's own operators, so the
+    # shared addition is bound here as well as in LaurentPoly2
+    __add__ = __radd__ = _Laurent.__add__
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -136,25 +197,18 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            if len(self.coeffs) == 1:
-                (e, c), = self.coeffs.items()
-                if c in (1, -1):
-                    return LaurentPoly(self.var, {e * n: c ** (n & 1)})
-            raise ValueError("negative powers only supported for unit monomials")
-        out = LaurentPoly.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        """Non-negative powers, and negative powers of a unit monomial."""
+        if n >= 0:
+            return _Laurent.__pow__(self, n)
+        if len(self.coeffs) == 1:
+            (e, c), = self.coeffs.items()
+            if c in (1, -1):
+                return LaurentPoly(self.var, {e * n: c ** (n & 1)})
+        raise ValueError("negative powers only supported for unit monomials")
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Divide by `other`, raising InexactDivision on any remainder."""
-        if isinstance(other, int):
-            other = LaurentPoly.const(self.var, other)
+        other = self._lift(other)
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -211,84 +265,20 @@ class LaurentPoly:
             total += c * Fraction(x) ** e
         return total
 
-    # -- text form ------------------------------------------------------
-
-    def __str__(self) -> str:
-        return format_poly(self.var, sorted(self.coeffs.items()))
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.var!r}, {self!s})"
 
 
-def format_poly(var: str, terms: Iterable[tuple[object, int]]) -> str:
-    """Canonical text form: ascending exponents, explicit signs."""
-    terms = list(terms)
-    if not terms:
-        return "0"
-    parts = []
-    for i, (e, c) in enumerate(terms):
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            pw = var if e == 1 else f"{var}^{e}"
-            body = pw if mag == 1 else f"{mag}{pw}"
-        if i == 0:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"^\s*(?P<coef>\d+)?\s*(?:(?P<var>[A-Za-z]+)\s*(?:\^\s*(?P<exp>-?\d+))?)?\s*$"
-)
-
-
-def _split_terms(text: str) -> list[tuple[str, str]]:
-    """Split "a - b + c" into signed terms; exponent signs (t^-4) survive
-    because term separators are always space-delimited."""
-    text = text.strip()
-    lead = "+"
-    if text.startswith("-"):
-        lead, text = "-", text[1:].lstrip()
-    elif text.startswith("+"):
-        text = text[1:].lstrip()
-    parts = re.split(r" ([+-]) ", text)
-    out = [(lead, parts[0])]
-    out.extend(zip(parts[1::2], parts[2::2]))
-    return out
-
-
-def parse_poly(text: str, var: str) -> LaurentPoly:
-    """Parse the canonical text form back into a polynomial."""
-    text = text.strip()
-    if text in ("0", ""):
-        return LaurentPoly.zero(var)
-    coeffs: dict[int, int] = {}
-    for sign, term in _split_terms(text):
-        m = _TERM_RE.match(term)
-        if not m or (m.group("coef") is None and m.group("var") is None):
-            raise ValueError(f"bad polynomial term {term!r}")
-        if m.group("var") is not None and m.group("var") != var:
-            raise ValueError(f"expected variable {var!r}, found {m.group('var')!r}")
-        c = int(m.group("coef") or 1)
-        e = 0 if m.group("var") is None else int(m.group("exp") or 1)
-        s = -1 if sign == "-" else 1
-        coeffs[e] = coeffs.get(e, 0) + s * c
-    return LaurentPoly(var, coeffs)
-
-
-class LaurentPoly2:
+class LaurentPoly2(_Laurent):
     """Sparse two-variable Laurent polynomial (default variables l, m)."""
 
-    __slots__ = ("vars", "coeffs", "_hash")
+    __slots__ = ()
+    _CONST = (0, 0)
+    vars = property(lambda self: self._tag, doc="The two variables' names.")
 
     def __init__(self, coeffs: Mapping[tuple[int, int], int] | None = None,
                  variables: tuple[str, str] = ("l", "m")):
-        self.vars = variables
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
-        self._hash = None
+        _Laurent.__init__(self, variables, coeffs)
 
     @classmethod
     def zero(cls, variables=("l", "m")) -> "LaurentPoly2":
@@ -302,49 +292,8 @@ class LaurentPoly2:
     def monomial(cls, e1: int, e2: int, c: int = 1, variables=("l", "m")) -> "LaurentPoly2":
         return cls({(e1, e2): c}, variables)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == {(0, 0): 1}
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly2({(0, 0): other}, self.vars)
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self.vars == other.vars and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.vars, tuple(sorted(self.coeffs.items()))))
-        return self._hash
-
-    def _check(self, other):
-        if self.vars != other.vars:
-            raise VariableMismatch(f"cannot mix variables {self.vars} and {other.vars}")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly2({(0, 0): other}, self.vars)
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return LaurentPoly2(out, self.vars)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly2({k: -c for k, c in self.coeffs.items()}, self.vars)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly2({(0, 0): other}, self.vars)
-        return self + (-other)
+    # bound in the class itself for the benchmark tracer, as in LaurentPoly
+    __add__ = __radd__ = _Laurent.__add__
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -359,77 +308,51 @@ class LaurentPoly2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = LaurentPoly2.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        l, m = self.vars
-        parts = []
-        for i, ((e1, e2), c) in enumerate(sorted(self.coeffs.items())):
-            body = []
-            if e1:
-                body.append(l if e1 == 1 else f"{l}^{e1}")
-            if e2:
-                body.append(m if e2 == 1 else f"{m}^{e2}")
-            mag = abs(c)
-            if mag != 1 or not body:
-                body.insert(0, str(mag))
-            s = "*".join(body)
-            if i == 0:
-                parts.append(("-" if c < 0 else "") + s)
-            else:
-                parts.append((" - " if c < 0 else " + ") + s)
-        return "".join(parts)
-
     def __repr__(self):
         return f"LaurentPoly2({self!s})"
 
 
-_TERM2_RE = re.compile(
-    r"^(?P<coef>\d+)?"
-    r"(?:\*?(?P<v1>[A-Za-z]+)(?:\^(?P<e1>-?\d+))?)?"
-    r"(?:\*?(?P<v2>[A-Za-z]+)(?:\^(?P<e2>-?\d+))?)?$"
-)
+# -- text form --------------------------------------------------------
+
+_TERM_RE = re.compile(r"(\d*)((?:\*?[A-Za-z]+(?:\^-?\d+)?)*)")
+_FACTOR_RE = re.compile(r"\*?([A-Za-z]+)(?:\^(-?\d+))?")
+
+
+def _parse(text: str, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """The coefficients of a polynomial in the canonical text form, keyed by
+    exponent tuples over `names`.  Terms are separated by " + " or " - ";
+    a term is an optional coefficient and factors var or var^e, with
+    optional `*` between them and whitespace anywhere."""
+    text = text.strip()
+    coeffs: dict[tuple[int, ...], int] = {}
+    if text in ("0", ""):
+        return coeffs
+    lead, text = (text[0], text[1:]) if text[0] in "+-" else ("+", text)
+    # exponent signs (t^-4) survive: term separators are space-delimited
+    parts = re.split(r" ([+-]) ", text)
+    for sign, term in [(lead, parts[0])] + list(zip(parts[1::2], parts[2::2])):
+        m = _TERM_RE.fullmatch("".join(term.split()))
+        if not m or not any(m.groups()):
+            raise ValueError(f"bad polynomial term {term!r}")
+        exps = [0] * len(names)
+        for v, e in _FACTOR_RE.findall(m[2]):
+            if v not in names:
+                raise ValueError(f"unexpected variable {v!r} in {term!r}")
+            exps[names.index(v)] += int(e or 1)
+        key = tuple(exps)
+        c = int(m[1] or 1)
+        coeffs[key] = coeffs.get(key, 0) + (-c if sign == "-" else c)
+    return coeffs
+
+
+def parse_poly(text: str, var: str) -> LaurentPoly:
+    """Parse the canonical text form back into a polynomial."""
+    return LaurentPoly(var, {e: c for (e,), c in _parse(text, (var,)).items()})
 
 
 def parse_poly2(text: str, variables: tuple[str, str] = ("l", "m")) -> LaurentPoly2:
     """Parse the canonical two-variable text form back into a polynomial."""
-    text = text.strip()
-    if text in ("0", ""):
-        return LaurentPoly2.zero(variables)
-    coeffs: dict[tuple[int, int], int] = {}
-    for sign, term in _split_terms(text):
-        m = _TERM2_RE.match(term.replace(" ", ""))
-        if not m or (m.group("coef") is None and m.group("v1") is None):
-            raise ValueError(f"bad polynomial term {term!r}")
-        c = int(m.group("coef") or 1)
-        e1 = e2 = 0
-        for vkey, ekey in (("v1", "e1"), ("v2", "e2")):
-            v = m.group(vkey)
-            if v is None:
-                continue
-            e = int(m.group(ekey) or 1)
-            if v == variables[0]:
-                e1 += e
-            elif v == variables[1]:
-                e2 += e
-            else:
-                raise ValueError(f"unexpected variable {v!r} in {term!r}")
-        s = -1 if sign == "-" else 1
-        key = (e1, e2)
-        coeffs[key] = coeffs.get(key, 0) + s * c
-    return LaurentPoly2(coeffs, variables)
+    return LaurentPoly2(_parse(text, variables), variables)
 
 
 # -- quantum integers -------------------------------------------------

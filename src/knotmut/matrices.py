@@ -14,7 +14,6 @@ them.  Phase 2 is a dense gcd-based reduction of whatever remains.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 
 def _has_unit(row: dict[int, int]) -> bool:
@@ -27,7 +26,10 @@ def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
 
     `rows` holds one `{column: entry}` dict per row; the input is not
     modified.  Returns the nonzero diagonal entries d1 | d2 | ... (all
-    positive).
+    positive).  They come out as this chain without sorting: phase 1
+    gives a 1 per unit pivot, and `_dense_snf` keeps a pivot only once
+    it divides the rest of its block, so each later pivot is a multiple
+    of the one before.
     """
     sparse: list[dict[int, int] | None] = []
     col_rows: dict[int, set[int]] = {}
@@ -88,19 +90,6 @@ def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
             for j, v in r.items():
                 m[i][cmap[j]] = v
         diag.extend(_dense_snf(m))
-
-    # enforce divisibility chain
-    diag = [abs(d) for d in diag if d]
-    changed = True
-    while changed:
-        changed = False
-        diag.sort()
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a != 0:
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
     return diag
 
 

@@ -83,7 +83,7 @@ from math import comb
 from operator import itemgetter
 
 from .budget import Budget, ResourceLimitExceeded  # noqa: F401 (re-export)
-from .diagram import PlanarDiagram
+from .diagram import PlanarDiagram, _other_ends
 from .laurent import LaurentPoly, LaurentPoly2
 from .satellites import cable, whitehead_double
 
@@ -168,18 +168,9 @@ class _RDiagram:
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
-        o = [0] * (4 * len(d.crossings))
-        first: dict[int, int] = {}
-        for i, x in enumerate(d.crossings):
-            for leg, a in enumerate(x):
-                p = 4 * i + leg
-                q = first.pop(a, None)
-                if q is None:
-                    first[a] = p
-                else:
-                    o[p], o[q] = q, p
         out = _new(cls)
-        out.o, out.dirs, out.free_loops = o, list(d.positive), d.free_loops
+        out.o = _other_ends(d.crossings)
+        out.dirs, out.free_loops = list(d.positive), d.free_loops
         out.touched, out.dead = set(range(len(d.crossings))), []
         return out
 

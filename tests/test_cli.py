@@ -267,6 +267,10 @@ class TestCountFlags:
         ("compare", "--quotients", "-1", "trefoil", "trefoil"),
         ("cover", "lowindex", "--max", "-1", "trefoil"),
         ("cover", "lowindex", "--max", "0", "trefoil"),
+        ("cjones", "--color", "0", "trefoil"),
+        ("cjones", "--color", "-2", "trefoil"),
+        ("cable", "--strands", "0", "trefoil"),
+        ("cable", "--strands", "-1", "trefoil"),
     ])
     def test_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -97,6 +97,46 @@ class TestLaurentPoly2:
         assert parse_poly2(str(p)) == p
 
 
+class TestTextForm:
+    """The canonical text form, frozen.  The round trips above would pass
+    under any format; the benchmark digests report values by their str."""
+
+    ONE_VARIABLE = [
+        ("t", {}, "0"),
+        ("t", {0: 7}, "7"),
+        ("t", {0: -1}, "-1"),
+        ("t", {1: 1}, "t"),
+        ("t", {1: -1}, "-t"),
+        ("t", {-4: -1, -3: 1, -1: 1}, "-t^-4 + t^-3 + t^-1"),
+        ("q", {-2: 3, 0: -5, 1: -1, 3: 12}, "3q^-2 - 5 - q + 12q^3"),
+        ("A", {-7: 1, 5: -1}, "A^-7 - A^5"),
+    ]
+    TWO_VARIABLES = [
+        (("l", "m"), {}, "0"),
+        (("l", "m"), {(0, 0): -3}, "-3"),
+        (("l", "m"), {(1, 0): 1}, "l"),
+        (("l", "m"), {(0, 1): -1}, "-m"),
+        (("l", "m"), {(-1, 0): -1, (0, -2): 2, (1, 1): 1, (2, -1): -4},
+         "-l^-1 + 2*m^-2 + l*m - 4*l^2*m^-1"),
+        (("a", "z"), {(-1, 1): 1, (0, 0): 1, (3, 0): -2},
+         "a^-1*z + 1 - 2*a^3"),
+    ]
+
+    @pytest.mark.parametrize("var,coeffs,text", ONE_VARIABLE)
+    def test_one_variable(self, var, coeffs, text):
+        p = LaurentPoly(var, coeffs)
+        assert str(p) == text
+        assert repr(p) == f"LaurentPoly({var!r}, {text})"
+        assert parse_poly(text, var) == p
+
+    @pytest.mark.parametrize("variables,coeffs,text", TWO_VARIABLES)
+    def test_two_variables(self, variables, coeffs, text):
+        p = LaurentPoly2(coeffs, variables)
+        assert str(p) == text
+        assert repr(p) == f"LaurentPoly2({text})"
+        assert parse_poly2(text, variables) == p
+
+
 class TestQuantumIntegers:
     def test_qint_values(self):
         # balanced form: [n] = a^(n-1) + a^(n-3) + ... + a^(1-n)

@@ -40,8 +40,8 @@ class TestSkeinTiming:
                          "trefoil")
         assert res.returncode == 0, res.stderr
         assert re.match(r"# times .* compare only within this run; node, "
-                        r"memo-entry and memo-hit counts compare across runs\n",
-                        res.stdout), res.stdout
+                        r"memo-entry and memo-hit counts compare across runs "
+                        r"only on done lines\n", res.stdout), res.stdout
         for job, status in (("whitehead_homfly", "done"),
                             ("cable_homfly", "done"),
                             ("whitehead_kauffman", "(done|limited)")):
