@@ -51,7 +51,7 @@ def _plan(crossings) -> list[tuple]:
     return steps
 
 
-def _rewire(partners, remap, consumed, ends, links, width, drop, delta):
+def _rewire(partners, remap, consumed, ends, links, width, delta):
     """Per smoothing: [(position, partner), ...] to set, shift, multiplier."""
     ends, links = ends.copy(), links.copy()
     for leg, q in zip(consumed.values(), partners):
@@ -60,7 +60,7 @@ def _rewire(partners, remap, consumed, ends, links, width, drop, delta):
         else:
             ends[leg] = remap[q]
     return [([(ends[u], ends[v]) for a, b in pairs for u, v in ((a, b), (b, a))],
-             width * (3 - loops - sm) - drop, delta[loops])
+             width * (3 - loops - sm), delta[loops])
             for sm, (loops, pairs) in enumerate(_paths(tuple(links)))]
 
 
@@ -103,16 +103,17 @@ def kauffman_bracket(d: PlanarDiagram,
     return bracket * DELTA ** d.free_loops
 
 
-def _step(entry: tuple, states: dict[tuple, int], width: int, drop: int):
+def _step(entry: tuple, states: dict[tuple, int], width: int):
     """One crossing's step on states packed in A, None if `width` is too
-    narrow.
+    narrow, as `frontier.contract` runs it.
 
     The A^-1 smoothing closing two loops, delta^2 = A^-4 (1 + A^4)^2, adds
-    the lowest exponent, -5; the rest shift left by whole digits, and k
-    loops multiply by the packed (-1 - A^4)^k.  The step sums at most 2S
-    terms into a state, for S old states, one per state and smoothing, and
-    a term's digits are below 4T when the old ones are below T, since the
-    binomials of (1 + A^4)^2 add up to 4; so `fits` checks for 8S terms.
+    the lowest exponent, -5; the other terms shift left by 1 to 3 whole
+    digits, and k loops multiply by the packed (-1 - A^4)^k.  The step
+    sums at most 2S terms into a state, for S old states, one per state
+    and smoothing, and a term's digits are below 4T when the old ones are
+    below T, since the binomials of (1 + A^4)^2 add up to 4; so `fits`
+    checks for 8S terms.
     """
     if not fits(states.values(), width, 8 * len(states)):
         return None
@@ -124,12 +125,12 @@ def _step(entry: tuple, states: dict[tuple, int], width: int, drop: int):
         todo = memo.get(k := key(p))
         if todo is None:
             todo = memo[k] = _rewire(k, remap, consumed, ends, links,
-                                     width, drop, delta)
+                                     width, delta)
         for sets, shift, mult in todo:
             q = base.copy()
             for i, v in sets:
                 q[i] = v
-            c = coeff << shift if shift >= 0 else coeff >> -shift
+            c = coeff << shift
             if mult != 1:
                 c *= mult
             t = tuple(q)

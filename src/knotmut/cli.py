@@ -21,7 +21,7 @@ import sys
 
 from .colored import colored_jones
 from .alexander import h1_double_cover
-from .budget import ResourceLimitExceeded
+from .budget import Budget, ResourceLimitExceeded
 from .diagram import PlanarDiagram, load_knot_file, parse_knot_spec
 from .laurent import LaurentPoly, LaurentPoly2
 from .permgroups import (PermGroup, alternating, cyclic, dihedral, psl2,
@@ -255,16 +255,21 @@ def _dispatch(args) -> int:
                     print(f"index {len(table)}: {inv}")
             else:  # quotients, kernel-abelian
                 grp = _target_group(args.target)
+                # one deadline for the search and the kernels after it
+                kernels = Budget(budget, unit="kernels")
                 eps = epimorphisms(pres, grp, simplify=False,
-                                   budget_seconds=budget)
+                                   budget_seconds=kernels.remaining())
                 if args.action == "quotients":
                     print(f"{name or d.name}: delta_{grp.name} = {len(eps)}")
                     continue
                 if not eps:
                     print(f"{name or d.name}: no epimorphism onto {grp.name}")
+                invs = []
+                for hom in eps:
+                    kernels.tick()
+                    invs.append(kernel_abelianization(pres, hom, grp))
                 # sorted, since the search returns kernels in no set order
-                invs = sorted(kernel_abelianization(pres, hom, grp)
-                              for hom in eps)
+                invs.sort()
                 for i, inv in enumerate(invs, start=1):
                     print(f"{name or d.name}: kernel {i} abelianization {inv}")
         return 0

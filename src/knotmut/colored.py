@@ -146,21 +146,19 @@ def _r_table(N: int, positive: bool) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
-def _terms(N: int, positive: bool, old: tuple, fresh: tuple, joined: tuple,
-           heads: tuple) -> dict:
-    """A crossing's map by the shape of its step.
+@lru_cache(maxsize=4096)
+def _moves(width: int, N: int, positive: bool, old: tuple, fresh: tuple,
+           joined: tuple, heads: tuple) -> tuple:
+    """A crossing's map by the shape of its step, packed into `width`-bit
+    digits: ({weights at `old`: [(weights at `fresh`, shift, multiplier),
+    ...]}, the lowest exponent of v, M).
 
     `old` lists the legs of the consumed positions, `fresh` the legs of
     the new ones, `joined` pairs the legs of an arc that runs from the
     crossing back to it, and `heads` pairs each head (bottom) leg with
-    the turns of its arc.  Returns {(weights at `old`, weights at
-    `fresh`): [(lowest exponent of v, coefficients of v^lowest,
-    v^(lowest+2), ...), ...]}.  A joined arc's weights are summed over.
-
-    Only the last shape is kept: `_step` misses `_bound` and then `_moves`
-    on the same shape, and the unpacked terms of every shape would
-    outweigh both caches.
+    the turns of its arc.  A joined arc's weights are summed over.  A
+    multiplier's digits start at the lowest exponent plus `shift` whole
+    digits, and M is the largest absolute sum of their coefficients.
     """
     terms: dict[tuple, list] = {}
     for legs, low, cs in _r_table(N, positive):
@@ -170,24 +168,9 @@ def _terms(N: int, positive: bool, old: tuple, fresh: tuple, joined: tuple,
         key = (tuple(legs[leg] for leg in old),
                tuple(legs[leg] for leg in fresh))
         terms.setdefault(key, []).append((e, cs))
-    return terms
-
-
-@lru_cache(maxsize=4096)
-def _bound(*shape) -> int:
-    """The largest absolute sum of the coefficients of any key of
-    `_terms(*shape)`: what `_step` checks before it packs anything."""
-    return max(sum(sum(map(abs, cs)) for _, cs in ts)
-               for ts in _terms(*shape).values())
-
-
-@lru_cache(maxsize=4096)
-def _moves(width: int, *shape) -> tuple:
-    """`_terms` packed into `width`-bit digits: ({weights at `old`:
-    [(weights at `fresh`, shift, multiplier), ...]}, the lowest exponent
-    of v)."""
-    terms = _terms(*shape)
     base = min(e for ts in terms.values() for e, _ in ts)
+    bound = max(sum(sum(map(abs, cs)) for _, cs in ts)
+                for ts in terms.values())
     moves: dict[tuple, list] = {}
     for (k, w), ts in terms.items():
         total = sum(c << ((e - base) // 2 + i) * width
@@ -195,7 +178,7 @@ def _moves(width: int, *shape) -> tuple:
         if total:
             zeros = ((total & -total).bit_length() - 1) // width * width
             moves.setdefault(k, []).append((w, zeros, total >> zeros))
-    return moves, base
+    return moves, base, bound
 
 
 def state_sum(d: PlanarDiagram, N: int, turns: dict[int, int],
@@ -232,29 +215,26 @@ def _digit_width(N: int, f: int) -> int:
     return max(MIN_WIDTH, (M * N ** f).bit_length() + (f - 1) * (N - 1))
 
 
-def _step(entry: tuple, states: dict[tuple, int], width: int, drop: int):
+def _step(entry: tuple, states: dict[tuple, int], width: int):
     """One crossing's step on states packed in v, None if `width` is too
-    narrow.
+    narrow, as `frontier.contract` runs it.
 
-    A step multiplies by a packed entry shifted by whole digits, and adds
-    the lowest exponent of v among its entries.  A state's coefficient receives at
-    most one term from each old state, and a term's digits are below M T
-    when the old digits are below T and the multiplier's coefficients add
-    up to M in absolute value; so `fits` checks for M S terms, for S old
-    states.
+    A step multiplies by a packed entry of `_moves`, shifted left by whole
+    digits, and adds the lowest exponent of v among its entries.  A state's
+    coefficient receives at most one term from each old state, and a
+    term's digits are below M T when the old digits are below T and the
+    multiplier's coefficients add up to M in absolute value; so `fits`
+    checks for M S terms, for S old states.
     """
     take, key, shape = entry
-    if not fits(states.values(), width, _bound(*shape) * len(states)):
+    moves, base, bound = _moves(width, *shape)
+    if not fits(states.values(), width, bound * len(states)):
         return None
-    moves, base = _moves(width, *shape)
-    if drop:
-        moves = {k: [(w, shift - drop, mult) for w, shift, mult in ms]
-                 for k, ms in moves.items()}
     new_states: dict[tuple, int] = {}
     for p, coeff in states.items():
         kept = take(p)
         for w, shift, mult in moves.get(key(p), ()):
-            c = coeff << shift if shift >= 0 else coeff >> -shift
+            c = coeff << shift
             if mult != 1:
                 c *= mult
             t = kept + w

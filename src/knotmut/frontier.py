@@ -11,8 +11,8 @@ so that the bracket and the colored state sum of one diagram share it.
 Both engines pack a state's polynomial coefficient into one Python int
 of signed fixed-width digits (Kronecker substitution).  `fits` is the
 check, made before every step, that no digit can overflow in it, and
-`contract` runs the steps, doubling the digit width when they are too
-narrow.
+`contract` runs the steps, shifts out the zero digits all states share
+after each, and doubles the digit width when they are too narrow.
 """
 
 from __future__ import annotations
@@ -111,11 +111,11 @@ def contract(plan: list, width: int, budget_seconds: float | None,
     A coefficient var^off * sum(c_i var^(2i)) is the int
     sum(c_i 2^(width*i)) with signed digits c_i; `off` is shared by all
     states of a step, whose exponents all have one parity.
-    `step(entry, states, width, drop)` maps the states, {open arcs' state:
+    `step(entry, states, width)` maps the states, {open arcs' state:
     packed coefficient}, to the next ones and returns them with the lowest
     exponent the step adds to `off`, or None when `fits` finds the digits
-    too narrow.  It shifts by whole digits, less `drop`: the trailing zero
-    digits all states share are dropped in the next step's shifts.
+    too narrow.  It shifts only left, by whole digits; after each step the
+    zero digits all states share are shifted out here and counted in `off`.
 
     No digit wraps.  Each int is its polynomial at 2^width exactly, and
     reads back right while every coefficient is in [-2^(width-1),
@@ -126,25 +126,26 @@ def contract(plan: list, width: int, budget_seconds: float | None,
     deadline = Budget(budget_seconds)
     while True:
         states: dict[tuple, int] = {(): 1}
-        off = drop = 0
+        off = 0
         budget = Budget(deadline.remaining(),
                         unit=f"of {len(plan)} crossing steps",
                         progress=lambda: f"{len(states)} states")
         for entry in plan:
             budget.tick()
-            if (out := step(entry, states, width, drop)) is None:
+            if (out := step(entry, states, width)) is None:
                 break
             states, low = out
             bits = reduce(or_, states.values(), 0)
-            drop = (((bits & -bits).bit_length() - 1) // width * width
-                    if bits else 0)
-            off += low + 2 * drop // width
+            drop = ((bits & -bits).bit_length() - 1) // width if bits else 0
+            if drop:
+                states = {k: c >> drop * width for k, c in states.items()}
+            off += low + 2 * drop
         else:
             break   # every step fit
         width *= 2
     if list(states) != [()]:
         raise AssertionError("open ends remain after full contraction")
-    return LaurentPoly.unpack(var, states[()] >> drop, width, off, 2)
+    return LaurentPoly.unpack(var, states[()], width, off, 2)
 
 
 def contraction_order(crossings) -> list[int]:

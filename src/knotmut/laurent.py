@@ -7,8 +7,8 @@ Two-variable polynomials cover the (l, m) skein ring.  Both classes
 share the ring code of the private base `_Laurent`: tests, equality,
 hashing, sums, negation, non-negative powers and the text form.
 `LaurentPoly` adds its product, exact division, substitutions,
-evaluation, unpacking and negative powers of unit monomials;
-`LaurentPoly2` adds its product on exponent pairs.
+evaluation and unpacking; `LaurentPoly2` adds its product on exponent
+pairs.
 
 The one canonical text form lists terms by ascending exponent with
 " + "/" - " between them and `*` between the factors of a term in two
@@ -196,16 +196,6 @@ class LaurentPoly(_Laurent):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        """Non-negative powers, and negative powers of a unit monomial."""
-        if n >= 0:
-            return _Laurent.__pow__(self, n)
-        if len(self.coeffs) == 1:
-            (e, c), = self.coeffs.items()
-            if c in (1, -1):
-                return LaurentPoly(self.var, {e * n: c ** (n & 1)})
-        raise ValueError("negative powers only supported for unit monomials")
-
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Divide by `other`, raising InexactDivision on any remainder."""
         other = self._lift(other)
@@ -322,7 +312,8 @@ def _parse(text: str, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
     """The coefficients of a polynomial in the canonical text form, keyed by
     exponent tuples over `names`.  Terms are separated by " + " or " - ";
     a term is an optional coefficient and factors var or var^e, with
-    optional `*` between them and whitespace anywhere."""
+    optional `*` between them and whitespace anywhere but between two
+    digits."""
     text = text.strip()
     coeffs: dict[tuple[int, ...], int] = {}
     if text in ("0", ""):
@@ -332,7 +323,7 @@ def _parse(text: str, names: tuple[str, ...]) -> dict[tuple[int, ...], int]:
     parts = re.split(r" ([+-]) ", text)
     for sign, term in [(lead, parts[0])] + list(zip(parts[1::2], parts[2::2])):
         m = _TERM_RE.fullmatch("".join(term.split()))
-        if not m or not any(m.groups()):
+        if not m or not any(m.groups()) or re.search(r"\d\s+\d", term):
             raise ValueError(f"bad polynomial term {term!r}")
         exps = [0] * len(names)
         for v, e in _FACTOR_RE.findall(m[2]):

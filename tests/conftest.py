@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -53,6 +55,24 @@ def pretzel(p1, p2, p3, p4):
     outer = tangle_sum(vertical_twist(p1), vertical_twist(p2))
     inner = tangle_sum(vertical_twist(p3), vertical_twist(p4))
     return TangleDecomposition(outer, inner).glue(f"P({p1},{p2},{p3},{p4})")
+
+
+def lowest_digit_spy(monkeypatch, module) -> list[bool]:
+    """Per call of `module._step` that follows, from any states but the
+    first {(): 1}: whether the OR of the packed values has a nonzero
+    lowest digit, as it has once `frontier.contract` has shifted out the
+    zero digits all states share."""
+    seen = []
+    step = module._step
+
+    def spy(entry, states, width):
+        if states != {(): 1}:
+            bits = reduce(or_, states.values(), 0)
+            seen.append(bits & ((1 << width) - 1) != 0)
+        return step(entry, states, width)
+
+    monkeypatch.setattr(module, "_step", spy)
+    return seen
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pretzel, random_braid, random_knot_diagram
+from conftest import (lowest_digit_spy, pretzel, random_braid,
+                      random_knot_diagram)
 from knotmut import bracket
 from knotmut.bracket import DELTA, bracket_state_sum, jones, kauffman_bracket
 from knotmut.budget import ResourceLimitExceeded
@@ -14,6 +15,7 @@ from knotmut.diagram import (BraidWord, PlanarDiagram, add_kink, braid_closure,
 from knotmut.frontier import contraction_order
 from knotmut.laurent import LaurentPoly, parse_poly
 from knotmut.satellites import cable
+from test_skein2 import MUTANT_SLATE
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 
@@ -92,10 +94,10 @@ class TestBracket:
         for width in (2, 5, 9):
             widths = []
 
-            def spy(entry, states, w, drop):
+            def spy(entry, states, w):
                 if () in states:   # the first step of a contraction
                     widths.append(w)
-                return step(entry, states, w, drop)
+                return step(entry, states, w)
 
             monkeypatch.setattr(bracket, "_digit_width", lambda plan: width)
             monkeypatch.setattr(bracket, "_step", spy)
@@ -108,6 +110,16 @@ class TestBracket:
                 r"^time budget exhausted after \d+ of \d+ crossing steps, "
                 r"\d+ states$")):
             kauffman_bracket(d, budget_seconds=0.0)
+
+
+@pytest.mark.parametrize("d", [pretzel(*p) for p in MUTANT_SLATE]
+                         + [cable(named_knot("6_2"), 2, 0)],
+                         ids=lambda d: d.name)
+def test_steps_see_no_shared_zero_digit(monkeypatch, d):
+    expected = kauffman_bracket(d)
+    seen = lowest_digit_spy(monkeypatch, bracket)
+    assert kauffman_bracket(d) == expected
+    assert len(seen) == len(d.crossings) - 1 and all(seen)
 
 
 def quadratic_contraction_order(crossings: list) -> list[int]:

@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import time
 
 import pytest
@@ -311,6 +312,24 @@ class TestTimeBudget:
         assert time.monotonic() - t < 2
         assert code == 2
         assert err.startswith("resource limit: time budget exhausted after ")
+
+    def test_budget_stops_between_kernels(self, capsys, monkeypatch):
+        # the 8 kernels onto Alt(4) take 1.6 s slowed down, the search and
+        # the cover 0.01 s
+        def slow(*args):
+            time.sleep(0.2)
+            return kernel_abelianization(*args)
+
+        kernel_abelianization = cli.kernel_abelianization
+        monkeypatch.setattr(cli, "kernel_abelianization", slow)
+        t = time.monotonic()
+        code, out, err = run(capsys, "--budget-seconds", "0.5", "cover",
+                             "kernel-abelian", "--target", "Alt(4)",
+                             f"pd: {pretzel(3, 3, -2, -3)}")
+        assert time.monotonic() - t < 1.4
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"resource limit: time budget exhausted after "
+                            r"[1-7] kernels\n", err)
 
 
 class TestCompare:

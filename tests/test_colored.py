@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pretzel, random_knot_diagram
+from conftest import lowest_digit_spy, pretzel, random_knot_diagram
 from knotmut import colored
 from knotmut.bracket import jones, kauffman_bracket
 from knotmut.budget import ResourceLimitExceeded
@@ -263,10 +263,10 @@ def width_spy(monkeypatch) -> list[int]:
     widths = []
     step = colored._step
 
-    def spy(entry, states, width, drop):
+    def spy(entry, states, width):
         if () in states:
             widths.append(width)
-        return step(entry, states, width, drop)
+        return step(entry, states, width)
 
     monkeypatch.setattr(colored, "_step", spy)
     return widths
@@ -279,6 +279,14 @@ def test_too_narrow_width_is_widened(monkeypatch):
     monkeypatch.setattr(colored, "_digit_width", lambda N, f: 4)
     assert colored_jones(d, 4) == expected
     assert widths[:3] == [4, 8, 16]
+
+
+@pytest.mark.parametrize("N", (2, 3, 4, 5))
+def test_steps_see_no_shared_zero_digit(monkeypatch, N):
+    seen = lowest_digit_spy(monkeypatch, colored)
+    for p in MUTANT_SLATE:
+        colored_jones(pretzel(*p), N)
+    assert seen and all(seen)
 
 
 class TestFirstWidth:

@@ -74,6 +74,20 @@ class TestLaurentPoly:
             poly({-4: -1, -3: 1, -1: 1})
         assert parse_poly("1", "t") == LaurentPoly.one("t")
         assert parse_poly("0", "t") == LaurentPoly.zero("t")
+        assert parse_poly("2 t", "t") == poly({1: 2})
+
+    @pytest.mark.parametrize("parse,text", [
+        (lambda s: parse_poly(s, "t"), "1 2t"),
+        (lambda s: parse_poly(s, "t"), "t^1 2"),
+        (parse_poly2, "1 2l"),
+    ], ids=("coefficient", "exponent", "two-variable"))
+    def test_space_between_digits_refused(self, parse, text):
+        with pytest.raises(ValueError, match="bad polynomial term"):
+            parse(text)
+
+    def test_no_negative_powers(self):
+        with pytest.raises(ValueError):
+            LaurentPoly.monomial("t", 3) ** -1
 
 
 two_polys = st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
