@@ -5,20 +5,17 @@ relator.  The Smith normal form runs in two phases.  Phase 1 eliminates
 with +-1 pivots only: no coefficient division, and on
 Reidemeister-Schreier relation matrices it removes almost everything.
 A column -> live-rows index means that clearing a pivot's column visits
-only the rows that hold it.  The pivot comes from the shortest live row
-with a unit entry, in that row's unit column with the fewest live rows;
-rows without a unit entry are set aside until an elimination changes
-them.  Phase 2 is a dense gcd-based reduction of whatever remains.
+only the rows that hold it, once each, and the pivot entry leaves each
+of them before its update.  The pivot comes from the shortest live row
+with a unit entry, in that row's unit column with the fewest live rows,
+the first among ties; a row is looked at again only once an elimination
+changes it.  Phase 2 is a dense gcd-based reduction of what remains.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
-
-
-def _has_unit(row: dict[int, int]) -> bool:
-    values = row.values()
-    return 1 in values or -1 in values
 
 
 def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
@@ -32,52 +29,59 @@ def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     of the one before.
     """
     sparse: list[dict[int, int] | None] = []
-    col_rows: dict[int, set[int]] = {}
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)
     for r in rows:
         row = {j: v for j, v in r.items() if v}
         if row:
             for j in row:
-                col_rows.setdefault(j, set()).add(len(sparse))
+                col_rows[j].add(len(sparse))
             sparse.append(row)
 
     # phase 1: eliminate with unit pivots only.  The heap holds (length,
-    # row) for every live row with a unit entry; an entry whose row has
-    # since been used or changed length is stale and skipped.
+    # row) for every row as built and as each elimination leaves it; an
+    # entry whose row has since been used or changed length is skipped.
     units = 0
-    heap = [(len(r), i) for i, r in enumerate(sparse) if _has_unit(r)]
+    heap = [(len(r), i) for i, r in enumerate(sparse)]
     heapify(heap)
     while heap:
         n, pi = heappop(heap)
         pr = sparse[pi]
         if pr is None or len(pr) != n:
             continue
-        cands = [j for j, v in pr.items() if v == 1 or v == -1]
-        if not cands:
+        pj, least = None, 0
+        for j, v in pr.items():
+            if v == 1 or v == -1:
+                k = len(col_rows[j])
+                if pj is None or k < least:
+                    pj, least = j, k
+        if pj is None:
             continue  # set aside until an elimination changes it
-        pj = min(cands, key=lambda j: len(col_rows[j]))
         sparse[pi] = None
         units += 1
-        for j in pr:
-            col_rows[j].discard(pi)
-        pv = pr[pj]
-        for i in list(col_rows[pj]):
+        pv = pr.pop(pj)
+        items = [(j, v, col_rows[j]) for j, v in pr.items()]
+        for _, _, js in items:
+            js.discard(pi)
+        hits = col_rows.pop(pj)
+        hits.discard(pi)
+        for i in hits:
             r = sparse[i]
-            f = r[pj] * pv  # r[pj] / pv, since pv is a unit
-            for j, pvj in pr.items():
+            f = r.pop(pj) * pv  # r[pj] / pv, since pv is a unit
+            for j, pvj, js in items:
                 d = f * pvj
                 v = r.get(j)
                 if v is None:  # fill-in
                     r[j] = -d
-                    col_rows[j].add(i)
+                    js.add(i)
                 elif v != d:
                     r[j] = v - d
                 else:
                     del r[j]
-                    col_rows[j].discard(i)
-            if not r:
-                sparse[i] = None
-            elif _has_unit(r):
+                    js.discard(i)
+            if r:
                 heappush(heap, (len(r), i))
+            else:
+                sparse[i] = None
     diag = [1] * units
 
     # phase 2: dense SNF on the remainder

@@ -52,19 +52,13 @@ class GroupPresentation:
                     raise ValueError(f"bad generator {g} in relator")
 
     def abelian_invariants(self) -> list[int]:
-        return abelian_invariants(_exponent_rows(self.relators), self.ngens)
-
-
-def _exponent_rows(words) -> list[dict[int, int]]:
-    """Each word's exponent sums, one `{generator column: sum}` row."""
-    rows = []
-    for w in words:
-        row: dict[int, int] = {}
-        for g in w:
-            j = abs(g) - 1
-            row[j] = row.get(j, 0) + (1 if g > 0 else -1)
-        rows.append(row)
-    return rows
+        rows = []  # each relator's exponent sums, one row
+        for r in self.relators:
+            row: dict[int, int] = {}
+            for g in r:
+                row[abs(g) - 1] = row.get(abs(g) - 1, 0) + (1 if g > 0 else -1)
+            rows.append(row)
+        return abelian_invariants(rows, self.ngens)
 
 
 def knot_group(braid: BraidWord) -> GroupPresentation:
@@ -131,16 +125,15 @@ def coset_table_from_images(ngens: int, images: list, size: int
     return table
 
 
-def _schreier_rewrites(g: GroupPresentation, table: list[list[int]]
-                       ) -> tuple[int, list[list[int]]]:
-    """Schreier generators of the coset-0 stabilizer and relator rewrites.
+def reidemeister_schreier(g: GroupPresentation,
+                          table: list[list[int]]) -> GroupPresentation:
+    """Presentation of the point stabilizer of coset 0.
 
     Schreier generators correspond to the edges of the coset graph off a
     breadth-first spanning tree from coset 0, numbered from 1; the
-    inverse column of an edge carries the inverse generator.  Returns
-    their number and, for every relator r and coset c, the signed
-    Schreier generators met along r read from c, i.e. the rewrite of
-    rep(c) r rep(c)^-1.
+    inverse column of an edge carries the inverse generator.  Relators
+    are the rewrites of rep(c) r rep(c)^-1 for every relator r and coset
+    c: the signed Schreier generators met along r read from c.
     """
     n = len(table)
     ncols = 2 * g.ngens
@@ -176,34 +169,59 @@ def _schreier_rewrites(g: GroupPresentation, table: list[list[int]]
                 cur = table[cur][col]
             if cur != c:
                 raise ValueError("relator does not stabilize the coset")
-            rewrites.append(out)
-    return nsg, rewrites
+            rewrites.append(_cyclic_reduce(tuple(out)))
+    return GroupPresentation(nsg, tuple(dict.fromkeys(w for w in rewrites if w)))
 
 
-def reidemeister_schreier(g: GroupPresentation,
-                          table: list[list[int]]) -> GroupPresentation:
-    """Presentation of the point stabilizer of coset 0.
-
-    Schreier generators correspond to non-tree edges of the coset graph;
-    relators are the rewrites of rep(c) r rep(c)^-1 for every relator r
-    and coset c.
-    """
-    nsg, rewrites = _schreier_rewrites(g, table)
-    relators = (_cyclic_reduce(tuple(w)) for w in rewrites)
-    return GroupPresentation(nsg, tuple(dict.fromkeys(w for w in relators if w)))
-
-
-def abelianized_schreier_rows(g: GroupPresentation, table: list[list[int]]
+def abelianized_schreier_rows(g: GroupPresentation, perms: list
                               ) -> tuple[list[dict[int, int]], int]:
     """Relation rows of the coset-0 stabilizer's abelianization, and the
     number of columns.
 
-    Each row holds the exponent sums of one Reidemeister-Schreier
-    rewrite, counted straight off the table: no word is reduced and no
-    presentation built.
+    `perms[k][c]` is coset c times generator k+1.  The spanning tree is
+    the breadth-first tree from coset 0 along these forward edges, which
+    reach every coset of a finite transitive action, and each non-tree
+    forward edge is a Schreier generator, one column.  Reading relator r
+    from coset c counts the exponent sum of every column it crosses
+    straight into the row of (r, c), the abelianized rewrite of
+    rep(c) r rep(c)^-1: no word is rewritten or reduced.
     """
-    nsg, rewrites = _schreier_rewrites(g, table)
-    return _exponent_rows(rewrites), nsg
+    n = len(perms[0]) if perms else 1
+    col = [[-1] * n for _ in perms]  # column of edge (c, k); -1 on the tree
+    seen = [True] + [False] * (n - 1)
+    order = [0]
+    nsg = 0
+    for c in order:
+        for k, p in enumerate(perms):
+            d = p[c]
+            if seen[d]:
+                col[k][c] = nsg
+                nsg += 1
+            else:
+                seen[d] = True
+                order.append(d)
+    if len(order) != n:
+        raise ValueError("coset table is not transitive")
+    # one (columns, step, sign) per letter; an inverse letter steps back
+    # first and reads the column of the edge it crossed
+    backs = [sorted(range(n), key=p.__getitem__) for p in perms]
+    steps = [((cols, p, 1), ([cols[b] for b in back], back, -1))
+             for cols, p, back in zip(col, perms, backs)]
+    rows = []
+    for r in g.relators:
+        letters = [steps[abs(x) - 1][x < 0] for x in r]
+        for c in range(n):
+            row: dict[int, int] = {}
+            cur = c
+            for cols, step, e in letters:
+                j = cols[cur]
+                if j >= 0:
+                    row[j] = row.get(j, 0) + e
+                cur = step[cur]
+            if cur != c:
+                raise ValueError("relator does not stabilize the coset")
+            rows.append(row)
+    return rows, nsg
 
 
 def branched_cover_from_meridians(g: GroupPresentation) -> GroupPresentation:
@@ -232,7 +250,8 @@ def double_cover_presentation(d, braid: BraidWord | None = None
 def subgroup_abelianization(g: GroupPresentation,
                             table: list[list[int]]) -> list[int]:
     """Abelian invariants of the coset-0 stabilizer, without Tietze steps."""
-    return abelian_invariants(*abelianized_schreier_rows(g, table))
+    perms = [[row[2 * k] for row in table] for k in range(g.ngens)]
+    return abelian_invariants(*abelianized_schreier_rows(g, perms))
 
 
 # -- Tietze simplification ------------------------------------------------

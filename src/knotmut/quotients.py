@@ -38,10 +38,11 @@ and O'Brien, Handbook of Computational Group Theory, 2005, ch. 9):
 The order of the returned homomorphisms is not part of the contract.
 
 The kernel of an epimorphism is the stabilizer of the identity in the
-action of G on Gamma by right translation.  Its coset table is the
-breadth-first regular table that the fallback acceptance builds, and
-its abelianization comes from the exponent sums of Reidemeister-Schreier
-rewriting on that table.
+action of G on Gamma by right translation.  The breadth-first regular
+table that the fallback acceptance builds gives that action, one
+permutation of Gamma per generator, and the kernel's relation rows are
+counted from it in one walk (`abelianized_schreier_rows`): no coset
+table or rewritten word is built.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .budget import Budget
 from .matrices import abelian_invariants
 from .permgroups import Perm, PermGroup, identity, order_reaches
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
-                            coset_table_from_images, tietze_simplify)
+                            tietze_simplify)
 
 
 def _search_order(g: GroupPresentation) -> list[int]:
@@ -217,14 +218,16 @@ def kernel_abelianization(g: GroupPresentation, images: list[Perm],
     """Abelian invariants of the kernel of the hom sending x_i to images[i].
 
     The hom must be given on the generators of `g` itself (no Tietze
-    simplification is applied here), one image per generator, and must
-    be onto `group`: raises ValueError otherwise.
+    simplification is applied here), one image in `group` per generator,
+    must satisfy the relators of `g` and must be onto `group`: raises
+    ValueError otherwise.
     """
     if len(images) != g.ngens:
         raise ValueError(f"{len(images)} images given for a presentation "
                          f"on {g.ngens} generators")
+    if not group.elements().issuperset(images):
+        raise ValueError(f"the images are not all in {group.name}")
     regular = _regular_table(images, identity(group.degree))
     if len(regular) != group.order:
         raise ValueError(f"the images do not generate {group.name}")
-    table = coset_table_from_images(g.ngens, list(zip(*regular)), len(regular))
-    return abelian_invariants(*abelianized_schreier_rows(g, table))
+    return abelian_invariants(*abelianized_schreier_rows(g, list(zip(*regular))))

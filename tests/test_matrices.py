@@ -1,5 +1,6 @@
 """Smith normal form and abelian invariants."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -133,6 +134,16 @@ class TestSmithDiagonal:
     def test_determinantal_divisors(self, m):
         assert smith_diagonal(sparse(m)) == determinantal_diagonal(m)
 
+    @given(unit_heavy_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_input_unchanged(self, m):
+        # zero entries included: they too must survive
+        rows = [dict(enumerate(row)) for row in m]
+        before = copy.deepcopy(rows)
+        smith_diagonal(rows)
+        abelian_invariants(rows, len(m[0]))
+        assert rows == before
+
 
 class TestAbelianInvariants:
     def test_free_part(self):
@@ -186,6 +197,14 @@ class TestKernelMatrix:
     def test_value(self, kernel_rows):
         rows, ncols = kernel_rows
         assert abelian_invariants(rows, ncols) == self.H1
+
+    def test_input_unchanged(self, kernel_rows):
+        # elimination fills in entries of this matrix; none may reach it
+        rows, ncols = kernel_rows
+        before = copy.deepcopy(rows)
+        smith_diagonal(rows)
+        abelian_invariants(rows, ncols)
+        assert rows == before
 
     def test_permutations(self, kernel_rows):
         rows, ncols = kernel_rows

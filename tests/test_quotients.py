@@ -5,16 +5,18 @@ import random
 
 import pytest
 
-from conftest import pretzel
-from knotmut.diagram import parse_braid
+from conftest import pretzel, random_knot_braid
+from knotmut.diagram import braid_closure, parse_braid
 from knotmut.permgroups import (PermGroup, alternating, closure, cyclic,
                                 dihedral, identity, order_reaches, perm_inv,
                                 perm_mul, psl2, symmetric, builtin_targets)
 from knotmut.presentations import (GroupPresentation,
+                                   abelianized_schreier_rows,
                                    branched_cover_from_meridians,
                                    coset_table_from_images,
                                    double_cover_presentation, knot_group,
-                                   reidemeister_schreier, tietze_simplify)
+                                   low_index_subgroups, reidemeister_schreier,
+                                   subgroup_abelianization, tietze_simplify)
 from knotmut.quotients import (_point_key, _regular_table, _search_order,
                                epimorphisms,
                                kernel_abelianization)
@@ -174,6 +176,16 @@ def _kernels(g: GroupPresentation, homs, group: PermGroup) -> list[list[int]]:
     return sorted(kernel_abelianization(g, h, group) for h in homs)
 
 
+def _presentation_route(g: GroupPresentation, hom, group: PermGroup) -> list[int]:
+    """The kernel's abelianization from its Reidemeister-Schreier
+    presentation, on the coset table of the regular action."""
+    index = {p: i for i, p in enumerate(group.sorted_elements)}
+    table = coset_table_from_images(
+        g.ngens, [{index[e]: index[perm_mul(e, p)] for e in index}
+                  for p in hom], group.order)
+    return reidemeister_schreier(g, table).abelian_invariants()
+
+
 # 3-generator presentations with several kernels of different types
 THREE_GENERATOR = {
     # (Z/6 x Z) * Z/2
@@ -302,13 +314,9 @@ class TestKernelAbelianization:
         g = THREE_GENERATOR[name]
         checked = 0
         for grp in (alternating(4), symmetric(4), dihedral(5), cyclic(6)):
-            index = {p: i for i, p in enumerate(grp.sorted_elements)}
             for hom in epimorphisms(g, grp, simplify=False):
-                table = coset_table_from_images(
-                    g.ngens, [{index[e]: index[perm_mul(e, p)] for e in index}
-                              for p in hom], grp.order)
                 assert kernel_abelianization(g, hom, grp) == \
-                    reidemeister_schreier(g, table).abelian_invariants()
+                    _presentation_route(g, hom, grp)
                 checked += 1
         assert checked >= 5
 
@@ -317,6 +325,22 @@ class TestKernelAbelianization:
         free = GroupPresentation(2, ())
         with pytest.raises(ValueError, match="do not generate S3"):
             kernel_abelianization(free, [(1, 2, 0), (2, 0, 1)], symmetric(3))
+
+    def test_images_outside_target(self):
+        # a 3-cycle of degree 4 is no element of C3
+        with pytest.raises(ValueError, match="not all in C3"):
+            kernel_abelianization(GroupPresentation(1, ()), [(1, 2, 0, 3)],
+                                  cyclic(3))
+
+    def test_images_break_a_relator(self):
+        # a 6-cycle generates C6 but is no image of x in Z/3
+        g = GroupPresentation(1, ((1, 1, 1),))
+        with pytest.raises(ValueError, match="does not stabilize"):
+            kernel_abelianization(g, [(1, 2, 3, 4, 5, 0)], cyclic(6))
+
+    def test_rows_need_a_transitive_action(self):
+        with pytest.raises(ValueError, match="not transitive"):
+            abelianized_schreier_rows(GroupPresentation(1, ()), [(1, 0, 2)])
 
     def test_images_for_another_presentation(self):
         # epimorphisms simplifies by default, so its images are on the
@@ -381,6 +405,29 @@ class TestMutantCovers:
                 sorted(_point_key(h, points) for h in tabled)
             assert len({_point_key(h, points) for h in keyed}) == len(keyed)
 
+    def test_images_outside_target(self, covers):
+        # conjugating by the point swap (0 1), which is not in PGL(2,7),
+        # keeps the relators and the order of the image but leaves PSL(2,7)
+        g = psl2(7)
+        swap = (1, 0) + tuple(range(2, g.degree))
+        h = [perm_mul(perm_mul(swap, p), swap)
+             for p in epimorphisms(covers[0], g, simplify=False)[0]]
+        assert not g.elements().issuperset(h)
+        with pytest.raises(ValueError, match="not all in PSL"):
+            kernel_abelianization(covers[0], h, g)
+
+    def test_kernels_against_presentation_route(self, covers):
+        # Alt(6) is the target searched by regular tables, not by keys
+        c = covers[0]
+        for group, total, checked in ((alternating(5), 12, 12),
+                                      (psl2(7), 60, 3),
+                                      (alternating(6), 30, 3)):
+            homs = epimorphisms(c, group, simplify=False)
+            assert len(homs) == total
+            for h in homs[:checked]:
+                assert kernel_abelianization(c, h, group) == \
+                    _presentation_route(c, h, group)
+
     def test_alt5_kernels(self, covers):
         a5 = alternating(5)
         left, right = (_kernels(c, epimorphisms(c, a5, simplify=False), a5)
@@ -390,3 +437,18 @@ class TestMutantCovers:
         flipped = _reversed_generators(covers[0])
         assert _kernels(flipped, epimorphisms(flipped, a5, simplify=False),
                         a5) == left
+
+
+@pytest.mark.parametrize("seed", [None, 3, 29],
+                         ids=["P(3,3,-2,-3)", "braid-3", "braid-29"])
+def test_subgroup_abelianization_against_presentation_route(seed):
+    if seed is None:
+        g = double_cover_presentation(pretzel(3, 3, -2, -3))
+    else:
+        b = random_knot_braid(random.Random(seed), 5, 18)
+        g = double_cover_presentation(braid_closure(b), b)
+    tables = low_index_subgroups(g, 4)
+    assert len(tables) > 1
+    for t in tables:
+        assert subgroup_abelianization(g, t) == \
+            reidemeister_schreier(g, t).abelian_invariants()
