@@ -44,6 +44,8 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        if self.strands < 1:
+            raise ValueError(f"a braid needs at least 1 strand, not {self.strands}")
         for k in self.letters:
             if k == 0 or abs(k) >= self.strands:
                 raise ValueError(f"letter {k} invalid for {self.strands} strands")

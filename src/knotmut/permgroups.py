@@ -5,9 +5,10 @@ are stored by generators; the full element list is computed by closure
 and cached, as are the tables an epimorphism search needs of its target
 (sorted elements, their inverses, conjugation orbits).
 Built-in targets: cyclic, dihedral, alternating, symmetric, and
-PSL(2, q) acting on the projective line (q prime).  `order_reaches`
-tests whether generators reach a given order by Schreier-Sims, without
-listing the elements.
+PSL(2, q) acting on the projective line (q an odd prime); each
+constructor raises ValueError outside the range it builds correctly.
+`order_reaches` tests whether generators reach a given order by
+Schreier-Sims, without listing the elements.
 
 A group may also carry normalizing permutations: point permutations
 outside it that conjugate it onto itself, so that conjugation by the
@@ -39,6 +40,7 @@ points alone.  The built-in groups that declare it:
 from __future__ import annotations
 
 from functools import cached_property
+from math import isqrt
 
 Perm = tuple[int, ...]
 
@@ -227,7 +229,13 @@ def order_reaches(gens: list[Perm], degree: int, order: int) -> bool:
     return reached()
 
 
+def _refuse_below(prefix: str, n: int, low: int) -> None:
+    if n < low:
+        raise ValueError(f"{prefix}{n}: n must be at least {low}")
+
+
 def cyclic(n: int) -> PermGroup:
+    _refuse_below("C", n, 1)
     if n == 1:
         return PermGroup(1, [], "C1", automorphisms_induced=True)
     shift = tuple((i + 1) % n for i in range(n))
@@ -236,14 +244,16 @@ def cyclic(n: int) -> PermGroup:
 
 def dihedral(n: int) -> PermGroup:
     """Symmetries of the n-gon, order 2n (n >= 3)."""
+    _refuse_below("D", n, 3)
     rot = tuple((i + 1) % n for i in range(n))
     flip = tuple((-i) % n for i in range(n))
     return PermGroup(n, [rot, flip], f"D{n}", automorphisms_induced=n % 2 == 1)
 
 
 def symmetric(n: int) -> PermGroup:
-    if n < 2:
-        return PermGroup(max(n, 1), [], f"S{n}", automorphisms_induced=True)
+    _refuse_below("S", n, 1)
+    if n == 1:
+        return PermGroup(1, [], "S1", automorphisms_induced=True)
     gens = [tuple([1, 0] + list(range(2, n)))]
     if n > 2:
         gens.append(tuple(list(range(1, n)) + [0]))
@@ -251,6 +261,7 @@ def symmetric(n: int) -> PermGroup:
 
 
 def alternating(n: int) -> PermGroup:
+    _refuse_below("A", n, 1)
     if n < 3:
         return PermGroup(1, [], f"A{n}", automorphisms_induced=True)
     three = tuple([1, 2, 0] + list(range(3, n)))
@@ -265,6 +276,8 @@ def alternating(n: int) -> PermGroup:
 
 def psl2(q: int) -> PermGroup:
     """PSL(2, q) on the projective line {0..q-1, infinity}, q an odd prime."""
+    if q < 3 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise ValueError(f"PSL(2,{q}): q must be an odd prime")
     inf = q  # point index for infinity
     shift = tuple((x + 1) % q for x in range(q)) + (inf,)
     # x -> -1/x, with 0 <-> infinity

@@ -16,7 +16,9 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
     with about as few generators whichever route built them
   * low_index_subgroups: coset-table backtracking that completes only
     the least table of each conjugacy class
-  * subgroup presentations and abelianizations from any coset table
+  * subgroup presentations and abelianizations from any coset table of
+    a transitive action, one forward image per generator and coset,
+    through one Schreier transversal
 """
 
 from __future__ import annotations
@@ -103,97 +105,36 @@ def meridian_square_quotient(g: GroupPresentation) -> GroupPresentation:
 
 # -- coset tables ---------------------------------------------------------
 #
-# A coset table is a list of rows, one per coset, with 2*ngens columns:
-# column 2*(g-1) is the action of generator g, column 2*(g-1)+1 of its
-# inverse.  Complete tables have no None entries.
+# A coset table is a list of rows, one per coset, with one entry per
+# generator: table[c][k] is coset c times generator k+1.  Both
+# Reidemeister-Schreier routes read it through one Schreier transversal
+# (`_schreier_steps`) and differ only in their walk of the relators.
 
 
-def _col(g: int) -> int:
-    return 2 * (abs(g) - 1) + (0 if g > 0 else 1)
+def _schreier_steps(g: GroupPresentation, table) -> tuple[list, int]:
+    """Each generator's forward and inverse step on the table's cosets,
+    and the number of Schreier generators.
 
-
-def coset_table_from_images(ngens: int, images: list, size: int
-                            ) -> list[list[int]]:
-    """Table of the action given each generator's permutation, as a dict
-    or a sequence indexed by coset."""
-    table = [[None] * (2 * ngens) for _ in range(size)]
-    for g in range(1, ngens + 1):
-        perm = images[g - 1]
-        for c in range(size):
-            table[c][_col(g)] = perm[c]
-            table[perm[c]][_col(-g)] = c
-    return table
-
-
-def reidemeister_schreier(g: GroupPresentation,
-                          table: list[list[int]]) -> GroupPresentation:
-    """Presentation of the point stabilizer of coset 0.
-
-    Schreier generators correspond to the edges of the coset graph off a
-    breadth-first spanning tree from coset 0, numbered from 1; the
-    inverse column of an edge carries the inverse generator.  Relators
-    are the rewrites of rep(c) r rep(c)^-1 for every relator r and coset
-    c: the signed Schreier generators met along r read from c.
+    The spanning tree is the breadth-first tree from coset 0 along
+    forward edges, which reach every coset of a finite transitive
+    action, and each non-tree forward edge is a Schreier generator,
+    numbered from 0 in breadth-first order.  A step is (columns, targets,
+    sign): from coset c it crosses the edge numbered columns[c] (-1 on
+    the tree) and moves to targets[c].  An inverse letter steps back
+    along the generator's edge into c and reads that edge's number with
+    sign -1.
     """
+    if any(len(row) != g.ngens for row in table):
+        raise ValueError(f"coset table rows must have {g.ngens} entries, "
+                         "one image per generator")
     n = len(table)
-    ncols = 2 * g.ngens
-    tree = {0: None}  # coset -> (from, col) discovered by BFS from 0
-    order = [0]
-    for c in order:
-        for col in range(ncols):
-            d = table[c][col]
-            if d not in tree:
-                tree[d] = (c, col)
-                order.append(d)
-    if len(tree) != n:
-        raise ValueError("coset table is not transitive")
-    gens = [[0] * ncols for _ in range(n)]
-    nsg = 0
-    for c in range(n):
-        for col in range(0, ncols, 2):
-            d = table[c][col]
-            if tree[d] != (c, col) and tree[c] != (d, col + 1):
-                nsg += 1
-                gens[c][col] = nsg
-                gens[d][col + 1] = -nsg
-    rewrites = []
-    for r in g.relators:
-        cols = [_col(x) for x in r]
-        for c in range(n):
-            cur = c
-            out = []
-            for col in cols:
-                s = gens[cur][col]
-                if s:
-                    out.append(s)
-                cur = table[cur][col]
-            if cur != c:
-                raise ValueError("relator does not stabilize the coset")
-            rewrites.append(_cyclic_reduce(tuple(out)))
-    return GroupPresentation(nsg, tuple(dict.fromkeys(w for w in rewrites if w)))
-
-
-def abelianized_schreier_rows(g: GroupPresentation, perms: list
-                              ) -> tuple[list[dict[int, int]], int]:
-    """Relation rows of the coset-0 stabilizer's abelianization, and the
-    number of columns.
-
-    `perms[k][c]` is coset c times generator k+1.  The spanning tree is
-    the breadth-first tree from coset 0 along these forward edges, which
-    reach every coset of a finite transitive action, and each non-tree
-    forward edge is a Schreier generator, one column.  Reading relator r
-    from coset c counts the exponent sum of every column it crosses
-    straight into the row of (r, c), the abelianized rewrite of
-    rep(c) r rep(c)^-1: no word is rewritten or reduced.
-    """
-    n = len(perms[0]) if perms else 1
-    col = [[-1] * n for _ in perms]  # column of edge (c, k); -1 on the tree
+    perms = list(zip(*table))
+    col = [[-1] * n for _ in perms]  # number of edge (c, k); -1 on the tree
     seen = [True] + [False] * (n - 1)
     order = [0]
     nsg = 0
     for c in order:
-        for k, p in enumerate(perms):
-            d = p[c]
+        for k, d in enumerate(table[c]):
             if seen[d]:
                 col[k][c] = nsg
                 nsg += 1
@@ -202,15 +143,52 @@ def abelianized_schreier_rows(g: GroupPresentation, perms: list
                 order.append(d)
     if len(order) != n:
         raise ValueError("coset table is not transitive")
-    # one (columns, step, sign) per letter; an inverse letter steps back
-    # first and reads the column of the edge it crossed
     backs = [sorted(range(n), key=p.__getitem__) for p in perms]
     steps = [((cols, p, 1), ([cols[b] for b in back], back, -1))
              for cols, p, back in zip(col, perms, backs)]
+    return steps, nsg
+
+
+def reidemeister_schreier(g: GroupPresentation, table) -> GroupPresentation:
+    """Presentation of the point stabilizer of coset 0.
+
+    Generators are the Schreier generators of `_schreier_steps`, numbered
+    from 1.  Relators are the rewrites of rep(c) r rep(c)^-1 for every
+    relator r and coset c: the signed Schreier generators met along r
+    read from c.
+    """
+    steps, nsg = _schreier_steps(g, table)
+    rewrites = []
+    for r in g.relators:
+        letters = [steps[abs(x) - 1][x < 0] for x in r]
+        for c in range(len(table)):
+            cur = c
+            out = []
+            for cols, step, e in letters:
+                j = cols[cur]
+                if j >= 0:
+                    out.append(e * (j + 1))
+                cur = step[cur]
+            if cur != c:
+                raise ValueError("relator does not stabilize the coset")
+            rewrites.append(_cyclic_reduce(tuple(out)))
+    return GroupPresentation(nsg, tuple(dict.fromkeys(w for w in rewrites if w)))
+
+
+def abelianized_schreier_rows(g: GroupPresentation, table
+                              ) -> tuple[list[dict[int, int]], int]:
+    """Relation rows of the coset-0 stabilizer's abelianization, and the
+    number of columns, one per Schreier generator of `_schreier_steps`.
+
+    Reading relator r from coset c counts the exponent sum of every
+    column it crosses straight into the row of (r, c), the abelianized
+    rewrite of rep(c) r rep(c)^-1: no word is rewritten or reduced.
+    """
+    steps, nsg = _schreier_steps(g, table)
     rows = []
     for r in g.relators:
         letters = [steps[abs(x) - 1][x < 0] for x in r]
-        for c in range(n):
+        for c in range(len(table)):
             row: dict[int, int] = {}
             cur = c
             for cols, step, e in letters:
@@ -227,9 +205,7 @@ def abelianized_schreier_rows(g: GroupPresentation, perms: list
 def branched_cover_from_meridians(g: GroupPresentation) -> GroupPresentation:
     """Index-2 rewriting of a presentation whose generators are all meridians."""
     g = meridian_square_quotient(g)
-    swap = {0: 1, 1: 0}
-    table = coset_table_from_images(g.ngens, [swap] * g.ngens, 2)
-    return reidemeister_schreier(g, table)
+    return reidemeister_schreier(g, [(1,) * g.ngens, (0,) * g.ngens])
 
 
 def double_cover_presentation(d, braid: BraidWord | None = None
@@ -247,11 +223,9 @@ def double_cover_presentation(d, braid: BraidWord | None = None
     return tietze_simplify(branched_cover_from_meridians(base))
 
 
-def subgroup_abelianization(g: GroupPresentation,
-                            table: list[list[int]]) -> list[int]:
+def subgroup_abelianization(g: GroupPresentation, table) -> list[int]:
     """Abelian invariants of the coset-0 stabilizer, without Tietze steps."""
-    perms = [[row[2 * k] for row in table] for k in range(g.ngens)]
-    return abelian_invariants(*abelianized_schreier_rows(g, perms))
+    return abelian_invariants(*abelianized_schreier_rows(g, table))
 
 
 # -- Tietze simplification ------------------------------------------------
@@ -426,26 +400,28 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
     """Complete coset tables of subgroups of index <= max_index.
 
     Returns one table per conjugacy class of subgroups (the class of the
-    coset-0 stabilizer), including the whole group at index 1.  Raises
-    `ResourceLimitExceeded` once `max_tables` tables are tried or
+    coset-0 stabilizer), including the whole group at index 1, in the
+    module's format: one row per coset, one forward image per generator.
+    Raises `ResourceLimitExceeded` once `max_tables` tables are tried or
     `budget_seconds` have passed.
 
     Tables are built by backtracking (Sims, Computation with Finitely
-    Presented Groups, 1994, ch. 5): the first undefined entry, row by
-    row, is set to each coset that can take it or to a new coset, and
-    relator scans deduce what follows.  New cosets are so numbered in
-    order of first appearance, and moving the basepoint to coset b and
-    relabelling in breadth-first order gives the table of a conjugate
-    subgroup.  A partial table that such a relabelling makes smaller
-    before the first undefined entry of either is dropped, since every
-    completion of it is too; only the least table of each class is
-    completed.
+    Presented Groups, 1994, ch. 5) on rows with 2*ngens entries, the
+    image of generator k+1 at 2k and of its inverse at 2k+1: the first
+    undefined entry, row by row, is set to each coset that can take it
+    or to a new coset, and relator scans deduce what follows.  New
+    cosets are so numbered in order of first appearance, and moving the
+    basepoint to coset b and relabelling in breadth-first order gives
+    the table of a conjugate subgroup.  A partial table that such a
+    relabelling makes smaller before the first undefined entry of either
+    is dropped, since every completion of it is too; only the least
+    table of each class is completed.
     """
     ncols = 2 * g.ngens
     # each relator as its columns and the inverse of each column
     rels = []
     for r in g.relators:
-        cols = [_col(x) for x in _cyclic_reduce(r)]
+        cols = [2 * (abs(x) - 1) + (x < 0) for x in _cyclic_reduce(r)]
         if cols:
             rels.append((cols, [col ^ 1 for col in cols]))
     results: list[list[list[int]]] = []
@@ -515,7 +491,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
         budget.tick()
         hole = first_hole(table)
         if hole is None:
-            results.append(table)
+            results.append([row[0::2] for row in table])
             return
         c, col = hole
         candidates = [d for d in range(len(table))

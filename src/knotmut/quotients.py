@@ -39,10 +39,11 @@ The order of the returned homomorphisms is not part of the contract.
 
 The kernel of an epimorphism is the stabilizer of the identity in the
 action of G on Gamma by right translation.  The breadth-first regular
-table that the fallback acceptance builds gives that action, one
-permutation of Gamma per generator, and the kernel's relation rows are
-counted from it in one walk (`abelianized_schreier_rows`): no coset
-table or rewritten word is built.
+table that the fallback acceptance builds is that action's coset table
+in the one format of `presentations` (row i lists the image of element
+i under each generator), so it goes straight to
+`abelianized_schreier_rows`, whose exponent sums are counted in one
+walk of the relators: no rewritten word is built.
 """
 
 from __future__ import annotations
@@ -230,4 +231,4 @@ def kernel_abelianization(g: GroupPresentation, images: list[Perm],
     regular = _regular_table(images, identity(group.degree))
     if len(regular) != group.order:
         raise ValueError(f"the images do not generate {group.name}")
-    return abelian_invariants(*abelianized_schreier_rows(g, list(zip(*regular))))
+    return abelian_invariants(*abelianized_schreier_rows(g, regular))

@@ -38,12 +38,11 @@ def homfly_mirror(p):
     return type(p)({(-e1, e2): c for (e1, e2), c in p.coeffs.items()}, p.vars)
 
 
-def table_key(table, ngens: int) -> tuple:
+def table_key(table) -> tuple:
     """A complete coset table up to conjugacy of its subgroup: the point
     key of its generators' columns, which two tables share exactly when
     their actions differ by a relabelling of the cosets."""
-    cols = [tuple(row[2 * k] for row in table) for k in range(ngens)]
-    return _point_key(cols, range(len(table)))
+    return _point_key(list(zip(*table)), range(len(table)))
 
 
 def vertical_twist(n):

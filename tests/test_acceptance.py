@@ -226,7 +226,7 @@ class TestSubgroupSearch:
         for _ in range(20):
             g = random_presentation(rng)
             tables = low_index_subgroups(g, 5)
-            got = {(len(t), table_key(t, g.ngens)) for t in tables}
+            got = {(len(t), table_key(t)) for t in tables}
             assert len(got) == len(tables)   # one table per class
             assert got == representation_signatures(g, 5)
 

@@ -62,6 +62,13 @@ class TestPolynomialCommands:
         assert code == 0
         assert "-t^-4 + t^-3 + t^-1" in out
 
+    @pytest.mark.parametrize("cmd,strands", [
+        ("homfly", -1), ("kauffman", 0), ("jones", 0)])
+    def test_braid_without_strands(self, capsys, cmd, strands):
+        code, out, err = run(capsys, cmd, f"braid: {strands} |")
+        assert (code, out) == (1, "")
+        assert err == f"error: a braid needs at least 1 strand, not {strands}\n"
+
     def test_unknown_knot_fails(self, capsys):
         code, _, err = run(capsys, "jones", "no_such_knot")
         assert code == 1
@@ -232,6 +239,17 @@ class TestCoverCommands:
                              "trefoil")
         assert (code, out) == (1, "")
         assert err == f"error: unknown target group {name!r}\n"
+
+    @pytest.mark.parametrize("name", ["D1", "D2", "C0", "S0", "Alt(0)",
+                                      "PSL(2,2)", "PSL(2,4)", "PSL(2,9)"])
+    def test_target_out_of_range(self, capsys, name):
+        # D1 and D2 were built as groups of order 1 and 2, PSL(2,4) as one
+        # of order 265, and PSL(2,9) ended in a traceback
+        code, out, err = run(capsys, "cover", "quotients", "--target", name,
+                             "trefoil")
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: (PSL\(2,\d\): q must be an odd prime|"
+                            r"[CDAS]\d: n must be at least [13])\n", err)
 
 
 class TestBudgetFlag:

@@ -35,6 +35,15 @@ class TestBraidWord:
         b = parse_braid("3 | 1 -2 2")
         assert b.inverse().letters == (-2, 2, -1)
 
+    @pytest.mark.parametrize("strands", [0, -1])
+    def test_needs_a_strand(self, strands):
+        # no strand is an empty diagram, not a knot
+        with pytest.raises(ValueError, match="at least 1 strand"):
+            BraidWord(strands, ())
+        with pytest.raises(ValueError, match="at least 1 strand"):
+            parse_braid(f"{strands} |")
+        assert parse_braid("1 |").component_count() == 1  # the unknot
+
 
 braids = st.integers(0, 2**30).map(lambda s: random_braid(random.Random(s)))
 

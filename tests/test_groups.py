@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import pretzel, random_knot_braid, table_key
 from knotmut.alexander import alexander_braid, alexander_pd, h1_double_cover
@@ -14,8 +14,8 @@ from knotmut.laurent import LaurentPoly
 from knotmut.permgroups import alternating
 from knotmut.presentations import (GroupPresentation, _cyclic_reduce,
                                    _substring_move,
+                                   abelianized_schreier_rows,
                                    branched_cover_from_meridians,
-                                   coset_table_from_images,
                                    double_cover_presentation, knot_group,
                                    low_index_subgroups,
                                    meridian_square_quotient,
@@ -144,27 +144,61 @@ class TestBranchedCover:
         assert order == det  # det != 0 for knots, so H1 is finite
 
 
+# the generators' permutations of an action of F_k (k <= 3) on n <= 6 points
+free_actions = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+
+
 class TestCosetTables:
+    @pytest.fixture(scope="class")
+    def cover_tables(self):
+        g = double_cover_presentation(pretzel(3, 3, -2, -3))
+        return g, low_index_subgroups(g, 4)
+
     def test_subgroup_of_Z(self):
         # index-3 subgroup of Z is Z
         g = GroupPresentation(1, ())
-        table = coset_table_from_images(1, [{0: 1, 1: 2, 2: 0}], 3)
-        sub = reidemeister_schreier(g, table)
+        sub = reidemeister_schreier(g, [[1], [2], [0]])
         assert sub.abelian_invariants() == [0]
 
     def test_subgroup_of_order_two(self):
         g = GroupPresentation(1, ((1, 1),))
-        table = coset_table_from_images(1, [{0: 1, 1: 0}], 2)
-        sub = reidemeister_schreier(g, table)
+        sub = reidemeister_schreier(g, [[1], [0]])
         assert sub.abelian_invariants() == []
 
-    def test_index_preserves_euler(self):
-        # index-n subgroup of F_2 is free of rank n + 1
-        g = GroupPresentation(2, ())
-        table = coset_table_from_images(
-            2, [{0: 1, 1: 2, 2: 0}, {0: 0, 1: 1, 2: 2}], 3)
-        sub = reidemeister_schreier(g, table)
-        assert sub.abelian_invariants() == [0, 0, 0, 0]
+    @given(free_actions)
+    @example([[1, 2, 0], [0, 1, 2]])
+    @settings(max_examples=60, deadline=None)
+    def test_index_preserves_euler(self, cover_tables, perms):
+        # Schreier's index formula: an index-n subgroup of a group on k
+        # generators has n(k - 1) + 1 Schreier generators, whichever
+        # spanning tree picks them, and one of F_k is free on them
+        table = list(zip(*perms))
+        assume(table_key(table) is not None)  # transitive
+        free = GroupPresentation(len(perms), ())
+        rank = len(table) * (free.ngens - 1) + 1
+        sub = reidemeister_schreier(free, table)
+        assert (sub.ngens, sub.relators) == (rank, ())
+        assert sub.abelian_invariants() == [0] * rank
+        assert abelianized_schreier_rows(free, table) == ([], rank)
+        g, tables = cover_tables
+        for t in tables:
+            rank = len(t) * (g.ngens - 1) + 1
+            assert reidemeister_schreier(g, t).ngens == rank
+            assert abelianized_schreier_rows(g, t)[1] == rank
+
+    def test_refuses_two_sided_table(self, cover_tables):
+        # a row of the images of x_1, x_1^-1, x_2, ... would be read as
+        # another action, its second entry as the image of x_2
+        g, tables = cover_tables
+        t = next(t for t in tables if len(t) == 3)
+        backs = [sorted(range(3), key=p.__getitem__) for p in zip(*t)]
+        two_sided = [[d for x, back in zip(row, backs) for d in (x, back[c])]
+                     for c, row in enumerate(t)]
+        for route in (reidemeister_schreier, abelianized_schreier_rows,
+                      subgroup_abelianization):
+            with pytest.raises(ValueError, match="rows must have 3 entries"):
+                route(g, two_sided)
 
 
 class TestTietze:
@@ -359,7 +393,7 @@ class TestLowIndex:
         assert g.ngens == 3
         tables = low_index_subgroups(g, 5, max_tables=6000)
         assert len(tables) == 25
-        assert len({table_key(t, g.ngens) for t in tables}) == 25
+        assert len({table_key(t) for t in tables}) == 25
 
     def test_abelianization_of_index2(self):
         # the trefoil group has a single index-2 subgroup; H1 = Z + Z/3

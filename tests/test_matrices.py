@@ -14,8 +14,7 @@ from knotmut.diagram import (KNOT_BRAIDS, braid_closure, named_knot,
                              parse_braid)
 from knotmut.matrices import abelian_invariants, smith_diagonal
 from knotmut.permgroups import perm_mul, psl2
-from knotmut.presentations import (coset_table_from_images,
-                                   double_cover_presentation,
+from knotmut.presentations import (double_cover_presentation,
                                    reidemeister_schreier)
 from knotmut.quotients import epimorphisms
 
@@ -181,9 +180,7 @@ class TestKernelMatrix:
         images = epimorphisms(pres, group, simplify=False)[0]
         elems = sorted(group.elements())
         index = {e: i for i, e in enumerate(elems)}
-        perms = [{index[e]: index[perm_mul(e, p)] for e in elems}
-                 for p in images]
-        table = coset_table_from_images(pres.ngens, perms, len(elems))
+        table = [[index[perm_mul(e, p)] for p in images] for e in elems]
         sub = reidemeister_schreier(pres, table)
         rows = []
         for r in sub.relators:
