@@ -13,7 +13,8 @@ legs unless the component is a crossingless loop, which is tracked in
 
 A `PlanarDiagram` carries its own orientation: it solves the over-strand
 direction of every crossing once, when it is built, and keeps it in
-`positive`, aligned with the `crossings` tuple.  Tuples that cannot be
+`positive`, aligned with the `crossings` tuple.  The solve walks each
+component once, so it also counts them.  Tuples that cannot be
 oriented (an arc missing, repeated, or entered or left twice) raise
 ValueError there, so every diagram that exists is valid.  Diagrams are
 immutable except for `name`, a plain label and the only field callers
@@ -116,8 +117,10 @@ def _other_ends(crossings) -> list[int]:
     return other
 
 
-def _orient(crossings: tuple[Crossing, ...], under_known: bool) -> list[bool]:
-    """Solve the strand directions at every crossing.
+def _orient(crossings: tuple[Crossing, ...], under_known: bool
+            ) -> tuple[list[bool], int]:
+    """Solve the strand directions at every crossing; also return the
+    number of components walked, those with a crossing.
 
     Variable 2i says the under-strand of crossing i runs leg 0 -> 2, and
     variable 2i + 1 that its over-strand runs leg 3 -> 1.  Setting one
@@ -132,9 +135,11 @@ def _orient(crossings: tuple[Crossing, ...], under_known: bool) -> list[bool]:
     other = _other_ends(crossings)
     m = 2 * len(crossings)
     val: list[bool | None] = [None] * m
+    walks = 0
     firsts = range(0, m, 2) if under_known else ()
     for k in [*firsts, *range(m)]:
         if val[k] is None:
+            walks += 1
             # position p = 4 * crossing + leg; k is True exactly when the
             # strand is absorbed on leg 0 (under) or leg 3 (over)
             start = p = 2 * k + (k & 1)
@@ -146,7 +151,7 @@ def _orient(crossings: tuple[Crossing, ...], under_known: bool) -> list[bool]:
     if under_known and not all(val[0::2]):
         i = val[0::2].index(False)
         raise ValueError(f"arc {crossings[i][0]} is emitted or absorbed twice")
-    return val
+    return val, walks
 
 
 @dataclass
@@ -154,18 +159,23 @@ class PlanarDiagram:
     """An oriented link diagram, solved and checked when it is built.
 
     `positive[i]` is True when the over-strand of crossing i runs
-    leg 3 -> leg 1.  Only `name` may be reassigned.
+    leg 3 -> leg 1.  The solve's walks plus the free loops are the
+    link's components, kept for `component_count`.  Only `name` may be
+    reassigned.
     """
 
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
     name: str = ""
     positive: tuple[bool, ...] = field(init=False, repr=False)
+    _components: int = field(init=False, repr=False)
 
     def __post_init__(self):
         crossings = tuple(self.crossings)
+        val, walks = _orient(crossings, True)
         object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "positive", tuple(_orient(crossings, True)[1::2]))
+        object.__setattr__(self, "_components", walks + self.free_loops)
+        object.__setattr__(self, "positive", tuple(val[1::2]))
 
     def __setattr__(self, key, value):
         if key != "name" and hasattr(self, "positive"):
@@ -200,16 +210,7 @@ class PlanarDiagram:
                 raise ValueError(f"arc {a} has heads={heads.get(a,0)} tails={tails.get(a,0)}")
 
     def component_count(self) -> int:
-        nxt = successor_map(self)
-        seen: set[int] = set()
-        n = 0
-        for a in self.arcs:
-            if a not in seen:
-                n += 1
-                while a not in seen:
-                    seen.add(a)
-                    a = nxt[a]
-        return n + self.free_loops
+        return self._components
 
     def __str__(self):
         parts = [f"X({a},{b},{c},{d})" for a, b, c, d in self.crossings]
@@ -245,18 +246,6 @@ def faces(crossings) -> list[list[int]]:
                          f"diagram with {len(crossings)} crossings has "
                          f"{len(crossings) + 2}")
     return out
-
-
-def successor_map(d: PlanarDiagram) -> dict[int, int]:
-    """Map each arc to the next arc along its oriented component."""
-    nxt: dict[int, int] = {}
-    for (a, b, c, dd), pos in zip(d.crossings, d.positive):
-        nxt[a] = c
-        if pos:
-            nxt[dd] = b
-        else:
-            nxt[b] = dd
-    return nxt
 
 
 def wirtinger_arcs(d: PlanarDiagram) -> dict[int, int]:
@@ -313,19 +302,22 @@ def relabel(d: PlanarDiagram) -> PlanarDiagram:
     out = []
     for x in d.crossings:
         out.append(tuple(m.setdefault(a, len(m)) for a in x))
-    return _carry(out, d.free_loops, d.name, d.positive)
+    return _carry(out, d, d.name, d.positive)
 
 
-def _carry(crossings, free_loops: int, name: str, positive) -> PlanarDiagram:
-    """A diagram built around an orientation that is already known.
+def _carry(crossings, source: PlanarDiagram, name: str,
+           positive) -> PlanarDiagram:
+    """A diagram built around an orientation that is already known, with
+    the free loops and components of `source`.
 
     Only for maps that take a valid oriented diagram to a valid one, and
     that keep the direction of a component the tuples leave free:
     renaming arcs, and mirroring with every sign flipped.
     """
     d = object.__new__(PlanarDiagram)
-    d.__dict__.update(crossings=tuple(crossings), free_loops=free_loops,
-                      name=name, positive=tuple(positive))
+    d.__dict__.update(crossings=tuple(crossings), free_loops=source.free_loops,
+                      name=name, positive=tuple(positive),
+                      _components=source._components)
     return d
 
 
@@ -341,7 +333,7 @@ def mirror(d: PlanarDiagram) -> PlanarDiagram:
             out.append((b, c, dd, a))
     # a component under at every crossing of d is over at every crossing
     # of the mirror, where the tuples leave its direction free
-    return _carry(out, d.free_loops, f"{d.name}*" if d.name else "",
+    return _carry(out, d, f"{d.name}*" if d.name else "",
                   (not p for p in d.positive))
 
 
@@ -428,7 +420,7 @@ def orient_raw(raw: list[Crossing], free_loops: int = 0,
     are solved, and each tuple whose under-strand runs 2 -> 0 is rotated
     by two so that the incoming under-arc comes first.
     """
-    under = _orient(tuple(raw), False)[0::2]
+    under = _orient(tuple(raw), False)[0][0::2]
     out = [x if u else x[2:] + x[:2] for x, u in zip(raw, under)]
     return PlanarDiagram(out, free_loops, name)
 

@@ -147,10 +147,6 @@ class LaurentPoly(_Laurent):
         return cls(var)
 
     @classmethod
-    def const(cls, var: str, c: int) -> "LaurentPoly":
-        return cls(var, {0: c})
-
-    @classmethod
     def one(cls, var: str) -> "LaurentPoly":
         return cls(var, {0: 1})
 

@@ -54,13 +54,9 @@ class GroupPresentation:
                     raise ValueError(f"bad generator {g} in relator")
 
     def abelian_invariants(self) -> list[int]:
-        rows = []  # each relator's exponent sums, one row
-        for r in self.relators:
-            row: dict[int, int] = {}
-            for g in r:
-                row[abs(g) - 1] = row.get(abs(g) - 1, 0) + (1 if g > 0 else -1)
-            rows.append(row)
-        return abelian_invariants(rows, self.ngens)
+        # the one-coset table's Schreier generators are the generators
+        return abelian_invariants(
+            *abelianized_schreier_rows(self, [(0,) * self.ngens]))
 
 
 def knot_group(braid: BraidWord) -> GroupPresentation:
@@ -415,8 +411,11 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
     the table of a conjugate subgroup.  A partial table that such a
     relabelling makes smaller before the first undefined entry of either
     is dropped, since every completion of it is too; only the least
-    table of each class is completed.
+    table of each class is completed.  Raises ValueError when
+    `max_index` is below 1.
     """
+    if max_index < 1:
+        raise ValueError(f"max_index must be at least 1, not {max_index}")
     ncols = 2 * g.ngens
     # each relator as its columns and the inverse of each column
     rels = []
@@ -448,18 +447,11 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
                         if f != b:
                             return False
                     elif fi + 1 == bi:
-                        col, icol = cols[fi], icols[fi]
-                        if table[f][col] is None and table[b][icol] is None:
-                            table[f][col] = b
-                            table[b][icol] = f
-                            again = True
-                        elif table[f][col] not in (None, b):
-                            return False
-                        elif table[b][icol] not in (None, f):
-                            return False
-                        else:
-                            table[f][col] = b
-                            table[b][icol] = f
+                        # both scans stopped at this gap, so both of its
+                        # entries are undefined: a deduction, no conflict
+                        table[f][cols[fi]] = b
+                        table[b][icols[fi]] = f
+                        again = True
         return True
 
     def relabelled_smaller(table, base: int) -> bool:

@@ -87,6 +87,10 @@ from .diagram import PlanarDiagram, _other_ends
 from .laurent import LaurentPoly, LaurentPoly2
 from .satellites import cable, whitehead_double
 
+# the default node cap of every tree: nodes expanded before
+# ResourceLimitExceeded
+MAX_NODES = 2_000_000
+
 _ONE = {0: 1}
 # delta_P = -(l + l^-1)/m
 _DELTA_P = {(1, -1): -1, (-1, -1): -1}
@@ -554,14 +558,14 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
 
 
 def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
-           max_nodes: int | None = 2_000_000) -> LaurentPoly2:
+           max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """HOMFLY polynomial in (l, m), unknot normalized to 1."""
     return _tree(d, _RDiagram, _DELTA_P, False, ("l", "m"), budget_seconds,
                  max_nodes)
 
 
 def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
-               max_nodes: int | None = 2_000_000) -> LaurentPoly2:
+               max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """Kauffman polynomial, Dubrovnik form, in (a, z); unknot gives 1."""
     return _tree(d, _UDiagram, _DELTA_F, True, ("a", "z"), budget_seconds,
                  max_nodes)
@@ -591,7 +595,7 @@ def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:
 
 
 def p_whitehead_plus(d: PlanarDiagram, budget_seconds: float | None = None,
-                     max_nodes: int | None = 2_000_000) -> LaurentPoly2:
+                     max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """HOMFLY of the 0-framed, positive-clasp Whitehead double of d."""
     w = d.writhe()
     dbl = whitehead_double(d, -w, 1)
@@ -599,6 +603,6 @@ def p_whitehead_plus(d: PlanarDiagram, budget_seconds: float | None = None,
 
 
 def homfly_2cable(d: PlanarDiagram, budget_seconds: float | None = None,
-                  max_nodes: int | None = 2_000_000) -> LaurentPoly2:
+                  max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """HOMFLY of the blackboard 2-cable with one negative half-twist."""
     return homfly(cable(d, 2, -1), budget_seconds, max_nodes)

@@ -108,17 +108,17 @@ class TangleDecomposition:
         free_loops = sum(1 for r in loop_classes if r not in used)
         return relabel(orient_raw(raw, free_loops, name))
 
-    def mutate(self, axis: str, name: str = "") -> PlanarDiagram:
-        rotated = TangleDecomposition(self.outer, rotate_tangle(self.inner, axis))
-        before = self.glue().component_count()
-        out = rotated.glue(name)
-        if out.component_count() != before:
-            raise ValueError("mutation changed the component count")
-        return out
-
 
 def mutate(td: TangleDecomposition, axis: str) -> PlanarDiagram:
-    return td.mutate(axis)
+    """The mutant of `td`'s glued diagram about `axis`.
+
+    It has as many components as the original (Conway, 1970): each
+    rotation maps each corner pairing, {NW-NE, SW-SE}, {NW-SW, NE-SE}
+    and {NW-SE, NE-SW}, to itself, so the rotated inner strings join the
+    same pairs of corners as before, and a closed loop inside the tangle
+    turns with it.
+    """
+    return TangleDecomposition(td.outer, rotate_tangle(td.inner, axis)).glue()
 
 
 # -- generators for property tests --------------------------------------

@@ -33,6 +33,27 @@ def random_knot_diagram(rng: random.Random, max_strands: int = 4,
     return braid_closure(random_knot_braid(rng, max_strands, max_letters))
 
 
+def walked_components(d) -> int:
+    """Components of d counted by walking its arcs along the orientation,
+    independently of the count the diagram keeps."""
+    nxt = {}
+    for (a, b, c, e), pos in zip(d.crossings, d.positive):
+        nxt[a] = c
+        if pos:
+            nxt[e] = b
+        else:
+            nxt[b] = e
+    seen = set()
+    n = 0
+    for a in nxt:
+        if a not in seen:
+            n += 1
+            while a not in seen:
+                seen.add(a)
+                a = nxt[a]
+    return n + d.free_loops
+
+
 def homfly_mirror(p):
     """HOMFLY of the mirror image: l is inverted."""
     return type(p)({(-e1, e2): c for (e1, e2), c in p.coeffs.items()}, p.vars)

@@ -88,7 +88,7 @@ def laurent_minor(d):
     Every entry is affine in t, so the rows at t = 0 and t = 1 fix it."""
     n = len(d.crossings)
     t = LaurentPoly("t", {1: 1})
-    return [[LaurentPoly.const("t", r0.get(j, 0))
+    return [[LaurentPoly("t", {0: r0.get(j, 0)})
              + t * (r1.get(j, 0) - r0.get(j, 0)) for j in range(n - 1)]
             for r0, r1 in zip(_coloring_rows(d, 0)[:-1],
                               _coloring_rows(d, 1)[:-1])]

@@ -11,9 +11,12 @@ import pytest
 from conftest import pretzel
 from knotmut import cli, quotients
 from knotmut.cli import format_table1, main
-from knotmut.diagram import braid_closure, parse_braid, parse_knot_spec
+from knotmut.diagram import (braid_closure, named_knot, parse_braid,
+                             parse_knot_spec)
 from knotmut.laurent import LaurentPoly2
 from knotmut.permgroups import builtin_targets
+from knotmut.satellites import cable
+from knotmut.skein2 import homfly
 
 
 def run(capsys, *argv):
@@ -183,6 +186,13 @@ class TestCoverCommands:
                            "C3", "trefoil")
         assert code == 0
         assert "kernel 1 abelianization []" in out
+
+    def test_kernel_abelian_no_epimorphism(self, capsys):
+        # the trefoil's cover group is Z/3, which has no quotient C2
+        code, out, _ = run(capsys, "cover", "kernel-abelian", "--target",
+                           "C2", "trefoil")
+        assert code == 0
+        assert out == "trefoil: no epimorphism onto C2\n"
 
     @pytest.mark.parametrize("target,count", [("Alt(4)", 8), ("Alt(5)", 12)])
     def test_kernel_abelian_sorted(self, capsys, target, count):
@@ -429,6 +439,31 @@ class TestItemElapsed:
         doc = json.loads(out)
         self.check(doc["left"]["items"])
         self.check(doc["right"]["items"])
+
+
+class TestReportItems:
+    def test_cable_homfly(self, capsys):
+        code, out, _ = run(capsys, "report", "--cable-p", "trefoil")
+        assert code == 0
+        want = homfly(cable(named_knot("trefoil"), 2, -1))
+        assert f"cable_homfly: {want}" in out.splitlines()
+
+    def test_quotients_json(self, capsys):
+        # the cover group Z/3 has one kernel onto C3 and none onto any
+        # other target of order at most 6
+        code, out, _ = run(capsys, "--format", "json", "report",
+                           "--quotients", "6", "trefoil")
+        assert code == 0
+        item = json.loads(out)["items"]["quotients"]
+        assert item["status"] == "done"
+        assert item["value"] == {t.name: int(t.name == "C3")
+                                 for t in builtin_targets(6)}
+
+    def test_table1(self, capsys):
+        code, out, _ = run(capsys, "--format", "table1", "report", "trefoil")
+        assert code == 0
+        assert format_table1("homfly", homfly(named_knot("trefoil"))) in out
+        assert "jones: t + t^3 - t^4" in out.splitlines()
 
 
 class TestPlanarInput:

@@ -5,11 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_braid, vertical_twist
+from conftest import random_braid, vertical_twist, walked_components
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram, add_kink,
                              braid_closure, connected_sum, faces, mirror,
                              named_knot, parse_braid, parse_knot_spec,
-                             parse_pd, relabel, successor_map)
+                             parse_pd, relabel)
 from knotmut.satellites import cable, whitehead_double
 from knotmut.tangles import (TangleDecomposition, mutate, random_decomposition,
                              tangle_sum)
@@ -114,18 +114,25 @@ class TestDiagramOps:
         d.validate()
         assert d.arcs == set(range(len(d.arcs)))
 
-    def test_successor_map(self):
-        d = braid_closure(parse_braid("2 | 1 1 1"))
-        nxt = successor_map(d)
-        assert set(nxt) == d.arcs
-        # following successors visits each component cyclically
-        a0 = min(d.arcs)
-        seen, a = set(), a0
-        while a not in seen:
-            seen.add(a)
-            a = nxt[a]
-        assert a == a0
-        assert seen == d.arcs  # a knot: one cycle through all arcs
+    @given(st.integers(0, 2**30), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_component_count_is_arc_walk(self, seed, loops):
+        # the count kept from the orientation solve, against a walk along
+        # the arcs: braid closures (links too) and glued decompositions,
+        # their mirrors and relabellings, and PD codes with free loops
+        rng = random.Random(seed)
+        b = braid_closure(random_braid(rng, max_strands=5))
+        g = random_decomposition(rng, 10, require_knot=False).glue()
+        ds = [b, mirror(b), relabel(mirror(b)), g, mirror(g),
+              relabel(mirror(g)), parse_pd(f"O*{loops}")]
+        for d in (b, g):
+            try:
+                faces(d.crossings)
+            except ValueError:   # split: no PD code
+                continue
+            ds.append(parse_pd(str(PlanarDiagram(d.crossings, loops))))
+        for d in ds:
+            assert d.component_count() == walked_components(d)
 
 
 class TestNamedKnots:

@@ -372,6 +372,12 @@ class TestLowIndex:
         got = sorted((len(t), subgroup_abelianization(g, t)) for t in tables)
         assert got == [(1, [3]), (3, [])]
 
+    @pytest.mark.parametrize("max_index", [0, -3])
+    def test_index_below_one_refused(self, max_index):
+        # no subgroup has index below 1, not even the whole group
+        with pytest.raises(ValueError, match="at least 1"):
+            low_index_subgroups(GroupPresentation(1, ((1, 1, 1),)), max_index)
+
     def test_budget_exhausted(self):
         g = tietze_simplify(knot_group(parse_braid("2 | 1 1 1")))
         with pytest.raises(ResourceLimitExceeded):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import pretzel, random_knot_braid
-from knotmut.diagram import braid_closure, parse_braid
+from knotmut.diagram import braid_closure, named_knot, parse_braid
 from knotmut.permgroups import (PermGroup, alternating, closure, cyclic,
                                 dihedral, identity, order_reaches, perm_inv,
                                 perm_mul, psl2, symmetric, builtin_targets)
@@ -235,6 +235,14 @@ class TestEpimorphisms:
         # every group has exactly one kernel onto the trivial group
         for g in (GroupPresentation(1, ((1, 1, 1),)), GroupPresentation(2, ())):
             assert len(epimorphisms(g, group, simplify=False)) == 1
+
+    def test_trivial_cover_group(self):
+        # the unknot's double branched cover is S^3: the trivial group,
+        # onto which only C1 has a hom, the empty one
+        g = double_cover_presentation(named_knot("unknot"))
+        assert g.ngens == 0
+        assert epimorphisms(g, alternating(5)) == []
+        assert epimorphisms(g, cyclic(1)) == [[]]
 
     @pytest.mark.parametrize("braid", ["2 | 1 1 1", "3 | 1 -2 1 -2"])
     @pytest.mark.parametrize("factory,n", [

@@ -13,8 +13,8 @@ from knotmut import skein2
 from knotmut.bracket import DELTA, jones, kauffman_bracket
 from knotmut.budget import Budget
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
-                             braid_closure, connected_sum, mirror, named_knot,
-                             parse_braid, parse_pd, successor_map)
+                             UnionFind, braid_closure, connected_sum, mirror,
+                             named_knot, parse_braid, parse_pd)
 from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly, parse_poly2
 from knotmut.satellites import cable, whitehead_double
 from knotmut.skein2 import (ResourceLimitExceeded, alexander_from_homfly,
@@ -202,12 +202,14 @@ class TestOrientationFree:
             d = braid_closure(random_braid(rng, max_letters=10))
             if d.component_count() != 2:
                 continue
-            # the component through the under-strand of crossing 0
-            nxt, a = successor_map(d), d.crossings[0][0]
-            comp = {a}
-            while nxt[a] not in comp:
-                a = nxt[a]
-                comp.add(a)
+            # the component through the under-strand of crossing 0: the
+            # arcs that strands through crossings join to its first arc
+            uf = UnionFind()
+            for a, b, c, e in d.crossings:
+                uf.union(a, c)
+                uf.union(b, e)
+            root = uf.find(d.crossings[0][0])
+            comp = {a for a in d.arcs if uf.find(a) == root}
             # a component over at all its crossings has no direction in
             # the tuples: both must pass under somewhere
             if not all(x[0] in comp for x in d.crossings):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import walked_components
 from knotmut.alexander import alexander_pd
 from knotmut.bracket import jones
 from knotmut.tangles import (AXES, Tangle, TangleDecomposition, mutate,
@@ -52,6 +53,17 @@ class TestMutation:
             m = mutate(td, axis)
             m.validate()
             assert m.component_count() == 1
+
+    @given(st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_mutants_keep_component_count(self, seed):
+        # every rotation keeps the corner pairing, so links stay links
+        # with as many components
+        td = random_decomposition(random.Random(seed), 10, require_knot=False)
+        n = walked_components(td.glue())
+        for axis in AXES:
+            m = mutate(td, axis)
+            assert m.component_count() == walked_components(m) == n
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=15, deadline=None)
