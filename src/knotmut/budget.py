@@ -43,6 +43,19 @@ class Budget:
             self._exhausted("time")
         self.nodes += 1
 
+    def tick_batch(self, n: int):
+        """Count `n` steps at once, as `n` calls of `tick()` would.
+
+        A batch whose last step `tick()` would refuse raises before any
+        of it is counted, with the message `tick()` gives; the time is
+        checked once, at its start.
+        """
+        if n and self.nodes + n - 1 >= self.max_nodes:
+            self._exhausted("node")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self._exhausted("time")
+        self.nodes += n
+
     def remaining(self) -> float | None:
         """Seconds left, for a search run in parts under one deadline."""
         return None if self.deadline is None else self.deadline - time.monotonic()

@@ -50,22 +50,31 @@ def _poly_json(p):
     return p
 
 
+def _degree_step(exponents: list[int]) -> int:
+    """2 when all `exponents` share parity (as HOMFLY's do), else 1."""
+    return 2 if len({e % 2 for e in exponents}) == 1 else 1
+
+
 def format_table1(name: str, p: LaurentPoly2) -> str:
-    """Coefficient grid: one row per degree of the second variable."""
+    """Coefficient grid: one row per degree of the second variable.
+
+    Rows and cells step each degree by 2 when all its exponents share
+    parity, and by 1 otherwise (the Kauffman polynomial's)."""
     lines = [f"{name}:" if name else ":"]
     if not p.coeffs:
         return "\n".join(lines + ["0 0", ""])
     e2s = sorted({e2 for (_, e2) in p.coeffs})
     e1s = sorted({e1 for (e1, _) in p.coeffs})
     gmin = e1s[0]
+    step1 = _degree_step(e1s)
     lines.append(f"{e2s[0]} {e2s[-1]}")
-    for e2 in range(e2s[0], e2s[-1] + 1, 2):
+    for e2 in range(e2s[0], e2s[-1] + 1, _degree_step(e2s)):
         row = {e1: c for (e1, f2), c in p.coeffs.items() if f2 == e2}
         if not row:
             continue
         lmin, lmax = min(row), max(row)
         cells = []
-        for e1 in range(gmin, lmax + 1, 2):
+        for e1 in range(gmin, lmax + 1, step1):
             if e1 < lmin:
                 cells.append(" " * 7)
             else:

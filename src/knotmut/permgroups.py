@@ -2,13 +2,17 @@
 
 Elements are tuples giving the image of each point 0..degree-1.  Groups
 are stored by generators; the full element list is computed by closure
-and cached, as are the tables an epimorphism search needs of its target
-(sorted elements, their inverses, conjugation orbits).
+and cached.  So are the tables an epimorphism search needs of its
+target, built on its first search: sorted elements, their inverses,
+conjugation orbits (walked along a few generators of a centralizer),
+the per-point image columns of its byte lanes (on at most 256 points)
+and the order of its abelianization.
 Built-in targets: cyclic, dihedral, alternating, symmetric, and
 PSL(2, q) acting on the projective line (q an odd prime); each
 constructor raises ValueError outside the range it builds correctly.
-`order_reaches` tests whether generators reach a given order by
-Schreier-Sims, without listing the elements.
+`group_order` finds the order of the group that permutations generate
+by Schreier-Sims, without listing the elements, and `order_reaches`
+stops it as soon as it reaches a given order.
 
 A group may also carry normalizing permutations: point permutations
 outside it that conjugate it onto itself, so that conjugation by the
@@ -40,7 +44,7 @@ points alone.  The built-in groups that declare it:
 from __future__ import annotations
 
 from functools import cached_property
-from math import isqrt
+from math import inf, isqrt
 
 Perm = tuple[int, ...]
 
@@ -59,6 +63,11 @@ def perm_inv(p: Perm) -> Perm:
 
 def identity(degree: int) -> Perm:
     return tuple(range(degree))
+
+
+def conjugate(p: Perm, h: Perm, h_inv: Perm) -> Perm:
+    """h^-1 p h, given h's inverse."""
+    return tuple(map(h.__getitem__, map(p.__getitem__, h_inv)))
 
 
 class PermGroup:
@@ -88,9 +97,9 @@ class PermGroup:
         return {p: perm_inv(p) for p in self.sorted_elements}
 
     @cached_property
-    def _conjugators(self) -> list[tuple[Perm, Perm]]:
-        """Each element h of the group generated by this group and its
-        normalizing permutations, paired with its inverse.
+    def _conjugating_generators(self) -> list[tuple[Perm, Perm]]:
+        """The generators of this group and its normalizing permutations,
+        each paired with its inverse.
 
         Raises ValueError if a normalizing permutation conjugates a
         generator out of the group.
@@ -98,32 +107,116 @@ class PermGroup:
         elems = self.elements()
         for t in self.normalizing:
             t_inv = perm_inv(t)
-            if any(perm_mul(perm_mul(t_inv, g), t) not in elems
+            if any(conjugate(g, t, t_inv) not in elems
                    for g in self.generators):
                 raise ValueError(f"{t} does not normalize {self.name}")
-        if self.normalizing:
-            elems = closure(self.generators + self.normalizing, self.degree)
-        return [(h, perm_inv(h)) for h in elems]
+        return [(h, perm_inv(h)) for h in self.generators + self.normalizing]
+
+    def _centralizer_generators(self, x: Perm) -> list[tuple[Perm, Perm]]:
+        """A few generators of the centralizer of `x` in K, the group that
+        `_conjugating_generators` generate, each paired with its inverse.
+
+        The centralizer is the stabilizer of `x` under conjugation by K,
+        so the Schreier generators of x's class under K generate it; they
+        are taken in turn, each kept only if it enlarges the group the
+        kept ones generate, until that group has the centralizer's order,
+        |K| over the size of the class.
+        """
+        gens = self._conjugating_generators
+        e = identity(self.degree)
+        # y -> (u, u^-1) with y = u^-1 x u
+        trans = {x: (e, e)}
+        queue = [x]
+        for y in queue:
+            u, u_inv = trans[y]
+            for h, h_inv in gens:
+                z = conjugate(y, h, h_inv)
+                if z not in trans:
+                    trans[z] = (perm_mul(u, h), perm_mul(h_inv, u_inv))
+                    queue.append(z)
+        size = group_order([h for h, _ in gens], self.degree) // len(trans)
+        schreier = (perm_mul(perm_mul(u, h), trans[conjugate(y, h, h_inv)][1])
+                    for y, (u, _) in trans.items() for h, h_inv in gens)
+        kept: list[Perm] = []
+        reached = 1
+        for c in schreier:
+            if reached == size:
+                break
+            if c != e and (n := group_order(kept + [c], self.degree,
+                                            size)) > reached:
+                kept.append(c)
+                reached = n
+        # each generator costs a conjugation per element of an orbit walk
+        for c in kept[:-1]:
+            rest = [d for d in kept if d is not c]
+            if group_order(rest, self.degree, size) == size:
+                kept = rest
+        return [(c, perm_inv(c)) for c in kept]
 
     def conjugation_orbit_reps(self, x: Perm | None = None) -> list[Perm]:
         """The least element of each orbit of the group under conjugation by
-        the centralizer of `x` in `_conjugators` (by all of them when `x` is
-        None, which gives the classes up to those automorphisms); kept once
-        computed."""
+        the centralizer of `x` in the group generated by it and its
+        normalizing permutations (by all of that group when `x` is None,
+        which gives the classes up to those automorphisms); kept once
+        computed.  Each orbit is walked along generators of the
+        centralizer."""
         reps = self._orbit_reps.get(x)
         if reps is None:
-            acting = self._conjugators if x is None else [
-                (h, h_inv) for h, h_inv in self._conjugators
-                if perm_mul(x, h) == perm_mul(h, x)]
+            gens = self._conjugating_generators if x is None else \
+                self._centralizer_generators(x)
             seen: set[Perm] = set()
             reps = self._orbit_reps[x] = []
             for e in self.sorted_elements:
                 if e in seen:
                     continue
                 reps.append(e)
-                for h, h_inv in acting:
-                    seen.add(perm_mul(perm_mul(h_inv, e), h))
+                seen.add(e)
+                orbit = [e]
+                for y in orbit:
+                    for h, h_inv in gens:
+                        z = conjugate(y, h, h_inv)
+                        if z not in seen:
+                            seen.add(z)
+                            orbit.append(z)
         return reps
+
+    @cached_property
+    def abelianization_order(self) -> int:
+        """The order of the group's abelianization, |G| / |G'|.
+
+        The derived subgroup G' is the normal closure of the commutators
+        of the generators: their conjugates by the generators are added
+        while they enlarge it, each test one Schreier-Sims.
+        """
+        e = identity(self.degree)
+        gens = self.generators
+        derived = [c for a in gens for b in gens
+                   if (c := perm_mul(perm_mul(perm_inv(a), perm_inv(b)),
+                                     perm_mul(a, b))) != e]
+        size = group_order(derived, self.degree)
+        for c in derived:   # conjugates added here are conjugated in turn
+            for g in gens:
+                d = conjugate(c, g, perm_inv(g))
+                n = group_order(derived + [d], self.degree)
+                if n > size:
+                    derived.append(d)
+                    size = n
+        return self.order // size
+
+    @cached_property
+    def lane_columns(self) -> tuple[list[int], list[int]] | None:
+        """Per point v, the images of v under the sorted elements and
+        under their inverses, one byte per element in their order, read
+        as little-endian ints; None on more than 256 points, which do not
+        fit in a byte."""
+        if self.degree > 256:
+            return None
+        elems = self.sorted_elements
+        inv = self.inverse
+        return ([int.from_bytes(bytes(p[v] for p in elems), "little")
+                 for v in range(self.degree)],
+                [int.from_bytes(bytes(inv[p][v] for p in elems), "little")
+                 for v in range(self.degree)])
 
     @property
     def order(self) -> int:
@@ -150,13 +243,20 @@ def closure(gens: list[Perm], degree: int) -> set[Perm]:
 
 
 def order_reaches(gens: list[Perm], degree: int, order: int) -> bool:
-    """Whether the group generated by `gens` has at least `order` elements.
+    """Whether the group generated by `gens` has at least `order` elements."""
+    return group_order(gens, degree, order) >= order
+
+
+def group_order(gens: list[Perm], degree: int,
+                enough: float = inf) -> int:
+    """The order of the group generated by `gens`, or, once it is known to
+    be at least `enough`, a lower bound on it that is.
 
     Deterministic Schreier-Sims (Holt, Eick and O'Brien, sec. 4.4.2):
     level i keeps the generators found so far that fix the first i base
     points and the orbit of the i-th base point under them, with a
     transversal.  The product of the orbit lengths never exceeds the
-    group's order, so the test stops as soon as it reaches `order`.
+    group's order, so the search stops as soon as it reaches `enough`.
     """
     e = identity(degree)
     base: list[int] = []
@@ -198,11 +298,11 @@ def order_reaches(gens: list[Perm], degree: int, order: int) -> bool:
             orbit(level)
         return i
 
-    def reached() -> bool:
-        size = 1
+    def size() -> int:
+        out = 1
         for t in trans:
-            size *= len(t)
-        return size >= order
+            out *= len(t)
+        return out
 
     def add_schreier_generator(i: int) -> int | None:
         """Add the first Schreier generator of level i that does not strip
@@ -215,18 +315,18 @@ def order_reaches(gens: list[Perm], degree: int, order: int) -> bool:
         return None
 
     for g in gens:
-        if add(g, 0) is not None and reached():
-            return True
+        if add(g, 0) is not None and size() >= enough:
+            return size()
     i = len(base) - 1
     while i >= 0:
         j = add_schreier_generator(i)
         if j is None:
             i -= 1
-        elif reached():
-            return True
+        elif size() >= enough:
+            return size()
         else:
             i = j
-    return reached()
+    return size()
 
 
 def _refuse_below(prefix: str, n: int, low: int) -> None:

@@ -20,6 +20,17 @@ and O'Brien, Handbook of Computational Group Theory, 2005, ch. 9):
     image ranges over the classes under that conjugation, the second
     over one representative per orbit of the first image's centralizer,
     and the rest over all of Gamma.
+  * Lanes.  At a level whose candidates are all of Gamma and at which a
+    relator closes, every candidate is traced at once, one byte lane per
+    element of Gamma in a Python int (targets of more than 16 elements
+    on at most 256 points).  The relators closing there are traced
+    shortest first, from one start point after another, until at most
+    `_FEW_LANES` lanes survive; a run of known images only reindexes the
+    per-point columns of images (`PermGroup.lane_columns`), and the
+    level's own letter is a multiplexer over the bits of each lane's
+    point.  The survivors, in sorted order, go through the same
+    per-candidate check as every other candidate, so the accepted images
+    and their order do not depend on the lanes.
   * Acceptance.  At each complete assignment the images must act
     transitively on the points, and when the target declares
     `automorphisms_induced` they are keyed by that action alone: the
@@ -35,6 +46,12 @@ and O'Brien, Handbook of Computational Group Theory, 2005, ch. 9):
     Sym(6), dihedral groups of even degree) falls back to one
     breadth-first search of the regular action per assignment.
 
+Before any search, a presentation whose H1 is finite of an order that
+|Gamma^ab| does not divide has no epimorphism onto Gamma, since an
+epimorphism induces one of abelianizations: this settles every target
+with an even-order abelianization (Sym(n), odd dihedral, even cyclic) on
+the double branched cover of a knot, whose H1 has odd order.
+
 The order of the returned homomorphisms is not part of the contract.
 
 The kernel of an epimorphism is the stabilizer of the identity in the
@@ -48,11 +65,17 @@ walk of the relators: no rewritten word is built.
 
 from __future__ import annotations
 
+import math
+
 from .budget import Budget
 from .matrices import abelian_invariants
 from .permgroups import Perm, PermGroup, identity, order_reaches
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
                             tietze_simplify)
+
+# the lane pass hands at most this many survivors to the per-candidate
+# check, and a target of at most this many elements is left to that check
+_FEW_LANES = 16
 
 
 def _search_order(g: GroupPresentation) -> list[int]:
@@ -80,6 +103,94 @@ def _holds(perms: list[Perm], points: range) -> bool:
         if y != x:
             return False
     return True
+
+
+def _lane_plan(code: list[int], k: int) -> list[tuple[bool, list[int]]]:
+    """A relator closing at level k, as the lane pass traces it.
+
+    The slot code is rotated to start at the level's first letter and
+    cut at each of the level's letters: one (inverse, run) pair per such
+    letter, the run being the slots of known images that follow it.
+    """
+    start = next(i for i, s in enumerate(code) if s >> 1 == k)
+    code = code[start:] + code[:start]
+    plan: list[tuple[bool, list[int]]] = []
+    for s in code:
+        if s >> 1 == k:
+            plan.append((bool(s & 1), []))
+        else:
+            plan[-1][1].append(s)
+    return plan
+
+
+def _lane_filter(columns: tuple[list[int], list[int]], npoints: int,
+                 width: int):
+    """The lane pass over every element of a target on `npoints` points,
+    `width` elements in all, with `columns` its `lane_columns`.
+
+    Returns `survivors(plans, slots)`: the indices of the elements that,
+    as the image at the planned level, pass the planned relators at
+    every start point traced.  Byte lane i of an int carries the point
+    reached under the i-th element, read before the run of known images
+    that follows its letter.  The next letter gathers, lane by lane, the
+    image of that point under the run and then under the lane's element:
+    a multiplexer over the bits of the points picks from the columns,
+    reindexed by the run.  The relators are traced shortest first, each
+    from one start point after another, until at most `_FEW_LANES` lanes
+    survive or every relator is traced from every point.
+    """
+    ones = int.from_bytes(b"\x01" * width, "little")
+    low7 = 0x7F * ones
+    value = [v * ones for v in range(npoints)]
+    bits = (npoints - 1).bit_length()
+    pad = [0] * ((1 << bits) - npoints)
+
+    def gather(lanes: int, column: list[int]) -> int:
+        for j in range(bits):
+            mask = ((lanes >> j) & ones) * 0xFF
+            column = [lo ^ ((lo ^ hi) & mask)
+                      for lo, hi in zip(column[0::2], column[1::2])]
+        return column[0]
+
+    def survivors(plans: list[list[tuple[bool, list[int]]]],
+                  slots: list[Perm]) -> list[int]:
+        alive = 0x80 * ones
+        for plan in plans:
+            runs = []
+            for _, run in plan:
+                ys = range(npoints)
+                for s in run:
+                    ys = tuple(map(slots[s].__getitem__, ys))
+                runs.append(ys)
+            gathers = [[columns[inverse][y] for y in run] + pad
+                       for (inverse, _), run in zip(plan[1:], runs)]
+            first = columns[plan[0][0]]
+            back = [0] * npoints
+            for u, y in enumerate(runs[-1]):
+                back[y] = u
+            for x in range(npoints):
+                lanes = first[x]
+                for column in gathers:
+                    lanes = gather(lanes, column)
+                # clear bit 7 of each lane not back at x
+                d = lanes ^ value[back[x]]
+                alive &= ~(((d & low7) + low7) | d)
+                if alive.bit_count() <= _FEW_LANES:
+                    return _live_lanes(alive, width)
+        return _live_lanes(alive, width)
+
+    return survivors
+
+
+def _live_lanes(alive: int, width: int) -> list[int]:
+    """The indices of the lanes of `alive` with bit 7 set, in order."""
+    lanes = alive.to_bytes(width, "little")
+    out = []
+    i = lanes.find(0x80)
+    while i >= 0:
+        out.append(i)
+        i = lanes.find(0x80, i + 1)
+    return out
 
 
 def _point_key(images: list[Perm], points: range) -> tuple[int, ...] | None:
@@ -148,11 +259,24 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     presentation's generators, not on `g`'s.  The order of the returned
     homs is not specified.  Raises
     `ResourceLimitExceeded` once `max_nodes` candidate images are tried
-    or `budget_seconds` have passed.
+    or `budget_seconds` have passed.  A lane pass counts all |Gamma|
+    candidate images of its level as one batch, which raises before it
+    starts if it would pass `max_nodes`; so a finished search counts as
+    many as one image at a time would, and a stopped one may stop up to
+    |Gamma| images early.  A presentation whose finite H1 rules the
+    target out returns [] with no candidate tried.
     """
     pres = tietze_simplify(g) if simplify else g
     if pres.ngens == 0:
         return [] if group.order > 1 else [[]]
+    found: dict[tuple, list[Perm]] = {}
+    budget = Budget(budget_seconds, max_nodes, "candidate images",
+                    lambda: f"{len(found)} kernels found")
+    # an epimorphism maps H1 onto the target's abelianization
+    if group.abelianization_order > 1:
+        h1 = pres.abelian_invariants()
+        if 0 not in h1 and math.prod(h1) % group.abelianization_order:
+            return []
     elems, inv = group.sorted_elements, group.inverse
     e = identity(group.degree)
     points = range(group.degree)
@@ -166,13 +290,18 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
         if r:
             checks[max(level[abs(x)] for x in r)].append(
                 [2 * level[abs(x)] + (x < 0) for x in r])
+    # from level 2 on every element is a candidate: where relators close
+    # they filter them all at once in byte lanes
+    columns = group.lane_columns \
+        if ngens > 2 and len(elems) > _FEW_LANES else None
+    plans = [[_lane_plan(code, k) for code in rels] if columns and k >= 2
+             else [] for k, rels in enumerate(checks)]
+    survivors = _lane_filter(columns, group.degree, len(elems)) \
+        if any(plans) else None
     image_slots = [2 * level[x] for x in range(1, ngens + 1)]
     slots: list[Perm] = [e] * (2 * ngens)
-    found: dict[tuple, list[Perm]] = {}
     rejected: set[tuple] = set()
     keyed = group.automorphisms_induced
-    budget = Budget(budget_seconds, max_nodes, "candidate images",
-                    lambda: f"{len(found)} kernels found")
 
     def choices(k: int) -> list[Perm]:
         # images up to simultaneous conjugation by the target and its
@@ -200,8 +329,15 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
                 rejected.add(key)
             return
         rels = checks[k]
-        for p in choices(k):
-            budget.tick()
+        lane_plans = plans[k]
+        if lane_plans:
+            budget.tick_batch(len(elems))
+            candidates = [elems[i] for i in survivors(lane_plans, slots)]
+        else:
+            candidates = choices(k)
+        for p in candidates:
+            if not lane_plans:
+                budget.tick()
             slots[2 * k] = p
             slots[2 * k + 1] = inv[p]
             for code in rels:

@@ -41,6 +41,46 @@ class TestBudget:
         assert b.nodes == 1000
         assert b.remaining() is None
 
+    def test_batch_counts_its_steps(self):
+        b = Budget(max_nodes=10)
+        b.tick()
+        b.tick_batch(4)
+        b.tick_batch(0)
+        assert b.nodes == 5
+        b.tick_batch(5)   # reaches max_nodes exactly, as 5 ticks would
+        assert b.nodes == 10
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^node budget exhausted after 10 steps$"):
+            b.tick()
+
+    def test_batch_past_the_cap_raises_before_it_starts(self):
+        found = []
+        b = Budget(max_nodes=10, unit="candidate images",
+                   progress=lambda: f"{len(found)} kernels found")
+        b.tick_batch(6)
+        with pytest.raises(ResourceLimitExceeded, match=(
+                r"^node budget exhausted after 6 candidate images, "
+                r"0 kernels found$")):
+            b.tick_batch(5)
+        assert b.nodes == 6
+        b.tick_batch(4)
+        assert b.nodes == 10
+
+    def test_batch_fractional_cap(self):
+        # 3 single steps pass a cap of 2.5, and so does a batch of 3
+        b = Budget(max_nodes=2.5)
+        b.tick_batch(3)
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^node budget exhausted after 3 steps$"):
+            b.tick_batch(1)
+
+    def test_batch_deadline(self):
+        b = Budget(seconds=0.0)
+        time.sleep(0.001)
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^time budget exhausted after 0 steps$"):
+            b.tick_batch(1)
+
     @pytest.mark.parametrize("kwargs", [{"seconds": float("nan")},
                                         {"max_nodes": -1},
                                         {"max_nodes": float("nan")}])

@@ -16,7 +16,7 @@ from knotmut.diagram import (braid_closure, named_knot, parse_braid,
 from knotmut.laurent import LaurentPoly2
 from knotmut.permgroups import builtin_targets
 from knotmut.satellites import cable
-from knotmut.skein2 import homfly
+from knotmut.skein2 import homfly, kauffman_f
 
 
 def run(capsys, *argv):
@@ -317,11 +317,11 @@ class TestCountFlags:
         assert (code, out) == (0, "index 1: [3]\n")
 
 
-# Each takes 1.4-5 s without a budget on 2 cores, at least 25 times the
-# budget: epimorphisms onto A7 (4.9 s) and the index-6 low-index search
-# (1.4 s) on the 3-generator, 48-letter double branched cover of this
-# braid's closure, and the 5-colored Jones polynomial of a 2-cable of the
-# trefoil, whose contraction keeps 8 arcs open (2.8 s).
+# Each takes 0.3-1.8 s without a budget on 2 cores, at least 6 times the
+# budget: epimorphisms onto A7 (0.3-0.4 s) and the index-6 low-index
+# search (0.9-1.5 s) on the 3-generator, 48-letter double branched cover
+# of this braid's closure, and the 5-colored Jones polynomial of a 2-cable
+# of the trefoil, whose contraction keeps 8 arcs open (1.3-1.8 s).
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
 SLOW_COMMANDS = (
@@ -502,3 +502,23 @@ class TestTable1Format:
         code, out, _ = run(capsys, "--format", "table1", "homfly", "trefoil")
         assert code == 0
         assert out.startswith("trefoil:")
+
+    def test_homfly_steps_by_two(self):
+        # every exponent of l and of m is even: rows and cells step by 2
+        text = format_table1("trefoil", homfly(named_knot("trefoil")))
+        assert text.splitlines() == [
+            "trefoil:",
+            "0 2",
+            "  -4   -2     -1     -2",
+            "  -2   -2             1"]
+
+    def test_kauffman_steps_by_one(self):
+        # -a^-5 z - a^-4 - a^-4 z^2 + a^-3 z + 2a^-2 + a^-2 z^2 mixes the
+        # parities of both variables: a row for z^1, a cell per a-degree
+        text = format_table1("trefoil", kauffman_f(named_knot("trefoil")))
+        assert text.splitlines() == [
+            "trefoil:",
+            "0 2",
+            "  -4   -2            -1      0      2",
+            "  -5   -3     -1      0      1",
+            "  -4   -2            -1      0      1"]

@@ -16,8 +16,9 @@ from knotmut.presentations import (GroupPresentation,
                                    double_cover_presentation, knot_group,
                                    low_index_subgroups, reidemeister_schreier,
                                    subgroup_abelianization, tietze_simplify)
-from knotmut.quotients import (_point_key, _regular_table, _search_order,
-                               epimorphisms,
+from knotmut import quotients
+from knotmut.quotients import (_holds, _point_key, _regular_table,
+                               _search_order, epimorphisms,
                                kernel_abelianization)
 from knotmut.skein2 import ResourceLimitExceeded
 
@@ -107,6 +108,44 @@ class TestPermGroups:
             [perm_mul(perm_mul(t, p), t) for p in (a, b)], range(4))
         assert _point_key([a, b], range(4)) != _point_key([b, a], range(4))
         assert _point_key([a], range(4)) is None   # not transitive
+
+    @pytest.mark.parametrize("group", [alternating(5), symmetric(5), psl2(7),
+                                       alternating(7)],
+                             ids=lambda g: g.name)
+    def test_orbit_reps_against_every_conjugator(self, group):
+        # the definition: filter the whole conjugating group for the
+        # centralizer and conjugate each new representative by all of it
+        conjugators = closure(group.generators + group.normalizing,
+                              group.degree)
+
+        def reference(x):
+            acting = [h for h in conjugators
+                      if x is None or perm_mul(x, h) == perm_mul(h, x)]
+            seen, reps = set(), []
+            for e in group.sorted_elements:
+                if e not in seen:
+                    reps.append(e)
+                    seen.update(perm_mul(perm_mul(perm_inv(h), e), h)
+                                for h in acting)
+            return reps
+
+        classes = group.conjugation_orbit_reps()
+        assert classes == reference(None)
+        rng = random.Random(5)
+        for x in classes[:4] + rng.sample(group.sorted_elements, 2):
+            assert group.conjugation_orbit_reps(x) == reference(x)
+
+    @pytest.mark.parametrize("group", builtin_targets(2520) + [symmetric(2)],
+                             ids=lambda g: g.name)
+    def test_abelianization_order(self, group):
+        if group.name.startswith("PSL"):
+            expected = 1
+        else:
+            kind, n = group.name[0], int(group.name[1:])
+            expected = {"C": n, "D": 2 if n % 2 else 4,
+                        "A": 3 if n in (3, 4) else 1,
+                        "S": 2 if n > 1 else 1}[kind]
+        assert group.abelianization_order == expected
 
     def test_non_normalizing_permutation_rejected(self):
         c4 = cyclic(4)
@@ -298,6 +337,216 @@ class TestEpimorphisms:
         assert _search_order(g) == [1, 3, 4, 2]
         assert epimorphisms(g, psl2(7), simplify=False,
                             max_nodes=200_000) == []
+
+
+def _random_presentation(seed: int, ngens: int = 3) -> GroupPresentation:
+    """Two random relators of 4-8 letters: H1 is infinite, so no target is
+    ruled out before the search."""
+    rng = random.Random(seed)
+    return GroupPresentation(ngens, tuple(
+        tuple(rng.choice((1, -1)) * rng.randint(1, ngens)
+              for _ in range(rng.randint(4, 8)))
+        for _ in range(2)))
+
+
+LANE_PRESENTATIONS = {
+    "P(3,3,-2,-3)": double_cover_presentation(pretzel(3, 3, -2, -3)),
+    "four_generators": GroupPresentation(4, P5_3_M2_M3_FOUR_GENERATORS),
+    **{f"random-{seed}": _random_presentation(seed) for seed in range(6)},
+}
+
+
+@pytest.fixture
+def budget_spy(monkeypatch):
+    """Every `Budget` that `epimorphisms` makes, and its batch sizes."""
+    made, batches = [], []
+
+    class Spy(quotients.Budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def tick_batch(self, n):
+            batches.append(n)
+            super().tick_batch(n)
+
+    monkeypatch.setattr(quotients, "Budget", Spy)
+    return made, batches
+
+
+def _without_lanes(monkeypatch, g, group, **kwargs):
+    """The search as it runs without the lane pass: every candidate goes
+    through the per-candidate check alone."""
+    with monkeypatch.context() as m:
+        m.setattr(quotients, "_FEW_LANES", group.order)
+        return epimorphisms(g, group, simplify=False, **kwargs)
+
+
+def _far_apart_s4() -> PermGroup:
+    """Sym(4) on points 0, 128, 1, 129 of 256: lanes at 0 and 128 differ
+    in bit 7 alone, and point 255 still fits in a byte."""
+    where = (0, 128, 1, 129)
+
+    def spread(p):
+        out = list(range(256))
+        for i, j in enumerate(p):
+            out[where[i]] = where[j]
+        return tuple(out)
+
+    return PermGroup(256, [spread(p) for p in symmetric(4).generators],
+                     "S4 on 256 points")
+
+
+class TestLanePass:
+    @pytest.mark.parametrize("name", sorted(LANE_PRESENTATIONS))
+    @pytest.mark.parametrize("factory,n", [
+        (alternating, 4), (symmetric, 4), (dihedral, 5), (cyclic, 6)])
+    def test_against_brute_force(self, name, factory, n, monkeypatch):
+        g, group = LANE_PRESENTATIONS[name], factory(n)
+        homs = epimorphisms(g, group, simplify=False)
+        assert homs == _without_lanes(monkeypatch, g, group)
+        # 4 generators onto S4 is 331,776 tuples: H1 = Z/27 rules it out
+        if g.ngens == 3 or group.order < 24:
+            assert _kernels(g, homs, group) == \
+                _kernels(g, brute_force_epi_reps(g, group), group)
+
+    @pytest.mark.parametrize("name", sorted(LANE_PRESENTATIONS))
+    @pytest.mark.parametrize("factory,n", [
+        (symmetric, 4), (alternating, 5), (psl2, 7), (alternating, 6)])
+    def test_same_list_and_count(self, name, factory, n, budget_spy,
+                                 monkeypatch):
+        # Alt(6) is accepted through its regular table, the rest by keys;
+        # the lists must agree in their order too
+        made, batches = budget_spy
+        g, group = LANE_PRESENTATIONS[name], factory(n)
+        homs = epimorphisms(g, group, simplify=False)
+        assert homs == _without_lanes(monkeypatch, g, group)
+        assert made[0].nodes == made[1].nodes
+        # each lane pass counts every element as a candidate image
+        assert set(batches) <= {group.order}
+
+    def test_lane_pass_runs(self, budget_spy):
+        made, batches = budget_spy
+        g = LANE_PRESENTATIONS["P(3,3,-2,-3)"]
+        for group, count in ((alternating(5), 12), (psl2(7), 60),
+                             (alternating(6), 30)):
+            batches.clear()
+            assert len(epimorphisms(g, group, simplify=False)) == count
+            assert batches and set(batches) == {group.order}
+
+    def test_no_lanes_on_small_targets(self, budget_spy):
+        # at most _FEW_LANES elements: the per-candidate check alone
+        made, batches = budget_spy
+        g = LANE_PRESENTATIONS["random-1"]
+        for group in (alternating(4), dihedral(5), cyclic(6)):
+            assert group.order <= quotients._FEW_LANES
+            assert epimorphisms(g, group, simplify=False)
+        assert batches == []
+
+    def test_batch_stops_before_the_cap(self):
+        # the cover's first lane pass comes after 1 image at level 0 and
+        # 1 at level 1; a cap below its 60 more stops before it starts
+        g = LANE_PRESENTATIONS["P(3,3,-2,-3)"]
+        with pytest.raises(ResourceLimitExceeded,
+                           match="after 2 candidate images, 0 kernels"):
+            epimorphisms(g, alternating(5), simplify=False, max_nodes=61)
+        # at 62 the pass runs, and the next image at level 1 stops
+        with pytest.raises(ResourceLimitExceeded,
+                           match="after 62 candidate images"):
+            epimorphisms(g, alternating(5), simplify=False, max_nodes=62)
+
+    def test_more_than_256_points(self, budget_spy, monkeypatch):
+        # a point does not fit in a byte lane: Sym(4) moving 4 of 300
+        # points is searched by the per-candidate check alone, and finds
+        # the kernels of Sym(4) on 4 points, which takes the lane pass
+        made, batches = budget_spy
+        g = LANE_PRESENTATIONS["random-2"]
+        s4 = PermGroup(4, symmetric(4).generators, "S4")
+        wide = PermGroup(300, [p + tuple(range(4, 300))
+                               for p in s4.generators], "S4 on 300 points")
+        assert wide.lane_columns is None
+        assert wide.order > quotients._FEW_LANES
+        homs = epimorphisms(g, wide, simplify=False)
+        assert batches == []
+        narrow = epimorphisms(g, s4, simplify=False)
+        assert batches
+        assert homs == [[p + tuple(range(4, 300)) for p in h] for h in narrow]
+        assert len(homs) == brute_force_epi_count(g, s4) == 2
+        assert made[0].nodes == made[1].nodes
+
+    def test_points_far_apart_in_a_byte(self, budget_spy, monkeypatch):
+        made, batches = budget_spy
+        g = LANE_PRESENTATIONS["random-2"]
+        wide = _far_apart_s4()
+        homs = epimorphisms(g, wide, simplify=False)
+        assert batches
+        assert homs == _without_lanes(monkeypatch, g, wide)
+        assert len(homs) == brute_force_epi_count(g, symmetric(4)) == 2
+
+    def test_filter_is_exact_when_traced_through(self, monkeypatch):
+        # traced from every point, the relators leave exactly the
+        # elements that satisfy them all, as the image at level 2 (slots
+        # 4 and 5) after random images at levels 0 and 1
+        monkeypatch.setattr(quotients, "_FEW_LANES", 0)
+        codes = [[0, 4, 2, 5, 1], [4, 4, 4], [5, 0, 0, 4, 3, 4, 2, 2],
+                 [3, 4, 1, 5]]
+        rng = random.Random(7)
+        kept = 0
+        for group in (alternating(5), psl2(7), _far_apart_s4()):
+            elems, inv = group.sorted_elements, group.inverse
+            survivors = quotients._lane_filter(
+                group.lane_columns, group.degree, len(elems))
+            for _ in range(4):
+                a, b = rng.choice(elems), rng.choice(elems)
+                slots = [a, inv[a], b, inv[b], None, None]
+                chosen = rng.sample(codes, rng.randint(1, 3))
+                want = [i for i, p in enumerate(elems)
+                        if all(_holds([(slots[:4] + [p, inv[p]])[s]
+                                       for s in code],
+                                      range(group.degree))
+                               for code in chosen)]
+                plans = [quotients._lane_plan(code, 2) for code in chosen]
+                assert survivors(plans, slots) == want
+                kept += len(want)
+        assert kept >= 10
+
+
+class TestAbelianObstruction:
+    """An epimorphism onto Gamma maps H1 onto Gamma's abelianization."""
+
+    @pytest.mark.parametrize("group", [symmetric(5), dihedral(5), cyclic(2)],
+                             ids=lambda g: g.name)
+    def test_ruled_out_before_any_candidate(self, group, budget_spy):
+        made, _ = budget_spy
+        g = LANE_PRESENTATIONS["P(3,3,-2,-3)"]
+        assert g.abelian_invariants() == [3, 3]
+        assert group.abelianization_order == 2
+        # a node budget of 0 raises at the first candidate tried
+        assert epimorphisms(g, group, simplify=False, max_nodes=0) == []
+        assert made[-1].nodes == 0
+
+    def test_budget_arguments_checked_first(self):
+        g = LANE_PRESENTATIONS["P(3,3,-2,-3)"]
+        with pytest.raises(ValueError, match="node budget must be"):
+            epimorphisms(g, symmetric(5), simplify=False, max_nodes=-1)
+
+    def test_infinite_h1_still_searched(self):
+        # the trefoil group has H1 = Z, and Sym(3) as a quotient
+        g = tietze_simplify(knot_group(parse_braid("2 | 1 1 1")))
+        assert g.abelian_invariants() == [0]
+        assert len(epimorphisms(g, symmetric(3), simplify=False)) == 1
+
+    @pytest.mark.parametrize("group,count",
+                             [(cyclic(3), 4), (alternating(4), 8)],
+                             ids=["C3", "A4"])
+    def test_dividing_order_still_searched(self, group, count, budget_spy):
+        # |H1| = 9 and |Gamma^ab| = 3
+        made, _ = budget_spy
+        g = LANE_PRESENTATIONS["P(3,3,-2,-3)"]
+        assert group.abelianization_order == 3
+        homs = epimorphisms(g, group, simplify=False)
+        assert len(homs) == brute_force_epi_count(g, group) == count
+        assert made[-1].nodes > 0
 
 
 class TestKernelAbelianization:

@@ -104,10 +104,10 @@ class TestEachInvariantOnce:
 
 
 # Without a budget, on 2 cores: cjones_5 of the closure of SLOW_CJONES, a
-# 2-cable of the trefoil, takes 2.8 s; on the 3-generator, 48-letter
+# 2-cable of the trefoil, takes 1.3-1.8 s; on the 3-generator, 48-letter
 # double branched cover of SLOW_COVER's closure, the searches onto every
-# built-in target up to A7 take 8.4 s and the index-6 low-index search
-# 1.3 s.
+# built-in target up to A7 take 0.9 s and the index-6 low-index search
+# 0.9-1.5 s.
 SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 
