@@ -24,7 +24,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from knotmut.budget import ResourceLimitExceeded
-from knotmut.cli import _target_group
+from knotmut.permgroups import target
 from knotmut.presentations import (branched_cover_from_meridians,
                                    low_index_subgroups, tietze_simplify,
                                    wirtinger_presentation)
@@ -68,7 +68,7 @@ def main() -> int:
     print(f"cover of P(3,3,-3,-2): {size(raw)} before Tietze, "
           f"{size(pres)} after, {s:.3f} s")
     for name in args.targets:
-        group = _target_group(name)
+        group = target(name)
         group.sorted_elements   # the target's tables are set-up, not search
         homs, s = timed(lambda: epimorphisms(pres, group, simplify=False))
         print(f"epimorphisms onto {name}: {len(homs)} kernels, {s:.2f} s")

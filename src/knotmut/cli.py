@@ -12,23 +12,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
-import re
 import sys
 
 from .colored import colored_jones
 from .alexander import h1_double_cover
-from .budget import Budget, ResourceLimitExceeded
+from .budget import ResourceLimitExceeded
 from .diagram import PlanarDiagram, load_knot_file, parse_knot_spec
 from .laurent import LaurentPoly, LaurentPoly2
-from .permgroups import (PermGroup, alternating, cyclic, dihedral, psl2,
-                         symmetric)
-from .presentations import (GroupPresentation, double_cover_presentation,
-                            low_index_subgroups, subgroup_abelianization)
-from .quotients import epimorphisms, kernel_abelianization
+from .permgroups import target
+from .presentations import GroupPresentation
+from .quotients import Cover
 from .report import POLYNOMIALS, ReportOptions, compare_pair, compute_report
 from .satellites import cable, whitehead_double
 from .tangles import AXES, TangleDecomposition, mutate, rational_tangle
@@ -98,24 +94,6 @@ def _emit_poly(name: str, p, fmt: str):
 def _emit_pd(d: PlanarDiagram):
     prefix = f"name={d.name} " if d.name else ""
     print(f"{prefix}pd: {d}")
-
-
-_FAMILIES = {"C": cyclic, "D": dihedral, "A": alternating, "S": symmetric}
-
-
-@functools.cache
-def _target_group(name: str) -> PermGroup:
-    """A target group by the name knotmut prints (C5, D3, A5, S4, PSL(2,7))
-    or by the long forms Alt(5) and Sym(4)."""
-    text = name.replace(" ", "")
-    m = (re.fullmatch(r"([CDAS])(\d+)", text)
-         or re.fullmatch(r"(Alt|Sym)\((\d+)\)", text))
-    if m:
-        return _FAMILIES[m[1][0]](int(m[2]))
-    m = re.fullmatch(r"PSL\(2,(\d+)\)", text)
-    if m:
-        return psl2(int(m[1]))
-    raise ValueError(f"unknown target group {name!r}")
 
 
 def _at_least(low: int):
@@ -251,36 +229,26 @@ def _dispatch(args) -> int:
 
     if args.cmd == "cover":
         for name, d, braid in _load_specs(args.knot):
+            label = name or d.name
+            cover = Cover(d, braid)
             if args.action == "abelian":
-                print(f"{name or d.name}: {h1_double_cover(d)}")
-                continue
-            pres = double_cover_presentation(d, braid)
-            if args.action == "group":
-                _print_presentation(pres)
+                print(f"{label}: {h1_double_cover(d)}")
+            elif args.action == "group":
+                _print_presentation(cover.presentation)
             elif args.action == "lowindex":
-                for table in low_index_subgroups(pres, args.max_index,
-                                                 budget_seconds=budget):
-                    inv = subgroup_abelianization(pres, table)
-                    print(f"index {len(table)}: {inv}")
-            else:  # quotients, kernel-abelian
-                grp = _target_group(args.target)
-                # one deadline for the search and the kernels after it
-                kernels = Budget(budget, unit="kernels")
-                eps = epimorphisms(pres, grp, simplify=False,
-                                   budget_seconds=kernels.remaining())
-                if args.action == "quotients":
-                    print(f"{name or d.name}: delta_{grp.name} = {len(eps)}")
-                    continue
-                if not eps:
-                    print(f"{name or d.name}: no epimorphism onto {grp.name}")
-                invs = []
-                for hom in eps:
-                    kernels.tick()
-                    invs.append(kernel_abelianization(pres, hom, grp))
-                # sorted, since the search returns kernels in no set order
-                invs.sort()
+                for index, inv in cover.lowindex(args.max_index, budget):
+                    print(f"index {index}: {inv}")
+            elif args.action == "quotients":
+                grp = target(args.target)
+                count = cover.quotients([grp], budget)[grp.name]
+                print(f"{label}: delta_{grp.name} = {count}")
+            else:  # kernel-abelian
+                grp = target(args.target)
+                invs = cover.kernel_abelianizations(grp, budget)
+                if not invs:
+                    print(f"{label}: no epimorphism onto {grp.name}")
                 for i, inv in enumerate(invs, start=1):
-                    print(f"{name or d.name}: kernel {i} abelianization {inv}")
+                    print(f"{label}: kernel {i} abelianization {inv}")
         return 0
 
     # report and compare remain; their item flags are ReportOptions' fields

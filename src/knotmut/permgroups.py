@@ -9,7 +9,9 @@ the per-point image columns of its byte lanes (on at most 256 points)
 and the order of its abelianization.
 Built-in targets: cyclic, dihedral, alternating, symmetric, and
 PSL(2, q) acting on the projective line (q an odd prime); each
-constructor raises ValueError outside the range it builds correctly.
+constructor raises ValueError outside the range it builds correctly and
+builds a new group on every call, while `builtin_targets` and `target`
+(by the printed name) build each built-in group once per process.
 `group_order` finds the order of the group that permutations generate
 by Schreier-Sims, without listing the elements, and `order_reaches`
 stops it as soon as it reaches a given order.
@@ -43,7 +45,8 @@ points alone.  The built-in groups that declare it:
 
 from __future__ import annotations
 
-from functools import cached_property
+import re
+from functools import cache, cached_property
 from math import inf, isqrt
 
 Perm = tuple[int, ...]
@@ -393,14 +396,32 @@ def psl2(q: int) -> PermGroup:
                      normalizing=(scale,), automorphisms_induced=True)
 
 
+def target(name: str) -> PermGroup:
+    """A target group by the name knotmut prints (C5, D3, A5, S4, PSL(2,7))
+    or by the long forms Alt(5) and Sym(4), built once per process."""
+    text = name.replace(" ", "")
+    m = (re.fullmatch(r"([CDAS])(\d+)", text)
+         or re.fullmatch(r"(Alt|Sym)\((\d+)\)", text)
+         or re.fullmatch(r"(PSL)\(2,(\d+)\)", text))
+    if m is None:
+        raise ValueError(f"unknown target group {name!r}")
+    return _built(m[1][0], int(m[2]))
+
+
+@cache
+def _built(family: str, n: int) -> PermGroup:
+    return {"C": cyclic, "D": dihedral, "A": alternating, "S": symmetric,
+            "P": psl2}[family](n)
+
+
 def builtin_targets(max_order: int = 700) -> list[PermGroup]:
-    """The default epimorphism targets, smallest order first."""
-    out: list[PermGroup] = []
-    out.extend(cyclic(n) for n in range(2, 16))
-    out.extend(dihedral(n) for n in range(3, 13))
-    out.extend(alternating(n) for n in range(4, 8))
-    out.extend(symmetric(n) for n in range(3, 8))
-    out.extend(psl2(q) for q in (7, 11, 13))
+    """The default epimorphism targets, smallest order first, each built
+    once per process."""
+    out = [_built("C", n) for n in range(2, 16)]
+    out.extend(_built("D", n) for n in range(3, 13))
+    out.extend(_built("A", n) for n in range(4, 8))
+    out.extend(_built("S", n) for n in range(3, 8))
+    out.extend(_built("P", q) for q in (7, 11, 13))
     out = [g for g in out if g.order <= max_order]
     out.sort(key=lambda g: (g.order, g.name))
     return out

@@ -61,17 +61,23 @@ in the one format of `presentations` (row i lists the image of element
 i under each generator), so it goes straight to
 `abelianized_schreier_rows`, whose exponent sums are counted in one
 walk of the relators: no rewritten word is built.
+
+`Cover` holds one knot's double branched cover and runs the searches on
+it that `report` and the CLI's `cover` commands read.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .budget import Budget
+from .diagram import BraidWord, PlanarDiagram
 from .matrices import abelian_invariants
 from .permgroups import Perm, PermGroup, identity, order_reaches
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
-                            tietze_simplify)
+                            double_cover_presentation, low_index_subgroups,
+                            subgroup_abelianization, tietze_simplify)
 
 # the lane pass hands at most this many survivors to the per-candidate
 # check, and a target of at most this many elements is left to that check
@@ -368,3 +374,51 @@ def kernel_abelianization(g: GroupPresentation, images: list[Perm],
     if len(regular) != group.order:
         raise ValueError(f"the images do not generate {group.name}")
     return abelian_invariants(*abelianized_schreier_rows(g, regular))
+
+
+class Cover:
+    """A knot's double branched cover, built on first use by
+    `double_cover_presentation`, and the searches on its group, each with
+    its results sorted.  Mutants have homeomorphic double branched covers
+    (Viro, 1976), so every result is a mutation invariant."""
+
+    def __init__(self, d: PlanarDiagram, braid: BraidWord | None = None):
+        self.knot = (d, braid)
+
+    @cached_property
+    def presentation(self) -> GroupPresentation:
+        return double_cover_presentation(*self.knot)
+
+    def quotients(self, targets: list[PermGroup],
+                  budget_seconds: float | None = None) -> dict[str, int]:
+        """delta_Gamma by the name of each target, under one deadline."""
+        pres = self.presentation
+        left = Budget(budget_seconds)
+        return {t.name: len(epimorphisms(pres, t, simplify=False,
+                                         budget_seconds=left.remaining()))
+                for t in targets}
+
+    def kernel_abelianizations(self, group: PermGroup,
+                               budget_seconds: float | None = None
+                               ) -> list[list[int]]:
+        """The kernels' abelian invariants onto `group`, under one
+        deadline for the search and the kernels."""
+        pres = self.presentation
+        kernels = Budget(budget_seconds, unit="kernels")
+        homs = epimorphisms(pres, group, simplify=False,
+                            budget_seconds=kernels.remaining())
+        invs = []
+        for hom in homs:
+            kernels.tick()
+            invs.append(kernel_abelianization(pres, hom, group))
+        return sorted(invs)
+
+    def lowindex(self, max_index: int, budget_seconds: float | None = None
+                 ) -> list[tuple[int, list[int]]]:
+        """(index, abelian invariants) of one subgroup per conjugacy class
+        of index at most `max_index`."""
+        pres = self.presentation
+        tables = low_index_subgroups(pres, max_index,
+                                     budget_seconds=budget_seconds)
+        return sorted((len(t), subgroup_abelianization(pres, t))
+                      for t in tables)

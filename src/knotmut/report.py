@@ -6,23 +6,22 @@ item is a mutation invariant, so any item that is done on both knots
 and differs excludes mutation.  Equality never proves mutation, so the
 strongest negative verdict is "mutation excluded" and the positive case
 is always "consistent with mutation (inconclusive)".
+The group items share one `quotients.Cover` per knot, built only if one
+of them runs, and search the built-in targets built once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from time import perf_counter
 
 from .alexander import alexander_pd, h1_double_cover
 from .bracket import jones
-from .budget import Budget, ResourceLimitExceeded
+from .budget import ResourceLimitExceeded
 from .colored import colored_jones
 from .diagram import BraidWord, PlanarDiagram
-from .presentations import (double_cover_presentation, low_index_subgroups,
-                            subgroup_abelianization)
 from .permgroups import builtin_targets
-from .quotients import epimorphisms
+from .quotients import Cover
 from .skein2 import homfly, homfly_2cable, kauffman_f, p_whitehead_plus
 
 DONE = "done"
@@ -133,24 +132,13 @@ def compute_report(name: str, d: PlanarDiagram,
         add("cable_homfly", lambda: homfly_2cable(d, budget_seconds=budget))
 
     add("h1_double_cover", lambda: h1_double_cover(d))
-    # the cover group itself only for the searches that need it
-    cover_pres = cache(lambda: double_cover_presentation(d, braid))
+    # one cover for both group items, built only if one of them runs
+    cover = Cover(d, braid)
     if opts.quotients:
-        def quots():
-            pres = cover_pres()
-            left = Budget(budget)
-            return {t.name: len(epimorphisms(pres, t, simplify=False,
-                                             budget_seconds=left.remaining()))
-                    for t in builtin_targets(opts.quotients)}
-        add("quotients", quots)
+        add("quotients",
+            lambda: cover.quotients(builtin_targets(opts.quotients), budget))
     if opts.lowindex:
-        def lowidx():
-            pres = cover_pres()
-            tables = low_index_subgroups(pres, opts.lowindex,
-                                         budget_seconds=budget)
-            return sorted((len(t), subgroup_abelianization(pres, t))
-                          for t in tables)
-        add("lowindex_abelian", lowidx)
+        add("lowindex_abelian", lambda: cover.lowindex(opts.lowindex, budget))
     report.items = {k: report.items[k] for k in sorted(report.items)}
     return report
 

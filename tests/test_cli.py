@@ -9,7 +9,7 @@ import time
 import pytest
 
 from conftest import pretzel
-from knotmut import cli, quotients
+from knotmut import cli, permgroups, quotients
 from knotmut.cli import format_table1, main
 from knotmut.diagram import (braid_closure, named_knot, parse_braid,
                              parse_knot_spec)
@@ -208,6 +208,25 @@ class TestCoverCommands:
         assert len(outs[0]) == count
         assert outs[0] == outs[1]
 
+    def test_one_route_with_report(self, capsys):
+        # `cover` and `report` run the same searches on the same cover
+        spec = f"name=P pd: {pretzel(3, 3, -2, -3)}"
+        code, out, _ = run(capsys, "--format", "json", "report",
+                           "--quotients", "60", "--lowindex", "3", spec)
+        assert code == 0
+        items = json.loads(out)["items"]
+        counts = items["quotients"]["value"]
+        assert sorted(counts) == sorted(t.name
+                                        for t in builtin_targets(60))
+        for name, count in counts.items():
+            code, out, _ = run(capsys, "cover", "quotients", "--target",
+                               name, spec)
+            assert (code, out) == (0, f"P: delta_{name} = {count}\n")
+        code, out, _ = run(capsys, "cover", "lowindex", "--max", "3", spec)
+        assert code == 0
+        assert out.splitlines() == [f"index {i}: {inv}" for i, inv
+                                    in items["lowindex_abelian"]["value"]]
+
     @pytest.mark.parametrize("action", [["group"],
                                         ["quotients", "--target", "D3"]])
     def test_link_fails_on_both_routes(self, capsys, action):
@@ -224,7 +243,7 @@ class TestCoverCommands:
         assert errs[0] == errs[1] == "error: diagram must be a knot\n"
 
     def test_quotient_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "epimorphisms", functools.partial(
+        monkeypatch.setattr(quotients, "epimorphisms", functools.partial(
             quotients.epimorphisms, max_nodes=1))
         code, _, err = run(capsys, "cover", "quotients", "--target", "C5",
                            "figure8")
@@ -236,12 +255,12 @@ class TestCoverCommands:
                              ids=lambda g: g.name)
     def test_printed_target_names(self, group):
         # the names that `report --quotients` prints are valid targets
-        assert cli._target_group(group.name).order == group.order
+        assert permgroups.target(group.name).order == group.order
 
     @pytest.mark.parametrize("name,order", [("Alt(5)", 60), ("Sym(4)", 24),
                                             ("PSL(2,7)", 168)])
     def test_long_target_names(self, name, order):
-        assert cli._target_group(name).order == order
+        assert permgroups.target(name).order == order
 
     @pytest.mark.parametrize("name", ["A", "X3", "Alt(5", "PSL(3,7)"])
     def test_unknown_target(self, capsys, name):
@@ -348,8 +367,8 @@ class TestTimeBudget:
             time.sleep(0.2)
             return kernel_abelianization(*args)
 
-        kernel_abelianization = cli.kernel_abelianization
-        monkeypatch.setattr(cli, "kernel_abelianization", slow)
+        kernel_abelianization = quotients.kernel_abelianization
+        monkeypatch.setattr(quotients, "kernel_abelianization", slow)
         t = time.monotonic()
         code, out, err = run(capsys, "--budget-seconds", "0.5", "cover",
                              "kernel-abelian", "--target", "Alt(4)",

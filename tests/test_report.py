@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import pretzel
-from knotmut import frontier, quotients, report
+from knotmut import frontier, permgroups, quotients, report
 from knotmut.budget import ResourceLimitExceeded
 from knotmut.colored import colored_jones
 from knotmut.diagram import (KNOT_BRAIDS, named_knot, parse_braid,
@@ -50,13 +50,54 @@ class TestComputeReport:
         assert all(v == 0 for k, v in quots.items() if k != "C3")
 
     def test_quotient_budget(self, monkeypatch):
-        monkeypatch.setattr(report, "epimorphisms", functools.partial(
+        monkeypatch.setattr(quotients, "epimorphisms", functools.partial(
             quotients.epimorphisms, max_nodes=1))
         opts = ReportOptions(quotients=12)
         item = compute_report("trefoil", named_knot("trefoil"),
                               options=opts).items["quotients"]
         assert item.status == LIMITED
         assert "after 1 candidate images" in item.detail
+
+
+class TestBuiltOnce:
+    """Each knot's cover is built once for all its group items, and the
+    built-in targets once per process."""
+
+    @staticmethod
+    def cover_spy(monkeypatch) -> list:
+        built, build = [], quotients.double_cover_presentation
+
+        def spy(d, braid=None):
+            built.append(d)
+            return build(d, braid)
+        monkeypatch.setattr(quotients, "double_cover_presentation", spy)
+        return built
+
+    def test_one_cover_per_knot(self, monkeypatch):
+        built = self.cover_spy(monkeypatch)
+        d1, d2 = pretzel(3, 3, -2, -3), pretzel(3, 3, -3, -2)
+        opts = ReportOptions(quotients=60, lowindex=3)
+        res = compare_pair(compute_report("a", d1, options=opts),
+                           compute_report("b", d2, options=opts))
+        assert res.per_item["quotients"] == "EQUAL"
+        assert res.per_item["lowindex_abelian"] == "EQUAL"
+        assert built == [d1, d2]
+
+    def test_default_report_builds_no_cover(self, monkeypatch):
+        built = self.cover_spy(monkeypatch)
+        rep = compute_report("k", pretzel(3, 3, -2, -3))
+        assert rep.items["h1_double_cover"].status == DONE
+        assert built == []
+
+    def test_builtin_targets_are_shared(self):
+        first, second = permgroups.builtin_targets(60), \
+            permgroups.builtin_targets(60)
+        assert len(first) == len(second) > 0
+        assert all(g is h for g, h in zip(first, second))
+        # a target named on the command line is the built-in instance
+        a5 = permgroups.target("A5")
+        assert a5 is permgroups.target("Alt(5)")
+        assert any(g is a5 for g in first)
 
 
 NAMED_KNOTS = tuple(n for n in KNOT_BRAIDS
@@ -168,7 +209,7 @@ class TestComparePair:
         # the limited item has no value, which differs from the done one's
         done = compute_report("k", named_knot("trefoil"),
                               options=ReportOptions(quotients=12))
-        monkeypatch.setattr(report, "epimorphisms", functools.partial(
+        monkeypatch.setattr(quotients, "epimorphisms", functools.partial(
             quotients.epimorphisms, max_nodes=1))
         limited = compute_report("k", named_knot("trefoil"),
                                  options=ReportOptions(colors=3, quotients=12))
