@@ -6,6 +6,11 @@ import math
 import sys
 import time
 
+# the default count caps: skein tree nodes, candidate images, coset tables
+MAX_NODES = 2_000_000
+MAX_IMAGES = 20_000_000
+MAX_TABLES = 200_000
+
 
 class ResourceLimitExceeded(RuntimeError):
     """A computation exceeded its configured node or time budget."""

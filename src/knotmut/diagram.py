@@ -15,11 +15,11 @@ A `PlanarDiagram` carries its own orientation: it solves the over-strand
 direction of every crossing once, when it is built, and keeps it in
 `positive`, aligned with the `crossings` tuple.  The solve walks each
 component once, so it also counts them.  Tuples that cannot be
-oriented (an arc missing, repeated, or entered or left twice) raise
-ValueError there, so every diagram that exists is valid.  Diagrams are
-immutable except for `name`, a plain label and the only field callers
-set.  Raw tangle crossings, whose strand directions are not yet known,
-are oriented by `orient_raw` with the same solver.
+oriented (an arc missing, repeated, or entered or left twice) or drawn
+in the plane raise ValueError there, so every diagram that exists is
+valid.  Diagrams are immutable except for `name`, a plain label and the
+only field callers set.  Raw tangle crossings, whose strand directions
+are not yet known, are oriented by `orient_raw` with the same solver.
 
 The tuples do not fix the direction of a component that passes over at
 every one of its crossings; the solver orients it by convention.
@@ -130,7 +130,8 @@ def _orient(crossings: tuple[Crossing, ...], under_known: bool
     walked from its first one; raw tangle crossings leave them free.  The
     remaining components, free choices, set their lowest variable True.
     Raises ValueError on an arc that does not occur exactly twice, or on
-    PD input that no orientation fits (an arc emitted or absorbed twice).
+    PD input that no orientation fits (an arc emitted or absorbed twice)
+    or that has no drawing in the plane.
     """
     other = _other_ends(crossings)
     m = 2 * len(crossings)
@@ -148,6 +149,13 @@ def _orient(crossings: tuple[Crossing, ...], under_known: bool
                 p = other[p ^ 2]
                 if p == start:
                     break
+    if under_known:
+        # fewer than two walks are the pieces themselves; more need union-find
+        pieces = UnionFind()
+        for p, q in enumerate(other if walks > 1 else ()):
+            pieces.union(p >> 2, q >> 2)
+        _faces(other, walks if walks < 2 else
+               len({pieces.find(i) for i in range(m // 2)}))
     if under_known and not all(val[0::2]):
         i = val[0::2].index(False)
         raise ValueError(f"arc {crossings[i][0]} is emitted or absorbed twice")
@@ -229,22 +237,30 @@ def faces(crossings) -> list[list[int]]:
     diagram with c crossings in the plane has c + 2 faces; any other
     count raises ValueError, as for a virtual or a split diagram.
     """
-    other = _other_ends(crossings)
+    return _faces(_other_ends(crossings), 1)
+
+
+def _faces(other: list[int], pieces: int) -> list[list[int]]:
+    """The corner cycles of `faces`, from the `_other_ends` table.  On a
+    surface of genus g a connected piece of c crossings has c + 2 - 2g,
+    so ValueError unless they number crossings + 2 * pieces."""
+    n = len(other) >> 2
     seen = [False] * len(other)
     out = []
     for start in range(len(other)):
-        face = []
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            face.append(p)
-            p = other[p] - 1 if other[p] & 3 else other[p] + 3
-        if face:
+        if not seen[start]:
+            face = []
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                face.append(p)
+                p = other[p] - 1 if other[p] & 3 else other[p] + 3
             out.append(face)
-    if len(out) != len(crossings) + 2:
+    if len(out) != n + 2 * pieces:
         raise ValueError(f"the diagram has {len(out)} faces, where a planar "
-                         f"diagram with {len(crossings)} crossings has "
-                         f"{len(crossings) + 2}")
+                         f"diagram with {n} crossings"
+                         f"{f' in {pieces} pieces' if pieces > 1 else ''} "
+                         f"has {n + 2 * pieces}")
     return out
 
 
@@ -407,7 +423,7 @@ def parse_pd(text: str, name: str = "") -> PlanarDiagram:
         raise ValueError(f"no crossings found in {text!r}")
     d = PlanarDiagram(crossings, free_loops, name)
     if crossings:
-        faces(d.crossings)   # refuses a code with no planar drawing
+        faces(d.crossings)   # refuses a split code: one connected drawing
     return relabel(d)
 
 

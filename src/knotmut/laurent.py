@@ -267,14 +267,6 @@ class LaurentPoly2(_Laurent):
         _Laurent.__init__(self, variables, coeffs)
 
     @classmethod
-    def zero(cls, variables=("l", "m")) -> "LaurentPoly2":
-        return cls({}, variables)
-
-    @classmethod
-    def one(cls, variables=("l", "m")) -> "LaurentPoly2":
-        return cls({(0, 0): 1}, variables)
-
-    @classmethod
     def monomial(cls, e1: int, e2: int, c: int = 1, variables=("l", "m")) -> "LaurentPoly2":
         return cls({(e1, e2): c}, variables)
 

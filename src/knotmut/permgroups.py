@@ -13,8 +13,8 @@ constructor raises ValueError outside the range it builds correctly and
 builds a new group on every call, while `builtin_targets` and `target`
 (by the printed name) build each built-in group once per process.
 `group_order` finds the order of the group that permutations generate
-by Schreier-Sims, without listing the elements, and `order_reaches`
-stops it as soon as it reaches a given order.
+by Schreier-Sims, without listing the elements; a group's `order` comes
+from it, so reading the order builds no closure.
 
 A group may also carry normalizing permutations: point permutations
 outside it that conjugate it onto itself, so that conjugation by the
@@ -221,9 +221,9 @@ class PermGroup:
                 [int.from_bytes(bytes(inv[p][v] for p in elems), "little")
                  for v in range(self.degree)])
 
-    @property
+    @cached_property
     def order(self) -> int:
-        return len(self.elements())
+        return group_order(self.generators, self.degree)
 
     def __repr__(self):
         return f"PermGroup({self.name or self.degree}, order={self.order})"
@@ -243,11 +243,6 @@ def closure(gens: list[Perm], degree: int) -> set[Perm]:
                     nxt.append(q)
         frontier = nxt
     return seen
-
-
-def order_reaches(gens: list[Perm], degree: int, order: int) -> bool:
-    """Whether the group generated by `gens` has at least `order` elements."""
-    return group_order(gens, degree, order) >= order
 
 
 def group_order(gens: list[Perm], degree: int,

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .budget import Budget
+from .budget import MAX_TABLES, Budget
 from .diagram import BraidWord, wirtinger_arcs
 from .freegroup import artin_action, freely_reduce, inverse_word, substitute
 from .matrices import abelian_invariants
@@ -390,7 +390,7 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
 
 
 def low_index_subgroups(g: GroupPresentation, max_index: int,
-                        max_tables: int = 200000,
+                        max_tables: int = MAX_TABLES,
                         budget_seconds: float | None = None
                         ) -> list[list[list[int]]]:
     """Complete coset tables of subgroups of index <= max_index.

@@ -71,10 +71,10 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .budget import Budget
+from .budget import MAX_IMAGES, Budget
 from .diagram import BraidWord, PlanarDiagram
 from .matrices import abelian_invariants
-from .permgroups import Perm, PermGroup, identity, order_reaches
+from .permgroups import Perm, PermGroup, group_order, identity
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
                             double_cover_presentation, low_index_subgroups,
                             subgroup_abelianization, tietze_simplify)
@@ -256,7 +256,7 @@ def _regular_table(images: list[Perm], e: Perm) -> tuple[tuple[int, ...], ...]:
 
 
 def epimorphisms(g: GroupPresentation, group: PermGroup,
-                 simplify: bool = True, max_nodes: int = 20_000_000,
+                 simplify: bool = True, max_nodes: int = MAX_IMAGES,
                  budget_seconds: float | None = None) -> list[list[Perm]]:
     """One representative hom per kernel of a surjection onto `group`.
 
@@ -329,7 +329,7 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
             key = _point_key(images, points)
             if key is None or key in found or key in rejected:
                 return
-            if order_reaches(images, group.degree, group.order):
+            if group_order(images, group.degree, group.order) >= group.order:
                 found[key] = [slots[s] for s in image_slots]
             else:
                 rejected.add(key)

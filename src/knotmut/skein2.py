@@ -82,14 +82,11 @@ import sys
 from math import comb
 from operator import itemgetter
 
-from .budget import Budget, ResourceLimitExceeded  # noqa: F401 (re-export)
+from .budget import MAX_NODES, Budget
+from .budget import ResourceLimitExceeded  # noqa: F401 (re-export)
 from .diagram import PlanarDiagram, _other_ends
 from .laurent import LaurentPoly, LaurentPoly2
 from .satellites import cable, whitehead_double
-
-# the default node cap of every tree: nodes expanded before
-# ResourceLimitExceeded
-MAX_NODES = 2_000_000
 
 _ONE = {0: 1}
 # delta_P = -(l + l^-1)/m
@@ -213,16 +210,13 @@ class _RDiagram:
         return self._compact(), tuple(self.dirs), self.free_loops
 
     def _rotate(self, k: int, r: int) -> None:
-        """Move the arc on each leg l of crossing k to leg l + r."""
+        """Move the arc on each leg l of crossing k to leg l + r.  No arc
+        runs from k to k: only a reduced state is switched, which has no
+        curl, and an arc between opposite slots has no planar drawing."""
         o = self.o
         q0, q1, q2, q3 = _SLOTS[r]
         b = 4 * k
         t0, t1, t2, t3 = o[b:b + 4]
-        # an arc from k back to k turns at both ends
-        if t0 >> 2 == k or t1 >> 2 == k or t2 >> 2 == k or t3 >> 2 == k:
-            turn = (b + q0, b + q1, b + q2, b + q3)
-            t0, t1, t2, t3 = (turn[t - b] if t >> 2 == k else t
-                              for t in (t0, t1, t2, t3))
         o[b + q0], o[b + q1], o[b + q2], o[b + q3] = t0, t1, t2, t3
         o[t0], o[t1], o[t2], o[t3] = b + q0, b + q1, b + q2, b + q3
 

@@ -204,10 +204,7 @@ def random_decomposition(rng: random.Random, max_crossings: int = 12,
         # close the outer tangle around the inner one: the outer's ends
         # are the complement's ends seen from outside
         td = TangleDecomposition(outer_raw, inner)
-        try:
-            d = td.glue()
-        except ValueError:
-            continue
+        d = td.glue()
         if not require_knot or d.component_count() == 1:
             if d.crossings:
                 return td

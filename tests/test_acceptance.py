@@ -10,7 +10,7 @@ import random
 import pytest
 
 from test_quotients import brute_force_epi_count, evaluate_word
-from knotmut.alexander import alexander_braid, alexander_pd
+from knotmut.alexander import alexander_braid, alexander_pd, h1_double_cover
 from knotmut.bracket import bracket_state_sum, jones, kauffman_bracket
 from knotmut.colored import colored_jones
 from knotmut.diagram import (PlanarDiagram, braid_closure, connected_sum,
@@ -82,8 +82,9 @@ class TestJonesRegression:
 
 
 class TestMutationInvariance:
-    """Criterion 3: V, Alexander, HOMFLY, F, and small colors survive
-    mutation of a two-tangle decomposition along all three axes."""
+    """Criterion 3: V, Alexander, HOMFLY, F, small colors and H1 of the
+    double branched cover survive mutation of a two-tangle decomposition
+    along all three axes."""
 
     def test_polynomials_on_random_decompositions(self):
         rng = random.Random(103)
@@ -91,11 +92,13 @@ class TestMutationInvariance:
             td = random_decomposition(rng, max_crossings=12)
             d = td.glue("base")
             base = (jones(d), alexander_pd(d), homfly(d), kauffman_f(d),
-                    colored_jones(d, 2), colored_jones(d, 3))
+                    colored_jones(d, 2), colored_jones(d, 3),
+                    h1_double_cover(d))
             for axis in AXES:
                 m = mutate(td, axis)
                 got = (jones(m), alexander_pd(m), homfly(m), kauffman_f(m),
-                       colored_jones(m, 2), colored_jones(m, 3))
+                       colored_jones(m, 2), colored_jones(m, 3),
+                       h1_double_cover(m))
                 assert got == base
 
 

@@ -44,6 +44,18 @@ class TestPolynomialCommands:
         assert sorted(doc["polynomial"]["terms"]) == \
             [[-4, 0, -1], [-2, 0, -2], [-2, 2, 1]]
 
+    @pytest.mark.parametrize("argv,variable,terms", [
+        (["jones"], "t", "[[1, 1], [3, 1], [4, -1]]"),
+        (["alexander"], "t", "[[-1, 1], [0, -1], [1, 1]]"),
+        (["cjones", "--color", "3"], "q", "[[-11, 1], [-10, -1], [-9, -1], "
+         "[-8, 1], [-7, -1], [-5, 1], [-2, 1]]"),
+    ], ids=("jones", "alexander", "cjones"))
+    def test_one_variable_json(self, capsys, argv, variable, terms):
+        code, out, _ = run(capsys, "--format", "json", *argv, "trefoil")
+        assert code == 0
+        assert out == ('{"name": "trefoil", "polynomial": {"terms": '
+                       f'{terms}, "variable": "{variable}"}}}}\n')
+
     def test_kauffman(self, capsys):
         code, out, _ = run(capsys, "kauffman", "unknot")
         assert code == 0

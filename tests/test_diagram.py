@@ -166,6 +166,12 @@ class TestKnotSpec:
         assert braid.strands == 2
         assert d.component_count() == 1
 
+    def test_named_braid_spec(self):
+        # a built-in name after `braid:` stands for its braid word
+        name, d, braid = parse_knot_spec("braid: trefoil")
+        assert braid == parse_braid(KNOT_BRAIDS["trefoil"])
+        assert (name, str(d)) == ("", str(named_knot("trefoil")))
+
     def test_pd_spec(self):
         src = braid_closure(parse_braid("2 | 1 1 1"))
         body = " ".join(f"X({a},{b},{c},{e})" for a, b, c, e in src.crossings)
@@ -201,6 +207,19 @@ class TestFaces:
             parse_pd("X(2,1,3,0) X(3,2,0,1)")
         with pytest.raises(ValueError, match="2 faces"):
             parse_knot_spec("pd: X(2,1,3,0) X(3,2,0,1)")
+
+    def test_virtual_tuples_refused_at_construction(self):
+        # a curl whose arc joins opposite legs has no planar drawing
+        with pytest.raises(ValueError, match=r"^the diagram has 1 faces, "
+                           r"where a planar diagram with 1 crossings has 3$"):
+            PlanarDiagram([(0, 1, 0, 1)])
+        # a split diagram is valid, and each of its pieces is checked
+        split = braid_closure(parse_braid("4 | 1 3"))
+        assert len(split.crossings) == 2
+        with pytest.raises(ValueError, match=r"^the diagram has 7 faces, "
+                           r"where a planar diagram with 3 crossings in 3 "
+                           r"pieces has 9$"):
+            PlanarDiagram(split.crossings + ((10, 11, 10, 11),))
 
     def test_split_code_refused(self):
         two = " ".join(f"X({a},{b},{c},{e})" for a, b, c, e in

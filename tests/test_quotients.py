@@ -8,7 +8,7 @@ import pytest
 from conftest import pretzel, random_knot_braid
 from knotmut.diagram import braid_closure, named_knot, parse_braid
 from knotmut.permgroups import (PermGroup, alternating, closure, cyclic,
-                                dihedral, identity, order_reaches, perm_inv,
+                                dihedral, group_order, identity, perm_inv,
                                 perm_mul, psl2, symmetric, builtin_targets)
 from knotmut.presentations import (GroupPresentation,
                                    abelianized_schreier_rows,
@@ -58,11 +58,24 @@ class TestPermGroups:
         gens = [(1, 0, 2), (0, 2, 1)]
         assert len(closure(gens, 3)) == 6
 
+    def test_order_builds_no_closure(self):
+        # the order comes from Schreier-Sims; the element set stays unbuilt
+        for group, order in ((symmetric(7), 5040), (alternating(7), 2520)):
+            assert group.order == order
+            assert group._elements is None
+
+    @pytest.mark.parametrize("group", builtin_targets(5040),
+                             ids=lambda g: g.name)
+    def test_order_is_closure_size(self, group):
+        assert group.order == len(group.elements())
+
     def test_builtin_targets_sorted(self):
         targets = builtin_targets(60)
         orders = [t.order for t in targets]
         assert orders == sorted(orders)
         assert all(o <= 60 for o in orders)
+        assert [t.name for t in builtin_targets(6)] == \
+            ["C2", "C3", "C4", "C5", "C6", "D3", "S3"]
 
     @pytest.mark.parametrize("group", builtin_targets(3000),
                              ids=lambda g: g.name)
@@ -91,15 +104,17 @@ class TestPermGroups:
                         "A": n != 6, "S": n != 6}[kind]
         assert group.automorphisms_induced == expected
 
-    def test_order_reaches_against_closure(self):
+    def test_group_order_against_closure(self):
+        # the early stop of `epimorphisms`' surjectivity test: an order of
+        # at least `enough` is reached exactly when the closure is as large
         rng = random.Random(11)
         for group in (alternating(5), symmetric(5), psl2(7), dihedral(6),
                       alternating(6)):
             for _ in range(25):
                 gens = rng.sample(group.sorted_elements, rng.randint(1, 3))
                 size = len(closure(gens, group.degree))
-                assert order_reaches(gens, group.degree, size)
-                assert not order_reaches(gens, group.degree, size + 1)
+                assert group_order(gens, group.degree, size) >= size
+                assert group_order(gens, group.degree, size + 1) == size
 
     def test_point_key(self):
         a, b = (1, 2, 0, 3), (0, 1, 3, 2)

@@ -14,14 +14,6 @@ def run_script(name, *args):
                           timeout=300)
 
 
-class TestMutationSurvey:
-    def test_small_survey(self):
-        res = run_script("mutation_survey.py", "--samples", "2",
-                         "--colors", "2", "--max-crossings", "6")
-        assert res.returncode == 0, res.stderr
-        assert "done: 2 samples, 0 mismatches" in res.stdout
-
-
 class TestGroupSearchTiming:
     def test_small_searches(self):
         res = run_script("group_search_timing.py", "--targets", "Alt(5)",

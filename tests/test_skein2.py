@@ -13,8 +13,9 @@ from knotmut import skein2
 from knotmut.bracket import DELTA, jones, kauffman_bracket
 from knotmut.budget import Budget
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
-                             UnionFind, braid_closure, connected_sum, mirror,
-                             named_knot, parse_braid, parse_pd)
+                             UnionFind, add_kink, braid_closure,
+                             connected_sum, mirror, named_knot, parse_braid,
+                             parse_pd)
 from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly, parse_poly2
 from knotmut.satellites import cable, whitehead_double
 from knotmut.skein2 import (ResourceLimitExceeded, alexander_from_homfly,
@@ -550,6 +551,15 @@ PRETZEL_SHAPES = {
 }
 
 
+def companion_diagram(companion) -> PlanarDiagram:
+    """A named knot, or a 2-bridge knot by its two tangle vectors."""
+    if isinstance(companion, str):
+        return named_knot(companion)
+    a, b = companion
+    return TangleDecomposition(rational_tangle(list(a)),
+                               rational_tangle(list(b))).glue("2b")
+
+
 def tree_shape(monkeypatch, engine, d, max_nodes):
     """(nodes expanded, memo entries, memo hits) of engine's tree on d,
     finished or stopped by max_nodes."""
@@ -578,14 +588,8 @@ class TestTreeShapes:
 
     @pytest.mark.parametrize("companion", SATELLITE_SHAPES, ids=str)
     def test_satellite_trees(self, monkeypatch, companion):
-        if isinstance(companion, str):
-            d = named_knot(companion)
-            cap = 40_000 if companion in ("trefoil", "figure8") else 2000
-        else:
-            a, b = companion
-            d = TangleDecomposition(rational_tangle(list(a)),
-                                    rational_tangle(list(b))).glue("2b")
-            cap = 2000
+        d = companion_diagram(companion)
+        cap = 40_000 if companion in ("trefoil", "figure8") else 2000
         double = whitehead_double(d, -d.writhe(), 1)
         got = (tree_shape(monkeypatch, homfly, double, cap),
                tree_shape(monkeypatch, homfly, cable(d, 2, -1), cap),
@@ -598,3 +602,49 @@ class TestTreeShapes:
         got = tuple(tree_shape(monkeypatch, engine, d, None)
                     for engine in (homfly, kauffman_f))
         assert got == PRETZEL_SHAPES[p]
+
+
+class TestNoSelfArc:
+    """`_RDiagram._rotate` moves arcs with no case for one that runs from
+    the switched crossing back to itself: every crossing that either tree
+    switches has none."""
+
+    @pytest.fixture
+    def switched(self, monkeypatch) -> list:
+        rotate = skein2._RDiagram._rotate
+        seen = []
+
+        def spy(rd, k, r):
+            assert all(p >> 2 != k for p in rd.o[4 * k:4 * k + 4])
+            seen.append(type(rd))
+            rotate(rd, k, r)
+
+        monkeypatch.setattr(skein2._RDiagram, "_rotate", spy)
+        return seen
+
+    @pytest.mark.parametrize("engine", (homfly, kauffman_f),
+                             ids=("homfly", "kauffman"))
+    def test_random_closures(self, switched, engine):
+        # closures (links too), their mirrors and copies with both kinks
+        rng = random.Random(61)
+        for _ in range(30):
+            d = braid_closure(random_braid(rng, max_strands=5))
+            for e in (d, mirror(d), add_kink(add_kink(d, 1), -1),
+                      add_kink(mirror(d), 1)):
+                try:
+                    engine(e, max_nodes=5000)
+                except ResourceLimitExceeded:
+                    pass
+        assert switched
+
+    @pytest.mark.parametrize("companion", SATELLITE_SHAPES, ids=str)
+    def test_satellites(self, switched, companion):
+        d = companion_diagram(companion)
+        double = whitehead_double(d, -d.writhe(), 1)
+        for e in (double, cable(d, 2, -1)):
+            for engine in (homfly, kauffman_f):
+                try:
+                    engine(e, max_nodes=2000)
+                except ResourceLimitExceeded:
+                    pass
+        assert set(switched) == {skein2._RDiagram, skein2._UDiagram}
