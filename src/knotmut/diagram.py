@@ -421,10 +421,7 @@ def parse_pd(text: str, name: str = "") -> PlanarDiagram:
     free_loops = int(loops[1]) if loops else 0
     if not crossings and not free_loops:
         raise ValueError(f"no crossings found in {text!r}")
-    d = PlanarDiagram(crossings, free_loops, name)
-    if crossings:
-        faces(d.crossings)   # refuses a split code: one connected drawing
-    return relabel(d)
+    return relabel(PlanarDiagram(crossings, free_loops, name))
 
 
 def orient_raw(raw: list[Crossing], free_loops: int = 0,

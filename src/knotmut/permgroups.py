@@ -12,9 +12,14 @@ PSL(2, q) acting on the projective line (q an odd prime); each
 constructor raises ValueError outside the range it builds correctly and
 builds a new group on every call, while `builtin_targets` and `target`
 (by the printed name) build each built-in group once per process.
-`group_order` finds the order of the group that permutations generate
-by Schreier-Sims, without listing the elements; a group's `order` comes
-from it, so reading the order builds no closure.
+`StabilizerChain` is the one Schreier-Sims: a stabilizer chain grown one
+generator at a time, with a membership test by sifting, the product of
+its orbit lengths and a cheap copy.  `group_order` finds the order of
+the group that permutations generate on one chain, without listing the
+elements; a group's `order` comes from it, so reading the order builds
+no closure.  A centralizer's generators and the derived subgroup are
+each collected on one chain, a generator kept only when the chain does
+not hold it.
 
 A group may also carry normalizing permutations: point permutations
 outside it that conjugate it onto itself, so that conjugation by the
@@ -121,9 +126,9 @@ class PermGroup:
 
         The centralizer is the stabilizer of `x` under conjugation by K,
         so the Schreier generators of x's class under K generate it; they
-        are taken in turn, each kept only if it enlarges the group the
-        kept ones generate, until that group has the centralizer's order,
-        |K| over the size of the class.
+        are taken in turn, each kept only if the chain of the kept ones
+        does not hold it, until that chain reaches the centralizer's
+        order, |K| over the size of the class.
         """
         gens = self._conjugating_generators
         e = identity(self.degree)
@@ -141,14 +146,13 @@ class PermGroup:
         schreier = (perm_mul(perm_mul(u, h), trans[conjugate(y, h, h_inv)][1])
                     for y, (u, _) in trans.items() for h, h_inv in gens)
         kept: list[Perm] = []
-        reached = 1
+        chain = StabilizerChain(self.degree)
         for c in schreier:
-            if reached == size:
+            if chain.order() == size:
                 break
-            if c != e and (n := group_order(kept + [c], self.degree,
-                                            size)) > reached:
+            if c not in chain:
                 kept.append(c)
-                reached = n
+                chain.extend(c, size)
         # each generator costs a conjugation per element of an orbit walk
         for c in kept[:-1]:
             rest = [d for d in kept if d is not c]
@@ -189,22 +193,23 @@ class PermGroup:
 
         The derived subgroup G' is the normal closure of the commutators
         of the generators: their conjugates by the generators are added
-        while they enlarge it, each test one Schreier-Sims.
+        to one stabilizer chain while it does not hold them.
         """
         e = identity(self.degree)
         gens = self.generators
         derived = [c for a in gens for b in gens
                    if (c := perm_mul(perm_mul(perm_inv(a), perm_inv(b)),
                                      perm_mul(a, b))) != e]
-        size = group_order(derived, self.degree)
+        chain = StabilizerChain(self.degree)
+        for c in derived:
+            chain.extend(c)
         for c in derived:   # conjugates added here are conjugated in turn
             for g in gens:
                 d = conjugate(c, g, perm_inv(g))
-                n = group_order(derived + [d], self.degree)
-                if n > size:
+                if d not in chain:
                     derived.append(d)
-                    size = n
-        return self.order // size
+                    chain.extend(d)
+        return self.order // chain.order()
 
     @cached_property
     def lane_columns(self) -> tuple[list[int], list[int]] | None:
@@ -245,86 +250,165 @@ def closure(gens: list[Perm], degree: int) -> set[Perm]:
     return seen
 
 
-def group_order(gens: list[Perm], degree: int,
-                enough: float = inf) -> int:
-    """The order of the group generated by `gens`, or, once it is known to
-    be at least `enough`, a lower bound on it that is.
+class StabilizerChain:
+    """A stabilizer chain of the group generated by the permutations it
+    has been extended by, grown one generator at a time (deterministic
+    Schreier-Sims, Holt, Eick and O'Brien, sec. 4.4.2).
 
-    Deterministic Schreier-Sims (Holt, Eick and O'Brien, sec. 4.4.2):
-    level i keeps the generators found so far that fix the first i base
-    points and the orbit of the i-th base point under them, with a
-    transversal.  The product of the orbit lengths never exceeds the
-    group's order, so the search stops as soon as it reaches `enough`.
+    Level i keeps a base point, the generators found so far that fix the
+    base points before it, and the orbit of its base point under them
+    with a transversal: point y -> u with base[i]^u = y.  A new
+    generator grows a level's orbit from the old points under it and
+    from the new points under every generator.  Each Schreier pair
+    (orbit point, generator) of a level is sifted through the levels
+    below it once: a pair's Schreier generator stays fixed, since
+    transversal entries never change, and what sifts to the identity
+    stays in the levels below, which only grow.  A Schreier generator
+    that leaves a residue has it added to the levels it reaches, and the
+    pairs are worked again from the deepest of those levels up.
+    Transversal elements are inverted only when a sift needs them.
+
+    The product of the orbit lengths never exceeds the group's order and
+    equals it once every pair is sifted.  `extend` stops as soon as the
+    product reaches `enough`, leaving the chain incomplete, which a
+    later `extend` finishes; membership is only meaningful on a complete
+    chain.
     """
-    e = identity(degree)
-    base: list[int] = []
-    levels: list[list[Perm]] = []
-    trans: list[dict[int, tuple[Perm, Perm]]] = []   # point -> (u, u^-1)
 
-    def orbit(i: int) -> None:
-        t = trans[i] = {base[i]: (e, e)}
-        queue = [base[i]]
-        for x in queue:
-            u = t[x][0]
-            for g in levels[i]:
-                y = g[x]
-                if y not in t:
-                    v = perm_mul(u, g)
-                    t[y] = (v, perm_inv(v))
-                    queue.append(y)
+    def __init__(self, degree: int):
+        self.degree = degree
+        self._e = identity(degree)
+        self.base: list[int] = []
+        self._gens: list[list[Perm]] = []
+        self._trans: list[dict[int, Perm]] = []
+        self._inv: list[dict[int, Perm]] = []
+        # per level, per orbit point in orbit order: generators sifted
+        self._done: list[list[int]] = []
 
-    def add(h: Perm, lo: int) -> int | None:
-        """Strip `h` through the levels from `lo` on.  Unless that leaves
-        the identity, add the rest to the levels from `lo` to the first
-        whose base point it moves (a new one if it fixes them all), and
-        return that level."""
-        i = lo
-        while i < len(base):
-            step = trans[i].get(h[base[i]])
-            if step is None:
-                break
-            h = perm_mul(h, step[1])
-            i += 1
-        if h == e:
-            return None
-        if i == len(base):
-            base.append(next(x for x, y in enumerate(h) if x != y))
-            levels.append([])
-            trans.append({})
-        for level in range(lo, i + 1):
-            levels[level].append(h)
-            orbit(level)
-        return i
+    def copy(self) -> StabilizerChain:
+        """An independent chain of the same group; the permutations, being
+        tuples, are shared."""
+        c = StabilizerChain(self.degree)
+        c.base = self.base[:]
+        c._gens = [g[:] for g in self._gens]
+        c._trans = [t.copy() for t in self._trans]
+        c._inv = [t.copy() for t in self._inv]
+        c._done = [d[:] for d in self._done]
+        return c
 
-    def size() -> int:
+    def order(self) -> int:
+        """The product of the orbit lengths: the group's order on a
+        complete chain, a lower bound on it otherwise."""
         out = 1
-        for t in trans:
+        for t in self._trans:
             out *= len(t)
         return out
 
-    def add_schreier_generator(i: int) -> int | None:
-        """Add the first Schreier generator of level i that does not strip
-        to the identity, and return the level it went to."""
-        for x, (u, _) in trans[i].items():
-            for g in levels[i]:
-                j = add(perm_mul(perm_mul(u, g), trans[i][g[x]][1]), i + 1)
-                if j is not None:
-                    return j
+    def __contains__(self, g: Perm) -> bool:
+        return self._sift(g, 0)[0] == self._e
+
+    def extend(self, g: Perm, enough: float = inf) -> None:
+        """Add `g` to the generators and complete the chain, or stop once
+        the order reaches `enough`."""
+        h, j = self._sift(g, 0)
+        if h != self._e:
+            self._add(h, 0, j)
+        i = len(self.base) - 1
+        while i >= 0 and self.order() < enough:
+            found = self._schreier_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                h, j = found
+                self._add(h, i + 1, j)
+                i = j
+
+    def _sift(self, h: Perm, lo: int) -> tuple[Perm, int]:
+        """Strip `h` through the levels from `lo` on, up to the first whose
+        orbit misses the image of its base point; the rest and that
+        level (past the last if none)."""
+        base, transversals, inverses = self.base, self._trans, self._inv
+        for i in range(lo, len(base)):
+            b = base[i]
+            y = h[b]
+            if y != b:
+                u_inv = inverses[i].get(y)
+                if u_inv is None:
+                    u = transversals[i].get(y)
+                    if u is None:
+                        return h, i
+                    u_inv = inverses[i][y] = perm_inv(u)
+                h = perm_mul(h, u_inv)
+        return h, len(base)
+
+    def _add(self, h: Perm, lo: int, j: int) -> None:
+        """Add `h`, which fixes the base points before level `j` and moves
+        the one of level j (or every point already a base point, when j
+        is past the last level), to the levels from `lo` to j."""
+        if j == len(self.base):
+            b = next(x for x, y in enumerate(h) if x != y)
+            self.base.append(b)
+            self._gens.append([])
+            self._trans.append({b: self._e})
+            self._inv.append({})
+            self._done.append([0])
+        for gens, trans, done in zip(self._gens[lo:j + 1],
+                                     self._trans[lo:j + 1],
+                                     self._done[lo:j + 1]):
+            gens.append(h)
+            fresh = []
+            for x, u in list(trans.items()):
+                y = h[x]
+                if y not in trans:
+                    trans[y] = perm_mul(u, h)
+                    fresh.append(y)
+            for x in fresh:
+                u = trans[x]
+                for g in gens:
+                    y = g[x]
+                    if y not in trans:
+                        trans[y] = perm_mul(u, g)
+                        fresh.append(y)
+            done.extend([0] * (len(trans) - len(done)))
+
+    def _schreier_residue(self, i: int) -> tuple[Perm, int] | None:
+        """Sift the Schreier pairs of level i not sifted before, until one
+        leaves a residue below it: that residue and the level its sift
+        stopped at, or None once every pair sifts to the identity."""
+        e = self._e
+        gens, trans, inv, done = (self._gens[i], self._trans[i],
+                                  self._inv[i], self._done[i])
+        for k, (x, u) in enumerate(trans.items()):
+            while done[k] < len(gens):
+                g = gens[done[k]]
+                done[k] += 1
+                y = g[x]
+                v = perm_mul(u, g)
+                w = trans[y]
+                if v == w:   # an edge of the orbit's spanning tree
+                    continue
+                w_inv = inv.get(y)
+                if w_inv is None:
+                    w_inv = inv[y] = perm_inv(w)
+                h, j = self._sift(perm_mul(v, w_inv), i + 1)
+                if h != e:
+                    return h, j
         return None
 
+
+def group_order(gens: list[Perm], degree: int,
+                enough: float = inf) -> int:
+    """The order of the group generated by `gens`, or, once it is known to
+    be at least `enough`, a lower bound on it that is: the order of a
+    `StabilizerChain` extended by each generator in turn, stopped as
+    soon as it reaches `enough`.
+    """
+    chain = StabilizerChain(degree)
     for g in gens:
-        if add(g, 0) is not None and size() >= enough:
-            return size()
-    i = len(base) - 1
-    while i >= 0:
-        j = add_schreier_generator(i)
-        if j is None:
-            i -= 1
-        elif size() >= enough:
-            return size()
-        else:
-            i = j
-    return size()
+        chain.extend(g, enough)
+        if chain.order() >= enough:
+            break
+    return chain.order()
 
 
 def _refuse_below(prefix: str, n: int, low: int) -> None:

@@ -38,11 +38,18 @@ and O'Brien, Handbook of Computational Group Theory, 2005, ch. 9):
     point (n^2 k steps for n points and k generators).  Two surjections
     have the same kernel exactly when they differ by an automorphism of
     the target, which for such a target is conjugation by a point
-    permutation, and so exactly when their keys agree.  A key met before
-    is skipped, whether it was accepted or rejected; a new one is tested
-    for surjectivity by a deterministic Schreier-Sims that stops as soon
-    as the product of its basic orbit lengths, a lower bound on the
-    image's order, reaches the target's order.  Any other target (Alt(6),
+    permutation, and so exactly when their keys agree.  The readings
+    start only at the points of one class of the images above the last
+    level (`_key_starts`: equal cycle lengths under each), which
+    conjugation carries onto the class of a conjugate tuple, so the key
+    stays complete.  A key met before is skipped, whether it was
+    accepted or rejected; a new one is tested for surjectivity on a
+    `StabilizerChain`.  The candidates of the last level share the
+    images above it, whose chain is built once, for the first of them
+    to be tested, and stops as soon as the product of its orbit lengths,
+    a lower bound on the order, reaches the target's order: then every
+    new key under it is accepted with no test; otherwise each test
+    extends a copy of it by the last image.  Any other target (Alt(6),
     Sym(6), dihedral groups of even degree) falls back to one
     breadth-first search of the regular action per assignment.
 
@@ -74,7 +81,7 @@ from functools import cached_property
 from .budget import MAX_IMAGES, Budget
 from .diagram import BraidWord, PlanarDiagram
 from .matrices import abelian_invariants
-from .permgroups import Perm, PermGroup, group_order, identity
+from .permgroups import Perm, PermGroup, StabilizerChain, identity
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
                             double_cover_presentation, low_index_subgroups,
                             subgroup_abelianization, tietze_simplify)
@@ -199,16 +206,21 @@ def _live_lanes(alive: int, width: int) -> list[int]:
     return out
 
 
-def _point_key(images: list[Perm], points: range) -> tuple[int, ...] | None:
+def _point_key(images: list[Perm], points: range,
+               starts: list[int] | None = None) -> tuple[int, ...] | None:
     """The least BFS relabelling of the images' action on the points.
 
     Each start point labels the points in breadth-first order along the
     images and reads the action off row by row; the key is the least of
     these readings, so two tuples of images share it exactly when they
     are conjugate in Sym(n).  None when the action is not transitive.
+    The readings start at every point, or only at `starts` when given:
+    the key stays complete as long as conjugating the images by a point
+    permutation carries the starts onto those chosen for the conjugate
+    tuple, as for `_key_starts` of the same leading images.
     """
     best = None
-    for start in points:
+    for start in points if starts is None else starts:
         label = [-1] * len(points)
         label[start] = 0
         order = [start]
@@ -226,6 +238,33 @@ def _point_key(images: list[Perm], points: range) -> tuple[int, ...] | None:
         if best is None or key < best:
             best = key
     return best
+
+
+def _key_starts(images: list[Perm], points: range) -> list[int]:
+    """Of the classes of points with the same cycle length under each of
+    `images`, the one with fewest points, the least lengths among ties.
+
+    Conjugating the images by a point permutation carries each class
+    onto the class of the same lengths, so it carries this one onto the
+    conjugate tuple's.
+    """
+    lengths: list[tuple[int, ...]] = [()] * len(points)
+    for p in images:
+        cycle_length = [0] * len(points)
+        for x in points:
+            if not cycle_length[x]:
+                cycle = [x]
+                y = p[x]
+                while y != x:
+                    cycle.append(y)
+                    y = p[y]
+                for y in cycle:
+                    cycle_length[y] = len(cycle)
+        lengths = [t + (c,) for t, c in zip(lengths, cycle_length)]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for x in points:
+        classes.setdefault(lengths[x], []).append(x)
+    return min(classes.items(), key=lambda c: (len(c[1]), c[0]))[1]
 
 
 def _regular_table(images: list[Perm], e: Perm) -> tuple[tuple[int, ...], ...]:
@@ -308,6 +347,11 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     slots: list[Perm] = [e] * (2 * ngens)
     rejected: set[tuple] = set()
     keyed = group.automorphisms_induced
+    # the images above the last level are shared by its candidates: the
+    # start points of their keys and the chain of the group they
+    # generate are found for the first leaf under them that needs them
+    prefix_starts: list[int] | None = None
+    prefix_chain: StabilizerChain | None = None
 
     def choices(k: int) -> list[Perm]:
         # images up to simultaneous conjugation by the target and its
@@ -319,6 +363,7 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
         return elems
 
     def assign(k: int) -> None:
+        nonlocal prefix_starts, prefix_chain
         if k == ngens:
             images = slots[0::2]
             if not keyed:
@@ -326,14 +371,26 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
                 if len(table) == group.order and table not in found:
                     found[table] = [slots[s] for s in image_slots]
                 return
-            key = _point_key(images, points)
+            if prefix_starts is None:
+                prefix_starts = _key_starts(images[:-1], points)
+            key = _point_key(images, points, prefix_starts)
             if key is None or key in found or key in rejected:
                 return
-            if group_order(images, group.degree, group.order) >= group.order:
+            if prefix_chain is None:
+                prefix_chain = StabilizerChain(group.degree)
+                for p in images[:-1]:
+                    prefix_chain.extend(p, group.order)
+            chain = prefix_chain
+            if chain.order() < group.order:
+                chain = chain.copy()
+                chain.extend(images[-1], group.order)
+            if chain.order() >= group.order:
                 found[key] = [slots[s] for s in image_slots]
             else:
                 rejected.add(key)
             return
+        if k == ngens - 1:
+            prefix_starts = prefix_chain = None
         rels = checks[k]
         lane_plans = plans[k]
         if lane_plans:

@@ -221,17 +221,26 @@ class TestFaces:
                            r"pieces has 9$"):
             PlanarDiagram(split.crossings + ((10, 11, 10, 11),))
 
-    def test_split_code_refused(self):
+    def test_split_code_round_trips(self):
         two = " ".join(f"X({a},{b},{c},{e})" for a, b, c, e in
                        connected_sum(named_knot("trefoil"),
                                      named_knot("figure8")).crossings)
         parse_pd(two)
+        # a split link that knotmut builds reads back from its printed code
+        split = braid_closure(parse_braid("4 | 1 3"))
+        back = parse_pd(str(split))
+        assert (back.crossings, back.positive, back.component_count()) == \
+            (split.crossings, split.positive, 2)
         hopf = named_knot("hopf_plus").crossings
-        split = " ".join(f"X({a + s},{b + s},{c + s},{e + s})"
-                         for s in (0, 10) for a, b, c, e in hopf)
-        # two Hopf diagrams side by side: each walk finds its own outer face
-        with pytest.raises(ValueError, match="^the diagram has 8 faces"):
-            parse_pd(split)
+        side_by_side = " ".join(f"X({a + s},{b + s},{c + s},{e + s})"
+                                for s in (0, 10) for a, b, c, e in hopf)
+        # two Hopf diagrams side by side: each piece is checked on its own
+        assert parse_pd(side_by_side).component_count() == 4
+        with pytest.raises(ValueError, match=r"^the diagram has 5 faces, "
+                           r"where a planar diagram with 3 crossings in 2 "
+                           r"pieces has 7$"):
+            parse_pd(" ".join(f"X({a},{b},{c},{e})" for a, b, c, e in hopf)
+                     + " X(10,11,10,11)")
 
 
 class TestOrientationContract:

@@ -1,5 +1,6 @@
 """Permutation groups and epimorphism search onto finite targets."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,9 +8,10 @@ import pytest
 
 from conftest import pretzel, random_knot_braid
 from knotmut.diagram import braid_closure, named_knot, parse_braid
-from knotmut.permgroups import (PermGroup, alternating, closure, cyclic,
-                                dihedral, group_order, identity, perm_inv,
-                                perm_mul, psl2, symmetric, builtin_targets)
+from knotmut.permgroups import (PermGroup, StabilizerChain, alternating,
+                                closure, cyclic, dihedral, group_order,
+                                identity, perm_inv, perm_mul, psl2, symmetric,
+                                builtin_targets, target)
 from knotmut.presentations import (GroupPresentation,
                                    abelianized_schreier_rows,
                                    branched_cover_from_meridians,
@@ -17,8 +19,8 @@ from knotmut.presentations import (GroupPresentation,
                                    low_index_subgroups, reidemeister_schreier,
                                    subgroup_abelianization, tietze_simplify)
 from knotmut import quotients
-from knotmut.quotients import (_holds, _point_key, _regular_table,
-                               _search_order, epimorphisms,
+from knotmut.quotients import (_holds, _key_starts, _point_key,
+                               _regular_table, _search_order, epimorphisms,
                                kernel_abelianization)
 from knotmut.skein2 import ResourceLimitExceeded
 
@@ -116,6 +118,42 @@ class TestPermGroups:
                 assert group_order(gens, group.degree, size) >= size
                 assert group_order(gens, group.degree, size + 1) == size
 
+    @pytest.mark.parametrize("group", builtin_targets(2520),
+                             ids=lambda g: g.name)
+    def test_chain_against_closure(self, group):
+        # generators of the group and of two of its point stabilizers,
+        # added one at a time: after each, the order and membership are
+        # those of the closure, and a chain stopped at `enough` reaches it
+        # and is finished by the next generator
+        rng = random.Random(group.order)
+        elems = group.sorted_elements
+        pools = [elems, [p for p in elems if p[0] == 0],
+                 [p for p in elems if p[:2] == (0, 1)]]
+        for pool in pools:
+            for _ in range(3):
+                gens = rng.choices(pool, k=rng.randint(1, 4))
+                chain = StabilizerChain(group.degree)
+                stopped = StabilizerChain(group.degree)
+                for i, g in enumerate(gens):
+                    before = chain.copy()
+                    chain.extend(g)
+                    reached = closure(gens[:i + 1], group.degree)
+                    size = len(reached)
+                    assert chain.order() == size
+                    assert before.order() == len(closure(gens[:i],
+                                                         group.degree))
+                    for p in rng.sample(elems, min(len(elems), 40)):
+                        assert (p in chain) == (p in reached)
+                    assert group_order(gens[:i + 1], group.degree,
+                                       size) >= size
+                    assert group_order(gens[:i + 1], group.degree,
+                                       size + 1) == size
+                    stopped.extend(g, 2)
+                    assert stopped.order() >= min(2, size)
+                finished = stopped.copy()
+                finished.extend(identity(group.degree))
+                assert finished.order() == chain.order()
+
     def test_point_key(self):
         a, b = (1, 2, 0, 3), (0, 1, 3, 2)
         t = (2, 1, 0, 3)   # a tuple conjugated by t shares the key
@@ -123,6 +161,27 @@ class TestPermGroups:
             [perm_mul(perm_mul(t, p), t) for p in (a, b)], range(4))
         assert _point_key([a, b], range(4)) != _point_key([b, a], range(4))
         assert _point_key([a], range(4)) is None   # not transitive
+
+    @pytest.mark.parametrize("group", [alternating(5), psl2(7), psl2(11)],
+                             ids=lambda g: g.name)
+    def test_point_key_from_starts(self, group):
+        # keys read only from `_key_starts` of the leading images are
+        # shared by conjugate tuples and by no others
+        rng = random.Random(3)
+        points = range(group.degree)
+        keys: dict[tuple, tuple] = {}
+        for _ in range(300):
+            images = rng.choices(group.sorted_elements, k=3)
+            t = tuple(rng.sample(points, group.degree))
+            conjugated = [perm_mul(perm_mul(perm_inv(t), p), t)
+                          for p in images]
+            short = _point_key(images, points, _key_starts(images[:-1], points))
+            assert short == _point_key(conjugated, points, _key_starts(
+                conjugated[:-1], points))
+            full = _point_key(images, points)
+            assert (short is None) == (full is None)
+            assert keys.setdefault(full, short) == short
+        assert len(set(keys.values())) == len(keys)
 
     @pytest.mark.parametrize("group", [alternating(5), symmetric(5), psl2(7),
                                        alternating(7)],
@@ -675,6 +734,26 @@ class TestMutantCovers:
             assert sorted(_point_key(h, points) for h in keyed) == \
                 sorted(_point_key(h, points) for h in tabled)
             assert len({_point_key(h, points) for h in keyed}) == len(keyed)
+
+    # digests of the ordered lists of homs `epimorphisms` returns, taken
+    # while each candidate had its own Schreier-Sims and its key read from
+    # every point: a cheaper acceptance must not move the search's order
+    # or its decisions
+    FROZEN_SEARCHES = {
+        "Alt(5)": (12, ["cb4a673619e05210", "8bb1a025bbdd35cf"]),
+        "PSL(2,7)": (60, ["99988857d17cb00c", "0cfea62aa8fdcf22"]),
+        "Alt(7)": (145, ["464a1477603addc3", "fdb8bd3f51517687"]),
+        "PSL(2,11)": (50, ["340754467cfef943", "5d3b52e08ceb57a1"]),
+    }
+
+    @pytest.mark.parametrize("name", FROZEN_SEARCHES)
+    def test_frozen_search_output(self, covers, name):
+        count, digests = self.FROZEN_SEARCHES[name]
+        group = target(name)
+        homs = [epimorphisms(c, group, simplify=False) for c in covers]
+        assert [len(h) for h in homs] == [count, count]
+        assert [hashlib.sha256(repr(h).encode()).hexdigest()[:16]
+                for h in homs] == digests
 
     def test_images_outside_target(self, covers):
         # conjugating by the point swap (0 1), which is not in PGL(2,7),
