@@ -8,17 +8,23 @@ relator letters before and after Tietze and the seconds Tietze took.
 For each target it prints the number of epimorphisms up to target
 automorphisms and the seconds of two searches: the first, which also
 builds the target's tables (its conjugation orbit representatives), and
-a warm second one that reuses them.  Then it prints the number of
-conjugacy classes of subgroups of index at most `--index` and the
-seconds of that search.
+a warm second one that reuses them.  With `--kernels` it also prints,
+for each target, the number of kernels, the seconds of all their
+`kernel_abelianization` calls and a digest (the first 16 hex digits of
+the SHA-256 of the sorted invariants' repr), which is equal exactly
+when the invariants are.  Then it prints the number of conjugacy
+classes of subgroups of index at most `--index` and the seconds of that
+search.
 With `--budget-seconds` it also runs the index-6 search under that time
 budget and prints its result or how far it got.
 
     python3 scripts/group_search_timing.py
     python3 scripts/group_search_timing.py --targets "Alt(5)" --index 3
+    python3 scripts/group_search_timing.py --targets "Alt(7)" --kernels
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import time
@@ -30,7 +36,7 @@ from knotmut.permgroups import target
 from knotmut.presentations import (branched_cover_from_meridians,
                                    low_index_subgroups, tietze_simplify,
                                    wirtinger_presentation)
-from knotmut.quotients import epimorphisms
+from knotmut.quotients import epimorphisms, kernel_abelianization
 from knotmut.tangles import (TangleDecomposition, mutate, rational_tangle,
                              tangle_sum)
 
@@ -58,6 +64,8 @@ def main() -> int:
                          "quotients --target`")
     ap.add_argument("--index", type=int, default=5,
                     help="largest subgroup index of the low-index search")
+    ap.add_argument("--kernels", action="store_true",
+                    help="also time the kernels' abelian invariants")
     ap.add_argument("--budget-seconds", type=float, default=None,
                     help="also run the index-6 search within this budget")
     args = ap.parse_args()
@@ -76,6 +84,12 @@ def main() -> int:
         _, warm = timed(lambda: epimorphisms(pres, group, simplify=False))
         print(f"epimorphisms onto {name}: {len(homs)} kernels, "
               f"{first:.3f} s first, {warm:.3f} s warm")
+        if args.kernels:
+            invs, s = timed(lambda: [kernel_abelianization(pres, h, group)
+                                     for h in homs])
+            digest = hashlib.sha256(repr(sorted(invs)).encode()).hexdigest()
+            print(f"kernels onto {name}: {len(invs)} kernels, {s:.3f} s, "
+                  f"digest {digest[:16]}")
     tables, s = timed(lambda: low_index_subgroups(pres, args.index))
     print(f"low-index to {args.index}: {len(tables)} classes, {s:.2f} s")
     if args.budget_seconds is not None:

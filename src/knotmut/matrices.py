@@ -6,16 +6,17 @@ with +-1 pivots only: no coefficient division, and on
 Reidemeister-Schreier relation matrices it removes almost everything.
 A column -> live-rows index means that clearing a pivot's column visits
 only the rows that hold it, once each, and the pivot entry leaves each
-of them before its update.  The pivot comes from the shortest live row
-with a unit entry, in that row's unit column with the fewest live rows,
-the first among ties; a row is looked at again only once an elimination
-changes it.  Phase 2 is a dense gcd-based reduction of what remains.
+of them before its update.  Rows wait in a bucket queue indexed by
+length.  The pivot comes from the shortest live row with a unit entry,
+the one queued last among rows of equal length, in that row's unit
+column with the fewest live rows, the first among ties; a row is looked
+at again only once an elimination changes it.  Phase 2 is a dense
+gcd-based reduction of what remains.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from heapq import heapify, heappop, heappush
 
 
 def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
@@ -31,20 +32,32 @@ def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     sparse: list[dict[int, int] | None] = []
     col_rows: defaultdict[int, set[int]] = defaultdict(set)
     for r in rows:
-        row = {j: v for j, v in r.items() if v}
+        row = dict(r)
+        if 0 in row.values():
+            row = {j: v for j, v in row.items() if v}
         if row:
             for j in row:
                 col_rows[j].add(len(sparse))
             sparse.append(row)
 
-    # phase 1: eliminate with unit pivots only.  The heap holds (length,
-    # row) for every row as built and as each elimination leaves it; an
-    # entry whose row has since been used or changed length is skipped.
+    # phase 1: eliminate with unit pivots only.  buckets[n] holds every
+    # row queued at length n, as built and as each elimination leaves it;
+    # fill-in only reaches columns already in use, so no row outgrows
+    # them.  The shortest non-empty bucket is read from its end, so the
+    # row queued last goes first, and an entry whose row has since been
+    # used or changed length is skipped.  An update that shortens a row
+    # below the bucket being read steps the reading back to it.
     units = 0
-    heap = [(len(r), i) for i, r in enumerate(sparse)]
-    heapify(heap)
-    while heap:
-        n, pi = heappop(heap)
+    buckets: list[list[int]] = [[] for _ in range(len(col_rows) + 1)]
+    for i, r in enumerate(sparse):
+        buckets[len(r)].append(i)
+    n = 1
+    while n < len(buckets):
+        bucket = buckets[n]
+        if not bucket:
+            n += 1
+            continue
+        pi = bucket.pop()
         pr = sparse[pi]
         if pr is None or len(pr) != n:
             continue
@@ -78,8 +91,11 @@ def smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
                 else:
                     del r[j]
                     js.discard(i)
-            if r:
-                heappush(heap, (len(r), i))
+            k = len(r)
+            if k:
+                buckets[k].append(i)
+                if k < n:
+                    n = k
             else:
                 sparse[i] = None
     diag = [1] * units

@@ -139,9 +139,12 @@ def _schreier_steps(g: GroupPresentation, table) -> tuple[list, int]:
                 order.append(d)
     if len(order) != n:
         raise ValueError("coset table is not transitive")
-    backs = [sorted(range(n), key=p.__getitem__) for p in perms]
-    steps = [((cols, p, 1), ([cols[b] for b in back], back, -1))
-             for cols, p, back in zip(col, perms, backs)]
+    steps = []
+    for cols, p in zip(col, perms):
+        back = [0] * n
+        for c, d in enumerate(p):
+            back[d] = c
+        steps.append(((cols, p, 1), ([cols[b] for b in back], back, -1)))
     return steps, nsg
 
 

@@ -80,6 +80,7 @@ from functools import cached_property
 
 from .budget import MAX_IMAGES, Budget
 from .diagram import BraidWord, PlanarDiagram
+from .frontier import getter
 from .matrices import abelian_invariants
 from .permgroups import Perm, PermGroup, StabilizerChain, identity
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
@@ -283,8 +284,8 @@ def _regular_table(images: list[Perm], e: Perm) -> tuple[tuple[int, ...], ...]:
     rows = []
     for h in order:
         row = []
-        for p in images:
-            q = tuple(map(p.__getitem__, h))
+        compose = getter(h)  # p -> the tuple of p[h[x]]
+        for q in map(compose, images):
             i = label.get(q)
             if i is None:
                 i = label[q] = len(order)

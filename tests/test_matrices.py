@@ -124,11 +124,23 @@ class TestSmithDiagonal:
     # [[1, 1], [2, 3]]: the second row gains a unit only once the first
     # is eliminated; [[1, 1, 0], [1, -1, 0], [0, 0, 2]] leaves a non-unit
     # remainder for the dense phase; [[1, 1, 1], [1, 2, 2], [2, 1, 3]]
-    # fills in entries that were zero
+    # fills in entries that were zero.  The pivot queue's edge cases:
+    # in [[1, 1, 1, 0, 0], [1, 0, 0, 2, 2], [0, 2, 0, 0, 4]] the first
+    # row grows to length 4, longer than every row as built; in
+    # [[1, 2, 1, 0], [0, 3, 0, 2], [1, 2, 1, 1]], read at length 3, the
+    # last row drops to its unit entry at length 1 and the queue steps
+    # back to take it; in [[1, 2, 0], [-1, -2, 0], [0, 2, 4]] the second
+    # row cancels to empty; [[2, 2, 3], [3, -2, 2], [0, 2, 4]] has no
+    # unit entry, so the dense phase alone runs, and its diagonal still
+    # opens with 1s
     @given(unit_heavy_matrices())
     @example([[1, 1], [2, 3]])
     @example([[1, 1, 0], [1, -1, 0], [0, 0, 2]])
     @example([[1, 1, 1], [1, 2, 2], [2, 1, 3]])
+    @example([[1, 1, 1, 0, 0], [1, 0, 0, 2, 2], [0, 2, 0, 0, 4]])
+    @example([[1, 2, 1, 0], [0, 3, 0, 2], [1, 2, 1, 1]])
+    @example([[1, 2, 0], [-1, -2, 0], [0, 2, 4]])
+    @example([[2, 2, 3], [3, -2, 2], [0, 2, 4]])
     @settings(max_examples=150, deadline=None)
     def test_determinantal_divisors(self, m):
         assert smith_diagonal(sparse(m)) == determinantal_diagonal(m)

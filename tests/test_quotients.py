@@ -345,9 +345,15 @@ class TestEpimorphisms:
         cyclic(1), alternating(1), alternating(2), symmetric(1)],
         ids=lambda grp: grp.name)
     def test_trivial_targets(self, group):
-        # every group has exactly one kernel onto the trivial group
-        for g in (GroupPresentation(1, ((1, 1, 1),)), GroupPresentation(2, ())):
-            assert len(epimorphisms(g, group, simplify=False)) == 1
+        # every group has exactly one kernel onto the trivial group, the
+        # group itself; on one point the regular table composes through
+        # a one-position getter
+        for g in (GroupPresentation(1, ((1, 1, 1),)), GroupPresentation(2, ()),
+                  double_cover_presentation(pretzel(3, 3, -2, -3))):
+            homs = epimorphisms(g, group, simplify=False)
+            assert len(homs) == 1
+            assert kernel_abelianization(g, homs[0], group) == \
+                g.abelian_invariants()
 
     def test_trivial_cover_group(self):
         # the unknot's double branched cover is S^3: the trivial group,

@@ -27,6 +27,15 @@ class TestGroupSearchTiming:
                          res.stdout, re.M), res.stdout
         assert "low-index to 3: 5 classes" in res.stdout
 
+    def test_kernels(self):
+        res = run_script("group_search_timing.py", "--targets", "Alt(5)",
+                         "--kernels", "--index", "2")
+        assert res.returncode == 0, res.stderr
+        # the digest pins the sorted invariants of the 12 kernels
+        assert re.search(r"^kernels onto Alt\(5\): 12 kernels, \d+\.\d{3} s, "
+                         r"digest b963c57e0f04ee0a$", res.stdout, re.M), \
+            res.stdout
+
 
 class TestSkeinTiming:
     def test_one_companion(self):
