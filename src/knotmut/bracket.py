@@ -20,8 +20,9 @@ partners of those positions.
 from __future__ import annotations
 
 from functools import cache
+from math import comb
 
-from .diagram import PlanarDiagram, UnionFind
+from .diagram import PlanarDiagram, _other_ends
 from .frontier import contract, fits, getter, plan
 from .laurent import LaurentPoly
 
@@ -141,51 +142,36 @@ def _step(entry: tuple, states: dict[tuple, int], width: int):
 def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:
     """Independent 2^c state-sum bracket for cross-checking.
 
-    Enumerates all smoothing states, counts loops with union-find, and
-    sums A^(a-b) delta^loops.
+    Enumerates all smoothing states.  State `mask` joins legs 0-3 and
+    1-2 of crossing i when bit i is set, else legs 0-1 and 2-3, so a
+    position p = 4i + leg crosses to p ^ 3 or p ^ 1; its loops are
+    walked alternately across crossings and along the arcs of the
+    `_other_ends` table.  The states are binned by (A-exponent, loops),
+    and each bin adds A^e delta^loops, expanded by the binomial theorem.
     """
-    crossings = list(d.crossings)
-    n = len(crossings)
-    total = LaurentPoly.zero("A")
+    other = _other_ends(d.crossings)
+    n = len(d.crossings)
+    bins: dict[tuple[int, int], int] = {}
     for mask in range(1 << n):
-        uf = UnionFind()
-        ends = []
-        seen: dict[int, int] = {}
-        for x in crossings:
-            toks = []
-            for a in x:
-                k = seen.get(a, 0)
-                seen[a] = k + 1
-                toks.append((a, k))
-            ends.append(toks)
-        # arc interiors connect endpoint 0 to endpoint 1
-        for a, cnt in seen.items():
-            if cnt == 2:
-                uf.union((a, 0), (a, 1))
-            elif cnt != 2:
-                raise ValueError(f"arc {a} has {cnt} endpoints")
-        apow = 0
-        for i in range(n):
-            toks = ends[i]
-            if mask & (1 << i):
-                apow -= 1
-                uf.union(toks[0], toks[3])
-                uf.union(toks[1], toks[2])
-            else:
-                apow += 1
-                uf.union(toks[0], toks[1])
-                uf.union(toks[2], toks[3])
-        roots = {uf.find(t) for toks in ends for t in toks}
-        loops = len(roots)
-        term = LaurentPoly.monomial("A", apow)
-        for _ in range(loops):
-            term = term * DELTA
-        total = total + term
-    if n == 0:
-        total = LaurentPoly.one("A")
-    for _ in range(d.free_loops):
-        total = total * DELTA
-    return total
+        seen = [False] * (4 * n)
+        loops = d.free_loops
+        for start in range(4 * n):
+            if not seen[start]:
+                loops += 1
+                p = start
+                while not seen[p]:
+                    q = p ^ (3 if mask >> (p >> 2) & 1 else 1)
+                    seen[p] = seen[q] = True
+                    p = other[q]
+        key = (n - 2 * mask.bit_count(), loops)
+        bins[key] = bins.get(key, 0) + 1
+    coeffs: dict[int, int] = {}
+    for (e, k), count in bins.items():
+        # delta^k = (-1)^k sum_j C(k, j) A^(4j - 2k)
+        for j in range(k + 1):
+            a = e + 4 * j - 2 * k
+            coeffs[a] = coeffs.get(a, 0) + (-1) ** k * comb(k, j) * count
+    return LaurentPoly("A", coeffs)
 
 
 def jones(d: PlanarDiagram, budget_seconds: float | None = None) -> LaurentPoly:

@@ -217,8 +217,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "mutate":
         inner = rational_tangle([int(x) for x in args.inner.split(",")])
-        outer = rational_tangle([int(x) for x in args.outer.split(",")],
-                                start=1000)
+        outer = rational_tangle([int(x) for x in args.outer.split(",")])
         td = TangleDecomposition(outer, inner)
         original = td.glue("original")
         mutant = mutate(td, args.axis)

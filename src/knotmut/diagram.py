@@ -31,7 +31,9 @@ passes under everywhere.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 Crossing = tuple[int, int, int, int]
@@ -105,15 +107,18 @@ class UnionFind(dict):
 def _other_ends(crossings) -> list[int]:
     """The position 4 * crossing + leg of the other end of each position's
     arc; ValueError on an arc that does not occur exactly twice."""
-    other = [0] * (4 * len(crossings))
-    ends: dict[int, list[int]] = {}
-    for i, x in enumerate(crossings):
-        for leg, a in enumerate(x):
-            ends.setdefault(a, []).append(4 * i + leg)
-    for a, ps in ends.items():
-        if len(ps) != 2:
-            raise ValueError(f"arc {a} appears {len(ps)} times, expected 2")
-        other[ps[0]], other[ps[1]] = ps[1], ps[0]
+    other = [-1] * (4 * len(crossings))
+    first: dict[int, int] = {}
+    for p, a in enumerate(chain.from_iterable(crossings)):
+        q = first.setdefault(a, p)
+        if q != p:
+            other[p], other[q] = q, p
+    # an arc met once leaves a -1; without one, every arc has at least two
+    # ends, so two per distinct arc means exactly two each
+    if -1 in other or 2 * len(first) != len(other):
+        for a, count in Counter(chain.from_iterable(crossings)).items():
+            if count != 2:
+                raise ValueError(f"arc {a} has {count} endpoints, expected 2")
     return other
 
 
@@ -328,7 +333,7 @@ def _carry(crossings, source: PlanarDiagram, name: str,
 
     Only for maps that take a valid oriented diagram to a valid one, and
     that keep the direction of a component the tuples leave free:
-    renaming arcs, and mirroring with every sign flipped.
+    copying, renaming arcs, and mirroring with every sign flipped.
     """
     d = object.__new__(PlanarDiagram)
     d.__dict__.update(crossings=tuple(crossings), free_loops=source.free_loops,

@@ -38,13 +38,12 @@ class _Laurent:
     term.  A subclass supplies `__mul__`.
     """
 
-    __slots__ = ("_tag", "coeffs", "_hash")
+    __slots__ = ("_tag", "coeffs")
     _CONST = 0
 
     def __init__(self, tag, coeffs: Mapping | None):
         self._tag = tag
         self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0}
-        self._hash = None
 
     def _like(self, coeffs: Mapping) -> "_Laurent":
         """A polynomial of this class and tag with the given coefficients."""
@@ -78,9 +77,7 @@ class _Laurent:
         return self._tag == other._tag and self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._tag, tuple(sorted(self.coeffs.items()))))
-        return self._hash
+        return hash((self._tag, tuple(sorted(self.coeffs.items()))))
 
     # -- ring operations ----------------------------------------------
 

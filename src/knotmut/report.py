@@ -25,7 +25,7 @@ from .quotients import Cover
 from .skein2 import homfly, homfly_2cable, kauffman_f, p_whitehead_plus
 
 DONE = "done"
-SKIPPED = "skipped"
+SKIPPED = "skipped"           # every item of a link; an engine error raises
 LIMITED = "resource-limited"
 
 VERDICT_EXCLUDED = "mutation excluded"
@@ -107,8 +107,6 @@ def compute_report(name: str, d: PlanarDiagram,
                 item = ReportItem(key, DONE, fn())
             except ResourceLimitExceeded as exc:
                 item = ReportItem(key, LIMITED, detail=str(exc))
-            except (ArithmeticError, ValueError) as exc:
-                item = ReportItem(key, SKIPPED, detail=str(exc))
         item.elapsed = perf_counter() - start
         report.items[key] = item
 

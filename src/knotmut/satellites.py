@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 
 from .diagram import (BraidWord, Crossing, PlanarDiagram, _braid_crossings,
-                      _reroute_heads, braid_closure, orient_raw, relabel)
+                      _carry, _reroute_heads, braid_closure, orient_raw,
+                      relabel)
 
 
 def _half_twists(n: int, t: int) -> tuple[int, ...]:
@@ -28,7 +29,7 @@ def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
-        return d
+        return _carry(d.crossings, d, d.name, d.positive)
     word = _half_twists(n, extra_half_twists)
     name = f"{d.name}-cable{n}" if d.name else ""
     if not d.crossings:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .diagram import Crossing, PlanarDiagram, UnionFind, orient_raw, relabel
+from .diagram import (Crossing, PlanarDiagram, UnionFind, _other_ends,
+                      orient_raw, relabel)
 
 CORNERS = ("NW", "NE", "SW", "SE")
 
@@ -47,15 +48,9 @@ class Tangle:
     def __post_init__(self):
         if set(self.boundary) != set(CORNERS):
             raise ValueError("boundary must label exactly NW, NE, SW, SE")
-        counts: dict[int, int] = {}
-        for x in self.crossings:
-            for a in x:
-                counts[a] = counts.get(a, 0) + 1
-        for corner in CORNERS:
-            counts[self.boundary[corner]] = counts.get(self.boundary[corner], 0) + 1
-        for a, c in counts.items():
-            if c != 2:
-                raise ValueError(f"arc {a} has {c} endpoints, expected 2")
+        # the four boundary ends count as the legs of one more crossing
+        _other_ends((*self.crossings,
+                     tuple(self.boundary[c] for c in CORNERS)))
 
     @property
     def arcs(self) -> set[int]:
@@ -124,14 +119,14 @@ def mutate(td: TangleDecomposition, axis: str) -> PlanarDiagram:
 # -- generators for property tests --------------------------------------
 
 
-def rational_tangle(twists: list[int], start: int = 0) -> Tangle:
+def rational_tangle(twists: list[int]) -> Tangle:
     """Build a tangle from an alternating twist sequence.
 
     Entries act alternately on the bottom pair (SW, SE) and the right
     pair (NE, SE) of ends, |k| crossings each, sign giving the diagonal
     choice.  Starts from the 0-tangle (two horizontal strings).
     """
-    nxt = start
+    nxt = 0
 
     def fresh() -> int:
         nonlocal nxt
@@ -200,7 +195,7 @@ def random_decomposition(rng: random.Random, max_crossings: int = 12,
                                rational_tangle(rand_twists(n_inner - a)))
         else:
             inner = rational_tangle(rand_twists(n_inner))
-        outer_raw = rational_tangle(rand_twists(n_outer), start=1000)
+        outer_raw = rational_tangle(rand_twists(n_outer))
         # close the outer tangle around the inner one: the outer's ends
         # are the complement's ends seen from outside
         td = TangleDecomposition(outer_raw, inner)

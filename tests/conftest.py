@@ -70,11 +70,17 @@ def vertical_twist(n):
     return rational_tangle([0, 1, n - 1] if n > 0 else [0, -1, n + 1])
 
 
-def pretzel(p1, p2, p3, p4):
-    """The pretzel knot P(p1, p2, p3, p4), glued from two tangle sums."""
+def pretzel_decomposition(p1, p2, p3, p4) -> TangleDecomposition:
+    """P(p1, p2, p3, p4) as two tangle sums, the inner one P(p3, p4)."""
     outer = tangle_sum(vertical_twist(p1), vertical_twist(p2))
     inner = tangle_sum(vertical_twist(p3), vertical_twist(p4))
-    return TangleDecomposition(outer, inner).glue(f"P({p1},{p2},{p3},{p4})")
+    return TangleDecomposition(outer, inner)
+
+
+def pretzel(p1, p2, p3, p4):
+    """The pretzel knot P(p1, p2, p3, p4), glued from two tangle sums."""
+    return pretzel_decomposition(p1, p2, p3, p4).glue(
+        f"P({p1},{p2},{p3},{p4})")
 
 
 def lowest_digit_spy(monkeypatch, module) -> list[bool]:

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (lowest_digit_spy, pretzel, random_braid,
-                      random_knot_diagram)
+from conftest import (lowest_digit_spy, pretzel, pretzel_decomposition,
+                      random_braid, random_knot_diagram)
 from knotmut import bracket
 from knotmut.bracket import DELTA, bracket_state_sum, jones, kauffman_bracket
 from knotmut.budget import ResourceLimitExceeded
@@ -15,6 +15,7 @@ from knotmut.diagram import (BraidWord, PlanarDiagram, add_kink, braid_closure,
 from knotmut.frontier import contraction_order
 from knotmut.laurent import LaurentPoly, parse_poly
 from knotmut.satellites import cable
+from knotmut.tangles import mutate
 from test_skein2 import MUTANT_SLATE
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
@@ -53,6 +54,20 @@ class TestBracket:
     @pytest.mark.parametrize("twists", (-1, 0, 1))
     def test_state_sum_on_cable(self, twists):
         d = cable(named_knot("trefoil"), 2, twists)
+        assert kauffman_bracket(d) == bracket_state_sum(d)
+
+    @pytest.mark.parametrize("p", ((3, 3, -2, -3), (5, 3, -2, -3)), ids=str)
+    def test_state_sum_on_pretzel_mutants(self, p):
+        td = pretzel_decomposition(*p)
+        for d in (td.glue(), mutate(td, "vertical")):
+            assert kauffman_bracket(d) == bracket_state_sum(d)
+
+    def test_state_sum_with_kinks_and_free_loops(self):
+        # each kink's arc runs between two legs of its one crossing
+        d = add_kink(add_kink(PlanarDiagram(named_knot("trefoil").crossings,
+                                            2), 1), -1)
+        assert d.free_loops == 2
+        assert any(len(set(x)) < 4 for x in d.crossings)
         assert kauffman_bracket(d) == bracket_state_sum(d)
 
     def test_mirror_inverts_A(self):

@@ -247,7 +247,8 @@ class TestOrientationContract:
     def test_arc_three_times_rejected(self):
         xs = list(named_knot("trefoil").crossings)
         xs[0] = (xs[1][0],) + xs[0][1:]
-        with pytest.raises(ValueError, match="3 times"):
+        with pytest.raises(ValueError,
+                           match=r"^arc \d+ has 3 endpoints, expected 2$"):
             PlanarDiagram(xs)
 
     def test_arc_absorbed_twice_rejected(self):

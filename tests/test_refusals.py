@@ -34,6 +34,8 @@ REFUSALS = {
         lambda: Tangle(((0, 1, 2, 3),),
                        {"NW": 0, "NE": 1, "SW": 2, "SE": 2}),
         ValueError, "arc 2 has 3 endpoints, expected 2"),
+    "diagram arc ends": (lambda: PlanarDiagram([(0, 1, 2, 3), (2, 1, 0, 2)]),
+                         ValueError, "arc 2 has 3 endpoints, expected 2"),
     "qint": (lambda: qint(-1), ValueError, "qint requires n >= 0"),
     "poly variable": (lambda: parse_poly("x", "t"),
                       ValueError, "unexpected variable 'x' in 'x'"),

@@ -8,6 +8,7 @@ import pytest
 from conftest import pretzel
 from knotmut import frontier, permgroups, quotients, report
 from knotmut.budget import ResourceLimitExceeded
+from knotmut.cli import main
 from knotmut.colored import colored_jones
 from knotmut.diagram import (KNOT_BRAIDS, named_knot, parse_braid,
                              parse_knot_spec)
@@ -35,6 +36,17 @@ class TestComputeReport:
         rep = compute_report("hopf", d)
         assert rep.items["jones"].status == SKIPPED
         assert rep.items["h1_double_cover"].status == SKIPPED
+
+    def test_engine_error_is_not_skipped(self, monkeypatch, capsys):
+        # an item of a knot is skipped never; an engine's error stops the run
+        def broken(d):
+            raise ArithmeticError("engine bug")
+        monkeypatch.setattr(report, "alexander_pd", broken)
+        with pytest.raises(ArithmeticError, match="^engine bug$"):
+            compute_report("trefoil", named_knot("trefoil"))
+        assert main(["report", "trefoil"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: engine bug\n")
 
     def test_optional_items(self):
         d = named_knot("trefoil")

@@ -18,10 +18,17 @@ class TestCable:
         assert jones(c) == jones(d)
 
     def test_one_strand_is_the_companion(self):
-        # half twists on a single strand are empty words
+        # half twists on a single strand are empty words; the cable is a
+        # copy, so renaming it leaves the companion's name
         for d in (named_knot("figure8"), PlanarDiagram([], 1, "unknot")):
             for t in (0, 1, -1):
-                assert cable(d, 1, t) is d
+                c = cable(d, 1, t)
+                assert (c.crossings, c.positive, c.free_loops, c.name,
+                        c.component_count()) == \
+                    (d.crossings, d.positive, d.free_loops, d.name,
+                     d.component_count())
+                c.name = "copy"
+                assert d.name != "copy"
 
     def test_two_cable_structure(self):
         d = named_knot("trefoil")

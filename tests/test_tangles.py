@@ -25,7 +25,7 @@ class TestRationalTangle:
 
     def test_glues_to_knot(self):
         # gluing two rational tangles yields a 2-bridge link diagram
-        td = TangleDecomposition(rational_tangle([2], start=1000),
+        td = TangleDecomposition(rational_tangle([2]),
                                  rational_tangle([1, 1]))
         d = td.glue()
         d.validate()
