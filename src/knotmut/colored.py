@@ -28,6 +28,11 @@ the layout of the open arcs that `knotmut.frontier` plans.  A state is
 the tuple of the open arcs' weights; its coefficient is a polynomial in
 v = q^(1/4), packed into one int as the bracket packs its own.
 
+A report reads J_K(2) off its Jones item and J_K(3) off its Kauffman
+item (`skein2.cjones3_from_kauffman`), so it runs the state sum only for
+colors 4 and up, or for color 3 when the Kauffman tree is limited; the
+state sum stays the independent check on both readings.
+
 Cabling stays as the independent oracle: the bracket of the companion
 cabled by (-1)^(N-1) e_{N-1}, where e_n is the Chebyshev basis of the
 solid-torus skein module (e_0 = 1, e_1 = z, e_i = z e_{i-1} - e_{i-2}),

@@ -22,7 +22,8 @@ from .colored import colored_jones
 from .diagram import BraidWord, PlanarDiagram
 from .permgroups import builtin_targets
 from .quotients import Cover
-from .skein2 import homfly, homfly_2cable, kauffman_f, p_whitehead_plus
+from .skein2 import (cjones3_from_kauffman, homfly, homfly_2cable, kauffman_f,
+                     p_whitehead_plus)
 
 DONE = "done"
 SKIPPED = "skipped"           # every item of a link; an engine error raises
@@ -122,8 +123,15 @@ def compute_report(name: str, d: PlanarDiagram,
             "cjones_2", j.status,
             j.value.invert_var("q") if j.status == DONE else None, j.detail,
             perf_counter() - start)
+    f = report.items["kauffman"]
     for n in range(3, opts.colors + 1):
-        add(f"cjones_{n}", lambda: colored_jones(d, n, budget))
+        if n == 3 and f.status == DONE:
+            # J_K(3) is the Kauffman polynomial at a = q^2, z = q - q^-1
+            # (Turaev, Invent. Math. 92, 1988); a limited kauffman item
+            # leaves color 3 to the state sum
+            add("cjones_3", lambda: cjones3_from_kauffman(f.value))
+        else:
+            add(f"cjones_{n}", lambda: colored_jones(d, n, budget))
     if opts.whitehead_homfly:
         add("whitehead_homfly", lambda: p_whitehead_plus(d, budget_seconds=budget))
     if opts.cable_homfly:

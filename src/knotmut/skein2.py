@@ -588,6 +588,25 @@ def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:
     return half.shrink(2, "t")
 
 
+def cjones3_from_kauffman(f: LaurentPoly2) -> LaurentPoly:
+    """J_K(3) in q via F(a = q^2, z = q - q^-1).
+
+    The vector representation of so(3) is the 3-dimensional one of
+    U_q(sl2), and the so(N) vector invariant is the Kauffman polynomial
+    (Turaev, Invent. Math. 92, 1988).  Only a link's F has a negative
+    z-degree, and that is refused.
+    """
+    acc: dict[int, int] = {}
+    for (e1, e2), coef in f.coeffs.items():
+        if e2 < 0:
+            raise ValueError("negative z-degree: a link's Kauffman polynomial")
+        # z^e2 = (q - q^-1)^e2 : expand binomially
+        for k in range(e2 + 1):
+            exp = 2 * e1 + e2 - 2 * k
+            acc[exp] = acc.get(exp, 0) + coef * comb(e2, k) * (-1) ** k
+    return LaurentPoly("q", acc)
+
+
 def p_whitehead_plus(d: PlanarDiagram, budget_seconds: float | None = None,
                      max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """HOMFLY of the 0-framed, positive-clasp Whitehead double of d."""

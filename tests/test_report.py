@@ -117,8 +117,9 @@ NAMED_KNOTS = tuple(n for n in KNOT_BRAIDS
 
 
 class TestEachInvariantOnce:
-    """A report computes color 2 as the jones item in q = 1/t, and plans
-    each diagram's contraction once for the bracket and the state sum."""
+    """A report computes color 2 as the jones item in q = 1/t and color 3
+    as the kauffman item at a = q^2, z = q - q^-1, and plans each
+    diagram's contraction once for the bracket and the state sum."""
 
     @pytest.mark.parametrize("knot", MUTANT_SLATE + NAMED_KNOTS, ids=str)
     def test_cjones_2_is_the_state_sum(self, knot):
@@ -141,6 +142,41 @@ class TestEachInvariantOnce:
         items = compute_report("hopf", named_knot("hopf_plus")).items
         assert items["jones"].status == items["cjones_2"].status == SKIPPED
         assert items["cjones_2"].detail == items["jones"].detail
+
+    @pytest.mark.parametrize("knot", MUTANT_SLATE + NAMED_KNOTS, ids=str)
+    def test_cjones_3_is_the_state_sum(self, knot):
+        d = pretzel(*knot) if isinstance(knot, tuple) else named_knot(knot)
+        item = compute_report("k", d, options=ReportOptions(colors=3)) \
+            .items["cjones_3"]
+        assert item.status == DONE
+        assert item.value == colored_jones(d, 3)
+
+    def test_cjones_3_reads_the_kauffman_item(self, monkeypatch):
+        calls = []
+
+        def spy(d, N, budget_seconds=None):
+            calls.append(N)
+            return colored_jones(d, N, budget_seconds)
+        monkeypatch.setattr(report, "colored_jones", spy)
+        d = named_knot("6_2")
+        items = compute_report("6_2", d, options=ReportOptions(colors=4)).items
+        assert items["kauffman"].status == items["cjones_3"].status == DONE
+        assert calls == [4]
+
+    def test_cjones_3_outlives_limited_kauffman(self, monkeypatch):
+        def limited(d, budget_seconds=None):
+            raise ResourceLimitExceeded("node budget exhausted")
+        monkeypatch.setattr(report, "kauffman_f", limited)
+        d = pretzel(5, 3, -2, -3)
+        items = compute_report("k", d, options=ReportOptions(colors=3)).items
+        assert items["kauffman"].status == LIMITED
+        assert items["cjones_3"].status == DONE
+        assert items["cjones_3"].value == colored_jones(d, 3)
+
+    def test_cjones_3_skipped_on_a_link(self):
+        items = compute_report("hopf", named_knot("hopf_plus"),
+                               options=ReportOptions(colors=3)).items
+        assert items["kauffman"].status == items["cjones_3"].status == SKIPPED
 
     def test_one_plan_per_diagram(self, monkeypatch):
         planned, contraction_order = [], frontier.contraction_order

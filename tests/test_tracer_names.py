@@ -53,13 +53,15 @@ def test_report_engines_are_traced():
     t.install()
     try:
         r = report.compute_report("trefoil", named_knot("trefoil"),
-                                  options=report.ReportOptions(colors=3))
+                                  options=report.ReportOptions(colors=4))
         report.compare_pair(r, r)
     finally:
         t.uninstall()
     for name in ("report.compute_report", "report.compare_pair",
                  "bracket.jones", "alexander.alexander_pd", "skein2.homfly",
-                 "skein2.kauffman_f", "colored.cjones_n3"):
+                 "skein2.kauffman_f", "colored.cjones_n4"):
         assert t.stat(name).calls >= 1, name
-    # color 2 is read off the jones item, never computed by the state sum
+    # colors 2 and 3 are read off the jones and kauffman items, never
+    # computed by the state sum
     assert t.stat("colored.cjones_n2").calls == 0
+    assert t.stat("colored.cjones_n3").calls == 0
