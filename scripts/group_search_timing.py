@@ -31,7 +31,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from knotmut.budget import ResourceLimitExceeded
+from knotmut.budget import ResourceLimitExceeded, time_limit
 from knotmut.permgroups import target
 from knotmut.presentations import (branched_cover_from_meridians,
                                    low_index_subgroups, tietze_simplify,
@@ -94,8 +94,9 @@ def main() -> int:
     print(f"low-index to {args.index}: {len(tables)} classes, {s:.2f} s")
     if args.budget_seconds is not None:
         try:
-            tables, s = timed(lambda: low_index_subgroups(
-                pres, 6, max_tables=None, budget_seconds=args.budget_seconds))
+            with time_limit(args.budget_seconds):
+                tables, s = timed(lambda: low_index_subgroups(
+                    pres, 6, max_tables=None))
             print(f"low-index to 6: {len(tables)} classes, {s:.2f} s")
         except ResourceLimitExceeded as exc:
             print(f"low-index to 6: limited, {exc}")

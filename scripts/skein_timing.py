@@ -32,6 +32,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from knotmut import skein2
+from knotmut.budget import time_limit
 from knotmut.diagram import parse_knot_spec
 from knotmut.satellites import cable, whitehead_double
 from knotmut.tangles import TangleDecomposition, rational_tangle
@@ -64,7 +65,7 @@ def satellites(d):
             ("whitehead_kauffman", skein2.kauffman_f, double))
 
 
-def run(engine, d, budget_seconds):
+def run(engine, d, seconds):
     """(nodes, memo entries, memo hits, seconds, finished) of one tree."""
     budget = skein2.Budget
     made = []
@@ -77,7 +78,8 @@ def run(engine, d, budget_seconds):
     skein2.Budget = Counting
     start = time.perf_counter()
     try:
-        engine(d, budget_seconds=budget_seconds, max_nodes=None)
+        with time_limit(seconds):
+            engine(d, max_nodes=None)
         finished = True
     except skein2.ResourceLimitExceeded:
         finished = False

@@ -96,11 +96,10 @@ def _digit_width(plan: list[tuple]) -> int:
     return max((len(step[1]) for step in plan), default=0) + 21
 
 
-def kauffman_bracket(d: PlanarDiagram,
-                     budget_seconds: float | None = None) -> LaurentPoly:
+def kauffman_bracket(d: PlanarDiagram) -> LaurentPoly:
     """Bracket by crossing-at-a-time contraction, run by `contract`."""
     steps = _plan(d.crossings)
-    bracket = contract(steps, _digit_width(steps), budget_seconds, "A", _step)
+    bracket = contract(steps, _digit_width(steps), "A", _step)
     return bracket * DELTA ** d.free_loops
 
 
@@ -174,7 +173,7 @@ def bracket_state_sum(d: PlanarDiagram) -> LaurentPoly:
     return LaurentPoly("A", coeffs)
 
 
-def jones(d: PlanarDiagram, budget_seconds: float | None = None) -> LaurentPoly:
+def jones(d: PlanarDiagram) -> LaurentPoly:
     """Jones polynomial in t, of a link with an odd number of components.
 
     With an even number the polynomial has half-integer powers of t, and
@@ -185,7 +184,7 @@ def jones(d: PlanarDiagram, budget_seconds: float | None = None) -> LaurentPoly:
         raise ValueError(f"{d.name or 'the link'} has {k} components, so its "
                          "Jones polynomial has half-integer powers of t")
     w = d.writhe()
-    br = kauffman_bracket(d, budget_seconds).exact_div(DELTA)
+    br = kauffman_bracket(d).exact_div(DELTA)
     # multiply by (-A^3)^(-w)
     sign = 1 if w % 2 == 0 else -1
     shifted = LaurentPoly("A", {e - 3 * w: sign * c for e, c in br.coeffs.items()})

@@ -19,7 +19,7 @@ import sys
 
 from .colored import colored_jones
 from .alexander import h1_double_cover
-from .budget import ResourceLimitExceeded
+from .budget import ResourceLimitExceeded, time_limit
 from .diagram import PlanarDiagram, load_knot_file, parse_knot_spec
 from .laurent import LaurentPoly, LaurentPoly2
 from .permgroups import target
@@ -129,7 +129,8 @@ def main(argv=None) -> int:
     ap.add_argument("--format", choices=("text", "json", "table1"),
                     default="text")
     ap.add_argument("--budget-seconds", type=_seconds, default=None,
-                    help="time budget of each exponential search")
+                    help="time budget of the command, or of each item "
+                         "of report and compare")
     sub = ap.add_subparsers(dest="cmd", required=True)
     # options shared by `report` and `compare`: each dest is a
     # ReportOptions field, with its default
@@ -143,7 +144,10 @@ def main(argv=None) -> int:
                        default=ReportOptions.lowindex)
     items.add_argument("--whitehead-p", action="store_true",
                        dest="whitehead_homfly")
-    items.add_argument("--cable-p", action="store_true", dest="cable_homfly")
+    items.add_argument("--cable-p", action="store_true", dest="cable_homfly",
+                       help="HOMFLY of the blackboard-framed 2-cable: two "
+                            "diagrams of one knot with different writhes "
+                            "can read DIFFERENT on it")
 
     for cmd in POLYNOMIALS:
         p = sub.add_parser(cmd)
@@ -179,8 +183,11 @@ def main(argv=None) -> int:
                    help="specs or files; their knots pair up in order")
 
     args = ap.parse_args(argv)
+    # report and compare give each item the whole budget themselves
+    whole = args.cmd not in ("report", "compare")
     try:
-        return _dispatch(args)
+        with time_limit(args.budget_seconds if whole else None):
+            return _dispatch(args)
     except ResourceLimitExceeded as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
@@ -191,13 +198,12 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     fmt = args.format
-    budget = args.budget_seconds
     if args.cmd in POLYNOMIALS or args.cmd == "cjones":
         for name, d, _braid in _load_specs(args.knot):
             if args.cmd == "cjones":
-                val = colored_jones(d, args.color, budget)
+                val = colored_jones(d, args.color)
             else:
-                val = POLYNOMIALS[args.cmd](d, budget)
+                val = POLYNOMIALS[args.cmd](d)
             _emit_poly(name or d.name, val, fmt)
         return 0
 
@@ -235,15 +241,15 @@ def _dispatch(args) -> int:
             elif args.action == "group":
                 _print_presentation(cover.presentation)
             elif args.action == "lowindex":
-                for index, inv in cover.lowindex(args.max_index, budget):
+                for index, inv in cover.lowindex(args.max_index):
                     print(f"index {index}: {inv}")
             elif args.action == "quotients":
                 grp = target(args.target)
-                count = cover.quotients([grp], budget)[grp.name]
+                count = cover.quotients([grp])[grp.name]
                 print(f"{label}: delta_{grp.name} = {count}")
             else:  # kernel-abelian
                 grp = target(args.target)
-                invs = cover.kernel_abelianizations(grp, budget)
+                invs = cover.kernel_abelianizations(grp)
                 if not invs:
                     print(f"{label}: no epimorphism onto {grp.name}")
                 for i, inv in enumerate(invs, start=1):

@@ -45,7 +45,6 @@ from __future__ import annotations
 from functools import cache, lru_cache
 
 from .bracket import kauffman_bracket
-from .budget import Budget
 from .diagram import PlanarDiagram, _other_ends, faces
 from .frontier import contract, fits, getter, plan
 from .laurent import InexactDivision, LaurentPoly, qint
@@ -63,13 +62,12 @@ def _check_color(d: PlanarDiagram, N: int):
         raise ValueError("colored Jones for N > 1 needs a knot diagram")
 
 
-def colored_jones(d: PlanarDiagram, N: int,
-                  budget_seconds: float | None = None) -> LaurentPoly:
+def colored_jones(d: PlanarDiagram, N: int) -> LaurentPoly:
     """J_K(N) in q, normalized so the unknot gives 1."""
     _check_color(d, N)
     if N == 1 or not d.crossings:
         return LaurentPoly.one("q")
-    return state_sum(d, N, rotations(d), budget_seconds)
+    return state_sum(d, N, rotations(d))
 
 
 def rotations(d: PlanarDiagram, outer: int = 0) -> dict[int, int]:
@@ -186,8 +184,7 @@ def _moves(width: int, N: int, positive: bool, old: tuple, fresh: tuple,
     return moves, base, bound
 
 
-def state_sum(d: PlanarDiagram, N: int, turns: dict[int, int],
-              budget_seconds: float | None = None) -> LaurentPoly:
+def state_sum(d: PlanarDiagram, N: int, turns: dict[int, int]) -> LaurentPoly:
     """J_K(N) from the state sum with the arcs' `turns`, by crossing-at-a-
     time contraction, run by `contract`."""
     entries = []
@@ -200,7 +197,7 @@ def state_sum(d: PlanarDiagram, N: int, turns: dict[int, int],
         shape = (N, positive, tuple(step.consumed.values()), tuple(step.new),
                  tuple(step.joined.items()), heads)
         entries.append((getter(step.kept), getter(list(step.consumed)), shape))
-    total = contract(entries, _digit_width(N, widest), budget_seconds, "v", _step)
+    total = contract(entries, _digit_width(N, widest), "v", _step)
     framed = total * LaurentPoly.monomial("v", -d.writhe() * (N * N - 1))
     try:
         return framed.exact_div(_bracket_v(N)).shrink(4, "q")
@@ -268,19 +265,16 @@ def chebyshev_basis(n: int) -> dict[int, int]:
     return cur
 
 
-def colored_jones_unnormalized(d: PlanarDiagram, N: int,
-                               budget_seconds: float | None = None
-                               ) -> LaurentPoly:
+def colored_jones_unnormalized(d: PlanarDiagram, N: int) -> LaurentPoly:
     """J'_K(N) in the variable a: bracket of the e_{N-1} cable, 0-framed."""
     _check_color(d, N)
     n = N - 1
-    budget = Budget(budget_seconds)  # one deadline for every parallel
     total = LaurentPoly.zero("A")
     for k, c in chebyshev_basis(n).items():
         if k == 0:
             br = LaurentPoly.one("A")  # the 0-parallel is the empty diagram
         else:
-            br = kauffman_bracket(cable(d, k, 0), budget.remaining())
+            br = kauffman_bracket(cable(d, k, 0))
         total = total + c * br
     # (-1)^n, times ((-1)^n A^(n^2+2n))^(-w) to undo the w full twists that
     # the blackboard framing puts on the e_n-colored band
@@ -292,10 +286,9 @@ def colored_jones_unnormalized(d: PlanarDiagram, N: int,
     return total.shrink(2, "a")
 
 
-def colored_jones_cabled(d: PlanarDiagram, N: int,
-                         budget_seconds: float | None = None) -> LaurentPoly:
+def colored_jones_cabled(d: PlanarDiagram, N: int) -> LaurentPoly:
     """J_K(N) in q = a^2 by cabling, normalized so the unknot gives 1."""
-    jp = colored_jones_unnormalized(d, N, budget_seconds)
+    jp = colored_jones_unnormalized(d, N)
     try:
         val = jp.exact_div(qint(N))   # J'_unknot(N) = [N]
     except InexactDivision:

@@ -102,11 +102,10 @@ def fits(values, width: int, terms: int) -> bool:
     return not reduce(or_, map(mask.__and__, map(bias.__add__, values)))
 
 
-def contract(plan: list, width: int, budget_seconds: float | None,
-             var: str, step) -> LaurentPoly:
+def contract(plan: list, width: int, var: str, step) -> LaurentPoly:
     """The polynomial in `var` left when `step` has taken every entry of
     `plan`, with `width`-bit digits doubled until they are wide enough, all
-    under one deadline.
+    under the deadline of the enclosing `time_limit`.
 
     A coefficient var^off * sum(c_i var^(2i)) is the int
     sum(c_i 2^(width*i)) with signed digits c_i; `off` is shared by all
@@ -123,12 +122,10 @@ def contract(plan: list, width: int, budget_seconds: float | None,
     step's bound on the terms summed into a state, so every new digit is in
     range, by induction from the single state 1.
     """
-    deadline = Budget(budget_seconds)
     while True:
         states: dict[tuple, int] = {(): 1}
         off = 0
-        budget = Budget(deadline.remaining(),
-                        unit=f"of {len(plan)} crossing steps",
+        budget = Budget(unit=f"of {len(plan)} crossing steps",
                         progress=lambda: f"{len(states)} states")
         for entry in plan:
             budget.tick()

@@ -393,8 +393,7 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
 
 
 def low_index_subgroups(g: GroupPresentation, max_index: int,
-                        max_tables: int = MAX_TABLES,
-                        budget_seconds: float | None = None
+                        max_tables: int = MAX_TABLES
                         ) -> list[list[list[int]]]:
     """Complete coset tables of subgroups of index <= max_index.
 
@@ -402,7 +401,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
     coset-0 stabilizer), including the whole group at index 1, in the
     module's format: one row per coset, one forward image per generator.
     Raises `ResourceLimitExceeded` once `max_tables` tables are tried or
-    `budget_seconds` have passed.
+    the enclosing `time_limit` has run out.
 
     Tables are built by backtracking (Sims, Computation with Finitely
     Presented Groups, 1994, ch. 5) on rows with 2*ngens entries, the
@@ -427,7 +426,7 @@ def low_index_subgroups(g: GroupPresentation, max_index: int,
         if cols:
             rels.append((cols, [col ^ 1 for col in cols]))
     results: list[list[list[int]]] = []
-    budget = Budget(budget_seconds, max_tables, "tables tried",
+    budget = Budget(max_tables, "tables tried",
                     lambda: f"{len(results)} subgroups found")
 
     def scan_relators(table) -> bool:

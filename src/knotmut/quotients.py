@@ -296,27 +296,26 @@ def _regular_table(images: list[Perm], e: Perm) -> tuple[tuple[int, ...], ...]:
 
 
 def epimorphisms(g: GroupPresentation, group: PermGroup,
-                 simplify: bool = True, max_nodes: int = MAX_IMAGES,
-                 budget_seconds: float | None = None) -> list[list[Perm]]:
+                 simplify: bool = True, max_nodes: int = MAX_IMAGES
+                 ) -> list[list[Perm]]:
     """One representative hom per kernel of a surjection onto `group`.
 
     Each hom is the list of its generator images.  With `simplify=True`
     the search runs on `tietze_simplify(g)`, and the images are on that
     presentation's generators, not on `g`'s.  The order of the returned
-    homs is not specified.  Raises
-    `ResourceLimitExceeded` once `max_nodes` candidate images are tried
-    or `budget_seconds` have passed.  A lane pass counts all |Gamma|
-    candidate images of its level as one batch, which raises before it
-    starts if it would pass `max_nodes`; so a finished search counts as
-    many as one image at a time would, and a stopped one may stop up to
-    |Gamma| images early.  A presentation whose finite H1 rules the
+    homs is not specified.  Raises `ResourceLimitExceeded` once
+    `max_nodes` candidate images are tried or the enclosing `time_limit`
+    has run out.  A lane pass counts all |Gamma| candidate images of its
+    level as one batch, which raises before it starts if it would pass
+    `max_nodes`; so a finished search counts as many as one image at a
+    time would, and a stopped one may stop up to |Gamma| images early.  A presentation whose finite H1 rules the
     target out returns [] with no candidate tried.
     """
     pres = tietze_simplify(g) if simplify else g
     if pres.ngens == 0:
         return [] if group.order > 1 else [[]]
     found: dict[tuple, list[Perm]] = {}
-    budget = Budget(budget_seconds, max_nodes, "candidate images",
+    budget = Budget(max_nodes, "candidate images",
                     lambda: f"{len(found)} kernels found")
     # an epimorphism maps H1 onto the target's abelianization
     if group.abelianization_order > 1:
@@ -447,36 +446,25 @@ class Cover:
     def presentation(self) -> GroupPresentation:
         return double_cover_presentation(*self.knot)
 
-    def quotients(self, targets: list[PermGroup],
-                  budget_seconds: float | None = None) -> dict[str, int]:
-        """delta_Gamma by the name of each target, under one deadline."""
-        pres = self.presentation
-        left = Budget(budget_seconds)
-        return {t.name: len(epimorphisms(pres, t, simplify=False,
-                                         budget_seconds=left.remaining()))
+    def quotients(self, targets: list[PermGroup]) -> dict[str, int]:
+        """delta_Gamma by the name of each target."""
+        return {t.name: len(epimorphisms(self.presentation, t, simplify=False))
                 for t in targets}
 
-    def kernel_abelianizations(self, group: PermGroup,
-                               budget_seconds: float | None = None
-                               ) -> list[list[int]]:
-        """The kernels' abelian invariants onto `group`, under one
-        deadline for the search and the kernels."""
+    def kernel_abelianizations(self, group: PermGroup) -> list[list[int]]:
+        """The kernels' abelian invariants onto `group`; the time limit
+        is checked between kernels too."""
         pres = self.presentation
-        kernels = Budget(budget_seconds, unit="kernels")
-        homs = epimorphisms(pres, group, simplify=False,
-                            budget_seconds=kernels.remaining())
+        kernels = Budget(unit="kernels")
         invs = []
-        for hom in homs:
+        for hom in epimorphisms(pres, group, simplify=False):
             kernels.tick()
             invs.append(kernel_abelianization(pres, hom, group))
         return sorted(invs)
 
-    def lowindex(self, max_index: int, budget_seconds: float | None = None
-                 ) -> list[tuple[int, list[int]]]:
+    def lowindex(self, max_index: int) -> list[tuple[int, list[int]]]:
         """(index, abelian invariants) of one subgroup per conjugacy class
         of index at most `max_index`."""
         pres = self.presentation
-        tables = low_index_subgroups(pres, max_index,
-                                     budget_seconds=budget_seconds)
         return sorted((len(t), subgroup_abelianization(pres, t))
-                      for t in tables)
+                      for t in low_index_subgroups(pres, max_index))

@@ -17,7 +17,7 @@ from time import perf_counter
 
 from .alexander import alexander_pd, h1_double_cover
 from .bracket import jones
-from .budget import ResourceLimitExceeded
+from .budget import ResourceLimitExceeded, time_limit
 from .colored import colored_jones
 from .diagram import BraidWord, PlanarDiagram
 from .permgroups import builtin_targets
@@ -81,14 +81,14 @@ def _jsonable(v):
     return str(v)
 
 
-# how each polynomial item is computed from (diagram, budget seconds);
-# each lambda looks its engine up in this module when it runs, so a
-# patched module attribute is the one called
+# how each polynomial item is computed from the diagram; each lambda
+# looks its engine up in this module when it runs, so a patched module
+# attribute is the one called
 POLYNOMIALS = {
-    "jones": lambda d, budget: jones(d, budget),
-    "alexander": lambda d, budget: alexander_pd(d),
-    "homfly": lambda d, budget: homfly(d, budget_seconds=budget),
-    "kauffman": lambda d, budget: kauffman_f(d, budget_seconds=budget),
+    "jones": lambda d: jones(d),
+    "alexander": lambda d: alexander_pd(d),
+    "homfly": lambda d: homfly(d),
+    "kauffman": lambda d: kauffman_f(d),
 }
 
 
@@ -105,15 +105,15 @@ def compute_report(name: str, d: PlanarDiagram,
             item = ReportItem(key, SKIPPED, detail="not a knot")
         else:
             try:
-                item = ReportItem(key, DONE, fn())
+                with time_limit(opts.budget_seconds):   # a whole budget per item
+                    item = ReportItem(key, DONE, fn())
             except ResourceLimitExceeded as exc:
                 item = ReportItem(key, LIMITED, detail=str(exc))
         item.elapsed = perf_counter() - start
         report.items[key] = item
 
-    budget = opts.budget_seconds
     for key, poly in POLYNOMIALS.items():
-        add(key, lambda: poly(d, budget))
+        add(key, lambda: poly(d))
     if opts.colors >= 2:
         # J_K(2) is the Jones polynomial in q = 1/t (Kirby & Melvin,
         # Invent. Math. 105, 1991): the jones item, with its status
@@ -131,20 +131,20 @@ def compute_report(name: str, d: PlanarDiagram,
             # leaves color 3 to the state sum
             add("cjones_3", lambda: cjones3_from_kauffman(f.value))
         else:
-            add(f"cjones_{n}", lambda: colored_jones(d, n, budget))
+            add(f"cjones_{n}", lambda: colored_jones(d, n))
     if opts.whitehead_homfly:
-        add("whitehead_homfly", lambda: p_whitehead_plus(d, budget_seconds=budget))
+        add("whitehead_homfly", lambda: p_whitehead_plus(d))
     if opts.cable_homfly:
-        add("cable_homfly", lambda: homfly_2cable(d, budget_seconds=budget))
+        add("cable_homfly", lambda: homfly_2cable(d))
 
     add("h1_double_cover", lambda: h1_double_cover(d))
     # one cover for both group items, built only if one of them runs
     cover = Cover(d, braid)
     if opts.quotients:
         add("quotients",
-            lambda: cover.quotients(builtin_targets(opts.quotients), budget))
+            lambda: cover.quotients(builtin_targets(opts.quotients)))
     if opts.lowindex:
-        add("lowindex_abelian", lambda: cover.lowindex(opts.lowindex, budget))
+        add("lowindex_abelian", lambda: cover.lowindex(opts.lowindex))
     report.items = {k: report.items[k] for k in sorted(report.items)}
     return report
 

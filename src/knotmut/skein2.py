@@ -502,8 +502,7 @@ class _UDiagram(_RDiagram):
 
 
 def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
-          variables: tuple[str, str], budget_seconds: float | None,
-          max_nodes: int | None) -> LaurentPoly2:
+          variables: tuple[str, str], max_nodes: int | None) -> LaurentPoly2:
     """The polynomial of d by the resolution tree of `state`'s relation.
 
     delta is the value of a 2-component unlink.  A framed polynomial (D)
@@ -513,7 +512,7 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}
     hits = 0
-    budget = Budget(budget_seconds, max_nodes, "nodes expanded",
+    budget = Budget(max_nodes, "nodes expanded",
                     lambda: f"{len(memo)} memo entries, {hits} memo hits")
     tick = budget.tick
     w = _width(d)
@@ -551,18 +550,15 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
     return _unpacked({e + s: v for e, v in res.items()}, w, variables)
 
 
-def homfly(d: PlanarDiagram, budget_seconds: float | None = None,
-           max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
+def homfly(d: PlanarDiagram, max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """HOMFLY polynomial in (l, m), unknot normalized to 1."""
-    return _tree(d, _RDiagram, _DELTA_P, False, ("l", "m"), budget_seconds,
-                 max_nodes)
+    return _tree(d, _RDiagram, _DELTA_P, False, ("l", "m"), max_nodes)
 
 
-def kauffman_f(d: PlanarDiagram, budget_seconds: float | None = None,
+def kauffman_f(d: PlanarDiagram,
                max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """Kauffman polynomial, Dubrovnik form, in (a, z); unknot gives 1."""
-    return _tree(d, _UDiagram, _DELTA_F, True, ("a", "z"), budget_seconds,
-                 max_nodes)
+    return _tree(d, _UDiagram, _DELTA_F, True, ("a", "z"), max_nodes)
 
 
 def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:
@@ -607,15 +603,15 @@ def cjones3_from_kauffman(f: LaurentPoly2) -> LaurentPoly:
     return LaurentPoly("q", acc)
 
 
-def p_whitehead_plus(d: PlanarDiagram, budget_seconds: float | None = None,
+def p_whitehead_plus(d: PlanarDiagram,
                      max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """HOMFLY of the 0-framed, positive-clasp Whitehead double of d."""
     w = d.writhe()
     dbl = whitehead_double(d, -w, 1)
-    return homfly(dbl, budget_seconds, max_nodes)
+    return homfly(dbl, max_nodes)
 
 
-def homfly_2cable(d: PlanarDiagram, budget_seconds: float | None = None,
+def homfly_2cable(d: PlanarDiagram,
                   max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """HOMFLY of the blackboard 2-cable with one negative half-twist."""
-    return homfly(cable(d, 2, -1), budget_seconds, max_nodes)
+    return homfly(cable(d, 2, -1), max_nodes)

@@ -12,6 +12,7 @@ import pytest
 from test_quotients import brute_force_epi_count, evaluate_word
 from knotmut.alexander import alexander_braid, alexander_pd, h1_double_cover
 from knotmut.bracket import bracket_state_sum, jones, kauffman_bracket
+from knotmut.budget import time_limit
 from knotmut.colored import colored_jones
 from knotmut.diagram import (PlanarDiagram, braid_closure, connected_sum,
                              load_knot_file, mirror, named_knot, parse_braid)
@@ -410,7 +411,8 @@ class TestWhiteheadSkein:
         d, _ = external_knot(name)
         expected = parse_pw_grid(self.GRIDS[name])
         try:
-            got = p_whitehead_plus(d, budget_seconds=600)
+            with time_limit(600):
+                got = p_whitehead_plus(d)
         except ResourceLimitExceeded:
             pytest.skip("Whitehead skein polynomial over budget")
         # the supplied diagram may be either chirality
@@ -421,9 +423,10 @@ class TestWhiteheadSkein:
         # small decompositions keep the doubled diagrams tractable
         td = random_decomposition(random.Random(seed), max_crossings=8)
         try:
-            base = p_whitehead_plus(td.glue("base"), budget_seconds=300)
+            with time_limit(300):
+                base = p_whitehead_plus(td.glue("base"))
             for axis in AXES:
-                assert p_whitehead_plus(mutate(td, axis),
-                                        budget_seconds=300) == base
+                with time_limit(300):
+                    assert p_whitehead_plus(mutate(td, axis)) == base
         except ResourceLimitExceeded:
             pytest.skip("Whitehead skein polynomial over budget")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_knot_braid
-from knotmut.alexander import (_coloring_rows, _det_bareiss, alexander_braid,
-                               alexander_pd, normalize_alexander)
+from knotmut.alexander import (_coloring_rows, _det_bareiss, _det_int,
+                               alexander_braid, alexander_pd,
+                               normalize_alexander)
 from knotmut.diagram import (add_kink, braid_closure, connected_sum, mirror,
                              named_knot, parse_braid)
 from knotmut.laurent import LaurentPoly, parse_poly
@@ -109,6 +110,19 @@ class TestPackedDeterminant:
             d = add_kink(d, rng.choice((1, -1)), rng.choice(sorted(d.arcs)))
         want = normalize_alexander(_det_bareiss(laurent_minor(d)))
         assert alexander_pd(d) == want
+
+    @pytest.mark.parametrize("rows, det", [
+        ([[0, 1], [2, 3]], -2),               # a zero pivot, swapped
+        ([[0, 1], [0, 2]], 0),                # a zero first pivot column
+        ([[1, 2, 0], [1, 2, 1], [0, 0, 2]], 0),   # a zero later one
+    ])
+    def test_zero_pivots(self, rows, det):
+        assert _det_int([row[:] for row in rows]) == det
+        # row i times t^i: the determinant times t^(0 + 1 + ...)
+        laurent = [[LaurentPoly("t", {i: x}) for x in row]
+                   for i, row in enumerate(rows)]
+        shift = len(rows) * (len(rows) - 1) // 2
+        assert _det_bareiss(laurent) == LaurentPoly("t", {shift: det})
 
     @pytest.mark.parametrize("name", ("figure8", "6_3"))
     def test_wide_coefficients(self, name):

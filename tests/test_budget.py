@@ -1,16 +1,26 @@
 """The one budget of the exponential searches."""
 
+import importlib
+import inspect
+import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import knotmut
-from knotmut import bracket, colored, skein2
-from knotmut.budget import Budget, ResourceLimitExceeded
+from knotmut import (budget, bracket, colored, permgroups, presentations,
+                     quotients, report, skein2)
+from knotmut.budget import Budget, ResourceLimitExceeded, time_limit
 from knotmut.diagram import named_knot
+from conftest import pretzel
+
+PACKAGE = Path(knotmut.__file__).parent
 
 
 class TestBudget:
@@ -27,9 +37,10 @@ class TestBudget:
             b.tick()
 
     def test_deadline(self):
-        b = Budget(seconds=0.0)
+        with time_limit(0.0):
+            b = Budget()
         time.sleep(0.01)
-        assert b.remaining() < 0
+        assert b.deadline < time.monotonic()
         with pytest.raises(ResourceLimitExceeded,
                            match=r"^time budget exhausted after 0 steps$"):
             b.tick()
@@ -39,7 +50,7 @@ class TestBudget:
         for _ in range(1000):
             b.tick()
         assert b.nodes == 1000
-        assert b.remaining() is None
+        assert b.deadline is None
 
     def test_batch_counts_its_steps(self):
         b = Budget(max_nodes=10)
@@ -75,7 +86,8 @@ class TestBudget:
             b.tick_batch(1)
 
     def test_batch_deadline(self):
-        b = Budget(seconds=0.0)
+        with time_limit(0.0):
+            b = Budget()
         time.sleep(0.001)
         with pytest.raises(ResourceLimitExceeded,
                            match=r"^time budget exhausted after 0 steps$"):
@@ -86,7 +98,11 @@ class TestBudget:
                                         {"max_nodes": float("nan")}])
     def test_budget_that_never_trips_is_refused(self, kwargs):
         with pytest.raises(ValueError, match="budget must be"):
-            Budget(**kwargs)
+            if "seconds" in kwargs:
+                with time_limit(kwargs["seconds"]):
+                    pass
+            else:
+                Budget(**kwargs)
 
     def test_engines_refuse_a_negative_node_budget(self):
         d = named_knot("6_2")
@@ -96,7 +112,9 @@ class TestBudget:
                 engine(d, max_nodes=-1)
 
     def test_least_budgets_trip_at_once(self):
-        for b in (Budget(seconds=0.0), Budget(max_nodes=0)):
+        with time_limit(0.0):
+            timed = Budget()
+        for b in (timed, Budget(max_nodes=0)):
             time.sleep(0.001)
             with pytest.raises(ResourceLimitExceeded, match=r"after 0 steps"):
                 b.tick()
@@ -111,7 +129,7 @@ class TestBudget:
 
     @pytest.mark.parametrize("engine", [
         bracket.kauffman_bracket,
-        lambda d, budget_seconds: colored.colored_jones(d, 3, budget_seconds)])
+        lambda d: colored.colored_jones(d, 3)])
     def test_widening_stops_at_the_deadline(self, monkeypatch, engine):
         # digits that never fit: the width doubles until the time is up
         calls = []
@@ -124,8 +142,8 @@ class TestBudget:
         monkeypatch.setattr(bracket, "fits", refuse)
         monkeypatch.setattr(colored, "fits", refuse)
         with pytest.raises(ResourceLimitExceeded,
-                           match=r"^time budget exhausted "):
-            engine(named_knot("6_2"), budget_seconds=0.05)
+                           match=r"^time budget exhausted "), time_limit(0.05):
+            engine(named_knot("6_2"))
 
     def test_one_exception_class(self):
         assert skein2.ResourceLimitExceeded is ResourceLimitExceeded
@@ -136,3 +154,115 @@ class TestBudget:
                 "assert 'knotmut.skein2' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env=dict(os.environ, PYTHONPATH=src))
+
+
+# the cover of P(3,3,-2,-3) has H1 of order 9, which does not rule out
+# Alt(5)
+COVER = quotients.Cover(pretzel(3, 3, -2, -3))
+ALT5 = permgroups.alternating(5)
+KNOT = named_knot("6_2")
+ENTRY_POINTS = {
+    "kauffman_bracket": lambda: bracket.kauffman_bracket(KNOT),
+    "jones": lambda: bracket.jones(KNOT),
+    "colored_jones": lambda: colored.colored_jones(KNOT, 4),
+    "colored_jones_cabled": lambda: colored.colored_jones_cabled(KNOT, 3),
+    "homfly": lambda: skein2.homfly(KNOT),
+    "kauffman_f": lambda: skein2.kauffman_f(KNOT),
+    "p_whitehead_plus": lambda: skein2.p_whitehead_plus(KNOT),
+    "homfly_2cable": lambda: skein2.homfly_2cable(KNOT),
+    "epimorphisms": lambda: quotients.epimorphisms(
+        COVER.presentation, ALT5, simplify=False),
+    "low_index_subgroups": lambda: presentations.low_index_subgroups(
+        COVER.presentation, 3),
+    "Cover.quotients": lambda: COVER.quotients([ALT5]),
+    "Cover.kernel_abelianizations": lambda: COVER.kernel_abelianizations(ALT5),
+    "Cover.lowindex": lambda: COVER.lowindex(3),
+}
+
+
+class TestTimeLimit:
+    @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_every_search_stops_at_the_deadline(self, call):
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"^time budget exhausted"), time_limit(0.0):
+            call()
+
+    def test_nested_limit_never_extends_the_outer(self, monkeypatch):
+        monkeypatch.setattr(budget, "time", SimpleNamespace(
+            monotonic=lambda: 100.0))
+        with time_limit(5):
+            assert Budget().deadline == 105
+            for seconds in (10, None, 5):
+                with time_limit(seconds):
+                    assert Budget().deadline == 105
+            with time_limit(1):
+                assert Budget().deadline == 101
+            assert Budget().deadline == 105
+        assert Budget().deadline is None
+
+    def test_each_report_item_reads_its_own_deadline(self, monkeypatch):
+        # a clock one second later at every reading: each item's deadline
+        # is the budget from its own start, shared by all its searches
+        clock = itertools.count()
+        monkeypatch.setattr(budget, "time", SimpleNamespace(
+            monotonic=lambda: next(clock)))
+        deadlines, items = [], []
+        init = Budget.__init__
+
+        def made(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            deadlines[-1].append(self.deadline)
+
+        def item_limit(seconds):
+            deadlines.append([])
+            items.append(seconds)
+            return time_limit(seconds)
+
+        monkeypatch.setattr(Budget, "__init__", made)
+        monkeypatch.setattr(report, "time_limit", item_limit)
+        opts = report.ReportOptions(colors=4, quotients=12, lowindex=2,
+                                    cable_homfly=True, budget_seconds=10 ** 9)
+        rep = report.compute_report("trefoil", named_knot("trefoil"),
+                                    options=opts)
+        assert all(it.status == report.DONE for it in rep.items.values())
+        assert set(items) == {10 ** 9}
+        searched = [set(ds) for ds in deadlines if ds]
+        # jones, homfly, kauffman, cjones_4, cable_homfly, quotients
+        # (one search per target) and lowindex_abelian
+        assert len(searched) == 7
+        assert all(len(ds) == 1 for ds in searched)
+        firsts = [min(ds) for ds in searched]
+        assert firsts == sorted(set(firsts))
+
+
+def _public_callables():
+    """(name, callable) of every public function and method that a
+    knotmut module defines."""
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = importlib.import_module(f"knotmut.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    fn = getattr(fn, "__func__", fn)   # static, class
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        yield f"{module.__name__}.{name}.{attr}", fn
+
+
+class TestOneDeadline:
+    """The time limit is set by `time_limit` alone, never passed down."""
+
+    def test_no_budget_seconds_parameter(self):
+        found = [name for name, fn in _public_callables()
+                 if "budget_seconds" in inspect.signature(fn).parameters]
+        assert found == []
+        assert len(list(_public_callables())) > 100
+
+    def test_only_the_budget_reads_the_clock(self):
+        readers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                   if "monotonic" in p.read_text()]
+        assert readers == ["budget.py"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import lowest_digit_spy, pretzel, random_knot_diagram
 from knotmut import colored
 from knotmut.bracket import jones, kauffman_bracket
-from knotmut.budget import ResourceLimitExceeded
+from knotmut.budget import ResourceLimitExceeded, time_limit
 from knotmut.colored import (chebyshev_basis, colored_jones,
                              colored_jones_cabled, colored_jones_unnormalized,
                              rotations, state_sum)
@@ -242,7 +242,8 @@ class TestPaperScale:
     @pytest.mark.parametrize("p", ((7, 3, 3, -2), (5, 3, -2, -3),
                                    (5, 5, -2, -3)))
     def test_color_five_in_budget(self, p):
-        assert colored_jones(pretzel(*p), 5, budget_seconds=5)
+        with time_limit(5):
+            assert colored_jones(pretzel(*p), 5)
 
     def test_mutants_agree_at_color_five(self):
         assert colored_jones(pretzel(5, 3, -2, -3), 5) == \
@@ -251,8 +252,8 @@ class TestPaperScale:
     def test_budget_counts_crossing_steps(self):
         with pytest.raises(ResourceLimitExceeded, match=(
                 r"^time budget exhausted after \d+ of 15 crossing steps, "
-                r"\d+ states$")):
-            colored_jones(pretzel(7, 3, 3, -2), 5, budget_seconds=0.0)
+                r"\d+ states$")), time_limit(0.0):
+            colored_jones(pretzel(7, 3, 3, -2), 5)
 
 
 class TestRotations:

@@ -2,12 +2,13 @@
 
 import pytest
 
-from knotmut.alexander import alexander_braid
+from knotmut.alexander import alexander_braid, normalize_alexander
 from knotmut.colored import chebyshev_basis, colored_jones
 from knotmut.diagram import (PlanarDiagram, add_kink, connected_sum,
                              named_knot, parse_braid, parse_pd)
 from knotmut.laurent import LaurentPoly, parse_poly, qint
-from knotmut.presentations import GroupPresentation, wirtinger_presentation
+from knotmut.presentations import (GroupPresentation, reidemeister_schreier,
+                                   wirtinger_presentation)
 from knotmut.satellites import cable, whitehead_double
 from knotmut.tangles import Tangle
 
@@ -47,6 +48,19 @@ REFUSALS = {
                   ValueError, "n must be nonnegative"),
     "alexander of a link": (lambda: alexander_braid(parse_braid("2 | 1 1")),
                             ValueError, "closure must be a knot"),
+    "alexander span": (lambda: normalize_alexander(parse_poly("1 + t", "t")),
+                       ValueError, "exponent span cannot be centered"),
+    "alexander unit": (lambda: normalize_alexander(parse_poly("3", "t")),
+                       ValueError, "determinant is not a unit at t=1 (got 3)"),
+    "alexander symmetry": (
+        lambda: normalize_alexander(parse_poly("t^-1 + 1 - t", "t")),
+        ValueError, "normalized polynomial is not symmetric"),
+    "schreier coset": (
+        lambda: reidemeister_schreier(GroupPresentation(1, ((1,),)),
+                                      [(1,), (0,)]),
+        ValueError, "relator does not stabilize the coset"),
+    "empty cable": (lambda: cable(PlanarDiagram([]), 2),
+                    ValueError, "empty diagram"),
     "wirtinger of a link": (
         lambda: wirtinger_presentation(named_knot("hopf_plus")),
         ValueError, "diagram must be a knot"),

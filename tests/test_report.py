@@ -129,7 +129,7 @@ class TestEachInvariantOnce:
         assert item.value == colored_jones(d, 2)
 
     def test_cjones_2_mirrors_limited_jones(self, monkeypatch):
-        def limited(d, budget_seconds=None):
+        def limited(d):
             raise ResourceLimitExceeded("time budget exhausted after 1 of "
                                         "3 crossing steps")
         monkeypatch.setattr(report, "jones", limited)
@@ -154,9 +154,9 @@ class TestEachInvariantOnce:
     def test_cjones_3_reads_the_kauffman_item(self, monkeypatch):
         calls = []
 
-        def spy(d, N, budget_seconds=None):
+        def spy(d, N):
             calls.append(N)
-            return colored_jones(d, N, budget_seconds)
+            return colored_jones(d, N)
         monkeypatch.setattr(report, "colored_jones", spy)
         d = named_knot("6_2")
         items = compute_report("6_2", d, options=ReportOptions(colors=4)).items
@@ -164,7 +164,7 @@ class TestEachInvariantOnce:
         assert calls == [4]
 
     def test_cjones_3_outlives_limited_kauffman(self, monkeypatch):
-        def limited(d, budget_seconds=None):
+        def limited(d):
             raise ResourceLimitExceeded("node budget exhausted")
         monkeypatch.setattr(report, "kauffman_f", limited)
         d = pretzel(5, 3, -2, -3)

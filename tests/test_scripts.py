@@ -36,6 +36,15 @@ class TestGroupSearchTiming:
                          r"digest b963c57e0f04ee0a$", res.stdout, re.M), \
             res.stdout
 
+    def test_index_six_within_budget(self):
+        res = run_script("group_search_timing.py", "--budget-seconds", "0.01",
+                         "--targets", "Alt(5)", "--index", "2")
+        assert res.returncode == 0, res.stderr
+        assert re.search(r"^low-index to 6: (limited, time budget exhausted "
+                         r"after \d+ tables tried, \d+ subgroups found|"
+                         r"\d+ classes, \d+\.\d{2} s)$", res.stdout,
+                         re.M), res.stdout
+
 
 class TestSkeinTiming:
     def test_one_companion(self):
