@@ -46,11 +46,12 @@ def companions(specs):
     """(name, diagram) of each knot spec, or of the default companions."""
     if specs:
         for spec in specs:
-            name, d, _ = parse_knot_spec(spec)
-            yield name or spec, d
+            d = parse_knot_spec(spec)
+            yield d.name or spec, d
         return
     for spec in NAMED:
-        yield parse_knot_spec(spec)[:2]
+        d = parse_knot_spec(spec)
+        yield d.name, d
     for a, b in TWO_BRIDGE:
         d = TangleDecomposition(rational_tangle(list(a)),
                                 rational_tangle(list(b))).glue(f"2b{a}{b}")

@@ -161,7 +161,8 @@ def main(argv=None) -> int:
     p.add_argument("knot")
     p = sub.add_parser("double")
     p.add_argument("--framing", type=int, default=None,
-                   help="full twists; default compensates the writhe")
+                   help="full twists; the default, minus the writhe, "
+                        "gives the 0-framed double")
     p.add_argument("--clasp", type=int, choices=(1, -1), default=1)
     p.add_argument("knot")
     p = sub.add_parser("mutate")
@@ -199,26 +200,22 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     fmt = args.format
     if args.cmd in POLYNOMIALS or args.cmd == "cjones":
-        for name, d, _braid in _load_specs(args.knot):
+        for d in _load_specs(args.knot):
             if args.cmd == "cjones":
                 val = colored_jones(d, args.color)
             else:
                 val = POLYNOMIALS[args.cmd](d)
-            _emit_poly(name or d.name, val, fmt)
+            _emit_poly(d.name, val, fmt)
         return 0
 
     if args.cmd == "cable":
-        for name, d, _braid in _load_specs(args.knot):
-            out = cable(d, args.strands, args.twists)
-            out.name = f"{name}-cable{args.strands}" if name else out.name
-            _emit_pd(out)
+        for d in _load_specs(args.knot):
+            _emit_pd(cable(d, args.strands, args.twists))
         return 0
 
     if args.cmd == "double":
-        for name, d, _braid in _load_specs(args.knot):
-            framing = args.framing if args.framing is not None else -d.writhe()
-            out = whitehead_double(d, framing, args.clasp)
-            _emit_pd(out)
+        for d in _load_specs(args.knot):
+            _emit_pd(whitehead_double(d, args.framing, args.clasp))
         return 0
 
     if args.cmd == "mutate":
@@ -233,11 +230,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "cover":
-        for name, d, braid in _load_specs(args.knot):
-            label = name or d.name
-            cover = Cover(d, braid)
+        for d in _load_specs(args.knot):
+            cover = Cover(d)
             if args.action == "abelian":
-                print(f"{label}: {h1_double_cover(d)}")
+                print(f"{d.name}: {h1_double_cover(d)}")
             elif args.action == "group":
                 _print_presentation(cover.presentation)
             elif args.action == "lowindex":
@@ -246,22 +242,22 @@ def _dispatch(args) -> int:
             elif args.action == "quotients":
                 grp = target(args.target)
                 count = cover.quotients([grp])[grp.name]
-                print(f"{label}: delta_{grp.name} = {count}")
+                print(f"{d.name}: delta_{grp.name} = {count}")
             else:  # kernel-abelian
                 grp = target(args.target)
                 invs = cover.kernel_abelianizations(grp)
                 if not invs:
-                    print(f"{label}: no epimorphism onto {grp.name}")
+                    print(f"{d.name}: no epimorphism onto {grp.name}")
                 for i, inv in enumerate(invs, start=1):
-                    print(f"{label}: kernel {i} abelianization {inv}")
+                    print(f"{d.name}: kernel {i} abelianization {inv}")
         return 0
 
     # report and compare remain; their item flags are ReportOptions' fields
     opts = ReportOptions(**{f.name: getattr(args, f.name)
                             for f in dataclasses.fields(ReportOptions)})
     if args.cmd == "report":
-        for name, d, braid in _load_specs(args.knot):
-            rep = compute_report(name, d, braid, opts)
+        for d in _load_specs(args.knot):
+            rep = compute_report(d.name, d, opts)
             if fmt == "json":
                 print(json.dumps(rep.as_dict(), sort_keys=True))
             else:
@@ -274,12 +270,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "compare":
-        specs = [spec for arg in args.knots for spec in _load_specs(arg)]
-        if not specs or len(specs) % 2:
-            raise ValueError(f"compare needs knots in pairs, got {len(specs)}")
-        for left, right in zip(specs[0::2], specs[1::2]):
-            res = compare_pair(compute_report(*left, opts),
-                               compute_report(*right, opts))
+        knots = [d for arg in args.knots for d in _load_specs(arg)]
+        if not knots or len(knots) % 2:
+            raise ValueError(f"compare needs knots in pairs, got {len(knots)}")
+        for left, right in zip(knots[0::2], knots[1::2]):
+            res = compare_pair(compute_report(left.name, left, opts),
+                               compute_report(right.name, right, opts))
             if fmt == "json":
                 print(json.dumps(res.as_dict(), sort_keys=True))
                 continue

@@ -21,6 +21,11 @@ valid.  Diagrams are immutable except for `name`, a plain label and the
 only field callers set.  Raw tangle crossings, whose strand directions
 are not yet known, are oriented by `orient_raw` with the same solver.
 
+A braid closure records its braid in `braid`, so that a knot's group can
+be read off the braid it came from.  `relabel` and `cable(d, 1)` keep
+it, `mirror` negates its letters, and every other constructor leaves it
+`None`; it takes no part in equality.
+
 The tuples do not fix the direction of a component that passes over at
 every one of its crossings; the solver orients it by convention.
 `relabel` and `mirror` keep the orientation of their input instead of
@@ -173,8 +178,8 @@ class PlanarDiagram:
 
     `positive[i]` is True when the over-strand of crossing i runs
     leg 3 -> leg 1.  The solve's walks plus the free loops are the
-    link's components, kept for `component_count`.  Only `name` may be
-    reassigned.
+    link's components, kept for `component_count`.  `braid` is the braid
+    whose closure this is, or None.  Only `name` may be reassigned.
     """
 
     crossings: tuple[Crossing, ...]
@@ -182,6 +187,8 @@ class PlanarDiagram:
     name: str = ""
     positive: tuple[bool, ...] = field(init=False, repr=False)
     _components: int = field(init=False, repr=False)
+    braid: BraidWord | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         crossings = tuple(self.crossings)
@@ -314,7 +321,9 @@ def braid_closure(braid: BraidWord, name: str = "") -> PlanarDiagram:
         return a
 
     fixed = [tuple(res(a) for a in x) for x in crossings]
-    return relabel(PlanarDiagram(fixed, free_loops, name))
+    out = relabel(PlanarDiagram(fixed, free_loops, name))
+    object.__setattr__(out, "braid", braid)
+    return out
 
 
 def relabel(d: PlanarDiagram) -> PlanarDiagram:
@@ -323,11 +332,11 @@ def relabel(d: PlanarDiagram) -> PlanarDiagram:
     out = []
     for x in d.crossings:
         out.append(tuple(m.setdefault(a, len(m)) for a in x))
-    return _carry(out, d, d.name, d.positive)
+    return _carry(out, d, d.name, d.positive, d.braid)
 
 
-def _carry(crossings, source: PlanarDiagram, name: str,
-           positive) -> PlanarDiagram:
+def _carry(crossings, source: PlanarDiagram, name: str, positive,
+           braid: BraidWord | None) -> PlanarDiagram:
     """A diagram built around an orientation that is already known, with
     the free loops and components of `source`.
 
@@ -338,7 +347,7 @@ def _carry(crossings, source: PlanarDiagram, name: str,
     d = object.__new__(PlanarDiagram)
     d.__dict__.update(crossings=tuple(crossings), free_loops=source.free_loops,
                       name=name, positive=tuple(positive),
-                      _components=source._components)
+                      _components=source._components, braid=braid)
     return d
 
 
@@ -354,8 +363,10 @@ def mirror(d: PlanarDiagram) -> PlanarDiagram:
             out.append((b, c, dd, a))
     # a component under at every crossing of d is over at every crossing
     # of the mirror, where the tuples leave its direction free
+    b = None if d.braid is None else BraidWord(
+        d.braid.strands, tuple(-k for k in d.braid.letters))
     return _carry(out, d, f"{d.name}*" if d.name else "",
-                  (not p for p in d.positive))
+                  (not p for p in d.positive), b)
 
 
 def connected_sum(d1: PlanarDiagram, d2: PlanarDiagram,
@@ -473,8 +484,9 @@ def named_knot(name: str) -> PlanarDiagram:
 # blank lines are ignored by the file loader.
 
 
-def parse_knot_spec(line: str) -> tuple[str, PlanarDiagram, "BraidWord | None"]:
-    """Parse a single knot-spec line into (name, diagram, braid or None)."""
+def parse_knot_spec(line: str) -> PlanarDiagram:
+    """Parse a single knot-spec line into its diagram, named by the spec;
+    a braid spec's diagram carries its braid."""
     text = line.strip()
     name = ""
     if text.startswith("name="):
@@ -483,19 +495,15 @@ def parse_knot_spec(line: str) -> tuple[str, PlanarDiagram, "BraidWord | None"]:
         text = text.strip()
     if text.startswith("braid:"):
         body = text[len("braid:"):].strip()
-        if body in KNOT_BRAIDS:
-            body = KNOT_BRAIDS[body]
-        braid = parse_braid(body)
-        return name, braid_closure(braid, name), braid
+        return braid_closure(parse_braid(KNOT_BRAIDS.get(body, body)), name)
     if text.startswith("pd:"):
-        return name, parse_pd(text[len("pd:"):], name), None
+        return parse_pd(text[len("pd:"):], name)
     if text in KNOT_BRAIDS:
-        braid = parse_braid(KNOT_BRAIDS[text])
-        return name or text, braid_closure(braid, name or text), braid
+        return braid_closure(parse_braid(KNOT_BRAIDS[text]), name or text)
     raise ValueError(f"unrecognized knot spec {line!r}")
 
 
-def load_knot_file(path: str) -> list[tuple[str, PlanarDiagram, "BraidWord | None"]]:
+def load_knot_file(path: str) -> list[PlanarDiagram]:
     out = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:

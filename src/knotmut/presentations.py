@@ -4,12 +4,10 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
 (negative for inverses), as in `freegroup`.  The main constructions:
 
   * knot_group: the braid-closure presentation < x_i | beta(x_i) x_i^-1 >
-  * meridian_square_quotient: adds x_1^2 (all meridians are conjugate)
   * branched_cover_from_meridians: the fundamental group of the double
     branched cover, by Reidemeister-Schreier along the index-2 subgroup
-    of the meridian-square quotient; double_cover_presentation checks
-    that the diagram is a knot and gives the cover Tietze-simplified
-    from a braid or a diagram
+    of the quotient by x_1^2; `quotients.Cover` checks that a diagram
+    is a knot and builds its cover from its braid or its diagram
   * tietze_simplify: the generator elimination and substring moves of
     Havas, Kenne, Richardson and Robertson, "A Tietze transformation
     program" (Computational Group Theory, 1984), which leave covers
@@ -92,11 +90,6 @@ def wirtinger_presentation(d) -> GroupPresentation:
         if r:
             rels.append(r)
     return GroupPresentation(len(labels), tuple(rels))
-
-
-def meridian_square_quotient(g: GroupPresentation) -> GroupPresentation:
-    """Quotient by the normal closure of the squared meridian x_1^2."""
-    return GroupPresentation(g.ngens, g.relators + ((1, 1),))
 
 
 # -- coset tables ---------------------------------------------------------
@@ -202,24 +195,11 @@ def abelianized_schreier_rows(g: GroupPresentation, table
 
 
 def branched_cover_from_meridians(g: GroupPresentation) -> GroupPresentation:
-    """Index-2 rewriting of a presentation whose generators are all meridians."""
-    g = meridian_square_quotient(g)
+    """Index-2 rewriting of a presentation whose generators are all
+    meridians, after the squared meridian x_1^2 is added as a relator:
+    the double branched cover when every meridian is conjugate to x_1."""
+    g = GroupPresentation(g.ngens, g.relators + ((1, 1),))
     return reidemeister_schreier(g, [(1,) * g.ngens, (0,) * g.ngens])
-
-
-def double_cover_presentation(d, braid: BraidWord | None = None
-                              ) -> GroupPresentation:
-    """Tietze-simplified double branched cover group of a knot.
-
-    Built from the braid's knot group when a braid is given, else from
-    the Wirtinger presentation of the diagram `d`.  Raises ValueError
-    for a link: the relator x_1^2 defines the cover only when every
-    meridian is conjugate to x_1.
-    """
-    if d.component_count() != 1:
-        raise ValueError("diagram must be a knot")
-    base = knot_group(braid) if braid is not None else wirtinger_presentation(d)
-    return tietze_simplify(branched_cover_from_meridians(base))
 
 
 def subgroup_abelianization(g: GroupPresentation, table) -> list[int]:

@@ -79,13 +79,14 @@ import math
 from functools import cached_property
 
 from .budget import MAX_IMAGES, Budget
-from .diagram import BraidWord, PlanarDiagram
+from .diagram import PlanarDiagram
 from .frontier import getter
 from .matrices import abelian_invariants
 from .permgroups import Perm, PermGroup, StabilizerChain, identity
 from .presentations import (GroupPresentation, abelianized_schreier_rows,
-                            double_cover_presentation, low_index_subgroups,
-                            subgroup_abelianization, tietze_simplify)
+                            branched_cover_from_meridians, knot_group,
+                            low_index_subgroups, subgroup_abelianization,
+                            tietze_simplify, wirtinger_presentation)
 
 # the lane pass hands at most this many survivors to the per-candidate
 # check, and a target of at most this many elements is left to that check
@@ -434,17 +435,27 @@ def kernel_abelianization(g: GroupPresentation, images: list[Perm],
 
 
 class Cover:
-    """A knot's double branched cover, built on first use by
-    `double_cover_presentation`, and the searches on its group, each with
-    its results sorted.  Mutants have homeomorphic double branched covers
-    (Viro, 1976), so every result is a mutation invariant."""
+    """A knot's double branched cover, built on first use, and the
+    searches on its group, each with its results sorted.  Mutants have
+    homeomorphic double branched covers (Viro, 1976), so every result is
+    a mutation invariant."""
 
-    def __init__(self, d: PlanarDiagram, braid: BraidWord | None = None):
-        self.knot = (d, braid)
+    def __init__(self, d: PlanarDiagram):
+        self.knot = d
 
     @cached_property
     def presentation(self) -> GroupPresentation:
-        return double_cover_presentation(*self.knot)
+        """The cover's group, Tietze-simplified: from the knot group of
+        the diagram's braid when it carries one, else from its Wirtinger
+        presentation.  Raises ValueError for a link, since the relator
+        x_1^2 defines the cover only when every meridian is conjugate to
+        x_1."""
+        d = self.knot
+        if d.component_count() != 1:
+            raise ValueError("diagram must be a knot")
+        base = wirtinger_presentation(d) if d.braid is None \
+            else knot_group(d.braid)
+        return tietze_simplify(branched_cover_from_meridians(base))
 
     def quotients(self, targets: list[PermGroup]) -> dict[str, int]:
         """delta_Gamma by the name of each target."""

@@ -19,7 +19,7 @@ from .alexander import alexander_pd, h1_double_cover
 from .bracket import jones
 from .budget import ResourceLimitExceeded, time_limit
 from .colored import colored_jones
-from .diagram import BraidWord, PlanarDiagram
+from .diagram import PlanarDiagram
 from .permgroups import builtin_targets
 from .quotients import Cover
 from .skein2 import (cjones3_from_kauffman, homfly, homfly_2cable, kauffman_f,
@@ -93,7 +93,6 @@ POLYNOMIALS = {
 
 
 def compute_report(name: str, d: PlanarDiagram,
-                   braid: BraidWord | None = None,
                    options: ReportOptions | None = None) -> InvariantReport:
     opts = options or ReportOptions()
     is_knot = d.component_count() == 1
@@ -139,7 +138,7 @@ def compute_report(name: str, d: PlanarDiagram,
 
     add("h1_double_cover", lambda: h1_double_cover(d))
     # one cover for both group items, built only if one of them runs
-    cover = Cover(d, braid)
+    cover = Cover(d)
     if opts.quotients:
         add("quotients",
             lambda: cover.quotients(builtin_targets(opts.quotients)))

@@ -29,7 +29,7 @@ def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
-        return _carry(d.crossings, d, d.name, d.positive)
+        return _carry(d.crossings, d, d.name, d.positive, d.braid)
     word = _half_twists(n, extra_half_twists)
     name = f"{d.name}-cable{n}" if d.name else ""
     if not d.crossings:
@@ -81,13 +81,14 @@ def cable(d: PlanarDiagram, n: int, extra_half_twists: int = 0) -> PlanarDiagram
                          cabled.free_loops, name)
 
 
-def whitehead_double(d: PlanarDiagram, framing: int = 0,
+def whitehead_double(d: PlanarDiagram, framing: int | None = None,
                      clasp: int = 1) -> PlanarDiagram:
     """Doubled knot: 2-parallel with twists and a clasped turnback.
 
     `framing` counts signed full twists added between the two strands;
-    `clasp` (+1 or -1) is the sign of the two clasp crossings.  The
-    0-framed double of a diagram with writhe w needs framing = -w.
+    the default, None, is -w for a diagram of writhe w, which gives the
+    0-framed double.  `clasp` (+1 or -1) is the sign of the two clasp
+    crossings.
 
     The 2-cable is cut at the heads of copies 0 and 1 of one companion
     arc, leaving ends b1, b2 below and t1, t2 above.  The splice stacks,
@@ -100,6 +101,8 @@ def whitehead_double(d: PlanarDiagram, framing: int = 0,
         raise ValueError("clasp must be +1 or -1")
     if d.component_count() != 1:
         raise ValueError("companion must be a knot")
+    if framing is None:
+        framing = -d.writhe()
     b1, b2 = 0, 1  # cable() numbers the copies of the lowest arc first
     if d.crossings:
         base = cable(d, 2, 0)

@@ -606,9 +606,7 @@ def cjones3_from_kauffman(f: LaurentPoly2) -> LaurentPoly:
 def p_whitehead_plus(d: PlanarDiagram,
                      max_nodes: int | None = MAX_NODES) -> LaurentPoly2:
     """HOMFLY of the 0-framed, positive-clasp Whitehead double of d."""
-    w = d.writhe()
-    dbl = whitehead_double(d, -w, 1)
-    return homfly(dbl, max_nodes)
+    return homfly(whitehead_double(d), max_nodes)
 
 
 def homfly_2cable(d: PlanarDiagram,

@@ -58,10 +58,6 @@ class Tangle:
         out.update(self.boundary.values())
         return out
 
-    def relabeled(self, offset: int) -> "Tangle":
-        return Tangle(tuple(tuple(a + offset for a in x) for x in self.crossings),
-                      {k: v + offset for k, v in self.boundary.items()})
-
 
 def rotate_tangle(t: Tangle, axis: str) -> Tangle:
     """Rotate a tangle by pi about the given axis."""
@@ -92,12 +88,15 @@ class TangleDecomposition:
     inner: Tangle
 
     def glue(self, name: str = "") -> PlanarDiagram:
-        inner = self.inner.relabeled(max(self.outer.arcs) + 1)
+        # the inner tangle's arcs are renamed past the outer's
+        shift = max(self.outer.arcs) + 1
         uf = UnionFind()
         for c in CORNERS:
-            uf.union(inner.boundary[c], self.outer.boundary[_GLUE_FLIP[c]])
-        raw = [tuple(map(uf.find, x))
-               for x in list(self.outer.crossings) + list(inner.crossings)]
+            uf.union(self.inner.boundary[c] + shift,
+                     self.outer.boundary[_GLUE_FLIP[c]])
+        raw = [tuple(map(uf.find, x)) for x in self.outer.crossings]
+        raw += [tuple(uf.find(a + shift) for a in x)
+                for x in self.inner.crossings]
         used = {a for x in raw for a in x}
         loop_classes = {uf.find(self.outer.boundary[c]) for c in CORNERS}
         free_loops = sum(1 for r in loop_classes if r not in used)
@@ -161,16 +160,20 @@ def rational_tangle(twists: list[int]) -> Tangle:
 
 def tangle_sum(t1: Tangle, t2: Tangle) -> Tangle:
     """Horizontal sum: t1's east ends join t2's west ends."""
-    t2 = t2.relabeled(max(t1.arcs) + 1)
-    ident = {t2.boundary["NW"]: t1.boundary["NE"],
-             t2.boundary["SW"]: t1.boundary["SE"]}
-    crossings = list(t1.crossings)
-    for x in t2.crossings:
-        crossings.append(tuple(ident.get(a, a) for a in x))
+    # t2's arcs are renamed past t1's, and its west ends become t1's east
+    shift = max(t1.arcs) + 1
+    ident = {t2.boundary["NW"] + shift: t1.boundary["NE"],
+             t2.boundary["SW"] + shift: t1.boundary["SE"]}
+
+    def rename(a: int) -> int:
+        return ident.get(a + shift, a + shift)
+
+    crossings = t1.crossings + tuple(tuple(map(rename, x))
+                                     for x in t2.crossings)
     boundary = {"NW": t1.boundary["NW"], "SW": t1.boundary["SW"],
-                "NE": ident.get(t2.boundary["NE"], t2.boundary["NE"]),
-                "SE": ident.get(t2.boundary["SE"], t2.boundary["SE"])}
-    return Tangle(tuple(crossings), boundary)
+                "NE": rename(t2.boundary["NE"]),
+                "SE": rename(t2.boundary["SE"])}
+    return Tangle(crossings, boundary)
 
 
 def random_decomposition(rng: random.Random, max_crossings: int = 12,

@@ -1,12 +1,40 @@
+import importlib
+import inspect
+import pkgutil
 import random
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 
-from knotmut.diagram import BraidWord, braid_closure
+import knotmut
+from knotmut.diagram import BraidWord, braid_closure, parse_pd
 from knotmut.quotients import _point_key
 from knotmut.tangles import TangleDecomposition, rational_tangle, tangle_sum
+
+
+PACKAGE = Path(knotmut.__file__).parent
+
+
+def public_callables(init: bool = False):
+    """(name, callable) of every public function and method that a
+    knotmut module defines, and with `init` each class's own `__init__`."""
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = importlib.import_module(f"knotmut.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    fn = getattr(fn, "__func__", fn)   # static, class
+                    public = not attr.startswith("_") or \
+                        (init and attr == "__init__")
+                    if public and inspect.isfunction(fn):
+                        yield f"{module.__name__}.{name}.{attr}", fn
 
 
 def random_braid(rng: random.Random, max_strands: int = 4,
@@ -31,6 +59,12 @@ def random_knot_braid(rng: random.Random, max_strands: int = 4,
 def random_knot_diagram(rng: random.Random, max_strands: int = 4,
                         max_letters: int = 10):
     return braid_closure(random_knot_braid(rng, max_strands, max_letters))
+
+
+def pd_copy(d):
+    """`d` read back from its PD code: the same diagram with no braid, so
+    that its cover takes the Wirtinger route."""
+    return parse_pd(str(d), d.name)
 
 
 def walked_components(d) -> int:

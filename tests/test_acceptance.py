@@ -22,9 +22,8 @@ from knotmut.permgroups import (alternating, builtin_targets, identity, psl2,
 from knotmut.presentations import (GroupPresentation,
                                    branched_cover_from_meridians, knot_group,
                                    low_index_subgroups, reidemeister_schreier,
-                                   subgroup_abelianization, tietze_simplify,
-                                   wirtinger_presentation)
-from knotmut.quotients import (_point_key, epimorphisms,
+                                   subgroup_abelianization, tietze_simplify)
+from knotmut.quotients import (Cover, _point_key, epimorphisms,
                                kernel_abelianization)
 from knotmut.skein2 import (ResourceLimitExceeded, homfly, kauffman_f,
                             p_whitehead_plus)
@@ -37,18 +36,16 @@ DATA_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
 
 
 def external_knot(name):
-    """Diagram and optional braid for a table knot, or skip."""
+    """The diagram of a table knot, or skip."""
     if os.path.exists(DATA_FILE):
-        for label, d, braid in load_knot_file(DATA_FILE):
-            if label == name:
-                return d, braid
+        for d in load_knot_file(DATA_FILE):
+            if d.name == name:
+                return d
     pytest.skip(f"no diagram available for {name}")
 
 
 def cover_group(name):
-    d, braid = external_knot(name)
-    g = knot_group(braid) if braid is not None else wirtinger_presentation(d)
-    return tietze_simplify(branched_cover_from_meridians(g))
+    return Cover(external_knot(name)).presentation
 
 
 class TestBracketOracle:
@@ -337,7 +334,7 @@ class TestColoredJonesTableValue:
     """Criterion 9: frozen color-3 value for 14_29709."""
 
     def test_value_and_mirror(self):
-        d, _ = external_knot("14_29709")
+        d = external_knot("14_29709")
         frozen = LaurentPoly("q", {e - 31: c
                                    for e, c in enumerate(CJ3_14_29709)})
         got = {str(colored_jones(d, 3)), str(colored_jones(mirror(d), 3))}
@@ -408,7 +405,7 @@ class TestWhiteheadSkein:
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_table_values(self, name):
-        d, _ = external_knot(name)
+        d = external_knot(name)
         expected = parse_pw_grid(self.GRIDS[name])
         try:
             with time_limit(600):

@@ -1,14 +1,11 @@
 """The one budget of the exponential searches."""
 
-import importlib
 import inspect
 import itertools
 import os
-import pkgutil
 import subprocess
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,9 +15,7 @@ from knotmut import (budget, bracket, colored, permgroups, presentations,
                      quotients, report, skein2)
 from knotmut.budget import Budget, ResourceLimitExceeded, time_limit
 from knotmut.diagram import named_knot
-from conftest import pretzel
-
-PACKAGE = Path(knotmut.__file__).parent
+from conftest import PACKAGE, pretzel, public_callables
 
 
 class TestBudget:
@@ -235,32 +230,14 @@ class TestTimeLimit:
         assert firsts == sorted(set(firsts))
 
 
-def _public_callables():
-    """(name, callable) of every public function and method that a
-    knotmut module defines."""
-    for info in pkgutil.iter_modules([str(PACKAGE)]):
-        module = importlib.import_module(f"knotmut.{info.name}")
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) \
-                    != module.__name__:
-                continue
-            if inspect.isfunction(obj):
-                yield f"{module.__name__}.{name}", obj
-            elif inspect.isclass(obj):
-                for attr, fn in vars(obj).items():
-                    fn = getattr(fn, "__func__", fn)   # static, class
-                    if not attr.startswith("_") and inspect.isfunction(fn):
-                        yield f"{module.__name__}.{name}.{attr}", fn
-
-
 class TestOneDeadline:
     """The time limit is set by `time_limit` alone, never passed down."""
 
     def test_no_budget_seconds_parameter(self):
-        found = [name for name, fn in _public_callables()
+        found = [name for name, fn in public_callables()
                  if "budget_seconds" in inspect.signature(fn).parameters]
         assert found == []
-        assert len(list(_public_callables())) > 100
+        assert len(list(public_callables())) > 100
 
     def test_only_the_budget_reads_the_clock(self):
         readers = [p.name for p in sorted(PACKAGE.glob("*.py"))

@@ -129,14 +129,14 @@ class TestDiagramCommands:
         code, out, _ = run(capsys, "cable", "--strands", "2",
                            "--twists", "-1", "trefoil")
         assert code == 0
-        name, d, braid = parse_knot_spec(out.strip())
-        assert braid is None
+        d = parse_knot_spec(out.strip())
+        assert d.braid is None
         assert len(d.crossings) == 13
 
     def test_double(self, capsys):
         code, out, _ = run(capsys, "double", "figure8")
         assert code == 0
-        _, d, _ = parse_knot_spec(out.strip())
+        d = parse_knot_spec(out.strip())
         d.validate()
         assert d.component_count() == 1
 
@@ -154,7 +154,7 @@ class TestDiagramCommands:
         lines = out.strip().splitlines()
         assert len(lines) == len(emitted) >= 1
         for line, d in zip(lines, emitted):
-            _, back, _ = parse_knot_spec(line)
+            back = parse_knot_spec(line)
             assert d.free_loops >= 1
             assert back.free_loops == d.free_loops
             assert back.component_count() == d.component_count() == 2
@@ -166,7 +166,7 @@ class TestDiagramCommands:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         for line in lines:
-            _, d, _ = parse_knot_spec(line)
+            d = parse_knot_spec(line)
             d.validate()
 
 

@@ -150,34 +150,34 @@ class TestNamedKnots:
 
 class TestKnotSpec:
     def test_bare_name(self):
-        name, d, braid = parse_knot_spec("trefoil")
-        assert name == "trefoil"
-        assert braid is not None
-        assert len(d.crossings) == len(braid.letters)
+        d = parse_knot_spec("trefoil")
+        assert d.name == "trefoil"
+        assert d.braid == parse_braid(KNOT_BRAIDS["trefoil"])
+        assert len(d.crossings) == len(d.braid.letters)
 
     def test_labelled_name(self):
-        name, d, braid = parse_knot_spec("name=c 5_1")
-        assert (name, d.name) == ("c", "c")
-        assert len(braid.letters) == 5
+        d = parse_knot_spec("name=c 5_1")
+        assert d.name == "c"
+        assert len(d.braid.letters) == 5
 
     def test_braid_spec(self):
-        name, d, braid = parse_knot_spec("name=k braid: 2 | 1 1 1")
-        assert name == "k"
-        assert braid.strands == 2
+        d = parse_knot_spec("name=k braid: 2 | 1 1 1")
+        assert d.name == "k"
+        assert d.braid.strands == 2
         assert d.component_count() == 1
 
     def test_named_braid_spec(self):
         # a built-in name after `braid:` stands for its braid word
-        name, d, braid = parse_knot_spec("braid: trefoil")
-        assert braid == parse_braid(KNOT_BRAIDS["trefoil"])
-        assert (name, str(d)) == ("", str(named_knot("trefoil")))
+        d = parse_knot_spec("braid: trefoil")
+        assert d.braid == parse_braid(KNOT_BRAIDS["trefoil"])
+        assert (d.name, str(d)) == ("", str(named_knot("trefoil")))
 
     def test_pd_spec(self):
         src = braid_closure(parse_braid("2 | 1 1 1"))
         body = " ".join(f"X({a},{b},{c},{e})" for a, b, c, e in src.crossings)
-        name, d, braid = parse_knot_spec(f"name=t pd: {body}")
-        assert name == "t"
-        assert braid is None
+        d = parse_knot_spec(f"name=t pd: {body}")
+        assert d.name == "t"
+        assert d.braid is None
         assert len(d.crossings) == 3
         d.validate()
 
@@ -188,6 +188,48 @@ class TestKnotSpec:
         d.validate()
         assert d.component_count() == 1
         assert len(d.crossings) == 4
+
+
+class TestBraidProvenance:
+    """A braid closure carries its braid; no other constructor gives one."""
+
+    B = parse_braid(KNOT_BRAIDS["6_2"])
+
+    def test_closure_carries_its_braid(self):
+        assert braid_closure(self.B).braid == self.B
+        assert named_knot("unknot").braid == BraidWord(1, ())
+
+    def test_relabel_and_one_strand_cable_keep_it(self):
+        d = braid_closure(self.B)
+        assert relabel(d).braid == cable(d, 1).braid == self.B
+
+    def test_mirror_negates_the_letters(self):
+        m = mirror(braid_closure(self.B))
+        assert m.braid == BraidWord(3, tuple(-k for k in self.B.letters))
+        assert mirror(m).braid == self.B
+
+    def test_other_constructors_give_none(self):
+        d = braid_closure(self.B)
+        td = TangleDecomposition(vertical_twist(3), vertical_twist(-2))
+        built = {"parse_pd": parse_pd(str(d)),
+                 "add_kink": add_kink(d, 1),
+                 "connected_sum": connected_sum(d, named_knot("trefoil")),
+                 "cable 2": cable(d, 2),
+                 "cable 3": cable(named_knot("unknot"), 3, 1),
+                 "whitehead_double": whitehead_double(d),
+                 "glue": td.glue(),
+                 "PlanarDiagram": PlanarDiagram(d.crossings)}
+        assert {k: v.braid for k, v in built.items()} == dict.fromkeys(built)
+
+    def test_braid_takes_no_part_in_equality(self):
+        d = braid_closure(self.B)
+        e = parse_pd(str(d))
+        assert (d.braid, e.braid) == (self.B, None)
+        assert d == e
+
+    def test_braid_is_fixed(self):
+        with pytest.raises(AttributeError, match="fixed at construction"):
+            braid_closure(self.B).braid = None
 
 
 class TestFaces:

@@ -1,11 +1,15 @@
 """Free-group calculus, presentations, coset tables, and covers."""
 
+import ast
+import inspect
 import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import pretzel, random_knot_braid, table_key
+from conftest import (PACKAGE, pretzel, public_callables, random_knot_braid,
+                      table_key)
+from knotmut import quotients
 from knotmut.alexander import alexander_braid, alexander_pd, h1_double_cover
 from knotmut.diagram import braid_closure, named_knot, parse_braid
 from knotmut.freegroup import (artin_action, fox_derivative_abelian,
@@ -16,9 +20,7 @@ from knotmut.presentations import (GroupPresentation, _cyclic_reduce,
                                    _substring_move,
                                    abelianized_schreier_rows,
                                    branched_cover_from_meridians,
-                                   double_cover_presentation, knot_group,
-                                   low_index_subgroups,
-                                   meridian_square_quotient,
+                                   knot_group, low_index_subgroups,
                                    reidemeister_schreier,
                                    subgroup_abelianization, tietze_simplify,
                                    wirtinger_presentation)
@@ -109,8 +111,10 @@ class TestKnotGroups:
             assert g.abelian_invariants() == [0]
 
     def test_meridian_square_quotient(self):
-        g = meridian_square_quotient(knot_group(parse_braid("2 | 1 1 1")))
-        assert g.abelian_invariants() == [2]
+        # the cover rewrites the quotient by x_1^2 itself: the unknot's
+        # group Z gives the trivial group of the 3-sphere
+        g = branched_cover_from_meridians(knot_group(parse_braid("1 |")))
+        assert g == GroupPresentation(1, ((1,),))
 
 
 class TestBranchedCover:
@@ -152,7 +156,7 @@ free_actions = st.integers(1, 6).flatmap(
 class TestCosetTables:
     @pytest.fixture(scope="class")
     def cover_tables(self):
-        g = double_cover_presentation(pretzel(3, 3, -2, -3))
+        g = quotients.Cover(pretzel(3, 3, -2, -3)).presentation
         return g, low_index_subgroups(g, 4)
 
     def test_subgroup_of_Z(self):
@@ -395,7 +399,7 @@ class TestLowIndex:
         # partial tables that a BFS relabelling from another basepoint
         # makes smaller are dropped: 4,225 tables tried here, against
         # 8,696 when every class is built once per basepoint
-        g = double_cover_presentation(pretzel(3, 3, -2, -3))
+        g = quotients.Cover(pretzel(3, 3, -2, -3)).presentation
         assert g.ngens == 3
         tables = low_index_subgroups(g, 5, max_tables=6000)
         assert len(tables) == 25
@@ -407,3 +411,35 @@ class TestLowIndex:
         twos = [t for t in low_index_subgroups(g, 2) if len(t) == 2]
         assert len(twos) == 1
         assert subgroup_abelianization(g, twos[0]) == [0, 3]
+
+
+def _takes_a_diagram(p: inspect.Parameter) -> bool:
+    return p.name == "d" or "PlanarDiagram" in str(p.annotation)
+
+
+def _calls(path, name: str) -> bool:
+    """Whether the module at `path` calls `name`, plain or as an attribute."""
+    return any(isinstance(n, ast.Call) and name in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(ast.parse(path.read_text())))
+
+
+class TestOneCoverDoor:
+    """A knot's cover is built by `quotients.Cover` alone, from the braid
+    that its diagram carries, so no diagram is paired with a braid."""
+
+    def test_no_diagram_beside_a_braid(self):
+        found = []
+        for name, fn in public_callables(init=True):
+            params = inspect.signature(fn).parameters
+            if "braid" in params and any(map(_takes_a_diagram,
+                                             params.values())):
+                found.append(name)
+        assert found == []
+        assert "knotmut.quotients.Cover.__init__" in dict(
+            public_callables(init=True))
+
+    def test_only_the_cover_rewrites_meridians(self):
+        callers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                   if _calls(p, "branched_cover_from_meridians")]
+        assert callers == ["quotients.py"]

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from knotmut.alexander import alexander_pd, h1_double_cover
-from knotmut.diagram import (KNOT_BRAIDS, braid_closure, named_knot,
-                             parse_braid)
+from knotmut.diagram import KNOT_BRAIDS, braid_closure, named_knot
 from knotmut.matrices import abelian_invariants, smith_diagonal
 from knotmut.permgroups import perm_mul, psl2
-from knotmut.presentations import (double_cover_presentation,
-                                   reidemeister_schreier)
-from knotmut.quotients import epimorphisms
+from knotmut.presentations import reidemeister_schreier
+from knotmut.quotients import Cover, epimorphisms
 
-from conftest import pretzel, random_knot_braid
+from conftest import pd_copy, pretzel, random_knot_braid
 from test_skein2 import MUTANT_SLATE
 
 
@@ -187,7 +185,7 @@ class TestKernelMatrix:
 
     @pytest.fixture(scope="class")
     def kernel_rows(self):
-        pres = double_cover_presentation(pretzel(3, 3, -2, -3))
+        pres = Cover(pretzel(3, 3, -2, -3)).presentation
         group = psl2(7)
         images = epimorphisms(pres, group, simplify=False)[0]
         elems = sorted(group.elements())
@@ -258,10 +256,10 @@ class TestDoubleCoverH1:
     @pytest.mark.parametrize("name", sorted(
         n for n in KNOT_BRAIDS if not n.startswith("hopf")))
     def test_named_knots(self, name):
-        d, b = named_knot(name), parse_braid(KNOT_BRAIDS[name])
+        d = named_knot(name)
         got = h1_double_cover(d)
-        assert got == double_cover_presentation(d).abelian_invariants()
-        assert got == double_cover_presentation(d, b).abelian_invariants()
+        assert got == Cover(d).presentation.abelian_invariants()
+        assert got == Cover(pd_copy(d)).presentation.abelian_invariants()
         assert prod(got) == determinant(d)
 
     @pytest.mark.parametrize("p", MUTANT_SLATE)
@@ -269,7 +267,7 @@ class TestDoubleCoverH1:
         for q in (p, (p[0], p[1], p[3], p[2])):
             d = pretzel(*q)
             got = h1_double_cover(d)
-            assert got == double_cover_presentation(d).abelian_invariants()
+            assert got == Cover(d).presentation.abelian_invariants()
             assert prod(got) == determinant(d)
 
     @given(st.integers(0, 2**30))
@@ -279,8 +277,8 @@ class TestDoubleCoverH1:
                               max_letters=12)
         d = braid_closure(b)
         got = h1_double_cover(d)
-        assert got == double_cover_presentation(d).abelian_invariants()
-        assert got == double_cover_presentation(d, b).abelian_invariants()
+        assert got == Cover(d).presentation.abelian_invariants()
+        assert got == Cover(pd_copy(d)).presentation.abelian_invariants()
         assert prod(got) == determinant(d)
 
     def test_link_raises(self):

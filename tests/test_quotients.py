@@ -15,8 +15,8 @@ from knotmut.permgroups import (PermGroup, StabilizerChain, alternating,
 from knotmut.presentations import (GroupPresentation,
                                    abelianized_schreier_rows,
                                    branched_cover_from_meridians,
-                                   double_cover_presentation, knot_group,
-                                   low_index_subgroups, reidemeister_schreier,
+                                   knot_group, low_index_subgroups,
+                                   reidemeister_schreier,
                                    subgroup_abelianization, tietze_simplify)
 from knotmut import quotients
 from knotmut.quotients import (_holds, _key_starts, _point_key,
@@ -349,7 +349,7 @@ class TestEpimorphisms:
         # group itself; on one point the regular table composes through
         # a one-position getter
         for g in (GroupPresentation(1, ((1, 1, 1),)), GroupPresentation(2, ()),
-                  double_cover_presentation(pretzel(3, 3, -2, -3))):
+                  quotients.Cover(pretzel(3, 3, -2, -3)).presentation):
             homs = epimorphisms(g, group, simplify=False)
             assert len(homs) == 1
             assert kernel_abelianization(g, homs[0], group) == \
@@ -358,7 +358,7 @@ class TestEpimorphisms:
     def test_trivial_cover_group(self):
         # the unknot's double branched cover is S^3: the trivial group,
         # onto which only C1 has a hom, the empty one
-        g = double_cover_presentation(named_knot("unknot"))
+        g = quotients.Cover(named_knot("unknot")).presentation
         assert g.ngens == 0
         assert epimorphisms(g, alternating(5)) == []
         assert epimorphisms(g, cyclic(1)) == [[]]
@@ -430,7 +430,7 @@ def _random_presentation(seed: int, ngens: int = 3) -> GroupPresentation:
 
 
 LANE_PRESENTATIONS = {
-    "P(3,3,-2,-3)": double_cover_presentation(pretzel(3, 3, -2, -3)),
+    "P(3,3,-2,-3)": quotients.Cover(pretzel(3, 3, -2, -3)).presentation,
     "four_generators": GroupPresentation(4, P5_3_M2_M3_FOUR_GENERATORS),
     **{f"random-{seed}": _random_presentation(seed) for seed in range(6)},
 }
@@ -711,8 +711,8 @@ class TestMutantCovers:
 
     @pytest.fixture(scope="class")
     def covers(self):
-        out = [double_cover_presentation(pretzel(3, 3, -2, -3)),
-               double_cover_presentation(pretzel(3, 3, -3, -2))]
+        out = [quotients.Cover(pretzel(3, 3, -2, -3)).presentation,
+               quotients.Cover(pretzel(3, 3, -3, -2)).presentation]
         assert [c.ngens for c in out] == [3, 3]
         return out
 
@@ -799,10 +799,10 @@ class TestMutantCovers:
                          ids=["P(3,3,-2,-3)", "braid-3", "braid-29"])
 def test_subgroup_abelianization_against_presentation_route(seed):
     if seed is None:
-        g = double_cover_presentation(pretzel(3, 3, -2, -3))
+        g = quotients.Cover(pretzel(3, 3, -2, -3)).presentation
     else:
         b = random_knot_braid(random.Random(seed), 5, 18)
-        g = double_cover_presentation(braid_closure(b), b)
+        g = quotients.Cover(braid_closure(b)).presentation
     tables = low_index_subgroups(g, 4)
     assert len(tables) > 1
     for t in tables:

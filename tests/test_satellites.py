@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_knot_diagram
@@ -69,6 +70,12 @@ class TestWhiteheadDouble:
             w = whitehead_double(d, -d.writhe(), clasp)
             w.validate()
             assert w.component_count() == 1
+
+    @pytest.mark.parametrize("name", ("trefoil", "figure8", "5_2"))
+    def test_default_framing_is_zero(self, name):
+        # the default compensates the writhe: the 0-framed double
+        d = named_knot(name)
+        assert whitehead_double(d) == whitehead_double(d, -d.writhe())
 
     def test_framing_twists(self):
         d = named_knot("figure8")
