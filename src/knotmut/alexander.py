@@ -25,6 +25,9 @@ crossing, one column per arc) at two integers:
     ch. 9), so its Smith normal form gives the abelian invariants.
 
 Both polynomials are normalized so that D(t) = D(1/t) and D(1) = 1.
+A third route, `skein2.alexander_from_homfly`, specializes HOMFLY; a
+report reads its `alexander` item that way and runs `alexander_pd` only
+when its HOMFLY is resource-limited.
 """
 
 from __future__ import annotations

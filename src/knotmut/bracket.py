@@ -6,7 +6,10 @@ loop contributes delta = -A^2 - A^-2, and the bracket of the empty
 diagram is 1 (so an unknot diagram evaluates to delta).
 
 The Jones polynomial of an oriented diagram D with writhe w is
-(-A^3)^(-w) <D> / delta, rewritten in t = A^-4.
+(-A^3)^(-w) <D> / delta, rewritten in t = A^-4.  `jones` is the `jones`
+command's engine and the independent check on the HOMFLY reading
+`skein2.jones_from_homfly`, which a report uses; a report runs `jones`
+only when its HOMFLY is resource-limited.
 
 `kauffman_bracket` contracts one crossing at a time, in the order and
 with the per-step layout of the open arcs that `knotmut.frontier` plans

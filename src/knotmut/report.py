@@ -6,6 +6,9 @@ item is a mutation invariant, so any item that is done on both knots
 and differs excludes mutation.  Equality never proves mutation, so the
 strongest negative verdict is "mutation excluded" and the positive case
 is always "consistent with mutation (inconclusive)".
+Items that are specializations of another are read off it when it is
+done: `jones` and `alexander` off `homfly`, `cjones_2` off `jones` and
+`cjones_3` off `kauffman`; a limited item leaves them to their engines.
 The group items share one `quotients.Cover` per knot, built only if one
 of them runs, and search the built-in targets built once per process.
 """
@@ -22,7 +25,8 @@ from .colored import colored_jones
 from .diagram import PlanarDiagram
 from .permgroups import builtin_targets
 from .quotients import Cover
-from .skein2 import (cjones3_from_kauffman, homfly, homfly_2cable, kauffman_f,
+from .skein2 import (alexander_from_homfly, cjones3_from_kauffman, homfly,
+                     homfly_2cable, jones_from_homfly, kauffman_f,
                      p_whitehead_plus)
 
 DONE = "done"
@@ -81,9 +85,10 @@ def _jsonable(v):
     return str(v)
 
 
-# how each polynomial item is computed from the diagram; each lambda
-# looks its engine up in this module when it runs, so a patched module
-# attribute is the one called
+# the engine of each polynomial command of the CLI, and of each report
+# item that is not read off another; each lambda looks its engine up in
+# this module when it runs, so a patched module attribute is the one
+# called
 POLYNOMIALS = {
     "jones": lambda d: jones(d),
     "alexander": lambda d: alexander_pd(d),
@@ -111,8 +116,22 @@ def compute_report(name: str, d: PlanarDiagram,
         item.elapsed = perf_counter() - start
         report.items[key] = item
 
-    for key, poly in POLYNOMIALS.items():
-        add(key, lambda: poly(d))
+    def read_off(key, source, reading, engine):
+        """Add `key` as `reading` of the done `source` item, else by
+        `engine`."""
+        item = report.items[source]
+        add(key, (lambda: reading(item.value)) if item.status == DONE
+            else engine)
+
+    for key in ("homfly", "kauffman"):
+        add(key, lambda: POLYNOMIALS[key](d))
+    # V(t) and Delta(t) are P at l = i t^-1, m = i(t^-1/2 - t^1/2) and at
+    # l = i, m = i(t^1/2 - t^-1/2) (Freyd et al., Bull. AMS 12, 1985); a
+    # limited homfly item leaves them to the bracket and the arc-coloring
+    # determinant
+    for key, reading in (("jones", jones_from_homfly),
+                         ("alexander", alexander_from_homfly)):
+        read_off(key, "homfly", reading, lambda: POLYNOMIALS[key](d))
     if opts.colors >= 2:
         # J_K(2) is the Jones polynomial in q = 1/t (Kirby & Melvin,
         # Invent. Math. 105, 1991): the jones item, with its status
@@ -122,13 +141,13 @@ def compute_report(name: str, d: PlanarDiagram,
             "cjones_2", j.status,
             j.value.invert_var("q") if j.status == DONE else None, j.detail,
             perf_counter() - start)
-    f = report.items["kauffman"]
     for n in range(3, opts.colors + 1):
-        if n == 3 and f.status == DONE:
+        if n == 3:
             # J_K(3) is the Kauffman polynomial at a = q^2, z = q - q^-1
             # (Turaev, Invent. Math. 92, 1988); a limited kauffman item
             # leaves color 3 to the state sum
-            add("cjones_3", lambda: cjones3_from_kauffman(f.value))
+            read_off("cjones_3", "kauffman", cjones3_from_kauffman,
+                     lambda: colored_jones(d, 3))
         else:
             add(f"cjones_{n}", lambda: colored_jones(d, n))
     if opts.whitehead_homfly:

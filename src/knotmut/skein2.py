@@ -74,6 +74,10 @@ Coefficients inside the trees are plain {e: int} dicts on packed
 exponents e = e1 * w + e2 (see `_width`); every factor of the relations
 is a monomial, applied as one integer shift of e, and a node's children
 are combined in one pass over each child's terms.
+
+The readings of a finished polynomial, the Alexander and Jones
+polynomials off HOMFLY and J_K(3) off Kauffman, substitute into it by
+one pass over its terms (`_specialize`).
 """
 
 from __future__ import annotations
@@ -561,27 +565,59 @@ def kauffman_f(d: PlanarDiagram,
     return _tree(d, _UDiagram, _DELTA_F, True, ("a", "z"), max_nodes)
 
 
-def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:
-    """Alexander polynomial via P(l=i, m=i(t^(1/2)-t^(-1/2))).
+def _specialize(p: LaurentPoly2, stretch: int, imaginary: bool) -> dict:
+    """The coefficients {e: c} in x of p(X, Y) at X = x^stretch and
+    Y = x - x^-1.
 
-    Powers of i cancel for knots (P has even total degree pattern), and
-    half-integer powers of t cancel likewise; the result is normalized
-    so that it is symmetric with value 1 at t=1 by construction.
+    With `imaginary`, X and Y each carry a factor i as well, so a term
+    c X^e1 Y^e2 gains i^(e1 + e2): a sign, since e1 and e2 are even for
+    a knot's HOMFLY polynomial.  (x - x^-1)^e is expanded once per e, not
+    once per term.  Only a link's polynomial has a negative Y-degree, and
+    that is refused.
     """
-    # work in s = t^(1/2); i^(e1+e2) with e1+e2 even
+    rows: dict[int, tuple] = {}
     acc: dict[int, int] = {}
-    for (e1, e2), coef in p.coeffs.items():
-        if (e1 + e2) % 2 != 0:
-            raise ValueError("unexpected parity in HOMFLY of a knot")
-        ipow = (e1 + e2) % 4
-        sign = 1 if ipow == 0 else -1
-        # m^e2 = i^e2 (s - s^-1)^e2 : expand binomially
-        for k in range(e2 + 1):
-            exp = e2 - 2 * k
-            c = comb(e2, k) * ((-1) ** k)
-            acc[exp] = acc.get(exp, 0) + sign * coef * c
-    half = LaurentPoly("s", acc)
-    return half.shrink(2, "t")
+    get = acc.get
+    for (e1, e2), c in p.coeffs.items():
+        if imaginary:
+            if (e1 + e2) & 1:
+                raise ValueError("unexpected parity in HOMFLY of a knot")
+            if (e1 + e2) & 2:
+                c = -c
+        row = rows.get(e2)
+        if row is None:
+            if e2 < 0:
+                raise ValueError(
+                    f"negative {p.vars[1]}-degree: a link's "
+                    f"{'HOMFLY' if imaginary else 'Kauffman'} polynomial")
+            row = rows[e2] = tuple((e2 - 2 * k, (-1) ** k * comb(e2, k))
+                                   for k in range(e2 + 1))
+        base = stretch * e1
+        for e, v in row:
+            e += base
+            acc[e] = get(e, 0) + c * v
+    return acc
+
+
+def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:
+    """Alexander polynomial via P(l = i, m = i(t^(1/2) - t^(-1/2))).
+
+    In s = t^(1/2) this is l = i, m = i(s - s^-1); the powers of i
+    and the half-integer powers of t cancel for a knot, and the result is
+    symmetric with value 1 at t = 1 by construction.
+    """
+    return LaurentPoly("s", _specialize(p, 0, True)).shrink(2, "t")
+
+
+def jones_from_homfly(p: LaurentPoly2) -> LaurentPoly:
+    """Jones polynomial via P(l = i t^-1, m = i(t^(-1/2) - t^(1/2))).
+
+    In x = t^(-1/2) this is l = i x^2, m = i(x - x^-1), which turns the
+    HOMFLY relation into the Jones skein relation
+    t^-1 V(L+) - t V(L-) = (t^(1/2) - t^(-1/2)) V(L0); as for Alexander,
+    the powers of i and the half-integer powers of t cancel for a knot.
+    """
+    return LaurentPoly("x", _specialize(p, 2, True)).shrink(-2, "t")
 
 
 def cjones3_from_kauffman(f: LaurentPoly2) -> LaurentPoly:
@@ -592,15 +628,7 @@ def cjones3_from_kauffman(f: LaurentPoly2) -> LaurentPoly:
     (Turaev, Invent. Math. 92, 1988).  Only a link's F has a negative
     z-degree, and that is refused.
     """
-    acc: dict[int, int] = {}
-    for (e1, e2), coef in f.coeffs.items():
-        if e2 < 0:
-            raise ValueError("negative z-degree: a link's Kauffman polynomial")
-        # z^e2 = (q - q^-1)^e2 : expand binomially
-        for k in range(e2 + 1):
-            exp = 2 * e1 + e2 - 2 * k
-            acc[exp] = acc.get(exp, 0) + coef * comb(e2, k) * (-1) ** k
-    return LaurentPoly("q", acc)
+    return LaurentPoly("q", _specialize(f, 2, False))
 
 
 def p_whitehead_plus(d: PlanarDiagram,

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import knotmut
+from knotmut.bracket import jones
 from knotmut.diagram import BraidWord, braid_closure, parse_pd
 from knotmut.quotients import _point_key
 from knotmut.tangles import TangleDecomposition, rational_tangle, tangle_sum
@@ -59,6 +60,17 @@ def random_knot_braid(rng: random.Random, max_strands: int = 4,
 def random_knot_diagram(rng: random.Random, max_strands: int = 4,
                         max_letters: int = 10):
     return braid_closure(random_knot_braid(rng, max_strands, max_letters))
+
+
+def nontrivial_knot_braid(rng: random.Random, max_strands: int = 4,
+                          max_letters: int = 10) -> BraidWord:
+    """Random braid whose closure is a knot with Jones polynomial not 1,
+    so not the unknot: `random_knot_braid` draws until one is."""
+    for _ in range(500):
+        b = random_knot_braid(rng, max_strands, max_letters)
+        if not jones(braid_closure(b)).is_one():
+            return b
+    raise RuntimeError("failed to sample a non-trivial knot braid")
 
 
 def pd_copy(d):

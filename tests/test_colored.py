@@ -19,8 +19,7 @@ from knotmut.diagram import (PlanarDiagram, add_kink, braid_closure,
 from knotmut.laurent import LaurentPoly, LaurentPoly2, qint
 from knotmut.satellites import cable
 from knotmut.skein2 import cjones3_from_kauffman, kauffman_f
-from test_report import NAMED_KNOTS
-from test_skein2 import MUTANT_SLATE
+from test_skein2 import MUTANT_SLATE, NAMED_KNOTS
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 

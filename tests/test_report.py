@@ -8,17 +8,19 @@ import pytest
 
 from conftest import pd_copy, pretzel, random_knot_braid
 from knotmut import frontier, permgroups, quotients, report
+from knotmut.alexander import alexander_pd
+from knotmut.bracket import jones
 from knotmut.budget import ResourceLimitExceeded
 from knotmut.cli import main
 from knotmut.colored import colored_jones
-from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram, add_kink,
+from knotmut.diagram import (BraidWord, PlanarDiagram, add_kink,
                              braid_closure, mirror, named_knot,
                              parse_knot_spec, relabel)
 from knotmut.report import (DIFFERENT, DONE, EQUAL, LIMITED, SKIPPED,
                             UNKNOWN, VERDICT_EXCLUDED, VERDICT_INCONCLUSIVE,
                             ReportOptions, compare_pair, compute_report)
 from knotmut.tangles import AXES, mutate, random_decomposition
-from test_skein2 import MUTANT_SLATE
+from test_skein2 import MUTANT_SLATE, NAMED_KNOTS
 
 BASIC = ("alexander", "cjones_2", "h1_double_cover", "homfly", "jones",
          "kauffman")
@@ -41,7 +43,7 @@ class TestComputeReport:
         # an item of a knot is skipped never; an engine's error stops the run
         def broken(d):
             raise ArithmeticError("engine bug")
-        monkeypatch.setattr(report, "alexander_pd", broken)
+        monkeypatch.setattr(report, "homfly", broken)
         with pytest.raises(ArithmeticError, match="^engine bug$"):
             compute_report("trefoil", named_knot("trefoil"))
         assert main(["report", "trefoil"]) == 1
@@ -114,14 +116,42 @@ class TestBuiltOnce:
         assert any(g is a5 for g in first)
 
 
-NAMED_KNOTS = tuple(n for n in KNOT_BRAIDS
-                    if named_knot(n).component_count() == 1)
-
-
 class TestEachInvariantOnce:
-    """A report computes color 2 as the jones item in q = 1/t and color 3
-    as the kauffman item at a = q^2, z = q - q^-1, and plans each
-    diagram's contraction once for the bracket and the state sum."""
+    """A report reads jones and alexander off the homfly item, color 2
+    as the jones item in q = 1/t and color 3 as the kauffman item at
+    a = q^2, z = q - q^-1, and plans each diagram's contraction once for
+    the bracket and the state sum."""
+
+    @staticmethod
+    def limited(d):
+        raise ResourceLimitExceeded("node budget exhausted")
+
+    def test_jones_and_alexander_read_the_homfly_item(self, monkeypatch):
+        calls = []
+
+        def spy(engine):
+            def called(d):
+                calls.append(engine.__name__)
+                return engine(d)
+            return called
+        monkeypatch.setattr(report, "jones", spy(report.jones))
+        monkeypatch.setattr(report, "alexander_pd", spy(report.alexander_pd))
+        for d in (named_knot("6_2"), pretzel(5, 3, -2, -3)):
+            items = compute_report("k", d).items
+            assert items["homfly"].status == DONE
+            assert items["jones"].status == items["alexander"].status == DONE
+        assert calls == []
+
+    def test_jones_and_alexander_outlive_limited_homfly(self, monkeypatch):
+        monkeypatch.setattr(report, "homfly", self.limited)
+        d = pretzel(5, 3, -2, -3)
+        items = compute_report("k", d).items
+        assert items["homfly"].status == LIMITED
+        for key in ("jones", "cjones_2", "alexander"):
+            assert items[key].status == DONE, key
+        assert items["jones"].value == jones(d)
+        assert items["cjones_2"].value == jones(d).invert_var("q")
+        assert items["alexander"].value == alexander_pd(d)
 
     @pytest.mark.parametrize("knot", MUTANT_SLATE + NAMED_KNOTS, ids=str)
     def test_cjones_2_is_the_state_sum(self, knot):
@@ -134,6 +164,8 @@ class TestEachInvariantOnce:
         def limited(d):
             raise ResourceLimitExceeded("time budget exhausted after 1 of "
                                         "3 crossing steps")
+        # the jones item reads homfly unless homfly is limited too
+        monkeypatch.setattr(report, "homfly", self.limited)
         monkeypatch.setattr(report, "jones", limited)
         items = compute_report("trefoil", named_knot("trefoil")).items
         assert items["jones"].status == items["cjones_2"].status == LIMITED
@@ -166,9 +198,7 @@ class TestEachInvariantOnce:
         assert calls == [4]
 
     def test_cjones_3_outlives_limited_kauffman(self, monkeypatch):
-        def limited(d):
-            raise ResourceLimitExceeded("node budget exhausted")
-        monkeypatch.setattr(report, "kauffman_f", limited)
+        monkeypatch.setattr(report, "kauffman_f", self.limited)
         d = pretzel(5, 3, -2, -3)
         items = compute_report("k", d, options=ReportOptions(colors=3)).items
         assert items["kauffman"].status == LIMITED
@@ -187,6 +217,8 @@ class TestEachInvariantOnce:
             planned.append(crossings)
             return contraction_order(crossings)
         monkeypatch.setattr(frontier, "contraction_order", spy)
+        # jones runs the bracket only when homfly is limited
+        monkeypatch.setattr(report, "homfly", self.limited)
         frontier.plan.cache_clear()
         d = pretzel(3, 3, -2, -3)
         rep = compute_report("k", d, options=ReportOptions(colors=4))

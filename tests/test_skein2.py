@@ -7,9 +7,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (homfly_mirror, pretzel, random_braid,
-                      random_knot_diagram)
+from conftest import (homfly_mirror, nontrivial_knot_braid, pretzel,
+                      random_braid, random_knot_diagram)
 from knotmut import skein2
+from knotmut.alexander import alexander_pd
 from knotmut.bracket import DELTA, jones, kauffman_bracket
 from knotmut.budget import Budget
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
@@ -19,8 +20,8 @@ from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
 from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly, parse_poly2
 from knotmut.satellites import cable, whitehead_double
 from knotmut.skein2 import (ResourceLimitExceeded, alexander_from_homfly,
-                            homfly, homfly_2cable, kauffman_f,
-                            p_whitehead_plus)
+                            homfly, homfly_2cable, jones_from_homfly,
+                            kauffman_f, p_whitehead_plus)
 from knotmut.tangles import TangleDecomposition, rational_tangle
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
@@ -31,6 +32,8 @@ UNKNOT = PlanarDiagram([], 1, "unknot")
 # tuples agree up to rotation and reversal.
 MUTANT_SLATE = ((3, 2, 3, -3), (-3, 2, -3, 3), (5, 3, -2, -3),
                 (-5, 3, -2, 3), (7, 3, 3, -2), (7, -3, -2, -3))
+NAMED_KNOTS = tuple(n for n in KNOT_BRAIDS
+                    if named_knot(n).component_count() == 1)
 
 
 def dihedral_orbit(p: tuple) -> set:
@@ -233,6 +236,43 @@ class TestAlexanderFromHomfly:
     def test_figure8(self):
         assert alexander_from_homfly(homfly(named_knot("figure8"))) == \
             parse_poly("-t^-1 + 3 - t", "t")
+
+
+class TestHomflyReadings:
+    """V(t) and Delta(t), which a report reads off its homfly item,
+    against the bracket and the arc-coloring determinant."""
+
+    @staticmethod
+    def check(d):
+        p = homfly(d)
+        assert jones_from_homfly(p) == jones(d)
+        assert alexander_from_homfly(p) == alexander_pd(d)
+
+    @pytest.mark.parametrize("name", NAMED_KNOTS)
+    def test_named_knots(self, name):
+        self.check(named_knot(name))
+
+    @pytest.mark.parametrize("p", MUTANT_SLATE)
+    def test_mutant_slate(self, p):
+        for q in (p, (p[0], p[1], p[3], p[2])):
+            self.check(pretzel(*q))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_closures(self, seed):
+        rng = random.Random(seed)
+        d = braid_closure(nontrivial_knot_braid(rng, max_strands=5,
+                                                max_letters=14))
+        for k in (d, mirror(d), add_kink(d, rng.choice((1, -1)))):
+            self.check(k)
+
+    @pytest.mark.parametrize("d", (named_knot("hopf_plus"),
+                                   PlanarDiagram([], 3)), ids=("hopf", "unlink"))
+    def test_link_is_refused(self, d):
+        p = homfly(d)
+        for reading in (jones_from_homfly, alexander_from_homfly):
+            with pytest.raises(ValueError, match="^negative m-degree: a "
+                               "link's HOMFLY polynomial$"):
+                reading(p)
 
 
 class TestSatelliteHomfly:

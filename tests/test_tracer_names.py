@@ -43,25 +43,38 @@ def test_traced_method_is_own(cls, method):
     assert method in cls.__dict__
 
 
-def test_report_engines_are_traced():
+def test_report_engines_are_traced(monkeypatch):
     # the tracer patches module attributes, so the report must reach its
     # engines through them
     from knotmut import report
+    from knotmut.budget import ResourceLimitExceeded
     from knotmut.diagram import named_knot
 
-    t = tracer.Tracer()
-    t.install()
-    try:
-        r = report.compute_report("trefoil", named_knot("trefoil"),
-                                  options=report.ReportOptions(colors=4))
-        report.compare_pair(r, r)
-    finally:
-        t.uninstall()
+    def traced_report():
+        t = tracer.Tracer()
+        t.install()
+        try:
+            r = report.compute_report("trefoil", named_knot("trefoil"),
+                                      options=report.ReportOptions(colors=4))
+            report.compare_pair(r, r)
+        finally:
+            t.uninstall()
+        return t
+
+    t = traced_report()
     for name in ("report.compute_report", "report.compare_pair",
-                 "bracket.jones", "alexander.alexander_pd", "skein2.homfly",
-                 "skein2.kauffman_f", "colored.cjones_n4"):
+                 "skein2.homfly", "skein2.kauffman_f", "colored.cjones_n4"):
         assert t.stat(name).calls >= 1, name
-    # colors 2 and 3 are read off the jones and kauffman items, never
-    # computed by the state sum
-    assert t.stat("colored.cjones_n2").calls == 0
-    assert t.stat("colored.cjones_n3").calls == 0
+    # jones and alexander are read off the homfly item, and colors 2 and 3
+    # off the jones and kauffman items, never computed by their engines
+    for name in ("bracket.jones", "alexander.alexander_pd",
+                 "colored.cjones_n2", "colored.cjones_n3"):
+        assert t.stat(name).calls == 0, name
+
+    # a limited homfly item leaves jones and alexander to their engines
+    def limited(d):
+        raise ResourceLimitExceeded("node budget exhausted")
+    monkeypatch.setattr(report, "homfly", limited)
+    t = traced_report()
+    for name in ("bracket.jones", "alexander.alexander_pd"):
+        assert t.stat(name).calls >= 1, name
