@@ -11,18 +11,21 @@ The other route evaluates the Wirtinger arc-coloring matrix of a planar
 diagram (relation c = t a + (1 - t) o across each crossing, one row per
 crossing, one column per arc) at two integers:
 
-  * `alexander_pd` substitutes t = 2^B (Kronecker substitution) and takes
-    one integer Bareiss determinant of the codimension-one minor; the
-    signed base-2^B digits of that integer are the coefficients of
-    Delta(t), a polynomial in t of degree below n for n arcs.  B = 2n
-    never wraps a digit.  The entries of a row are -1, t and 1 - t, so
-    the absolute values of a row's coefficients sum to at most 4.  The
-    determinant is a sum over permutations of products of one entry per
-    row, so the absolute values of its coefficients sum to at most the
-    product of the row sums, 4^(n-1) = 2^(B-2) < 2^(B-1).
-  * `h1_double_cover` substitutes t = -1: that matrix presents H1 of the
-    double branched cover (Lickorish, An Introduction to Knot Theory,
-    ch. 9), so its Smith normal form gives the abelian invariants.
+  * `alexander_pd` substitutes t = 2^B (Kronecker substitution) and
+    reads |det| of the codimension-one minor off its Smith diagonal
+    (`matrices.smith_diagonal`): the product of the n - 1 entries, or 0
+    when there are fewer.  The signed base-2^B digits of that integer
+    are the coefficients of +-Delta(t), a polynomial in t of degree
+    below n for n arcs, and `normalize_alexander` fixes the sign.
+    B = 2n never wraps a digit.  The entries of a row are -1, t and
+    1 - t, so the absolute values of a row's coefficients sum to at
+    most 4.  The determinant is a sum over permutations of products of
+    one entry per row, so the absolute values of its coefficients sum
+    to at most the product of the row sums, 4^(n-1) = 2^(B-2) < 2^(B-1).
+  * `h1_double_cover` substitutes t = -1 in the same minor: that matrix
+    presents H1 of the double branched cover (Lickorish, An
+    Introduction to Knot Theory, ch. 9), so its Smith normal form gives
+    the abelian invariants.  Both routes eliminate with `smith_diagonal`.
 
 Both polynomials are normalized so that D(t) = D(1/t) and D(1) = 1.
 A third route, `skein2.alexander_from_homfly`, specializes HOMFLY; a
@@ -32,10 +35,12 @@ when its HOMFLY is resource-limited.
 
 from __future__ import annotations
 
+from math import prod
+
 from .diagram import BraidWord, PlanarDiagram, wirtinger_arcs
 from .freegroup import artin_action, fox_derivative_abelian, inverse_word
 from .laurent import LaurentPoly
-from .matrices import abelian_invariants
+from .matrices import abelian_invariants, smith_diagonal
 
 
 def _det_bareiss(m: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -120,29 +125,17 @@ def _coloring_rows(d: PlanarDiagram, t: int) -> list[dict[int, int]]:
     return rows
 
 
-def _det_int(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix (destructive)."""
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            r = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if r is None:
-                return 0
-            m[k], m[r] = m[r], m[k]
-            sign = -sign
-        pivot, top = m[k][k], m[k]
-        for row in m[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * top[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1] if n else 1
-
-
 def _check_knot(d: PlanarDiagram) -> None:
     if d.component_count() != 1:
         raise ValueError("diagram must be a knot")
+
+
+def _coloring_minor(d: PlanarDiagram, t: int) -> list[dict[int, int]]:
+    """The arc-coloring matrix at t without its last row and last column,
+    as sparse rows; n - 1 rows and n - 1 columns for n crossings."""
+    last = len(d.crossings) - 1
+    return [{j: v for j, v in row.items() if j < last}
+            for row in _coloring_rows(d, t)[:-1]]
 
 
 def alexander_pd(d: PlanarDiagram) -> LaurentPoly:
@@ -152,9 +145,8 @@ def alexander_pd(d: PlanarDiagram) -> LaurentPoly:
     if not n:
         return LaurentPoly.one("t")
     width = 2 * n   # B: see the module docstring for why no digit wraps
-    rows = _coloring_rows(d, 1 << width)
-    minor = [[row.get(j, 0) for j in range(n - 1)] for row in rows[:-1]]
-    packed = _det_int(minor)
+    diagonal = smith_diagonal(_coloring_minor(d, 1 << width))
+    packed = prod(diagonal) if len(diagonal) == n - 1 else 0
     return normalize_alexander(LaurentPoly.unpack("t", packed, width))
 
 
@@ -169,6 +161,4 @@ def h1_double_cover(d: PlanarDiagram) -> list[int]:
     n = len(d.crossings)
     if not n:
         return []
-    rows = _coloring_rows(d, -1)[:-1]
-    return abelian_invariants(
-        [{j: v for j, v in row.items() if j < n - 1} for row in rows], n - 1)
+    return abelian_invariants(_coloring_minor(d, -1), n - 1)

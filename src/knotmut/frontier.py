@@ -5,8 +5,7 @@ one end in the contracted region are open; they depend on the step only,
 so `layout` fixes one order of them per step before any state exists:
 the kept arcs in their old order, then the arcs the crossing opens, in
 leg order.  `contraction_order` picks the steps so that few arcs are open
-at once.  `plan` is both, memoized for the few diagrams last contracted,
-so that the bracket and the colored state sum of one diagram share it.
+at once.  `plan` is both.
 
 Both engines pack a state's polynomial coefficient into one Python int
 of signed fixed-width digits (Kronecker substitution).  `fits` is the
@@ -18,7 +17,7 @@ after each, and doubles the digit width when they are too narrow.
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -71,15 +70,8 @@ def layout(crossings, order: list[int]) -> list[Step]:
     return steps
 
 
-@lru_cache(maxsize=2)
 def plan(crossings: tuple) -> tuple[list[int], list[Step]]:
-    """`contraction_order` of `crossings` and its `layout`, shared by every
-    contraction of the same crossings, so callers must not change them.
-
-    The key is the crossings alone, so nothing that depends on a
-    diagram's orientation may be kept here: a link's `positive` is not
-    fixed by its tuples.
-    """
+    """`contraction_order` of `crossings` and its `layout`."""
     order = contraction_order(crossings)
     return order, layout(crossings, order)
 

@@ -28,7 +28,7 @@ from knotmut.quotients import (Cover, _point_key, epimorphisms,
 from knotmut.skein2 import (ResourceLimitExceeded, homfly, kauffman_f,
                             p_whitehead_plus)
 from knotmut.tangles import AXES, mutate, random_decomposition
-from conftest import (homfly_mirror, random_braid, random_knot_braid,
+from conftest import (homfly_mirror, nontrivial_knot_braid, random_braid,
                       random_knot_diagram, table_key)
 
 DATA_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
@@ -137,7 +137,7 @@ class TestDoubleCoverHomology:
     def test_order_is_determinant(self):
         rng = random.Random(106)
         for _ in range(50):
-            b = random_knot_braid(rng, max_letters=10)
+            b = nontrivial_knot_braid(rng, max_letters=10)
             g = tietze_simplify(branched_cover_from_meridians(knot_group(b)))
             inv = g.abelian_invariants()
             p = alexander_braid(b)

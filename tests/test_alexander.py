@@ -5,14 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_knot_braid
-from knotmut.alexander import (_coloring_rows, _det_bareiss, _det_int,
-                               alexander_braid, alexander_pd,
-                               normalize_alexander)
+from conftest import nontrivial_knot_braid, pretzel
+from knotmut import alexander
+from knotmut.alexander import (_coloring_rows, _det_bareiss, alexander_braid,
+                               alexander_pd, normalize_alexander)
 from knotmut.diagram import (add_kink, braid_closure, connected_sum, mirror,
                              named_knot, parse_braid)
 from knotmut.laurent import LaurentPoly, parse_poly
+from knotmut.satellites import cable, whitehead_double
 from knotmut.skein2 import alexander_from_homfly, homfly
+from test_skein2 import MUTANT_SLATE
 
 ROLFSEN = {
     "trefoil": "t^-1 - 1 + t",
@@ -56,7 +58,7 @@ class TestRouteAgreement:
     @given(st.integers(0, 2**30))
     @settings(max_examples=20, deadline=None)
     def test_three_routes(self, seed):
-        b = random_knot_braid(random.Random(seed), max_letters=8)
+        b = nontrivial_knot_braid(random.Random(seed), max_letters=8)
         d = braid_closure(b)
         via_pd = alexander_pd(d)
         assert alexander_braid(b) == via_pd
@@ -96,13 +98,15 @@ def laurent_minor(d):
 
 
 class TestPackedDeterminant:
-    """The determinant at t = 2^B read back against Bareiss over Z[t]."""
+    """The determinant at t = 2^B, read off the Smith diagonal, against
+    Bareiss over Z[t] on the same minor."""
 
     @given(st.integers(0, 2**30), st.sampled_from(("plain", "mirror", "kink")))
     @settings(max_examples=40, deadline=None)
     def test_matches_laurent_bareiss(self, seed, variant):
         rng = random.Random(seed)
-        d = braid_closure(random_knot_braid(rng, max_strands=6, max_letters=16))
+        d = braid_closure(nontrivial_knot_braid(rng, max_strands=6,
+                                                max_letters=16))
         if variant == "mirror":
             d = mirror(d)
         elif variant == "kink":
@@ -117,7 +121,6 @@ class TestPackedDeterminant:
         ([[1, 2, 0], [1, 2, 1], [0, 0, 2]], 0),   # a zero later one
     ])
     def test_zero_pivots(self, rows, det):
-        assert _det_int([row[:] for row in rows]) == det
         # row i times t^i: the determinant times t^(0 + 1 + ...)
         laurent = [[LaurentPoly("t", {i: x}) for x in row]
                    for i, row in enumerate(rows)]
@@ -135,3 +138,55 @@ class TestPackedDeterminant:
         got = alexander_pd(d)
         assert got == normalize_alexander(factor ** 4)
         assert max(map(abs, got.coeffs.values())) >= 150
+
+    def test_never_factors_the_diagonal(self, monkeypatch):
+        # the packed determinant has about 2n(n - 1) bits, too many for
+        # the trial division that abelian_invariants runs on each entry
+        d = pretzel(*MUTANT_SLATE[2])
+        want = alexander_pd(d)
+
+        def refused(rows, ngens):
+            raise AssertionError("alexander_pd factored its diagonal")
+        monkeypatch.setattr(alexander, "abelian_invariants", refused)
+        assert alexander_pd(d) == want
+
+
+def companions():
+    """The named knots, each with its mirror and a kink of either sign,
+    and the slate pretzels: 34 (id, diagram) pairs of 3-15 crossings."""
+    for name in ROLFSEN:
+        d = named_knot(name)
+        yield name, d
+        yield f"{name}-mirror", mirror(d)
+        for sign in (1, -1):
+            yield f"{name}-kink{sign:+d}", add_kink(d, sign)
+    for p in MUTANT_SLATE:
+        d = pretzel(*p)
+        yield d.name, d
+
+
+COMPANIONS = dict(companions())
+
+
+def torus_2(q: int) -> LaurentPoly:
+    """Alexander polynomial of the (2, q) torus knot, q odd."""
+    return normalize_alexander(
+        LaurentPoly("t", {k: (-1) ** k for k in range(abs(q))}))
+
+
+class TestSatellites:
+    """Literature values for the diagram route on satellites of 13-84
+    crossings, past the closures that the Bareiss oracle reaches."""
+
+    @pytest.mark.parametrize("d", COMPANIONS.values(), ids=COMPANIONS)
+    def test_whitehead_double_is_trivial(self, d):
+        assert alexander_pd(whitehead_double(d)).is_one()
+
+    @pytest.mark.parametrize("d", COMPANIONS.values(), ids=COMPANIONS)
+    def test_cabling_formula(self, d):
+        # Seifert: the blackboard 2-cable with one negative half-twist is
+        # the (2, 2w - 1) cable, Delta_d(t^2) Delta_T(2, 2w - 1)(t)
+        squared = LaurentPoly("t", {2 * e: c for e, c in
+                                    alexander_pd(d).coeffs.items()})
+        want = normalize_alexander(squared * torus_2(2 * d.writhe() - 1))
+        assert alexander_pd(cable(d, 2, -1)) == want

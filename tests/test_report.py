@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import pd_copy, pretzel, random_knot_braid
-from knotmut import frontier, permgroups, quotients, report
+from knotmut import permgroups, quotients, report
 from knotmut.alexander import alexander_pd
 from knotmut.bracket import jones
 from knotmut.budget import ResourceLimitExceeded
@@ -119,8 +119,7 @@ class TestBuiltOnce:
 class TestEachInvariantOnce:
     """A report reads jones and alexander off the homfly item, color 2
     as the jones item in q = 1/t and color 3 as the kauffman item at
-    a = q^2, z = q - q^-1, and plans each diagram's contraction once for
-    the bracket and the state sum."""
+    a = q^2, z = q - q^-1."""
 
     @staticmethod
     def limited(d):
@@ -209,21 +208,6 @@ class TestEachInvariantOnce:
         items = compute_report("hopf", named_knot("hopf_plus"),
                                options=ReportOptions(colors=3)).items
         assert items["kauffman"].status == items["cjones_3"].status == SKIPPED
-
-    def test_one_plan_per_diagram(self, monkeypatch):
-        planned, contraction_order = [], frontier.contraction_order
-
-        def spy(crossings):
-            planned.append(crossings)
-            return contraction_order(crossings)
-        monkeypatch.setattr(frontier, "contraction_order", spy)
-        # jones runs the bracket only when homfly is limited
-        monkeypatch.setattr(report, "homfly", self.limited)
-        frontier.plan.cache_clear()
-        d = pretzel(3, 3, -2, -3)
-        rep = compute_report("k", d, options=ReportOptions(colors=4))
-        assert rep.items["jones"].status == rep.items["cjones_4"].status == DONE
-        assert planned == [d.crossings]
 
 
 # Without a budget, on 2 cores: cjones_5 of the closure of SLOW_CJONES, a

@@ -5,6 +5,11 @@ import re
 import subprocess
 import sys
 
+import pytest
+
+from knotmut import skein2
+from knotmut.diagram import named_knot
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
 
@@ -12,6 +17,25 @@ def run_script(name, *args):
     return subprocess.run([sys.executable, os.path.join(SCRIPTS, name),
                            *args], capture_output=True, text=True,
                           timeout=300)
+
+
+def tree_counts(tree, d):
+    """(nodes, memo entries, memo hits), as strings, of `tree(d)` run with
+    no node budget in this process."""
+    made = []
+
+    class Counting(skein2.Budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(skein2, "Budget", Counting)
+        tree(d, max_nodes=None)
+    (budget,) = made
+    memo, hits = re.fullmatch(r"(\d+) memo entries, (\d+) memo hits",
+                              budget.progress()).groups()
+    return str(budget.nodes), memo, hits
 
 
 class TestGroupSearchTiming:
@@ -61,5 +85,12 @@ class TestSkeinTiming:
                              rf"\d+ memo hits, \d+\.\d{{3}} s, "
                              rf"\d+\.\d us/node, {status}$", res.stdout,
                              re.M), res.stdout
+        # the done lines count the library's own satellite trees
+        d = named_knot("trefoil")
+        for job, tree in (("whitehead_homfly", skein2.p_whitehead_plus),
+                          ("cable_homfly", skein2.homfly_2cable)):
+            got = re.search(rf"^trefoil {job}: (\d+) nodes, (\d+) memo "
+                            rf"entries, (\d+) memo hits,", res.stdout, re.M)
+            assert got.groups() == tree_counts(tree, d), job
         assert re.search(r"^total: \d+ nodes, \d+ memo entries, \d+ memo hits, "
                          r"\d+\.\d{3} s, \d+\.\d us/node$", res.stdout, re.M)
