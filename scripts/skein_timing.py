@@ -9,20 +9,25 @@ double.  These are the library's own trees, `skein2.p_whitehead_plus`,
 `satellites.whitehead_double`, so a change of framing there is timed
 here too.  Each line gives the nodes the resolution tree expanded, the
 entries of its memo and the hits on it, the seconds it took and the
-microseconds per node, and whether it finished within
-`--budget-seconds`.  The default companions are those of the benchmark's
+microseconds per node, and whether it finished ("done"), stopped at
+`--max-nodes` nodes ("capped") or ran out of `--budget-seconds`
+("limited").  The default companions are those of the benchmark's
 satellites workload: seven named knots and two 7-crossing 2-bridge knots
 glued from rational tangles.
 
 The times are raw `time.perf_counter` readings, not scaled by any
 calibration, so they move with the machine's speed from one run to the
 next: compare them only within one run.  The node, memo-entry and
-memo-hit counts of a tree that finishes do not depend on the machine's
-speed, and compare across runs.  Those of a tree stopped by
+memo-hit counts of a tree that finishes or is capped do not depend on
+the machine's speed, and compare across runs.  Those of a tree stopped by
 `--budget-seconds` (a "limited" line, and so the total) say how far it
-got in that time, so they move with the machine's speed as well.
+got in that time, so they move with the machine's speed as well.  Under
+`--max-nodes`, as under the benchmark's node caps, every tree that does
+not finish does a fixed amount of work, so its microseconds per node
+measure the cost of a node on the same tree in every run.
 
     python3 scripts/skein_timing.py
+    python3 scripts/skein_timing.py --max-nodes 2000
     python3 scripts/skein_timing.py --budget-seconds 10 6_2 "braid: 3 | 1 1 2 -1 2"
 """
 
@@ -61,18 +66,18 @@ def companions(specs):
         yield d.name, d
 
 
-def satellites(d):
+def satellites(d, n):
     """(name, tree) of the three satellite polynomials of d, each run
-    with no node budget."""
+    with node budget n (None: no budget)."""
     return (("whitehead_homfly",
-             lambda: skein2.p_whitehead_plus(d, max_nodes=None)),
-            ("cable_homfly", lambda: skein2.homfly_2cable(d, max_nodes=None)),
+             lambda: skein2.p_whitehead_plus(d, max_nodes=n)),
+            ("cable_homfly", lambda: skein2.homfly_2cable(d, max_nodes=n)),
             ("whitehead_kauffman",
-             lambda: skein2.kauffman_f(whitehead_double(d), max_nodes=None)))
+             lambda: skein2.kauffman_f(whitehead_double(d), max_nodes=n)))
 
 
 def run(tree, seconds):
-    """(nodes, memo entries, memo hits, seconds, finished) of one tree."""
+    """(nodes, memo entries, memo hits, seconds, status) of one tree."""
     budget = skein2.Budget
     made = []
 
@@ -86,15 +91,15 @@ def run(tree, seconds):
     try:
         with time_limit(seconds):
             tree()
-        finished = True
-    except skein2.ResourceLimitExceeded:
-        finished = False
+        status = "done"
+    except skein2.ResourceLimitExceeded as exc:
+        status = "capped" if str(exc).startswith("node") else "limited"
     finally:
         skein2.Budget = budget
     seconds = time.perf_counter() - start
     memo, hits = map(int, re.fullmatch(r"(\d+) memo entries, (\d+) memo hits",
                                        made[0].progress()).groups())
-    return made[0].nodes, memo, hits, seconds, finished
+    return made[0].nodes, memo, hits, seconds, status
 
 
 def line(nodes, memo, hits, seconds):
@@ -110,18 +115,21 @@ def main() -> int:
                          "commands (default: the benchmark's)")
     ap.add_argument("--budget-seconds", type=float, default=2.0,
                     help="time budget of each tree")
+    ap.add_argument("--max-nodes", type=int, default=None,
+                    help="node budget of each tree (default: none)")
     args = ap.parse_args()
+    if args.max_nodes is not None and args.max_nodes < 0:
+        ap.error("--max-nodes must be at least 0")
 
     print("# times are raw perf_counter readings and compare only within "
           "this run; node, memo-entry and memo-hit counts compare across "
-          "runs only on done lines")
+          "runs only on done and capped lines")
     total = [0, 0, 0, 0.0]
     for name, d in companions(args.knots):
-        for job, tree in satellites(d):
-            *counts, finished = run(tree, args.budget_seconds)
+        for job, tree in satellites(d, args.max_nodes):
+            *counts, status = run(tree, args.budget_seconds)
             total = [t + c for t, c in zip(total, counts)]
-            print(f"{name} {job}: {line(*counts)}, "
-                  f"{'done' if finished else 'limited'}")
+            print(f"{name} {job}: {line(*counts)}, {status}")
     print(f"total: {line(*total)}")
     return 0
 

@@ -28,13 +28,16 @@ encoding of an isolated curl does not determine its handedness; its
 slots do.
 
 One recursion, `_tree`, runs both trees.  One node of a tree does, in
-order: tick the budget; copy its parent's state with one move applied
-(a switch, or a smoothing that deletes the crossing and joins its
-arcs); reduce it; compact it into its memo key; look the key up; pick
-the crossing to resolve; and combine its children's values by its state
-class's relation (`resolve`).  A node's value comes with the framing
-shift of the curls its reduction removed, which is zero in the HOMFLY
-trees.
+order: tick the budget; build its state in one step from its parent's
+with one move applied (a switch, or a smoothing that deletes the
+crossing and joins its arcs); reduce it; return the unlink value if no
+crossing is left, before the state is compacted or keyed; compact it
+into its memo key; look the key up; pick the crossing to resolve; and
+combine its children's values by its state class's relation
+(`resolve`).  A node's value comes with the framing shift of the curls
+its reduction removed, which is zero in the HOMFLY trees.  Values are
+shared, never mutated: a memo entry, an unlink power and a child's
+value taken with no shift are one dict.
 
 Before its memo lookup every node is reduced by Reidemeister-I and -II
 moves: curls, and bigons in which one strand passes over the other at
@@ -162,14 +165,16 @@ class _RDiagram:
     deleted crossings until `key()` drops them.  `touched` holds the
     crossings to check in `reduce()`.
 
-    A node of a tree is a copy of its parent's state with one move
-    applied (`switched`, `smoothed`), then `reduce()`, then
-    `key()`, which compacts the state: the dead crossings are dropped,
-    the live ones keep their order, and `o` becomes the key's own tuple
-    (a move copies it into a list).  `first_bad` reads a compacted state.
+    A node of a tree is its parent's state with one move applied, built
+    in one step (`switched`, `smoothed`: `o` and `dirs` are copied into
+    new lists and the move is written into them), then `reduce()`, then,
+    unless no crossing is left, `key()`, which compacts the state: the
+    dead crossings are dropped, the live ones keep their order, and `o`
+    becomes the key's own tuple.  `first_bad` reads a compacted state.
     """
 
     __slots__ = ("o", "dirs", "free_loops", "touched", "dead")
+    signed = True  # the memo key holds the signs
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
@@ -179,15 +184,11 @@ class _RDiagram:
         out.touched, out.dead = set(range(len(d.crossings))), []
         return out
 
-    def copy(self) -> "_RDiagram":
-        out = _new(type(self))
-        out.o, out.dirs = list(self.o), self.dirs[:]
-        out.free_loops, out.touched, out.dead = self.free_loops, set(), []
-        return out
+    def key(self):
+        """Compact the state and return its memo key: the partner of every
+        leg, then the signs in an oriented state, then the free loops.
 
-    def _compact(self) -> tuple:
-        """Drop the dead crossings and return the compacted `o`.
-
+        The dead crossings are dropped and the live ones keep their order.
         A position moves down by 4 per deleted crossing before its own;
         `m` maps every old position to its new one, and one itemgetter
         looks them all up.
@@ -206,12 +207,9 @@ class _RDiagram:
             dead.clear()
         else:
             self.o = o = tuple(o)
-        return o
-
-    def key(self):
-        """Compact the state and return its memo key: the partner of every
-        leg, the signs and the free loops."""
-        return self._compact(), tuple(self.dirs), self.free_loops
+        if self.signed:
+            return o, tuple(dirs), self.free_loops
+        return o, self.free_loops
 
     def _rotate(self, k: int, r: int) -> None:
         """Move the arc on each leg l of crossing k to leg l + r.  No arc
@@ -352,20 +350,22 @@ class _RDiagram:
         """Switch crossing i and its sign: the arc on leg l moves to leg
         l + 1 (positive) or l + 3, so that leg 0 is the incoming under-
         strand again."""
-        out = self.copy()
-        dr = out.dirs[i]
+        out = _new(_RDiagram)
+        out.o, out.dirs = list(self.o), self.dirs[:]
+        out.free_loops, out.touched, out.dead = self.free_loops, {i}, []
+        dr = self.dirs[i]
         out._rotate(i, 1 if dr else 3)
         out.dirs[i] = not dr
-        out.touched.add(i)
         return out
 
     def smoothed(self, i: int, across: bool) -> "_RDiagram":
         """Delete crossing i and join its legs 0-1 and 3-2, or with
         `across` its legs 0-3 and 1-2."""
-        out = self.copy()
-        b = 4 * i
+        out = _new(type(self))
+        out.o, out.dirs = list(self.o), self.dirs[:]
         out.dirs[i] = None
-        out.dead.append(i)
+        out.free_loops, out.touched, out.dead = self.free_loops, set(), [i]
+        b = 4 * i
         if across:
             out._join(b, b + 3, b + 1, b + 2, out.touched)
         else:
@@ -473,6 +473,7 @@ class _UDiagram(_RDiagram):
     """
 
     __slots__ = ()
+    signed = False
 
     @classmethod
     def from_diagram(cls, d: PlanarDiagram) -> "_UDiagram":
@@ -480,16 +481,12 @@ class _UDiagram(_RDiagram):
         out.dirs = [True] * len(out.dirs)
         return out
 
-    def key(self):
-        """Compact the state and return its memo key: the partner of every
-        leg and the free loops."""
-        return self._compact(), self.free_loops
-
     def switched(self, i: int) -> "_UDiagram":
         """Switch crossing i: the arc on leg l moves to leg l + 1."""
-        out = self.copy()
+        out = _new(_UDiagram)
+        out.o, out.dirs = list(self.o), self.dirs[:]
+        out.free_loops, out.touched, out.dead = self.free_loops, {i}, []
         out._rotate(i, 1)
-        out.touched.add(i)
         return out
 
     def resolve(self, i: int, value, w: int) -> dict:
@@ -497,7 +494,7 @@ class _UDiagram(_RDiagram):
         by the positional Dubrovnik relation
         D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))."""
         sw, s = value(self.switched(i))
-        res = {e + s: v for e, v in sw.items()}
+        res = {e + s: v for e, v in sw.items()} if s else dict(sw)
         sa, s = value(self.smoothed(i, False))
         _add_shifted(res, sa, s + 1, 1)
         sb, s = value(self.smoothed(i, True))
@@ -530,9 +527,10 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
         nonlocal hits
         tick()
         curl = rd.reduce() * cw
-        key = rd.key()
-        if not rd.dirs:
+        if len(rd.dead) == len(rd.dirs):
+            # no crossing is left
             return unlink(rd.free_loops - 1) if rd.free_loops else _ONE, curl
+        key = rd.key()
         res = memo.get(key)
         if res is not None:
             hits += 1
@@ -541,7 +539,9 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
         if i is None:
             n, writhe = rd.components_and_writhe()
             s = writhe * cw
-            res = {e + s: v for e, v in unlink(n + rd.free_loops - 1).items()}
+            res = unlink(n + rd.free_loops - 1)
+            if s:
+                res = {e + s: v for e, v in res.items()}
         else:
             res = rd.resolve(i, value, w)
             if 0 in res.values():

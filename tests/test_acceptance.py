@@ -14,8 +14,9 @@ from knotmut.alexander import alexander_braid, alexander_pd, h1_double_cover
 from knotmut.bracket import bracket_state_sum, jones, kauffman_bracket
 from knotmut.budget import time_limit
 from knotmut.colored import colored_jones
-from knotmut.diagram import (PlanarDiagram, braid_closure, connected_sum,
-                             load_knot_file, mirror, named_knot, parse_braid)
+from knotmut.diagram import (PlanarDiagram, add_kink, braid_closure,
+                             connected_sum, load_knot_file, mirror,
+                             named_knot, parse_braid)
 from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly
 from knotmut.permgroups import (alternating, builtin_targets, identity, psl2,
                                 symmetric)
@@ -28,8 +29,8 @@ from knotmut.quotients import (Cover, _point_key, epimorphisms,
 from knotmut.skein2 import (ResourceLimitExceeded, homfly, kauffman_f,
                             p_whitehead_plus)
 from knotmut.tangles import AXES, mutate, random_decomposition
-from conftest import (homfly_mirror, nontrivial_knot_braid, random_braid,
-                      random_knot_diagram, table_key)
+from conftest import (homfly_mirror, nontrivial_knot_braid, pretzel,
+                      random_braid, random_knot_diagram, table_key)
 
 DATA_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                          "paper_knots.txt")
@@ -427,3 +428,12 @@ class TestWhiteheadSkein:
                     assert p_whitehead_plus(mutate(td, axis)) == base
         except ResourceLimitExceeded:
             pytest.skip("Whitehead skein polynomial over budget")
+
+    def test_mutation_invariance_pretzel_pair(self):
+        # the random decompositions above glue 4-crossing unknots; this is
+        # a pair of non-trivial mutants, two distinct diagrams (writhes -5
+        # and -4) whose 0-framed doubles have 56 and 58 crossings
+        d = pretzel(3, 2, 3, -3)
+        e = add_kink(pretzel(3, 2, -3, 3), 1)
+        assert not jones(d).is_one() and not jones(e).is_one()
+        assert p_whitehead_plus(d) == p_whitehead_plus(e)

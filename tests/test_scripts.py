@@ -9,6 +9,7 @@ import pytest
 
 from knotmut import skein2
 from knotmut.diagram import named_knot
+from knotmut.satellites import whitehead_double
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
@@ -19,9 +20,9 @@ def run_script(name, *args):
                           timeout=300)
 
 
-def tree_counts(tree, d):
-    """(nodes, memo entries, memo hits), as strings, of `tree(d)` run with
-    no node budget in this process."""
+def tree_counts(tree, d, max_nodes=None):
+    """(nodes, memo entries, memo hits), as strings, of `tree(d)` run in
+    this process with node budget `max_nodes`, finished or stopped by it."""
     made = []
 
     class Counting(skein2.Budget):
@@ -31,7 +32,10 @@ def tree_counts(tree, d):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(skein2, "Budget", Counting)
-        tree(d, max_nodes=None)
+        try:
+            tree(d, max_nodes=max_nodes)
+        except skein2.ResourceLimitExceeded:
+            pass
     (budget,) = made
     memo, hits = re.fullmatch(r"(\d+) memo entries, (\d+) memo hits",
                               budget.progress()).groups()
@@ -77,7 +81,8 @@ class TestSkeinTiming:
         assert res.returncode == 0, res.stderr
         assert re.match(r"# times .* compare only within this run; node, "
                         r"memo-entry and memo-hit counts compare across runs "
-                        r"only on done lines\n", res.stdout), res.stdout
+                        r"only on done and capped lines\n", res.stdout), \
+            res.stdout
         for job, status in (("whitehead_homfly", "done"),
                             ("cable_homfly", "done"),
                             ("whitehead_kauffman", "(done|limited)")):
@@ -94,3 +99,24 @@ class TestSkeinTiming:
             assert got.groups() == tree_counts(tree, d), job
         assert re.search(r"^total: \d+ nodes, \d+ memo entries, \d+ memo hits, "
                          r"\d+\.\d{3} s, \d+\.\d us/node$", res.stdout, re.M)
+
+    def test_node_cap(self):
+        # a tree that does not finish within --max-nodes stops at exactly
+        # that many nodes, with the counts of the library's capped tree
+        res = run_script("skein_timing.py", "--max-nodes", "100", "trefoil")
+        assert res.returncode == 0, res.stderr
+        d = named_knot("trefoil")
+        for job, tree, status in (
+                ("whitehead_homfly", skein2.p_whitehead_plus, "done"),
+                ("cable_homfly", skein2.homfly_2cable, "capped"),
+                ("whitehead_kauffman",
+                 lambda d, max_nodes: skein2.kauffman_f(whitehead_double(d),
+                                                        max_nodes=max_nodes),
+                 "capped")):
+            got = re.search(rf"^trefoil {job}: (\d+) nodes, (\d+) memo "
+                            rf"entries, (\d+) memo hits, \d+\.\d{{3}} s, "
+                            rf"\d+\.\d us/node, {status}$", res.stdout, re.M)
+            assert got, res.stdout
+            assert got.groups() == tree_counts(tree, d, 100), job
+            if status == "capped":
+                assert got[1] == "100"

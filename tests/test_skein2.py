@@ -353,10 +353,12 @@ class TestReduction:
         assert nodes <= 990
 
     def test_pretzel_whitehead_homfly_node_guard(self, monkeypatch):
-        # the paper's scale: needs 40,045 nodes, and 71,481 if the tree
-        # took the first bad crossing with an alternating bigon
-        _, nodes = counted(monkeypatch, p_whitehead_plus, pretzel(3, 2, 3, -3))
-        assert nodes <= 41_000
+        # the paper's scale, pinned as `TestTreeShapes` pins the small
+        # trees: (nodes, memo entries, memo hits).  It needs 71,481 nodes
+        # if the tree took the first bad crossing with an alternating bigon
+        got = tree_shape(monkeypatch, p_whitehead_plus, pretzel(3, 2, 3, -3),
+                         None)
+        assert got == (40_045, 20_926, 15_835)
 
     def test_whitehead_kauffman_node_guard(self, monkeypatch):
         # needs 856 nodes; 1,510 if the tree took the first bad crossing
