@@ -10,8 +10,10 @@ automorphisms and the seconds of two searches: the first, which also
 builds the target's tables (its conjugation orbit representatives), and
 a warm second one that reuses them.  With `--kernels` it also prints,
 for each target, the number of kernels, the seconds of all their
-`kernel_abelianization` calls and a digest (the first 16 hex digits of
-the SHA-256 of the sorted invariants' repr), which is equal exactly
+`kernel_abelianization` calls, the entries of all their relation rows
+(counted in an untimed pass, a number that repeats exactly and that
+the Schreier transversal sets) and a digest (the first 16 hex digits
+of the SHA-256 of the sorted invariants' repr), which is equal exactly
 when the invariants are.  Then it prints the number of conjugacy
 classes of subgroups of index at most `--index` and the seconds of that
 search.
@@ -32,11 +34,13 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from knotmut.budget import ResourceLimitExceeded, time_limit
-from knotmut.permgroups import target
-from knotmut.presentations import (branched_cover_from_meridians,
+from knotmut.permgroups import identity, target
+from knotmut.presentations import (abelianized_schreier_rows,
+                                   branched_cover_from_meridians,
                                    low_index_subgroups, tietze_simplify,
                                    wirtinger_presentation)
-from knotmut.quotients import epimorphisms, kernel_abelianization
+from knotmut.quotients import (_regular_table, epimorphisms,
+                               kernel_abelianization)
 from knotmut.tangles import (TangleDecomposition, mutate, rational_tangle,
                              tangle_sum)
 
@@ -87,9 +91,12 @@ def main() -> int:
         if args.kernels:
             invs, s = timed(lambda: [kernel_abelianization(pres, h, group)
                                      for h in homs])
+            entries = sum(
+                len(row) for h in homs for row in abelianized_schreier_rows(
+                    pres, _regular_table(h, identity(group.degree)))[0])
             digest = hashlib.sha256(repr(sorted(invs)).encode()).hexdigest()
             print(f"kernels onto {name}: {len(invs)} kernels, {s:.3f} s, "
-                  f"digest {digest[:16]}")
+                  f"{entries} row entries, digest {digest[:16]}")
     tables, s = timed(lambda: low_index_subgroups(pres, args.index))
     print(f"low-index to {args.index}: {len(tables)} classes, {s:.2f} s")
     if args.budget_seconds is not None:

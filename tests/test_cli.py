@@ -348,17 +348,19 @@ class TestCountFlags:
         assert (code, out) == (0, "index 1: [3]\n")
 
 
-# Each takes 0.3-1.8 s without a budget on 2 cores, at least 6 times the
-# budget: epimorphisms onto A7 (0.3-0.4 s) and the index-6 low-index
-# search (0.9-1.5 s) on the 3-generator, 48-letter double branched cover
-# of this braid's closure, and the 5-colored Jones polynomial of a 2-cable
-# of the trefoil, whose contraction keeps 8 arcs open (1.3-1.8 s).
+# Each takes 0.6-1.8 s without a budget on 2 cores, at least 6 times the
+# budget: epimorphisms onto A7 on the 4-generator, 22-letter double
+# branched cover of SLOW_QUOTIENTS' closure (0.6-0.7 s), the index-9
+# low-index search on the 2-generator, 38-letter cover of SLOW_COVER's
+# closure (1.3-1.5 s), and the 5-colored Jones polynomial of a 2-cable of
+# the trefoil, whose contraction keeps 8 arcs open (1.3-1.8 s).
+SLOW_QUOTIENTS = "braid: 5 | -4 1 1 1 -4 3 3 2 -4 2 2 3"
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
 SLOW_COMMANDS = (
-    ("cover", "quotients", "--target", "Alt(7)", SLOW_COVER),
+    ("cover", "quotients", "--target", "Alt(7)", SLOW_QUOTIENTS),
     ("cjones", "--color", "5", SLOW_CJONES),
-    ("cover", "lowindex", "--max", "6", SLOW_COVER),
+    ("cover", "lowindex", "--max", "9", SLOW_COVER),
 )
 
 

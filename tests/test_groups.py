@@ -3,6 +3,7 @@
 import ast
 import inspect
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,9 +16,9 @@ from knotmut.diagram import braid_closure, named_knot, parse_braid
 from knotmut.freegroup import (artin_action, fox_derivative_abelian,
                                freely_reduce, inverse_word, substitute)
 from knotmut.laurent import LaurentPoly
-from knotmut.permgroups import alternating
+from knotmut.permgroups import alternating, identity, psl2
 from knotmut.presentations import (GroupPresentation, _cyclic_reduce,
-                                   _substring_move,
+                                   _schreier_steps, _substring_move,
                                    abelianized_schreier_rows,
                                    branched_cover_from_meridians,
                                    knot_group, low_index_subgroups,
@@ -203,6 +204,126 @@ class TestCosetTables:
                       subgroup_abelianization):
             with pytest.raises(ValueError, match="rows must have 3 entries"):
                 route(g, two_sided)
+
+
+def _tree(g, table) -> set[tuple[int, int]]:
+    """The edges (coset, generator index) of `_schreier_steps`' tree."""
+    steps, _ = _schreier_steps(g, table)
+    return {(c, k) for k, ((cols, _, _), _) in enumerate(steps)
+            for c, j in enumerate(cols) if j < 0}
+
+
+def _bfs_tree(table) -> set[tuple[int, int]]:
+    """The edges of the breadth-first tree from coset 0 along forward
+    edges, generators in their own order."""
+    seen, order, tree = {0}, [0], set()
+    for c in order:
+        for k, d in enumerate(table[c]):
+            if d not in seen:
+                seen.add(d)
+                order.append(d)
+                tree.add((c, k))
+    return tree
+
+
+def _row_entries(g, table, tree) -> int:
+    """Entries of the abelianized Schreier rows over a spanning tree: each
+    row of (relator, coset) holds every non-tree edge the walk crosses."""
+    back = [{d: c for c, d in enumerate(p)} for p in zip(*table)]
+    total = 0
+    for r in g.relators:
+        for c in range(len(table)):
+            crossed, cur = set(), c
+            for x in r:
+                k = abs(x) - 1
+                start = cur if x > 0 else back[k][cur]
+                if (start, k) not in tree:
+                    crossed.add((start, k))
+                cur = table[cur][k] if x > 0 else start
+            total += len(crossed)
+    return total
+
+
+def _seeded_low_index_tables():
+    """Low-index tables to index 5 of the knot groups of eight seeded
+    non-trivial knot braids, on their own 2-3 generators."""
+    for seed in range(8):
+        g = knot_group(nontrivial_knot_braid(random.Random(seed)))
+        for t in low_index_subgroups(g, 5):
+            yield g, t
+
+
+class TestSchreierTree:
+    """The transversal is the depth-first tree that walks each cycle of
+    the most-used generator whole."""
+
+    @pytest.fixture(scope="class")
+    def kernel_tables(self):
+        g = quotients.Cover(pretzel(3, 3, -2, -3)).presentation
+        out = {}
+        for group in (alternating(5), psl2(7)):
+            e = identity(group.degree)
+            out[group.name] = group, [
+                (h, quotients._regular_table(h, e))
+                for h in epimorphisms(g, group, simplify=False)]
+        return g, out
+
+    @staticmethod
+    def check_tree(g, table):
+        n = len(table)
+        tree = _tree(g, table)
+        assert len(tree) == n - 1
+        # every coset but 0 is entered by one tree edge, and the tree
+        # edges lead back to coset 0 from every coset
+        parent = {table[c][k]: c for c, k in tree}
+        assert len(parent) == n - 1 and 0 not in parent
+        for c in range(n):
+            for _ in range(n):
+                if c == 0:
+                    break
+                c = parent[c]
+            assert c == 0
+        # all but one edge of each cycle of the most-used generator
+        uses = Counter(abs(x) for r in g.relators for x in r)
+        a = max(range(g.ngens), key=lambda k: (uses[k + 1], -k))
+        p = [row[a] for row in table]
+        todo = set(range(n))
+        while todo:
+            c = start = todo.pop()
+            off_tree = (c, a) not in tree
+            while (c := p[c]) != start:
+                todo.remove(c)
+                off_tree += (c, a) not in tree
+            assert off_tree == 1
+        assert _row_entries(g, table, tree) == \
+            sum(map(len, abelianized_schreier_rows(g, table)[0]))
+
+    @pytest.mark.parametrize("name, count", [("A5", 12), ("PSL(2,7)", 60)])
+    def test_kernel_tables(self, kernel_tables, name, count):
+        g, tables = kernel_tables
+        group, homs = tables[name]
+        assert len(homs) == count
+        for h, regular in homs:
+            self.check_tree(g, regular)
+            # the same invariants as the route that rewrites words
+            assert quotients.kernel_abelianization(g, h, group) == \
+                reidemeister_schreier(g, regular).abelian_invariants()
+
+    def test_fewer_entries_than_breadth_first(self, kernel_tables):
+        g, tables = kernel_tables
+        _, a5 = tables["A5"]
+        dfs = sum(_row_entries(g, t, _tree(g, t)) for _, t in a5)
+        bfs = sum(_row_entries(g, t, _bfs_tree(t)) for _, t in a5)
+        assert dfs < bfs
+
+    def test_low_index_tables(self):
+        tables = list(_seeded_low_index_tables())
+        assert {len(t) for _, t in tables} == {1, 2, 3, 4, 5}
+        assert {g.ngens for g, _ in tables} == {2, 3}
+        for g, t in tables:
+            self.check_tree(g, t)
+            assert subgroup_abelianization(g, t) == \
+                reidemeister_schreier(g, t).abelian_invariants()
 
 
 class TestTietze:

@@ -18,7 +18,7 @@ from knotmut.presentations import (GroupPresentation,
                                    knot_group, low_index_subgroups,
                                    reidemeister_schreier,
                                    subgroup_abelianization, tietze_simplify)
-from knotmut import quotients
+from knotmut import presentations, quotients
 from knotmut.quotients import (_holds, _key_starts, _point_key,
                                _regular_table, _search_order, epimorphisms,
                                kernel_abelianization)
@@ -37,6 +37,17 @@ P5_3_M2_M3_FOUR_GENERATORS = (
      -3, -1, 3, 1, 3, 4, 3),
     (-3, -4, -3, -1, -3, 1, 3, 4, 3, 2, -1, -3, -4, -3, -1, -3, -4, -3, -1, -3,
      1, 3, 4, 3, 1, 3, 4, 3, 1, -2, -3, -4, -3, -1, 3, 4, 3, -2),
+)
+
+# the 3-generator, 48-letter cover of the closure of SLOW_COVER_BRAID (the
+# time budget tests' SLOW_COVER), as Tietze left it while the Schreier
+# transversal was the breadth-first tree (the cover now has 2 generators)
+SLOW_COVER_BRAID = "5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
+SLOW_COVER_THREE_GENERATORS = (
+    (3, -1, 2, -1, 3, 2, 3, 2),
+    (-3, -1, -1, -3, -2, -3, -2, 1, -2, -3, -2),
+    (-1, 2, 3, 2, 3, 2, -1, -1, 2, 3, 2, 3, 2, -1, -1, 2, 3, 2, 3, 2, -1, -1,
+     2, 3, 2, 3, 2, -1, -3),
 )
 
 
@@ -808,3 +819,43 @@ def test_subgroup_abelianization_against_presentation_route(seed):
     for t in tables:
         assert subgroup_abelianization(g, t) == \
             reidemeister_schreier(g, t).abelian_invariants()
+
+
+@pytest.fixture
+def tables_tried(monkeypatch):
+    """A one-item list: the calls of `Budget.tick` made by the searches of
+    `presentations`, one per coset table `low_index_subgroups` tries."""
+    calls = [0]
+
+    class Spy(presentations.Budget):
+        def tick(self):
+            calls[0] += 1
+            super().tick()
+
+    monkeypatch.setattr(presentations, "Budget", Spy)
+    return calls
+
+
+class TestLowIndexSearch:
+    def test_frozen_cover_is_the_cover(self):
+        live = quotients.Cover(braid_closure(parse_braid(SLOW_COVER_BRAID)))
+        frozen = GroupPresentation(3, SLOW_COVER_THREE_GENERATORS)
+        assert frozen.abelian_invariants() == \
+            live.presentation.abelian_invariants()
+        a5 = alternating(5)
+        assert len(epimorphisms(frozen, a5, simplify=False)) == \
+            len(epimorphisms(live.presentation, a5, simplify=False))
+
+    # tables tried and classes found, measured while each relator scan
+    # read every table entry twice: the scan must make the same
+    # deductions in the same order
+    @pytest.mark.parametrize("ngens, relators, max_index, tried, classes", [
+        (4, P5_3_M2_M3_FOUR_GENERATORS, 3, 1296, 2),
+        (4, P5_3_M2_M3_FOUR_GENERATORS, 4, 44835, 3),
+        (3, SLOW_COVER_THREE_GENERATORS, 5, 4635, 2),
+    ], ids=("four_generators-3", "four_generators-4", "slow_cover-5"))
+    def test_tables_tried(self, tables_tried, ngens, relators, max_index,
+                          tried, classes):
+        g = GroupPresentation(ngens, relators)
+        tables = low_index_subgroups(g, max_index, max_tables=None)
+        assert (tables_tried[0], len(tables)) == (tried, classes)

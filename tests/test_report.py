@@ -210,12 +210,14 @@ class TestEachInvariantOnce:
         assert items["kauffman"].status == items["cjones_3"].status == SKIPPED
 
 
-# Without a budget, on 2 cores: cjones_5 of the closure of SLOW_CJONES, a
-# 2-cable of the trefoil, takes 1.3-1.8 s; on the 3-generator, 48-letter
-# double branched cover of SLOW_COVER's closure, the searches onto every
-# built-in target up to A7 take 0.9 s and the index-6 low-index search
-# 0.9-1.5 s.
+# Without a budget, on 2 cores, each takes at least 6 times the budget:
+# cjones_5 of the closure of SLOW_CJONES, a 2-cable of the trefoil, takes
+# 1.3-1.8 s; on the 4-generator, 22-letter double branched cover of
+# SLOW_QUOTIENTS' closure, the searches onto every built-in target up to
+# A7 take 3.4-4.5 s; on the 2-generator, 38-letter cover of SLOW_COVER's
+# closure, the index-9 low-index search takes 1.3-1.5 s.
 SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
+SLOW_QUOTIENTS = "braid: 5 | -4 1 1 1 -4 3 3 2 -4 2 2 3"
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 
 
@@ -223,9 +225,9 @@ class TestTimeBudget:
     @pytest.mark.parametrize("spec, opts, key", [
         (SLOW_CJONES, ReportOptions(colors=5, budget_seconds=0.05),
          "cjones_5"),
-        (SLOW_COVER, ReportOptions(quotients=2520, budget_seconds=0.05),
+        (SLOW_QUOTIENTS, ReportOptions(quotients=2520, budget_seconds=0.05),
          "quotients"),
-        (SLOW_COVER, ReportOptions(lowindex=6, budget_seconds=0.05),
+        (SLOW_COVER, ReportOptions(lowindex=9, budget_seconds=0.05),
          "lowindex_abelian"),
     ], ids=("cjones_5", "quotients", "lowindex_abelian"))
     def test_item_is_resource_limited(self, spec, opts, key):

@@ -59,10 +59,11 @@ class TestGroupSearchTiming:
         res = run_script("group_search_timing.py", "--targets", "Alt(5)",
                          "--kernels", "--index", "2")
         assert res.returncode == 0, res.stderr
-        # the digest pins the sorted invariants of the 12 kernels
+        # the digest pins the sorted invariants of the 12 kernels, and the
+        # row entries the Schreier transversal that `_schreier_steps` takes
         assert re.search(r"^kernels onto Alt\(5\): 12 kernels, \d+\.\d{3} s, "
-                         r"digest b963c57e0f04ee0a$", res.stdout, re.M), \
-            res.stdout
+                         r"8786 row entries, digest b963c57e0f04ee0a$",
+                         res.stdout, re.M), res.stdout
 
     def test_index_six_within_budget(self):
         res = run_script("group_search_timing.py", "--budget-seconds", "0.01",
