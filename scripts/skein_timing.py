@@ -26,6 +26,11 @@ got in that time, so they move with the machine's speed as well.  Under
 not finish does a fixed amount of work, so its microseconds per node
 measure the cost of a node on the same tree in every run.
 
+The last line gives the process's peak resident memory, read from
+`resource.getrusage` in MB (ru_maxrss / 1024, as the benchmark's
+`peak_rss_mb`).  A tree frees its memo when it ends, so this is about the
+largest single tree's memory plus the interpreter's, not a sum over trees.
+
     python3 scripts/skein_timing.py
     python3 scripts/skein_timing.py --max-nodes 2000
     python3 scripts/skein_timing.py --budget-seconds 10 6_2 "braid: 3 | 1 1 2 -1 2"
@@ -34,6 +39,7 @@ measure the cost of a node on the same tree in every run.
 import argparse
 import os
 import re
+import resource
 import sys
 import time
 
@@ -131,6 +137,8 @@ def main() -> int:
             total = [t + c for t, c in zip(total, counts)]
             print(f"{name} {job}: {line(*counts)}, {status}")
     print(f"total: {line(*total)}")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS: {peak:.1f} MB")
     return 0
 
 

@@ -39,6 +39,12 @@ its reduction removed, which is zero in the HOMFLY trees.  Values are
 shared, never mutated: a memo entry, an unlink power and a child's
 value taken with no shift are one dict.
 
+A memo lives only while its tree runs; at the paper's scale it takes
+about 1.7 kB per entry.  When the tree ends, with a value or on its
+budget, the memo is cleared, and the budget's `progress()` keeps the
+final memo entries and hits.  A stopped tree's `ResourceLimitExceeded`
+carries those counts in its message, but not the recursion's frames.
+
 Before its memo lookup every node is reduced by Reidemeister-I and -II
 moves: curls, and bigons in which one strand passes over the other at
 both crossings.  Both are regular isotopies, so D changes only by
@@ -509,6 +515,13 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
     delta is the value of a 2-component unlink.  A framed polynomial (D)
     gains a^(+-1) per curl, and is normalized by a^(-writhe) at the root;
     an unframed one (P) is an ambient-isotopy invariant, unchanged by both.
+
+    The memo lives only while the tree runs: `value` refers to itself, a
+    cycle that would keep the memo until a full collection, so the memo
+    is cleared when the tree ends, after the budget's `progress()` is
+    frozen at the final counts.  A budget stop is re-raised without its
+    traceback, whose frames would hold the memo as long as the caller
+    keeps the exception; its message carries the counts.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}
@@ -549,7 +562,14 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
         memo[key] = res
         return res, curl
 
-    res, curl = value(state.from_diagram(d))
+    try:
+        res, curl = value(state.from_diagram(d))
+    except ResourceLimitExceeded as exc:
+        raise exc.with_traceback(None)
+    finally:
+        counts = budget.progress()
+        budget.progress = lambda: counts
+        memo.clear()
     s = curl - d.writhe() * cw
     return _unpacked({e + s: v for e, v in res.items()}, w, variables)
 

@@ -100,6 +100,8 @@ class TestSkeinTiming:
             assert got.groups() == tree_counts(tree, d), job
         assert re.search(r"^total: \d+ nodes, \d+ memo entries, \d+ memo hits, "
                          r"\d+\.\d{3} s, \d+\.\d us/node$", res.stdout, re.M)
+        # the last line is the process's peak RSS
+        assert re.search(r"\npeak RSS: \d+\.\d MB\n\Z", res.stdout), res.stdout
 
     def test_node_cap(self):
         # a tree that does not finish within --max-nodes stops at exactly

@@ -1,8 +1,10 @@
 """HOMFLY and Kauffman F via resolution trees."""
 
+import gc
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -644,6 +646,61 @@ class TestTreeShapes:
         got = tuple(tree_shape(monkeypatch, engine, d, None)
                     for engine in (homfly, kauffman_f))
         assert got == PRETZEL_SHAPES[p]
+
+
+class TestNoMemoryKept:
+    """A tree's memo lives only while the tree runs, and a stopped tree's
+    exception carries its counts but not its frames.  With the cyclic
+    collector off, what a tree leaves live is a small part of its traced
+    peak: the interpreter's free lists of small tuples, which a collection
+    would also free.  A memo held by the closure's cycle, or by the frames
+    of a kept exception, would leave almost all of it."""
+
+    @pytest.fixture
+    def traced(self):
+        """The memory live at the end of a call, and the call's peak, both
+        above what was live at its start, with the collector off."""
+        def measure(call):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            kept = call()
+            live, peak = tracemalloc.get_traced_memory()
+            return kept, live - base, peak - base
+
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            yield measure
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    def test_finished_tree(self, monkeypatch, traced):
+        made = recorded(monkeypatch)
+        d = cable(named_knot("6_3"), 2, -1)
+        _, live, peak = traced(lambda: homfly(d))
+        assert live < peak / 4, (live, peak)
+        (budget,) = made
+        assert (budget.nodes, budget.progress()) == \
+            (6919, "4450 memo entries, 1878 memo hits")
+
+    def test_stopped_tree(self, monkeypatch, traced):
+        made = recorded(monkeypatch)
+        double = whitehead_double(named_knot("5_2"))
+
+        def call():
+            with pytest.raises(ResourceLimitExceeded) as info:
+                kauffman_f(double, max_nodes=3000)
+            return info  # kept as a caller might, traceback and all
+
+        info, live, peak = traced(call)
+        assert live < peak / 4, (live, peak)
+        (budget,) = made
+        assert budget.progress() == "1258 memo entries, 771 memo hits"
+        assert str(info.value) == ("node budget exhausted after 3000 nodes "
+                                   "expanded, 1258 memo entries, "
+                                   "771 memo hits")
 
 
 class TestNoSelfArc:
