@@ -29,12 +29,13 @@ slots do.
 
 One recursion, `_tree`, runs both trees.  One node of a tree does, in
 order: tick the budget; build its state in one step from its parent's
-with one move applied (a switch, or a smoothing that deletes the
-crossing and joins its arcs); reduce it; return the unlink value if no
-crossing is left, before the state is compacted or keyed; compact it
-into its memo key; look the key up; pick the crossing to resolve; and
-combine its children's values by its state class's relation
-(`resolve`).  A node's value comes with the framing shift of the curls
+with one move applied (a switch, a smoothing that deletes the crossing
+and joins its arcs, or the rewiring of a twist region, below); reduce
+it; return the unlink value if no crossing is left, before the state is
+compacted or keyed; compact it into its memo key; look the key up; pick
+the crossing to resolve; and combine its children's values by its state
+class's relation (`resolve`) or by a twist region's closed form
+(`resolve_twist`).  A node's value comes with the framing shift of the curls
 its reduction removed, which is zero in the HOMFLY trees.  Values are
 shared, never mutated: a memo entry, an unlink power and a child's
 value taken with no shift are one dict.
@@ -72,17 +73,53 @@ node was reached.  Of the bad crossings with an alternating bigon at a
 corner (its strands over at different crossings), every tree resolves
 the last in traversal order; with none, the first bad crossing.
 Switching at such a bigon makes it a same-over bigon, which the child's
-reduction deletes with both its crossings.  The trees terminate because
-switching a bad crossing rotates its slots only, by an odd number: it
-leaves every traversal and its start unchanged (a start is met on its
-over-strand first, so it is never bad) and lowers the number of bad
-crossings by exactly one, while smoothing and reduction lower the number
-of crossings: (crossings, bad crossings) falls at every step.
+reduction deletes with both its crossings.
+
+A crossing so picked lies in a twist region: the run of crossings linked
+by bigons through its first bigon corner in slot order and through the
+opposite corner, each neighbour adding the bigon at its far corner.  In
+a reduced state every bigon is alternating, and a region's bigons all
+sit at corners of one parity.  A closed chain, a whole T(2, n)
+component, leaves its last crossing out.  A region of k >= 3 crossings
+is resolved in one node.  Its last crossing c_k is its end on the side
+of the first bigon corner.  Along, at a crossing with its bigon at
+corner r, joins r-(r+3) and (r+1)-(r+2); across joins r-(r+1) and
+(r+2)-(r+3).  The children are T_1, every crossing but c_k smoothed
+along; T_0, all k along; and T_inf, all but c_k along and c_k across,
+each built by rewiring the region's four outer legs in one step.
+Resolving c_k leaves T_(k-2) by its switch, and T_(k-1) or T_inf with
+k - 1 curls by its smoothings, so the value is alpha_k T_1 + beta_k T_0
++ gamma_k T_inf, with coefficients that follow recurrences in k from
+alpha = (0, 1), beta = (1, 0) and gamma = (0, 0) at k = 0 and 1
+(`_twist_coeffs`, which gives them in closed form):
+  - Kauffman: x_j = x_(j-2) + eps z x_(j-1), where gamma_j also gains
+    -eps z a^((j-1) sigma).  eps = 1 when along is the 01,23 merge (at
+    odd corners), and sigma = -eps is the sign of the curls;
+  - HOMFLY, with lambda = l^-1 at a positive region and l at a negative
+    one: x_j = -lambda^2 x_(j-2) - lambda m x_(j-1) when the strands are
+    parallel.  When they are antiparallel, x_j = -lambda^2 x_(j-2), and
+    gamma_j also gains -lambda m; only the one of T_1 and T_0 of k's
+    parity has a nonzero coefficient, and it is oriented as the state.
+The coefficients depend only on k, the region's sign and its corners'
+parity; a tree builds them once for each, and frees them with its memo.
+A twist step is one node and ticks the budget once, so "nodes expanded"
+counts resolution steps.  At k = 2 the closed form is the crossing's own
+relation, which the tree keeps.  Keeping the region's first crossing in
+T_1 in place of its last makes trees grow.
+
+The trees terminate because switching a bad crossing rotates its slots
+only, by an odd number: it leaves every traversal and its start
+unchanged (a start is met on its over-strand first, so it is never bad)
+and lowers the number of bad crossings by exactly one, while smoothing
+and reduction lower the number of crossings, and every child of a twist
+step has at least k - 1 fewer crossings than its parent: (crossings, bad
+crossings) falls at every step.
 
 Coefficients inside the trees are plain {e: int} dicts on packed
-exponents e = e1 * w + e2 (see `_width`); every factor of the relations
-is a monomial, applied as one integer shift of e, and a node's children
-are combined in one pass over each child's terms.
+exponents e = e1 * w + e2 (see `_width`); every factor of a crossing's
+relation is a monomial, applied as one integer shift of e, and a node's
+children are combined in one pass over each child's terms, or one per
+term of a twist region's coefficient.
 
 The readings of a finished polynomial, the Alexander and Jones
 polynomials off HOMFLY and J_K(3) off Kauffman, substitute into it by
@@ -152,6 +189,58 @@ def _power_table(delta: dict, w: int):
     return power
 
 
+def _twist_coeffs(k: int, a: tuple, b: tuple | None,
+                  c: tuple | None) -> tuple:
+    """(alpha_k, beta_k, gamma_k), packed, of the recurrences
+    x_j = a x_(j-2) + b x_(j-1) from (x_0, x_1) = (0, 1), (1, 0) and, with
+    the monomial c_j added, (0, 0).  a and b are monomials (shift,
+    coefficient), and b may be absent; c = (shift, step, coefficient)
+    gives c_j the shift shift + (j - 1) * step, or is absent.
+
+    alpha_n sums C(n-1-i, i) a^i b^(n-1-2i) over i, the ways to climb
+    n - 1 steps by twos and ones; beta_k = a alpha_(k-1), and gamma_k sums
+    c_j alpha_(k+1-j) over j = 2..k.
+    """
+    (ea, va), (eb, vb) = a, b or (0, 0)
+
+    def alpha(n: int, e0: int, v0: int, out: dict) -> dict:
+        """out += v0 x^e0 alpha_n."""
+        for i in range((n + 1) // 2):
+            m = n - 1 - 2 * i
+            if m and not vb:
+                continue
+            e = e0 + i * ea + m * eb
+            out[e] = out.get(e, 0) + v0 * comb(n - 1 - i, i) * va**i * vb**m
+        return out
+
+    gamma: dict = {}
+    if c:
+        for j in range(2, k + 1):
+            alpha(k + 1 - j, c[0] + (j - 1) * c[1], c[2], gamma)
+    return alpha(k, 0, 1, {}), alpha(k - 1, ea, va, {}), gamma
+
+
+def _chain(o, c: int, r: int) -> list:
+    """[c_1, r_1, c_2, r_2, ...]: the crossings met from corner r of
+    crossing c across alternating bigons, each with its far corner, up to
+    one whose far corner has no such bigon, or back to c.  Across the
+    bigon at corner r, slot r runs to the neighbour's slot q, and the
+    neighbour's corners on the bigon and opposite it are q - 1 and q + 1.
+    """
+    out = []
+    start = c
+    while True:
+        b = 4 * c
+        t, u = o[b + r], o[b + ((r + 1) & 3)]
+        if not (t ^ u < 4 and (t - u) & 3 == 1 and (t ^ r) & 1 and
+                t >> 2 != c):
+            return out
+        c, r = t >> 2, (t + 1) & 3
+        out += (c, r)
+        if c == start:
+            return out
+
+
 # _SLOTS[s] = (s, s+1, s+2, s+3) mod 4: the slots counterclockwise from s.
 _SLOTS = tuple(tuple((s + k) & 3 for k in range(4)) for s in range(4))
 _FILL = (0, 0, 0, 0)
@@ -169,17 +258,20 @@ class _RDiagram:
     on another leg rotates the crossing's four slots in place.  `dirs[i]`
     is the sign of crossing i, None once it is deleted; `dead` lists the
     deleted crossings until `key()` drops them.  `touched` holds the
-    crossings to check in `reduce()`.
+    crossings to check in `reduce()`.  `first_bad` sets `twist` to the
+    picked crossing's twist region when it has k >= 3 crossings, else to
+    None.
 
     A node of a tree is its parent's state with one move applied, built
-    in one step (`switched`, `smoothed`: `o` and `dirs` are copied into
-    new lists and the move is written into them), then `reduce()`, then,
-    unless no crossing is left, `key()`, which compacts the state: the
-    dead crossings are dropped, the live ones keep their order, and `o`
-    becomes the key's own tuple.  `first_bad` reads a compacted state.
+    in one step (`switched`, `smoothed`, `rewired`: `o` and `dirs` are
+    copied into new lists and the move is written into them), then
+    `reduce()`, then, unless no crossing is left, `key()`, which compacts
+    the state: the dead crossings are dropped, the live ones keep their
+    order, and `o` becomes the key's own tuple.  `first_bad` reads a
+    compacted state.
     """
 
-    __slots__ = ("o", "dirs", "free_loops", "touched", "dead")
+    __slots__ = ("o", "dirs", "free_loops", "touched", "dead", "twist")
     signed = True  # the memo key holds the signs
 
     @classmethod
@@ -378,6 +470,19 @@ class _RDiagram:
             out._join(b, b + 1, b + 3, b + 2, out.touched)
         return out
 
+    def rewired(self, dead, u: int, v: int, x: int, y: int) -> "_RDiagram":
+        """Delete the crossings in `dead` and join their legs u-v and x-y
+        (see `_join`)."""
+        out = _new(type(self))
+        dirs = self.dirs[:]
+        for c in dead:
+            dirs[c] = None
+        out.o, out.dirs = list(self.o), dirs
+        out.free_loops, out.touched, out.dead = \
+            self.free_loops, set(), list(dead)
+        out._join(u, v, x, y, out.touched)
+        return out
+
     def resolve(self, i: int, value, w: int) -> dict:
         """P of this state from the values of its children at crossing i,
         the switch and the orientation-respecting smoothing.
@@ -393,7 +498,82 @@ class _RDiagram:
         _add_shifted(res, sm, t + s + 1, -1)
         return res
 
+    @staticmethod
+    def _twist_terms(positive: bool, odd: bool, w: int) -> tuple:
+        """The monomials (a, b, c) of `_twist_coeffs` for a twist region of
+        sign `positive` whose bigons are at corners of parity `odd`.
+
+        With lambda = l^-1 (positive) or l, switching the last crossing
+        leaves T_(k-2), and the oriented smoothing T_(k-1) when the strands
+        are parallel, T_inf with k - 1 curls when they are antiparallel:
+        P(T_j) = -lambda^2 P(T_(j-2)) - lambda m P(T_(j-1)) or
+        -lambda^2 P(T_(j-2)) - lambda m P(T_inf).  The oriented smoothing
+        (`resolve`) runs along at an odd corner of a positive crossing and
+        at an even corner of a negative one.
+        """
+        s = -w if positive else w
+        if positive == odd:
+            return (2 * s, -1), (s + 1, -1), None
+        return (2 * s, -1), None, (s + 1, 0, -1)
+
+    def resolve_twist(self, value, w: int, forms: dict) -> dict:
+        """The value of this state from those of the children of its
+        `twist`: alpha_k T_1 + beta_k T_0 + gamma_k T_inf, each child built
+        in one step and skipped when its coefficient is zero.  `forms`
+        holds the coefficients of each (k, sign, corner parity)."""
+        key, children = self.twist
+        coeffs = forms.get(key)
+        if coeffs is None:
+            coeffs = forms[key] = _twist_coeffs(
+                key[0], *self._twist_terms(key[1], key[2], w))
+        res = None
+        for coeff, child in zip(coeffs, children):
+            if coeff:
+                val, t = value(self.rewired(*child))
+                for e, c in coeff.items():
+                    if res is None:
+                        e += t
+                        res = {x + e: c * v for x, v in val.items()}
+                    else:
+                        _add_shifted(res, val, e + t, c)
+        return res
+
     # -- descending analysis ---------------------------------------------
+
+    def _twist_region(self, i: int, s: int, near: bool) -> None:
+        """Set `twist` to the twist region of crossing i, whose first
+        alternating bigon is at corner s, when it has k >= 3 crossings
+        (see the module docstring); `near` says whether the opposite
+        corner has a bigon from a third crossing.
+
+        `twist` is ((k, sign, corner parity), children), with the children
+        T_1, T_0 and T_inf as `rewired` arguments.  c_1 is the region's
+        end away from c_k.  On T_0's two strands, the first legs of c_1's
+        outer corner, of c_(k-1)'s corner towards c_k and of c_k's outer
+        corner lie on one strand and the second legs on the other.
+        """
+        o = self.o
+        right = _chain(o, i, s)
+        if right[-2] == i:
+            del right[-4:]  # a closed chain
+            left = []
+        else:
+            left = _chain(o, i, s ^ 2) if near else []
+        if len(left) + len(right) < 4:
+            return
+        c, r = left[-2:] if left else (i, s ^ 2)
+        la, lb = 4 * c + ((r + 1) & 3), 4 * c + r
+        c, r = right[-4:-2] if len(right) > 2 else (i, s)
+        pa, pb = 4 * c + r, 4 * c + ((r + 1) & 3)
+        c, r = right[-2:]
+        ra, rb = 4 * c + r, 4 * c + ((r + 1) & 3)
+        every = left[::2]
+        every.append(i)
+        every += right[::2]
+        inner = every[:-1]
+        self.twist = ((len(every), self.dirs[i], s & 1 == 1),
+                      ((inner, la, pa, lb, pb), (every, la, ra, lb, rb),
+                       (every, la, lb, ra, rb)))
 
     def first_bad(self) -> int | None:
         """The crossing to resolve, or None when no crossing is bad.
@@ -404,7 +584,8 @@ class _RDiagram:
         docstring).  Of the bad crossings, in walk order, the last with
         an alternating bigon at a corner is returned, else the first one:
         switching at the bigon leaves a same-over bigon, which the child's
-        `reduce()` deletes with both its crossings.
+        `reduce()` deletes with both its crossings.  `twist` is set as the
+        class docstring says.
         """
         o, dirs = self.o, self.dirs
         passed = bytearray(len(dirs))
@@ -423,21 +604,37 @@ class _RDiagram:
                         b = p & -4
                         t0, t1, t2, t3 = o[b:b + 4]
                         if t0 ^ t1 < 4 and (t0 - t1) & 3 == 1 and \
-                                t0 & 1 and t0 >> 2 != i or \
-                                t1 ^ t2 < 4 and (t1 - t2) & 3 == 1 and \
-                                not t1 & 1 and t1 >> 2 != i or \
-                                t2 ^ t3 < 4 and (t2 - t3) & 3 == 1 and \
-                                t2 & 1 and t2 >> 2 != i or \
-                                t3 ^ t0 < 4 and (t3 - t0) & 3 == 1 and \
+                                t0 & 1 and t0 >> 2 != i:
+                            freeing, t, u = i, t0, t1
+                        elif t1 ^ t2 < 4 and (t1 - t2) & 3 == 1 and \
+                                not t1 & 1 and t1 >> 2 != i:
+                            freeing, t, u = i, t1, t2
+                        elif t2 ^ t3 < 4 and (t2 - t3) & 3 == 1 and \
+                                t2 & 1 and t2 >> 2 != i:
+                            freeing, t, u = i, t2, t3
+                        elif t3 ^ t0 < 4 and (t3 - t0) & 3 == 1 and \
                                 not t3 & 1 and t3 >> 2 != i:
-                            freeing = i
+                            freeing, t, u = i, t3, t0
                         elif first is None:
                             first = i
                 p = o[p ^ 2]
                 if p == start:
                     break
             k = passed.find(0, k)
-        return first if freeing is None else freeing
+        self.twist = None
+        if freeing is None:
+            return first
+        # the bigon's sides end at t and u on the neighbour.  Its twist
+        # region has k >= 3 crossings only if a bigon adjoins the corner
+        # opposite the bigon's at the neighbour (slots u + 2 and t + 2) or
+        # at the crossing (the slots at o[t] + 2 and o[u] + 2), from a third
+        # crossing; not if both do from one, which closes a T(2, 3)
+        a, c, x, y = o[u ^ 2], o[t ^ 2], o[o[t] ^ 2], o[o[u] ^ 2]
+        far = a ^ c < 4 and (a - c) & 3 == 1 and a >> 2 != freeing
+        near = x ^ y < 4 and (x - y) & 3 == 1 and x >> 2 != t >> 2
+        if (far or near) and not (far and near and a >> 2 == x >> 2):
+            self._twist_region(freeing, o[t] & 3, near)
+        return freeing
 
     def components_and_writhe(self) -> tuple[int, int]:
         """The number of components of the crossings and their summed
@@ -495,6 +692,20 @@ class _UDiagram(_RDiagram):
         out._rotate(i, 1)
         return out
 
+    @staticmethod
+    def _twist_terms(positive: bool, odd: bool, w: int) -> tuple:
+        """The monomials (a, b, c) of `_twist_coeffs` for a twist region
+        whose bigons are at corners of parity `odd`; `positive` is unused.
+
+        Switching the last crossing leaves T_(k-2), the smoothing along
+        T_(k-1) and the one across T_inf with k - 1 curls, of sign sigma:
+        D(T_j) = D(T_(j-2)) + eps z (D(T_(j-1)) - a^((j-1) sigma) D(T_inf)).
+        eps = 1 when along is the 01,23 merge, at an odd corner, and the
+        curls are at corners of the same parity: sigma = -eps.
+        """
+        eps = 1 if odd else -1
+        return (0, 1), (1, eps), (1, -eps * w, -eps)
+
     def resolve(self, i: int, value, w: int) -> dict:
         """D of this state from the values of its children at crossing i,
         by the positional Dubrovnik relation
@@ -518,13 +729,14 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
 
     The memo lives only while the tree runs: `value` refers to itself, a
     cycle that would keep the memo until a full collection, so the memo
-    is cleared when the tree ends, after the budget's `progress()` is
-    frozen at the final counts.  A budget stop is re-raised without its
+    and the twist coefficients `forms` are cleared when the tree ends,
+    after the budget's `progress()` is frozen at the final counts.  A budget stop is re-raised without its
     traceback, whose frames would hold the memo as long as the caller
     keeps the exception; its message carries the counts.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}
+    forms: dict = {}
     hits = 0
     budget = Budget(max_nodes, "nodes expanded",
                     lambda: f"{len(memo)} memo entries, {hits} memo hits")
@@ -556,7 +768,10 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
             if s:
                 res = {e + s: v for e, v in res.items()}
         else:
-            res = rd.resolve(i, value, w)
+            if rd.twist is None:
+                res = rd.resolve(i, value, w)
+            else:
+                res = rd.resolve_twist(value, w, forms)
             if 0 in res.values():
                 res = {e: v for e, v in res.items() if v}
         memo[key] = res
@@ -570,6 +785,7 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
         counts = budget.progress()
         budget.progress = lambda: counts
         memo.clear()
+        forms.clear()
     s = curl - d.writhe() * cw
     return _unpacked({e + s: v for e, v in res.items()}, w, variables)
 

@@ -10,11 +10,14 @@ import pytest
 
 from conftest import pretzel
 from knotmut import cli, permgroups, quotients
+from knotmut.budget import ResourceLimitExceeded
 from knotmut.cli import format_table1, main
 from knotmut.diagram import (braid_closure, named_knot, parse_braid,
                              parse_knot_spec)
 from knotmut.laurent import LaurentPoly2
 from knotmut.permgroups import builtin_targets
+from knotmut.presentations import low_index_subgroups
+from knotmut.quotients import Cover, epimorphisms
 from knotmut.satellites import cable
 from knotmut.skein2 import homfly, kauffman_f
 
@@ -391,6 +394,23 @@ class TestTimeBudget:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"resource limit: time budget exhausted after "
                             r"[1-7] kernels\n", err)
+
+    # A case shows the time budget at work only while its search runs far
+    # past 0.05 s.  Counts, not clocks, check that premise: the search on
+    # the live cover must need more than K steps, a third of what it takes
+    # in full (A7 onto SLOW_QUOTIENTS' cover tries 888,448 candidate
+    # images, 0.7 s; the index-9 search on SLOW_COVER's tries 48,054
+    # tables, 1.7 s), so a change that makes a search short fails here.
+    def test_quotients_search_outlasts_the_budget(self):
+        pres = Cover(parse_knot_spec(SLOW_QUOTIENTS)).presentation
+        with pytest.raises(ResourceLimitExceeded, match="^node budget"):
+            epimorphisms(pres, permgroups.target("A7"), simplify=False,
+                         max_nodes=300_000)
+
+    def test_lowindex_search_outlasts_the_budget(self):
+        pres = Cover(parse_knot_spec(SLOW_COVER)).presentation
+        with pytest.raises(ResourceLimitExceeded, match="^node budget"):
+            low_index_subgroups(pres, 9, max_tables=16_000)
 
 
 class TestCompare:

@@ -16,6 +16,8 @@ from knotmut.colored import colored_jones
 from knotmut.diagram import (BraidWord, PlanarDiagram, add_kink,
                              braid_closure, mirror, named_knot,
                              parse_knot_spec, relabel)
+from knotmut.presentations import low_index_subgroups
+from knotmut.quotients import Cover, epimorphisms
 from knotmut.report import (DIFFERENT, DONE, EQUAL, LIMITED, SKIPPED,
                             UNKNOWN, VERDICT_EXCLUDED, VERDICT_INCONCLUSIVE,
                             ReportOptions, compare_pair, compute_report)
@@ -235,6 +237,23 @@ class TestTimeBudget:
         item = compute_report(d.name, d, opts).items[key]
         assert item.status == LIMITED
         assert item.detail.startswith("time budget exhausted after ")
+
+    # A case shows the time budget at work only while its search runs far
+    # past 0.05 s.  Counts, not clocks, check that premise: the search on
+    # the live cover must need more than K steps, a third of what it takes
+    # in full (A7 onto SLOW_QUOTIENTS' cover tries 888,448 candidate
+    # images, 0.7 s; the index-9 search on SLOW_COVER's tries 48,054
+    # tables, 1.7 s), so a change that makes a search short fails here.
+    def test_quotients_search_outlasts_the_budget(self):
+        pres = Cover(parse_knot_spec(SLOW_QUOTIENTS)).presentation
+        with pytest.raises(ResourceLimitExceeded, match="^node budget"):
+            epimorphisms(pres, permgroups.target("A7"), simplify=False,
+                         max_nodes=300_000)
+
+    def test_lowindex_search_outlasts_the_budget(self):
+        pres = Cover(parse_knot_spec(SLOW_COVER)).presentation
+        with pytest.raises(ResourceLimitExceeded, match="^node budget"):
+            low_index_subgroups(pres, 9, max_tables=16_000)
 
 
 class TestComparePair:

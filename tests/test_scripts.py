@@ -105,13 +105,14 @@ class TestSkeinTiming:
 
     def test_node_cap(self):
         # a tree that does not finish within --max-nodes stops at exactly
-        # that many nodes, with the counts of the library's capped tree
+        # that many nodes, with the counts of the library's capped tree;
+        # trefoil's Whitehead and cable HOMFLY finish in 45 and 97 nodes
         res = run_script("skein_timing.py", "--max-nodes", "100", "trefoil")
         assert res.returncode == 0, res.stderr
         d = named_knot("trefoil")
         for job, tree, status in (
                 ("whitehead_homfly", skein2.p_whitehead_plus, "done"),
-                ("cable_homfly", skein2.homfly_2cable, "capped"),
+                ("cable_homfly", skein2.homfly_2cable, "done"),
                 ("whitehead_kauffman",
                  lambda d, max_nodes: skein2.kauffman_f(whitehead_double(d),
                                                         max_nodes=max_nodes),

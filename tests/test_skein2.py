@@ -13,7 +13,8 @@ from conftest import (homfly_mirror, nontrivial_knot_braid, pretzel,
                       random_braid, random_knot_diagram)
 from knotmut import skein2
 from knotmut.alexander import alexander_pd
-from knotmut.bracket import DELTA, jones, kauffman_bracket
+from knotmut.bracket import (DELTA, bracket_state_sum, jones,
+                             kauffman_bracket)
 from knotmut.budget import Budget
 from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
                              UnionFind, add_kink, braid_closure,
@@ -169,7 +170,7 @@ class TestKauffmanF:
 
     def test_whitehead_double_bracket(self):
         # the skein tree against the bracket's contraction on the 20- and
-        # 18-crossing satellites of trefoil and figure8 (856 and 6,184
+        # 18-crossing satellites of trefoil and figure8 (712 and 6,169
         # nodes); the trees close only with bigon reduction
         for name in ("trefoil", "figure8"):
             d = named_knot(name)
@@ -336,8 +337,9 @@ class TestReduction:
         homfly(pretzel(7, 3, 3, -2), max_nodes=200)
 
     def test_whitehead_homfly_budget(self):
-        # needs 235 nodes, and 695 if the tree took the first bad crossing
-        # with an alternating bigon instead of the last
+        # needs 223 nodes (235 resolving its twist regions a crossing at a
+        # time), and 695 if the tree also took the first bad crossing with
+        # an alternating bigon instead of the last
         p_whitehead_plus(named_knot("5_1"), max_nodes=240)
 
     def test_cable_homfly_budget(self):
@@ -347,26 +349,31 @@ class TestReduction:
         homfly_2cable(named_knot("figure8"), max_nodes=200)
 
     def test_whitehead_homfly_node_guard(self, monkeypatch):
-        # needs 981 nodes; 997 if a join through deleted legs left its new
-        # arc out of the next reduction, 1,359 if the tree took the first
-        # bad crossing with an alternating bigon instead of the last, and
-        # 6,543 if it resolved its first bad crossing
+        # needs 969 nodes, 981 resolving its twist regions a crossing at a
+        # time.  At a crossing at a time it needed 997 if a join through
+        # deleted legs left its new arc out of the next reduction, 1,359
+        # if the tree took the first bad crossing with an alternating
+        # bigon instead of the last, and 6,543 if it resolved its first
+        # bad crossing
         _, nodes = counted(monkeypatch, p_whitehead_plus, named_knot("6_1"))
         assert nodes <= 990
 
     def test_pretzel_whitehead_homfly_node_guard(self, monkeypatch):
         # the paper's scale, pinned as `TestTreeShapes` pins the small
-        # trees: (nodes, memo entries, memo hits).  It needs 71,481 nodes
-        # if the tree took the first bad crossing with an alternating bigon
+        # trees: (nodes, memo entries, memo hits).  It needed 40,045 nodes
+        # resolving its twist regions a crossing at a time, and 71,481 if
+        # the tree also took the first bad crossing with an alternating
+        # bigon
         got = tree_shape(monkeypatch, p_whitehead_plus, pretzel(3, 2, 3, -3),
                          None)
-        assert got == (40_045, 20_926, 15_835)
+        assert got == (39_257, 20_531, 15_453)
 
     def test_whitehead_kauffman_node_guard(self, monkeypatch):
-        # needs 856 nodes; 1,510 if the tree took the first bad crossing
-        # with an alternating bigon instead of the last, 2,023 if it
-        # resolved its first bad crossing, and 3,097 on an oriented state
-        # whose smoothings reverse strands
+        # needs 712 nodes, 856 resolving its twist regions a crossing at a
+        # time.  At a crossing at a time it needed 1,510 if the tree took
+        # the first bad crossing with an alternating bigon instead of the
+        # last, 2,023 if it resolved its first bad crossing, and 3,097 on
+        # an oriented state whose smoothings reverse strands
         d = named_knot("trefoil")
         double = whitehead_double(d, -d.writhe(), 1)
         _, nodes = counted(monkeypatch, kauffman_f, double)
@@ -397,6 +404,126 @@ class TestReduction:
         assert homfly(d, max_nodes=1) == parse_poly2("-l*m^-1 - l^-1*m^-1")
         assert kauffman_f(d, max_nodes=1) == parse_poly2(
             "a*z^-1 - a^-1*z^-1 + 1", variables=("a", "z"))
+
+
+def torus_2(n: int) -> PlanarDiagram:
+    """T(2, n), the closure of sigma_1^n: a closed chain of |n| bigons."""
+    return braid_closure(BraidWord(2, (1 if n > 0 else -1,) * abs(n)))
+
+
+def reversed_component(d: PlanarDiagram) -> PlanarDiagram:
+    """d with the component through crossing 0's under-strand reversed:
+    its under passages turn by two legs, and its over passages keep their
+    legs and change direction, as the under passages orient them."""
+    uf = UnionFind()
+    for a, b, c, e in d.crossings:
+        uf.union(a, c)
+        uf.union(b, e)
+    root = uf.find(d.crossings[0][0])
+    return PlanarDiagram(tuple(x[2:] + x[:2] if uf.find(x[0]) == root else x
+                               for x in d.crossings), d.free_loops)
+
+
+def twist_forms(monkeypatch) -> set:
+    """The closed forms that the twist steps run from now on, as (tree,
+    form): 'parallel' or 'antiparallel' for HOMFLY, 'dubrovnik' for
+    Kauffman, and (tree, 'closed') for a region whose four outer legs run
+    to one crossing, the one a closed chain leaves out."""
+    seen = set()
+    for cls in (skein2._RDiagram, skein2._UDiagram):
+        def spy(rd, value, w, forms, resolve=cls.resolve_twist):
+            (_, positive, odd), children = rd.twist
+            _, la, lb, ra, rb = children[1]
+            tree = "homfly" if rd.signed else "kauffman"
+            if not rd.signed:
+                seen.add((tree, "dubrovnik"))
+            else:
+                seen.add((tree, "parallel" if positive == odd
+                          else "antiparallel"))
+            if len({rd.o[p] >> 2 for p in (la, lb, ra, rb)}) == 1:
+                seen.add((tree, "closed"))
+            return resolve(rd, value, w, forms)
+        monkeypatch.setattr(cls, "resolve_twist", spy)
+    return seen
+
+
+def jones_reading_check(d: PlanarDiagram) -> None:
+    """V(L) read off homfly(d) at l = i x^2, m = i(x - x^-1), x = A^2,
+    against the state-sum bracket: V = (-A^3)^-w <D> / delta.  Both sides
+    are multiplied by (x - x^-1)^s, which clears a link's m^-s terms; the
+    powers of i cancel, since l- and m-degrees have equal parity."""
+    p = homfly(d)
+    s = max(0, -min(e2 for _, e2 in p.coeffs))
+    y = LaurentPoly("A", {2: 1, -2: -1})
+    read = LaurentPoly.zero("A")
+    for (e1, e2), c in p.coeffs.items():
+        assert (e1 + e2) % 2 == 0
+        sign = -1 if (e1 + e2) % 4 else 1
+        read = read + LaurentPoly("A", {4 * e1: sign * c}) * y ** (e2 + s)
+    w = d.writhe()
+    want = bracket_state_sum(d) * LaurentPoly("A", {-3 * w: (-1) ** w})
+    assert read * DELTA == want * y ** s
+
+
+def kauffman_bracket_check(d: PlanarDiagram) -> None:
+    value, shift = bracket_from_kauffman(kauffman_f(d), d.writhe())
+    z_val = LaurentPoly("A", {1: 1, -1: -1})
+    assert value == kauffman_bracket(d) * z_val ** shift
+
+
+# Pretzel knots whose long twists the trees resolve in one step, and the
+# same with every twist reversed: their mirrors.
+LONG_TWIST_PRETZELS = ((11, 3, 3, -2), (9, -7, 3, -2), (13, 3, -3, 2),
+                       (5, 5, 5, -4))
+
+
+class TestTwistRegions:
+    """A run of k >= 3 bigon-linked crossings is resolved in one node by
+    its 2-strand closed form: the values against the state-sum bracket,
+    the bracket contraction and the mirror rules."""
+
+    @pytest.mark.parametrize("n", [n for k in range(2, 14) for n in (k, -k)])
+    def test_torus_closed_chains(self, n):
+        # the links with parallel strands, and with one component reversed
+        # antiparallel ones
+        d = torus_2(n)
+        for e in (d, reversed_component(d)) if n % 2 == 0 else (d,):
+            jones_reading_check(e)
+            kauffman_bracket_check(e)
+            assert homfly(mirror(e)) == homfly_mirror(homfly(e))
+            assert kauffman_f(mirror(e)) == dubrovnik_mirror(kauffman_f(e))
+
+    @pytest.mark.parametrize("p", LONG_TWIST_PRETZELS, ids=str)
+    def test_long_twist_pretzels(self, p):
+        # 19-21 crossings: 2^19-2^21 states are too many for the state
+        # sum, so the Jones reading meets the bracket contraction, which
+        # `test_bracket` checks against the state sum
+        for d in (pretzel(*p), pretzel(*(-q for q in p))):
+            assert jones_from_homfly(homfly(d)) == jones(d)
+            kauffman_bracket_check(d)
+            assert homfly(mirror(d)) == homfly_mirror(homfly(d))
+            assert kauffman_f(mirror(d)) == dubrovnik_mirror(kauffman_f(d))
+
+    def test_every_closed_form_runs(self, monkeypatch):
+        seen = twist_forms(monkeypatch)
+        for d in (torus_2(5), torus_2(-6), reversed_component(torus_2(8))):
+            homfly(d)
+            kauffman_f(d)
+        for p in LONG_TWIST_PRETZELS:
+            homfly(pretzel(*p))
+            kauffman_f(pretzel(*p))
+        assert seen == {("homfly", "parallel"), ("homfly", "antiparallel"),
+                        ("kauffman", "dubrovnik"), ("homfly", "closed"),
+                        ("kauffman", "closed")}
+
+    @pytest.mark.parametrize("engine", (homfly, kauffman_f))
+    def test_long_twist_one_node(self, monkeypatch, engine):
+        # the twist of P(k, 3, 3, -2) costs one node whatever its length;
+        # resolved a crossing at a time it cost 6 HOMFLY nodes per two
+        # crossings
+        counts = {counted(monkeypatch, engine, pretzel(k, 3, 3, -2))[1]
+                  for k in (5, 7, 9, 11)}
+        assert len(counts) == 1
 
 
 def bad_crossings(rd) -> list[int]:
@@ -565,33 +692,33 @@ class TestLabelFree:
 # HOMFLY trees of trefoil and figure8, 2,000 otherwise.  A tree that
 # reaches its cap ends limited.
 SATELLITE_SHAPES = {
-    "trefoil": ((51, 25, 11), (101, 60, 22), (856, 326, 265)),
-    "figure8": ((111, 56, 34), (193, 113, 49), (2000, 799, 627)),
-    "5_1": ((235, 117, 79), (1557, 932, 517), (2000, 761, 614)),
-    "5_2": ((245, 125, 74), (2000, 1369, 391), (2000, 839, 512)),
-    "6_1": ((981, 525, 286), (2000, 1315, 409), (2000, 910, 437)),
-    "6_2": ((619, 316, 208), (2000, 1166, 637), (2000, 793, 634)),
-    "6_3": ((1025, 531, 338), (2000, 1212, 574), (2000, 805, 614)),
-    ((0, -4), (0, -3)): ((2000, 988, 827), (2000, 1125, 757),
-                         (2000, 697, 812)),
-    ((0, -4), (0, -1, -2)): ((1787, 902, 668), (2000, 1148, 705),
-                             (2000, 749, 681)),
+    "trefoil": ((45, 22, 8), (97, 58, 22), (712, 278, 189)),
+    "figure8": ((107, 54, 32), (193, 113, 49), (2000, 799, 621)),
+    "5_1": ((223, 111, 71), (1519, 911, 500), (2000, 780, 578)),
+    "5_2": ((231, 118, 67), (2000, 1370, 388), (2000, 849, 474)),
+    "6_1": ((969, 519, 280), (2000, 1315, 409), (2000, 910, 433)),
+    "6_2": ((599, 306, 198), (2000, 1169, 633), (2000, 805, 586)),
+    "6_3": ((989, 513, 318), (2000, 1212, 572), (2000, 808, 604)),
+    ((0, -4), (0, -3)): ((1843, 921, 779), (2000, 1123, 747),
+                         (2000, 708, 763)),
+    ((0, -4), (0, -1, -2)): ((1473, 745, 555), (2000, 1143, 702),
+                             (2000, 746, 686)),
 }
 # The same for the HOMFLY and Kauffman trees of each MUTANT_SLATE knot and
 # its mutant, unbudgeted.
 PRETZEL_SHAPES = {
-    (3, 2, 3, -3): ((35, 17, 9), (67, 22, 25)),
-    (3, 2, -3, 3): ((35, 17, 9), (64, 21, 24)),
-    (-3, 2, -3, 3): ((27, 13, 6), (64, 21, 22)),
-    (-3, 2, 3, -3): ((27, 13, 6), (67, 22, 21)),
-    (5, 3, -2, -3): ((39, 19, 11), (91, 30, 32)),
-    (5, 3, -3, -2): ((39, 19, 11), (97, 32, 36)),
-    (-5, 3, -2, 3): ((37, 18, 8), (88, 29, 28)),
-    (-5, 3, 3, -2): ((43, 21, 13), (100, 33, 32)),
-    (7, 3, 3, -2): ((53, 26, 18), (118, 39, 44)),
-    (7, 3, -2, 3): ((49, 24, 16), (109, 36, 39)),
-    (7, -3, -2, -3): ((51, 25, 16), (103, 34, 40)),
-    (7, -3, -3, -2): ((53, 26, 18), (109, 36, 44)),
+    (3, 2, 3, -3): ((25, 12, 4), (52, 17, 14)),
+    (3, 2, -3, 3): ((27, 13, 5), (52, 17, 14)),
+    (-3, 2, -3, 3): ((17, 8, 2), (40, 13, 10)),
+    (-3, 2, 3, -3): ((17, 8, 2), (43, 14, 9)),
+    (5, 3, -2, -3): ((25, 12, 4), (52, 17, 14)),
+    (5, 3, -3, -2): ((21, 10, 2), (52, 17, 14)),
+    (-5, 3, -2, 3): ((23, 11, 2), (52, 17, 10)),
+    (-5, 3, 3, -2): ((27, 13, 4), (61, 20, 13)),
+    (7, 3, 3, -2): ((23, 11, 3), (55, 18, 14)),
+    (7, 3, -2, 3): ((27, 13, 4), (55, 18, 14)),
+    (7, -3, -2, -3): ((25, 12, 3), (58, 19, 18)),
+    (7, -3, -3, -2): ((23, 11, 3), (58, 19, 18)),
 }
 
 
@@ -627,8 +754,10 @@ class TestTreeShapes:
     to the node kernel must leave these counts as they are.  The counts
     changed by design when the Kauffman trees moved to an unoriented state
     that takes the last bad crossing with an alternating bigon, and the
-    HOMFLY counts again when the HOMFLY trees took the same rule; the
-    values did not change."""
+    HOMFLY counts again when the HOMFLY trees took the same rule.  Both
+    changed by design again when a twist region of k >= 3 crossings came
+    to be resolved in one node by its closed form, which no tree here
+    resolves in more nodes than before; the values did not change."""
 
     @pytest.mark.parametrize("companion", SATELLITE_SHAPES, ids=str)
     def test_satellite_trees(self, monkeypatch, companion):
@@ -683,7 +812,7 @@ class TestNoMemoryKept:
         assert live < peak / 4, (live, peak)
         (budget,) = made
         assert (budget.nodes, budget.progress()) == \
-            (6919, "4450 memo entries, 1878 memo hits")
+            (6919, "4450 memo entries, 1872 memo hits")
 
     def test_stopped_tree(self, monkeypatch, traced):
         made = recorded(monkeypatch)
@@ -697,10 +826,10 @@ class TestNoMemoryKept:
         info, live, peak = traced(call)
         assert live < peak / 4, (live, peak)
         (budget,) = made
-        assert budget.progress() == "1258 memo entries, 771 memo hits"
+        assert budget.progress() == "1284 memo entries, 699 memo hits"
         assert str(info.value) == ("node budget exhausted after 3000 nodes "
-                                   "expanded, 1258 memo entries, "
-                                   "771 memo hits")
+                                   "expanded, 1284 memo entries, "
+                                   "699 memo hits")
 
 
 class TestNoSelfArc:
