@@ -25,7 +25,7 @@ from .laurent import LaurentPoly, LaurentPoly2
 from .permgroups import target
 from .presentations import GroupPresentation
 from .quotients import Cover
-from .report import POLYNOMIALS, ReportOptions, compare_pair, compute_report
+from .report import ReportOptions, compare_pair, compute_report, routes
 from .satellites import cable, whitehead_double
 from .tangles import AXES, TangleDecomposition, mutate, rational_tangle
 
@@ -116,6 +116,9 @@ def _seconds(text: str) -> float:
     return value
 
 
+_POLYNOMIAL_COMMANDS = ("jones", "alexander", "homfly", "kauffman", "cjones")
+
+
 def _print_presentation(g: GroupPresentation):
     print(f"generators: {g.ngens}")
     for i, r in enumerate(g.relators, start=1):
@@ -149,12 +152,9 @@ def main(argv=None) -> int:
                             "diagrams of one knot with different writhes "
                             "can read DIFFERENT on it")
 
-    for cmd in POLYNOMIALS:
-        p = sub.add_parser(cmd)
-        p.add_argument("knot")
-    p = sub.add_parser("cjones")
-    p.add_argument("--color", type=_at_least(1), default=2)
-    p.add_argument("knot")
+    for cmd in _POLYNOMIAL_COMMANDS:
+        sub.add_parser(cmd).add_argument("knot")
+    sub.choices["cjones"].add_argument("--color", type=_at_least(1), default=2)
     p = sub.add_parser("cable")
     p.add_argument("--strands", type=_at_least(1), default=2)
     p.add_argument("--twists", type=int, default=0)
@@ -199,13 +199,12 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     fmt = args.format
-    if args.cmd in POLYNOMIALS or args.cmd == "cjones":
+    if args.cmd in _POLYNOMIAL_COMMANDS:
         for d in _load_specs(args.knot):
-            if args.cmd == "cjones":
-                val = colored_jones(d, args.color)
-            else:
-                val = POLYNOMIALS[args.cmd](d)
-            _emit_poly(d.name, val, fmt)
+            # cjones runs the state sum, the others their report row's engine
+            _emit_poly(d.name, colored_jones(d, args.color)
+                       if args.cmd == "cjones" else
+                       routes(d, ReportOptions())[args.cmd][-1](), fmt)
         return 0
 
     if args.cmd == "cable":

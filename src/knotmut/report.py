@@ -6,9 +6,12 @@ item is a mutation invariant, so any item that is done on both knots
 and differs excludes mutation.  Equality never proves mutation, so the
 strongest negative verdict is "mutation excluded" and the positive case
 is always "consistent with mutation (inconclusive)".
-Items that are specializations of another are read off it when it is
-done: `jones` and `alexander` off `homfly`, `cjones_2` off `jones` and
-`cjones_3` off `kauffman`; a limited item leaves them to their engines.
+`routes` is the report's table: one row per item, in the order the items
+are computed, holding the item's routes in order of preference.  A
+route is an engine, which computes the item from the diagram, or a
+reading `(source, fn)` of another item's value: `jones` and `alexander`
+are read off `homfly`, `cjones_2` off `jones` and `cjones_3` off
+`kauffman`.  The CLI's polynomial commands run their row's engine.
 The group items share one `quotients.Cover` per knot, built only if one
 of them runs, and search the built-in targets built once per process.
 """
@@ -85,86 +88,74 @@ def _jsonable(v):
     return str(v)
 
 
-# the engine of each polynomial command of the CLI, and of each report
-# item that is not read off another; each lambda looks its engine up in
-# this module when it runs, so a patched module attribute is the one
-# called
-POLYNOMIALS = {
-    "jones": lambda d: jones(d),
-    "alexander": lambda d: alexander_pd(d),
-    "homfly": lambda d: homfly(d),
-    "kauffman": lambda d: kauffman_f(d),
-}
+def routes(d: PlanarDiagram, opts: ReportOptions) -> dict[str, tuple]:
+    """The items that `opts` turns on, each with its routes in order of
+    preference: an engine, called with no argument, or a reading
+    `(source, fn)`.  Each engine looks its function up in this module
+    when it runs, so a patched module attribute is the one called."""
+    cover = Cover(d)    # one cover for both group items, built on first use
+    table = {
+        "homfly": (lambda: homfly(d),),
+        "kauffman": (lambda: kauffman_f(d),),
+        # V(t) and Delta(t) are P at l = i t^-1, m = i(t^-1/2 - t^1/2) and
+        # at l = i, m = i(t^1/2 - t^-1/2) (Freyd et al., Bull. AMS 12, 1985)
+        "jones": (("homfly", jones_from_homfly), lambda: jones(d)),
+        "alexander": (("homfly", alexander_from_homfly),
+                      lambda: alexander_pd(d)),
+        # J_K(2) is the Jones polynomial in q = 1/t (Kirby & Melvin,
+        # Invent. Math. 105, 1991)
+        "cjones_2": (("jones", lambda v: v.invert_var("q")),),
+        # J_K(3) is the Kauffman polynomial at a = q^2, z = q - q^-1
+        # (Turaev, Invent. Math. 92, 1988)
+        "cjones_3": (("kauffman", cjones3_from_kauffman),
+                     lambda: colored_jones(d, 3)),
+        **{f"cjones_{n}": (lambda n=n: colored_jones(d, n),)
+           for n in range(4, opts.colors + 1)},
+        "whitehead_homfly": (lambda: p_whitehead_plus(d),),
+        "cable_homfly": (lambda: homfly_2cable(d),),
+        "h1_double_cover": (lambda: h1_double_cover(d),),
+        "quotients": (
+            lambda: cover.quotients(builtin_targets(opts.quotients)),),
+        "lowindex_abelian": (lambda: cover.lowindex(opts.lowindex),),
+    }
+    on = {"cjones_2": opts.colors >= 2, "cjones_3": opts.colors >= 3,
+          "whitehead_homfly": opts.whitehead_homfly,
+          "cable_homfly": opts.cable_homfly, "quotients": opts.quotients,
+          "lowindex_abelian": opts.lowindex}
+    return {key: row for key, row in table.items() if on.get(key, True)}
 
 
 def compute_report(name: str, d: PlanarDiagram,
                    options: ReportOptions | None = None) -> InvariantReport:
+    """The items of `d` that `options` turns on, sorted by name.
+
+    Each item takes the first of its routes that can run: an engine
+    always can, a reading once its source item is done.  An item with
+    none, a reading of items not done, takes its first source's status
+    and detail.  Every item of a link is skipped, and each item has a
+    whole `budget_seconds` of its own."""
     opts = options or ReportOptions()
     is_knot = d.component_count() == 1
-    report = InvariantReport(name or d.name)
-
-    def add(key, fn):
+    items = {}
+    for key, row in routes(d, opts).items():
         start = perf_counter()
+        route = next((r for r in row
+                      if callable(r) or items[r[0]].status == DONE), None)
         if not is_knot:
             item = ReportItem(key, SKIPPED, detail="not a knot")
+        elif route is None:
+            source = items[row[0][0]]
+            item = ReportItem(key, source.status, detail=source.detail)
         else:
             try:
-                with time_limit(opts.budget_seconds):   # a whole budget per item
-                    item = ReportItem(key, DONE, fn())
+                with time_limit(opts.budget_seconds):
+                    item = ReportItem(key, DONE, route() if callable(route)
+                                      else route[1](items[route[0]].value))
             except ResourceLimitExceeded as exc:
                 item = ReportItem(key, LIMITED, detail=str(exc))
         item.elapsed = perf_counter() - start
-        report.items[key] = item
-
-    def read_off(key, source, reading, engine):
-        """Add `key` as `reading` of the done `source` item, else by
-        `engine`."""
-        item = report.items[source]
-        add(key, (lambda: reading(item.value)) if item.status == DONE
-            else engine)
-
-    for key in ("homfly", "kauffman"):
-        add(key, lambda: POLYNOMIALS[key](d))
-    # V(t) and Delta(t) are P at l = i t^-1, m = i(t^-1/2 - t^1/2) and at
-    # l = i, m = i(t^1/2 - t^-1/2) (Freyd et al., Bull. AMS 12, 1985); a
-    # limited homfly item leaves them to the bracket and the arc-coloring
-    # determinant
-    for key, reading in (("jones", jones_from_homfly),
-                         ("alexander", alexander_from_homfly)):
-        read_off(key, "homfly", reading, lambda: POLYNOMIALS[key](d))
-    if opts.colors >= 2:
-        # J_K(2) is the Jones polynomial in q = 1/t (Kirby & Melvin,
-        # Invent. Math. 105, 1991): the jones item, with its status
-        start = perf_counter()
-        j = report.items["jones"]
-        report.items["cjones_2"] = ReportItem(
-            "cjones_2", j.status,
-            j.value.invert_var("q") if j.status == DONE else None, j.detail,
-            perf_counter() - start)
-    for n in range(3, opts.colors + 1):
-        if n == 3:
-            # J_K(3) is the Kauffman polynomial at a = q^2, z = q - q^-1
-            # (Turaev, Invent. Math. 92, 1988); a limited kauffman item
-            # leaves color 3 to the state sum
-            read_off("cjones_3", "kauffman", cjones3_from_kauffman,
-                     lambda: colored_jones(d, 3))
-        else:
-            add(f"cjones_{n}", lambda: colored_jones(d, n))
-    if opts.whitehead_homfly:
-        add("whitehead_homfly", lambda: p_whitehead_plus(d))
-    if opts.cable_homfly:
-        add("cable_homfly", lambda: homfly_2cable(d))
-
-    add("h1_double_cover", lambda: h1_double_cover(d))
-    # one cover for both group items, built only if one of them runs
-    cover = Cover(d)
-    if opts.quotients:
-        add("quotients",
-            lambda: cover.quotients(builtin_targets(opts.quotients)))
-    if opts.lowindex:
-        add("lowindex_abelian", lambda: cover.lowindex(opts.lowindex))
-    report.items = {k: report.items[k] for k in sorted(report.items)}
-    return report
+        items[key] = item
+    return InvariantReport(name or d.name, dict(sorted(items.items())))
 
 
 EQUAL = "EQUAL"

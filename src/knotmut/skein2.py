@@ -730,9 +730,10 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
     The memo lives only while the tree runs: `value` refers to itself, a
     cycle that would keep the memo until a full collection, so the memo
     and the twist coefficients `forms` are cleared when the tree ends,
-    after the budget's `progress()` is frozen at the final counts.  A budget stop is re-raised without its
-    traceback, whose frames would hold the memo as long as the caller
-    keeps the exception; its message carries the counts.
+    after the budget's `progress()` is frozen at the final counts.  A
+    budget stop is re-raised without its traceback, whose frames would
+    hold the memo as long as the caller keeps the exception; its message
+    carries the counts.
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}

@@ -4,12 +4,13 @@ import functools
 import json
 import os
 import re
+import shlex
 import time
 
 import pytest
 
 from conftest import pretzel
-from knotmut import cli, permgroups, quotients
+from knotmut import cli, permgroups, quotients, report
 from knotmut.budget import ResourceLimitExceeded
 from knotmut.cli import format_table1, main
 from knotmut.diagram import (braid_closure, named_knot, parse_braid,
@@ -91,6 +92,22 @@ class TestPolynomialCommands:
         code, _, err = run(capsys, "jones", "no_such_knot")
         assert code == 1
         assert "error" in err
+
+    # each polynomial command's engine, as `report` names it
+    ENGINES = {"jones": "jones", "alexander": "alexander_pd",
+               "homfly": "homfly", "kauffman": "kauffman_f"}
+
+    @pytest.mark.parametrize("cmd", ENGINES)
+    def test_report_engine(self, capsys, monkeypatch, cmd):
+        calls = []
+        for name in self.ENGINES.values():
+            def spy(d, name=name, engine=getattr(report, name)):
+                calls.append(name)
+                return engine(d)
+            monkeypatch.setattr(report, name, spy)
+        code, out, _ = run(capsys, cmd, "trefoil")
+        assert code == 0 and out.startswith("trefoil: ")
+        assert calls == [self.ENGINES[cmd]]
 
 
 # every subcommand that takes one knot, on a two-component link
@@ -469,6 +486,28 @@ class TestComparePairs:
         assert [(d["left"]["name"], d["right"]["name"]) for d in docs] == \
             [("trefoil", "figure8"), ("c", "trefoil")]
         assert [d["verdict"] for d in docs] == ["mutation excluded"] * 2
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_commands() -> list[str]:
+    """The lines of README's `## Command line` block, without `knotmut`."""
+    with open(README) as f:
+        block = f.read().split("## Command line", 1)[1].split("```", 2)[1]
+    return [line.removeprefix("knotmut ") for line in block.splitlines()
+            if line.startswith("knotmut ")]
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_runs(self, capsys, monkeypatch, tmp_path, line):
+        # pairs.txt, the one file the block names, holds one pair
+        (tmp_path / "pairs.txt").write_text(TestComparePairs.PAIR)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *shlex.split(line))
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestItemElapsed:

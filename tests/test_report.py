@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from conftest import pd_copy, pretzel, random_knot_braid
+from conftest import (nontrivial_knot_braid, pd_copy, pretzel,
+                      random_knot_braid)
 from knotmut import permgroups, quotients, report
 from knotmut.alexander import alexander_pd
 from knotmut.bracket import jones
@@ -210,6 +211,58 @@ class TestEachInvariantOnce:
         items = compute_report("hopf", named_knot("hopf_plus"),
                                options=ReportOptions(colors=3)).items
         assert items["kauffman"].status == items["cjones_3"].status == SKIPPED
+
+
+# the route test's corpus, one case per named knot, slate pretzel and
+# seed: a named knot with a kink of either sign, a pretzel and its
+# mutant, and the closures that test_skein2's TestHomflyReadings and
+# test_colored's TestKauffmanSpecialization draw from one seed
+ROUTE_CASES = ([("named", n) for n in NAMED_KNOTS]
+               + [("slate", p) for p in MUTANT_SLATE]
+               + [("seed", s) for s in range(40)])
+# every row of the table, though only the rows read off another run here
+ALL_ROWS = ReportOptions(colors=3, quotients=1, lowindex=1,
+                         whitehead_homfly=True, cable_homfly=True)
+
+
+def _route_diagrams(kind, arg) -> list[PlanarDiagram]:
+    if kind == "named":
+        d = named_knot(arg)     # the unknot's diagram has no arc to kink
+        return [d] + [add_kink(d, s) for s in (1, -1) if d.crossings]
+    if kind == "slate":
+        return [pretzel(*arg), pretzel(arg[0], arg[1], arg[3], arg[2])]
+    # a non-trivial knot and any knot, each plain, mirrored and kinked;
+    # the two draws coincide when the first knot drawn is non-trivial
+    by_braid = {}
+    for draw in (nontrivial_knot_braid, random_knot_braid):
+        rng = random.Random(arg)
+        d = braid_closure(draw(rng, max_strands=5, max_letters=14))
+        by_braid[d.braid] = [d, mirror(d), add_kink(d, rng.choice((1, -1)))]
+    return [k for ks in by_braid.values() for k in ks]
+
+
+class TestRoutes:
+    """Each row of the report's table lists routes that compute one
+    value, so a report takes whichever can run."""
+
+    @pytest.mark.parametrize("kind, arg", ROUTE_CASES, ids=str)
+    def test_every_route_gives_the_same_value(self, kind, arg):
+        for d in _route_diagrams(kind, arg):
+            table = report.routes(d, ALL_ROWS)
+            sources = {}
+
+            def value(route):
+                if callable(route):
+                    return route()
+                source, fn = route
+                if source not in sources:
+                    sources[source] = value(table[source][0])
+                return fn(sources[source])
+            multi = {k: row for k, row in table.items() if len(row) > 1}
+            assert set(multi) == {"jones", "alexander", "cjones_3"}
+            for key, row in multi.items():
+                first, *others = map(value, row)
+                assert all(v == first for v in others), key
 
 
 # Without a budget, on 2 cores, each takes at least 6 times the budget:
