@@ -64,8 +64,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--targets", nargs="*", default=["Alt(7)", "PSL(2,13)"],
-                    help="epimorphism targets, named as in `knotmut cover "
-                         "quotients --target`")
+                    help="epimorphism targets, named as the report's "
+                         "quotients item prints them, or as Alt(n), Sym(n)")
     ap.add_argument("--index", type=int, default=5,
                     help="largest subgroup index of the low-index search")
     ap.add_argument("--kernels", action="store_true",

@@ -18,11 +18,9 @@ import os
 import sys
 
 from .colored import colored_jones
-from .alexander import h1_double_cover
 from .budget import ResourceLimitExceeded, time_limit
 from .diagram import PlanarDiagram, load_knot_file, parse_knot_spec
 from .laurent import LaurentPoly, LaurentPoly2
-from .permgroups import target
 from .presentations import GroupPresentation
 from .quotients import Cover
 from .report import ReportOptions, compare_pair, compute_report, routes
@@ -139,14 +137,23 @@ def main(argv=None) -> int:
     # ReportOptions field, with its default
     items = argparse.ArgumentParser(add_help=False)
     items.add_argument("--colors", type=_at_least(0),
-                       default=ReportOptions.colors)
+                       default=ReportOptions.colors,
+                       help="colored Jones polynomials up to this color")
     items.add_argument("--quotients", type=_at_least(0),
                        default=ReportOptions.quotients,
                        help="largest target order; 0 skips the quotients")
     items.add_argument("--lowindex", type=_at_least(0),
-                       default=ReportOptions.lowindex)
+                       default=ReportOptions.lowindex,
+                       help="subgroup abelianizations of the double "
+                            "branched cover up to this index; 0 skips them")
+    items.add_argument("--kernels", type=_at_least(0),
+                       default=ReportOptions.kernels,
+                       help="abelian invariants of the kernels onto the "
+                            "built-in targets up to this order; 0 skips them")
     items.add_argument("--whitehead-p", action="store_true",
-                       dest="whitehead_homfly")
+                       dest="whitehead_homfly",
+                       help="HOMFLY of the 0-framed positive-clasp "
+                            "Whitehead double")
     items.add_argument("--cable-p", action="store_true", dest="cable_homfly",
                        help="HOMFLY of the blackboard-framed 2-cable: two "
                             "diagrams of one knot with different writhes "
@@ -172,10 +179,9 @@ def main(argv=None) -> int:
                    help="comma-separated twist sequence of the outer tangle")
     p.add_argument("--axis", choices=AXES, default="horizontal")
     p = sub.add_parser("cover")
-    p.add_argument("action", choices=("group", "abelian", "lowindex",
-                                      "quotients", "kernel-abelian"))
-    p.add_argument("--max", type=_at_least(1), default=3, dest="max_index")
-    p.add_argument("--target", default="D3")
+    p.add_argument("action", choices=("group",),
+                   help="print the double branched cover's group; the "
+                        "searches on it are report items")
     p.add_argument("knot")
     p = sub.add_parser("report", parents=[items])
     p.add_argument("knot")
@@ -230,25 +236,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "cover":
         for d in _load_specs(args.knot):
-            cover = Cover(d)
-            if args.action == "abelian":
-                print(f"{d.name}: {h1_double_cover(d)}")
-            elif args.action == "group":
-                _print_presentation(cover.presentation)
-            elif args.action == "lowindex":
-                for index, inv in cover.lowindex(args.max_index):
-                    print(f"index {index}: {inv}")
-            elif args.action == "quotients":
-                grp = target(args.target)
-                count = cover.quotients([grp])[grp.name]
-                print(f"{d.name}: delta_{grp.name} = {count}")
-            else:  # kernel-abelian
-                grp = target(args.target)
-                invs = cover.kernel_abelianizations(grp)
-                if not invs:
-                    print(f"{d.name}: no epimorphism onto {grp.name}")
-                for i, inv in enumerate(invs, start=1):
-                    print(f"{d.name}: kernel {i} abelianization {inv}")
+            _print_presentation(Cover(d).presentation)
         return 0
 
     # report and compare remain; their item flags are ReportOptions' fields

@@ -70,7 +70,9 @@ i under each generator), so it goes straight to
 walk of the relators: no rewritten word is built.
 
 `Cover` holds one knot's double branched cover and runs the searches on
-it that `report` and the CLI's `cover` commands read.
+it that the report's group items read: it keeps each target's list of
+epimorphisms, so that the quotient count and the kernels onto that
+target share one search.
 """
 
 from __future__ import annotations
@@ -442,6 +444,7 @@ class Cover:
 
     def __init__(self, d: PlanarDiagram):
         self.knot = d
+        self._homs: dict[PermGroup, list[list[Perm]]] = {}
 
     @cached_property
     def presentation(self) -> GroupPresentation:
@@ -457,10 +460,17 @@ class Cover:
             else knot_group(d.braid)
         return tietze_simplify(branched_cover_from_meridians(base))
 
+    def _epimorphisms(self, group: PermGroup) -> list[list[Perm]]:
+        """`epimorphisms` onto `group`, searched once per target; a search
+        that the budget stops keeps nothing."""
+        if group not in self._homs:
+            self._homs[group] = epimorphisms(self.presentation, group,
+                                             simplify=False)
+        return self._homs[group]
+
     def quotients(self, targets: list[PermGroup]) -> dict[str, int]:
         """delta_Gamma by the name of each target."""
-        return {t.name: len(epimorphisms(self.presentation, t, simplify=False))
-                for t in targets}
+        return {t.name: len(self._epimorphisms(t)) for t in targets}
 
     def kernel_abelianizations(self, group: PermGroup) -> list[list[int]]:
         """The kernels' abelian invariants onto `group`; the time limit
@@ -468,7 +478,7 @@ class Cover:
         pres = self.presentation
         kernels = Budget(unit="kernels")
         invs = []
-        for hom in epimorphisms(pres, group, simplify=False):
+        for hom in self._epimorphisms(group):
             kernels.tick()
             invs.append(kernel_abelianization(pres, hom, group))
         return sorted(invs)

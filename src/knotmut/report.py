@@ -13,7 +13,12 @@ reading `(source, fn)` of another item's value: `jones` and `alexander`
 are read off `homfly`, `cjones_2` off `jones` and `cjones_3` off
 `kauffman`.  The CLI's polynomial commands run their row's engine.
 The group items share one `quotients.Cover` per knot, built only if one
-of them runs, and search the built-in targets built once per process.
+of them runs, and search the built-in targets built once per process:
+`quotients` counts the epimorphisms onto each target up to a bound on
+its order, and `kernel_abelian` lists their kernels' abelian invariants
+(the paper's sharpest group test) up to a bound of its own, on the same
+search per target.  These rows are the only callers of the `Cover`
+searches.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ class ReportOptions:
     colors: int = 2               # colored Jones up to this N
     quotients: int = 0            # delta over built-in targets up to this order
     lowindex: int = 0             # subgroup abelianizations up to this index
+    kernels: int = 0              # kernel homology, targets up to this order
     whitehead_homfly: bool = False
     cable_homfly: bool = False
     budget_seconds: float | None = None  # per item, for every search
@@ -117,11 +123,14 @@ def routes(d: PlanarDiagram, opts: ReportOptions) -> dict[str, tuple]:
         "quotients": (
             lambda: cover.quotients(builtin_targets(opts.quotients)),),
         "lowindex_abelian": (lambda: cover.lowindex(opts.lowindex),),
+        "kernel_abelian": (
+            lambda: {t.name: cover.kernel_abelianizations(t)
+                     for t in builtin_targets(opts.kernels)},),
     }
     on = {"cjones_2": opts.colors >= 2, "cjones_3": opts.colors >= 3,
           "whitehead_homfly": opts.whitehead_homfly,
           "cable_homfly": opts.cable_homfly, "quotients": opts.quotients,
-          "lowindex_abelian": opts.lowindex}
+          "lowindex_abelian": opts.lowindex, "kernel_abelian": opts.kernels}
     return {key: row for key, row in table.items() if on.get(key, True)}
 
 

@@ -1,6 +1,5 @@
 """Command-line interface."""
 
-import functools
 import json
 import os
 import re
@@ -9,16 +8,12 @@ import time
 
 import pytest
 
-from conftest import pretzel
-from knotmut import cli, permgroups, quotients, report
-from knotmut.budget import ResourceLimitExceeded
+from knotmut import cli, report
 from knotmut.cli import format_table1, main
 from knotmut.diagram import (braid_closure, named_knot, parse_braid,
                              parse_knot_spec)
 from knotmut.laurent import LaurentPoly2
-from knotmut.permgroups import builtin_targets
-from knotmut.presentations import low_index_subgroups
-from knotmut.quotients import Cover, epimorphisms
+from knotmut.permgroups import builtin_targets, target
 from knotmut.satellites import cable
 from knotmut.skein2 import homfly, kauffman_f
 
@@ -114,8 +109,7 @@ class TestPolynomialCommands:
 LINK_SWEEP = (
     ("jones",), ("alexander",), ("homfly",), ("kauffman",),
     ("cjones", "--color", "3"), ("cable",), ("double",),
-    ("cover", "group"), ("cover", "abelian"), ("cover", "lowindex"),
-    ("cover", "quotients"), ("cover", "kernel-abelian"), ("report",),
+    ("cover", "group"), ("report",),
 )
 # the error each of them must name, where the sweep pins it
 LINK_ERRORS = {
@@ -191,126 +185,61 @@ class TestDiagramCommands:
 
 
 class TestCoverCommands:
-    def test_abelian(self, capsys):
-        code, out, _ = run(capsys, "cover", "abelian", "trefoil")
-        assert code == 0
-        assert "[3]" in out
-
     def test_group(self, capsys):
         code, out, _ = run(capsys, "cover", "group", "trefoil")
         assert code == 0
         assert out.startswith("generators: 1")
 
-    def test_lowindex(self, capsys):
-        code, out, _ = run(capsys, "cover", "lowindex", "--max", "3",
-                           "figure8")
-        assert code == 0
-        assert "index 1: [5]" in out
-
-    def test_quotients(self, capsys):
-        code, out, _ = run(capsys, "cover", "quotients", "--target", "C5",
-                           "figure8")
-        assert code == 0
-        assert "delta_C5 = 1" in out
-
-    def test_kernel_abelian(self, capsys):
-        code, out, _ = run(capsys, "cover", "kernel-abelian", "--target",
-                           "C3", "trefoil")
-        assert code == 0
-        assert "kernel 1 abelianization []" in out
-
-    def test_kernel_abelian_no_epimorphism(self, capsys):
-        # the trefoil's cover group is Z/3, which has no quotient C2
-        code, out, _ = run(capsys, "cover", "kernel-abelian", "--target",
-                           "C2", "trefoil")
-        assert code == 0
-        assert out == "trefoil: no epimorphism onto C2\n"
-
-    @pytest.mark.parametrize("target,count", [("Alt(4)", 8), ("Alt(5)", 12)])
-    def test_kernel_abelian_sorted(self, capsys, target, count):
-        # mutants have homeomorphic double branched covers, so the same
-        # kernels; printed sorted, the lines agree.  Onto Alt(4) there are
-        # 3 kinds, which the search meets in a different order on each.
-        outs = []
-        for p in ((3, 3, -2, -3), (3, 3, -3, -2)):
-            code, out, _ = run(capsys, "cover", "kernel-abelian", "--target",
-                               target, f"name=P pd: {pretzel(*p)}")
-            assert code == 0
-            outs.append(out.splitlines())
-        assert len(outs[0]) == count
-        assert outs[0] == outs[1]
-
-    def test_one_route_with_report(self, capsys):
-        # `cover` and `report` run the same searches on the same cover
-        spec = f"name=P pd: {pretzel(3, 3, -2, -3)}"
-        code, out, _ = run(capsys, "--format", "json", "report",
-                           "--quotients", "60", "--lowindex", "3", spec)
-        assert code == 0
-        items = json.loads(out)["items"]
-        counts = items["quotients"]["value"]
-        assert sorted(counts) == sorted(t.name
-                                        for t in builtin_targets(60))
-        for name, count in counts.items():
-            code, out, _ = run(capsys, "cover", "quotients", "--target",
-                               name, spec)
-            assert (code, out) == (0, f"P: delta_{name} = {count}\n")
-        code, out, _ = run(capsys, "cover", "lowindex", "--max", "3", spec)
-        assert code == 0
-        assert out.splitlines() == [f"index {i}: {inv}" for i, inv
-                                    in items["lowindex_abelian"]["value"]]
-
-    @pytest.mark.parametrize("action", [["group"],
-                                        ["quotients", "--target", "D3"]])
-    def test_link_fails_on_both_routes(self, capsys, action):
+    def test_link_fails_on_both_routes(self, capsys):
         # the relator x1^2 defines the cover only when every meridian is
         # conjugate to x1, so the Hopf link is refused as a braid and as
         # a PD code alike
         hopf = parse_braid("2 | 1 1")
         errs = []
         for spec in ("braid: 2 | 1 1", f"pd: {braid_closure(hopf)}"):
-            code, out, err = run(capsys, "cover", *action, spec)
+            code, out, err = run(capsys, "cover", "group", spec)
             assert code == 1
             assert out == ""
             errs.append(err)
         assert errs[0] == errs[1] == "error: diagram must be a knot\n"
 
-    def test_quotient_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(quotients, "epimorphisms", functools.partial(
-            quotients.epimorphisms, max_nodes=1))
-        code, _, err = run(capsys, "cover", "quotients", "--target", "C5",
-                           "figure8")
-        assert code == 2
-        assert err.startswith("resource limit:")
+    @pytest.mark.parametrize("action", ["abelian", "lowindex", "quotients",
+                                        "kernel-abelian"])
+    def test_searches_are_report_items(self, capsys, action):
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", action, "trefoil"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-
+    # Target names were parsed by `cover quotients --target`; the checks
+    # now call permgroups.target, which gave that flag its messages.
     @pytest.mark.parametrize("group", builtin_targets(2520),
                              ids=lambda g: g.name)
     def test_printed_target_names(self, group):
         # the names that `report --quotients` prints are valid targets
-        assert permgroups.target(group.name).order == group.order
+        assert target(group.name).order == group.order
 
     @pytest.mark.parametrize("name,order", [("Alt(5)", 60), ("Sym(4)", 24),
                                             ("PSL(2,7)", 168)])
     def test_long_target_names(self, name, order):
-        assert permgroups.target(name).order == order
+        assert target(name).order == order
 
     @pytest.mark.parametrize("name", ["A", "X3", "Alt(5", "PSL(3,7)"])
-    def test_unknown_target(self, capsys, name):
-        code, out, err = run(capsys, "cover", "quotients", "--target", name,
-                             "trefoil")
-        assert (code, out) == (1, "")
-        assert err == f"error: unknown target group {name!r}\n"
+    def test_unknown_target(self, name):
+        with pytest.raises(ValueError) as exc:
+            target(name)
+        assert str(exc.value) == f"unknown target group {name!r}"
 
     @pytest.mark.parametrize("name", ["D1", "D2", "C0", "S0", "Alt(0)",
                                       "PSL(2,2)", "PSL(2,4)", "PSL(2,9)"])
-    def test_target_out_of_range(self, capsys, name):
+    def test_target_out_of_range(self, name):
         # D1 and D2 were built as groups of order 1 and 2, PSL(2,4) as one
         # of order 265, and PSL(2,9) ended in a traceback
-        code, out, err = run(capsys, "cover", "quotients", "--target", name,
-                             "trefoil")
-        assert (code, out) == (1, "")
-        assert re.fullmatch(r"error: (PSL\(2,\d\): q must be an odd prime|"
-                            r"[CDAS]\d: n must be at least [13])\n", err)
+        with pytest.raises(ValueError) as exc:
+            target(name)
+        assert re.fullmatch(r"PSL\(2,\d\): q must be an odd prime|"
+                            r"[CDAS]\d: n must be at least [13]",
+                            str(exc.value))
 
 
 class TestBudgetFlag:
@@ -345,8 +274,8 @@ class TestCountFlags:
         ("report", "--quotients", "-5", "trefoil"),
         ("report", "--lowindex", "-2", "trefoil"),
         ("compare", "--quotients", "-1", "trefoil", "trefoil"),
-        ("cover", "lowindex", "--max", "-1", "trefoil"),
-        ("cover", "lowindex", "--max", "0", "trefoil"),
+        ("report", "--kernels", "-1", "trefoil"),
+        ("compare", "--kernels", "-2", "trefoil", "trefoil"),
         ("cjones", "--color", "0", "trefoil"),
         ("cjones", "--color", "-2", "trefoil"),
         ("cable", "--strands", "0", "trefoil"),
@@ -361,11 +290,14 @@ class TestCountFlags:
 
     def test_least_values_accepted(self, capsys):
         code, out, err = run(capsys, "report", "--quotients", "0",
-                             "--colors", "1", "--lowindex", "0", "trefoil")
+                             "--colors", "1", "--lowindex", "0",
+                             "--kernels", "0", "trefoil")
         assert code == 0, err
         assert "quotients" not in out and "cjones" not in out
-        code, out, _ = run(capsys, "cover", "lowindex", "--max", "1", "trefoil")
-        assert (code, out) == (0, "index 1: [3]\n")
+        assert "lowindex" not in out and "kernel" not in out
+        code, out, _ = run(capsys, "report", "--lowindex", "1", "trefoil")
+        assert code == 0
+        assert "lowindex_abelian: [(1, [3])]" in out.splitlines()
 
 
 # Each takes 0.6-1.8 s without a budget on 2 cores, at least 6 times the
@@ -373,61 +305,35 @@ class TestCountFlags:
 # branched cover of SLOW_QUOTIENTS' closure (0.6-0.7 s), the index-9
 # low-index search on the 2-generator, 38-letter cover of SLOW_COVER's
 # closure (1.3-1.5 s), and the 5-colored Jones polynomial of a 2-cable of
-# the trefoil, whose contraction keeps 8 arcs open (1.3-1.8 s).
+# the trefoil, whose contraction keeps 8 arcs open (1.3-1.8 s).  A
+# command stops with code 2; a report item reads resource-limited and the
+# report goes on.  test_report's TestTimeBudget checks that premise.
 SLOW_QUOTIENTS = "braid: 5 | -4 1 1 1 -4 3 3 2 -4 2 2 3"
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
 SLOW_COMMANDS = (
-    ("cover", "quotients", "--target", "Alt(7)", SLOW_QUOTIENTS),
-    ("cjones", "--color", "5", SLOW_CJONES),
-    ("cover", "lowindex", "--max", "9", SLOW_COVER),
+    (("report", "--quotients", "2520", SLOW_QUOTIENTS), "quotients"),
+    (("cjones", "--color", "5", SLOW_CJONES), None),
+    (("report", "--lowindex", "9", SLOW_COVER), "lowindex_abelian"),
 )
 
 
 class TestTimeBudget:
-    @pytest.mark.parametrize("argv", SLOW_COMMANDS,
+    @pytest.mark.parametrize("argv,item", SLOW_COMMANDS,
                              ids=("quotients", "cjones", "lowindex"))
-    def test_budget_bounds_the_search(self, capsys, argv):
+    def test_budget_bounds_the_search(self, capsys, argv, item):
         t = time.monotonic()
-        code, _, err = run(capsys, "--budget-seconds", "0.05", *argv)
+        code, out, err = run(capsys, "--budget-seconds", "0.05", *argv)
         assert time.monotonic() - t < 2
-        assert code == 2
-        assert err.startswith("resource limit: time budget exhausted after ")
-
-    def test_budget_stops_between_kernels(self, capsys, monkeypatch):
-        # the 8 kernels onto Alt(4) take 1.6 s slowed down, the search and
-        # the cover 0.01 s
-        def slow(*args):
-            time.sleep(0.2)
-            return kernel_abelianization(*args)
-
-        kernel_abelianization = quotients.kernel_abelianization
-        monkeypatch.setattr(quotients, "kernel_abelianization", slow)
-        t = time.monotonic()
-        code, out, err = run(capsys, "--budget-seconds", "0.5", "cover",
-                             "kernel-abelian", "--target", "Alt(4)",
-                             f"pd: {pretzel(3, 3, -2, -3)}")
-        assert time.monotonic() - t < 1.4
-        assert (code, out) == (2, "")
-        assert re.fullmatch(r"resource limit: time budget exhausted after "
-                            r"[1-7] kernels\n", err)
-
-    # A case shows the time budget at work only while its search runs far
-    # past 0.05 s.  Counts, not clocks, check that premise: the search on
-    # the live cover must need more than K steps, a third of what it takes
-    # in full (A7 onto SLOW_QUOTIENTS' cover tries 888,448 candidate
-    # images, 0.7 s; the index-9 search on SLOW_COVER's tries 48,054
-    # tables, 1.7 s), so a change that makes a search short fails here.
-    def test_quotients_search_outlasts_the_budget(self):
-        pres = Cover(parse_knot_spec(SLOW_QUOTIENTS)).presentation
-        with pytest.raises(ResourceLimitExceeded, match="^node budget"):
-            epimorphisms(pres, permgroups.target("A7"), simplify=False,
-                         max_nodes=300_000)
-
-    def test_lowindex_search_outlasts_the_budget(self):
-        pres = Cover(parse_knot_spec(SLOW_COVER)).presentation
-        with pytest.raises(ResourceLimitExceeded, match="^node budget"):
-            low_index_subgroups(pres, 9, max_tables=16_000)
+        limited = "time budget exhausted after "
+        if item is None:
+            assert code == 2
+            assert err.startswith(f"resource limit: {limited}")
+        else:
+            assert code == 0, err
+            assert any(line.startswith(f"{item}: [resource-limited: "
+                                       f"{limited}")
+                       for line in out.splitlines())
 
 
 class TestCompare:
@@ -539,6 +445,17 @@ class TestReportItems:
         assert code == 0
         want = homfly(cable(named_knot("trefoil"), 2, -1))
         assert f"cable_homfly: {want}" in out.splitlines()
+
+    def test_kernel_abelian_json(self, capsys):
+        # the cover group Z/3 has one kernel onto C3, the trivial group,
+        # and no epimorphism onto any other target of order at most 6
+        code, out, _ = run(capsys, "--format", "json", "report",
+                           "--kernels", "6", "trefoil")
+        assert code == 0
+        item = json.loads(out)["items"]["kernel_abelian"]
+        assert item["status"] == "done"
+        assert item["value"] == {t.name: [[]] if t.name == "C3" else []
+                                 for t in builtin_targets(6)}
 
     def test_quotients_json(self, capsys):
         # the cover group Z/3 has one kernel onto C3 and none onto any

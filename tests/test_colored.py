@@ -19,7 +19,7 @@ from knotmut.diagram import (PlanarDiagram, add_kink, braid_closure,
 from knotmut.laurent import LaurentPoly, LaurentPoly2, qint
 from knotmut.satellites import cable
 from knotmut.skein2 import cjones3_from_kauffman, kauffman_f
-from test_skein2 import MUTANT_SLATE, NAMED_KNOTS
+from test_skein2 import MUTANT_SLATE
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 
@@ -203,28 +203,9 @@ class TestCablingOracle:
 
 
 class TestKauffmanSpecialization:
-    """J_K(3) = F_K(a = q^2, z = q - q^-1), which a report reads off its
-    kauffman item, against the N = 3 state sum."""
-
-    @staticmethod
-    def check(d):
-        assert cjones3_from_kauffman(kauffman_f(d)) == colored_jones(d, 3)
-
-    @pytest.mark.parametrize("name", NAMED_KNOTS)
-    def test_named_knots(self, name):
-        self.check(named_knot(name))
-
-    @pytest.mark.parametrize("p", MUTANT_SLATE)
-    def test_mutant_slate(self, p):
-        for q in (p, (p[0], p[1], p[3], p[2])):
-            self.check(pretzel(*q))
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_closures(self, seed):
-        rng = random.Random(seed)
-        d = random_knot_diagram(rng, max_strands=5, max_letters=14)
-        for k in (d, mirror(d), add_kink(d, rng.choice((1, -1)))):
-            self.check(k)
+    """A report reads J_K(3) = F_K(a = q^2, z = q - q^-1) off its
+    kauffman item, and test_report's TestRoutes checks it against the
+    N = 3 state sum; a link's F has no such reading."""
 
     @pytest.mark.parametrize("f", (
         LaurentPoly2({(1, -1): 1, (-1, -1): -1, (0, 0): 1}, ("a", "z")),

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import (PACKAGE, nontrivial_knot_braid, pretzel,
                       public_callables, random_knot_braid, table_key)
 from knotmut import quotients
-from knotmut.alexander import alexander_braid, alexander_pd, h1_double_cover
+from knotmut.alexander import alexander_braid, h1_double_cover
 from knotmut.diagram import braid_closure, named_knot, parse_braid
 from knotmut.freegroup import (artin_action, fox_derivative_abelian,
                                freely_reduce, inverse_word, substitute)
@@ -547,7 +547,8 @@ def _calls(path, name: str) -> bool:
 
 class TestOneCoverDoor:
     """A knot's cover is built by `quotients.Cover` alone, from the braid
-    that its diagram carries, so no diagram is paired with a braid."""
+    that its diagram carries, so no diagram is paired with a braid; and
+    its searches run only as report items."""
 
     def test_no_diagram_beside_a_braid(self):
         found = []
@@ -564,3 +565,11 @@ class TestOneCoverDoor:
         callers = [p.name for p in sorted(PACKAGE.glob("*.py"))
                    if _calls(p, "branched_cover_from_meridians")]
         assert callers == ["quotients.py"]
+
+    @pytest.mark.parametrize("search", ("quotients", "kernel_abelianizations",
+                                        "lowindex"))
+    def test_only_the_report_searches_the_cover(self, search):
+        # a second caller would be a second front door to a report row
+        callers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                   if _calls(p, search)]
+        assert callers == ["report.py"]

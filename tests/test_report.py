@@ -3,6 +3,9 @@
 import dataclasses
 import functools
 import random
+import re
+import time
+from collections import Counter
 
 import pytest
 
@@ -11,7 +14,7 @@ from conftest import (nontrivial_knot_braid, pd_copy, pretzel,
 from knotmut import permgroups, quotients, report
 from knotmut.alexander import alexander_pd
 from knotmut.bracket import jones
-from knotmut.budget import ResourceLimitExceeded
+from knotmut.budget import ResourceLimitExceeded, time_limit
 from knotmut.cli import main
 from knotmut.colored import colored_jones
 from knotmut.diagram import (BraidWord, PlanarDiagram, add_kink,
@@ -101,6 +104,30 @@ class TestBuiltOnce:
         assert res.per_item["quotients"] == "EQUAL"
         assert res.per_item["lowindex_abelian"] == "EQUAL"
         assert built == [d1, d2]
+
+    def test_one_search_per_target(self, monkeypatch):
+        # the quotient count and the kernels onto a target share a search
+        searched, search = [], quotients.epimorphisms
+
+        def spy(g, group, **kwargs):
+            searched.append(group)
+            return search(g, group, **kwargs)
+        monkeypatch.setattr(quotients, "epimorphisms", spy)
+        opts = ReportOptions(quotients=60, kernels=60)
+        items = compute_report("k", pretzel(3, 3, -2, -3), options=opts).items
+        assert items["quotients"].status == DONE
+        assert items["kernel_abelian"].status == DONE
+        targets = permgroups.builtin_targets(60)
+        assert Counter(searched) == Counter(targets)
+        assert {name: len(kernels) for name, kernels
+                in items["kernel_abelian"].value.items()} == \
+            items["quotients"].value
+
+    def test_stopped_search_keeps_nothing(self):
+        cover, a5 = Cover(pretzel(3, 3, -2, -3)), permgroups.target("A5")
+        with pytest.raises(ResourceLimitExceeded), time_limit(0.0):
+            cover.quotients([a5])
+        assert cover.quotients([a5]) == {"A5": 12}
 
     def test_default_report_builds_no_cover(self, monkeypatch):
         built = self.cover_spy(monkeypatch)
@@ -215,13 +242,12 @@ class TestEachInvariantOnce:
 
 # the route test's corpus, one case per named knot, slate pretzel and
 # seed: a named knot with a kink of either sign, a pretzel and its
-# mutant, and the closures that test_skein2's TestHomflyReadings and
-# test_colored's TestKauffmanSpecialization draw from one seed
+# mutant, and from one seed a non-trivial closure and any closure
 ROUTE_CASES = ([("named", n) for n in NAMED_KNOTS]
                + [("slate", p) for p in MUTANT_SLATE]
                + [("seed", s) for s in range(40)])
 # every row of the table, though only the rows read off another run here
-ALL_ROWS = ReportOptions(colors=3, quotients=1, lowindex=1,
+ALL_ROWS = ReportOptions(colors=3, quotients=1, lowindex=1, kernels=1,
                          whitehead_homfly=True, cable_homfly=True)
 
 
@@ -269,8 +295,9 @@ class TestRoutes:
 # cjones_5 of the closure of SLOW_CJONES, a 2-cable of the trefoil, takes
 # 1.3-1.8 s; on the 4-generator, 22-letter double branched cover of
 # SLOW_QUOTIENTS' closure, the searches onto every built-in target up to
-# A7 take 3.4-4.5 s; on the 2-generator, 38-letter cover of SLOW_COVER's
-# closure, the index-9 low-index search takes 1.3-1.5 s.
+# A7 take 3.4-4.5 s, before any kernel; on the 2-generator, 38-letter
+# cover of SLOW_COVER's closure, the index-9 low-index search takes
+# 1.3-1.5 s.
 SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
 SLOW_QUOTIENTS = "braid: 5 | -4 1 1 1 -4 3 3 2 -4 2 2 3"
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
@@ -284,7 +311,9 @@ class TestTimeBudget:
          "quotients"),
         (SLOW_COVER, ReportOptions(lowindex=9, budget_seconds=0.05),
          "lowindex_abelian"),
-    ], ids=("cjones_5", "quotients", "lowindex_abelian"))
+        (SLOW_QUOTIENTS, ReportOptions(kernels=2520, budget_seconds=0.05),
+         "kernel_abelian"),
+    ], ids=("cjones_5", "quotients", "lowindex_abelian", "kernel_abelian"))
     def test_item_is_resource_limited(self, spec, opts, key):
         d = parse_knot_spec(spec)
         item = compute_report(d.name, d, opts).items[key]
@@ -307,6 +336,36 @@ class TestTimeBudget:
         pres = Cover(parse_knot_spec(SLOW_COVER)).presentation
         with pytest.raises(ResourceLimitExceeded, match="^node budget"):
             low_index_subgroups(pres, 9, max_tables=16_000)
+
+    def test_budget_stops_between_kernels(self, monkeypatch):
+        # the 4 kernels onto C3 take 0.8 s slowed down, the searches and
+        # the cover 0.01 s
+        def slow(*args):
+            time.sleep(0.2)
+            return kernel_abelianization(*args)
+
+        kernel_abelianization = quotients.kernel_abelianization
+        monkeypatch.setattr(quotients, "kernel_abelianization", slow)
+        t = time.monotonic()
+        item = compute_report("k", pretzel(3, 3, -2, -3), ReportOptions(
+            kernels=3, budget_seconds=0.5)).items["kernel_abelian"]
+        assert time.monotonic() - t < 1.4
+        assert item.status == LIMITED
+        assert re.fullmatch(r"time budget exhausted after [1-7] kernels",
+                            item.detail)
+
+
+class TestKernelAbelian:
+    def test_mutants_agree(self):
+        # mutants have homeomorphic double branched covers, so the same
+        # kernels, which the item lists sorted.  Onto Alt(4) there are 3
+        # kinds, which the search meets in a different order on each.
+        opts = ReportOptions(kernels=60)
+        left, right = (compute_report("k", pretzel(*p), options=opts)
+                       for p in ((3, 3, -2, -3), (3, 3, -3, -2)))
+        assert compare_pair(left, right).per_item["kernel_abelian"] == EQUAL
+        kernels = left.items["kernel_abelian"].value
+        assert (len(kernels["A4"]), len(kernels["A5"])) == (8, 12)
 
 
 class TestComparePair:
@@ -365,7 +424,7 @@ class TestComparePair:
 # (by their seeds, chosen among the first 30 whose Jones polynomial is
 # not 1), and a tangle-built pretzel, which has no braid
 MOVE_KNOTS = ("trefoil", "figure8", "5_2", "6_1", 2, 17, 27, (3, 3, -2, -3))
-MOVE_OPTIONS = ReportOptions(colors=4, quotients=60, lowindex=3)
+MOVE_OPTIONS = ReportOptions(colors=4, quotients=60, lowindex=3, kernels=12)
 
 
 def _move_knot(knot) -> PlanarDiagram:
@@ -425,7 +484,7 @@ class TestDiagramMoves:
         ref = compute_report("k", d, options=opts)
         assert all(it.status == DONE for it in ref.items.values())
         assert not ref.items["jones"].value.is_one()
-        assert len(ref.items) == 10 + opts.whitehead_homfly
+        assert len(ref.items) == 11 + opts.whitehead_homfly
         moves = other_diagrams(d, seed=len(d.crossings))
         assert len(moves) == (5 if d.braid is None else 13)
         for label, other in moves.items():

@@ -9,10 +9,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (homfly_mirror, nontrivial_knot_braid, pretzel,
-                      random_braid, random_knot_diagram)
+from conftest import (homfly_mirror, pretzel, random_braid,
+                      random_knot_diagram)
 from knotmut import skein2
-from knotmut.alexander import alexander_pd
 from knotmut.bracket import (DELTA, bracket_state_sum, jones,
                              kauffman_bracket)
 from knotmut.budget import Budget
@@ -242,31 +241,9 @@ class TestAlexanderFromHomfly:
 
 
 class TestHomflyReadings:
-    """V(t) and Delta(t), which a report reads off its homfly item,
-    against the bracket and the arc-coloring determinant."""
-
-    @staticmethod
-    def check(d):
-        p = homfly(d)
-        assert jones_from_homfly(p) == jones(d)
-        assert alexander_from_homfly(p) == alexander_pd(d)
-
-    @pytest.mark.parametrize("name", NAMED_KNOTS)
-    def test_named_knots(self, name):
-        self.check(named_knot(name))
-
-    @pytest.mark.parametrize("p", MUTANT_SLATE)
-    def test_mutant_slate(self, p):
-        for q in (p, (p[0], p[1], p[3], p[2])):
-            self.check(pretzel(*q))
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_closures(self, seed):
-        rng = random.Random(seed)
-        d = braid_closure(nontrivial_knot_braid(rng, max_strands=5,
-                                                max_letters=14))
-        for k in (d, mirror(d), add_kink(d, rng.choice((1, -1)))):
-            self.check(k)
+    """A report reads V(t) and Delta(t) off its homfly item, and
+    test_report's TestRoutes checks them against the bracket and the
+    arc-coloring determinant; a link's HOMFLY has neither reading."""
 
     @pytest.mark.parametrize("d", (named_knot("hopf_plus"),
                                    PlanarDiagram([], 3)), ids=("hopf", "unlink"))
