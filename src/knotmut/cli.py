@@ -138,10 +138,14 @@ def main(argv=None) -> int:
     items = argparse.ArgumentParser(add_help=False)
     items.add_argument("--colors", type=_at_least(0),
                        default=ReportOptions.colors,
-                       help="colored Jones polynomials up to this color")
+                       help="colored Jones polynomials from color 3 up "
+                            "to this color; color 2 is the jones item")
     items.add_argument("--quotients", type=_at_least(0),
                        default=ReportOptions.quotients,
-                       help="largest target order; 0 skips the quotients")
+                       help="epimorphism counts onto the built-in targets "
+                            "up to this order whose abelianization has odd "
+                            "order, as the double branched cover's H1 "
+                            "has; 0 skips them")
     items.add_argument("--lowindex", type=_at_least(0),
                        default=ReportOptions.lowindex,
                        help="subgroup abelianizations of the double "
@@ -149,7 +153,8 @@ def main(argv=None) -> int:
     items.add_argument("--kernels", type=_at_least(0),
                        default=ReportOptions.kernels,
                        help="abelian invariants of the kernels onto the "
-                            "built-in targets up to this order; 0 skips them")
+                            "same targets as --quotients, up to this "
+                            "order; 0 skips them")
     items.add_argument("--whitehead-p", action="store_true",
                        dest="whitehead_homfly",
                        help="HOMFLY of the 0-framed positive-clasp "

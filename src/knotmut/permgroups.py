@@ -476,7 +476,7 @@ def psl2(q: int) -> PermGroup:
 
 
 def target(name: str) -> PermGroup:
-    """A target group by the name knotmut prints (C5, D3, A5, S4, PSL(2,7))
+    """A target group by its short name (C5, D3, A5, S4, PSL(2,7))
     or by the long forms Alt(5) and Sym(4), built once per process."""
     text = name.replace(" ", "")
     m = (re.fullmatch(r"([CDAS])(\d+)", text)
@@ -495,9 +495,9 @@ def _built(family: str, n: int) -> PermGroup:
 
 def builtin_targets(max_order: int = 700) -> list[PermGroup]:
     """The default epimorphism targets, smallest order first, each built
-    once per process."""
+    once per process.  D3 is left out: it is S3 on the same 3 points."""
     out = [_built("C", n) for n in range(2, 16)]
-    out.extend(_built("D", n) for n in range(3, 13))
+    out.extend(_built("D", n) for n in range(4, 13))
     out.extend(_built("A", n) for n in range(4, 8))
     out.extend(_built("S", n) for n in range(3, 8))
     out.extend(_built("P", q) for q in (7, 11, 13))

@@ -311,8 +311,9 @@ def epimorphisms(g: GroupPresentation, group: PermGroup,
     has run out.  A lane pass counts all |Gamma| candidate images of its
     level as one batch, which raises before it starts if it would pass
     `max_nodes`; so a finished search counts as many as one image at a
-    time would, and a stopped one may stop up to |Gamma| images early.  A presentation whose finite H1 rules the
-    target out returns [] with no candidate tried.
+    time would, and a stopped one may stop up to |Gamma| images early.
+    A presentation whose finite H1 rules the target out returns [] with
+    no candidate tried.
     """
     pres = tietze_simplify(g) if simplify else g
     if pres.ngens == 0:

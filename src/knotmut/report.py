@@ -10,15 +10,17 @@ is always "consistent with mutation (inconclusive)".
 are computed, holding the item's routes in order of preference.  A
 route is an engine, which computes the item from the diagram, or a
 reading `(source, fn)` of another item's value: `jones` and `alexander`
-are read off `homfly`, `cjones_2` off `jones` and `cjones_3` off
-`kauffman`.  The CLI's polynomial commands run their row's engine.
+are read off `homfly` and `cjones_3` off `kauffman`.  Every row ends in
+an engine, which the CLI's polynomial commands run.  The colored Jones
+items start at `cjones_3`, since J_2 is the `jones` item in q = 1/t
+(Kirby & Melvin, Invent. Math. 105, 1991).
 The group items share one `quotients.Cover` per knot, built only if one
-of them runs, and search the built-in targets built once per process:
-`quotients` counts the epimorphisms onto each target up to a bound on
-its order, and `kernel_abelian` lists their kernels' abelian invariants
-(the paper's sharpest group test) up to a bound of its own, on the same
-search per target.  These rows are the only callers of the `Cover`
-searches.
+of them runs, and search the built-in targets, built once per process,
+whose abelianization has odd order: `quotients` counts the epimorphisms
+onto each target up to a bound on its order, and `kernel_abelian` lists
+their kernels' abelian invariants (the paper's sharpest group test) up
+to a bound of its own, on the same search per target.  These rows are
+the only callers of the `Cover` searches.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .bracket import jones
 from .budget import ResourceLimitExceeded, time_limit
 from .colored import colored_jones
 from .diagram import PlanarDiagram
-from .permgroups import builtin_targets
+from .permgroups import PermGroup, builtin_targets
 from .quotients import Cover
 from .skein2 import (alexander_from_homfly, cjones3_from_kauffman, homfly,
                      homfly_2cable, jones_from_homfly, kauffman_f,
@@ -47,7 +49,7 @@ VERDICT_INCONCLUSIVE = "consistent with mutation (inconclusive)"
 
 @dataclass
 class ReportOptions:
-    colors: int = 2               # colored Jones up to this N
+    colors: int = 2               # colored Jones from N = 3 up to this N
     quotients: int = 0            # delta over built-in targets up to this order
     lowindex: int = 0             # subgroup abelianizations up to this index
     kernels: int = 0              # kernel homology, targets up to this order
@@ -94,11 +96,20 @@ def _jsonable(v):
     return str(v)
 
 
+def _targets(max_order: int) -> list[PermGroup]:
+    """The built-in targets up to `max_order` that a knot's double
+    branched cover can map onto: its H1 has odd order det K, and maps
+    onto the abelianization of each quotient."""
+    return [t for t in builtin_targets(max_order)
+            if t.abelianization_order % 2]
+
+
 def routes(d: PlanarDiagram, opts: ReportOptions) -> dict[str, tuple]:
     """The items that `opts` turns on, each with its routes in order of
-    preference: an engine, called with no argument, or a reading
-    `(source, fn)`.  Each engine looks its function up in this module
-    when it runs, so a patched module attribute is the one called."""
+    preference: readings `(source, fn)` of another item's value, then
+    the engine, called with no argument, that ends every row.  Each
+    engine looks its function up in this module when it runs, so a
+    patched module attribute is the one called."""
     cover = Cover(d)    # one cover for both group items, built on first use
     table = {
         "homfly": (lambda: homfly(d),),
@@ -108,9 +119,6 @@ def routes(d: PlanarDiagram, opts: ReportOptions) -> dict[str, tuple]:
         "jones": (("homfly", jones_from_homfly), lambda: jones(d)),
         "alexander": (("homfly", alexander_from_homfly),
                       lambda: alexander_pd(d)),
-        # J_K(2) is the Jones polynomial in q = 1/t (Kirby & Melvin,
-        # Invent. Math. 105, 1991)
-        "cjones_2": (("jones", lambda v: v.invert_var("q")),),
         # J_K(3) is the Kauffman polynomial at a = q^2, z = q - q^-1
         # (Turaev, Invent. Math. 92, 1988)
         "cjones_3": (("kauffman", cjones3_from_kauffman),
@@ -120,14 +128,13 @@ def routes(d: PlanarDiagram, opts: ReportOptions) -> dict[str, tuple]:
         "whitehead_homfly": (lambda: p_whitehead_plus(d),),
         "cable_homfly": (lambda: homfly_2cable(d),),
         "h1_double_cover": (lambda: h1_double_cover(d),),
-        "quotients": (
-            lambda: cover.quotients(builtin_targets(opts.quotients)),),
+        "quotients": (lambda: cover.quotients(_targets(opts.quotients)),),
         "lowindex_abelian": (lambda: cover.lowindex(opts.lowindex),),
         "kernel_abelian": (
             lambda: {t.name: cover.kernel_abelianizations(t)
-                     for t in builtin_targets(opts.kernels)},),
+                     for t in _targets(opts.kernels)},),
     }
-    on = {"cjones_2": opts.colors >= 2, "cjones_3": opts.colors >= 3,
+    on = {"cjones_3": opts.colors >= 3,
           "whitehead_homfly": opts.whitehead_homfly,
           "cable_homfly": opts.cable_homfly, "quotients": opts.quotients,
           "lowindex_abelian": opts.lowindex, "kernel_abelian": opts.kernels}
@@ -138,23 +145,19 @@ def compute_report(name: str, d: PlanarDiagram,
                    options: ReportOptions | None = None) -> InvariantReport:
     """The items of `d` that `options` turns on, sorted by name.
 
-    Each item takes the first of its routes that can run: an engine
-    always can, a reading once its source item is done.  An item with
-    none, a reading of items not done, takes its first source's status
-    and detail.  Every item of a link is skipped, and each item has a
-    whole `budget_seconds` of its own."""
+    Each item takes the first of its routes that can run: a reading once
+    its source item is done, else the engine that ends its row.  Every
+    item of a link is skipped, and each item has a whole
+    `budget_seconds` of its own."""
     opts = options or ReportOptions()
     is_knot = d.component_count() == 1
     items = {}
     for key, row in routes(d, opts).items():
         start = perf_counter()
-        route = next((r for r in row
-                      if callable(r) or items[r[0]].status == DONE), None)
+        route = next(r for r in row
+                     if callable(r) or items[r[0]].status == DONE)
         if not is_knot:
             item = ReportItem(key, SKIPPED, detail="not a knot")
-        elif route is None:
-            source = items[row[0][0]]
-            item = ReportItem(key, source.status, detail=source.detail)
         else:
             try:
                 with time_limit(opts.budget_seconds):

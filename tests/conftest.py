@@ -129,6 +129,19 @@ def pretzel(p1, p2, p3, p4):
         f"P({p1},{p2},{p3},{p4})")
 
 
+# Slow inputs for the time budget tests.  Without a budget, on 2 cores,
+# each takes at least 6 times the 0.05 s budget they are given: cjones_5
+# of the closure of SLOW_CJONES, a 2-cable of the trefoil whose
+# contraction keeps 8 arcs open, takes 1.3-1.8 s; on the 4-generator,
+# 22-letter double branched cover of SLOW_QUOTIENTS' closure, the search
+# onto A7 takes 0.6-0.7 s and those onto every report target up to A7
+# 2.9-3.1 s, before any kernel; on the 2-generator, 38-letter cover of
+# SLOW_COVER's closure, the index-9 low-index search takes 1.3-1.5 s.
+SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
+SLOW_QUOTIENTS = "braid: 5 | -4 1 1 1 -4 3 3 2 -4 2 2 3"
+SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
+
+
 def lowest_digit_spy(monkeypatch, module) -> list[bool]:
     """Per call of `module._step` that follows, from any states but the
     first {(): 1}: whether the OR of the packed values has a nonzero

@@ -19,7 +19,7 @@ from knotmut.diagram import (PlanarDiagram, add_kink, braid_closure,
 from knotmut.laurent import LaurentPoly, LaurentPoly2, qint
 from knotmut.satellites import cable
 from knotmut.skein2 import cjones3_from_kauffman, kauffman_f
-from test_skein2 import MUTANT_SLATE
+from test_skein2 import MUTANT_SLATE, NAMED_KNOTS
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
 
@@ -65,10 +65,11 @@ class TestColoredJones:
             assert colored_jones(named_knot(name), 1).is_one()
 
     def test_color_two_is_jones(self):
-        for name in ("trefoil", "trefoil_mirror", "figure8", "5_2"):
-            d = named_knot(name)
-            # J(2; q) recovers V under t = 1/q
-            assert colored_jones(d, 2) == jones(d).invert_var("q")
+        # J(2; q) recovers V under t = 1/q, on the named knots and the
+        # slate pretzels
+        for d in [named_knot(n) for n in NAMED_KNOTS] + \
+                [pretzel(*p) for p in MUTANT_SLATE]:
+            assert colored_jones(d, 2) == jones(d).invert_var("q"), d.name
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=10, deadline=None)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import pretzel, random_knot_braid
+from conftest import nontrivial_knot_braid, pretzel, random_knot_braid
 from knotmut.diagram import braid_closure, named_knot, parse_braid
 from knotmut.permgroups import (PermGroup, StabilizerChain, alternating,
                                 closure, cyclic, dihedral, group_order,
@@ -23,6 +23,7 @@ from knotmut.quotients import (_holds, _key_starts, _point_key,
                                _regular_table, _search_order, epimorphisms,
                                kernel_abelianization)
 from knotmut.skein2 import ResourceLimitExceeded
+from test_skein2 import MUTANT_SLATE
 
 
 # the cover of P(5,3,-2,-3) as generator elimination alone leaves it,
@@ -87,8 +88,10 @@ class TestPermGroups:
         orders = [t.order for t in targets]
         assert orders == sorted(orders)
         assert all(o <= 60 for o in orders)
+        # D3 is S3 on the same 3 points, so only S3 is listed
         assert [t.name for t in builtin_targets(6)] == \
-            ["C2", "C3", "C4", "C5", "C6", "D3", "S3"]
+            ["C2", "C3", "C4", "C5", "C6", "S3"]
+        assert set(target("D3").elements()) == set(target("S3").elements())
 
     @pytest.mark.parametrize("group", builtin_targets(3000),
                              ids=lambda g: g.name)
@@ -615,6 +618,22 @@ class TestAbelianObstruction:
         # a node budget of 0 raises at the first candidate tried
         assert epimorphisms(g, group, simplify=False, max_nodes=0) == []
         assert made[-1].nodes == 0
+
+    def test_no_knot_cover_maps_onto_an_even_abelianization(self):
+        # H1 of a knot's double branched cover has odd order, so the
+        # report's group rows skip every target whose abelianization has
+        # even order; the brute-force count, which has no H1 check,
+        # finds no epimorphism onto six of them
+        groups = [cyclic(2), cyclic(4), symmetric(3), dihedral(4),
+                  dihedral(5), symmetric(4)]
+        assert all(g.abelianization_order % 2 == 0 for g in groups)
+        knots = [pretzel(*p) for p in MUTANT_SLATE] + \
+            [braid_closure(nontrivial_knot_braid(random.Random(seed), 5, 14))
+             for seed in range(12)]
+        for d in knots:
+            g = quotients.Cover(d).presentation
+            assert [brute_force_epi_count(g, group) for group in groups] \
+                == [0] * len(groups), d.name
 
     def test_budget_arguments_checked_first(self):
         g = LANE_PRESENTATIONS["P(3,3,-2,-3)"]
