@@ -136,10 +136,11 @@ def main(argv=None) -> int:
     # options shared by `report` and `compare`: each dest is a
     # ReportOptions field, with its default
     items = argparse.ArgumentParser(add_help=False)
-    items.add_argument("--colors", type=_at_least(0),
+    items.add_argument("--colors", type=_at_least(2),
                        default=ReportOptions.colors,
                        help="colored Jones polynomials from color 3 up "
-                            "to this color; color 2 is the jones item")
+                            "to this color; color 2 is the jones item, "
+                            "so 2 adds no colored item")
     items.add_argument("--quotients", type=_at_least(0),
                        default=ReportOptions.quotients,
                        help="epimorphism counts onto the built-in targets "

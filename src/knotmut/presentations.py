@@ -5,9 +5,12 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
 
   * knot_group: the braid-closure presentation < x_i | beta(x_i) x_i^-1 >
   * branched_cover_from_meridians: the fundamental group of the double
-    branched cover, by Reidemeister-Schreier along the index-2 subgroup
-    of the quotient by x_1^2; `quotients.Cover` checks that a diagram
-    is a knot and builds its cover from its braid or its diagram
+    branched cover, Tietze-simplified: the index-2 subgroup of the
+    quotient by x_1^2, rewritten by Reidemeister-Schreier from the
+    Tietze-simplified knot group, whose n meridians give 2n - 1 Schreier
+    generators and a cover with at most n - 1; `quotients.Cover` checks
+    that a diagram is a knot and builds its cover from its braid or its
+    diagram
   * tietze_simplify: the generator elimination and substring moves of
     Havas, Kenne, Richardson and Robertson, "A Tietze transformation
     program" (Computational Group Theory, 1984), which leave covers
@@ -216,12 +219,40 @@ def abelianized_schreier_rows(g: GroupPresentation, table
     return rows, nsg
 
 
+def _index_two_rewrite(g: GroupPresentation, squared: int
+                       ) -> GroupPresentation:
+    """Tietze-simplified index-2 rewrite of `g` after x_i^2 is added as a
+    relator for each generator i up to `squared`."""
+    g = GroupPresentation(g.ngens, g.relators + tuple(
+        (i, i) for i in range(1, squared + 1)))
+    return tietze_simplify(
+        reidemeister_schreier(g, [(1,) * g.ngens, (0,) * g.ngens]))
+
+
 def branched_cover_from_meridians(g: GroupPresentation) -> GroupPresentation:
-    """Index-2 rewriting of a presentation whose generators are all
-    meridians, after the squared meridian x_1^2 is added as a relator:
-    the double branched cover when every meridian is conjugate to x_1."""
-    g = GroupPresentation(g.ngens, g.relators + ((1, 1),))
-    return reidemeister_schreier(g, [(1,) * g.ngens, (0,) * g.ngens])
+    """The double branched cover's group, Tietze-simplified, from a
+    presentation whose generators are all meridians conjugate to x_1.
+
+    The cover's group is the index-2 subgroup of the quotient by x_1^2.
+    It is rewritten from `tietze_simplify(g)`, whose eliminations keep
+    only original generators, so its n survivors are meridians too, and
+    the rewrite starts from 2n - 1 Schreier generators instead of one
+    per generator of `g`.  Every x_i^2 = 1 in the quotient, since x_i is
+    conjugate to x_1, so the n - 1 elements x_1 x_i (i = 2..n) generate
+    the cover's group.  Tietze may keep more than n - 1 generators when
+    no generator occurs once in a relator; then the rewrite runs again
+    with every x_i^2 added: each square rewrites to a relator of at most
+    two letters, which Tietze eliminates first, leaving at most those
+    n - 1, and the smaller cover (fewer generators, then fewer letters)
+    is kept.  The squares are not always added, since they can leave a
+    longer cover than x_1^2 alone.
+    """
+    g = tietze_simplify(g)
+    cover = _index_two_rewrite(g, 1)
+    if cover.ngens > g.ngens - 1:
+        cover = min(cover, _index_two_rewrite(g, g.ngens), key=lambda p: (
+            p.ngens, sum(map(len, p.relators))))
+    return cover
 
 
 def subgroup_abelianization(g: GroupPresentation, table) -> list[int]:
@@ -252,17 +283,25 @@ def _cyclic_key(r: Word) -> Word:
 
 
 def _dedupe(rels: list[Word], keys: dict[Word, Word]) -> list[Word]:
-    """The relators with repeats up to rotation and inversion dropped;
-    `keys` caches each relator's `_cyclic_key` across calls."""
-    seen = set()
+    """The relators with repeats up to rotation and inversion dropped.
+
+    A relator's rotations and its inverse share its sorted generators
+    (one per letter, so also its length), so only relators that agree in
+    those can repeat each other, and `_cyclic_key` is computed only on
+    such a tie; `keys` caches it across calls."""
+    def key(w: Word) -> Word:
+        if w not in keys:
+            keys[w] = _cyclic_key(w)
+        return keys[w]
+
+    kept: dict[Word, list[Word]] = {}
     out = []
     for r in rels:
-        key = keys.get(r)
-        if key is None:
-            key = keys[r] = _cyclic_key(r)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
+        group = kept.setdefault(tuple(sorted(map(abs, r))), [])
+        if group and key(r) in map(key, group):
+            continue
+        group.append(r)
+        out.append(r)
     return out
 
 

@@ -449,7 +449,9 @@ class Cover:
 
     @cached_property
     def presentation(self) -> GroupPresentation:
-        """The cover's group, Tietze-simplified: from the knot group of
+        """The cover's group as `branched_cover_from_meridians` returns
+        it, Tietze-simplified with at most n - 1 generators for a knot
+        group that Tietze leaves on n meridians: from the knot group of
         the diagram's braid when it carries one, else from its Wirtinger
         presentation.  Raises ValueError for a link, since the relator
         x_1^2 defines the cover only when every meridian is conjugate to
@@ -459,7 +461,7 @@ class Cover:
             raise ValueError("diagram must be a knot")
         base = wirtinger_presentation(d) if d.braid is None \
             else knot_group(d.braid)
-        return tietze_simplify(branched_cover_from_meridians(base))
+        return branched_cover_from_meridians(base)
 
     def _epimorphisms(self, group: PermGroup) -> list[list[Perm]]:
         """`epimorphisms` onto `group`, searched once per target; a search

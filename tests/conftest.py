@@ -132,13 +132,20 @@ def pretzel(p1, p2, p3, p4):
 # Slow inputs for the time budget tests.  Without a budget, on 2 cores,
 # each takes at least 6 times the 0.05 s budget they are given: cjones_5
 # of the closure of SLOW_CJONES, a 2-cable of the trefoil whose
-# contraction keeps 8 arcs open, takes 1.3-1.8 s; on the 4-generator,
-# 22-letter double branched cover of SLOW_QUOTIENTS' closure, the search
-# onto A7 takes 0.6-0.7 s and those onto every report target up to A7
-# 2.9-3.1 s, before any kernel; on the 2-generator, 38-letter cover of
-# SLOW_COVER's closure, the index-9 low-index search takes 1.3-1.5 s.
+# contraction keeps 8 arcs open, takes 1.3-1.8 s; SLOW_QUOTIENTS'
+# closure builds its 3-generator, 37-letter double branched cover in
+# 5 ms, then the search onto A7 takes 0.3 s and those onto every report
+# target up to A7 0.5-0.6 s, before any kernel; on the 2-generator,
+# 35-letter cover of SLOW_COVER's closure, the index-9 low-index search
+# takes 1.3-1.7 s.  SLOW_QUOTIENTS is the 284th braid of
+# nontrivial_knot_braid(random.Random(5), 5, 18), the first whose cover
+# has 3 or more generators, builds in under 10 ms and needs more than
+# 300,000 candidate images onto A7.  A 0.05 s budget runs out well
+# inside the work of its group items: the search onto A6 runs from about
+# 0.03 s to 0.24 s into `quotients`, and the kernels of its 32
+# epimorphisms onto A5 from 0.02 s to 0.22 s into `kernel_abelian`.
 SLOW_CJONES = "braid: 4 | 2 1 3 2 2 1 3 2 2 1 3 2 3"
-SLOW_QUOTIENTS = "braid: 5 | -4 1 1 1 -4 3 3 2 -4 2 2 3"
+SLOW_QUOTIENTS = "braid: 5 | 2 1 -4 3 3 3 -1 -4 -1 3 3 3 3 -3 3 -4 2 -1"
 SLOW_COVER = "braid: 5 | -4 1 -2 3 -1 -1 2 -3 -1 -1 -1 2 3 3"
 
 

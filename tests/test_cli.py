@@ -272,6 +272,7 @@ class TestCountFlags:
 
     @pytest.mark.parametrize("argv", [
         ("report", "--colors", "-3", "trefoil"),
+        ("report", "--colors", "1", "trefoil"),
         ("report", "--quotients", "-5", "trefoil"),
         ("report", "--lowindex", "-2", "trefoil"),
         ("compare", "--quotients", "-1", "trefoil", "trefoil"),
@@ -291,7 +292,7 @@ class TestCountFlags:
 
     def test_least_values_accepted(self, capsys):
         code, out, err = run(capsys, "report", "--quotients", "0",
-                             "--colors", "1", "--lowindex", "0",
+                             "--colors", "2", "--lowindex", "0",
                              "--kernels", "0", "trefoil")
         assert code == 0, err
         assert "quotients" not in out and "cjones" not in out

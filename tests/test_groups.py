@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import (PACKAGE, nontrivial_knot_braid, pretzel,
-                      public_callables, random_knot_braid, table_key)
+from conftest import (PACKAGE, nontrivial_knot_braid, pd_copy, pretzel,
+                      pretzel_decomposition, public_callables,
+                      random_knot_braid, table_key)
 from knotmut import quotients
 from knotmut.alexander import alexander_braid, h1_double_cover
 from knotmut.diagram import braid_closure, named_knot, parse_braid
@@ -18,6 +19,7 @@ from knotmut.freegroup import (artin_action, fox_derivative_abelian,
 from knotmut.laurent import LaurentPoly
 from knotmut.permgroups import alternating, identity, psl2
 from knotmut.presentations import (GroupPresentation, _cyclic_reduce,
+                                   _dedupe, _index_two_rewrite,
                                    _schreier_steps, _substring_move,
                                    abelianized_schreier_rows,
                                    branched_cover_from_meridians,
@@ -27,6 +29,7 @@ from knotmut.presentations import (GroupPresentation, _cyclic_reduce,
                                    wirtinger_presentation)
 from knotmut.quotients import epimorphisms
 from knotmut.skein2 import ResourceLimitExceeded
+from knotmut.tangles import mutate
 
 words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
                  max_size=8).map(tuple)
@@ -113,9 +116,9 @@ class TestKnotGroups:
 
     def test_meridian_square_quotient(self):
         # the cover rewrites the quotient by x_1^2 itself: the unknot's
-        # group Z gives the trivial group of the 3-sphere
+        # group Z gives the trivial group of the 3-sphere, simplified
         g = branched_cover_from_meridians(knot_group(parse_braid("1 |")))
-        assert g == GroupPresentation(1, ((1,),))
+        assert g == GroupPresentation(0, ())
 
 
 class TestBranchedCover:
@@ -127,20 +130,58 @@ class TestBranchedCover:
         from knotmut.diagram import KNOT_BRAIDS
         g = branched_cover_from_meridians(
             knot_group(parse_braid(KNOT_BRAIDS[name])))
-        assert tietze_simplify(g).abelian_invariants() == self.H1[name]
+        assert g.abelian_invariants() == self.H1[name]
 
     @pytest.mark.parametrize("name", ("trefoil", "figure8", "6_2"))
     def test_pd_route_matches(self, name):
         g = branched_cover_from_meridians(
             wirtinger_presentation(named_knot(name)))
-        assert tietze_simplify(g).abelian_invariants() == self.H1[name]
+        assert g.abelian_invariants() == self.H1[name]
+
+    def test_squares_rewrite_above_the_bound(self):
+        # from this drawing of P(5,3,-2,-3), Tietze leaves the x_1^2
+        # rewrite of the reduced knot group on 4 generators, one above
+        # its 4 meridians' bound, so every square is added
+        d = mutate(pretzel_decomposition(5, 3, -3, -2), "vertical")
+        base = tietze_simplify(wirtinger_presentation(d))
+        assert base.ngens == 4
+        assert _index_two_rewrite(base, 1).ngens == 4
+        drawn = quotients.Cover(d)
+        glued = quotients.Cover(pretzel(5, 3, -2, -3))
+        assert drawn.presentation.ngens == 3
+        assert drawn.quotients([alternating(5), psl2(7)]) == \
+            glued.quotients([alternating(5), psl2(7)]) == \
+            {"A5": 23, "PSL(2,7)": 0}
+        assert drawn.lowindex(4) == glued.lowindex(4)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bound_and_routes(self, seed):
+        # each route's cover has at most n - 1 generators for the n
+        # meridians Tietze leaves of its knot group, and the two agree
+        d = braid_closure(nontrivial_knot_braid(random.Random(seed), 5, 14))
+        covers = []
+        for knot, base in ((d, knot_group(d.braid)),
+                           (pd_copy(d), wirtinger_presentation(d))):
+            cover = quotients.Cover(knot)
+            assert cover.presentation.ngens <= tietze_simplify(base).ngens - 1
+            covers.append(cover)
+        braid, pd = covers
+        assert braid.presentation.abelian_invariants() == \
+            pd.presentation.abelian_invariants() == h1_double_cover(d)
+        assert braid.lowindex(3) == pd.lowindex(3)
+
+    def test_old_slow_quotients_braid(self):
+        # the x_1^2 rewrite of the whole knot group left this braid's
+        # cover on 4 generators, and its search onto A7 took 0.6 s
+        d = braid_closure(parse_braid("5 | -4 1 1 1 -4 3 3 2 -4 2 2 3"))
+        assert quotients.Cover(d).presentation.ngens == 3
 
     @given(st.integers(0, 2**30))
     @settings(max_examples=10, deadline=None)
     def test_order_matches_determinant(self, seed):
         b = nontrivial_knot_braid(random.Random(seed), max_letters=8)
         g = branched_cover_from_meridians(knot_group(b))
-        inv = tietze_simplify(g).abelian_invariants()
+        inv = g.abelian_invariants()
         p = alexander_braid(b)
         det = abs(sum(c if e % 2 == 0 else -c for e, c in p.coeffs.items()))
         order = 1
@@ -328,10 +369,51 @@ class TestSchreierTree:
 
 class TestTietze:
     def test_preserves_abelianization(self):
-        g = branched_cover_from_meridians(
-            knot_group(parse_braid("3 | 1 1 1 2 -1 2")))
+        # the cover as the index-2 rewrite of the whole knot group leaves it
+        g = knot_group(parse_braid("3 | 1 1 1 2 -1 2"))
+        g = reidemeister_schreier(
+            GroupPresentation(g.ngens, g.relators + ((1, 1),)),
+            [(1,) * g.ngens, (0,) * g.ngens])
+        assert g.ngens == 5
         assert tietze_simplify(g).abelian_invariants() == \
             g.abelian_invariants()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dedupe_keeps_what_the_cyclic_key_kept(self, seed):
+        # relators with planted rotations, inverses and near misses (same
+        # length and generators, another cyclic word); `_dedupe` must keep
+        # exactly what keying every relator by its least rotation kept
+        def reference(rels):
+            seen, out = set(), []
+            for r in rels:
+                key = min(w[i:] + w[:i] for w in (r, inverse_word(r))
+                          for i in range(len(w)))
+                if key not in seen:
+                    seen.add(key)
+                    out.append(r)
+            return out
+
+        rng = random.Random(seed)
+        rels = []
+        for _ in range(12):
+            r = ()
+            while not r:
+                r = _cyclic_reduce(tuple(rng.choice((1, -1)) * rng.randint(1, 3)
+                                         for _ in range(rng.randint(1, 8))))
+            i = rng.randrange(len(r))
+            near = list(r)
+            rng.shuffle(near)
+            near[0] = -near[0]
+            rels += [r, r[i:] + r[:i], inverse_word(r[i:] + r[:i]),
+                     tuple(near)]
+        rng.shuffle(rels)
+        keys: dict = {}
+        kept = _dedupe(rels, keys)
+        assert kept == reference(rels)
+        assert _dedupe(rels[::-1], keys) == reference(rels[::-1])
+        # repeats were dropped, and near misses kept beside their ties
+        assert len(kept) < len(rels)
+        assert len({tuple(sorted(map(abs, r))) for r in kept}) < len(kept)
 
     @pytest.mark.parametrize("g,ngens", [
         (GroupPresentation(2, ()), 2),
@@ -345,8 +427,8 @@ class TestTietze:
         assert h.abelian_invariants() == g.abelian_invariants()
 
     def test_cyclic_cover_of_trefoil(self):
-        g = tietze_simplify(branched_cover_from_meridians(
-            knot_group(parse_braid("2 | 1 1 1"))))
+        g = branched_cover_from_meridians(
+            knot_group(parse_braid("2 | 1 1 1")))
         assert g.ngens == 1
         assert sorted(len(r) for r in g.relators) == [3]
 
@@ -413,7 +495,7 @@ def both_routes(spec):
     from the braid's knot group and from the closure's Wirtinger
     presentation."""
     b = parse_braid(spec)
-    return [tietze_simplify(branched_cover_from_meridians(g))
+    return [branched_cover_from_meridians(g)
             for g in (knot_group(b), wirtinger_presentation(braid_closure(b)))]
 
 
