@@ -12,6 +12,8 @@ and its inverse by x_k -> x_{k+1}, x_{k+1} -> x_{k+1}^-1 x_k x_{k+1}.
 
 from __future__ import annotations
 
+from operator import add, neg
+
 from .diagram import BraidWord
 from .laurent import LaurentPoly
 
@@ -19,8 +21,11 @@ Word = tuple[int, ...]
 
 
 def freely_reduce(word) -> Word:
+    w = tuple(word)
+    if 0 not in map(add, w, w[1:]):
+        return w  # no letter meets its inverse
     out: list[int] = []
-    for g in word:
+    for g in w:
         if out and out[-1] == -g:
             out.pop()
         else:
@@ -29,21 +34,26 @@ def freely_reduce(word) -> Word:
 
 
 def inverse_word(word) -> Word:
-    return tuple(-g for g in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def substitute(word, images: dict[int, Word]) -> Word:
-    """Apply x_k -> images[k] to a word; generators without one stay."""
+    """Apply x_k -> images[k] to a word; generators without one stay.
+    Each image's inverse is formed once per call."""
+    table: dict[int, Word] = {}
+    for k, img in images.items():
+        table[k] = img
+        table[-k] = inverse_word(img)
     out: list[int] = []
     for g in word:
-        img = images.get(abs(g))
+        img = table.get(g)
         if img is None:
             if out and out[-1] == -g:
                 out.pop()
             else:
                 out.append(g)
             continue
-        for h in (img if g > 0 else inverse_word(img)):
+        for h in img:
             if out and out[-1] == -h:
                 out.pop()
             else:
@@ -51,22 +61,38 @@ def substitute(word, images: dict[int, Word]) -> Word:
     return tuple(out)
 
 
-def _letter_images(k: int) -> dict[int, Word]:
-    """Images of the two generators the Artin letter s_k moves."""
-    j = abs(k)
-    if k > 0:
-        return {j: (j, j + 1, -j), j + 1: (j,)}
-    return {j: (j + 1,), j + 1: (-(j + 1), j, j + 1)}
+def _join(u: Word, v: Word) -> Word:
+    """The free reduction of u v, for freely reduced u and v: only the
+    letters where they meet can cancel."""
+    t, top = 0, min(len(u), len(v))
+    while t < top and u[-1 - t] == -v[t]:
+        t += 1
+    return u[:len(u) - t] + v[t:]
 
 
 def artin_action(braid: BraidWord) -> list[Word]:
-    """Images of x_1, ..., x_n under the braid automorphism."""
-    n = braid.strands
-    images = {i: (i,) for i in range(1, n + 1)}
-    for k in braid.letters:
-        step = _letter_images(k)
-        images = {i: substitute(w, step) for i, w in images.items()}
-    return [images[i] for i in range(1, n + 1)]
+    """Images of x_1, ..., x_n under the braid automorphism, freely
+    reduced.
+
+    The automorphism of s_{k_1} ... s_{k_m} is the composite that
+    applies s_{k_1}'s substitution first.  It is built on the right:
+    from the identity, reading the letters last to first, each letter
+    rewrites only the two images it moves, in terms of the images so
+    far, so s_j takes (img_j, img_{j+1}) to (img_j img_{j+1} img_j^-1,
+    img_j) and s_j^-1 to (img_{j+1}, img_{j+1}^-1 img_j img_{j+1}).
+    Freely reduced words are unique, so this gives the same words as
+    substituting each letter into all n images in turn.
+    """
+    images = [(i,) for i in range(1, braid.strands + 1)]
+    for k in reversed(braid.letters):
+        j = abs(k) - 1
+        a, b = images[j], images[j + 1]
+        if k > 0:
+            images[j], images[j + 1] = _join(_join(a, b), inverse_word(a)), a
+        else:
+            images[j], images[j + 1] = b, _join(
+                _join(inverse_word(b), a), b)
+    return images
 
 
 def fox_derivative_abelian(word, gen: int) -> LaurentPoly:

@@ -14,7 +14,12 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
   * tietze_simplify: the generator elimination and substring moves of
     Havas, Kenne, Richardson and Robertson, "A Tietze transformation
     program" (Computational Group Theory, 1984), which leave covers
-    with about as few generators whichever route built them
+    with about as few generators whichever route built them; what a
+    move reads off one relator word (its sorted generators, generator
+    counts and window index, and the best substring move of each
+    ordered pair of words) is kept for the length of one call, so a
+    round recomputes it only for the relators the last move changed,
+    and ties between substring moves go as a fresh scan would take them
   * low_index_subgroups: coset-table backtracking that completes only
     the least table of each conjugacy class
   * subgroup presentations and abelianizations from any coset table of
@@ -43,9 +48,10 @@ Word = tuple[int, ...]
 
 def _cyclic_reduce(word: Word) -> Word:
     w = freely_reduce(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    t = 0
+    while 2 * t + 1 < len(w) and w[t] == -w[-1 - t]:
+        t += 1
+    return w[t:len(w) - t]
 
 
 @dataclass(frozen=True)
@@ -282,22 +288,27 @@ def _cyclic_key(r: Word) -> Word:
     return best
 
 
-def _dedupe(rels: list[Word], keys: dict[Word, Word]) -> list[Word]:
+def _dedupe(rels: list[Word], memo: dict[Word, list]) -> list[Word]:
     """The relators with repeats up to rotation and inversion dropped.
 
     A relator's rotations and its inverse share its sorted generators
     (one per letter, so also its length), so only relators that agree in
     those can repeat each other, and `_cyclic_key` is computed only on
-    such a tie; `keys` caches it across calls."""
+    such a tie.  `memo` keeps, per word, [sorted generators, cyclic key
+    or None until a tie needs it] for as long as the caller keeps it."""
     def key(w: Word) -> Word:
-        if w not in keys:
-            keys[w] = _cyclic_key(w)
-        return keys[w]
+        e = memo[w]
+        if e[1] is None:
+            e[1] = _cyclic_key(w)
+        return e[1]
 
     kept: dict[Word, list[Word]] = {}
     out = []
     for r in rels:
-        group = kept.setdefault(tuple(sorted(map(abs, r))), [])
+        e = memo.get(r)
+        if e is None:
+            e = memo[r] = [tuple(sorted(map(abs, r))), None]
+        group = kept.setdefault(e[0], [])
         if group and key(r) in map(key, group):
             continue
         group.append(r)
@@ -305,20 +316,31 @@ def _dedupe(rels: list[Word], keys: dict[Word, Word]) -> list[Word]:
     return out
 
 
-def _eliminate(rels: list[Word]) -> tuple[int, list[Word]] | None:
+def _eliminate(rels: list[Word], memo: dict[Word, tuple]
+               ) -> tuple[int, list[Word]] | None:
     """Eliminate one generator that occurs once in some relator.
 
     The shortest such relator r = u g^e v is dropped and g = (u^-1 v^-1)
     or (v u) substituted everywhere else, if that adds at most
-    MAX_RELATOR_LENGTH letters.  Returns the generator and the new
-    relators; None when no generator qualifies.
+    MAX_RELATOR_LENGTH letters.  Of r's generators that occur once, the
+    first to occur in r that qualifies is taken.  Returns the generator
+    and the new relators; None when no generator qualifies.  `memo`
+    keeps, per word, its generator counts and the generators that occur
+    once in it, in order of first occurrence.
     """
+    entries = []
+    for r in rels:
+        e = memo.get(r)
+        if e is None:
+            counts = Counter(map(abs, r))
+            e = memo[r] = (counts, [x for x, c in counts.items() if c == 1])
+        entries.append(e)
     occ = Counter(map(abs, chain.from_iterable(rels)))
     for ri in sorted(range(len(rels)), key=lambda i: len(rels[i])):
         r = rels[ri]
-        gen = next((x for x, c in Counter(map(abs, r)).items()
-                    if c == 1 and (len(r) - 1) * (occ[x] - 1)
-                    <= MAX_RELATOR_LENGTH), None)
+        gen = next((x for x in entries[ri][1]
+                    if (len(r) - 1) * (occ[x] - 1) <= MAX_RELATOR_LENGTH),
+                   None)
         if gen is not None:
             break
     else:
@@ -330,14 +352,54 @@ def _eliminate(rels: list[Word]) -> tuple[int, list[Word]] | None:
     out = []
     for i, s in enumerate(rels):
         if i != ri:
-            if gen in s or -gen in s:
+            if gen in entries[i][0]:
                 s = _cyclic_reduce(substitute(s, image))
             if s:
                 out.append(s)
     return gen, out
 
 
-def _substring_move(rels: list[Word]) -> list[Word] | None:
+def _windows(r: Word) -> dict[Word, list[tuple[Word, int]]]:
+    """Every cyclic window of length |r|//2 + 1 of r and of r^-1, each to
+    the (doubled word, offset) pairs that read it: r's before r^-1's,
+    then by offset."""
+    n = len(r)
+    k = n // 2 + 1
+    index: dict[Word, list[tuple[Word, int]]] = {}
+    for w in (r, inverse_word(r)):
+        ww = w + w
+        for i in range(n):
+            index.setdefault(ww[i:i + k], []).append((ww, i))
+    return index
+
+
+def _pair_best(s: Word, r: Word, index) -> tuple | None:
+    """The substring move that shortens s the most by a cyclic subword of
+    r or r^-1 that `index` (r's `_windows`) holds, as (letters saved,
+    position j in s, subword length m, the rest u of r^+-1); on ties the
+    lower j, then r before r^-1, then the lower offset.  None if none;
+    r must have at most 2|s| - 1 letters."""
+    n, ns = len(r), len(s)
+    k = n // 2 + 1
+    ss = s + s
+    top = min(ns, n)
+    best = None
+    for j in range(ns):
+        hits = index.get(ss[j:j + k])
+        if hits is None:
+            continue
+        for ww, i in hits:
+            m = k
+            while m < top and ss[j + m] == ww[i + m]:
+                m += 1
+            saved = 2 * m - n
+            if best is None or saved > best[0]:
+                best = (saved, j, m, ww[i + m:i + n])
+    return best
+
+
+def _substring_move(rels: list[Word], windows: dict | None = None,
+                    pairs: dict | None = None) -> list[Word] | None:
     """Shorten one relator by a long cyclic subword of another.
 
     If a cyclic subword w of s is a cyclic subword of r or r^-1 (for
@@ -345,42 +407,44 @@ def _substring_move(rels: list[Word]) -> list[Word] | None:
     reads w u, so w = u^-1 and s can carry u^-1 instead of w: the
     relators generate the same normal subgroup, and s gets 2|w| - |r|
     letters shorter.  Every window of length |r|//2 + 1 of each r^+-1 is
-    indexed, so each position of s takes one slice and one lookup per
-    window length; a hit is extended as far as the words agree.  The
-    move that saves the most letters is applied; None when there is none.
+    indexed (`_windows`), so each position of s takes one slice and one
+    lookup per r; a hit is extended as far as the words agree.
+
+    The move that saves the most letters is applied; None when there is
+    none.  Ties go to the lower index of s, then to the window length
+    |r|//2 + 1 that first occurs among the relators, then to the lower
+    position in s, the lower index of r, r before r^-1, and the lower
+    offset in r^+-1: the order of a scan of s by s, length by length,
+    position by position, over one index of all relators per length.
+    `windows` keeps each word's index and `pairs` the best move of each
+    ordered pair of words (`_pair_best`), for as long as the caller
+    keeps them.
     """
-    windows: dict[int, dict[Word, list]] = {}
-    for ri, r in enumerate(rels):
-        n = len(r)
-        k = n // 2 + 1
-        index = windows.setdefault(k, {})
-        for w in (r, inverse_word(r)):
-            ww = w + w
-            for i in range(n):
-                index.setdefault(ww[i:i + k], []).append((ri, ww, i, n))
-    best = None
+    windows = {} if windows is None else windows
+    pairs = {} if pairs is None else pairs
+    rank: dict[int, int] = {}
+    for r in rels:
+        rank.setdefault(len(r) // 2 + 1, len(rank))
+    best = best_key = None
     for si, s in enumerate(rels):
-        ns = len(s)
-        ss = s + s
-        for k, index in windows.items():
-            if k > ns:
+        for ri, r in enumerate(rels):
+            if ri == si or len(r) // 2 + 1 > len(s):
                 continue
-            for j in range(ns):
-                hits = index.get(ss[j:j + k])
-                if hits is None:
-                    continue
-                for ri, ww, i, n in hits:
-                    if ri == si:
-                        continue
-                    m, top = k, min(ns, n)
-                    while m < top and ss[j + m] == ww[i + m]:
-                        m += 1
-                    saved = 2 * m - n
-                    if best is None or saved > best[0]:
-                        best = (saved, si, j, m, ww[i + m:i + n])
+            move = pairs.get((s, r), False)
+            if move is False:
+                index = windows.get(r)
+                if index is None:
+                    index = windows[r] = _windows(r)
+                move = pairs[s, r] = _pair_best(s, r, index)
+            if move is None:
+                continue
+            key = (-move[0], si, rank[len(r) // 2 + 1], move[1], ri)
+            if best_key is None or key < best_key:
+                best, best_key = move, key
     if best is None:
         return None
-    _, si, j, m, u = best
+    _, j, m, u = best
+    si = best_key[1]
     s = rels[si]
     rest = (s + s)[j + m:j + len(s)]
     new = _cyclic_reduce(inverse_word(u) + rest)
@@ -404,18 +468,36 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
     substring moves undo most of the letters that elimination adds, so
     that a double branched cover keeps about as few generators whichever
     route (braid or Wirtinger presentation) built it.
+
+    What the moves read off one relator is kept for the length of the
+    call, keyed by the relator's word: its sorted generators and cyclic
+    key (`_dedupe`), its generator counts (`_eliminate`), its window
+    index, and the best substring move of each ordered pair of words
+    (`_substring_move`).  A round so recomputes only what the relators
+    the last move changed need.  The same move is taken as by a fresh
+    scan: of the substring moves that save the most letters, the one
+    with the lower index of s, then the window length that occurs first
+    among the relators, the lower position in s, the lower index of r,
+    r before r^-1, and the lower offset.  Each move ticks a time-only
+    budget, so the enclosing `time_limit` stops a long simplification
+    between moves.
     """
     rels = [r for r in map(_cyclic_reduce, g.relators) if r]
     eliminated: set[int] = set()
-    keys: dict[Word, Word] = {}
+    budget = Budget(unit="Tietze moves")
+    keys: dict[Word, list] = {}
+    counts: dict[Word, tuple] = {}
+    windows: dict = {}
+    pairs: dict = {}
     while True:
+        budget.tick()
         rels = _dedupe(rels, keys)
-        step = _eliminate(rels)
+        step = _eliminate(rels, counts)
         if step is not None:
             gen, rels = step
             eliminated.add(gen)
             continue
-        shorter = _substring_move(rels)
+        shorter = _substring_move(rels, windows, pairs)
         if shorter is None:
             break
         rels = shorter

@@ -134,7 +134,7 @@ def pretzel(p1, p2, p3, p4):
 # of the closure of SLOW_CJONES, a 2-cable of the trefoil whose
 # contraction keeps 8 arcs open, takes 1.3-1.8 s; SLOW_QUOTIENTS'
 # closure builds its 3-generator, 37-letter double branched cover in
-# 5 ms, then the search onto A7 takes 0.3 s and those onto every report
+# 3 ms, then the search onto A7 takes 0.3 s and those onto every report
 # target up to A7 0.5-0.6 s, before any kernel; on the 2-generator,
 # 35-letter cover of SLOW_COVER's closure, the index-9 low-index search
 # takes 1.3-1.7 s.  SLOW_QUOTIENTS is the 284th braid of

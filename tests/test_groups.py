@@ -19,7 +19,7 @@ from knotmut.freegroup import (artin_action, fox_derivative_abelian,
 from knotmut.laurent import LaurentPoly
 from knotmut.permgroups import alternating, identity, psl2
 from knotmut.presentations import (GroupPresentation, _cyclic_reduce,
-                                   _dedupe, _index_two_rewrite,
+                                   _dedupe, _eliminate, _index_two_rewrite,
                                    _schreier_steps, _substring_move,
                                    abelianized_schreier_rows,
                                    branched_cover_from_meridians,
@@ -30,6 +30,8 @@ from knotmut.presentations import (GroupPresentation, _cyclic_reduce,
 from knotmut.quotients import epimorphisms
 from knotmut.skein2 import ResourceLimitExceeded
 from knotmut.tangles import mutate
+from test_tietze_reference import (ref_dedupe, ref_eliminate,
+                                   ref_substring_move, ref_tietze_simplify)
 
 words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
                  max_size=8).map(tuple)
@@ -534,6 +536,11 @@ class TestTietzeRoutes:
     @settings(max_examples=200, deadline=None)
     def test_random_presentations(self, g):
         h = tietze_simplify(g)
+        # letter for letter what the moves recomputed each round gave
+        assert h == ref_tietze_simplify(g)
+        rels = [r for r in map(_cyclic_reduce, g.relators) if r]
+        assert _dedupe(rels, {}) == ref_dedupe(rels, {})
+        assert _eliminate(rels, {}) == ref_eliminate(rels)
         assert h.abelian_invariants() == g.abelian_invariants()
         assert h.ngens <= g.ngens
         # the letter count grows only where a generator is eliminated
@@ -545,6 +552,7 @@ class TestTietzeRoutes:
     def test_substring_move_shortens(self, g):
         rels = [r for r in map(_cyclic_reduce, g.relators) if r]
         shorter = _substring_move(rels)
+        assert shorter == ref_substring_move(rels)
         if shorter is not None:
             h = GroupPresentation(g.ngens, tuple(shorter))
             assert letters(h) < letters(g)
