@@ -12,7 +12,7 @@ and its inverse by x_k -> x_{k+1}, x_{k+1} -> x_{k+1}^-1 x_k x_{k+1}.
 
 from __future__ import annotations
 
-from operator import add, neg
+from operator import neg
 
 from .diagram import BraidWord
 from .laurent import LaurentPoly
@@ -21,11 +21,8 @@ Word = tuple[int, ...]
 
 
 def freely_reduce(word) -> Word:
-    w = tuple(word)
-    if 0 not in map(add, w, w[1:]):
-        return w  # no letter meets its inverse
     out: list[int] = []
-    for g in w:
+    for g in word:
         if out and out[-1] == -g:
             out.pop()
         else:

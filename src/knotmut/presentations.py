@@ -14,12 +14,11 @@ Generators are numbered 1..ngens; words are tuples of nonzero integers
   * tietze_simplify: the generator elimination and substring moves of
     Havas, Kenne, Richardson and Robertson, "A Tietze transformation
     program" (Computational Group Theory, 1984), which leave covers
-    with about as few generators whichever route built them; what a
-    move reads off one relator word (its sorted generators, generator
-    counts and window index, and the best substring move of each
-    ordered pair of words) is kept for the length of one call, so a
-    round recomputes it only for the relators the last move changed,
-    and ties between substring moves go as a fresh scan would take them
+    with about as few generators whichever route built them; each
+    relator word's window index and the best substring move of each
+    ordered pair of words are kept for one call, so a substring scan
+    recomputes them only for relators the last move changed, and ties
+    between substring moves go as a fresh scan would take them
   * low_index_subgroups: coset-table backtracking that completes only
     the least table of each conjugacy class
   * subgroup presentations and abelianizations from any coset table of
@@ -288,59 +287,40 @@ def _cyclic_key(r: Word) -> Word:
     return best
 
 
-def _dedupe(rels: list[Word], memo: dict[Word, list]) -> list[Word]:
+def _dedupe(rels: list[Word]) -> list[Word]:
     """The relators with repeats up to rotation and inversion dropped.
 
     A relator's rotations and its inverse share its sorted generators
     (one per letter, so also its length), so only relators that agree in
     those can repeat each other, and `_cyclic_key` is computed only on
-    such a tie.  `memo` keeps, per word, [sorted generators, cyclic key
-    or None until a tie needs it] for as long as the caller keeps it."""
-    def key(w: Word) -> Word:
-        e = memo[w]
-        if e[1] is None:
-            e[1] = _cyclic_key(w)
-        return e[1]
-
+    such a tie.  Ties are rare, so no key is kept, within a call or
+    from one call to the next."""
     kept: dict[Word, list[Word]] = {}
     out = []
     for r in rels:
-        e = memo.get(r)
-        if e is None:
-            e = memo[r] = [tuple(sorted(map(abs, r))), None]
-        group = kept.setdefault(e[0], [])
-        if group and key(r) in map(key, group):
+        group = kept.setdefault(tuple(sorted(map(abs, r))), [])
+        if group and _cyclic_key(r) in map(_cyclic_key, group):
             continue
         group.append(r)
         out.append(r)
     return out
 
 
-def _eliminate(rels: list[Word], memo: dict[Word, tuple]
-               ) -> tuple[int, list[Word]] | None:
+def _eliminate(rels: list[Word]) -> tuple[int, list[Word]] | None:
     """Eliminate one generator that occurs once in some relator.
 
     The shortest such relator r = u g^e v is dropped and g = (u^-1 v^-1)
     or (v u) substituted everywhere else, if that adds at most
     MAX_RELATOR_LENGTH letters.  Of r's generators that occur once, the
     first to occur in r that qualifies is taken.  Returns the generator
-    and the new relators; None when no generator qualifies.  `memo`
-    keeps, per word, its generator counts and the generators that occur
-    once in it, in order of first occurrence.
+    and the new relators; None when no generator qualifies.
     """
-    entries = []
-    for r in rels:
-        e = memo.get(r)
-        if e is None:
-            counts = Counter(map(abs, r))
-            e = memo[r] = (counts, [x for x, c in counts.items() if c == 1])
-        entries.append(e)
     occ = Counter(map(abs, chain.from_iterable(rels)))
     for ri in sorted(range(len(rels)), key=lambda i: len(rels[i])):
         r = rels[ri]
-        gen = next((x for x in entries[ri][1]
-                    if (len(r) - 1) * (occ[x] - 1) <= MAX_RELATOR_LENGTH),
-                   None)
+        gen = next((x for x, c in Counter(map(abs, r)).items()
+                    if c == 1 and (len(r) - 1) * (occ[x] - 1)
+                    <= MAX_RELATOR_LENGTH), None)
         if gen is not None:
             break
     else:
@@ -352,7 +332,7 @@ def _eliminate(rels: list[Word], memo: dict[Word, tuple]
     out = []
     for i, s in enumerate(rels):
         if i != ri:
-            if gen in entries[i][0]:
+            if gen in s or -gen in s:
                 s = _cyclic_reduce(substitute(s, image))
             if s:
                 out.append(s)
@@ -398,8 +378,8 @@ def _pair_best(s: Word, r: Word, index) -> tuple | None:
     return best
 
 
-def _substring_move(rels: list[Word], windows: dict | None = None,
-                    pairs: dict | None = None) -> list[Word] | None:
+def _substring_move(rels: list[Word], windows: dict, pairs: dict
+                    ) -> list[Word] | None:
     """Shorten one relator by a long cyclic subword of another.
 
     If a cyclic subword w of s is a cyclic subword of r or r^-1 (for
@@ -417,11 +397,9 @@ def _substring_move(rels: list[Word], windows: dict | None = None,
     offset in r^+-1: the order of a scan of s by s, length by length,
     position by position, over one index of all relators per length.
     `windows` keeps each word's index and `pairs` the best move of each
-    ordered pair of words (`_pair_best`), for as long as the caller
+    ordered pair of words (`_pair_best`) for as long as the caller
     keeps them.
     """
-    windows = {} if windows is None else windows
-    pairs = {} if pairs is None else pairs
     rank: dict[int, int] = {}
     for r in rels:
         rank.setdefault(len(r) // 2 + 1, len(rank))
@@ -469,30 +447,28 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
     that a double branched cover keeps about as few generators whichever
     route (braid or Wirtinger presentation) built it.
 
-    What the moves read off one relator is kept for the length of the
-    call, keyed by the relator's word: its sorted generators and cyclic
-    key (`_dedupe`), its generator counts (`_eliminate`), its window
-    index, and the best substring move of each ordered pair of words
-    (`_substring_move`).  A round so recomputes only what the relators
-    the last move changed need.  The same move is taken as by a fresh
-    scan: of the substring moves that save the most letters, the one
-    with the lower index of s, then the window length that occurs first
-    among the relators, the lower position in s, the lower index of r,
-    r before r^-1, and the lower offset.  Each move ticks a time-only
-    budget, so the enclosing `time_limit` stops a long simplification
-    between moves.
+    Two caches are kept for the length of the call, keyed by relator
+    words: each word's window index and the best substring move of each
+    ordered pair of words (`_substring_move`).  The substring scan reads
+    every pair of relators each round and a move changes one relator,
+    so a round recomputes only the pairs that hold it; the other moves
+    read each relator once a round and keep nothing.  The same move is
+    taken as by a fresh scan: of the substring moves that save the most
+    letters, the one with the lower index of s, then the window length
+    that occurs first among the relators, the lower position in s, the
+    lower index of r, r before r^-1, and the lower offset.  Each move
+    ticks a time-only budget, so the enclosing `time_limit` stops a long
+    simplification between moves.
     """
     rels = [r for r in map(_cyclic_reduce, g.relators) if r]
     eliminated: set[int] = set()
     budget = Budget(unit="Tietze moves")
-    keys: dict[Word, list] = {}
-    counts: dict[Word, tuple] = {}
     windows: dict = {}
     pairs: dict = {}
     while True:
         budget.tick()
-        rels = _dedupe(rels, keys)
-        step = _eliminate(rels, counts)
+        rels = _dedupe(rels)
+        step = _eliminate(rels)
         if step is not None:
             gen, rels = step
             eliminated.add(gen)

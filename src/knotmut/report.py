@@ -57,6 +57,10 @@ class ReportOptions:
     cable_homfly: bool = False
     budget_seconds: float | None = None  # per item, for every search
 
+    def __post_init__(self):
+        if self.colors < 2:
+            raise ValueError(f"colors must be at least 2, got {self.colors}")
+
 
 @dataclass
 class ReportItem:
@@ -109,8 +113,12 @@ def routes(d: PlanarDiagram, opts: ReportOptions) -> dict[str, tuple]:
     preference: readings `(source, fn)` of another item's value, then
     the engine, called with no argument, that ends every row.  Each
     engine looks its function up in this module when it runs, so a
-    patched module attribute is the one called."""
+    patched module attribute is the one called.  The group rows' target
+    lists are built here, outside every item's time limit, and only for
+    a row that is on."""
     cover = Cover(d)    # one cover for both group items, built on first use
+    quotient_targets = _targets(opts.quotients) if opts.quotients else []
+    kernel_targets = _targets(opts.kernels) if opts.kernels else []
     table = {
         "homfly": (lambda: homfly(d),),
         "kauffman": (lambda: kauffman_f(d),),
@@ -128,11 +136,11 @@ def routes(d: PlanarDiagram, opts: ReportOptions) -> dict[str, tuple]:
         "whitehead_homfly": (lambda: p_whitehead_plus(d),),
         "cable_homfly": (lambda: homfly_2cable(d),),
         "h1_double_cover": (lambda: h1_double_cover(d),),
-        "quotients": (lambda: cover.quotients(_targets(opts.quotients)),),
+        "quotients": (lambda: cover.quotients(quotient_targets),),
         "lowindex_abelian": (lambda: cover.lowindex(opts.lowindex),),
         "kernel_abelian": (
             lambda: {t.name: cover.kernel_abelianizations(t)
-                     for t in _targets(opts.kernels)},),
+                     for t in kernel_targets},),
     }
     on = {"cjones_3": opts.colors >= 3,
           "whitehead_homfly": opts.whitehead_homfly,

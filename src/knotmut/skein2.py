@@ -278,7 +278,8 @@ class _RDiagram:
     def from_diagram(cls, d: PlanarDiagram) -> "_RDiagram":
         out = _new(cls)
         out.o = _other_ends(d.crossings)
-        out.dirs, out.free_loops = list(d.positive), d.free_loops
+        out.dirs = list(d.positive) if cls.signed else [True] * len(d.positive)
+        out.free_loops = d.free_loops
         out.touched, out.dead = set(range(len(d.crossings))), []
         return out
 
@@ -445,15 +446,16 @@ class _RDiagram:
     # -- skein moves -------------------------------------------------------
 
     def switched(self, i: int) -> "_RDiagram":
-        """Switch crossing i and its sign: the arc on leg l moves to leg
-        l + 1 (positive) or l + 3, so that leg 0 is the incoming under-
-        strand again."""
-        out = _new(_RDiagram)
+        """Switch crossing i: the arc on leg l moves to leg l + 1, or to
+        l + 3 at a negative crossing of a signed state, so that leg 0 is
+        the incoming under-strand again, and a signed state's sign flips."""
+        out = _new(type(self))
         out.o, out.dirs = list(self.o), self.dirs[:]
         out.free_loops, out.touched, out.dead = self.free_loops, {i}, []
         dr = self.dirs[i]
         out._rotate(i, 1 if dr else 3)
-        out.dirs[i] = not dr
+        if self.signed:
+            out.dirs[i] = not dr
         return out
 
     def smoothed(self, i: int, across: bool) -> "_RDiagram":
@@ -542,9 +544,9 @@ class _RDiagram:
 
     def _twist_region(self, i: int, s: int, near: bool) -> None:
         """Set `twist` to the twist region of crossing i, whose first
-        alternating bigon is at corner s, when it has k >= 3 crossings
-        (see the module docstring); `near` says whether the opposite
-        corner has a bigon from a third crossing.
+        alternating bigon is at corner s; `first_bad` calls it only on a
+        region of k >= 3 crossings (see the module docstring), and `near`
+        says whether the opposite corner has a bigon from a third crossing.
 
         `twist` is ((k, sign, corner parity), children), with the children
         T_1, T_0 and T_inf as `rewired` arguments.  c_1 is the region's
@@ -559,8 +561,6 @@ class _RDiagram:
             left = []
         else:
             left = _chain(o, i, s ^ 2) if near else []
-        if len(left) + len(right) < 4:
-            return
         c, r = left[-2:] if left else (i, s ^ 2)
         la, lb = 4 * c + ((r + 1) & 3), 4 * c + r
         c, r = right[-4:-2] if len(right) > 2 else (i, s)
@@ -672,25 +672,11 @@ class _UDiagram(_RDiagram):
     deleted, and the memo key is `o` and the free loops alone.  A switch
     always rotates by one, so a crossing's slot labels depend only on how
     often it was switched, never on an orientation, and every walk starts
-    at slot 3.  The moves are `switched` and `smoothed`.
+    at slot 3.  `switched`, `smoothed` and `rewired` are `_RDiagram`'s.
     """
 
     __slots__ = ()
     signed = False
-
-    @classmethod
-    def from_diagram(cls, d: PlanarDiagram) -> "_UDiagram":
-        out = super().from_diagram(d)
-        out.dirs = [True] * len(out.dirs)
-        return out
-
-    def switched(self, i: int) -> "_UDiagram":
-        """Switch crossing i: the arc on leg l moves to leg l + 1."""
-        out = _new(_UDiagram)
-        out.o, out.dirs = list(self.o), self.dirs[:]
-        out.free_loops, out.touched, out.dead = self.free_loops, {i}, []
-        out._rotate(i, 1)
-        return out
 
     @staticmethod
     def _twist_terms(positive: bool, odd: bool, w: int) -> tuple:

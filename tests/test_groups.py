@@ -409,10 +409,9 @@ class TestTietze:
             rels += [r, r[i:] + r[:i], inverse_word(r[i:] + r[:i]),
                      tuple(near)]
         rng.shuffle(rels)
-        keys: dict = {}
-        kept = _dedupe(rels, keys)
+        kept = _dedupe(rels)
         assert kept == reference(rels)
-        assert _dedupe(rels[::-1], keys) == reference(rels[::-1])
+        assert _dedupe(rels[::-1]) == reference(rels[::-1])
         # repeats were dropped, and near misses kept beside their ties
         assert len(kept) < len(rels)
         assert len({tuple(sorted(map(abs, r))) for r in kept}) < len(kept)
@@ -539,8 +538,8 @@ class TestTietzeRoutes:
         # letter for letter what the moves recomputed each round gave
         assert h == ref_tietze_simplify(g)
         rels = [r for r in map(_cyclic_reduce, g.relators) if r]
-        assert _dedupe(rels, {}) == ref_dedupe(rels, {})
-        assert _eliminate(rels, {}) == ref_eliminate(rels)
+        assert _dedupe(rels) == ref_dedupe(rels, {})
+        assert _eliminate(rels) == ref_eliminate(rels)
         assert h.abelian_invariants() == g.abelian_invariants()
         assert h.ngens <= g.ngens
         # the letter count grows only where a generator is eliminated
@@ -551,7 +550,7 @@ class TestTietzeRoutes:
     @settings(max_examples=200, deadline=None)
     def test_substring_move_shortens(self, g):
         rels = [r for r in map(_cyclic_reduce, g.relators) if r]
-        shorter = _substring_move(rels)
+        shorter = _substring_move(rels, {}, {})
         assert shorter == ref_substring_move(rels)
         if shorter is not None:
             h = GroupPresentation(g.ngens, tuple(shorter))
@@ -561,15 +560,15 @@ class TestTietzeRoutes:
     def test_substring_move(self):
         # the longer relator holds all of the shorter: x3 = 1
         rels = [(1, 2, 1, 3, 3), (1, 2, 1, 3)]
-        assert _substring_move(rels) == [(3,), (1, 2, 1, 3)]
+        assert _substring_move(rels, {}, {}) == [(3,), (1, 2, 1, 3)]
         # x1 x2 x3 is 3 letters of the 5 of x1 x2 x3 x6^-2, a rotation
         # of the second relator's inverse
         rels = [(1, 2, 3, 4, 5), (-3, -2, -1, 6, 6)]
-        assert _substring_move(rels) == [(6, 6, 4, 5), (-3, -2, -1, 6, 6)]
+        assert _substring_move(rels, {}, {}) == [(6, 6, 4, 5), (-3, -2, -1, 6, 6)]
         # the common subword may wrap around the end of a relator
         rels = [(2, -4, -4, 3, 1), (5, 5, 5, 4, 4, -2, -1, -3)]
-        assert _substring_move(rels) == [(2, -4, -4, 3, 1), (5, 5, 5)]
-        assert _substring_move([(1, 2, 3, 4), (1, 2, 5, 5)]) is None
+        assert _substring_move(rels, {}, {}) == [(2, -4, -4, 3, 1), (5, 5, 5)]
+        assert _substring_move([(1, 2, 3, 4), (1, 2, 5, 5)], {}, {}) is None
 
 
 class TestLowIndex:

@@ -9,6 +9,7 @@ from knotmut.diagram import (PlanarDiagram, add_kink, connected_sum,
 from knotmut.laurent import LaurentPoly, parse_poly, qint
 from knotmut.presentations import (GroupPresentation, reidemeister_schreier,
                                    wirtinger_presentation)
+from knotmut.report import ReportOptions
 from knotmut.satellites import cable, whitehead_double
 from knotmut.tangles import Tangle
 
@@ -44,6 +45,8 @@ REFUSALS = {
                           ValueError, "bad generator 2 in relator"),
     "color": (lambda: colored_jones(TREFOIL, 0),
               ValueError, "N must be at least 1"),
+    "report colors": (lambda: ReportOptions(colors=1),
+                      ValueError, "colors must be at least 2, got 1"),
     "chebyshev": (lambda: chebyshev_basis(-1),
                   ValueError, "n must be nonnegative"),
     "alexander of a link": (lambda: alexander_braid(parse_braid("2 | 1 1")),

@@ -15,7 +15,7 @@ from conftest import (SLOW_CJONES, SLOW_COVER, SLOW_QUOTIENTS,
 from knotmut import permgroups, quotients, report
 from knotmut.alexander import alexander_pd
 from knotmut.bracket import jones
-from knotmut.budget import ResourceLimitExceeded, time_limit
+from knotmut.budget import Budget, ResourceLimitExceeded, time_limit
 from knotmut.cli import main
 from knotmut.colored import colored_jones
 from knotmut.diagram import (BraidWord, PlanarDiagram, add_kink,
@@ -304,6 +304,25 @@ class TestTimeBudget:
         pres = Cover(parse_knot_spec(SLOW_COVER)).presentation
         with pytest.raises(ResourceLimitExceeded, match="^node budget"):
             low_index_subgroups(pres, 9, max_tables=16_000)
+
+    def test_targets_are_built_outside_the_item_limit(self, monkeypatch):
+        # the group rows' target lists are built before any item's time
+        # limit starts, and only for a row that is on
+        seen, build = [], report._targets
+
+        def spy(max_order):
+            seen.append((max_order, Budget().deadline))
+            return build(max_order)
+        monkeypatch.setattr(report, "_targets", spy)
+        items = compute_report("k", pretzel(3, 3, -2, -3), ReportOptions(
+            quotients=60, kernels=60, budget_seconds=100)).items
+        assert items["quotients"].status == DONE
+        assert items["kernel_abelian"].status == DONE
+        assert seen == [(60, None), (60, None)]
+        # the polynomial commands read their rows off the default options
+        seen.clear()
+        report.routes(pretzel(3, 3, -2, -3), ReportOptions())
+        assert seen == []
 
     def test_budget_stops_between_kernels(self, monkeypatch):
         # the 4 kernels onto C3 take 0.8 s slowed down, the searches and

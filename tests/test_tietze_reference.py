@@ -327,7 +327,7 @@ def test_substring_move_tie_order(key, rels):
     assert KEYS[next(n for n, (a, b) in enumerate(zip(first, second))
                      if a != b)] == key
     assert after != other
-    assert _substring_move(rels) == ref_substring_move(rels) == after
+    assert _substring_move(rels, {}, {}) == ref_substring_move(rels) == after
 
 
 # -- the time limit --------------------------------------------------------
