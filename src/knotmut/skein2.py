@@ -35,10 +35,11 @@ it; return the unlink value if no crossing is left, before the state is
 compacted or keyed; compact it into its memo key; look the key up; pick
 the crossing to resolve; and combine its children's values by its state
 class's relation (`resolve`) or by a twist region's closed form
-(`resolve_twist`).  A node's value comes with the framing shift of the curls
-its reduction removed, which is zero in the HOMFLY trees.  Values are
-shared, never mutated: a memo entry, an unlink power and a child's
-value taken with no shift are one dict.
+(`resolve_twist`), which also values a state that is one closed chain
+with no child at all.  A node's value comes with the framing shift of
+the curls its reduction removed, which is zero in the HOMFLY trees.
+Values are shared, never mutated: a memo entry, an unlink power and a
+child's value taken with no shift are one dict.
 
 A memo lives only while its tree runs; at the paper's scale it takes
 about 1.7 kB per entry.  When the tree ends, with a value or on its
@@ -80,10 +81,11 @@ by bigons through its first bigon corner in slot order and through the
 opposite corner, each neighbour adding the bigon at its far corner.  In
 a reduced state every bigon is alternating, and a region's bigons all
 sit at corners of one parity.  A closed chain, a whole T(2, n)
-component, leaves its last crossing out.  A region of k >= 3 crossings
-is resolved in one node.  Its last crossing c_k is its end on the side
-of the first bigon corner.  Along, at a crossing with its bigon at
-corner r, joins r-(r+3) and (r+1)-(r+2); across joins r-(r+1) and
+component, leaves its last crossing out, unless it runs through every
+crossing of the state: that node is a leaf (below).  A region of k >= 3
+crossings is resolved in one node.  Its last crossing c_k is its end on
+the side of the first bigon corner.  Along, at a crossing with its bigon
+at corner r, joins r-(r+3) and (r+1)-(r+2); across joins r-(r+1) and
 (r+2)-(r+3).  The children are T_1, every crossing but c_k smoothed
 along; T_0, all k along; and T_inf, all but c_k along and c_k across,
 each built by rewiring the region's four outer legs in one step.
@@ -107,13 +109,29 @@ counts resolution steps.  At k = 2 the closed form is the crossing's own
 relation, which the tree keeps.  Keeping the region's first crossing in
 T_1 in place of its last makes trees grow.
 
+A state that is one closed chain of n >= 2 crossings and L free loops
+is the region of all n, closed by the bigon from c_n's outer corner to
+c_1's.  Closed so, T_1 is one loop with a curl, T_0 two loops and T_inf
+one loop, and the node is a leaf worth
+    (alpha_n a^sigma + gamma_n) delta^L + beta_n delta^(L+1),
+with the coefficients of a twist step of n crossings.  The curl's
+corners are of the other parity than the bigons', so sigma = +1 at odd
+bigon corners and -1 at even ones in the Kauffman trees; the HOMFLY
+trees have no framing factor.  `first_bad` finds the chain where it
+looks at the region: a Hopf link when no third crossing adjoins either
+corner opposite the bigon, a T(2, 3) when one crossing adjoins both, and
+n >= 4 when the chain walk comes back to the crossing after all n.  A
+closed chain that is one split component of a larger state is resolved
+as before.  The leaf ticks the budget once and builds no state.
+
 The trees terminate because switching a bad crossing rotates its slots
 only, by an odd number: it leaves every traversal and its start
 unchanged (a start is met on its over-strand first, so it is never bad)
 and lowers the number of bad crossings by exactly one, while smoothing
-and reduction lower the number of crossings, and every child of a twist
-step has at least k - 1 fewer crossings than its parent: (crossings, bad
-crossings) falls at every step.
+and reduction lower the number of crossings, every child of a twist
+step has at least k - 1 fewer crossings than its parent, and a closed
+chain's leaf has no child: (crossings, bad crossings) falls at every
+step.
 
 Coefficients inside the trees are plain {e: int} dicts on packed
 exponents e = e1 * w + e2 (see `_width`); every factor of a crossing's
@@ -259,8 +277,9 @@ class _RDiagram:
     is the sign of crossing i, None once it is deleted; `dead` lists the
     deleted crossings until `key()` drops them.  `touched` holds the
     crossings to check in `reduce()`.  `first_bad` sets `twist` to the
-    picked crossing's twist region when it has k >= 3 crossings, else to
-    None.
+    picked crossing's twist region when it has k >= 3 crossings, to
+    ((n, sign, corner parity), None) when the state is one closed chain
+    of n crossings, a leaf, else to None.
 
     A node of a tree is its parent's state with one move applied, built
     in one step (`switched`, `smoothed`, `rewired`: `o` and `dirs` are
@@ -518,20 +537,31 @@ class _RDiagram:
             return (2 * s, -1), (s + 1, -1), None
         return (2 * s, -1), None, (s + 1, 0, -1)
 
-    def resolve_twist(self, value, w: int, forms: dict) -> dict:
+    def resolve_twist(self, value, w: int, forms: dict, unlink,
+                      cw: int) -> dict:
         """The value of this state from those of the children of its
         `twist`: alpha_k T_1 + beta_k T_0 + gamma_k T_inf, each child built
         in one step and skipped when its coefficient is zero.  `forms`
-        holds the coefficients of each (k, sign, corner parity)."""
+        holds the coefficients of each (k, sign, corner parity).
+
+        A closed chain through every crossing, a leaf, builds no child:
+        its T_1, T_0 and T_inf close into unlinks (see the module
+        docstring), valued by `unlink`, with T_1's curl shifted by
+        sigma * cw, where cw is the shift per unit of writhe.
+        """
         key, children = self.twist
         coeffs = forms.get(key)
         if coeffs is None:
             coeffs = forms[key] = _twist_coeffs(
                 key[0], *self._twist_terms(key[1], key[2], w))
+        if children is None:
+            one = unlink(self.free_loops)
+            leaves = ((one, cw if key[2] else -cw),
+                      (unlink(self.free_loops + 1), 0), (one, 0))
         res = None
-        for coeff, child in zip(coeffs, children):
+        for coeff, child in zip(coeffs, children or leaves):
             if coeff:
-                val, t = value(self.rewired(*child))
+                val, t = value(self.rewired(*child)) if children else child
                 for e, c in coeff.items():
                     if res is None:
                         e += t
@@ -547,6 +577,8 @@ class _RDiagram:
         alternating bigon is at corner s; `first_bad` calls it only on a
         region of k >= 3 crossings (see the module docstring), and `near`
         says whether the opposite corner has a bigon from a third crossing.
+        A closed chain through every crossing of the state is a leaf, and
+        `twist` is then ((n, sign, corner parity), None).
 
         `twist` is ((k, sign, corner parity), children), with the children
         T_1, T_0 and T_inf as `rewired` arguments.  c_1 is the region's
@@ -557,7 +589,12 @@ class _RDiagram:
         o = self.o
         right = _chain(o, i, s)
         if right[-2] == i:
-            del right[-4:]  # a closed chain
+            # a closed chain, a leaf if it runs through every crossing
+            if len(right) == 2 * len(self.dirs):
+                self.twist = ((len(right) >> 1, self.dirs[i], s & 1 == 1),
+                              None)
+                return
+            del right[-4:]
             left = []
         else:
             left = _chain(o, i, s ^ 2) if near else []
@@ -585,7 +622,8 @@ class _RDiagram:
         an alternating bigon at a corner is returned, else the first one:
         switching at the bigon leaves a same-over bigon, which the child's
         `reduce()` deletes with both its crossings.  `twist` is set as the
-        class docstring says.
+        class docstring says: to a leaf when the returned crossing lies on
+        a closed chain through every crossing, a whole T(2, n).
         """
         o, dirs = self.o, self.dirs
         passed = bytearray(len(dirs))
@@ -628,12 +666,21 @@ class _RDiagram:
         # region has k >= 3 crossings only if a bigon adjoins the corner
         # opposite the bigon's at the neighbour (slots u + 2 and t + 2) or
         # at the crossing (the slots at o[t] + 2 and o[u] + 2), from a third
-        # crossing; not if both do from one, which closes a T(2, 3)
+        # crossing.  If both do from one, the three close a T(2, 3); if
+        # neither does, the two close a Hopf link
         a, c, x, y = o[u ^ 2], o[t ^ 2], o[o[t] ^ 2], o[o[u] ^ 2]
         far = a ^ c < 4 and (a - c) & 3 == 1 and a >> 2 != freeing
         near = x ^ y < 4 and (x - y) & 3 == 1 and x >> 2 != t >> 2
-        if (far or near) and not (far and near and a >> 2 == x >> 2):
-            self._twist_region(freeing, o[t] & 3, near)
+        s = o[t] & 3
+        if far and near and a >> 2 == x >> 2:
+            n = 3
+        elif far or near:
+            self._twist_region(freeing, s, near)
+            return freeing
+        else:
+            n = 2
+        if n == len(dirs):
+            self.twist = ((n, dirs[freeing], s & 1 == 1), None)
         return freeing
 
     def components_and_writhe(self) -> tuple[int, int]:
@@ -758,7 +805,7 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
             if rd.twist is None:
                 res = rd.resolve(i, value, w)
             else:
-                res = rd.resolve_twist(value, w, forms)
+                res = rd.resolve_twist(value, w, forms, unlink, cw)
             if 0 in res.values():
                 res = {e: v for e, v in res.items() if v}
         memo[key] = res

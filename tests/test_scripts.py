@@ -106,7 +106,7 @@ class TestSkeinTiming:
     def test_node_cap(self):
         # a tree that does not finish within --max-nodes stops at exactly
         # that many nodes, with the counts of the library's capped tree;
-        # trefoil's Whitehead and cable HOMFLY finish in 45 and 97 nodes
+        # trefoil's Whitehead and cable HOMFLY finish in 37 and 91 nodes
         res = run_script("skein_timing.py", "--max-nodes", "100", "trefoil")
         assert res.returncode == 0, res.stderr
         d = named_knot("trefoil")

@@ -1,6 +1,7 @@
 """HOMFLY and Kauffman F via resolution trees."""
 
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -134,7 +135,8 @@ class TestHomfly:
         assert (l * p_plus + linv * p_minus + m * p_zero).is_zero()
 
     def test_budget(self):
-        d = named_knot("6_2")
+        # 6_2's tree finishes in 3 nodes; 6_3's needs more
+        d = named_knot("6_3")
         with pytest.raises(ResourceLimitExceeded,
                            match=r"after 3 nodes expanded, \d+ memo entries"):
             homfly(d, max_nodes=3)
@@ -169,7 +171,7 @@ class TestKauffmanF:
 
     def test_whitehead_double_bracket(self):
         # the skein tree against the bracket's contraction on the 20- and
-        # 18-crossing satellites of trefoil and figure8 (712 and 6,169
+        # 18-crossing satellites of trefoil and figure8 (664 and 6,085
         # nodes); the trees close only with bigon reduction
         for name in ("trefoil", "figure8"):
             d = named_knot(name)
@@ -314,47 +316,50 @@ class TestReduction:
         homfly(pretzel(7, 3, 3, -2), max_nodes=200)
 
     def test_whitehead_homfly_budget(self):
-        # needs 223 nodes (235 resolving its twist regions a crossing at a
-        # time), and 695 if the tree also took the first bad crossing with
-        # an alternating bigon instead of the last
+        # needs 207 nodes (223 with no closed-chain leaf, 235 resolving its
+        # twist regions a crossing at a time), and 695 if the tree also
+        # took the first bad crossing with an alternating bigon instead of
+        # the last
         p_whitehead_plus(named_knot("5_1"), max_nodes=240)
 
     def test_cable_homfly_budget(self):
-        # needs 193 nodes; 209 if the tree took the first bad crossing with
+        # needs 181 nodes (193 with no closed-chain leaf); 209 if the tree
+        # took the first bad crossing with
         # an alternating bigon instead of the last, and 353 if it resolved
         # its first bad crossing
         homfly_2cable(named_knot("figure8"), max_nodes=200)
 
     def test_whitehead_homfly_node_guard(self, monkeypatch):
-        # needs 969 nodes, 981 resolving its twist regions a crossing at a
-        # time.  At a crossing at a time it needed 997 if a join through
-        # deleted legs left its new arc out of the next reduction, 1,359
-        # if the tree took the first bad crossing with an alternating
-        # bigon instead of the last, and 6,543 if it resolved its first
-        # bad crossing
+        # needs 939 nodes, 969 with no closed-chain leaf and 981 resolving
+        # its twist regions a crossing at a time.  At a crossing at a time
+        # it needed 997 if a join through deleted legs left its new arc out
+        # of the next reduction, 1,359 if the tree took the first bad
+        # crossing with an alternating bigon instead of the last, and 6,543
+        # if it resolved its first bad crossing
         _, nodes = counted(monkeypatch, p_whitehead_plus, named_knot("6_1"))
-        assert nodes <= 990
+        assert nodes <= 960
 
     def test_pretzel_whitehead_homfly_node_guard(self, monkeypatch):
         # the paper's scale, pinned as `TestTreeShapes` pins the small
-        # trees: (nodes, memo entries, memo hits).  It needed 40,045 nodes
-        # resolving its twist regions a crossing at a time, and 71,481 if
-        # the tree also took the first bad crossing with an alternating
-        # bigon
+        # trees: (nodes, memo entries, memo hits).  It needed 39,257 nodes
+        # with no closed-chain leaf, 40,045 resolving its twist regions a
+        # crossing at a time, and 71,481 if the tree also took the first
+        # bad crossing with an alternating bigon
         got = tree_shape(monkeypatch, p_whitehead_plus, pretzel(3, 2, 3, -3),
                          None)
-        assert got == (39_257, 20_531, 15_453)
+        assert got == (39_131, 20_531, 15_403)
 
     def test_whitehead_kauffman_node_guard(self, monkeypatch):
-        # needs 712 nodes, 856 resolving its twist regions a crossing at a
-        # time.  At a crossing at a time it needed 1,510 if the tree took
-        # the first bad crossing with an alternating bigon instead of the
-        # last, 2,023 if it resolved its first bad crossing, and 3,097 on
-        # an oriented state whose smoothings reverse strands
+        # needs 664 nodes, 712 with no closed-chain leaf and 856 resolving
+        # its twist regions a crossing at a time.  At a crossing at a time
+        # it needed 1,510 if the tree took the first bad crossing with an
+        # alternating bigon instead of the last, 2,023 if it resolved its
+        # first bad crossing, and 3,097 on an oriented state whose
+        # smoothings reverse strands
         d = named_knot("trefoil")
         double = whitehead_double(d, -d.writhe(), 1)
         _, nodes = counted(monkeypatch, kauffman_f, double)
-        assert nodes <= 900
+        assert nodes <= 700
 
     @pytest.mark.parametrize("engine", (homfly, kauffman_f))
     @pytest.mark.parametrize("name", ("trefoil", "5_2"))
@@ -404,30 +409,35 @@ def reversed_component(d: PlanarDiagram) -> PlanarDiagram:
 def twist_forms(monkeypatch) -> set:
     """The closed forms that the twist steps run from now on, as (tree,
     form): 'parallel' or 'antiparallel' for HOMFLY, 'dubrovnik' for
-    Kauffman, and (tree, 'closed') for a region whose four outer legs run
-    to one crossing, the one a closed chain leaves out."""
+    Kauffman; and as (tree, form, 'leaf', corner parity) for a state that
+    is one closed chain through all its crossings, which builds no
+    child."""
     seen = set()
-    for cls in (skein2._RDiagram, skein2._UDiagram):
-        def spy(rd, value, w, forms, resolve=cls.resolve_twist):
-            (_, positive, odd), children = rd.twist
-            _, la, lb, ra, rb = children[1]
-            tree = "homfly" if rd.signed else "kauffman"
-            if not rd.signed:
-                seen.add((tree, "dubrovnik"))
-            else:
-                seen.add((tree, "parallel" if positive == odd
-                          else "antiparallel"))
-            if len({rd.o[p] >> 2 for p in (la, lb, ra, rb)}) == 1:
-                seen.add((tree, "closed"))
-            return resolve(rd, value, w, forms)
-        monkeypatch.setattr(cls, "resolve_twist", spy)
+    resolve = skein2._RDiagram.resolve_twist  # both state classes' own
+
+    def spy(rd, value, *args):
+        (n, positive, odd), children = rd.twist
+        tree = "homfly" if rd.signed else "kauffman"
+        form = ("dubrovnik" if not rd.signed else
+                "parallel" if positive == odd else "antiparallel")
+        if children is None:
+            assert n == len(rd.dirs)
+            seen.add((tree, form, "leaf", "odd" if odd else "even"))
+
+            def value(child):
+                raise AssertionError("a leaf built a child")
+        else:
+            seen.add((tree, form))
+        return resolve(rd, value, *args)
+
+    monkeypatch.setattr(skein2._RDiagram, "resolve_twist", spy)
     return seen
 
 
-def jones_reading_check(d: PlanarDiagram) -> None:
+def jones_reading_check(d: PlanarDiagram, bracket: LaurentPoly) -> None:
     """V(L) read off homfly(d) at l = i x^2, m = i(x - x^-1), x = A^2,
-    against the state-sum bracket: V = (-A^3)^-w <D> / delta.  Both sides
-    are multiplied by (x - x^-1)^s, which clears a link's m^-s terms; the
+    against the bracket <D>: V = (-A^3)^-w <D> / delta.  Both sides are
+    multiplied by (x - x^-1)^s, which clears a link's m^-s terms; the
     powers of i cancel, since l- and m-degrees have equal parity."""
     p = homfly(d)
     s = max(0, -min(e2 for _, e2 in p.coeffs))
@@ -438,14 +448,16 @@ def jones_reading_check(d: PlanarDiagram) -> None:
         sign = -1 if (e1 + e2) % 4 else 1
         read = read + LaurentPoly("A", {4 * e1: sign * c}) * y ** (e2 + s)
     w = d.writhe()
-    want = bracket_state_sum(d) * LaurentPoly("A", {-3 * w: (-1) ** w})
+    want = bracket * LaurentPoly("A", {-3 * w: (-1) ** w})
     assert read * DELTA == want * y ** s
 
 
-def kauffman_bracket_check(d: PlanarDiagram) -> None:
+def kauffman_bracket_check(d: PlanarDiagram, bracket: LaurentPoly) -> None:
+    """F(d) specialized to the bracket (`bracket_from_kauffman`) against
+    the bracket <D>."""
     value, shift = bracket_from_kauffman(kauffman_f(d), d.writhe())
     z_val = LaurentPoly("A", {1: 1, -1: -1})
-    assert value == kauffman_bracket(d) * z_val ** shift
+    assert value == bracket * z_val ** shift
 
 
 # Pretzel knots whose long twists the trees resolve in one step, and the
@@ -465,8 +477,8 @@ class TestTwistRegions:
         # antiparallel ones
         d = torus_2(n)
         for e in (d, reversed_component(d)) if n % 2 == 0 else (d,):
-            jones_reading_check(e)
-            kauffman_bracket_check(e)
+            jones_reading_check(e, bracket_state_sum(e))
+            kauffman_bracket_check(e, kauffman_bracket(e))
             assert homfly(mirror(e)) == homfly_mirror(homfly(e))
             assert kauffman_f(mirror(e)) == dubrovnik_mirror(kauffman_f(e))
 
@@ -477,21 +489,30 @@ class TestTwistRegions:
         # `test_bracket` checks against the state sum
         for d in (pretzel(*p), pretzel(*(-q for q in p))):
             assert jones_from_homfly(homfly(d)) == jones(d)
-            kauffman_bracket_check(d)
+            kauffman_bracket_check(d, kauffman_bracket(d))
             assert homfly(mirror(d)) == homfly_mirror(homfly(d))
             assert kauffman_f(mirror(d)) == dubrovnik_mirror(kauffman_f(d))
 
     def test_every_closed_form_runs(self, monkeypatch):
+        # the twist steps of the pretzels and of trefoil's Whitehead double,
+        # whose strands are antiparallel, and the leaves of closed chains
+        # with parallel and antiparallel strands at both corner parities
         seen = twist_forms(monkeypatch)
-        for d in (torus_2(5), torus_2(-6), reversed_component(torus_2(8))):
+        for d in (torus_2(5), torus_2(-6), reversed_component(torus_2(8)),
+                  reversed_component(torus_2(-8))):
             homfly(d)
             kauffman_f(d)
         for p in LONG_TWIST_PRETZELS:
             homfly(pretzel(*p))
             kauffman_f(pretzel(*p))
+        homfly(whitehead_double(named_knot("trefoil")))
         assert seen == {("homfly", "parallel"), ("homfly", "antiparallel"),
-                        ("kauffman", "dubrovnik"), ("homfly", "closed"),
-                        ("kauffman", "closed")}
+                        ("kauffman", "dubrovnik")} | {
+            (tree, form, "leaf", parity)
+            for tree, form in (("homfly", "parallel"),
+                               ("homfly", "antiparallel"),
+                               ("kauffman", "dubrovnik"))
+            for parity in ("odd", "even")}
 
     @pytest.mark.parametrize("engine", (homfly, kauffman_f))
     def test_long_twist_one_node(self, monkeypatch, engine):
@@ -501,6 +522,107 @@ class TestTwistRegions:
         counts = {counted(monkeypatch, engine, pretzel(k, 3, 3, -2))[1]
                   for k in (5, 7, 9, 11)}
         assert len(counts) == 1
+
+
+def closed_chain_family(n: int, reverse: bool) -> list[PlanarDiagram]:
+    """T(2, n), with the component through crossing 0's under-strand
+    reversed if `reverse`: plain, with a kink of each sign and with one
+    and with two more free loops, each followed by its mirror."""
+    d = torus_2(n)
+    if reverse:
+        d = reversed_component(d)
+    family = []
+    for e in (d, add_kink(d, 1), add_kink(d, -1),
+              PlanarDiagram(d.crossings, d.free_loops + 1),
+              PlanarDiagram(d.crossings, d.free_loops + 2)):
+        family += (e, mirror(e))
+    return family
+
+
+def values_digest(ds) -> str:
+    """A digest of the HOMFLY and Kauffman polynomials of the diagrams."""
+    text = "\n".join(f"{homfly(e)}|{kauffman_f(e)}" for e in ds)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# n: values_digest(closed_chain_family(n, reverse)) without and with
+# reverse (None for odd n), taken before a whole closed chain became a
+# leaf, when the trees resolved it a crossing or a twist region at a time
+CLOSED_CHAIN_DIGESTS = {
+    2: ("cdda6fa29ed8b80e", "89f4d12f6b87c070"),
+    -2: ("89f4d12f6b87c070", "cdda6fa29ed8b80e"),
+    3: ("ed8b707aa859f150", None),
+    -3: ("fab55f62066d9a8a", None),
+    4: ("5d0895ec6b3285ec", "c8aac9cffad0af96"),
+    -4: ("44877d5ee5c96594", "43ff55301c2d908f"),
+    5: ("a55c0d2876674505", None),
+    -5: ("b22624e26f0f7a2a", None),
+    6: ("944a1fb2f8e49beb", "1fd95e8ed60ca6cf"),
+    -6: ("180cfc05460d9a4e", "9cfdcd7ac4952397"),
+    7: ("87400271409e17ed", None),
+    -7: ("0bc7b261cbb88684", None),
+    8: ("d527adda91aeb674", "16c05b232cc8d8d0"),
+    -8: ("e91e2a5c93088757", "f8c079dceaffc39b"),
+    9: ("26550ed82b048321", None),
+    -9: ("4d76fdd77ec3df88", None),
+    10: ("148d1e8c0f576286", "19f085fcc705fa70"),
+    -10: ("6201c3487f9d7f9a", "b071d975db4106c0"),
+    11: ("4cf3439819b5fcfc", None),
+    -11: ("1768de0b73d604e9", None),
+    12: ("d171d068716fd577", "0ab98e26f0e7c765"),
+    -12: ("00416c25eea93495", "01469483ffd1464b"),
+}
+
+# Split links of a closed chain and another component, as (braid, braids
+# of the components, values_digest of the closure and its mirror taken
+# before a whole closed chain became a leaf)
+SPLIT_CLOSED_CHAINS = (
+    ("4 | 1 1 1 3 3 3", ("2 | 1 1 1", "2 | 1 1 1"), "ce67724c400bfb4c"),
+    ("5 | 1 1 3 -4 3 -4", ("2 | 1 1", "3 | 1 -2 1 -2"), "4bd2ecf1fec0501e"),
+    ("4 | 1 1 1 1 1 -3 -3 -3 -3", ("2 | 1 1 1 1 1", "2 | -1 -1 -1 -1"),
+     "c7fa50837bdea932"),
+)
+
+
+class TestClosedChainLeaf:
+    """A state that is one closed chain of bigons through all its
+    crossings, a whole T(2, n), is a leaf: one node, no child, valued by
+    the closed form of its twist region.  The values against the
+    state-sum bracket and against the trees' values before the leaf."""
+
+    @pytest.mark.parametrize("n", [n for k in range(2, 13) for n in (k, -k)])
+    def test_values(self, n):
+        for reverse in (False, True) if n % 2 == 0 else (False,):
+            family = closed_chain_family(n, reverse)
+            for e in family:
+                bracket = bracket_state_sum(e)
+                jones_reading_check(e, bracket)
+                kauffman_bracket_check(e, bracket)
+            assert values_digest(family) == CLOSED_CHAIN_DIGESTS[n][reverse]
+
+    @pytest.mark.parametrize("engine", (homfly, kauffman_f))
+    def test_one_node(self, monkeypatch, engine):
+        seen = twist_forms(monkeypatch)
+        for n in (2, -2, 3, -3, 8, -9):
+            for e in closed_chain_family(n, n % 2 == 0):
+                assert counted(monkeypatch, engine, e)[1] == 1
+        assert {s[2:] for s in seen} == {("leaf", "odd"), ("leaf", "even")}
+
+    @pytest.mark.parametrize("word, parts, digest", SPLIT_CLOSED_CHAINS,
+                             ids=[w for w, _, _ in SPLIT_CLOSED_CHAINS])
+    def test_split_component_is_no_leaf(self, word, parts, digest):
+        # a closed chain that is one split component of the state is
+        # resolved, and the link's values are the product of its
+        # components' values times delta, the 2-component unlink's
+        d = braid_closure(parse_braid(word))
+        split = [braid_closure(parse_braid(p)) for p in parts]
+        for e, es in ((d, split), (mirror(d), [mirror(p) for p in split])):
+            for engine in (homfly, kauffman_f):
+                want = engine(PlanarDiagram([], 2))
+                for p in es:
+                    want = want * engine(p)
+                assert engine(e) == want
+        assert values_digest([d, mirror(d)]) == digest
 
 
 def bad_crossings(rd) -> list[int]:
@@ -669,33 +791,33 @@ class TestLabelFree:
 # HOMFLY trees of trefoil and figure8, 2,000 otherwise.  A tree that
 # reaches its cap ends limited.
 SATELLITE_SHAPES = {
-    "trefoil": ((45, 22, 8), (97, 58, 22), (712, 278, 189)),
-    "figure8": ((107, 54, 32), (193, 113, 49), (2000, 799, 621)),
-    "5_1": ((223, 111, 71), (1519, 911, 500), (2000, 780, 578)),
-    "5_2": ((231, 118, 67), (2000, 1370, 388), (2000, 849, 474)),
-    "6_1": ((969, 519, 280), (2000, 1315, 409), (2000, 910, 433)),
-    "6_2": ((599, 306, 198), (2000, 1169, 633), (2000, 805, 586)),
-    "6_3": ((989, 513, 318), (2000, 1212, 572), (2000, 808, 604)),
-    ((0, -4), (0, -3)): ((1843, 921, 779), (2000, 1123, 747),
-                         (2000, 708, 763)),
-    ((0, -4), (0, -1, -2)): ((1473, 745, 555), (2000, 1143, 702),
-                             (2000, 746, 686)),
+    "trefoil": ((37, 22, 8), (91, 58, 22), (664, 277, 179)),
+    "figure8": ((93, 53, 29), (181, 113, 47), (2000, 832, 618)),
+    "5_1": ((207, 111, 69), (1507, 911, 498), (2000, 809, 580)),
+    "5_2": ((207, 118, 61), (2000, 1382, 386), (2000, 870, 471)),
+    "6_1": ((939, 519, 270), (2000, 1325, 409), (2000, 922, 434)),
+    "6_2": ((565, 306, 186), (2000, 1184, 637), (2000, 839, 586)),
+    "6_3": ((937, 513, 297), (2000, 1223, 574), (2000, 834, 606)),
+    ((0, -4), (0, -3)): ((1799, 921, 764), (2000, 1142, 746),
+                         (2000, 746, 769)),
+    ((0, -4), (0, -1, -2)): ((1417, 745, 534), (2000, 1158, 705),
+                             (2000, 774, 685)),
 }
 # The same for the HOMFLY and Kauffman trees of each MUTANT_SLATE knot and
 # its mutant, unbudgeted.
 PRETZEL_SHAPES = {
-    (3, 2, 3, -3): ((25, 12, 4), (52, 17, 14)),
-    (3, 2, -3, 3): ((27, 13, 5), (52, 17, 14)),
-    (-3, 2, -3, 3): ((17, 8, 2), (40, 13, 10)),
-    (-3, 2, 3, -3): ((17, 8, 2), (43, 14, 9)),
-    (5, 3, -2, -3): ((25, 12, 4), (52, 17, 14)),
-    (5, 3, -3, -2): ((21, 10, 2), (52, 17, 14)),
-    (-5, 3, -2, 3): ((23, 11, 2), (52, 17, 10)),
-    (-5, 3, 3, -2): ((27, 13, 4), (61, 20, 13)),
-    (7, 3, 3, -2): ((23, 11, 3), (55, 18, 14)),
-    (7, 3, -2, 3): ((27, 13, 4), (55, 18, 14)),
-    (7, -3, -2, -3): ((25, 12, 3), (58, 19, 18)),
-    (7, -3, -3, -2): ((23, 11, 3), (58, 19, 18)),
+    (3, 2, 3, -3): ((15, 12, 2), (28, 15, 11)),
+    (3, 2, -3, 3): ((17, 13, 3), (28, 15, 11)),
+    (-3, 2, -3, 3): ((11, 8, 2), (28, 13, 9)),
+    (-3, 2, 3, -3): ((11, 8, 2), (28, 14, 8)),
+    (5, 3, -2, -3): ((13, 10, 3), (28, 14, 12)),
+    (5, 3, -3, -2): ((11, 9, 2), (28, 14, 12)),
+    (-5, 3, -2, 3): ((11, 8, 2), (31, 15, 9)),
+    (-5, 3, 3, -2): ((13, 10, 3), (34, 18, 11)),
+    (7, 3, 3, -2): ((13, 10, 3), (28, 15, 11)),
+    (7, 3, -2, 3): ((13, 10, 3), (28, 15, 11)),
+    (7, -3, -2, -3): ((11, 9, 2), (34, 16, 16)),
+    (7, -3, -3, -2): ((13, 10, 3), (34, 16, 16)),
 }
 
 
@@ -734,7 +856,9 @@ class TestTreeShapes:
     HOMFLY counts again when the HOMFLY trees took the same rule.  Both
     changed by design again when a twist region of k >= 3 crossings came
     to be resolved in one node by its closed form, which no tree here
-    resolves in more nodes than before; the values did not change."""
+    resolves in more nodes than before; the values did not change.  They
+    changed by design, and no tree here grew, once more when a state that
+    is one closed chain of bigons, a whole T(2, n), became a leaf."""
 
     @pytest.mark.parametrize("companion", SATELLITE_SHAPES, ids=str)
     def test_satellite_trees(self, monkeypatch, companion):
@@ -789,7 +913,7 @@ class TestNoMemoryKept:
         assert live < peak / 4, (live, peak)
         (budget,) = made
         assert (budget.nodes, budget.progress()) == \
-            (6919, "4450 memo entries, 1872 memo hits")
+            (6893, "4450 memo entries, 1865 memo hits")
 
     def test_stopped_tree(self, monkeypatch, traced):
         made = recorded(monkeypatch)
@@ -803,9 +927,9 @@ class TestNoMemoryKept:
         info, live, peak = traced(call)
         assert live < peak / 4, (live, peak)
         (budget,) = made
-        assert budget.progress() == "1284 memo entries, 699 memo hits"
+        assert budget.progress() == "1306 memo entries, 699 memo hits"
         assert str(info.value) == ("node budget exhausted after 3000 nodes "
-                                   "expanded, 1284 memo entries, "
+                                   "expanded, 1306 memo entries, "
                                    "699 memo hits")
 
 
