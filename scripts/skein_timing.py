@@ -26,6 +26,13 @@ got in that time, so they move with the machine's speed as well.  Under
 not finish does a fixed amount of work, so its microseconds per node
 measure the cost of a node on the same tree in every run.
 
+`--tree NAME` runs only the named satellite trees (`whitehead_homfly`,
+`cable_homfly`, `whitehead_kauffman`; repeat it to name more), in that
+order; the default runs all three.  The Whitehead HOMFLY of a
+paper-scale pretzel finishes in seconds, while its Kauffman tree runs to
+the time budget and holds gigabytes of memo, so naming the one tree
+keeps such a run short.
+
 The last line gives the process's peak resident memory, read from
 `resource.getrusage` in MB (ru_maxrss / 1024, as the benchmark's
 `peak_rss_mb`).  A tree frees its memo when it ends, so this is about the
@@ -34,6 +41,7 @@ largest single tree's memory plus the interpreter's, not a sum over trees.
     python3 scripts/skein_timing.py
     python3 scripts/skein_timing.py --max-nodes 2000
     python3 scripts/skein_timing.py --budget-seconds 10 6_2 "braid: 3 | 1 1 2 -1 2"
+    python3 scripts/skein_timing.py --tree whitehead_homfly --tree cable_homfly
 """
 
 import argparse
@@ -54,6 +62,7 @@ from knotmut.tangles import TangleDecomposition, rational_tangle
 NAMED = ("trefoil", "figure8", "5_1", "5_2", "6_1", "6_2", "6_3")
 # (outer, inner) rational-tangle vectors of the two 2-bridge companions
 TWO_BRIDGE = (((0, -4), (0, -3)), ((0, -4), (0, -1, -2)))
+TREES = ("whitehead_homfly", "cable_homfly", "whitehead_kauffman")
 
 
 def companions(specs):
@@ -123,6 +132,9 @@ def main() -> int:
                     help="time budget of each tree")
     ap.add_argument("--max-nodes", type=int, default=None,
                     help="node budget of each tree (default: none)")
+    ap.add_argument("--tree", action="append", choices=TREES,
+                    help="run only this satellite tree; repeat to name "
+                         "more (default: all three)")
     args = ap.parse_args()
     if args.max_nodes is not None and args.max_nodes < 0:
         ap.error("--max-nodes must be at least 0")
@@ -133,6 +145,8 @@ def main() -> int:
     total = [0, 0, 0, 0.0]
     for name, d in companions(args.knots):
         for job, tree in satellites(d, args.max_nodes):
+            if args.tree and job not in args.tree:
+                continue
             *counts, status = run(tree, args.budget_seconds)
             total = [t + c for t, c in zip(total, counts)]
             print(f"{name} {job}: {line(*counts)}, {status}")

@@ -32,14 +32,26 @@ order: tick the budget; build its state in one step from its parent's
 with one move applied (a switch, a smoothing that deletes the crossing
 and joins its arcs, or the rewiring of a twist region, below); reduce
 it; return the unlink value if no crossing is left, before the state is
-compacted or keyed; compact it into its memo key; look the key up; pick
-the crossing to resolve; and combine its children's values by its state
-class's relation (`resolve`) or by a twist region's closed form
-(`resolve_twist`), which also values a state that is one closed chain
-with no child at all.  A node's value comes with the framing shift of
-the curls its reduction removed, which is zero in the HOMFLY trees.
-Values are shared, never mutated: a memo entry, an unlink power and a
-child's value taken with no shift are one dict.
+compacted or keyed; take its free loops out; compact it into its memo
+key; look the key up; pick the crossing to resolve; and combine its
+children's values by its state class's relation (`resolve`) or by a
+twist region's closed form (`resolve_twist`), which also values a state
+that is one closed chain with no child at all.  A node's value comes
+with two factors: the framing shift of the curls its reduction removed,
+which is zero in the HOMFLY trees, and delta^L for the L free loops
+taken out of its state.  The parent applies both in the pass that
+combines the child's value, one pass per term of delta^L, and the root
+applies its own once.  Values are shared, never mutated: a memo entry,
+an unlink power and a child's value taken with no shift and no loop are
+one dict.
+
+A free loop is a factor, not part of a state: P(D + O) = delta P(D)
+and D(D + O) = delta D(D), where delta is the value of a 2-component
+unlink.  So the memo key and the stored value are those of the state
+with its free loops taken out, and a state reached once with L loops
+and once with L' is expanded once.  A node's children start with no
+free loop, and count only those that their own move and reduction
+close.
 
 A memo lives only while its tree runs; at the paper's scale it takes
 about 1.7 kB per entry.  When the tree ends, with a value or on its
@@ -57,9 +69,9 @@ each at its four corners in slot order, and the order of the removals is
 part of the tree: a different order can end in a different state.  A
 deleted crossing is listed as dead; the node is then compacted by
 dropping the dead crossings, the live ones keeping their order, so that
-the memo key is the partner of every leg and the free loops, with the
-signs in an oriented state.  The compaction looks every leg's new
-position up in one table, and the key's tuple is the compacted state.
+the memo key is the partner of every leg, with the signs in an oriented
+state.  The compaction looks every leg's new position up in one table,
+and the key's tuple is the compacted state.
 
 Descending diagrams are unlinks and are evaluated directly.  Otherwise
 the trees resolve at a bad crossing: one that a basepoint traversal
@@ -109,11 +121,11 @@ counts resolution steps.  At k = 2 the closed form is the crossing's own
 relation, which the tree keeps.  Keeping the region's first crossing in
 T_1 in place of its last makes trees grow.
 
-A state that is one closed chain of n >= 2 crossings and L free loops
-is the region of all n, closed by the bigon from c_n's outer corner to
-c_1's.  Closed so, T_1 is one loop with a curl, T_0 two loops and T_inf
-one loop, and the node is a leaf worth
-    (alpha_n a^sigma + gamma_n) delta^L + beta_n delta^(L+1),
+A state that is one closed chain of n >= 2 crossings, its free loops
+taken out, is the region of all n, closed by the bigon from c_n's outer
+corner to c_1's.  Closed so, T_1 is one loop with a curl, T_0 two loops
+and T_inf one loop, and the node is a leaf worth
+    alpha_n a^sigma + gamma_n + beta_n delta,
 with the coefficients of a twist step of n crossings.  The curl's
 corners are of the other parity than the bigons', so sigma = +1 at odd
 bigon corners and -1 at even ones in the Kauffman trees; the HOMFLY
@@ -136,8 +148,9 @@ step.
 Coefficients inside the trees are plain {e: int} dicts on packed
 exponents e = e1 * w + e2 (see `_width`); every factor of a crossing's
 relation is a monomial, applied as one integer shift of e, and a node's
-children are combined in one pass over each child's terms, or one per
-term of a twist region's coefficient.
+children are combined in one pass over each child's terms for each term
+of its delta^L (one pass when it has no loop), and of a twist region's
+coefficient; no product of delta^L and a value is built on its own.
 
 The readings of a finished polynomial, the Alexander and Jones
 polynomials off HOMFLY and J_K(3) off Kauffman, substitute into it by
@@ -168,7 +181,12 @@ def _width(d: PlanarDiagram) -> int:
 
     Every y-degree e2 there is at most the crossings plus free loops of d
     in size (a smoothing raises it by one and a k-component unlink lowers
-    it by k - 1), so it stays below w / 2 and e determines (e1, e2).
+    it by k - 1), so it stays below w / 2 and e determines (e1, e2).  A
+    stored value is a loop-free state's, and delta^L times it is the
+    value of the state with its loops.  The y-degrees of the terms that
+    form that product lie between the product's own least and greatest
+    ones, since the lowest and the highest y-parts of the two factors
+    multiply to nonzero polynomials, so the bound holds for them too.
     """
     return 2 << (len(d.crossings) + d.free_loops).bit_length()
 
@@ -183,13 +201,27 @@ def _unpacked(p: dict, w: int, variables: tuple[str, str]) -> LaurentPoly2:
     return LaurentPoly2(out, variables)
 
 
-def _add_shifted(out: dict, p: dict, shift: int, c: int) -> None:
-    """out += c * x^e1 y^e2 * p for shift = e1 * w + e2, in place; zero
-    terms stay until the caller drops them."""
+def _add_shifted(out: dict, p: dict, shift: int, c: int,
+                 f: dict = _ONE) -> None:
+    """out += c * x^e1 y^e2 * f * p for shift = e1 * w + e2, in place: one
+    pass over p per term of f (a power of delta, or 1); zero terms stay
+    until the caller drops them."""
     get = out.get
-    for e, v in p.items():
-        e += shift
-        out[e] = get(e, 0) + c * v
+    for ef, cf in f.items():
+        ef += shift
+        cf *= c
+        for e, v in p.items():
+            e += ef
+            out[e] = get(e, 0) + cf * v
+
+
+def _product(p: dict, shift: int, c: int, f: dict) -> dict:
+    """c * x^e1 y^e2 * f * p as a new dict, for shift = e1 * w + e2."""
+    if f is _ONE:
+        return {e + shift: c * v for e, v in p.items()}
+    out: dict = {}
+    _add_shifted(out, p, shift, c, f)
+    return out
 
 
 def _power_table(delta: dict, w: int):
@@ -284,10 +316,11 @@ class _RDiagram:
     A node of a tree is its parent's state with one move applied, built
     in one step (`switched`, `smoothed`, `rewired`: `o` and `dirs` are
     copied into new lists and the move is written into them), then
-    `reduce()`, then, unless no crossing is left, `key()`, which compacts
-    the state: the dead crossings are dropped, the live ones keep their
-    order, and `o` becomes the key's own tuple.  `first_bad` reads a
-    compacted state.
+    `reduce()`, then, unless no crossing is left, `key()`, once the tree
+    has taken the free loops out: it compacts the state, the dead
+    crossings are dropped, the live ones keep their order, and `o`
+    becomes the key's own tuple.  `first_bad` reads a compacted state.
+    A compacted state has no free loop, so its children start with none.
     """
 
     __slots__ = ("o", "dirs", "free_loops", "touched", "dead", "twist")
@@ -304,7 +337,8 @@ class _RDiagram:
 
     def key(self):
         """Compact the state and return its memo key: the partner of every
-        leg, then the signs in an oriented state, then the free loops.
+        leg, then the signs in an oriented state.  The free loops are no
+        part of it: the tree takes them out first, as a factor.
 
         The dead crossings are dropped and the live ones keep their order.
         A position moves down by 4 per deleted crossing before its own;
@@ -326,8 +360,8 @@ class _RDiagram:
         else:
             self.o = o = tuple(o)
         if self.signed:
-            return o, tuple(dirs), self.free_loops
-        return o, self.free_loops
+            return o, tuple(dirs)
+        return o
 
     def _rotate(self, k: int, r: int) -> None:
         """Move the arc on each leg l of crossing k to leg l + r.  No arc
@@ -512,11 +546,10 @@ class _RDiagram:
         inverted.
         """
         s = -w if self.dirs[i] else w
-        sw, t = value(self.switched(i))
-        t += 2 * s
-        res = {e + t: -v for e, v in sw.items()}
-        sm, t = value(self.smoothed(i, not self.dirs[i]))
-        _add_shifted(res, sm, t + s + 1, -1)
+        sw, t, f = value(self.switched(i))
+        res = _product(sw, t + 2 * s, -1, f)
+        sm, t, f = value(self.smoothed(i, not self.dirs[i]))
+        _add_shifted(res, sm, t + s + 1, -1, f)
         return res
 
     @staticmethod
@@ -541,13 +574,15 @@ class _RDiagram:
                       cw: int) -> dict:
         """The value of this state from those of the children of its
         `twist`: alpha_k T_1 + beta_k T_0 + gamma_k T_inf, each child built
-        in one step and skipped when its coefficient is zero.  `forms`
-        holds the coefficients of each (k, sign, corner parity).
+        in one step and skipped when its coefficient is zero, and each
+        child's delta^L applied in the pass that adds it.  `forms` holds
+        the coefficients of each (k, sign, corner parity).
 
         A closed chain through every crossing, a leaf, builds no child:
-        its T_1, T_0 and T_inf close into unlinks (see the module
-        docstring), valued by `unlink`, with T_1's curl shifted by
-        sigma * cw, where cw is the shift per unit of writhe.
+        with the state's free loops taken out, its T_1, T_0 and T_inf
+        close into one, two and one loop (see the module docstring),
+        valued by `unlink`, with T_1's curl shifted by sigma * cw, where
+        cw is the shift per unit of writhe.
         """
         key, children = self.twist
         coeffs = forms.get(key)
@@ -555,19 +590,17 @@ class _RDiagram:
             coeffs = forms[key] = _twist_coeffs(
                 key[0], *self._twist_terms(key[1], key[2], w))
         if children is None:
-            one = unlink(self.free_loops)
-            leaves = ((one, cw if key[2] else -cw),
-                      (unlink(self.free_loops + 1), 0), (one, 0))
+            leaves = ((_ONE, cw if key[2] else -cw, _ONE),
+                      (unlink(1), 0, _ONE), (_ONE, 0, _ONE))
         res = None
         for coeff, child in zip(coeffs, children or leaves):
             if coeff:
-                val, t = value(self.rewired(*child)) if children else child
+                val, t, f = value(self.rewired(*child)) if children else child
                 for e, c in coeff.items():
                     if res is None:
-                        e += t
-                        res = {x + e: c * v for x, v in val.items()}
+                        res = _product(val, e + t, c, f)
                     else:
-                        _add_shifted(res, val, e + t, c)
+                        _add_shifted(res, val, e + t, c, f)
         return res
 
     # -- descending analysis ---------------------------------------------
@@ -716,10 +749,10 @@ class _UDiagram(_RDiagram):
     The positions, `o`, `dead`, `touched` and the compaction are those of
     `_RDiagram`, but no slot is known to be incoming and no crossing keeps
     a sign: `dirs[i]` is True while crossing i lives, None once it is
-    deleted, and the memo key is `o` and the free loops alone.  A switch
-    always rotates by one, so a crossing's slot labels depend only on how
-    often it was switched, never on an orientation, and every walk starts
-    at slot 3.  `switched`, `smoothed` and `rewired` are `_RDiagram`'s.
+    deleted, and the memo key is `o` alone.  A switch always rotates by
+    one, so a crossing's slot labels depend only on how often it was
+    switched, never on an orientation, and every walk starts at slot 3.
+    `switched`, `smoothed` and `rewired` are `_RDiagram`'s.
     """
 
     __slots__ = ()
@@ -743,12 +776,12 @@ class _UDiagram(_RDiagram):
         """D of this state from the values of its children at crossing i,
         by the positional Dubrovnik relation
         D(cur) = D(switched) + z (D(merge 01,23) - D(merge 03,12))."""
-        sw, s = value(self.switched(i))
-        res = {e + s: v for e, v in sw.items()} if s else dict(sw)
-        sa, s = value(self.smoothed(i, False))
-        _add_shifted(res, sa, s + 1, 1)
-        sb, s = value(self.smoothed(i, True))
-        _add_shifted(res, sb, s + 1, -1)
+        sw, s, f = value(self.switched(i))
+        res = dict(sw) if f is _ONE and not s else _product(sw, s, 1, f)
+        sa, s, f = value(self.smoothed(i, False))
+        _add_shifted(res, sa, s + 1, 1, f)
+        sb, s, f = value(self.smoothed(i, True))
+        _add_shifted(res, sb, s + 1, -1, f)
         return res
 
 
@@ -779,26 +812,30 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
     cw = w if framed else 0  # the shift of e per unit of writhe
     unlink = _power_table(delta, w)
 
-    def value(rd: _RDiagram) -> tuple[dict, int]:
-        """(the value of rd's reduced state, k * cw): rd's value is a^k
-        times the first, where k sums the signs of the curls that
-        reduce() removed."""
+    def value(rd: _RDiagram) -> tuple[dict, int, dict]:
+        """(the value of rd's reduced state with its free loops taken
+        out, k * cw, delta^L): rd's value is a^k delta^L times the first,
+        where k sums the signs of the curls that reduce() removed and L
+        counts the free loops.  With no crossing left the loops are the
+        value, and the factor is 1."""
         nonlocal hits
         tick()
         curl = rd.reduce() * cw
+        loops = rd.free_loops
         if len(rd.dead) == len(rd.dirs):
             # no crossing is left
-            return unlink(rd.free_loops - 1) if rd.free_loops else _ONE, curl
+            return unlink(loops - 1) if loops else _ONE, curl, _ONE
+        rd.free_loops = 0
         key = rd.key()
         res = memo.get(key)
         if res is not None:
             hits += 1
-            return res, curl
+            return res, curl, unlink(loops)
         i = rd.first_bad()
         if i is None:
             n, writhe = rd.components_and_writhe()
             s = writhe * cw
-            res = unlink(n + rd.free_loops - 1)
+            res = unlink(n - 1)
             if s:
                 res = {e + s: v for e, v in res.items()}
         else:
@@ -809,10 +846,10 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
             if 0 in res.values():
                 res = {e: v for e, v in res.items() if v}
         memo[key] = res
-        return res, curl
+        return res, curl, unlink(loops)
 
     try:
-        res, curl = value(state.from_diagram(d))
+        res, curl, f = value(state.from_diagram(d))
     except ResourceLimitExceeded as exc:
         raise exc.with_traceback(None)
     finally:
@@ -820,8 +857,8 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
         budget.progress = lambda: counts
         memo.clear()
         forms.clear()
-    s = curl - d.writhe() * cw
-    return _unpacked({e + s: v for e, v in res.items()}, w, variables)
+    return _unpacked(_product(res, curl - d.writhe() * cw, 1, f), w,
+                     variables)
 
 
 def homfly(d: PlanarDiagram, max_nodes: int | None = MAX_NODES) -> LaurentPoly2:

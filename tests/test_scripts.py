@@ -106,7 +106,7 @@ class TestSkeinTiming:
     def test_node_cap(self):
         # a tree that does not finish within --max-nodes stops at exactly
         # that many nodes, with the counts of the library's capped tree;
-        # trefoil's Whitehead and cable HOMFLY finish in 37 and 91 nodes
+        # trefoil's Whitehead and cable HOMFLY finish in 35 and 89 nodes
         res = run_script("skein_timing.py", "--max-nodes", "100", "trefoil")
         assert res.returncode == 0, res.stderr
         d = named_knot("trefoil")
@@ -124,3 +124,22 @@ class TestSkeinTiming:
             assert got.groups() == tree_counts(tree, d, 100), job
             if status == "capped":
                 assert got[1] == "100"
+
+    def test_named_trees(self):
+        # --tree runs only the trees it names, in the script's order, and
+        # their counts are the library's; a name it does not know is refused
+        res = run_script("skein_timing.py", "--tree", "cable_homfly", "--tree",
+                         "whitehead_homfly", "trefoil", "figure8")
+        assert res.returncode == 0, res.stderr
+        got = re.findall(r"^(\w+) (\w+): (\d+) nodes, (\d+) memo entries, "
+                         r"(\d+) memo hits, \d+\.\d{3} s, \d+\.\d us/node, "
+                         r"done$", res.stdout, re.M)
+        trees = (("whitehead_homfly", skein2.p_whitehead_plus),
+                 ("cable_homfly", skein2.homfly_2cable))
+        want = [(name, job, *tree_counts(tree, named_knot(name)))
+                for name in ("trefoil", "figure8") for job, tree in trees]
+        assert got == want, res.stdout
+        assert "whitehead_kauffman" not in res.stdout
+        res = run_script("skein_timing.py", "--tree", "kauffman", "trefoil")
+        assert res.returncode == 2
+        assert "invalid choice: 'kauffman'" in res.stderr

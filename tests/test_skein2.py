@@ -10,8 +10,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (homfly_mirror, pretzel, random_braid,
-                      random_knot_diagram)
+from conftest import (homfly_mirror, nontrivial_knot_braid, pretzel,
+                      random_braid, random_knot_diagram)
 from knotmut import skein2
 from knotmut.bracket import (DELTA, bracket_state_sum, jones,
                              kauffman_bracket)
@@ -171,7 +171,7 @@ class TestKauffmanF:
 
     def test_whitehead_double_bracket(self):
         # the skein tree against the bracket's contraction on the 20- and
-        # 18-crossing satellites of trefoil and figure8 (664 and 6,085
+        # 18-crossing satellites of trefoil and figure8 (652 and 6,007
         # nodes); the trees close only with bigon reduction
         for name in ("trefoil", "figure8"):
             d = named_knot(name)
@@ -316,10 +316,10 @@ class TestReduction:
         homfly(pretzel(7, 3, 3, -2), max_nodes=200)
 
     def test_whitehead_homfly_budget(self):
-        # needs 207 nodes (223 with no closed-chain leaf, 235 resolving its
-        # twist regions a crossing at a time), and 695 if the tree also
-        # took the first bad crossing with an alternating bigon instead of
-        # the last
+        # needs 197 nodes (207 with its free loops in the memo key, 223 with
+        # no closed-chain leaf, 235 resolving its twist regions a crossing
+        # at a time), and 695 if the tree also took the first bad crossing
+        # with an alternating bigon instead of the last
         p_whitehead_plus(named_knot("5_1"), max_nodes=240)
 
     def test_cable_homfly_budget(self):
@@ -330,36 +330,38 @@ class TestReduction:
         homfly_2cable(named_knot("figure8"), max_nodes=200)
 
     def test_whitehead_homfly_node_guard(self, monkeypatch):
-        # needs 939 nodes, 969 with no closed-chain leaf and 981 resolving
-        # its twist regions a crossing at a time.  At a crossing at a time
-        # it needed 997 if a join through deleted legs left its new arc out
-        # of the next reduction, 1,359 if the tree took the first bad
-        # crossing with an alternating bigon instead of the last, and 6,543
-        # if it resolved its first bad crossing
+        # needs 933 nodes, 939 with its free loops in the memo key, 969
+        # with no closed-chain leaf and 981 resolving its twist regions a
+        # crossing at a time.  At a crossing at a time it needed 997 if a
+        # join through deleted legs left its new arc out of the next
+        # reduction, 1,359 if the tree took the first bad crossing with an
+        # alternating bigon instead of the last, and 6,543 if it resolved
+        # its first bad crossing
         _, nodes = counted(monkeypatch, p_whitehead_plus, named_knot("6_1"))
-        assert nodes <= 960
+        assert nodes <= 935
 
     def test_pretzel_whitehead_homfly_node_guard(self, monkeypatch):
         # the paper's scale, pinned as `TestTreeShapes` pins the small
-        # trees: (nodes, memo entries, memo hits).  It needed 39,257 nodes
-        # with no closed-chain leaf, 40,045 resolving its twist regions a
-        # crossing at a time, and 71,481 if the tree also took the first
-        # bad crossing with an alternating bigon
+        # trees: (nodes, memo entries, memo hits).  It needed 39,131 nodes
+        # and 20,531 memo entries with its free loops in the memo key,
+        # 39,257 nodes with no closed-chain leaf, 40,045 resolving its
+        # twist regions a crossing at a time, and 71,481 if the tree also
+        # took the first bad crossing with an alternating bigon
         got = tree_shape(monkeypatch, p_whitehead_plus, pretzel(3, 2, 3, -3),
                          None)
-        assert got == (39_131, 20_531, 15_403)
+        assert got == (32_851, 17_244, 12_932)
 
     def test_whitehead_kauffman_node_guard(self, monkeypatch):
-        # needs 664 nodes, 712 with no closed-chain leaf and 856 resolving
-        # its twist regions a crossing at a time.  At a crossing at a time
-        # it needed 1,510 if the tree took the first bad crossing with an
-        # alternating bigon instead of the last, 2,023 if it resolved its
-        # first bad crossing, and 3,097 on an oriented state whose
-        # smoothings reverse strands
+        # needs 652 nodes, 664 with its free loops in the memo key, 712
+        # with no closed-chain leaf and 856 resolving its twist regions a
+        # crossing at a time.  At a crossing at a time it needed 1,510 if
+        # the tree took the first bad crossing with an alternating bigon
+        # instead of the last, 2,023 if it resolved its first bad crossing,
+        # and 3,097 on an oriented state whose smoothings reverse strands
         d = named_knot("trefoil")
         double = whitehead_double(d, -d.writhe(), 1)
         _, nodes = counted(monkeypatch, kauffman_f, double)
-        assert nodes <= 700
+        assert nodes <= 660
 
     @pytest.mark.parametrize("engine", (homfly, kauffman_f))
     @pytest.mark.parametrize("name", ("trefoil", "5_2"))
@@ -791,33 +793,33 @@ class TestLabelFree:
 # HOMFLY trees of trefoil and figure8, 2,000 otherwise.  A tree that
 # reaches its cap ends limited.
 SATELLITE_SHAPES = {
-    "trefoil": ((37, 22, 8), (91, 58, 22), (664, 277, 179)),
-    "figure8": ((93, 53, 29), (181, 113, 47), (2000, 832, 618)),
-    "5_1": ((207, 111, 69), (1507, 911, 498), (2000, 809, 580)),
-    "5_2": ((207, 118, 61), (2000, 1382, 386), (2000, 870, 471)),
-    "6_1": ((939, 519, 270), (2000, 1325, 409), (2000, 922, 434)),
-    "6_2": ((565, 306, 186), (2000, 1184, 637), (2000, 839, 586)),
-    "6_3": ((937, 513, 297), (2000, 1223, 574), (2000, 834, 606)),
-    ((0, -4), (0, -3)): ((1799, 921, 764), (2000, 1142, 746),
-                         (2000, 746, 769)),
-    ((0, -4), (0, -1, -2)): ((1417, 745, 534), (2000, 1158, 705),
-                             (2000, 774, 685)),
+    "trefoil": ((35, 19, 9), (89, 56, 23), (652, 268, 179)),
+    "figure8": ((91, 49, 31), (181, 111, 49), (2000, 826, 634)),
+    "5_1": ((197, 101, 70), (1483, 893, 498), (2000, 799, 592)),
+    "5_2": ((201, 108, 65), (2000, 1378, 394), (2000, 868, 474)),
+    "6_1": ((933, 510, 274), (2000, 1324, 420), (2000, 920, 442)),
+    "6_2": ((515, 274, 173), (2000, 1177, 650), (2000, 831, 601)),
+    "6_3": ((919, 495, 300), (2000, 1227, 576), (2000, 829, 611)),
+    ((0, -4), (0, -3)): ((1487, 751, 649), (2000, 1137, 746),
+                         (2000, 738, 766)),
+    ((0, -4), (0, -1, -2)): ((1155, 597, 453), (2000, 1154, 710),
+                             (2000, 772, 681)),
 }
 # The same for the HOMFLY and Kauffman trees of each MUTANT_SLATE knot and
 # its mutant, unbudgeted.
 PRETZEL_SHAPES = {
-    (3, 2, 3, -3): ((15, 12, 2), (28, 15, 11)),
-    (3, 2, -3, 3): ((17, 13, 3), (28, 15, 11)),
-    (-3, 2, -3, 3): ((11, 8, 2), (28, 13, 9)),
-    (-3, 2, 3, -3): ((11, 8, 2), (28, 14, 8)),
-    (5, 3, -2, -3): ((13, 10, 3), (28, 14, 12)),
-    (5, 3, -3, -2): ((11, 9, 2), (28, 14, 12)),
-    (-5, 3, -2, 3): ((11, 8, 2), (31, 15, 9)),
-    (-5, 3, 3, -2): ((13, 10, 3), (34, 18, 11)),
-    (7, 3, 3, -2): ((13, 10, 3), (28, 15, 11)),
-    (7, 3, -2, 3): ((13, 10, 3), (28, 15, 11)),
-    (7, -3, -2, -3): ((11, 9, 2), (34, 16, 16)),
-    (7, -3, -3, -2): ((13, 10, 3), (34, 16, 16)),
+    (3, 2, 3, -3): ((13, 8, 4), (25, 12, 11)),
+    (3, 2, -3, 3): ((17, 10, 6), (25, 12, 11)),
+    (-3, 2, -3, 3): ((9, 5, 3), (25, 10, 9)),
+    (-3, 2, 3, -3): ((9, 5, 3), (25, 11, 8)),
+    (5, 3, -2, -3): ((11, 7, 4), (25, 11, 12)),
+    (5, 3, -3, -2): ((9, 6, 3), (25, 11, 12)),
+    (-5, 3, -2, 3): ((9, 5, 3), (28, 12, 9)),
+    (-5, 3, 3, -2): ((11, 7, 4), (31, 14, 12)),
+    (7, 3, 3, -2): ((11, 7, 4), (25, 12, 11)),
+    (7, 3, -2, 3): ((11, 7, 4), (25, 12, 11)),
+    (7, -3, -2, -3): ((9, 6, 3), (31, 13, 16)),
+    (7, -3, -3, -2): ((11, 7, 4), (31, 13, 16)),
 }
 
 
@@ -828,6 +830,16 @@ def companion_diagram(companion) -> PlanarDiagram:
     a, b = companion
     return TangleDecomposition(rational_tangle(list(a)),
                                rational_tangle(list(b))).glue("2b")
+
+
+def satellite_trees(companion) -> list:
+    """(engine, diagram, node cap) of the companion's three satellite
+    trees, in the order and under the caps of `SATELLITE_SHAPES`."""
+    d = companion_diagram(companion)
+    cap = 40_000 if companion in ("trefoil", "figure8") else 2000
+    double = whitehead_double(d, -d.writhe(), 1)
+    return [(homfly, double, cap), (homfly, cable(d, 2, -1), cap),
+            (kauffman_f, double, 2000)]
 
 
 def tree_shape(monkeypatch, engine, d, max_nodes):
@@ -858,16 +870,14 @@ class TestTreeShapes:
     to be resolved in one node by its closed form, which no tree here
     resolves in more nodes than before; the values did not change.  They
     changed by design, and no tree here grew, once more when a state that
-    is one closed chain of bigons, a whole T(2, n), became a leaf."""
+    is one closed chain of bigons, a whole T(2, n), became a leaf, and
+    again when the memo came to be keyed on a state with its free loops
+    taken out."""
 
     @pytest.mark.parametrize("companion", SATELLITE_SHAPES, ids=str)
     def test_satellite_trees(self, monkeypatch, companion):
-        d = companion_diagram(companion)
-        cap = 40_000 if companion in ("trefoil", "figure8") else 2000
-        double = whitehead_double(d, -d.writhe(), 1)
-        got = (tree_shape(monkeypatch, homfly, double, cap),
-               tree_shape(monkeypatch, homfly, cable(d, 2, -1), cap),
-               tree_shape(monkeypatch, kauffman_f, double, 2000))
+        got = tuple(tree_shape(monkeypatch, *tree)
+                    for tree in satellite_trees(companion))
         assert got == SATELLITE_SHAPES[companion]
 
     @pytest.mark.parametrize("p", PRETZEL_SHAPES, ids=str)
@@ -913,7 +923,7 @@ class TestNoMemoryKept:
         assert live < peak / 4, (live, peak)
         (budget,) = made
         assert (budget.nodes, budget.progress()) == \
-            (6893, "4450 memo entries, 1865 memo hits")
+            (6705, "4319 memo entries, 1844 memo hits")
 
     def test_stopped_tree(self, monkeypatch, traced):
         made = recorded(monkeypatch)
@@ -927,10 +937,10 @@ class TestNoMemoryKept:
         info, live, peak = traced(call)
         assert live < peak / 4, (live, peak)
         (budget,) = made
-        assert budget.progress() == "1306 memo entries, 699 memo hits"
+        assert budget.progress() == "1303 memo entries, 702 memo hits"
         assert str(info.value) == ("node budget exhausted after 3000 nodes "
-                                   "expanded, 1306 memo entries, "
-                                   "699 memo hits")
+                                   "expanded, 1303 memo entries, "
+                                   "702 memo hits")
 
 
 class TestNoSelfArc:
@@ -977,3 +987,94 @@ class TestNoSelfArc:
                 except ResourceLimitExceeded:
                     pass
         assert set(switched) == {skein2._RDiagram, skein2._UDiagram}
+
+
+DELTA_P = parse_poly2("-l*m^-1 - l^-1*m^-1")
+DELTA_F = parse_poly2("a*z^-1 - a^-1*z^-1 + 1", variables=("a", "z"))
+
+
+def loop_family(rng: random.Random) -> list[PlanarDiagram]:
+    """A closure of `nontrivial_knot_braid` and one of `random_braid` (a
+    link or a knot), each with its mirror and a kink of each sign."""
+    family = []
+    for b in (nontrivial_knot_braid(rng, max_strands=5, max_letters=10),
+              random_braid(rng, max_strands=5, max_letters=10)):
+        d = braid_closure(b)
+        family += (d, mirror(d), add_kink(d, 1), add_kink(mirror(d), -1))
+    return family
+
+
+def capped_value(engine, d: PlanarDiagram, cap: int) -> str:
+    """engine(d) under a cap of `cap` nodes, or 'limited'."""
+    try:
+        return str(engine(d, max_nodes=cap))
+    except ResourceLimitExceeded:
+        return "limited"
+
+
+def capped_digest(trees) -> str:
+    """A digest of `capped_value` over (engine, diagram, cap) triples."""
+    text = "\n".join(capped_value(*t) for t in trees)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def random_closure_trees(seed: int) -> list:
+    """Both trees of 10 closures of `random_braid` (links too), each
+    plain, mirrored and kinked both ways, under a 20,000-node cap."""
+    rng = random.Random(seed)
+    trees = []
+    for _ in range(10):
+        d = braid_closure(random_braid(rng, max_strands=5, max_letters=40))
+        for e in (d, mirror(d), add_kink(add_kink(d, 1), -1)):
+            trees += ((homfly, e, 20_000), (kauffman_f, e, 20_000))
+    return trees
+
+
+# Digests of the values of trees in which free loops arise part way down,
+# taken before the memo came to be keyed on the loop-free state
+SLATE_DIGEST = "8f9884451e458624"
+SATELLITE_DIGESTS = {
+    "trefoil": "1f494431789cdc20",
+    "figure8": "c1f3cf1fcce2f789",
+    "5_1": "3fd9f8d02f0d4954",
+    "5_2": "d8fec8a5fb7b5707",
+    "6_1": "c9ece9d1edd48822",
+    "6_2": "ca30da499350945b",
+    "6_3": "7063191d02608338",
+    ((0, -4), (0, -3)): "5a1ac246a7570ee7",
+    ((0, -4), (0, -1, -2)): "d923d3c00ddede1f",
+}
+RANDOM_CLOSURE_DIGESTS = {0: "84c9580bedd764a9", 1: "acf547ca983e03bb",
+                          2: "d376e5d2ddb0d623", 3: "be3c14a826f5372f"}
+
+
+class TestFreeLoops:
+    """A free loop is a factor: P(D + O) = delta_P P(D) and F(D + O) =
+    delta_F F(D).  The trees take a state's free loops out before its
+    memo key and multiply them back as they combine its value, so the
+    values must not move: the identity on seeded diagrams, and digests of
+    trees in which loops arise part way down, frozen before the change."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_loop_is_delta(self, seed):
+        for d in loop_family(random.Random(seed)):
+            for engine, delta in ((homfly, DELTA_P), (kauffman_f, DELTA_F)):
+                want = engine(d)
+                for k in (1, 2):
+                    want = want * delta
+                    assert engine(PlanarDiagram(d.crossings,
+                                                d.free_loops + k)) == want
+
+    def test_slate_values(self):
+        ds = [pretzel(*p) for p in PRETZEL_SHAPES]
+        assert values_digest(ds) == SLATE_DIGEST
+
+    @pytest.mark.parametrize("companion", SATELLITE_SHAPES, ids=str)
+    def test_satellite_values(self, companion):
+        assert capped_digest(satellite_trees(companion)) == \
+            SATELLITE_DIGESTS[companion]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_closure_values(self, seed):
+        assert capped_digest(random_closure_trees(seed)) == \
+            RANDOM_CLOSURE_DIGESTS[seed]
