@@ -2,10 +2,14 @@
 
 A report computes a configurable set of invariants for one knot; the
 comparison pipeline evaluates two reports item by item.  Every report
-item is a mutation invariant, so any item that is done on both knots
-and differs excludes mutation.  Equality never proves mutation, so the
-strongest negative verdict is "mutation excluded" and the positive case
-is always "consistent with mutation (inconclusive)".
+item but `cable_homfly` is a mutation invariant, so any item that is
+done on both knots and differs excludes mutation.  `cable_homfly` is the
+HOMFLY of the blackboard-framed 2-cable, whose framing is the diagram's
+writhe, so two diagrams of one knot can differ on it; the verdict still
+counts it like the others until the cable is re-framed (ROADMAP item
+2a).  Equality never proves mutation, so the strongest negative verdict
+is "mutation excluded" and the positive case is always "consistent with
+mutation (inconclusive)".
 `routes` is the report's table: one row per item, in the order the items
 are computed, holding the item's routes in order of preference.  A
 route is an engine, which computes the item from the diagram, or a

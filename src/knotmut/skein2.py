@@ -114,8 +114,10 @@ alpha = (0, 1), beta = (1, 0) and gamma = (0, 0) at k = 0 and 1
     parallel.  When they are antiparallel, x_j = -lambda^2 x_(j-2), and
     gamma_j also gains -lambda m; only the one of T_1 and T_0 of k's
     parity has a nonzero coefficient, and it is oriented as the state.
-The coefficients depend only on k, the region's sign and its corners'
-parity; a tree builds them once for each, and frees them with its memo.
+The coefficients depend only on the relation, k, the region's sign, its
+corners' parity and the packing width (`_width`), so each set is built
+once per process (`_COEFFS`) and shared by every tree, as are the powers
+of delta for each relation and width (`_POWERS`).
 A twist step is one node and ticks the budget once, so "nodes expanded"
 counts resolution steps.  At k = 2 the closed form is the crossing's own
 relation, which the tree keeps.  Keeping the region's first crossing in
@@ -153,13 +155,15 @@ of its delta^L (one pass when it has no loop), and of a twist region's
 coefficient; no product of delta^L and a value is built on its own.
 
 The readings of a finished polynomial, the Alexander and Jones
-polynomials off HOMFLY and J_K(3) off Kauffman, substitute into it by
-one pass over its terms (`_specialize`).
+polynomials off HOMFLY and J_K(3) off Kauffman, substitute x^stretch and
+x - x^-1 into it by Horner's rule in x^2 - 1 on one packed integer, read
+back in fixed-width digits (`_specialize`).
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from math import comb
 from operator import itemgetter
 
@@ -224,16 +228,29 @@ def _product(p: dict, shift: int, c: int, f: dict) -> dict:
     return out
 
 
+# Built once per process and shared by every tree; a stored value is
+# never mutated.  ((k, sign, corner parity), w, signed) -> the twist
+# coefficients of `resolve_twist`, and (delta's terms, w) -> the list
+# [delta^0, delta^1, ...] of `_power_table`, which grows only under
+# _GROWING, so that trees in two threads never append one power twice
+_COEFFS: dict = {}
+_POWERS: dict = {}
+_GROWING = threading.Lock()
+
+
 def _power_table(delta: dict, w: int):
-    """k -> delta^k, packed with width w, grown on demand."""
-    table = [_ONE]
+    """k -> delta^k, packed with width w, grown on demand in the list that
+    every tree of this delta and width shares."""
+    table = _POWERS.setdefault((tuple(delta.items()), w), [_ONE])
 
     def power(k: int) -> dict:
-        while len(table) <= k:
-            out: dict = {}
-            for (e1, e2), c in delta.items():
-                _add_shifted(out, table[-1], e1 * w + e2, c)
-            table.append({e: v for e, v in out.items() if v})
+        if len(table) <= k:
+            with _GROWING:
+                while len(table) <= k:
+                    out: dict = {}
+                    for (e1, e2), c in delta.items():
+                        _add_shifted(out, table[-1], e1 * w + e2, c)
+                    table.append({e: v for e, v in out.items() if v})
         return table[k]
 
     return power
@@ -570,13 +587,13 @@ class _RDiagram:
             return (2 * s, -1), (s + 1, -1), None
         return (2 * s, -1), None, (s + 1, 0, -1)
 
-    def resolve_twist(self, value, w: int, forms: dict, unlink,
-                      cw: int) -> dict:
+    def resolve_twist(self, value, w: int, unlink, cw: int) -> dict:
         """The value of this state from those of the children of its
         `twist`: alpha_k T_1 + beta_k T_0 + gamma_k T_inf, each child built
         in one step and skipped when its coefficient is zero, and each
-        child's delta^L applied in the pass that adds it.  `forms` holds
-        the coefficients of each (k, sign, corner parity).
+        child's delta^L applied in the pass that adds it.  The
+        coefficients of each twist key and width are built once per
+        process and kept in `_COEFFS`.
 
         A closed chain through every crossing, a leaf, builds no child:
         with the state's free loops taken out, its T_1, T_0 and T_inf
@@ -585,9 +602,9 @@ class _RDiagram:
         cw is the shift per unit of writhe.
         """
         key, children = self.twist
-        coeffs = forms.get(key)
+        coeffs = _COEFFS.get((key, w, self.signed))
         if coeffs is None:
-            coeffs = forms[key] = _twist_coeffs(
+            coeffs = _COEFFS[key, w, self.signed] = _twist_coeffs(
                 key[0], *self._twist_terms(key[1], key[2], w))
         if children is None:
             leaves = ((_ONE, cw if key[2] else -cw, _ONE),
@@ -660,7 +677,7 @@ class _RDiagram:
         """
         o, dirs = self.o, self.dirs
         passed = bytearray(len(dirs))
-        first = freeing = None
+        bad = []
         k = passed.find(0)
         while k >= 0:
             start = p = 4 * k + (3 if dirs[k] else 1)
@@ -669,32 +686,36 @@ class _RDiagram:
                 if not passed[i]:
                     passed[i] = 1
                     if not p & 1:
-                        # a bigon at a corner as in `reduce`, on another
-                        # crossing, with legs of unequal parity at the ends
-                        # of the arc at its first slot
-                        b = p & -4
-                        t0, t1, t2, t3 = o[b:b + 4]
-                        if t0 ^ t1 < 4 and (t0 - t1) & 3 == 1 and \
-                                t0 & 1 and t0 >> 2 != i:
-                            freeing, t, u = i, t0, t1
-                        elif t1 ^ t2 < 4 and (t1 - t2) & 3 == 1 and \
-                                not t1 & 1 and t1 >> 2 != i:
-                            freeing, t, u = i, t1, t2
-                        elif t2 ^ t3 < 4 and (t2 - t3) & 3 == 1 and \
-                                t2 & 1 and t2 >> 2 != i:
-                            freeing, t, u = i, t2, t3
-                        elif t3 ^ t0 < 4 and (t3 - t0) & 3 == 1 and \
-                                not t3 & 1 and t3 >> 2 != i:
-                            freeing, t, u = i, t3, t0
-                        elif first is None:
-                            first = i
+                        bad.append(i)
                 p = o[p ^ 2]
                 if p == start:
                     break
             k = passed.find(0, k)
         self.twist = None
-        if freeing is None:
-            return first
+        # the corners are tested from the last bad crossing back, and the
+        # first with an alternating bigon is taken: a bigon at a corner as
+        # in `reduce`, on another crossing, with legs of unequal parity at
+        # the ends of the arc at its first slot
+        for freeing in reversed(bad):
+            b = 4 * freeing
+            t0, t1, t2, t3 = o[b:b + 4]
+            if t0 ^ t1 < 4 and (t0 - t1) & 3 == 1 and \
+                    t0 & 1 and t0 >> 2 != freeing:
+                t, u = t0, t1
+            elif t1 ^ t2 < 4 and (t1 - t2) & 3 == 1 and \
+                    not t1 & 1 and t1 >> 2 != freeing:
+                t, u = t1, t2
+            elif t2 ^ t3 < 4 and (t2 - t3) & 3 == 1 and \
+                    t2 & 1 and t2 >> 2 != freeing:
+                t, u = t2, t3
+            elif t3 ^ t0 < 4 and (t3 - t0) & 3 == 1 and \
+                    not t3 & 1 and t3 >> 2 != freeing:
+                t, u = t3, t0
+            else:
+                continue
+            break
+        else:
+            return bad[0] if bad else None
         # the bigon's sides end at t and u on the neighbour.  Its twist
         # region has k >= 3 crossings only if a bigon adjoins the corner
         # opposite the bigon's at the neighbour (slots u + 2 and t + 2) or
@@ -793,17 +814,18 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
     gains a^(+-1) per curl, and is normalized by a^(-writhe) at the root;
     an unframed one (P) is an ambient-isotopy invariant, unchanged by both.
 
-    The memo lives only while the tree runs: `value` refers to itself, a
-    cycle that would keep the memo until a full collection, so the memo
-    and the twist coefficients `forms` are cleared when the tree ends,
-    after the budget's `progress()` is frozen at the final counts.  A
-    budget stop is re-raised without its traceback, whose frames would
-    hold the memo as long as the caller keeps the exception; its message
-    carries the counts.
+    The memo lives per tree, only while the tree runs: `value` refers to
+    itself, a cycle that would keep the memo until a full collection, so
+    the memo is cleared when the tree ends, after the budget's
+    `progress()` is frozen at the final counts.  A budget stop is
+    re-raised without its traceback, whose frames would hold the memo as
+    long as the caller keeps the exception; its message carries the
+    counts.  The twist coefficients and the powers of delta depend only
+    on the relation and the width, and live per process (`_COEFFS`,
+    `_POWERS`).
     """
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
     memo: dict = {}
-    forms: dict = {}
     hits = 0
     budget = Budget(max_nodes, "nodes expanded",
                     lambda: f"{len(memo)} memo entries, {hits} memo hits")
@@ -842,7 +864,7 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
             if rd.twist is None:
                 res = rd.resolve(i, value, w)
             else:
-                res = rd.resolve_twist(value, w, forms, unlink, cw)
+                res = rd.resolve_twist(value, w, unlink, cw)
             if 0 in res.values():
                 res = {e: v for e, v in res.items() if v}
         memo[key] = res
@@ -856,7 +878,6 @@ def _tree(d: PlanarDiagram, state: type, delta: dict, framed: bool,
         counts = budget.progress()
         budget.progress = lambda: counts
         memo.clear()
-        forms.clear()
     return _unpacked(_product(res, curl - d.writhe() * cw, 1, f), w,
                      variables)
 
@@ -872,38 +893,51 @@ def kauffman_f(d: PlanarDiagram,
     return _tree(d, _UDiagram, _DELTA_F, True, ("a", "z"), max_nodes)
 
 
-def _specialize(p: LaurentPoly2, stretch: int, imaginary: bool) -> dict:
-    """The coefficients {e: c} in x of p(X, Y) at X = x^stretch and
-    Y = x - x^-1.
+def _specialize(p: LaurentPoly2, stretch: int, imaginary: bool,
+                var: str) -> LaurentPoly:
+    """p(X, Y) at X = x^stretch and Y = x - x^-1, in var = x.
 
     With `imaginary`, X and Y each carry a factor i as well, so a term
     c X^e1 Y^e2 gains i^(e1 + e2): a sign, since e1 and e2 are even for
-    a knot's HOMFLY polynomial.  (x - x^-1)^e is expanded once per e, not
-    once per term.  Only a link's polynomial has a negative Y-degree, and
-    that is refused.
+    a knot's HOMFLY polynomial.  Only a link's polynomial has a negative
+    Y-degree, and that is refused.
+
+    Y^e2 = x^-e2 (x^2 - 1)^e2, so the value is
+    x^lo sum_e2 A_e2(x) (x^2 - 1)^e2, where x^lo A_e2 gathers the terms
+    of Y-degree e2 as c x^(stretch e1 - e2), and lo is the least of
+    these exponents, so that every A_e2 is a polynomial.  Horner's rule
+    evaluates the sum at x = 2^b on one integer, from the top Y-degree
+    down, and it is read back in signed b-bit digits.  (x^2 - 1)^e has
+    L1 norm 2^e, so no coefficient of the sum exceeds the bound
+    sum |c| 2^e2 in size, and b leaves a bit to spare above the sign.
     """
-    rows: dict[int, tuple] = {}
-    acc: dict[int, int] = {}
-    get = acc.get
+    terms = []
+    bound = top = 0
     for (e1, e2), c in p.coeffs.items():
         if imaginary:
             if (e1 + e2) & 1:
                 raise ValueError("unexpected parity in HOMFLY of a knot")
             if (e1 + e2) & 2:
                 c = -c
-        row = rows.get(e2)
-        if row is None:
-            if e2 < 0:
-                raise ValueError(
-                    f"negative {p.vars[1]}-degree: a link's "
-                    f"{'HOMFLY' if imaginary else 'Kauffman'} polynomial")
-            row = rows[e2] = tuple((e2 - 2 * k, (-1) ** k * comb(e2, k))
-                                   for k in range(e2 + 1))
-        base = stretch * e1
-        for e, v in row:
-            e += base
-            acc[e] = get(e, 0) + c * v
-    return acc
+        if e2 < 0:
+            raise ValueError(
+                f"negative {p.vars[1]}-degree: a link's "
+                f"{'HOMFLY' if imaginary else 'Kauffman'} polynomial")
+        terms.append((e2, stretch * e1 - e2, c))
+        bound += abs(c) << e2
+        if e2 > top:
+            top = e2
+    if not terms:
+        return LaurentPoly(var)
+    lo = min([e for _, e, _ in terms])
+    b = bound.bit_length() + 2
+    rows = [0] * (top + 1)  # A_e2(2^b)
+    for e2, e, c in terms:
+        rows[e2] += c << b * (e - lo)
+    acc = 0
+    for row in reversed(rows):
+        acc = (acc << 2 * b) - acc + row
+    return LaurentPoly.unpack(var, acc, b, lo)
 
 
 def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:
@@ -913,7 +947,7 @@ def alexander_from_homfly(p: LaurentPoly2) -> LaurentPoly:
     and the half-integer powers of t cancel for a knot, and the result is
     symmetric with value 1 at t = 1 by construction.
     """
-    return LaurentPoly("s", _specialize(p, 0, True)).shrink(2, "t")
+    return _specialize(p, 0, True, "s").shrink(2, "t")
 
 
 def jones_from_homfly(p: LaurentPoly2) -> LaurentPoly:
@@ -924,7 +958,7 @@ def jones_from_homfly(p: LaurentPoly2) -> LaurentPoly:
     t^-1 V(L+) - t V(L-) = (t^(1/2) - t^(-1/2)) V(L0); as for Alexander,
     the powers of i and the half-integer powers of t cancel for a knot.
     """
-    return LaurentPoly("x", _specialize(p, 2, True)).shrink(-2, "t")
+    return _specialize(p, 2, True, "x").shrink(-2, "t")
 
 
 def cjones3_from_kauffman(f: LaurentPoly2) -> LaurentPoly:
@@ -935,7 +969,7 @@ def cjones3_from_kauffman(f: LaurentPoly2) -> LaurentPoly:
     (Turaev, Invent. Math. 92, 1988).  Only a link's F has a negative
     z-degree, and that is refused.
     """
-    return LaurentPoly("q", _specialize(f, 2, False))
+    return _specialize(f, 2, False, "q")
 
 
 def p_whitehead_plus(d: PlanarDiagram,

@@ -1,5 +1,7 @@
 """Laurent polynomial arithmetic, parsing, and q-integer helpers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,39 @@ class TestLaurentPoly:
     def test_no_negative_powers(self):
         with pytest.raises(ValueError):
             LaurentPoly.monomial("t", 3) ** -1
+
+
+class TestUnpack:
+    """`LaurentPoly.unpack` reads signed `width`-bit digits back exactly
+    when each lies in [-2^(width-1), 2^(width-1)); the readings of the
+    skein polynomials and `alexander_pd` rely on it."""
+
+    @staticmethod
+    def packed(digits, width: int) -> int:
+        return sum(c << (width * i) for i, c in enumerate(digits))
+
+    @pytest.mark.parametrize("width", (2, 3, 8, 61))
+    def test_round_trip_at_both_ends(self, width):
+        top = 1 << (width - 1)
+        ends = (-top, -top + 1, -1, 0, 1, top - 2, top - 1)
+        for digits in itertools.product(ends, repeat=3):
+            for off, step in ((0, 1), (-5, 1), (7, -1), (3, 2)):
+                want = LaurentPoly("t", {off + step * i: c
+                                         for i, c in enumerate(digits)})
+                assert LaurentPoly.unpack("t", self.packed(digits, width),
+                                          width, off, step) == want
+
+    def test_two_bit_digits(self):
+        # -2, 1, -1, 0, 1: each end of [-2, 2), read from 2-bit digits
+        digits = (-2, 1, -1, 0, 1)
+        assert LaurentPoly.unpack("q", self.packed(digits, 2), 2, -1) == \
+            LaurentPoly("q", {-1: -2, 0: 1, 1: -1, 3: 1})
+        assert LaurentPoly.unpack("q", self.packed(digits, 2), 2, 4, -1) == \
+            LaurentPoly("q", {4: -2, 3: 1, 2: -1, 0: 1})
+
+    @pytest.mark.parametrize("width", (2, 16))
+    def test_zero(self, width):
+        assert LaurentPoly.unpack("t", 0, width, 3, -1).is_zero()
 
 
 two_polys = st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),

@@ -5,7 +5,10 @@ import hashlib
 import itertools
 import random
 import re
+import sys
+import threading
 import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +26,8 @@ from knotmut.diagram import (KNOT_BRAIDS, BraidWord, PlanarDiagram,
 from knotmut.laurent import LaurentPoly, LaurentPoly2, parse_poly, parse_poly2
 from knotmut.satellites import cable, whitehead_double
 from knotmut.skein2 import (ResourceLimitExceeded, alexander_from_homfly,
-                            homfly, homfly_2cable, jones_from_homfly,
-                            kauffman_f, p_whitehead_plus)
+                            cjones3_from_kauffman, homfly, homfly_2cable,
+                            jones_from_homfly, kauffman_f, p_whitehead_plus)
 from knotmut.tangles import TangleDecomposition, rational_tangle
 
 UNKNOT = PlanarDiagram([], 1, "unknot")
@@ -255,6 +258,109 @@ class TestHomflyReadings:
             with pytest.raises(ValueError, match="^negative m-degree: a "
                                "link's HOMFLY polynomial$"):
                 reading(p)
+
+
+def rows_specialize(p: LaurentPoly2, stretch: int, imaginary: bool) -> dict:
+    """The coefficients {e: c} in x of p(X, Y) at X = x^stretch and
+    Y = x - x^-1, each Y^e2 expanded by the binomial theorem: the readings
+    as they were before Horner's rule, kept as their oracle.  With
+    `imaginary`, c X^e1 Y^e2 gains the sign of i^(e1 + e2); the refusals
+    are `skein2._specialize`'s, term by term in the same order."""
+    out: dict = {}
+    for (e1, e2), c in p.coeffs.items():
+        if imaginary:
+            if (e1 + e2) & 1:
+                raise ValueError("unexpected parity in HOMFLY of a knot")
+            if (e1 + e2) & 2:
+                c = -c
+        if e2 < 0:
+            raise ValueError(
+                f"negative {p.vars[1]}-degree: a link's "
+                f"{'HOMFLY' if imaginary else 'Kauffman'} polynomial")
+        for k in range(e2 + 1):
+            e = stretch * e1 + e2 - 2 * k
+            out[e] = out.get(e, 0) + c * (-1) ** k * comb(e2, k)
+    return out
+
+
+def random_two_poly(rng: random.Random, even: bool) -> LaurentPoly2:
+    """Up to 30 terms with coefficients up to 2^100 in size, X-exponents
+    of both signs and Y-degrees up to 40; with `even`, e1 + e2 is even."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 30)):
+        e1, e2 = rng.randint(-25, 25), rng.randint(0, 40)
+        if even and (e1 + e2) & 1:
+            e1 += 1
+        coeffs[e1, e2] = rng.randint(-2**100, 2**100)
+    return LaurentPoly2(coeffs, ("l", "m"))
+
+
+class TestReadings:
+    """`_specialize` evaluates by Horner's rule in x^2 - 1 on one packed
+    integer, with digits as wide as a proved bound on the coefficients:
+    against the binomial expansion it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("stretch", (0, 2))
+    @pytest.mark.parametrize("imaginary", (False, True))
+    def test_against_rows(self, seed, stretch, imaginary):
+        rng = random.Random(seed)
+        for _ in range(25):
+            p = random_two_poly(rng, imaginary)
+            assert skein2._specialize(p, stretch, imaginary, "x") == \
+                LaurentPoly("x", rows_specialize(p, stretch, imaginary))
+
+    @pytest.mark.parametrize("c", (2**100, -2**100, 2**64 - 1, -1, 1))
+    def test_coefficient_at_the_bound(self, c):
+        # at stretch 0 every term of Y-degree 0 lands on x^0, so five like
+        # ones sum to the bound, sum |c| 2^e2, itself
+        p = LaurentPoly2({(e1, 0): c for e1 in range(-2, 3)}, ("a", "z"))
+        assert skein2._specialize(p, 0, False, "q") == \
+            LaurentPoly("q", {0: 5 * c})
+        # and beside the digits of a term of Y-degree 3
+        p = LaurentPoly2({**p.coeffs, (1, 3): -c}, ("a", "z"))
+        for stretch in (0, 2):
+            assert skein2._specialize(p, stretch, False, "q") == \
+                LaurentPoly("q", rows_specialize(p, stretch, False))
+
+    def test_refusals(self):
+        # parity is checked before degree, term by term, with the
+        # messages of the oracle, which the link tests match in full
+        rng = random.Random(5)
+        for imaginary in (False, True):
+            for _ in range(60):
+                coeffs = {(rng.randint(-4, 4), rng.randint(-2, 6)):
+                          rng.choice((-3, -1, 1, 2)) for _ in range(6)}
+                p = LaurentPoly2(coeffs, ("a", "z"))
+                try:
+                    want = LaurentPoly("q", rows_specialize(p, 2, imaginary))
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as info:
+                        skein2._specialize(p, 2, imaginary, "q")
+                    assert str(info.value) == str(exc)
+                else:
+                    assert skein2._specialize(p, 2, imaginary, "q") == want
+        with pytest.raises(ValueError, match="^unexpected parity"):
+            skein2._specialize(LaurentPoly2({(0, -1): 1}), 2, True, "x")
+        with pytest.raises(ValueError, match="^negative z-degree: a link's "
+                           "Kauffman polynomial$"):
+            skein2._specialize(LaurentPoly2({(0, -1): 1}, ("a", "z")), 2,
+                               False, "q")
+
+    def test_zero(self):
+        assert skein2._specialize(LaurentPoly2(), 2, True, "x").is_zero()
+
+    def test_named_readings(self):
+        # the three readings of every named knot against the oracle
+        for name in NAMED_KNOTS:
+            d = named_knot(name)
+            p, f = homfly(d), kauffman_f(d)
+            assert alexander_from_homfly(p) == \
+                LaurentPoly("s", rows_specialize(p, 0, True)).shrink(2, "t")
+            assert jones_from_homfly(p) == \
+                LaurentPoly("x", rows_specialize(p, 2, True)).shrink(-2, "t")
+            assert cjones3_from_kauffman(f) == \
+                LaurentPoly("q", rows_specialize(f, 2, False))
 
 
 class TestSatelliteHomfly:
@@ -890,7 +996,9 @@ class TestTreeShapes:
 
 class TestNoMemoryKept:
     """A tree's memo lives only while the tree runs, and a stopped tree's
-    exception carries its counts but not its frames.  With the cyclic
+    exception carries its counts but not its frames; the twist
+    coefficients and the powers of delta, which depend only on the
+    relation and the width, live for the process.  With the cyclic
     collector off, what a tree leaves live is a small part of its traced
     peak: the interpreter's free lists of small tuples, which a collection
     would also free.  A memo held by the closure's cycle, or by the frames
@@ -941,6 +1049,131 @@ class TestNoMemoryKept:
         assert str(info.value) == ("node budget exhausted after 3000 nodes "
                                    "expanded, 1303 memo entries, "
                                    "702 memo hits")
+
+
+def recurrence_coeffs(k: int, a: tuple, b: tuple | None,
+                      c: tuple | None) -> tuple:
+    """(alpha_k, beta_k, gamma_k) of `skein2._twist_coeffs`, step by step:
+    x_j = a x_(j-2) + b x_(j-1) from (x_0, x_1) = (0, 1), (1, 0) and, with
+    c_j = x^(c[0] + (j - 1) c[1]) times c[2] added, (0, 0)."""
+    def times(p: dict, m: tuple | None) -> dict:
+        if m is None:
+            return {}
+        return {e + m[0]: v * m[1] for e, v in p.items()}
+
+    def plus(*ps: dict) -> dict:
+        out: dict = {}
+        for p in ps:
+            for e, v in p.items():
+                out[e] = out.get(e, 0) + v
+        return {e: v for e, v in out.items() if v}
+
+    def run(x0: dict, x1: dict, with_c: bool) -> dict:
+        xs = [x0, x1]
+        for j in range(2, k + 1):
+            cj = {c[0] + (j - 1) * c[1]: c[2]} if with_c and c else {}
+            xs.append(plus(times(xs[j - 2], a), times(xs[j - 1], b), cj))
+        return xs[k]
+
+    return run({}, {0: 1}, False), run({0: 1}, {}, False), run({}, {}, True)
+
+
+def table_snapshot() -> tuple:
+    """Copies of the twist-coefficient and delta-power tables' values."""
+    return ({key: tuple(dict(p) for p in triple)
+             for key, triple in skein2._COEFFS.items()},
+            {key: [dict(p) for p in powers]
+             for key, powers in skein2._POWERS.items()})
+
+
+class TestSharedTables:
+    """The twist coefficients and the powers of delta are built once per
+    process, for each relation and packing width, and shared by every
+    tree: the values against their recurrences, and no tree mutates
+    them."""
+
+    @pytest.mark.parametrize("w", (32, 128))
+    def test_twist_coeffs_recurrence(self, w):
+        terms = [skein2._RDiagram._twist_terms(positive, odd, w)
+                 for positive in (True, False) for odd in (True, False)]
+        terms += [skein2._UDiagram._twist_terms(True, odd, w)
+                  for odd in (True, False)]
+        # HOMFLY parallel and antiparallel at both signs, Kauffman at both
+        # parities
+        assert {(b is None, c is None) for b, c in
+                (t[1:] for t in terms)} == {(False, True), (True, False),
+                                            (False, False)}
+        for k in range(2, 15):
+            for t in terms:
+                got = tuple({e: v for e, v in p.items() if v}
+                            for p in skein2._twist_coeffs(k, *t))
+                assert got == recurrence_coeffs(k, *t), (k, t)
+
+    @staticmethod
+    def delta_powers(delta: dict, w: int, n: int) -> list:
+        """[delta^0, ..., delta^n], packed with width w, one product at a
+        time."""
+        packed = {e1 * w + e2: c for (e1, e2), c in delta.items()}
+        out = [{0: 1}]
+        for _ in range(n):
+            out.append({e: v for e, v in skein2._product(
+                out[-1], 0, 1, packed).items() if v})
+        return out
+
+    def test_power_table(self):
+        for delta, w in ((skein2._DELTA_P, 32), (skein2._DELTA_F, 64)):
+            power = skein2._power_table(delta, w)
+            assert power(0) is skein2._ONE
+            assert [power(k) for k in range(8)] == \
+                self.delta_powers(delta, w, 7)
+            assert skein2._power_table(delta, w)(7) is power(7)
+
+    def test_power_table_threads(self):
+        # more threads than cores grow one new list at once, switching
+        # every microsecond: no power is appended twice or out of turn
+        w = 1 << 21  # wider than any tree's, so the list starts new
+        key = (tuple(skein2._DELTA_F.items()), w)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda k=k: skein2._power_table(skein2._DELTA_F, w)(k))
+                for k in (30, 10, 30, 20, 30, 25, 30, 30)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert skein2._POWERS[key] == \
+                self.delta_powers(skein2._DELTA_F, w, 30)
+        finally:
+            sys.setswitchinterval(interval)
+            skein2._POWERS.pop(key, None)
+
+    def test_trees_leave_tables_unchanged(self):
+        # the slate and the satellites' trees, then again: the second
+        # pass adds no entry, and no value stored by either pass moves
+        def run():
+            for p in PRETZEL_SHAPES:
+                homfly(pretzel(*p))
+                kauffman_f(pretzel(*p))
+            for companion in SATELLITE_SHAPES:
+                for tree in satellite_trees(companion):
+                    capped_value(*tree)
+
+        before = table_snapshot()
+        run()
+        first = table_snapshot()
+        for old, new in zip(before, first):
+            assert all(new[key] == value for key, value in old.items())
+        run()
+        assert table_snapshot() == first
+        assert first[0] and first[1]
+        # every stored triple is the one that its key names
+        for ((k, positive, odd), w, signed), triple in first[0].items():
+            state = skein2._RDiagram if signed else skein2._UDiagram
+            assert triple == skein2._twist_coeffs(
+                k, *state._twist_terms(positive, odd, w))
 
 
 class TestNoSelfArc:
